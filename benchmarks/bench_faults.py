@@ -1,28 +1,19 @@
-"""E12: fault injection, reliable delivery and graceful degradation.
+"""E12: the fault layer's machinery overhead.
 
-Two benches pin the fault layer of ``repro.faults``:
-
-* a reduced scenario x topology matrix whose four structural verdicts
-  (empty plan == fault-free bitwise, divergence monotone in loss rate,
-  retries recover most of the loss-induced gap, cooperative + TTL
-  degrades no worse than uniform through a feedback blackout) are hard
-  asserts everywhere -- they are exactness/ordering claims, not
-  timings;
-* a machinery-overhead pair: one cooperative run fault-free, one with
-  an *armed but inert* plan (a zero-probability loss rule spanning the
-  whole horizon), so the delivery guard is consulted on every message
-  yet never fires.  The results must match bit for bit and the guarded
-  wall must stay within ``MACHINERY_OVERHEAD_LIMIT`` x the unguarded
-  one -- the acceptance number for keeping the fault hooks out of the
-  fault-free hot path.
+A machinery-overhead pair: one cooperative run fault-free, one with an
+*armed but inert* plan (a zero-probability loss rule spanning the whole
+horizon), so the delivery guard is consulted on every message yet never
+fires.  The results must match bit for bit and the guarded wall must
+stay within ``MACHINERY_OVERHEAD_LIMIT`` x the unguarded one -- the
+acceptance number for keeping the fault hooks out of the fault-free hot
+path.  The E12 matrix's verdicts are asserted in ``bench_matrix``.
 
 The overhead test merges its walls into ``BENCH_scale.current.json``
 (untracked; see ``bench_scale.py``) under a ``faults`` section so the
 perf regression job archives them alongside the E9/E11 points.
 
 Timing-ratio asserts are machine-sensitive; CI runs this bench in the
-non-failing perf-smoke job, while the verdict asserts are hard
-everywhere.
+non-failing perf-smoke job.
 """
 
 import json
@@ -33,14 +24,6 @@ from conftest import run_once
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
-from repro.experiments.faults import (
-    blackout_graceful,
-    empty_plan_is_baseline,
-    loss_monotone,
-    render_faults,
-    retry_recovers,
-    run_faults,
-)
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import FaultPlan, LossRule
 from repro.network.bandwidth import ConstantBandwidth
@@ -49,29 +32,6 @@ from repro.workloads.synthetic import uniform_random_walk
 
 #: Max guarded / unguarded wall-clock ratio with an inert fault plan.
 MACHINERY_OVERHEAD_LIMIT = 1.2
-
-
-def test_faults_matrix_verdicts(benchmark):
-    """Reduced E12 matrix: all four structural verdicts must hold.
-
-    Same scarce-bandwidth shrink as ``bench_netcond``; the update-rate
-    cap keeps the workload in the sparse regime where loss actually
-    hurts (see ``repro.experiments.faults``).
-    """
-    points = run_once(benchmark, run_faults, num_sources=8,
-                      objects_per_source=4, cache_bandwidth=6.0,
-                      source_bandwidth=1.5, warmup=50.0, measure=150.0)
-    print()
-    print(render_faults(points, "E12 (reduced): faults matrix"))
-    assert len(points) == 10  # 5 scenarios x 2 topologies
-    assert empty_plan_is_baseline(points), \
-        "an explicit empty FaultPlan perturbed a fault-free run"
-    assert loss_monotone(points), \
-        "divergence decreased with a higher loss rate"
-    assert retry_recovers(points), \
-        "reliable delivery won back less than half the loss gap"
-    assert blackout_graceful(points), \
-        "cooperative + TTL degraded worse than uniform in the blackout"
 
 
 def _cooperative_wall(workload, spec):

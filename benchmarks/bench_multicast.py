@@ -1,22 +1,15 @@
-"""E14: pluggable delivery planes and multicast replica refresh.
+"""E14: the delivery plane's indirection overhead.
 
-Two benches pin the delivery layer of ``repro.network.delivery``:
-
-* a reduced delivery x replication matrix whose three structural
-  verdicts (multicast == unicast bitwise at replication 1, multicast
-  strictly better divergence per cache-side unit at replication >= 2,
-  CGM/ideal invariant across planes) are hard asserts everywhere --
-  they are exactness/dominance claims, not timings;
-* a plane-indirection overhead pair: the refactored
-  ``Topology.send_upstream`` (charge block + bound ``fan_out`` call)
-  against a hand-inlined replica of the pre-refactor star send path on
-  an identical fresh topology.  The wall-clock ratio must stay within
-  ``PLANE_OVERHEAD_LIMIT`` -- the acceptance number for routing every
-  unicast send through the plane interface.
+A plane-indirection overhead pair: the refactored
+``Topology.send_upstream`` (charge block + bound ``fan_out`` call)
+against a hand-inlined replica of the pre-refactor star send path on an
+identical fresh topology.  The wall-clock ratio must stay within
+``PLANE_OVERHEAD_LIMIT`` -- the acceptance number for routing every
+unicast send through the plane interface.  The E14 matrix's verdicts
+are asserted in ``bench_matrix``.
 
 Timing-ratio asserts are machine-sensitive; CI runs this bench in the
-non-failing perf-smoke job, while the verdict asserts are hard
-everywhere.
+non-failing perf-smoke job.
 """
 
 import time
@@ -26,34 +19,10 @@ from conftest import run_once
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import RefreshMessage
 from repro.network.topology import StarTopology
-from repro.experiments.multicast import (
-    controls_invariant,
-    multicast_dominates,
-    render_multicast,
-    run_multicast,
-    unicast_tie_at_r1,
-)
 
 #: Max refactored / hand-inlined wall-clock ratio for unicast sends.
 PLANE_OVERHEAD_LIMIT = 1.1
 _SENDS = 40_000
-
-
-def test_multicast_matrix_verdicts(benchmark):
-    """Reduced E14 matrix: all three structural verdicts must hold."""
-    points = run_once(benchmark, run_multicast, replications=(1, 2),
-                      num_sources=8, objects_per_source=4,
-                      cache_bandwidth=8.0, source_bandwidth=4.0,
-                      warmup=40.0, measure=160.0)
-    print()
-    print(render_multicast(points, "E14 (reduced): multicast matrix"))
-    assert len(points) == 4  # 2 planes x 2 replications
-    assert unicast_tie_at_r1(points), \
-        "multicast diverged from unicast with no sibling replicas"
-    assert multicast_dominates(points), \
-        "multicast was not strictly better per unit at replication 2"
-    assert controls_invariant(points), \
-        "the delivery plane leaked into CGM or the ideal curve"
 
 
 def _make_star():

@@ -1,18 +1,12 @@
-"""E11: network-condition emulation and the trace-bandwidth fast path.
+"""E11: the trace-bandwidth fast path at m = 10^5.
 
-Two benches pin the trace-driven machinery of
-``repro.experiments.netcond``:
-
-* a reduced scenario x topology matrix whose three structural verdicts
-  (steady trace == constant control bit for bit, outage degrades every
-  policy, cooperative degrades no worse than uniform) are hard asserts
-  everywhere -- they are exactness/ordering claims, not timings;
-* the m = 10^5 sparse point run twice -- constant links, then a
-  1000-breakpoint diurnal ``TraceBandwidth`` on every link -- asserting
-  the trace run stays within ``TRACE_OVERHEAD_LIMIT`` x the constant
-  wall.  That ratio is the acceptance number for the O(log segments)
-  lazy-link fast path: without the cumulative-array sync the same run
-  is an order of magnitude slower.
+The m = 10^5 sparse point runs twice -- constant links, then a
+1000-breakpoint diurnal ``TraceBandwidth`` on every link -- asserting the
+trace run stays within ``TRACE_OVERHEAD_LIMIT`` x the constant wall.
+That ratio is the acceptance number for the O(log segments) lazy-link
+fast path: without the cumulative-array sync the same run is an order of
+magnitude slower.  The E11 matrix's verdicts are asserted in
+``bench_matrix``.
 
 The scale test merges its points into ``BENCH_scale.current.json``
 (untracked; see ``bench_scale.py``) under a ``netcond`` section, keyed
@@ -21,8 +15,7 @@ regression job tracks steady and trace-driven walls as separate
 points.
 
 Timing-ratio asserts are machine-sensitive; CI runs this bench in the
-non-failing perf-smoke job, while the verdict asserts are hard
-everywhere.
+non-failing perf-smoke job.
 """
 
 import json
@@ -30,39 +23,13 @@ from dataclasses import asdict
 
 from conftest import run_once
 
-from repro.experiments.netcond import (
-    graceful_degradation,
-    outage_degrades,
-    run_netcond,
-    run_netcond_scale,
-    steady_matches_constant,
-)
+from repro.experiments.scale import run_netcond_scale
 
 #: Max trace-driven / constant wall-clock ratio at m = 10^5.
 TRACE_OVERHEAD_LIMIT = 2.0
 
 #: Wall-clock budget for each m = 10^5 run (gen is shared, counted once).
 SCALE_BUDGET_SECONDS = 60.0
-
-
-def test_netcond_matrix_verdicts(benchmark):
-    """Reduced E11 matrix: all three structural verdicts must hold.
-
-    Bandwidth is deliberately scarce (cache 6.0 for 32 objects): with
-    the experiment's default 20.0 this tiny matrix is over-provisioned,
-    cooperative steady divergence sits at exactly 0.0, and the
-    degradation *ratio* behind verdict 3 is undefined.
-    """
-    points = run_once(benchmark, run_netcond, num_sources=8,
-                      objects_per_source=4, cache_bandwidth=6.0,
-                      source_bandwidth=1.5, warmup=50.0, measure=150.0)
-    assert len(points) == 8  # 4 scenarios x 2 topologies
-    assert steady_matches_constant(points), \
-        "steady trace diverged from the ConstantBandwidth control arm"
-    assert outage_degrades(points), \
-        "an outage left some policy's divergence below its steady run"
-    assert graceful_degradation(points), \
-        "cooperative degraded worse than uniform under the outage"
 
 
 def _run_scale():

@@ -1,87 +1,54 @@
-"""Read-model sweep: quorum/any-replica reads under replication.
+"""E10: batched vs per-event read replay on a read-heavy sweep.
 
-Reproduces the ``repro readmodel`` experiment at CI scale: the cooperative
-policy on a 3-cache replicated topology with a Poisson client read stream,
-sweeping read policy x replication x aggregate bandwidth.  The structural
-asserts are hard everywhere (they are properties of the read model, not of
-the machine):
-
-* quorum-k read-observed divergence is monotone non-increasing in k within
-  every (bandwidth, replication) cell -- consulted replica sets are nested
-  in k on one permutation stream;
-* quorum-r and freshest-replica agree exactly (same floats, same counts);
-* the single-cache degenerate answers bit-for-bit what the star's
-  ``CacheStore.read`` returns.
-
-The wall-clock time is incidental (one pedantic round), but the printed
-table is the artifact: read-observed divergence per read policy, next to
-the paper's copy divergence for the same runs.
+Every cell of a read-dominated ``readmodel`` matrix (3 caches, read rate
+8/s, so many consecutive reads fall between simulator wakeups) runs
+twice: reads replayed one event at a time, then in batches.  The batched
+path must reproduce every number float for float; the wall-clock ratio
+is advisory on shared runners but logged so the read-side replay cost
+stays visible.  The E10 matrix's verdicts are asserted in
+``bench_matrix``.
 """
 
 import time
-from dataclasses import astuple
+from dataclasses import replace
 
 from conftest import run_once
 
-from repro.experiments.readmodel import (
-    freshest_equals_full_quorum,
-    quorum_monotone,
-    render_readmodel,
-    run_readmodel,
-)
+from repro.core.divergence import ValueDeviation
+from repro.experiments.matrix import READMODEL, make_policy
+from repro.experiments.parallel import build_workload
+from repro.experiments.readmodel import run_policy_with_reads
+from repro.sim.random import RngRegistry
 
-
-def test_readmodel_quorum_sweep(benchmark):
-    """Replication x bandwidth sweep: monotone quorums, exact endpoints."""
-    points = run_once(benchmark, run_readmodel,
-                      num_caches=3, replications=(1, 2, 3),
-                      cache_bandwidths=(12.0, 24.0),
-                      warmup=100.0, measure=400.0)
-    print(render_readmodel(
-        points, "Read model sweep (3 caches, bandwidth x replication)"))
-    assert all(p.reads > 0 for p in points)
-    assert quorum_monotone(points), \
-        "quorum-k read divergence must be monotone non-increasing in k"
-    assert freshest_equals_full_quorum(points), \
-        "quorum-r must answer exactly as freshest-replica"
-    # Reads are measurement-only: within a cell every read policy saw the
-    # identical simulation (same copy divergence, same refresh count).
-    cells = {}
-    for p in points:
-        key = (p.cache_bandwidth, p.replication)
-        cells.setdefault(key, []).append(p)
-    for cell in cells.values():
-        assert len({(p.copy_divergence, p.refreshes)
-                    for p in cell}) == 1
-
-
-def test_readmodel_single_cache_is_star(benchmark):
-    """One cache: every read policy answers CacheStore.read exactly."""
-    points = run_once(benchmark, run_readmodel,
-                      num_caches=1, replications=(1,),
-                      warmup=100.0, measure=300.0)
-    assert points, "single-cache sweep produced no points"
-    assert all(p.matches_direct for p in points)
-    assert all(p.read_divergence == points[0].read_divergence
-               for p in points)
+READ_HEAVY = "replication=1,2 read-rate=8 warmup=50 measure=250"
 
 
 def _run_read_heavy(replay):
-    """A read-dominated sweep: many consecutive reads between wakeups,
-    so the batched read replay path carries real weight."""
-    return run_readmodel(num_caches=3, replications=(1, 2),
-                         cache_bandwidths=(18.0,), read_rate=8.0,
-                         warmup=50.0, measure=250.0, replay=replay)
+    """Each read-heavy cell's read-path numbers under one replay mode."""
+    out = []
+    params = READMODEL.parse(READ_HEAVY.split())
+    for _, _, scenario in READMODEL.cells(params):
+        workload = build_workload(scenario.workload)
+        policy = make_policy(scenario.policy,
+                             *scenario.profiles(workload.num_sources),
+                             workload.num_objects)
+        reads = workload.read_stream(
+            RngRegistry(scenario.seed).stream("read-workload"),
+            read_rate=scenario.read_rate)
+        result, read_run = run_policy_with_reads(
+            workload, ValueDeviation(), policy,
+            replace(scenario.spec(), replay=replay), reads,
+            read_policy=scenario.read_policy, track_replicas=True)
+        out.append((result.read_divergence,
+                    result.read_divergence_unweighted, result.reads,
+                    result.weighted_divergence, result.refreshes,
+                    read_run.collector.stale_read_fraction(),
+                    read_run.tracker.mean_over_replicas()))
+    return out
 
 
 def test_readmodel_batched_reads(benchmark):
-    """E10 batched-read point: batched vs per-event read replay.
-
-    The batched path must reproduce every sweep number float-for-float
-    (read divergence, stale fractions, per-replica counts are all folded
-    into the point tuples); the wall-clock ratio is advisory on shared
-    runners but logged so the read-side replay cost stays visible.
-    """
+    """Batched read replay reproduces per-event replay float for float."""
     def compare():
         timings = {}
         results = {}
@@ -92,9 +59,7 @@ def test_readmodel_batched_reads(benchmark):
         return timings, results
 
     timings, results = run_once(benchmark, compare)
-    event = [astuple(p) for p in results["event"]]
-    batched = [astuple(p) for p in results["batched"]]
-    assert event == batched, \
+    assert results["event"] == results["batched"], \
         "batched read replay diverged from per-event replay"
     speedup = timings["event"] / timings["batched"] \
         if timings["batched"] > 0 else float("inf")

@@ -10,14 +10,16 @@ ranks the settings by weighted divergence, breaking ties by messages
 sent.
 
 With ``--scenario`` the same search runs under a fault plan (see
-``repro faults``) and additionally tunes the robustness dials: the
+``repro matrix faults``) and additionally tunes the robustness dials: the
 reliable-delivery retransmit timeout/backoff/attempt budget and the
 feedback staleness TTL.  The first trial is always the plain policy
 under the same faults, so the table shows what the robustness machinery
 buys.  Fault trials run on a sparse-update workload -- the regime where
 loss actually hurts and the retry knobs have something to trade.
 
-Every trial is an independent seeded simulation, so the search is
+Every trial is a :class:`~repro.experiments.matrix.Scenario` -- an
+independent seeded simulation run by
+:func:`~repro.experiments.matrix.run_scenario` -- so the search is
 embarrassingly parallel: trials fan out over a
 :class:`~repro.experiments.parallel.ParallelRunner` process pool and the
 ranking is bit-identical at any worker count.
@@ -28,112 +30,49 @@ Run:  python examples/calibrate.py [--trials 50] [--workers N]
 """
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import AreaPriority, ValueDeviation
-from repro.experiments import RunSpec, run_policy
+from repro.experiments.matrix import Scenario, run_scenario
 from repro.experiments.parallel import (
     ParallelRunner,
     WorkloadSpec,
-    build_workload,
     default_workers,
 )
 from repro.faults.plan import FAULT_SCENARIOS, fault_scenario
 from repro.faults.retry import RetryPolicy
 from repro.metrics import format_table
-from repro.network import DELIVERY_MODES, ConstantBandwidth, TopologyConfig
-from repro.policies import CooperativePolicy
+from repro.network import DELIVERY_MODES, TopologyConfig
 from repro.workloads import uniform_random_walk
 
 #: Per-object update-rate cap for fault-scenario trials (sparse regime).
 FAULT_RATE_CAP = 0.1
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One picklable candidate setting (plus the shared run scalars)."""
-
-    feedback_period: float | None  #: None = the adaptive Sec 5 rule
-    batch_size: int
-    batch_timeout: float
-    num_sources: int
-    objects_per_source: int
-    cache_bandwidth: float
-    source_bandwidth: float
-    warmup: float
-    measure: float
-    seed: int
-    #: fault scenario the trial runs under ("none" = clean network)
-    scenario: str = "none"
-    #: reliable-delivery knobs; timeout None = best-effort, no retries
-    retry_timeout: float | None = None
-    retry_backoff: float = 2.0
-    retry_attempts: int = 3
-    #: feedback staleness TTL; None = thresholds never decay
-    feedback_ttl: float | None = None
-    #: cache nodes (1 = the paper's star; > 1 = replicated layout)
-    num_caches: int = 1
-    #: replica copies per source in the replicated layout
-    replication: int = 2
-    #: fan-out plane for replicated refreshes ("unicast"/"multicast")
-    delivery: str = "unicast"
-
-
-def run_trial(trial: Trial) -> tuple[float, int, Trial]:
-    """Worker-side trial: rebuild the seeded workload, run the policy.
-
-    Returns ``(weighted divergence, messages sent, trial)``; the workload
-    is regenerated from the seed (memoized per process), never pickled.
-    """
-    kwargs = dict(num_sources=trial.num_sources,
-                  objects_per_source=trial.objects_per_source,
-                  horizon=trial.warmup + trial.measure)
-    if trial.scenario != "none":
-        kwargs["rate_range"] = (0.0, FAULT_RATE_CAP)
-    wspec = WorkloadSpec.make(uniform_random_walk, trial.seed, **kwargs)
-    workload = build_workload(wspec)
-    policy = CooperativePolicy(
-        ConstantBandwidth(trial.cache_bandwidth),
-        [ConstantBandwidth(trial.source_bandwidth)
-         for _ in range(trial.num_sources)],
-        priority_fn=AreaPriority(),
-        feedback_period=trial.feedback_period,
-        batch_size=trial.batch_size,
-        batch_timeout=trial.batch_timeout,
-        feedback_ttl=trial.feedback_ttl)
-    plan = fault_scenario(trial.scenario, trial.warmup, trial.measure,
-                          seed=trial.seed)
-    retry = (None if trial.retry_timeout is None
-             else RetryPolicy(timeout=trial.retry_timeout,
-                              backoff=trial.retry_backoff,
-                              max_attempts=trial.retry_attempts))
-    topology = None  # the paper's star
-    if trial.num_caches > 1:
-        topology = TopologyConfig(kind="replicated",
-                                  num_caches=trial.num_caches,
-                                  replication=trial.replication,
-                                  delivery=trial.delivery)
-    spec = RunSpec(warmup=trial.warmup, measure=trial.measure,
-                   seed=trial.seed, topology=topology,
-                   faults=None if plan.is_empty() else plan,
-                   retry=retry)
-    result = run_policy(workload, ValueDeviation(), policy, spec)
-    return result.weighted_divergence, result.messages_total, trial
-
-
 def sample_trials(num_trials: int, seed: int,
                   scenario: str = "none",
                   num_caches: int = 1,
                   replication: int = 2,
-                  delivery: str = "unicast") -> list[Trial]:
+                  delivery: str = "unicast") -> list[Scenario]:
     """Seeded random search: log-uniform periods, small integer batches.
 
     Under a fault scenario the robustness dials join the search space;
     the clean-network search leaves them at their inert defaults so the
-    two spaces stay comparable trial for trial.
+    two spaces stay comparable trial for trial.  Every trial runs the
+    cooperative policy on the same workload, layout and fault plan.
     """
+    warmup, measure = 100.0, 400.0
+    kwargs = dict(num_sources=10, objects_per_source=10,
+                  horizon=warmup + measure)
+    if scenario != "none":
+        kwargs["rate_range"] = (0.0, FAULT_RATE_CAP)
+    workload = WorkloadSpec.make(uniform_random_walk, seed, **kwargs)
+    plan = fault_scenario(scenario, warmup, measure, seed=seed)
+    topology = None  # the paper's star
+    if num_caches > 1:
+        topology = TopologyConfig(kind="replicated", num_caches=num_caches,
+                                  replication=replication,
+                                  delivery=delivery)
     rng = np.random.default_rng(seed)
     trials = []
     for i in range(num_trials):
@@ -146,24 +85,28 @@ def sample_trials(num_trials: int, seed: int,
                                                np.log10(200.0)))
             size = int(rng.integers(1, 9))
             timeout = float(rng.uniform(0.5, 10.0))
-        retry_timeout = None
-        retry_backoff, retry_attempts, ttl = 2.0, 3, None
+        retry, ttl = None, None
         if scenario != "none" and i > 0:
             retry_timeout = float(10.0 ** rng.uniform(0.0, np.log10(20.0)))
             retry_backoff = float(rng.uniform(1.0, 3.0))
-            retry_attempts = int(rng.integers(2, 7))
+            retry = RetryPolicy(timeout=retry_timeout, backoff=retry_backoff,
+                                max_attempts=int(rng.integers(2, 7)))
             ttl = float(10.0 ** rng.uniform(np.log10(5.0),
                                             np.log10(200.0)))
-        trials.append(Trial(
-            feedback_period=period, batch_size=size, batch_timeout=timeout,
-            num_sources=10, objects_per_source=10,
-            cache_bandwidth=20.0, source_bandwidth=6.0,
-            warmup=100.0, measure=400.0, seed=seed,
-            scenario=scenario, retry_timeout=retry_timeout,
-            retry_backoff=retry_backoff, retry_attempts=retry_attempts,
-            feedback_ttl=ttl, num_caches=num_caches,
-            replication=replication, delivery=delivery))
+        trials.append(Scenario(
+            workload=workload, policy="cooperative", cache_bandwidth=20.0,
+            source_bandwidth=6.0, warmup=warmup, measure=measure, seed=seed,
+            policy_kwargs=(("feedback_period", period), ("batch_size", size),
+                           ("batch_timeout", timeout),
+                           ("feedback_ttl", ttl)),
+            topology=topology, faults=None if plan.is_empty() else plan,
+            retry=retry))
     return trials
+
+
+def _period(knobs: dict) -> str:
+    period = knobs["feedback_period"]
+    return "adaptive" if period is None else f"{period:.1f}"
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -194,11 +137,12 @@ def main(argv: list[str] | None = None) -> None:
                            num_caches=args.num_caches,
                            replication=args.replication,
                            delivery=args.delivery)
-    results = ParallelRunner(args.workers).map(run_trial, trials)
+    records = ParallelRunner(args.workers).map(run_scenario, trials)
     # Rank by divergence, then messages: prefer the cheaper of two
     # equally-fresh settings.  Index breaks exact ties deterministically.
-    order = sorted(range(len(results)),
-                   key=lambda i: (results[i][0], results[i][1], i))
+    order = sorted(range(len(records)),
+                   key=lambda i: (records[i]["divergence"],
+                                  records[i]["messages"], i))
 
     fault_run = args.scenario != "none"
     headers = ["rank", "feedback s", "batch", "timeout s"]
@@ -207,19 +151,15 @@ def main(argv: list[str] | None = None) -> None:
     headers += ["divergence", "messages"]
     rows = []
     for rank, i in enumerate(order[:args.top], start=1):
-        divergence, messages, trial = results[i]
-        period = ("adaptive" if trial.feedback_period is None
-                  else f"{trial.feedback_period:.1f}")
-        row = [rank, period, trial.batch_size,
-               f"{trial.batch_timeout:.1f}"]
+        knobs, retry = dict(trials[i].policy_kwargs), trials[i].retry
+        row = [rank, _period(knobs), knobs["batch_size"],
+               f"{knobs['batch_timeout']:.1f}"]
         if fault_run:
-            row += ["off" if trial.retry_timeout is None
-                    else f"{trial.retry_timeout:.1f}",
-                    "-" if trial.retry_timeout is None
-                    else trial.retry_attempts,
-                    "off" if trial.feedback_ttl is None
-                    else f"{trial.feedback_ttl:.0f}"]
-        row += [f"{divergence:.5f}", messages]
+            row += ["off" if retry is None else f"{retry.timeout:.1f}",
+                    "-" if retry is None else retry.max_attempts,
+                    "off" if knobs["feedback_ttl"] is None
+                    else f"{knobs['feedback_ttl']:.0f}"]
+        row += [f"{records[i]['divergence']:.5f}", records[i]["messages"]]
         rows.append(row)
     title = (f"Random-search calibration: {args.trials} trials, "
              f"{args.workers} workers")
@@ -229,19 +169,18 @@ def main(argv: list[str] | None = None) -> None:
         title += (f", {args.num_caches} caches x r={args.replication} "
                   f"({args.delivery})")
     print(format_table(headers, rows, title=title))
-    best = results[order[0]][2]
-    period = ("adaptive" if best.feedback_period is None
-              else f"{best.feedback_period:.1f}")
-    line = (f"\nbest: feedback_period={period} "
-            f"batch_size={best.batch_size} "
-            f"batch_timeout={best.batch_timeout:.1f}")
+    best = trials[order[0]]
+    knobs, retry = dict(best.policy_kwargs), best.retry
+    line = (f"\nbest: feedback_period={_period(knobs)} "
+            f"batch_size={knobs['batch_size']} "
+            f"batch_timeout={knobs['batch_timeout']:.1f}")
     if fault_run:
-        line += (" retry=off" if best.retry_timeout is None else
-                 f" retry_timeout={best.retry_timeout:.1f} "
-                 f"retry_backoff={best.retry_backoff:.1f} "
-                 f"retry_attempts={best.retry_attempts}")
-        line += ("" if best.feedback_ttl is None
-                 else f" feedback_ttl={best.feedback_ttl:.0f}")
+        line += (" retry=off" if retry is None else
+                 f" retry_timeout={retry.timeout:.1f} "
+                 f"retry_backoff={retry.backoff:.1f} "
+                 f"retry_attempts={retry.max_attempts}")
+        line += ("" if knobs["feedback_ttl"] is None
+                 else f" feedback_ttl={knobs['feedback_ttl']:.0f}")
     print(line)
 
 

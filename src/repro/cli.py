@@ -8,10 +8,10 @@ Usage (installed package)::
     python -m repro fig4 --measure 600
     python -m repro fig5 --fluctuating
     python -m repro fig6 --sources 10 --fractions 0.1 0.5 0.9
-    python -m repro multicache --num-caches 1 2 4 --topology sharded
-    python -m repro faults --scenarios lossy-10 crash-restart
-    python -m repro multicast --replications 1 2 4
-    python -m repro readmodel --replication 3 --read-rate 0.5
+    python -m repro matrix multicache num-caches=1,2,4 topology=sharded
+    python -m repro matrix faults scenarios=lossy-10,crash-restart
+    python -m repro matrix multicast replications=1,2,4
+    python -m repro matrix readmodel replication=3 read-rate=0.5
     python -m repro quickstart            # the README comparison
     python -m repro profile scale --sources 100000   # cProfile any command
 
@@ -27,31 +27,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 from typing import Callable, Sequence
 
 from repro.experiments.fig4 import Fig4Config, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
-from repro.experiments.multicache import render_multicache, run_multicache
-from repro.experiments.netcond import (
-    SCENARIOS,
-    TOPOLOGIES,
-    render_netcond,
-    run_netcond,
-)
-from repro.experiments.faults import render_faults, run_faults
-from repro.experiments.multicast import (
-    REPLICATIONS,
-    render_multicast,
-    run_multicast,
-)
+from repro.experiments.matrix import MATRICES, run_matrix
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.params import best_cell, run_parameter_grid
-from repro.experiments.rebalance import (
-    CACHE_COUNTS,
-    render_rebalance,
-    run_rebalance,
-)
-from repro.experiments.readmodel import render_readmodel, run_readmodel
 from repro.experiments.scale import render_scale, run_scale
 from repro.experiments.tables import (
     render_fig4,
@@ -64,8 +48,6 @@ from repro.experiments.validation import (
     run_skewed_validation,
     run_uniform_validation,
 )
-from repro.faults.plan import FAULT_SCENARIOS
-from repro.network.delivery import DELIVERY_MODES
 
 
 def _add_timing(parser: argparse.ArgumentParser, warmup: float,
@@ -138,129 +120,17 @@ def _cmd_fig6(args: argparse.Namespace) -> str:
     return render_fig6(points, f"Figure 6, m = {args.sources} sources")
 
 
-def _parse_rates(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated rate list (``"8,4,2"``)."""
+def _cmd_matrix(args: argparse.Namespace) -> str:
+    matrix = MATRICES[args.name]
     try:
-        rates = tuple(float(part) for part in text.split(",") if part)
+        params = matrix.parse(args.settings)
+        # Build every scenario and the pool before the first run, so bad
+        # configuration is a usage error, not a traceback mid-sweep.
+        matrix.cells(params)
+        ParallelRunner(args.workers)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from exc
-    if not rates:
-        raise argparse.ArgumentTypeError("expected at least one rate")
-    return rates
-
-
-def _cmd_multicache(args: argparse.Namespace) -> str:
-    points = run_multicache(num_caches_list=tuple(args.num_caches),
-                            kind=args.topology,
-                            replication=args.replication,
-                            num_sources=args.sources,
-                            objects_per_source=args.objects,
-                            cache_bandwidth=args.cache_bandwidth,
-                            source_bandwidth=args.source_bandwidth,
-                            hot_fraction=args.hot_fraction,
-                            hot_boost=args.hot_boost,
-                            warmup=args.warmup, measure=args.measure,
-                            seed=args.seed,
-                            cache_rates=args.cache_rates,
-                            delivery=args.delivery,
-                            workers=args.workers)
-    label = (f"heterogeneous cache rates {args.cache_rates}"
-             if args.cache_rates else args.topology)
-    return render_multicache(
-        points, f"Multi-cache sweep ({label}): cooperative vs "
-                "uniform allocation, hot-shard workload")
-
-
-def _cmd_netcond(args: argparse.Namespace) -> str:
-    points = run_netcond(scenarios=tuple(args.scenarios),
-                         topologies=tuple(args.topologies),
-                         num_sources=args.sources,
-                         objects_per_source=args.objects,
-                         cache_bandwidth=args.cache_bandwidth,
-                         source_bandwidth=args.source_bandwidth,
-                         warmup=args.warmup, measure=args.measure,
-                         seed=args.seed, generator=args.generator,
-                         workers=args.workers)
-    return render_netcond(
-        points, "E11 network conditions: five policies under "
-                "trace-driven bandwidth (weighted divergence)")
-
-
-def _cmd_faults(args: argparse.Namespace) -> str:
-    points = run_faults(scenarios=tuple(args.scenarios),
-                        topologies=tuple(args.topologies),
-                        num_sources=args.sources,
-                        objects_per_source=args.objects,
-                        cache_bandwidth=args.cache_bandwidth,
-                        source_bandwidth=args.source_bandwidth,
-                        warmup=args.warmup, measure=args.measure,
-                        seed=args.seed, generator=args.generator,
-                        rate_cap=args.rate_cap,
-                        retry_timeout=args.retry_timeout,
-                        retry_backoff=args.retry_backoff,
-                        retry_attempts=args.retry_attempts,
-                        feedback_ttl=args.feedback_ttl,
-                        workers=args.workers)
-    return render_faults(
-        points, "E12 fault injection: five policies under loss, crashes "
-                "and feedback blackouts (weighted divergence)")
-
-
-def _cmd_multicast(args: argparse.Namespace) -> str:
-    points = run_multicast(deliveries=tuple(args.deliveries),
-                           replications=tuple(args.replications),
-                           num_caches=args.num_caches,
-                           num_sources=args.sources,
-                           objects_per_source=args.objects,
-                           cache_bandwidth=args.cache_bandwidth,
-                           source_bandwidth=args.source_bandwidth,
-                           warmup=args.warmup, measure=args.measure,
-                           seed=args.seed, generator=args.generator,
-                           workers=args.workers)
-    return render_multicast(
-        points, "E14 multicast delivery: five policies x delivery plane "
-                "x replication (weighted divergence)")
-
-
-def _cmd_rebalance(args: argparse.Namespace) -> str:
-    points = run_rebalance(cache_counts=tuple(args.num_caches),
-                           num_sources=args.sources,
-                           objects_per_source=args.objects,
-                           cache_bandwidth=args.cache_bandwidth,
-                           source_bandwidth=args.source_bandwidth,
-                           num_phases=args.phases,
-                           hot_boost=args.hot_boost,
-                           rate_range=(args.rate_range[0],
-                                       args.rate_range[1]),
-                           interval=args.interval,
-                           max_moves=args.max_moves,
-                           saturation_queue=args.saturation_queue,
-                           peer_rate=args.peer_rate,
-                           warmup=args.warmup, measure=args.measure,
-                           seed=args.seed, generator=args.generator,
-                           workers=args.workers)
-    return render_rebalance(
-        points, "E13 shard rebalancing: static vs adaptive vs "
-                "distributed under a moving hotspot "
-                "(weighted divergence)")
-
-
-def _cmd_readmodel(args: argparse.Namespace) -> str:
-    points = run_readmodel(num_caches=args.num_caches,
-                           replications=tuple(args.replication),
-                           cache_bandwidths=tuple(args.cache_bandwidths),
-                           read_rate=args.read_rate,
-                           num_sources=args.sources,
-                           objects_per_source=args.objects,
-                           source_bandwidth=args.source_bandwidth,
-                           warmup=args.warmup, measure=args.measure,
-                           seed=args.seed, generator=args.generator,
-                           replay=args.replay, delivery=args.delivery,
-                           workers=args.workers)
-    return render_readmodel(
-        points, f"Replicated read model ({args.num_caches} caches): "
-                "read-observed divergence by read policy")
+        args.error(f"{args.name}: {exc}")
+    return matrix.render(params, run_matrix(matrix, params, args.workers))
 
 
 def _cmd_scale(args: argparse.Namespace) -> str:
@@ -384,203 +254,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_timing(p, warmup=100.0, measure=500.0)
     p.set_defaults(fn=_cmd_fig6)
 
-    p = sub.add_parser("multicache",
-                       help="multi-cache topology sweep (cooperative vs "
-                            "uniform allocation)")
-    p.add_argument("--num-caches", type=int, nargs="+", default=[1, 2, 4],
-                   help="cache-node counts to sweep")
-    p.add_argument("--topology", choices=["sharded", "replicated"],
-                   default="sharded",
-                   help="multi-cache layout (1 cache is always the star)")
-    p.add_argument("--replication", type=int, default=2,
-                   help="caches per source in the replicated layout")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=24.0,
-                   help="aggregate cache-side msgs/s, split across caches")
-    p.add_argument("--source-bandwidth", type=float, default=4.0)
-    p.add_argument("--hot-fraction", type=float, default=0.25,
-                   help="fraction of sources in the hot shard")
-    p.add_argument("--hot-boost", type=float, default=8.0,
-                   help="update-rate multiplier for hot sources")
-    p.add_argument("--cache-rates", type=_parse_rates, default=None,
-                   metavar="R1,R2,...",
-                   help="heterogeneous per-cache link rates in msgs/s "
-                        "(e.g. 8,4,2); implies a single sweep point with "
-                        "that many caches and overrides --cache-bandwidth")
-    p.add_argument("--delivery", choices=list(DELIVERY_MODES),
-                   default="unicast",
-                   help="fan-out plane for replicated sources (multicast "
-                        "charges cache-side bandwidth once per logical "
-                        "refresh)")
-    _add_timing(p, warmup=100.0, measure=400.0)
+    p = sub.add_parser(
+        "matrix",
+        help="a scenario matrix beyond the paper: netcond (E11), faults "
+             "(E12), rebalance (E13), multicast (E14), multicache (E8), "
+             "readmodel (E10)",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="\n".join(
+            textwrap.fill(line, width=79, subsequent_indent="    ",
+                          break_on_hyphens=False)
+            for line in ("KEY=default per matrix (VALUE lists are "
+                         "comma-separated; an axis key restricts or "
+                         "reorders its axis):",
+                         *(m.usage() for m in MATRICES.values()))))
+    p.add_argument("name", choices=list(MATRICES))
+    p.add_argument("settings", nargs="*", metavar="KEY=VALUE[,VALUE...]",
+                   help="override a parameter or restrict an axis")
     _add_workers(p)
-    p.set_defaults(fn=_cmd_multicache)
-
-    p = sub.add_parser("netcond",
-                       help="E11 network-condition matrix: five policies "
-                            "under steady/diurnal/bursty/outage traces")
-    p.add_argument("--scenarios", choices=list(SCENARIOS), nargs="+",
-                   default=list(SCENARIOS),
-                   help="bandwidth scenarios to run")
-    p.add_argument("--topologies", choices=list(TOPOLOGIES), nargs="+",
-                   default=list(TOPOLOGIES),
-                   help="cache layouts to run")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=20.0,
-                   help="mean aggregate cache-side msgs/s (the scenario "
-                        "trace fluctuates around it)")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="mean per-source msgs/s")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_netcond)
-
-    p = sub.add_parser("faults",
-                       help="E12 fault-injection matrix: five policies "
-                            "under loss/crash/blackout plans, plus "
-                            "reliable-delivery and feedback-TTL arms")
-    p.add_argument("--scenarios", choices=list(FAULT_SCENARIOS),
-                   nargs="+", default=list(FAULT_SCENARIOS),
-                   help="fault scenarios to run")
-    p.add_argument("--topologies", choices=list(TOPOLOGIES), nargs="+",
-                   default=list(TOPOLOGIES),
-                   help="cache layouts to run")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=12.0,
-                   help="aggregate cache-side msgs/s")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="per-source msgs/s")
-    p.add_argument("--rate-cap", type=float, default=0.1,
-                   help="max per-object update rate (sparse updates are "
-                        "where loss hurts and retries help; see "
-                        "repro.experiments.faults)")
-    p.add_argument("--retry-timeout", type=float, default=3.0,
-                   help="seconds before the first retransmit in the "
-                        "reliable-delivery arm")
-    p.add_argument("--retry-backoff", type=float, default=2.0,
-                   help="multiplier on the timeout per further attempt")
-    p.add_argument("--retry-attempts", type=int, default=4,
-                   help="total sends per refresh, the original included")
-    p.add_argument("--feedback-ttl", type=float, default=40.0,
-                   help="source-side feedback staleness TTL in the "
-                        "graceful-degradation arm")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_faults)
-
-    p = sub.add_parser("multicast",
-                       help="E14 multicast-delivery matrix: five policies "
-                            "x {unicast, multicast} x replication on a "
-                            "replicated layout")
-    p.add_argument("--deliveries", choices=list(DELIVERY_MODES),
-                   nargs="+", default=list(DELIVERY_MODES),
-                   help="delivery planes to run")
-    p.add_argument("--replications", type=int, nargs="+",
-                   default=list(REPLICATIONS),
-                   help="replication factors to sweep")
-    p.add_argument("--num-caches", type=int, default=4,
-                   help="cache nodes in the replicated layout")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=12.0,
-                   help="aggregate cache-side msgs/s (keep the links "
-                        "saturated: an idle network hides the planes' "
-                        "cost difference)")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="per-source msgs/s")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_multicast)
-
-    p = sub.add_parser("rebalance",
-                       help="E13 shard-rebalancing sweep: static vs "
-                            "adaptive vs distributed allocation under "
-                            "a moving hotspot")
-    p.add_argument("--num-caches", type=int, nargs="+",
-                   default=list(CACHE_COUNTS),
-                   help="cache counts to sweep (1 runs the star "
-                        "control arm)")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=24.0,
-                   help="aggregate cache-side msgs/s, split across "
-                        "cache links")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="per-source msgs/s (also the hot sources' send "
-                        "ceiling)")
-    p.add_argument("--phases", type=int, default=4,
-                   help="hotspot phases over the horizon (the hot "
-                        "block advances by its own width each phase)")
-    p.add_argument("--hot-boost", type=float, default=25.0,
-                   help="update-rate multiplier on the hot block")
-    p.add_argument("--rate-range", type=float, nargs=2,
-                   default=[0.02, 0.12],
-                   help="uniform base update-rate range; keep it low "
-                        "enough that cold caches bank surplus")
-    p.add_argument("--interval", type=float, default=10.0,
-                   help="seconds between rebalance decision windows")
-    p.add_argument("--max-moves", type=int, default=2,
-                   help="migrations per decision window")
-    p.add_argument("--saturation-queue", type=int, default=2,
-                   help="windowed FIFO peak that flags a donor")
-    p.add_argument("--peer-rate", type=float, default=4.0,
-                   help="cache-to-cache peer link msgs/s")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_rebalance)
-
-    p = sub.add_parser("readmodel",
-                       help="replicated read model: quorum/any-replica "
-                            "reads and read-observed divergence")
-    p.add_argument("--num-caches", type=int, default=3,
-                   help="cache nodes in the replicated layout "
-                        "(1 degenerates to the star)")
-    p.add_argument("--replication", type=int, nargs="+", default=[1, 2, 3],
-                   help="replication factors to sweep (clamped to "
-                        "--num-caches)")
-    p.add_argument("--cache-bandwidths", type=float, nargs="+",
-                   default=[18.0],
-                   help="aggregate cache-side msgs/s values to sweep, "
-                        "each split across the cache links")
-    p.add_argument("--read-rate", type=float, default=0.5,
-                   help="client reads/second per object (Poisson)")
-    p.add_argument("--sources", type=int, default=12)
-    p.add_argument("--objects", type=int, default=4,
-                   help="objects per source")
-    p.add_argument("--source-bandwidth", type=float, default=3.0)
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload + read-stream sampling implementation")
-    p.add_argument("--replay", choices=["batched", "event"],
-                   default="batched",
-                   help="trace/read replay mode (batched = apply all "
-                        "events between simulator wakeups in one call)")
-    p.add_argument("--delivery", choices=list(DELIVERY_MODES),
-                   default="unicast",
-                   help="fan-out plane for the replicated refreshes")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_readmodel)
+    p.set_defaults(fn=_cmd_matrix, error=p.error)
 
     p = sub.add_parser("scale",
                        help="E9 scale sweep: event-driven wakeups vs "

@@ -7,19 +7,13 @@ from repro.experiments.fig6 import (
     run_fig6,
     series_by_policy,
 )
-from repro.experiments.multicache import (
-    MultiCachePoint,
-    render_multicache,
-    run_multicache,
-)
-from repro.experiments.netcond import (
-    NetCondPoint,
-    graceful_degradation,
-    outage_degrades,
-    render_netcond,
-    run_netcond,
-    run_netcond_scale,
-    steady_matches_constant,
+from repro.experiments.matrix import (
+    MATRICES,
+    Matrix,
+    Scenario,
+    make_policy,
+    run_matrix,
+    run_scenario,
 )
 from repro.experiments.overhead import (
     OverheadPoint,
@@ -31,19 +25,12 @@ from repro.experiments.params import (
     best_cell,
     run_parameter_grid,
 )
-from repro.experiments.readmodel import (
-    ReadModelPoint,
-    freshest_equals_full_quorum,
-    quorum_monotone,
-    read_policies_for,
-    render_readmodel,
-    run_policy_with_reads,
-    run_readmodel,
-)
+from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
 from repro.experiments.scale import (
     ScalePoint,
     render_scale,
+    run_netcond_scale,
     run_scale,
     speedups,
 )
@@ -59,40 +46,31 @@ __all__ = [
     "Fig4Point",
     "Fig5Point",
     "Fig6Point",
-    "MultiCachePoint",
-    "NetCondPoint",
+    "MATRICES",
+    "Matrix",
     "OverheadPoint",
     "ParameterCell",
-    "ReadModelPoint",
     "RunSpec",
+    "Scenario",
     "ScalePoint",
     "ValidationRow",
     "best_cell",
-    "freshest_equals_full_quorum",
-    "graceful_degradation",
-    "outage_degrades",
-    "quorum_monotone",
-    "read_policies_for",
-    "render_readmodel",
+    "make_policy",
     "run_policy_with_reads",
-    "run_readmodel",
     "run_fig4",
     "run_fig5",
     "run_fig6",
+    "run_matrix",
     "predicted_overhead_fraction",
-    "render_multicache",
-    "render_netcond",
     "render_scale",
-    "run_multicache",
-    "run_netcond",
     "run_netcond_scale",
     "run_overhead_scaling",
     "run_parameter_grid",
     "run_policy",
+    "run_scenario",
     "run_scale",
     "run_size_sweep",
     "speedups",
-    "steady_matches_constant",
     "run_skewed_validation",
     "run_uniform_validation",
     "series_by_metric",

@@ -44,6 +44,7 @@ from repro.metrics.report import format_table
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
+from repro.workloads.bandwidth_traces import diurnal_trace
 from repro.workloads.synthetic import Workload, uniform_random_walk
 
 
@@ -63,7 +64,7 @@ class ScalePoint:
     workers: int = 1  #: process-pool workers used for this point
     topology: str = "star"  #: cache layout ("star" or "sharded-N")
     bandwidth: str = "steady"  #: link-profile kind ("steady" or a trace
-    #: label like "diurnal-1000"; see experiments.netcond)
+    #: label like "diurnal-1000"; see run_netcond_scale)
 
 
 def sparse_workload(num_sources: int, horizon: float,
@@ -265,6 +266,68 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
                 # wall clock.
                 del policy, result
                 gc.collect()
+    return points
+
+
+def run_netcond_scale(num_sources: int = 100_000,
+                      update_rate: float = 0.002,
+                      cache_bandwidth: float = 8.0,
+                      source_bandwidth: float = 1.0,
+                      warmup: float = 100.0,
+                      measure: float = 500.0,
+                      seed: int = 0,
+                      num_breakpoints: int = 1000,
+                      generator: str = "vectorized"):
+    """E9-style sparse run, trace-driven vs constant bandwidth.
+
+    One m-source sparse workload, two event-mode cooperative runs: plain
+    ``ConstantBandwidth`` links, then a ``num_breakpoints``-segment
+    diurnal :class:`TraceBandwidth` with the same mean on the cache link
+    and one *shared* diurnal trace instance across every source link
+    (the trace is read-only during a run -- its only mutable state is a
+    segment-index lookup cache -- so sharing keeps the m = 10^5 point at
+    one cumulative array instead of 10^5).  Returns the two
+    :class:`~repro.experiments.scale.ScalePoint`\\ s, labeled via their
+    ``bandwidth`` field so the BENCH regression checker keys them apart;
+    the trace point's wall clock is the O(log segments) acceptance
+    number (must stay within 2x the constant wall).
+    """
+    duration = warmup + measure
+    rng = np.random.default_rng(seed)
+    gen_start = time.perf_counter()
+    workload = sparse_workload(num_sources, duration, rng,
+                               update_rate=update_rate,
+                               generator=generator)
+    gen_seconds = time.perf_counter() - gen_start
+    metric = ValueDeviation()
+    spec = RunSpec(warmup=warmup, measure=measure, seed=seed)
+    points = []
+    for bandwidth in ("steady", f"diurnal-{num_breakpoints}"):
+        if bandwidth == "steady":
+            cache_bw = ConstantBandwidth(cache_bandwidth)
+            source_bws = [ConstantBandwidth(source_bandwidth)
+                          for _ in range(num_sources)]
+        else:
+            cache_bw = diurnal_trace(cache_bandwidth, duration,
+                                     num_breakpoints)
+            shared = diurnal_trace(source_bandwidth, duration,
+                                   num_breakpoints)
+            source_bws = [shared] * num_sources
+        policy = CooperativePolicy(cache_bw, source_bws,
+                                   priority_fn=AreaPriority())
+        start = time.perf_counter()
+        result = run_policy(workload, metric, policy, spec)
+        wall = time.perf_counter() - start
+        points.append(ScalePoint(
+            num_sources=num_sources, scheduling="event",
+            wall_seconds=wall,
+            weighted_divergence=result.weighted_divergence,
+            refreshes=result.refreshes,
+            feedback_messages=result.feedback_messages,
+            gen_seconds=gen_seconds, generator=generator,
+            bandwidth=bandwidth))
+        del policy, result
+        gc.collect()
     return points
 
 

@@ -10,8 +10,8 @@ others idle.
 This is the regime where adaptive allocation matters: the cooperative
 threshold protocol automatically spends each hot cache's budget on its
 fastest-moving objects, while a static uniform allocation wastes budget
-refreshing cold objects and floods nothing (see
-``repro.experiments.multicache``).  Hot sources are chosen contiguously
+refreshing cold objects and floods nothing (see the ``multicache``
+matrix in ``repro.experiments.matrix``).  Hot sources are chosen contiguously
 from the front so that a block shard assignment concentrates them on few
 caches (the adversarial layout); a ``"stride"`` assignment spreads them.
 """

@@ -3,6 +3,21 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.matrix import MATRICES
+
+
+def matrix_defaults(name):
+    """Parse ``repro matrix NAME`` and return the matrix's parameters."""
+    args = build_parser().parse_args(["matrix", name])
+    assert (args.name, args.settings) == (name, [])
+    return MATRICES[name].parse(args.settings)
+
+
+def rejected(argv, capsys):
+    """True when ``repro matrix ...`` stops with a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", *argv])
+    return exc.value.code == 2 and "error:" in capsys.readouterr().err
 
 
 class TestParser:
@@ -27,18 +42,17 @@ class TestParser:
         assert args.days == 2.0
 
     def test_multicache_defaults(self):
-        args = build_parser().parse_args(["multicache"])
-        assert args.num_caches == [1, 2, 4]
-        assert args.topology == "sharded"
-        assert args.replication == 2
+        params = matrix_defaults("multicache")
+        assert params["num-caches"] == (1, 2, 4)
+        assert params["topology"] == "sharded"
+        assert params["replication"] == 2
 
-    def test_multicache_topology_choices(self):
-        args = build_parser().parse_args(
-            ["multicache", "--num-caches", "4", "--topology", "replicated"])
-        assert args.num_caches == [4]
-        assert args.topology == "replicated"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["multicache", "--topology", "mesh"])
+    def test_multicache_topology_choices(self, capsys):
+        params = MATRICES["multicache"].parse(
+            ["num-caches=4", "topology=replicated"])
+        assert params["num-caches"] == (4,)
+        assert params["topology"] == "replicated"
+        assert rejected(["multicache", "topology=mesh"], capsys)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -75,9 +89,9 @@ class TestExecution:
         assert "Figure 5" in capsys.readouterr().out
 
     def test_multicache_tiny_run(self, capsys):
-        assert main(["multicache", "--num-caches", "1", "2",
-                     "--sources", "4", "--objects", "4",
-                     "--warmup", "20", "--measure", "60"]) == 0
+        assert main(["matrix", "multicache", "num-caches=1,2",
+                     "sources=4", "objects=4",
+                     "warmup=20", "measure=60"]) == 0
         out = capsys.readouterr().out
         assert "Multi-cache sweep" in out and "uniform" in out
 
@@ -129,18 +143,17 @@ class TestScaleCommand:
 
 class TestNetCondCommand:
     def test_netcond_defaults(self):
-        args = build_parser().parse_args(["netcond"])
-        assert args.scenarios == ["steady", "diurnal", "bursty",
-                                  "outage"]
-        assert args.topologies == ["star", "sharded-4"]
-        assert args.sources == 16
-        assert args.cache_bandwidth == 20.0
+        params = matrix_defaults("netcond")
+        assert params["scenarios"] == ("steady", "diurnal", "bursty",
+                                       "outage")
+        assert params["topologies"] == ("star", "sharded-4")
+        assert params["sources"] == 16
+        assert params["cache-bandwidth"] == 20.0
 
     def test_netcond_tiny_run(self, capsys):
-        assert main(["netcond", "--scenarios", "steady", "outage",
-                     "--topologies", "star",
-                     "--sources", "6", "--objects", "3",
-                     "--warmup", "20", "--measure", "60"]) == 0
+        assert main(["matrix", "netcond", "scenarios=steady,outage",
+                     "topologies=star", "sources=6", "objects=3",
+                     "warmup=20", "measure=60"]) == 0
         out = capsys.readouterr().out
         assert "E11 network conditions" in out
         assert ("steady trace == constant bandwidth (cooperative, "
@@ -148,59 +161,54 @@ class TestNetCondCommand:
         assert "outage degrades every policy vs steady: yes" in out
 
     def test_netcond_rejects_unknown_scenario(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["netcond", "--scenarios", "foggy"])
+        assert rejected(["netcond", "scenarios=foggy"], capsys)
 
     def test_netcond_rejects_unknown_topology(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["netcond", "--topologies", "mesh"])
+        assert rejected(["netcond", "topologies=mesh"], capsys)
 
 
 class TestReadModelCommand:
     def test_readmodel_defaults(self):
-        args = build_parser().parse_args(["readmodel"])
-        assert args.num_caches == 3
-        assert args.replication == [1, 2, 3]
-        assert args.read_rate == 0.5
-        assert args.cache_bandwidths == [18.0]
+        params = matrix_defaults("readmodel")
+        assert params["num-caches"] == 3
+        assert params["replication"] == (1, 2, 3)
+        assert params["read-rate"] == 0.5
+        assert params["cache-bandwidths"] == (18.0,)
 
     def test_readmodel_tiny_run(self, capsys):
-        assert main(["readmodel", "--replication", "2",
-                     "--sources", "4", "--objects", "3",
-                     "--num-caches", "2",
-                     "--warmup", "20", "--measure", "60"]) == 0
+        assert main(["matrix", "readmodel", "replication=2",
+                     "sources=4", "objects=3", "num-caches=2",
+                     "warmup=20", "measure=60"]) == 0
         out = capsys.readouterr().out
         assert "Replicated read model" in out
         assert "monotone non-increasing in k: yes" in out
         assert "matches freshest-replica exactly: yes" in out
 
     def test_readmodel_single_cache_matches_star(self, capsys):
-        assert main(["readmodel", "--num-caches", "1",
-                     "--replication", "1",
-                     "--sources", "4", "--objects", "3",
-                     "--warmup", "20", "--measure", "60"]) == 0
+        assert main(["matrix", "readmodel", "num-caches=1",
+                     "replication=1", "sources=4", "objects=3",
+                     "warmup=20", "measure=60"]) == 0
         out = capsys.readouterr().out
         assert ("single-cache reads match star CacheStore.read "
                 "bit-for-bit: yes") in out
 
-    def test_readmodel_rejects_unknown_generator(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["readmodel", "--generator", "x"])
+    def test_readmodel_rejects_unknown_generator(self, capsys):
+        # the workload generator left the surface with the old commands
+        assert rejected(["readmodel", "generator=x"], capsys)
 
 
 class TestMulticastCommand:
     def test_multicast_defaults(self):
-        args = build_parser().parse_args(["multicast"])
-        assert args.deliveries == ["unicast", "multicast"]
-        assert args.replications == [1, 2, 4]
-        assert args.num_caches == 4
-        assert args.cache_bandwidth == 12.0
+        params = matrix_defaults("multicast")
+        assert params["deliveries"] == ("unicast", "multicast")
+        assert params["replications"] == (1, 2, 4)
+        assert params["num-caches"] == 4
+        assert params["cache-bandwidth"] == 12.0
 
     def test_multicast_tiny_run(self, capsys):
-        assert main(["multicast", "--replications", "1", "2",
-                     "--sources", "8", "--objects", "4",
-                     "--cache-bandwidth", "8",
-                     "--warmup", "40", "--measure", "120"]) == 0
+        assert main(["matrix", "multicast", "replications=1,2",
+                     "sources=8", "objects=4", "cache-bandwidth=8",
+                     "warmup=40", "measure=120"]) == 0
         out = capsys.readouterr().out
         assert "E14 multicast delivery" in out
         assert ("multicast == unicast at replication 1 (all policies, "
@@ -211,24 +219,19 @@ class TestMulticastCommand:
                 "yes") in out
 
     def test_multicast_partial_matrix_reports_na(self, capsys):
-        assert main(["multicast", "--deliveries", "unicast",
-                     "--replications", "2",
-                     "--sources", "4", "--objects", "3",
-                     "--warmup", "20", "--measure", "40"]) == 0
+        assert main(["matrix", "multicast", "deliveries=unicast",
+                     "replications=2", "sources=4", "objects=3",
+                     "warmup=20", "measure=40"]) == 0
         out = capsys.readouterr().out
         assert "n/a (cells not in this matrix)" in out
 
-    def test_multicast_rejects_unknown_delivery(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["multicast", "--deliveries",
-                                       "broadcast"])
+    def test_multicast_rejects_unknown_delivery(self, capsys):
+        assert rejected(["multicast", "deliveries=broadcast"], capsys)
 
     def test_multicache_delivery_flag(self):
-        args = build_parser().parse_args(["multicache", "--delivery",
-                                          "multicast"])
-        assert args.delivery == "multicast"
-        args = build_parser().parse_args(["readmodel"])
-        assert args.delivery == "unicast"
+        params = MATRICES["multicache"].parse(["delivery=multicast"])
+        assert params["delivery"] == "multicast"
+        assert matrix_defaults("readmodel")["delivery"] == "unicast"
 
 
 class TestProfileCommand:
@@ -251,19 +254,16 @@ class TestProfileCommand:
 
 class TestCacheRatesFlag:
     def test_parses_comma_separated_rates(self):
-        args = build_parser().parse_args(
-            ["multicache", "--cache-rates", "8,4,2"])
-        assert args.cache_rates == (8.0, 4.0, 2.0)
+        params = MATRICES["multicache"].parse(["cache-rates=8,4,2"])
+        assert params["cache-rates"] == (8.0, 4.0, 2.0)
 
-    def test_rejects_garbage(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["multicache", "--cache-rates", "fast,slow"])
+    def test_rejects_garbage(self, capsys):
+        assert rejected(["multicache", "cache-rates=fast,slow"], capsys)
 
     def test_heterogeneous_tiny_run(self, capsys):
-        assert main(["multicache", "--cache-rates", "10,6",
-                     "--sources", "4", "--objects", "4",
-                     "--warmup", "20", "--measure", "60"]) == 0
+        assert main(["matrix", "multicache", "cache-rates=10,6",
+                     "sources=4", "objects=4",
+                     "warmup=20", "measure=60"]) == 0
         out = capsys.readouterr().out
         assert "heterogeneous cache rates" in out
         # the rates pin the sweep to a single 2-cache point

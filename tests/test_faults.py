@@ -3,8 +3,8 @@
 Covers the deterministic fault-injection subsystem end to end --
 declarative :class:`FaultPlan` validation, the counter-keyed drop draws,
 the reliable-delivery (ack/timeout/retransmit) option, the feedback
-staleness TTL, cache crash cold-restarts -- plus the E12 experiment
-driver and its structural verdicts, and the shard/subset hardening that
+staleness TTL, cache crash cold-restarts -- plus the E12 ``faults``
+matrix and its structural verdicts, and the shard/subset hardening that
 rides along in the same change.
 """
 
@@ -18,16 +18,16 @@ from repro.core.weights import StaticWeights, WeightModel
 from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
 from repro.cli import main as cli_main
-from repro.experiments.faults import (
-    FaultPoint,
+from repro.experiments.matrix import (
+    FAULTS,
+    POLICIES,
     blackout_graceful,
     empty_plan_is_baseline,
     loss_monotone,
-    render_faults,
+    make_policy,
     retry_recovers,
-    run_faults,
+    run_matrix,
 )
-from repro.experiments.netcond import _make_policy
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -45,6 +45,7 @@ from repro.network.messages import RefreshMessage
 from repro.network.topology import MultiCacheTopology, TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
 from repro.workloads.synthetic import uniform_random_walk
+from test_matrix import check_verdict
 
 
 def small_workload(num_sources=6, objects_per_source=3, horizon=120.0,
@@ -432,9 +433,6 @@ class TestReliableDelivery:
         assert reliable.retransmitted <= 2 * reliable.abandoned + 2 * 3
 
 
-POLICY_NAMES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
-
-
 class TestEmptyPlanPins:
     """An explicit empty FaultPlan (and plan=None) must be bitwise
     indistinguishable from a fault-free run for every policy on both
@@ -450,14 +448,14 @@ class TestEmptyPlanPins:
                                     replication=2, delivery="multicast"),
                      id="replicated-4-multicast"),
     ])
-    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize("name", POLICIES)
     def test_empty_plan_bitwise(self, name, topology):
         workload = small_workload()
 
         def run(faults):
             cache_bw, source_bws = profiles(workload)
-            policy = _make_policy(name, cache_bw, source_bws,
-                                  workload.num_objects)
+            policy = make_policy(name, cache_bw, source_bws,
+                                 workload.num_objects)
             result = run_policy(
                 workload, ValueDeviation(), policy,
                 RunSpec(warmup=20.0, measure=100.0, topology=topology,
@@ -631,96 +629,54 @@ class TestShardHardening:
 
 class TestRunFaultsExperiment:
     def test_tiny_matrix_fields(self):
-        points = run_faults(scenarios=("none", "lossy-10"),
-                            topologies=("star",), num_sources=4,
-                            objects_per_source=2, cache_bandwidth=4.0,
-                            source_bandwidth=1.0, warmup=20.0,
-                            measure=60.0)
-        assert len(points) == 2
-        by_scenario = {p.scenario: p for p in points}
-        none, lossy = by_scenario["none"], by_scenario["lossy-10"]
-        assert set(none.divergence) == set(POLICY_NAMES)
-        assert none.empty_plan_divergence == none.divergence
-        assert none.ttl_divergence is not None
-        assert lossy.retry_divergence is not None
-        assert lossy.dropped["cooperative"] > 0
-        assert none.dropped["cooperative"] == 0
-        assert lossy.empty_plan_divergence == {}  # pin runs on none only
-        text = render_faults(points, "tiny")
+        params = FAULTS.parse([
+            "scenarios=none,lossy-10", "topologies=star", "sources=4",
+            "objects=2", "cache-bandwidth=4", "source-bandwidth=1",
+            "warmup=20", "measure=60"])
+        rows = run_matrix(FAULTS, params)
+        assert [r["scenarios"] for r in rows] == ["none", "lossy-10"]
+        none, lossy = rows
+        assert all(none[f"empty-{n}"] == none[n] for n in POLICIES)
+        assert "ttl" in none and "retry" not in none
+        assert "retry" in lossy and "ttl" not in lossy
+        assert not any(f"empty-{n}" in lossy for n in POLICIES)
+        assert lossy["cooperative"]["dropped"] > 0
+        assert none["cooperative"]["dropped"] == 0
+        text = FAULTS.render(params, rows)
         assert "lossy-10" in text and "retransmits" in text
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(ValueError, match="scenario"):
-            run_faults(scenarios=("packet-gnomes",))
-        with pytest.raises(ValueError, match="topology"):
-            run_faults(topologies=("torus",))
-
-
-def point(scenario, topology="star", coop=0.1, uniform=0.2, retry=None,
-          ttl=None):
-    p = FaultPoint(scenario=scenario, topology=topology)
-    p.divergence = {"cooperative": coop, "uniform": uniform}
-    p.refreshes = {"cooperative": 100, "uniform": 100}
-    p.retry_divergence = retry
-    p.ttl_divergence = ttl
-    return p
+        with pytest.raises(ValueError, match="scenarios"):
+            FAULTS.parse(["scenarios=packet-gnomes"])
+        with pytest.raises(ValueError, match="topologies"):
+            FAULTS.parse(["topologies=torus"])
 
 
 class TestVerdicts:
     def test_empty_plan_verdict(self):
-        good = point("none")
-        good.empty_plan_divergence = dict(good.divergence)
-        good.empty_plan_refreshes = dict(good.refreshes)
-        assert empty_plan_is_baseline([good])
-        bad = point("none")
-        bad.empty_plan_divergence = {"cooperative": 0.999,
-                                     "uniform": 0.2}
-        bad.empty_plan_refreshes = dict(bad.refreshes)
-        assert not empty_plan_is_baseline([bad])
-        assert not empty_plan_is_baseline([])  # vacuous is not a pass
+        check_verdict(empty_plan_is_baseline)
 
     def test_loss_monotone_with_tolerance(self):
-        ladder = [point("none", coop=0.10), point("lossy-1", coop=0.12),
-                  point("lossy-10", coop=0.30)]
-        assert loss_monotone(ladder)
-        dip = [point("none", coop=0.10), point("lossy-1", coop=0.0991)]
-        assert loss_monotone(dip)  # within the 2% noise allowance
-        drop = [point("none", coop=0.10), point("lossy-1", coop=0.05)]
-        assert not loss_monotone(drop)
-        assert not loss_monotone([point("none")])  # nothing to compare
+        check_verdict(loss_monotone)
 
     def test_retry_recovers_verdict(self):
-        cells = [point("none", coop=0.10),
-                 point("lossy-10", coop=0.30, retry=0.15)]
-        assert retry_recovers(cells)  # gap 0.2, recovered to half exactly
-        weak = [point("none", coop=0.10),
-                point("lossy-10", coop=0.30, retry=0.25)]
-        assert not retry_recovers(weak)
-        no_gap = [point("none", coop=0.10),
-                  point("lossy-10", coop=0.08, retry=0.9)]
-        assert retry_recovers(no_gap)  # nothing to recover
+        check_verdict(retry_recovers)
 
     def test_blackout_graceful_verdict(self):
-        ok = [point("feedback-blackout", uniform=0.2, ttl=0.15)]
-        assert blackout_graceful(ok)
-        bad = [point("feedback-blackout", uniform=0.2, ttl=0.25)]
-        assert not blackout_graceful(bad)
-        assert not blackout_graceful([point("none", ttl=0.1)])
+        check_verdict(blackout_graceful)
 
 
 class TestFaultsCLI:
     def test_faults_subcommand(self, capsys, tmp_path):
         out = tmp_path / "faults.txt"
         code = cli_main([
-            "--output", str(out), "faults", "--scenarios", "none",
-            "lossy-10", "--topologies", "star", "--sources", "4",
-            "--objects", "2", "--cache-bandwidth", "4",
-            "--source-bandwidth", "1", "--warmup", "20",
-            "--measure", "60", "--workers", "2"])
+            "--output", str(out), "matrix", "faults",
+            "scenarios=none,lossy-10", "topologies=star", "sources=4",
+            "objects=2", "cache-bandwidth=4", "source-bandwidth=1",
+            "warmup=20", "measure=60", "--workers", "2"])
         assert code == 0
         text = capsys.readouterr().out
         assert "E12 fault injection" in text
         assert "empty fault plan == fault-free baseline" in text
         assert "n/a (scenario not in this matrix)" in text  # no blackout
-        assert out.read_text() == text.rstrip("\n") + "\n" \
-            or out.read_text().startswith("E12")
+        assert out.read_text() == text

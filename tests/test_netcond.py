@@ -1,64 +1,61 @@
-"""Tests for the E11 network-condition experiment."""
+"""Tests for the E11 network-condition matrix (``repro matrix netcond``)."""
 
 import pytest
 
-from repro.experiments.netcond import (
+from repro.experiments.matrix import (
+    NETCOND,
     POLICIES,
-    NetCondPoint,
     graceful_degradation,
     outage_degrades,
-    render_netcond,
-    run_netcond,
-    run_netcond_scale,
+    run_matrix,
     steady_matches_constant,
 )
+from repro.experiments.scale import run_netcond_scale
+from test_matrix import check_verdict
 
-SMALL = dict(num_sources=6, objects_per_source=3, warmup=30.0,
-             measure=90.0)
+SMALL = "sources=6 objects=3 warmup=30 measure=90"
+
+
+def netcond(settings, workers=1):
+    params = NETCOND.parse(f"{settings} {SMALL}".split())
+    return params, run_matrix(NETCOND, params, workers=workers)
 
 
 @pytest.fixture(scope="module")
 def small_matrix():
-    return run_netcond(scenarios=("steady", "outage"),
-                       topologies=("star",), **SMALL)
+    return netcond("scenarios=steady,outage topologies=star")
 
 
 class TestRunNetCond:
     def test_matrix_shape(self, small_matrix):
-        assert len(small_matrix) == 2
-        cells = {(p.scenario, p.topology) for p in small_matrix}
-        assert cells == {("steady", "star"), ("outage", "star")}
-        for point in small_matrix:
-            assert set(point.divergence) == set(POLICIES)
-            assert all(d >= 0.0 for d in point.divergence.values())
+        _, rows = small_matrix
+        assert [(r["scenarios"], r["topologies"]) for r in rows] == \
+            [("steady", "star"), ("outage", "star")]
+        for row in rows:
+            assert all(row[name]["divergence"] >= 0.0 for name in POLICIES)
 
     def test_steady_cell_carries_constant_control(self, small_matrix):
-        by_scenario = {p.scenario: p for p in small_matrix}
-        assert by_scenario["steady"].constant_control is not None
-        assert by_scenario["outage"].constant_control is None
+        steady, outage = small_matrix[1]
+        assert "control" in steady
+        assert "control" not in outage
 
     def test_steady_trace_is_bitwise_control(self, small_matrix):
-        assert steady_matches_constant(small_matrix)
+        assert steady_matches_constant(small_matrix[1])
 
     def test_outage_degrades(self, small_matrix):
-        assert outage_degrades(small_matrix)
+        assert outage_degrades(small_matrix[1])
 
     def test_workers_bit_identical(self):
-        serial = run_netcond(scenarios=("steady",),
-                             topologies=("star", "sharded-4"),
-                             workers=1, **SMALL)
-        parallel = run_netcond(scenarios=("steady",),
-                               topologies=("star", "sharded-4"),
-                               workers=2, **SMALL)
-        assert serial == parallel
+        settings = "scenarios=steady topologies=star,sharded-4"
+        assert netcond(settings, workers=2) == netcond(settings)
 
     def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError, match="unknown topology"):
-            run_netcond(topologies=("ring",), **SMALL)
+        with pytest.raises(ValueError, match="unknown value 'ring'"):
+            NETCOND.parse(["topologies=ring"])
 
     def test_render(self, small_matrix):
-        text = render_netcond(small_matrix, title="E11 test")
-        assert "E11 test" in text
+        text = NETCOND.render(*small_matrix)
+        assert text.startswith("E11 network conditions")
         assert "steady" in text and "outage" in text
         for name in POLICIES:
             assert name in text
@@ -66,37 +63,14 @@ class TestRunNetCond:
 
 
 class TestVerdictHelpers:
-    @staticmethod
-    def point(scenario, topology="star", coop=1.0, unif=1.0,
-              control=None):
-        return NetCondPoint(
-            scenario=scenario, topology=topology,
-            divergence={"cooperative": coop, "uniform": unif},
-            refreshes={"cooperative": 10, "uniform": 10},
-            constant_control=control)
-
     def test_steady_matches_requires_exact_control(self):
-        good = [self.point("steady", coop=0.5, control=0.5)]
-        bad = [self.point("steady", coop=0.5, control=0.5 + 1e-12)]
-        assert steady_matches_constant(good)
-        assert not steady_matches_constant(bad)
-        assert not steady_matches_constant([])
+        check_verdict(steady_matches_constant)
 
     def test_outage_degrades_needs_a_pair(self):
-        steady = self.point("steady", coop=0.4, unif=0.5)
-        worse = self.point("outage", coop=0.8, unif=1.0)
-        better = self.point("outage", coop=0.2, unif=1.0)
-        assert outage_degrades([steady, worse])
-        assert not outage_degrades([steady, better])
-        assert not outage_degrades([steady])  # no outage cell measured
+        check_verdict(outage_degrades)
 
     def test_graceful_degradation_compares_ratios(self):
-        steady = self.point("steady", coop=0.4, unif=0.4)
-        graceful = self.point("outage", coop=0.6, unif=0.8)
-        harsh = self.point("outage", coop=0.9, unif=0.8)
-        assert graceful_degradation([steady, graceful])
-        assert not graceful_degradation([steady, harsh])
-        assert not graceful_degradation([steady])
+        check_verdict(graceful_degradation)
 
 
 class TestRunNetCondScale:

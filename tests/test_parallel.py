@@ -4,8 +4,8 @@ Two properties are pinned here:
 
 * **Tier 1 determinism** -- a sweep fanned over worker processes is
   bit-for-bit identical to the serial loop (fig4 grid, E9 scale sweep,
-  E10 read sweep, multicache sweep), because every cell regenerates its
-  workload from a seed instead of receiving pickled state.
+  the readmodel and multicache matrices), because every cell regenerates
+  its workload from a seed instead of receiving pickled state.
 * **Tier 2 equivalence** -- a sharded-topology cooperative run executed
   shard-per-worker with feedback-window barriers merges to the exact
   ``RunResult`` the serial interleaved simulation produces.
@@ -19,7 +19,7 @@ import pytest
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
 from repro.experiments.fig4 import Fig4Config, run_fig4
-from repro.experiments.multicache import run_multicache
+from repro.experiments.matrix import MATRICES, run_matrix
 from repro.experiments.parallel import (
     ParallelRunner,
     WorkloadSpec,
@@ -29,7 +29,6 @@ from repro.experiments.parallel import (
     run_cooperative_sharded,
     shard_sources,
 )
-from repro.experiments.readmodel import run_readmodel
 from repro.experiments.runner import RunSpec, run_policy
 from repro.experiments.scale import run_scale
 from repro.network.bandwidth import ConstantBandwidth
@@ -158,17 +157,22 @@ class TestSweepDeterminism:
                             warmup=20.0, measure=80.0)
         assert run_fig4(config, workers=4) == run_fig4(config)
 
+    @staticmethod
+    def matrix_rows(name, settings, workers=1):
+        matrix = MATRICES[name]
+        return run_matrix(matrix, matrix.parse(settings.split()),
+                          workers=workers)
+
     def test_readmodel_parallel_matches_serial(self):
-        kwargs = dict(num_caches=2, replications=(1, 2),
-                      num_sources=6, objects_per_source=2,
-                      warmup=50.0, measure=100.0)
-        assert run_readmodel(workers=4, **kwargs) == run_readmodel(**kwargs)
+        settings = ("num-caches=2 replication=1,2 sources=6 objects=2 "
+                    "warmup=50 measure=100")
+        assert (self.matrix_rows("readmodel", settings, workers=4)
+                == self.matrix_rows("readmodel", settings))
 
     def test_multicache_parallel_matches_serial(self):
-        kwargs = dict(num_caches_list=(1, 2), num_sources=8,
-                      objects_per_source=4, warmup=50.0, measure=100.0)
-        assert (run_multicache(workers=2, **kwargs)
-                == run_multicache(**kwargs))
+        settings = "num-caches=1,2 sources=8 objects=4 warmup=50 measure=100"
+        assert (self.matrix_rows("multicache", settings, workers=2)
+                == self.matrix_rows("multicache", settings))
 
     def test_scale_parallel_matches_serial(self):
         kwargs = dict(sources=(50, 100), warmup=50.0, measure=150.0,

@@ -15,10 +15,8 @@ from repro.cache.readmodel import ReadModel, parse_read_policy
 from repro.cache.store import CacheStore
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
-from repro.experiments.readmodel import (
-    read_policies_for,
-    run_policy_with_reads,
-)
+from repro.experiments.matrix import read_policies_for
+from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import MultiCacheTopology, TopologyConfig

@@ -4,7 +4,7 @@ Covers the rebalance subsystem end to end -- windowed link-queue peaks,
 the surplus field in topology telemetry, the feedback controller's
 remove/add source lifecycle, routing reassignment, peer links and
 migration-message credit, migration freshness discipline, the moving
-hotspot workload, the E13 experiment driver with its verdicts -- plus
+hotspot workload, the E13 ``rebalance`` matrix with its verdicts -- plus
 the satellite hardening: ``ScaledBandwidth`` capacity delegation pinned
 against an eager-materialized trace, and the ``Workload.shard`` /
 ``UpdateTrace.subset`` migration round-trips.
@@ -24,17 +24,13 @@ from repro.cli import main as cli_main
 from repro.core.divergence import ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
-from repro.experiments.netcond import _make_policy
-from repro.experiments.rebalance import (
-    ARMS,
-    RebalanceCell,
-    RebalancePoint,
-    _run_rebalance_cell,
+from repro.experiments.matrix import (
+    REBALANCE,
     adaptive_beats_static,
     adaptive_migrates,
     inert_matches_static,
-    render_rebalance,
-    run_rebalance,
+    make_policy,
+    run_matrix,
 )
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import (
@@ -53,6 +49,7 @@ from repro.policies.cooperative import CooperativePolicy
 from repro.rebalance import RebalanceConfig, Rebalancer
 from repro.workloads.hotspot import hotspot_shards, moving_hotspot
 from repro.workloads.synthetic import uniform_random_walk
+from test_matrix import SINGLE, caches, check_verdict
 
 
 def small_workload(num_sources=6, objects_per_source=3, horizon=120.0,
@@ -153,7 +150,7 @@ class TestTopologySurplusTelemetry:
                        topology=TopologyConfig(kind="sharded",
                                                num_caches=2))
         for name in ("cooperative", "uniform"):
-            policy = _make_policy(
+            policy = make_policy(
                 name, ConstantBandwidth(8.0),
                 [ConstantBandwidth(2.0)
                  for _ in range(workload.num_sources)],
@@ -576,112 +573,76 @@ class TestRebalancerWiring:
 
 
 # ----------------------------------------------------------------------
-# E13: the experiment driver
+# E13: the rebalance matrix
 # ----------------------------------------------------------------------
-def short_cell(**overrides):
-    params = dict(num_caches=4, num_sources=16, objects_per_source=8,
-                  cache_bandwidth=24.0, source_bandwidth=4.0,
-                  num_phases=4, hot_boost=25.0, rate_lo=0.02,
-                  rate_hi=0.12, interval=10.0, max_moves=2,
-                  saturation_queue=2, peer_rate=4.0,
-                  warmup=50.0, measure=200.0, seed=0,
-                  generator="vectorized")
-    params.update(overrides)
-    return RebalanceCell(**params)
+def sweep(settings="", workers=1):
+    """E13 rows at the short default size, ``settings`` overriding."""
+    params = REBALANCE.parse(
+        f"num-caches=4 warmup=50 measure=200 {settings}".split())
+    return run_matrix(REBALANCE, params, workers=workers)
 
 
 class TestE13Experiment:
     def test_adaptive_beats_static_and_migrates(self):
-        point = _run_rebalance_cell(short_cell())
-        assert point.migrations["adaptive"] > 0
-        assert point.migrations["static"] == 0
-        assert point.migrations["inert"] == 0
-        assert (point.divergence["adaptive"]
-                < point.divergence["static"])
+        (row,) = sweep()
+        assert row["adaptive"]["migrations"] > 0
+        assert row["static"]["migrations"] == 0
+        assert row["inert"]["migrations"] == 0
+        assert (row["adaptive"]["divergence"]
+                < row["static"]["divergence"])
 
     def test_inert_is_bitwise_static(self):
-        point = _run_rebalance_cell(short_cell(num_caches=2,
-                                               measure=120.0))
-        assert point.divergence["inert"] == point.divergence["static"]
-        assert point.refreshes["inert"] == point.refreshes["static"]
-        assert point.messages["inert"] >= point.messages["static"]
+        (row,) = sweep("num-caches=2 measure=120")
+        assert row["inert"]["divergence"] == row["static"]["divergence"]
+        assert row["inert"]["refreshes"] == row["static"]["refreshes"]
+        assert row["inert"]["messages"] >= row["static"]["messages"]
 
     def test_single_cache_arms_coincide(self):
-        point = _run_rebalance_cell(short_cell(
-            num_caches=1, num_sources=4, objects_per_source=4,
-            warmup=20.0, measure=60.0))
-        values = set(point.divergence.values())
-        assert len(values) == 1
-        assert point.migrations["adaptive"] == 0
+        (row,) = sweep("num-caches=1 sources=4 objects=4 warmup=20 "
+                       "measure=60")
+        assert len({row[arm]["divergence"] for arm in REBALANCE.arms}) == 1
+        assert row["adaptive"]["migrations"] == 0
 
     def test_run_rebalance_parallel_is_serial(self):
-        kwargs = dict(cache_counts=(1, 2), num_sources=8,
-                      objects_per_source=4, cache_bandwidth=12.0,
-                      num_phases=2, warmup=30.0, measure=90.0, seed=1)
-        serial = run_rebalance(workers=1, **kwargs)
-        fanned = run_rebalance(workers=2, **kwargs)
-        assert [p.divergence for p in serial] == \
-            [p.divergence for p in fanned]
+        settings = ("num-caches=1,2 sources=8 objects=4 cache-bandwidth=12 "
+                    "phases=2 warmup=30 measure=90 seed=1")
+        assert sweep(settings, workers=2) == sweep(settings)
 
     def test_bad_cache_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_rebalance(cache_counts=(0,))
+        with pytest.raises(ValueError, match="num-caches"):
+            REBALANCE.parse(["num-caches=0"])
 
 
 class TestVerdictHelpers:
-    def points(self):
-        good = RebalancePoint(
-            num_caches=2,
-            divergence={"static": 1.0, "inert": 1.0,
-                        "adaptive": 0.7, "distributed": 0.8},
-            refreshes={"static": 50, "inert": 50,
-                       "adaptive": 55, "distributed": 52},
-            migrations={"static": 0, "inert": 0,
-                        "adaptive": 3, "distributed": 2})
-        single = RebalancePoint(
-            num_caches=1,
-            divergence={arm: 0.5 for arm in ARMS},
-            refreshes={arm: 40 for arm in ARMS},
-            migrations={arm: 0 for arm in ARMS})
-        return [single, good]
-
     def test_all_pass_on_good_points(self):
-        points = self.points()
-        assert inert_matches_static(points)
-        assert adaptive_migrates(points)
-        assert adaptive_beats_static(points)
+        rows = [SINGLE, caches(2)]
+        assert inert_matches_static(rows)
+        assert adaptive_migrates(rows)
+        assert adaptive_beats_static(rows)
 
     def test_inert_divergence_fails_pin(self):
-        points = self.points()
-        points[1].divergence["inert"] = 1.0000001
-        assert not inert_matches_static(points)
+        check_verdict(inert_matches_static)
 
     def test_zero_migrations_fail(self):
-        points = self.points()
-        points[1].migrations["adaptive"] = 0
-        assert not adaptive_migrates(points)
+        check_verdict(adaptive_migrates)
 
     def test_single_cache_only_is_vacuous(self):
-        single = [p for p in self.points() if p.num_caches == 1]
-        assert not adaptive_migrates(single)
-        assert not adaptive_beats_static(single)
+        check_verdict(adaptive_beats_static)
 
     def test_render_contains_verdicts_and_warns(self):
-        points = self.points()
-        text = render_rebalance(points, "E13 smoke")
-        assert "E13 smoke" in text
+        params = REBALANCE.parse()
+        text = REBALANCE.render(params, [SINGLE, caches(2)])
+        assert text.startswith("E13 shard rebalancing")
         assert "WARNING" not in text
-        points[1].divergence["adaptive"] = 2.0
-        assert "WARNING: violated" in render_rebalance(points, "t")
+        text = REBALANCE.render(params, [SINGLE, caches(2, adaptive=2.0)])
+        assert "WARNING: violated" in text
 
 
 class TestRebalanceCLI:
     def test_cli_smoke(self, capsys):
-        cli_main(["rebalance", "--num-caches", "1", "2",
-                  "--sources", "8", "--objects", "4",
-                  "--cache-bandwidth", "12", "--phases", "2",
-                  "--warmup", "30", "--measure", "90",
-                  "--workers", "1"])
+        cli_main(["matrix", "rebalance", "num-caches=1,2", "sources=8",
+                  "objects=4", "cache-bandwidth=12", "phases=2",
+                  "warmup=30", "measure=90", "--workers", "1"])
         out = capsys.readouterr().out
         assert "E13 shard rebalancing" in out
         assert "inert rebalancer == static sharding" in out
@@ -740,9 +701,9 @@ class TestRebalancerOffPins:
                        topology=topology)
         result = run_policy(
             workload, ValueDeviation(),
-            _make_policy(policy_name, ConstantBandwidth(6.0),
-                         [ConstantBandwidth(1.5) for _ in range(8)],
-                         workload.num_objects),
+            make_policy(policy_name, ConstantBandwidth(6.0),
+                        [ConstantBandwidth(1.5) for _ in range(8)],
+                        workload.num_objects),
             spec)
         divergence, refreshes, messages = OFF_PINS[
             (policy_name, topo_name)]

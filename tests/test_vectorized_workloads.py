@@ -17,9 +17,13 @@ Three layers of guarantees:
 import numpy as np
 import pytest
 
+from repro.core.divergence import ValueDeviation
 from repro.experiments.fig4 import Fig4Config, run_fig4
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.multicache import run_multicache
+from repro.experiments.matrix import make_policy
+from repro.experiments.runner import RunSpec, run_policy
+from repro.network.bandwidth import ConstantBandwidth
+from repro.network.topology import TopologyConfig
 from repro.workloads.random_walk import (
     random_walk_values,
     random_walk_values_batch,
@@ -269,15 +273,25 @@ class TestLegacyBitForBit:
         assert got == self.FIG5_PINS
 
     def test_multicache_legacy_pinned(self):
-        points = run_multicache(num_caches_list=(1, 2), num_sources=8,
-                                objects_per_source=4,
-                                cache_bandwidth=12.0,
-                                source_bandwidth=2.0,
-                                warmup=50.0, measure=150.0, seed=0,
-                                generator="legacy")
-        got = [(p.cooperative_divergence, p.uniform_divergence,
-                p.cooperative_refreshes, p.uniform_refreshes)
-               for p in points]
+        """Cooperative vs uniform on the legacy hot-shard workload, star
+        and sharded-2 (the multicache experiment's cells)."""
+        workload = hotspot_shards(8, 4, horizon=200.0,
+                                  rng=np.random.default_rng(0),
+                                  generator="legacy")
+        got = []
+        for topology in (TopologyConfig(),
+                         TopologyConfig(kind="sharded", num_caches=2)):
+            spec = RunSpec(warmup=50.0, measure=150.0, seed=0,
+                           topology=topology)
+            results = [run_policy(
+                workload, ValueDeviation(),
+                make_policy(name, ConstantBandwidth(12.0),
+                            [ConstantBandwidth(2.0) for _ in range(8)],
+                            workload.num_objects),
+                spec) for name in ("cooperative", "uniform")]
+            got.append((results[0].weighted_divergence,
+                        results[1].weighted_divergence,
+                        results[0].refreshes, results[1].refreshes))
         assert got == self.MULTICACHE_PINS
 
     def test_legacy_and_vectorized_statistically_compatible(self):
