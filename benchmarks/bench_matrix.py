@@ -16,8 +16,7 @@ degradation *ratio* is undefined.
 The multicache matrix prints no verdicts; its case asserts the E8 claim
 directly (cooperative beats uniform allocation at every cache count).
 The machinery-overhead timing benches stay in ``bench_netcond``,
-``bench_faults``, ``bench_rebalance``, ``bench_multicast`` and
-``bench_readmodel``.
+``bench_faults``, ``bench_rebalance`` and ``bench_multicast``.
 """
 
 import pytest

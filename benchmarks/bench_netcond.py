@@ -64,7 +64,6 @@ def test_netcond_100000_sources_trace_fast_path(benchmark):
         f.write("\n")
 
     for point in points:
-        assert point.scheduling == "event"
         assert point.refreshes > 0
         total = point.gen_seconds + point.wall_seconds
         assert total <= SCALE_BUDGET_SECONDS, (

@@ -10,7 +10,14 @@ a point measured at a different worker count, cache layout, or
 link-profile kind (steady vs a breakpoint trace) is a *different*
 point, never compared against a serial/star/steady baseline; points
 present on only one side are reported but never fail the check, so
-adding or retiring bench points does not break the gate.  The m = 10^6
+adding or retiring bench points does not break the gate.
+
+The simulator now has one execution path: points no longer record a
+scheduler or replay mode.  An absent field means the surviving path
+(``event`` scheduling, ``batched`` replay), so a current point still
+matches the base revision's batched point; baseline points measured on
+a retired path (``tick`` scheduling or ``event`` replay) are reported as
+RETIRED and never compared.  The m = 10^6
 shard-parallel points (the payload's ``million`` section) and the E11
 trace-driven points (the ``netcond`` section) join the comparison
 alongside the top-level points.
@@ -28,11 +35,22 @@ import json
 import sys
 
 
+#: Execution-path fields and the value each had on the surviving path.
+SURVIVING = {"scheduling": "event", "replay": "batched"}
+
+
 def point_key(point: dict) -> tuple:
-    return (point.get("num_sources"), point.get("scheduling"),
-            point.get("replay", "event"), point.get("workers", 1),
-            point.get("topology", "star"),
+    return (point.get("num_sources"),
+            point.get("scheduling", SURVIVING["scheduling"]),
+            point.get("replay", SURVIVING["replay"]),
+            point.get("workers", 1), point.get("topology", "star"),
             point.get("bandwidth", "steady"))
+
+
+def retired(point: dict) -> bool:
+    """True for a point measured on a since-deleted execution path."""
+    return any(point.get(field, value) != value
+               for field, value in SURVIVING.items())
 
 
 def all_points(payload: dict) -> list[dict]:
@@ -55,6 +73,11 @@ def compare(baseline: dict, current: dict,
     base_points = {point_key(p): p for p in all_points(baseline)}
     cur_points = {point_key(p): p for p in all_points(current)}
     lines: list[str] = []
+    for key, base in sorted(base_points.items(), key=repr):
+        if retired(base):
+            del base_points[key]
+            lines.append(f"RETIRED {key}: baseline point measured a "
+                         f"deleted execution path; not compared")
     for key, cur in sorted(cur_points.items(), key=repr):
         base = base_points.get(key)
         if base is None:

@@ -27,7 +27,8 @@ from repro.experiments import RunSpec, run_policy
 from repro.metrics import format_table
 from repro.network import ConstantBandwidth
 from repro.policies import IdealCooperativePolicy
-from repro.workloads import uniform_random_walk
+from repro.workloads import bernoulli_tick_times_batch, uniform_random_walk
+from repro.workloads.synthetic import _trace_from_event_stream
 
 
 def build_wall(seed: int, horizon: float, grid: int = 6):
@@ -43,10 +44,8 @@ def build_wall(seed: int, horizon: float, grid: int = 6):
     # by re-sampling the workload with explicit rates.
     rates = np.array(workload.rates)
     rates[active] = 1.0
-    from repro.workloads.synthetic import _trace_from_times
-    from repro.workloads.update_process import bernoulli_tick_times
-    times = [bernoulli_tick_times(r, horizon, rng) for r in rates]
-    workload.trace = _trace_from_times(times, rng, tiles)
+    times, owners = bernoulli_tick_times_batch(rates, horizon, rng)
+    workload.trace = _trace_from_event_stream(times, owners, rng, tiles)
     workload.rates = rates
     # Prominence: center tiles weighted up, the speaker tile most.
     weights = np.ones(tiles)

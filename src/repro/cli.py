@@ -140,17 +140,11 @@ def _cmd_scale(args: argparse.Namespace) -> str:
                        source_bandwidth=args.source_bandwidth,
                        warmup=args.warmup, measure=args.measure,
                        seed=args.seed,
-                       max_tick_sources=args.max_tick_sources,
-                       generator=args.generator,
-                       replays=(("event", "batched")
-                                if args.replay == "both"
-                                else (args.replay,)),
                        workers=args.workers,
                        shard_caches=args.shard_caches)
     return render_scale(
-        points, "E9 scale sweep: event-driven wakeups vs per-tick scans "
-                f"(sparse updates, lambda = {args.update_rate}/s, "
-                f"{args.generator} generation)")
+        points, "E9 scale sweep: event-driven simulator on sparse "
+                f"updates (lambda = {args.update_rate}/s)")
 
 
 def _cmd_profile(args: argparse.Namespace) -> str:
@@ -274,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_matrix, error=p.error)
 
     p = sub.add_parser("scale",
-                       help="E9 scale sweep: event-driven wakeups vs "
-                            "per-tick scans on sparse workloads")
+                       help="E9 scale sweep: event-driven simulator on "
+                            "sparse workloads")
     p.add_argument("--sources", type=int, nargs="+",
                    default=[100, 1000, 10000],
                    help="source counts to sweep (one object per source)")
@@ -283,18 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-object Poisson update rate (<< 1/dt)")
     p.add_argument("--cache-bandwidth", type=float, default=8.0)
     p.add_argument("--source-bandwidth", type=float, default=1.0)
-    p.add_argument("--max-tick-sources", type=int, default=2000,
-                   help="skip the tick-scan baseline above this m "
-                        "(it is O(ticks x m); the result is pinned "
-                        "identical anyway)")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation (legacy = the "
-                        "per-object loops, for generation-cost baselines)")
-    p.add_argument("--replay", choices=["batched", "event", "both"],
-                   default="batched",
-                   help="trace replay mode; 'both' times the per-event "
-                        "loop against the batched fast path")
     p.add_argument("--shard-caches", type=int, default=None,
                    help="run each point as a sharded multi-cache "
                         "topology with this many caches, advancing the "

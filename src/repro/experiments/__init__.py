@@ -32,7 +32,6 @@ from repro.experiments.scale import (
     render_scale,
     run_netcond_scale,
     run_scale,
-    speedups,
 )
 from repro.experiments.validation import (
     ValidationRow,
@@ -70,7 +69,6 @@ __all__ = [
     "run_scenario",
     "run_scale",
     "run_size_sweep",
-    "speedups",
     "run_skewed_validation",
     "run_uniform_validation",
     "series_by_metric",

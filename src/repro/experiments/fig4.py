@@ -49,9 +49,6 @@ class Fig4Config:
     measure: float = 300.0
     seed: int = 0
     max_objects: int = 2000  #: skip grid points above this object count
-    #: workload sampling implementation ("vectorized" or "legacy"); legacy
-    #: reproduces the pre-vectorization seeded traces bit for bit
-    generator: str = "vectorized"
 
 
 @dataclass
@@ -88,7 +85,7 @@ def _run_fig4_cell(payload: tuple) -> list[Fig4Point]:
     wspec = WorkloadSpec.make(
         uniform_random_walk, seed, num_sources=m, objects_per_source=n,
         horizon=config.warmup + config.measure,
-        fluctuating_weights=True, generator=config.generator)
+        fluctuating_weights=True)
     workload = build_workload(wspec)
     spec = RunSpec(warmup=config.warmup, measure=config.measure,
                    resample_interval=10.0)

@@ -72,7 +72,11 @@ from repro.policies.uniform import UniformAllocationPolicy
 from repro.rebalance import RebalanceConfig
 from repro.sim.random import RngRegistry
 from repro.workloads.bandwidth_traces import SCENARIOS, scenario_profile
-from repro.workloads.hotspot import hotspot_shards, moving_hotspot
+from repro.workloads.hotspot import (
+    check_hotspot,
+    hotspot_shards,
+    moving_hotspot,
+)
 from repro.workloads.synthetic import uniform_random_walk
 
 POLICIES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
@@ -678,6 +682,7 @@ def _rebalance_scenario(cell: dict) -> Scenario:
             saturation_queue=cell["saturation-queue"],
             max_moves=0 if arm == "inert" else cell["max-moves"],
             peer_rate=cell["peer-rate"])),)
+    check_hotspot(hot_boost=cell["hot-boost"], num_phases=cell["phases"])
     workload = _workload(moving_hotspot, cell, num_phases=cell["phases"],
                          hot_boost=cell["hot-boost"],
                          rate_range=cell["rate-range"])
@@ -864,6 +869,8 @@ def _multicache_scenario(cell: dict) -> Scenario:
                                   replication=cell["replication"],
                                   cache_rates=cell["cache-rates"],
                                   delivery=cell["delivery"])
+    check_hotspot(hot_fraction=cell["hot-fraction"],
+                  hot_boost=cell["hot-boost"])
     workload = _workload(hotspot_shards, cell,
                          hot_fraction=cell["hot-fraction"],
                          hot_boost=cell["hot-boost"])

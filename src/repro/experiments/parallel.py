@@ -167,7 +167,6 @@ class ShardTask:
     cache_bandwidth: BandwidthProfile  #: aggregate cache-side profile
     source_bandwidths: tuple[BandwidthProfile, ...]  #: full global list
     priority_fn: PriorityFunction
-    scheduling: str = "event"
     policy_kwargs: tuple[tuple[str, Any], ...] = ()
 
 
@@ -220,7 +219,6 @@ def _run_shard(task: ShardTask) -> ShardResult:
             profile,
             [task.source_bandwidths[j] for j in sources],
             priority_fn=task.priority_fn,
-            scheduling=task.scheduling,
             **dict(task.policy_kwargs))
         ctx = make_context(sub, task.metric, sub_spec)
         policy.attach(ctx)
@@ -328,7 +326,6 @@ def run_cooperative_sharded(workload_spec: WorkloadSpec,
                             cache_bandwidth: BandwidthProfile,
                             source_bandwidths: Sequence[BandwidthProfile],
                             priority_fn: PriorityFunction | None = None,
-                            scheduling: str = "event",
                             workers: int = 1,
                             **policy_kwargs: Any) -> RunResult:
     """Run one cooperative sharded-topology simulation, shard-parallel.
@@ -351,7 +348,7 @@ def run_cooperative_sharded(workload_spec: WorkloadSpec,
         ShardTask(workload=workload_spec, spec=spec, cache_id=k,
                   metric=metric, cache_bandwidth=cache_bandwidth,
                   source_bandwidths=tuple(source_bandwidths),
-                  priority_fn=priority_fn, scheduling=scheduling,
+                  priority_fn=priority_fn,
                   policy_kwargs=tuple(sorted(policy_kwargs.items())))
         for k in range(config.num_caches)
     ]

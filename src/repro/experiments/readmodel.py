@@ -87,8 +87,7 @@ class ReadRun:
         self._objects = ctx.objects
         self._sim = ctx.sim
         self.replayer = ReadReplayer(ctx.sim, read_trace, self._on_read,
-                                     on_read_batch=self._on_read_batch,
-                                     mode=ctx.replay)
+                                     on_read_batch=self._on_read_batch)
 
     def _on_read(self, now: float, index: int) -> None:
         if self._kind == "any":

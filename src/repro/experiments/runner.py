@@ -17,7 +17,6 @@ from repro.network.topology import TopologyConfig
 from repro.policies.base import SimulationContext, SyncPolicy
 from repro.sim.engine import gc_paused
 from repro.workloads.synthetic import Workload
-from repro.workloads.trace import check_replay_mode
 
 
 @dataclass
@@ -30,7 +29,6 @@ class RunSpec:
     seed: int = 0  #: seed for any policy-internal randomness
     resample_interval: float | None = None  #: collector re-break period
     topology: TopologyConfig | None = None  #: cache layout (None = star)
-    replay: str = "batched"  #: trace/read replay mode ("batched"/"event")
     faults: FaultPlan | None = None  #: deterministic fault plan (None = off)
     retry: RetryPolicy | None = None  #: reliable delivery (None = best-effort)
 
@@ -45,7 +43,6 @@ class RunSpec:
             raise ValueError(f"measure must be > 0, got {self.measure}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        check_replay_mode(self.replay)
 
 
 def make_context(workload: Workload, metric: DivergenceMetric,
@@ -54,8 +51,8 @@ def make_context(workload: Workload, metric: DivergenceMetric,
     harness, so read-model runs cannot drift from plain ones)."""
     return SimulationContext(workload, metric, warmup=spec.warmup,
                              dt=spec.dt, seed=spec.seed,
-                             topology=spec.topology, replay=spec.replay,
-                             faults=spec.faults, retry=spec.retry)
+                             topology=spec.topology, faults=spec.faults,
+                             retry=spec.retry)
 
 
 def build_result(workload: Workload, metric: DivergenceMetric,

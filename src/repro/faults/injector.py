@@ -11,9 +11,9 @@ so loss degrades goodput rather than magically refunding capacity.
 Determinism: each (direction, cache) delivery stream keeps its own
 attempt counter, and every drop decision is ``hash01(seed, direction,
 cache, counter) < p``.  The per-stream delivery sequences are pinned
-bit-for-bit identical across tick/event scheduling and batched/per-event
-replay, so the drop pattern -- and therefore the whole faulty run -- is
-too.  The counter advances on *every* delivery, matched or not, so
+bit-for-bit identical to the reference schedule of the tests (per-tick
+scan, per-event replay), so the drop pattern -- and therefore the whole
+faulty run -- is too.  The counter advances on *every* delivery, matched or not, so
 adding a loss window later in the run cannot shift earlier draws.
 """
 

@@ -6,12 +6,12 @@ restricted to particular caches or sources), cache crash/restart events,
 and source stall windows.  The plan is frozen data; the runtime half
 lives in :class:`repro.faults.injector.FaultInjector`.
 
-Loss draws must be reproducible across scheduling modes (tick vs event),
-replay modes (batched vs per-event) and process-parallel fan-out, so
-they never touch shared RNG state.  Instead each delivery attempt draws
-:func:`hash01` over ``(seed, direction, cache, attempt counter)`` -- the
-per-link delivery sequences are themselves pinned identical across
-modes, so the drop pattern is too.
+Loss draws must be reproducible against the reference schedule of the
+tests (per-tick scan, per-event replay) and across process-parallel
+fan-out, so they never touch shared RNG state.  Instead each delivery
+attempt draws :func:`hash01` over ``(seed, direction, cache, attempt
+counter)`` -- the per-link delivery sequences are themselves pinned
+identical across schedules, so the drop pattern is too.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def hash01(seed: int, *keys: int) -> float:
     splitmix64-style mixing over ``seed`` and each key in turn.  The same
     key tuple always yields the same draw, which is exactly the property
     the injector needs: the n-th delivery on a given (direction, cache)
-    stream sees the same fate no matter which scheduling or replay mode
+    stream sees the same fate no matter which schedule or process
     produced it.
     """
     z = (seed * 0x9E3779B97F4A7C15) & _MASK64

@@ -68,8 +68,7 @@ class Topology(ABC):
     bit-for-bit identical to the eager schedule (steady per-tick caps
     telescope).  Cache links stay eager -- they carry FIFO queues, surplus
     telemetry and possibly time-varying profiles -- as do source links
-    with non-steady profiles.  :meth:`set_lazy_links` restores the fully
-    eager schedule (the tick-scan baseline benchmarks measure against).
+    with non-steady profiles.
     """
 
     # ------------------------------------------------------------------
@@ -95,7 +94,6 @@ class Topology(ABC):
         # true boundary floats to replay skipped refills and to bisect
         # their saturation jumps; ~8 bytes per tick, independent of m.
         self._tick_boundaries: list[float] = [0.0]
-        self._lazy_enabled = True
         # Scratch message reused by send_downstream_batch: feedback carries
         # no per-message payload beyond its routing fields, so the batch
         # path restamps one instance instead of allocating per target.
@@ -138,17 +136,11 @@ class Topology(ABC):
             # Steady profiles replay lazily in closed form; non-steady
             # trace profiles replay by segment walk (Link._sync_trace).
             # Anything else (sine) must stay eager.
-            link.lazy = self._lazy_enabled and (
-                link.profile.steady_rate is not None
-                or link._trace is not None)
+            link.lazy = (link.profile.steady_rate is not None
+                         or link._trace is not None)
             if not link.lazy:
                 eager.append(link)
         self._eager_source_links = eager
-
-    def set_lazy_links(self, enabled: bool) -> None:
-        """Enable/disable lazy source-link refills (call before running)."""
-        self._lazy_enabled = enabled
-        self._classify_links()
 
     @property
     def active_link_count(self) -> int:

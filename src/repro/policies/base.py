@@ -47,7 +47,6 @@ class SimulationContext:
                  warmup: float = 0.0, dt: float = 1.0,
                  seed: int = 0,
                  topology: TopologyConfig | None = None,
-                 replay: str = "batched",
                  faults: FaultPlan | None = None,
                  retry: RetryPolicy | None = None) -> None:
         if dt <= 0:
@@ -58,7 +57,6 @@ class SimulationContext:
         self.dt = dt
         self.topology_config = topology if topology is not None \
             else TopologyConfig()
-        self.replay = replay
         # An empty plan is normalized to None so the fault-free delivery
         # paths stay instruction-identical (the empty-plan ≡ baseline pin).
         self.faults = faults if faults is not None and not faults.is_empty() \
@@ -82,8 +80,7 @@ class SimulationContext:
                                              warmup=warmup)
         self._update_hooks: list[UpdateHook] = []
         self.replayer = TraceReplayer(self.sim, trace, self.apply_update,
-                                      apply_batch=self.apply_update_batch,
-                                      mode=replay)
+                                      apply_batch=self.apply_update_batch)
 
     def build_topology(self, cache_bandwidth: BandwidthProfile,
                        source_profiles: Sequence[BandwidthProfile]
@@ -98,8 +95,7 @@ class SimulationContext:
         When the context carries a fault plan and/or a retry policy they
         are installed on the topology here, so every policy picks up the
         fault machinery without knowing it exists.  Crash events become
-        ordinary NETWORK-phase simulator events (scheduled identically in
-        tick and event mode).
+        ordinary NETWORK-phase simulator events.
         """
         topology = self.topology_config.build(cache_bandwidth,
                                               source_profiles)

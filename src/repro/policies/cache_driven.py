@@ -130,24 +130,14 @@ class CGMPollingPolicy(SyncPolicy):
     messages_per_refresh:
         Link cost of one refresh; the allocator budgets
         ``mean_bandwidth / messages_per_refresh`` total poll frequency.
-    scheduling:
-        ``"event"`` (default) lets idle steady-profile source links skip
-        the per-tick network refill (CGM's zero-rate placeholder source
-        links never need one); ``"tick"`` refills every link every tick.
-        Polling itself is inherently periodic, so the cache-side schedule
-        is identical in both modes.
     """
 
     def __init__(self, cache_bandwidth: BandwidthProfile,
                  variant: str = "cgm1",
                  resolve_interval: float = 50.0,
-                 messages_per_refresh: float = 2.0,
-                 scheduling: str = "event") -> None:
+                 messages_per_refresh: float = 2.0) -> None:
         if variant not in ("cgm1", "cgm2"):
             raise ValueError(f"unknown CGM variant {variant!r}")
-        if scheduling not in ("event", "tick"):
-            raise ValueError(f"unknown scheduling mode {scheduling!r}")
-        self.scheduling = scheduling
         self.cache_bandwidth = cache_bandwidth
         self.variant = variant
         self.name = variant
@@ -174,7 +164,6 @@ class CGMPollingPolicy(SyncPolicy):
         self.topology = ctx.build_topology(
             self.cache_bandwidth,
             [ConstantBandwidth(0.0)] * workload.num_sources)
-        self.topology.set_lazy_links(self.scheduling == "event")
         self.caches = []
         for k in range(self.topology.num_caches):
             cache = CacheNode(ctx.objects, ctx.metric, self.topology,

@@ -159,11 +159,13 @@ class CompetitivePolicy(CooperativePolicy):
     # ------------------------------------------------------------------
     # Own-priority sends
     #
-    # Event mode mirrors the uniform policy's exact-replay trick: wakeups
-    # are keyed by own-dispatcher tick number, and the per-tick token
-    # accruals a parked source skipped are replayed float-for-float at
-    # wake time (short-circuiting once the credit saturates at its cap),
-    # so own-priority sends land on exactly the ticks the full scan chose.
+    # Event-driven runs mirror the uniform policy's exact-replay trick:
+    # wakeups are keyed by own-dispatcher tick number, and the per-tick
+    # token accruals a parked source skipped are replayed float-for-float
+    # at wake time (short-circuiting once the credit saturates at its
+    # cap), so own-priority sends land on exactly the ticks the full scan
+    # chooses.  The scan itself runs under the time-varying-priority
+    # fallback (``_event_driven`` off), accruing every source every tick.
     # ------------------------------------------------------------------
     def _own_sends_tick(self, now: float) -> None:
         self._own_tick_no += 1

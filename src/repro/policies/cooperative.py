@@ -85,15 +85,14 @@ class CooperativePolicy(SyncPolicy):
         topologies; inert on a star).  ``None`` (default) leaves every
         code path exactly as without the feature -- the same pin
         discipline as the fault injector's empty plan.
-    scheduling:
-        ``"event"`` (default): sources and caches are woken per entity by
-        a :class:`~repro.sim.events.WakeupSet` only when they have work
-        (pending bandwidth-blocked refreshes, sampling deadlines, feedback
-        targets, queued messages), and idle steady-profile source links
-        skip the network tick.  ``"tick"``: the paper-literal full scan of
-        every node every ``dt`` (the degenerate "everyone wakes every dt"
-        schedule).  Both produce bit-for-bit identical results; the
-        equivalence tests pin that.
+
+    Sources and caches are woken per entity by a
+    :class:`~repro.sim.events.WakeupSet` only when they have work (pending
+    bandwidth-blocked refreshes, sampling deadlines, feedback targets,
+    queued messages), and idle steady-profile source links skip the
+    network tick.  Time-varying priorities fall back to scanning every
+    node every ``dt``.  ``tests/test_equivalence.py`` pins both against
+    the paper-literal full scan of ``tests/oracles.py``.
     """
 
     name = "cooperative"
@@ -111,12 +110,8 @@ class CooperativePolicy(SyncPolicy):
                  reprioritize_interval: float | None = None,
                  batch_size: int = 1,
                  batch_timeout: float = 5.0,
-                 scheduling: str = "event",
                  feedback_ttl: float | None = None,
                  rebalance=None) -> None:
-        if scheduling not in ("event", "tick"):
-            raise ValueError(f"unknown scheduling mode {scheduling!r}")
-        self.scheduling = scheduling
         self.cache_bandwidth = cache_bandwidth
         self.source_bandwidths = source_bandwidths
         self.priority_fn = priority_fn
@@ -231,10 +226,8 @@ class CooperativePolicy(SyncPolicy):
         # Time-varying priorities change every object's priority every
         # tick, so there is nothing to schedule around: fall back to the
         # degenerate everyone-wakes-every-dt schedule for them.
-        event_requested = self.scheduling == "event"
-        self._event_driven = event_requested and not any(
+        self._event_driven = not any(
             source.monitor.wants_tick for source in self.sources)
-        topology.set_lazy_links(event_requested)
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
         if self._event_driven:
@@ -322,13 +315,14 @@ class CooperativePolicy(SyncPolicy):
     # ------------------------------------------------------------------
     # Event routing
     #
-    # In event mode the per-tick dispatchers below wake only the entities
-    # whose WakeupSet entry is due, in the same ascending-id order the
-    # full scans used; every source entry point (update, feedback, wake)
+    # The per-tick dispatchers below wake only the entities whose
+    # WakeupSet entry is due, in the same ascending-id order a full scan
+    # visits them; every source entry point (update, feedback, wake)
     # re-arms the source's wakeup from its blocked status and its
     # monitor's next sampling deadline.  A source is parked exactly when
-    # a tick-scan visit would have been a no-op, which is what makes the
-    # two schedules bit-for-bit identical.
+    # a full-scan visit would be a no-op, which is what keeps the run
+    # bit-for-bit identical to the scan (the fallback below, and the
+    # reference schedule of tests/oracles.py).
     # ------------------------------------------------------------------
     def _on_update(self, obj: DataObject, now: float) -> None:
         source = self.sources[obj.source_id]
@@ -348,8 +342,7 @@ class CooperativePolicy(SyncPolicy):
         decay = source.threshold.next_decay_time()
         if decay is not None:
             # TTL decay must fire even while the source is otherwise
-            # parked, or a blacked-out event-mode source would never
-            # drift -- breaking tick/event equivalence.
+            # parked, or a blacked-out source would never drift.
             self._source_wakeups.arm(j, decay)
 
     def _sources_tick(self, now: float) -> None:
@@ -385,8 +378,8 @@ class CooperativePolicy(SyncPolicy):
         for j, source in enumerate(self.sources):
             source.monitor.refresh_priorities(source.objects, now)
             if self._event_driven and len(source.monitor.tracker):
-                # Re-evaluated priorities may now clear the threshold; the
-                # tick-scan schedule would notice at the next tick's drain.
+                # Re-evaluated priorities may now clear the threshold; a
+                # full scan would notice at the next tick's drain.
                 self._source_wakeups.arm(j, now)
 
     # ------------------------------------------------------------------

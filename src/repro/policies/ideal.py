@@ -70,34 +70,29 @@ class IdealCooperativePolicy(SyncPolicy):
     source_bandwidths:
         Optional per-source budgets ``B_j(t)``; ``None`` means unlimited
         source-side bandwidth.
-    scheduling:
-        ``"event"`` (default) parks the per-tick drain while the global
-        priority queue is empty -- updates re-drain immediately anyway,
-        and skipped bucket refills are replayed exactly on the next drain
-        (a fixed burst cap makes ``min`` caps telescope for *any*
-        bandwidth profile).  ``"tick"`` drains every tick regardless.
-        Time-varying priority functions always use the per-tick schedule.
+
+    The per-tick drain is parked while the global priority queue is
+    empty -- updates re-drain immediately anyway, and skipped bucket
+    refills are replayed exactly on the next drain (a fixed burst cap
+    makes ``min`` caps telescope for *any* bandwidth profile).
+    Time-varying priority functions re-prioritize and drain every tick.
     """
 
     name = "ideal-cooperative"
 
     def __init__(self, cache_bandwidth: BandwidthProfile,
                  priority_fn: PriorityFunction,
-                 source_bandwidths: list[BandwidthProfile] | None = None,
-                 scheduling: str = "event") -> None:
-        if scheduling not in ("event", "tick"):
-            raise ValueError(f"unknown scheduling mode {scheduling!r}")
+                 source_bandwidths: list[BandwidthProfile] | None = None
+                 ) -> None:
         self.cache_bandwidth = cache_bandwidth
         self.priority_fn = priority_fn
         self.source_bandwidths = source_bandwidths
-        self.scheduling = scheduling
         self.tracker = PriorityTracker()
         self._refreshes = 0
         self._ctx: SimulationContext | None = None
         self._cache_buckets: list[_CreditBucket] = []
         self._primary_cache: list[int] = []
         self._source_buckets: list[_CreditBucket] | None = None
-        self._event_driven = False
         self._armed = False
         #: callbacks invoked as ``hook(obj, now)`` after each refresh
         self.refresh_hooks: list = []
@@ -131,8 +126,6 @@ class IdealCooperativePolicy(SyncPolicy):
                 _CreditBucket(p, p.mean_rate * burst)
                 for p in self.source_bandwidths
             ]
-        self._event_driven = (self.scheduling == "event"
-                              and not self.priority_fn.time_varying)
         self._armed = False
         ctx.add_update_hook(self._on_update)
         ctx.sim.every(ctx.dt, self._on_tick, phase=Phase.SOURCES)
@@ -145,8 +138,7 @@ class IdealCooperativePolicy(SyncPolicy):
         # refresh" (Sec 3.3): the idealized scheduler reacts immediately,
         # not at the next tick.
         self._drain(now)
-        if self._event_driven:
-            self._armed = len(self.tracker) > 0
+        self._armed = len(self.tracker) > 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -157,16 +149,13 @@ class IdealCooperativePolicy(SyncPolicy):
             self._reprioritize_all(now)
             self._drain(now)
             return
-        if self._event_driven:
-            # Parked whenever the queue is empty: a tick's drain would be
-            # a no-op, and the skipped bucket refills replay exactly at
-            # the next drain (fixed-cap min refills telescope).
-            if not self._armed:
-                return
-            self._drain(now)
-            self._armed = len(self.tracker) > 0
+        # Parked whenever the queue is empty: a tick's drain would be a
+        # no-op, and the skipped bucket refills replay exactly at the next
+        # drain (fixed-cap min refills telescope).
+        if not self._armed:
             return
         self._drain(now)
+        self._armed = len(self.tracker) > 0
 
     def _refill(self, now: float) -> None:
         for bucket in self._cache_buckets:

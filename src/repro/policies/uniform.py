@@ -45,28 +45,24 @@ class UniformAllocationPolicy(SyncPolicy):
     utilization:
         Fraction of the cache-link share each source actually schedules
         (default 1.0 -- uniform allocation spends the whole budget).
-    scheduling:
-        ``"event"`` (default) wakes each source only on the tick its
-        credit crosses one message, replaying the skipped per-tick
-        accruals in the same float-operation order the tick scan used
-        (bit-for-bit identical); ``"tick"`` is the full per-tick scan.
+
+    Each source wakes only on the tick its credit crosses one message,
+    replaying the skipped per-tick accruals in the same float-operation
+    order a per-tick scan performs them (bit-for-bit identical; the scan
+    itself lives in ``tests/oracles.py``).
     """
 
     name = "uniform"
 
     def __init__(self, cache_bandwidth: BandwidthProfile,
                  source_bandwidths: list[BandwidthProfile],
-                 utilization: float = 1.0,
-                 scheduling: str = "event") -> None:
+                 utilization: float = 1.0) -> None:
         if not 0.0 < utilization <= 1.0:
             raise ValueError(
                 f"utilization must be in (0, 1], got {utilization}")
-        if scheduling not in ("event", "tick"):
-            raise ValueError(f"unknown scheduling mode {scheduling!r}")
         self.cache_bandwidth = cache_bandwidth
         self.source_bandwidths = source_bandwidths
         self.utilization = utilization
-        self.scheduling = scheduling
         self.topology: Topology | None = None
         self.caches: list[CacheNode] = []
         self.stores: list[CacheStore] = []
@@ -75,7 +71,6 @@ class UniformAllocationPolicy(SyncPolicy):
         self._cursor: list[int] = []
         self._sent = 0
         self._ctx: SimulationContext | None = None
-        self._event_driven = False
         self._tick_no = 0
         self._credit_tick: list[int] = []
         self._wakeups = WakeupSet()
@@ -112,17 +107,14 @@ class UniformAllocationPolicy(SyncPolicy):
             self._rates.append(self.utilization * mean_rate / max(peers, 1))
         self._credit = [0.0] * workload.num_sources
         self._cursor = [0] * workload.num_sources
-        self._event_driven = self.scheduling == "event"
-        topology.set_lazy_links(self._event_driven)
         self._tick_no = 0
         self._credit_tick = [0] * workload.num_sources
         self._wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
-        if self._event_driven:
-            for j in range(workload.num_sources):
-                self._arm_crossing(j)
-            for k in range(topology.num_caches):
-                topology.cache_links[k].on_queue = self._make_queue_hook(k)
+        for j in range(workload.num_sources):
+            self._arm_crossing(j)
+        for k in range(topology.num_caches):
+            topology.cache_links[k].on_queue = self._make_queue_hook(k)
         ctx.sim.every(ctx.dt, topology.on_network_tick,
                       phase=Phase.NETWORK)
         ctx.sim.every(ctx.dt, self._sources_tick, phase=Phase.SOURCES)
@@ -136,23 +128,21 @@ class UniformAllocationPolicy(SyncPolicy):
     # ------------------------------------------------------------------
     # Scheduling
     #
-    # Event mode keys wakeups by *tick number* (exact integers, immune to
-    # accumulated-float drift in tick times).  Skipped per-tick credit
-    # accruals are replayed at wake time with the identical sequence of
-    # ``min(credit + earned, cap)`` operations the tick scan performed --
-    # float-for-float the same credits, so send ticks match exactly.  The
-    # replay short-circuits once the credit saturates at the cap (parked
-    # or bandwidth-blocked sources), keeping it O(gap between sends).
+    # Wakeups are keyed by *tick number* (exact integers, immune to
+    # accumulated-float drift in tick times).  Every tick a source earns
+    # ``rate * dt`` credit, its bank capped at one tick's worth plus one
+    # message (mirroring the links' burst cap).  The accruals skipped
+    # while a source sleeps are replayed at wake time with the identical
+    # sequence of ``min(credit + earned, cap)`` operations a per-tick
+    # scan performs -- float-for-float the same credits, so send ticks
+    # match exactly.  The replay short-circuits once the credit saturates
+    # at the cap (parked or bandwidth-blocked sources), keeping it
+    # O(gap between sends).
     # ------------------------------------------------------------------
     def _sources_tick(self, now: float) -> None:
         ctx = self._ctx
         assert ctx is not None and self.topology is not None
         self._tick_no += 1
-        if not self._event_driven:
-            for j in range(ctx.workload.num_sources):
-                self._accrue_one_tick(j, ctx.dt)
-                self._send_while_credit(j, now)
-            return
         for j in self._wakeups.pop_due(self._tick_no):
             self._replay_accrual(j, ctx.dt)
             blocked = self._send_while_credit(j, now)
@@ -160,14 +150,6 @@ class UniformAllocationPolicy(SyncPolicy):
                 self._arm_blocked(j, now)
             else:
                 self._arm_crossing(j)
-
-    def _accrue_one_tick(self, j: int, dt: float) -> None:
-        # Accrue this tick's share; cap banked credit at one tick's
-        # worth plus one message, mirroring the links' burst cap.
-        earned = self._rates[j] * dt
-        self._credit[j] = min(self._credit[j] + earned,
-                              max(1.0, earned) + earned)
-        self._credit_tick[j] = self._tick_no
 
     def _replay_accrual(self, j: int, dt: float) -> None:
         """Catch up the per-tick accruals skipped since the last wake."""
@@ -221,7 +203,7 @@ class UniformAllocationPolicy(SyncPolicy):
         """Arm source ``j`` at the tick its credit next reaches 1.0.
 
         A ``None`` crossing (zero rate, or a float fixpoint below one
-        message) parks the source forever -- the tick scan would stall
+        message) parks the source forever -- a per-tick scan would stall
         on it identically.
         """
         earned = self._rates[j] * self._ctx.dt
@@ -231,10 +213,6 @@ class UniformAllocationPolicy(SyncPolicy):
             self._wakeups.arm(j, self._tick_no + ticks)
 
     def _caches_tick(self, now: float) -> None:
-        if not self._event_driven:
-            for cache in self.caches:
-                cache.on_tick(now)
-            return
         # Without a feedback controller the cache tick only re-drains its
         # link queue; wake only the caches whose link actually queued.
         for k in self._cache_wakeups.pop_due(now):

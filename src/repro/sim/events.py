@@ -150,9 +150,9 @@ class WakeupSet:
     * :meth:`reschedule` unconditionally replaces the key's wakeup time
       (the right semantics for "my next sample moved later");
     * :meth:`pop_due` drains every key due by ``now`` and returns them in
-      ascending key order -- exactly the order the retired full-scan loops
-      visited entities, which is what keeps event-driven runs bit-for-bit
-      identical to the tick-scan schedule.
+      ascending key order -- exactly the order a full scan visits
+      entities, which is what keeps event-driven runs bit-for-bit
+      identical to the per-tick scan schedule.
 
     The host (usually a per-tick dispatcher ticker) decides *when* to call
     :meth:`pop_due`; the set itself never touches the event queue, so the

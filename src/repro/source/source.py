@@ -67,7 +67,8 @@ class SourceNode:
         return self.drain(now)
 
     def on_tick(self, now: float) -> None:
-        """Per-tick refresh opportunity (SOURCES phase, tick-scan mode)."""
+        """Per-tick refresh opportunity (SOURCES phase, full-scan
+        fallback for time-varying priorities)."""
         self.monitor.on_tick(self.objects, now)
         self.drain(now)
 

@@ -4,7 +4,6 @@ from repro.workloads.bandwidth_traces import (
     SCENARIOS,
     diurnal_trace,
     heterogeneous_traces,
-    random_walk_rates,
     random_walk_rates_batch,
     random_walk_trace,
     scenario_profile,
@@ -25,33 +24,26 @@ from repro.workloads.read_process import (
 )
 from repro.workloads.random_walk import (
     expected_walk_deviation,
-    random_walk_values,
     random_walk_values_batch,
 )
 from repro.workloads.synthetic import (
-    GENERATORS,
     Workload,
     skewed_validation,
     uniform_random_walk,
 )
 from repro.workloads.trace import TraceReplayer, UpdateTrace
 from repro.workloads.update_process import (
-    bernoulli_tick_times,
     bernoulli_tick_times_batch,
-    merge_event_streams,
-    poisson_times,
     poisson_times_batch,
 )
 
 __all__ = [
-    "GENERATORS",
     "ReadReplayer",
     "ReadTrace",
     "SCENARIOS",
     "TraceReplayer",
     "UpdateTrace",
     "Workload",
-    "bernoulli_tick_times",
     "bernoulli_tick_times_batch",
     "buoy_workload",
     "diurnal_trace",
@@ -60,15 +52,11 @@ __all__ = [
     "heterogeneous_traces",
     "hotspot_shards",
     "load_buoy_trace",
-    "merge_event_streams",
     "merge_reads_with_updates",
     "uniform_reads",
-    "poisson_times",
     "poisson_times_batch",
-    "random_walk_rates",
     "random_walk_rates_batch",
     "random_walk_trace",
-    "random_walk_values",
     "random_walk_values_batch",
     "scenario_profile",
     "skewed_validation",

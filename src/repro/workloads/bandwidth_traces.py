@@ -6,10 +6,9 @@ cycles, congestion bursts and outright outages.  This module synthesizes
 network-condition experiment: seeded diurnal cycles, bounded random-walk
 rates, and burst/outage window injection on top of any base trace.
 
-Generators follow the repo's vectorized/legacy split: ``*_rates_batch``
-draws every random quantity in one numpy call, the scalar ``*_rates``
-loops per breakpoint; both consume the generator stream identically, so
-they are seed-for-seed interchangeable (pinned by tests).
+Random draws are made in one numpy call per trace: ``*_rates_batch``
+consumes the generator stream exactly as one draw per breakpoint would
+(pinned against that scalar loop in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -54,38 +53,18 @@ def diurnal_trace(mean_rate: float, duration: float,
     return TraceBandwidth(times, np.maximum(rates, 0.0), horizon=duration)
 
 
-def random_walk_rates(num_breakpoints: int, rng: np.random.Generator,
-                      mean_rate: float, step_frac: float = 0.1,
-                      lo_frac: float = 0.25,
-                      hi_frac: float = 2.0) -> np.ndarray:
-    """Bounded random-walk rates, one draw per breakpoint (legacy loop).
-
-    Starts at ``mean_rate``; each step adds uniform noise of magnitude
-    ``step_frac * mean_rate`` and clamps into
-    ``[lo_frac, hi_frac] * mean_rate``.  The clamp makes the recurrence
-    sequential; only the draws vectorize (see the ``_batch`` variant).
-    """
-    _check_walk_args(num_breakpoints, mean_rate, step_frac, lo_frac,
-                     hi_frac)
-    lo, hi = lo_frac * mean_rate, hi_frac * mean_rate
-    step = step_frac * mean_rate
-    rates = np.empty(num_breakpoints, dtype=float)
-    rate = float(mean_rate)
-    for k in range(num_breakpoints):
-        rates[k] = rate
-        rate = min(max(rate + rng.uniform(-step, step), lo), hi)
-    return rates
-
-
 def random_walk_rates_batch(num_breakpoints: int,
                             rng: np.random.Generator, mean_rate: float,
                             step_frac: float = 0.1, lo_frac: float = 0.25,
                             hi_frac: float = 2.0) -> np.ndarray:
-    """Vectorized :func:`random_walk_rates`: one bulk draw, python clamp.
+    """Bounded random-walk rates: one bulk draw, python clamp.
 
-    Draws all ``num_breakpoints`` steps in a single ``rng.uniform`` call
-    (the generator stream matches per-call draws bit for bit), then runs
-    the inherently-sequential clamp recurrence over the drawn array.
+    Starts at ``mean_rate``; each step adds uniform noise of magnitude
+    ``step_frac * mean_rate`` and clamps into
+    ``[lo_frac, hi_frac] * mean_rate``.  All ``num_breakpoints`` steps come
+    from a single ``rng.uniform`` call (the generator stream matches
+    per-call draws bit for bit); the clamp makes the recurrence
+    sequential, so it runs as a python loop over the drawn array.
     """
     _check_walk_args(num_breakpoints, mean_rate, step_frac, lo_frac,
                      hi_frac)

@@ -21,21 +21,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.weights import StaticWeights
-from repro.workloads.synthetic import (
-    Workload,
-    _check_generator,
-    _trace_from_event_stream,
-    _trace_from_times,
-)
-from repro.workloads.update_process import poisson_times, poisson_times_batch
+from repro.workloads.synthetic import Workload, _trace_from_event_stream
+from repro.workloads.update_process import poisson_times_batch
+
+
+def check_hotspot(hot_fraction: float = 0.0, hot_boost: float = 1.0,
+                  num_phases: int = 1) -> None:
+    """Raise ``ValueError`` on an argument no hot-spot builder accepts.
+
+    The builders call this first; the scenario matrices call it while
+    declaring their cells, so a bad value is a usage error before any
+    run instead of a traceback in the middle of a sweep.
+    """
+    if num_phases < 1:
+        raise ValueError(f"num_phases must be >= 1, got {num_phases}")
+    if not 0.0 <= hot_fraction <= 1.0:
+        raise ValueError(
+            f"hot_fraction must be in [0, 1], got {hot_fraction}")
+    if hot_boost < 1.0:
+        raise ValueError(f"hot_boost must be >= 1, got {hot_boost}")
 
 
 def hotspot_shards(num_sources: int, objects_per_source: int,
                    horizon: float, rng: np.random.Generator,
                    hot_fraction: float = 0.25,
                    hot_boost: float = 8.0,
-                   rate_range: tuple[float, float] = (0.0, 1.0),
-                   generator: str = "vectorized") -> Workload:
+                   rate_range: tuple[float, float] = (0.0, 1.0)
+                   ) -> Workload:
     """Random-walk objects where the first ``hot_fraction`` of sources
     update ``hot_boost`` times faster than the rest.
 
@@ -43,25 +55,14 @@ def hotspot_shards(num_sources: int, objects_per_source: int,
     so divergence differences between policies come purely from how well
     refresh bandwidth tracks the update load.
     """
-    _check_generator(generator)
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError(
-            f"hot_fraction must be in [0, 1], got {hot_fraction}")
-    if hot_boost < 1.0:
-        raise ValueError(f"hot_boost must be >= 1, got {hot_boost}")
+    check_hotspot(hot_fraction=hot_fraction, hot_boost=hot_boost)
     n_total = num_sources * objects_per_source
     rates = rng.uniform(*rate_range, size=n_total)
     num_hot = int(round(hot_fraction * num_sources))
     hot_objects = num_hot * objects_per_source
     rates[:hot_objects] *= hot_boost
-    if generator == "vectorized":
-        times, owners = poisson_times_batch(rates, horizon, rng)
-        trace = _trace_from_event_stream(times, owners, rng, n_total)
-    else:
-        times_per_object = [
-            poisson_times(rate, horizon, rng) for rate in rates
-        ]
-        trace = _trace_from_times(times_per_object, rng, n_total)
+    times, owners = poisson_times_batch(rates, horizon, rng)
+    trace = _trace_from_event_stream(times, owners, rng, n_total)
     return Workload(num_sources=num_sources,
                     objects_per_source=objects_per_source,
                     rates=rates, trace=trace,
@@ -74,8 +75,8 @@ def moving_hotspot(num_sources: int, objects_per_source: int,
                    num_phases: int = 4,
                    hot_fraction: float = 0.25,
                    hot_boost: float = 8.0,
-                   rate_range: tuple[float, float] = (0.0, 1.0),
-                   generator: str = "vectorized") -> Workload:
+                   rate_range: tuple[float, float] = (0.0, 1.0)
+                   ) -> Workload:
     """A hot source block that *moves* across the shard space over time.
 
     The horizon is split into ``num_phases`` equal windows; in phase
@@ -93,14 +94,8 @@ def moving_hotspot(num_sources: int, objects_per_source: int,
     piecewise-Poisson per phase.  Weights stay uniform, as in
     :func:`hotspot_shards`.
     """
-    _check_generator(generator)
-    if num_phases < 1:
-        raise ValueError(f"num_phases must be >= 1, got {num_phases}")
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError(
-            f"hot_fraction must be in [0, 1], got {hot_fraction}")
-    if hot_boost < 1.0:
-        raise ValueError(f"hot_boost must be >= 1, got {hot_boost}")
+    check_hotspot(hot_fraction=hot_fraction, hot_boost=hot_boost,
+                  num_phases=num_phases)
     n_total = num_sources * objects_per_source
     base_rates = rng.uniform(*rate_range, size=n_total)
     num_hot = int(round(hot_fraction * num_sources))
@@ -116,32 +111,20 @@ def moving_hotspot(num_sources: int, objects_per_source: int,
                 rates[lo:lo + objects_per_source] *= hot_boost
         return rates
 
-    if generator == "vectorized":
-        all_times: list[np.ndarray] = []
-        all_owners: list[np.ndarray] = []
-        for p in range(num_phases):
-            times, owners = poisson_times_batch(phase_rates(p), phase_len,
-                                                rng)
-            all_times.append(times + p * phase_len)
-            all_owners.append(owners)
-        times = np.concatenate(all_times)
-        owners = np.concatenate(all_owners)
-        # Regroup the per-phase streams into the object-major layout
-        # _trace_from_event_stream requires (owner-grouped, time-sorted
-        # within each group).
-        order = np.lexsort((times, owners))
-        trace = _trace_from_event_stream(times[order], owners[order],
-                                         rng, n_total)
-    else:
-        per_phase = [phase_rates(p) for p in range(num_phases)]
-        times_per_object = [
-            np.concatenate([
-                poisson_times(per_phase[p][i], phase_len, rng)
-                + p * phase_len
-                for p in range(num_phases)])
-            for i in range(n_total)
-        ]
-        trace = _trace_from_times(times_per_object, rng, n_total)
+    all_times: list[np.ndarray] = []
+    all_owners: list[np.ndarray] = []
+    for p in range(num_phases):
+        times, owners = poisson_times_batch(phase_rates(p), phase_len, rng)
+        all_times.append(times + p * phase_len)
+        all_owners.append(owners)
+    times = np.concatenate(all_times)
+    owners = np.concatenate(all_owners)
+    # Regroup the per-phase streams into the object-major layout
+    # _trace_from_event_stream requires (owner-grouped, time-sorted within
+    # each group).
+    order = np.lexsort((times, owners))
+    trace = _trace_from_event_stream(times[order], owners[order], rng,
+                                     n_total)
     avg_rates = np.mean([phase_rates(p) for p in range(num_phases)],
                         axis=0)
     return Workload(num_sources=num_sources,

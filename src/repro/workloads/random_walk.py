@@ -10,23 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def random_walk_values(num_updates: int, rng: np.random.Generator,
-                       initial: float = 0.0,
-                       step: float = 1.0) -> np.ndarray:
-    """Values after each of ``num_updates`` +-``step`` random-walk moves.
-
-    The returned array has length ``num_updates``; element ``k`` is the
-    object's value immediately after update ``k`` (the initial value is not
-    included).
-    """
-    if num_updates < 0:
-        raise ValueError(f"num_updates must be >= 0, got {num_updates}")
-    if num_updates == 0:
-        return np.empty(0, dtype=float)
-    steps = rng.choice((-step, step), size=num_updates)
-    return initial + np.cumsum(steps)
-
-
 def random_walk_values_batch(counts: np.ndarray, rng: np.random.Generator,
                              initials: np.ndarray,
                              step: float = 1.0) -> np.ndarray:
@@ -38,11 +21,10 @@ def random_walk_values_batch(counts: np.ndarray, rng: np.random.Generator,
     moves, then object 1's, and so on -- the value layout matching the
     object-major event streams of the batched samplers.
 
-    One sign draw plus a segmented cumulative sum replaces the per-object
-    :func:`random_walk_values` loop: a global ``cumsum`` over all steps is
-    rebased at each object's segment start, which is algebraically exact
-    because the rebasing subtracts the prefix sum accumulated by earlier
-    segments.
+    One sign draw plus a segmented cumulative sum replaces a per-object
+    walk loop: a global ``cumsum`` over all steps is rebased at each
+    object's segment start, which is algebraically exact because the
+    rebasing subtracts the prefix sum accumulated by earlier segments.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 0).any():

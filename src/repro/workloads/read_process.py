@@ -6,18 +6,9 @@ side: a :class:`ReadTrace` of ``(time, object_index)`` client reads, built
 from per-object Poisson read streams and replayed into a read model by a
 :class:`ReadReplayer`.
 
-Generation mirrors the update pipeline's ``generator=`` split exactly:
-
-* ``"vectorized"`` (default) draws every object's read stream with O(1)
-  numpy calls via :func:`repro.workloads.update_process.poisson_times_batch`
-  -- the only path feasible at ``m ~ 10^5``;
-* ``"legacy"`` draws one object at a time via
-  :func:`repro.workloads.update_process.poisson_times`, kept because its
-  rng-consumption order (and hence every seeded read trace) is pinned by
-  regression tests.
-
-The two produce statistically identical but not bit-identical read streams
-for the same seed, exactly like the update-side generators.
+Every object's read stream is drawn with O(1) numpy calls via
+:func:`repro.workloads.update_process.poisson_times_batch`, the same
+sampler the update side uses.
 
 Reads fire in the METRICS phase, after every same-timestamp update has been
 applied and every same-timestamp refresh delivered -- a read at time ``t``
@@ -35,12 +26,8 @@ import numpy as np
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Phase
-from repro.workloads.trace import batch_end, check_replay_mode
-from repro.workloads.update_process import (
-    merge_event_streams,
-    poisson_times,
-    poisson_times_batch,
-)
+from repro.workloads.trace import batch_end
+from repro.workloads.update_process import poisson_times_batch
 
 
 @dataclass
@@ -74,36 +61,23 @@ class ReadTrace:
 
 def uniform_reads(num_objects: int, horizon: float,
                   rng: np.random.Generator,
-                  read_rate: float | np.ndarray = 1.0,
-                  generator: str = "vectorized") -> ReadTrace:
+                  read_rate: float | np.ndarray = 1.0) -> ReadTrace:
     """Independent Poisson read streams, one per object.
 
     ``read_rate`` is reads/second per object -- a scalar (every object
     equally popular, the uniform-popularity baseline) or a length-
-    ``num_objects`` array (skewed read popularity).  ``generator`` picks
-    the sampling implementation; see the module docstring.
+    ``num_objects`` array (skewed read popularity).
     """
     rates = np.broadcast_to(np.asarray(read_rate, dtype=float),
                             (num_objects,))
     if (rates < 0).any():
         raise ValueError("read rates must be >= 0")
-    if generator == "vectorized":
-        raw_times, owners = poisson_times_batch(rates, horizon, rng)
-        # Same total order as the update pipeline: time-sorted, ties
-        # broken by object index.
-        order = np.lexsort((owners, raw_times))
-        return ReadTrace(num_objects=num_objects, times=raw_times[order],
-                         object_indices=owners[order])
-    if generator == "legacy":
-        times_per_object = [
-            poisson_times(float(rate), horizon, rng) for rate in rates
-        ]
-        times, indices = merge_event_streams(times_per_object)
-        return ReadTrace(num_objects=num_objects, times=times,
-                         object_indices=indices)
-    raise ValueError(
-        f"unknown generator {generator!r}; expected one of "
-        f"('vectorized', 'legacy')")
+    raw_times, owners = poisson_times_batch(rates, horizon, rng)
+    # Same total order as the update pipeline: time-sorted, ties broken by
+    # object index.
+    order = np.lexsort((owners, raw_times))
+    return ReadTrace(num_objects=num_objects, times=raw_times[order],
+                     object_indices=owners[order])
 
 
 def merge_reads_with_updates(read_trace: ReadTrace, update_trace
@@ -140,14 +114,14 @@ class ReadReplayer:
     traces never bloat the heap.  Reads fire in the METRICS phase, after
     all same-timestamp update/network/cache work.
 
-    ``mode="batched"`` (default) serves every read strictly before the
-    next foreign simulator event in one ``on_read_batch`` call.  Because
-    the update replayer keeps its own next event queued, a read batch can
-    never leap past a pending update -- consecutive reads between
-    simulator wakeups are exactly what gets batched.  Reads are
-    measurement-only (they never touch simulator state), so the batch is
-    trivially bit-for-bit equivalent to per-event replay as long as the
-    handler processes reads in order.
+    One firing serves every read strictly before the next foreign
+    simulator event in one ``on_read_batch`` call.  Because the update
+    replayer keeps its own next event queued, a read batch can never leap
+    past a pending update -- consecutive reads between simulator wakeups
+    are exactly what gets batched.  Reads are measurement-only (they never
+    touch simulator state), so the batch is trivially bit-for-bit
+    equivalent to one read per firing as long as the handler processes
+    reads in order.
 
     ``on_read_batch`` receives numpy array views ``(times, indices)``;
     when omitted, a loop over ``on_read`` is used.
@@ -155,16 +129,12 @@ class ReadReplayer:
 
     def __init__(self, sim: Simulator, trace: ReadTrace,
                  on_read: Callable[[float, int], None],
-                 on_read_batch=None, mode: str = "batched") -> None:
-        check_replay_mode(mode)
+                 on_read_batch=None) -> None:
         self._sim = sim
         self._trace = trace
         self._on_read = on_read
         self._on_read_batch = on_read_batch if on_read_batch is not None \
             else self._default_on_read_batch
-        self.mode = mode
-        self._fire = self._fire_batched if mode == "batched" \
-            else self._fire_event
         self._cursor = 0
         self._schedule_next()
 
@@ -179,15 +149,7 @@ class ReadReplayer:
         self._sim.at(max(time, self._sim.now), self._fire,
                      phase=Phase.METRICS)
 
-    def _fire_event(self) -> None:
-        trace = self._trace
-        k = self._cursor
-        self._on_read(float(trace.times[k]),
-                      int(trace.object_indices[k]))
-        self._cursor += 1
-        self._schedule_next()
-
-    def _fire_batched(self) -> None:
+    def _fire(self) -> None:
         trace = self._trace
         end = batch_end(self._sim, trace.times, self._cursor)
         k = self._cursor

@@ -22,28 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.weights import SineWeights, StaticWeights, WeightModel
-from repro.workloads.random_walk import (
-    random_walk_values,
-    random_walk_values_batch,
-)
+from repro.workloads.random_walk import random_walk_values_batch
 from repro.workloads.read_process import ReadTrace, uniform_reads
 from repro.workloads.trace import UpdateTrace
 from repro.workloads.update_process import (
-    bernoulli_tick_times,
     bernoulli_tick_times_batch,
-    merge_event_streams,
-    poisson_times,
     poisson_times_batch,
 )
-
-#: Valid ``generator=`` choices for the synthetic workload builders.
-GENERATORS = ("vectorized", "legacy")
-
-
-def _check_generator(generator: str) -> None:
-    if generator not in GENERATORS:
-        raise ValueError(
-            f"unknown generator {generator!r}; expected one of {GENERATORS}")
 
 
 @dataclass
@@ -121,43 +106,15 @@ class Workload:
                         horizon=self.horizon)
 
     def read_stream(self, rng: np.random.Generator,
-                    read_rate: float | np.ndarray = 1.0,
-                    generator: str = "vectorized") -> ReadTrace:
+                    read_rate: float | np.ndarray = 1.0) -> ReadTrace:
         """A client read stream matched to this workload's shape.
 
         Poisson reads per object over the workload's own horizon; pass a
         dedicated rng stream (e.g. ``RngRegistry.stream("reads")``) so the
         read draw count never perturbs the seeded update trace.
         """
-        _check_generator(generator)
         return uniform_reads(self.num_objects, self.horizon, rng,
-                             read_rate=read_rate, generator=generator)
-
-
-def _trace_from_times(times_per_object: list[np.ndarray],
-                      rng: np.random.Generator,
-                      num_objects: int,
-                      initial_values: np.ndarray | None = None,
-                      walk_step: float = 1.0) -> UpdateTrace:
-    """Assemble a random-walk trace from per-object update times."""
-    if initial_values is None:
-        initial_values = np.zeros(num_objects)
-    values_per_object = [
-        random_walk_values(len(times), rng, initial=initial_values[i],
-                           step=walk_step)
-        for i, times in enumerate(times_per_object)
-    ]
-    times, indices = merge_event_streams(times_per_object)
-    # Pull each object's k-th value in stream order.
-    cursor = np.zeros(num_objects, dtype=np.int64)
-    values = np.empty(len(times))
-    for k in range(len(times)):
-        obj = indices[k]
-        values[k] = values_per_object[obj][cursor[obj]]
-        cursor[obj] += 1
-    return UpdateTrace(num_objects=num_objects, times=times,
-                       object_indices=indices, values=values,
-                       initial_values=initial_values)
+                             read_rate=read_rate)
 
 
 def _trace_from_event_stream(times: np.ndarray, owners: np.ndarray,
@@ -179,8 +136,7 @@ def _trace_from_event_stream(times: np.ndarray, owners: np.ndarray,
     counts = np.bincount(owners, minlength=num_objects)
     values = random_walk_values_batch(counts, rng, initial_values,
                                       step=walk_step)
-    # Trace order: time-sorted, ties broken by object index -- the same
-    # total order merge_event_streams produces for the legacy path.
+    # Trace order: time-sorted, ties broken by object index.
     order = np.lexsort((owners, times))
     return UpdateTrace(num_objects=num_objects, times=times[order],
                        object_indices=owners[order], values=values[order],
@@ -192,44 +148,25 @@ def uniform_random_walk(num_sources: int, objects_per_source: int,
                         rate_range: tuple[float, float] = (0.0, 1.0),
                         arrivals: str = "poisson",
                         fluctuating_weights: bool = False,
-                        walk_step: float = 1.0,
-                        generator: str = "vectorized") -> Workload:
+                        walk_step: float = 1.0) -> Workload:
     """Random-walk objects with uniformly random rates (Secs 4.3/6.2/6.3).
 
     ``arrivals`` is ``"poisson"`` (Figure 4/6 experiments) or
     ``"bernoulli"`` (the Sec 4.3 validation's per-second coin flips).
     ``fluctuating_weights`` switches from all-ones weights to the randomly
-    parameterized sine weights of Sec 6.  ``generator`` picks the sampling
-    implementation: ``"vectorized"`` (batched numpy draws, the default --
-    the only generation path that is feasible at m ~ 10^5) or ``"legacy"``
-    (the original per-object draws, kept because their rng consumption
-    order -- and hence every seeded trace -- is pinned by regression
-    tests).  The two produce statistically identical but not bit-identical
-    workloads for the same seed.
+    parameterized sine weights of Sec 6.  Arrivals and walks are drawn for
+    all objects at once (batched numpy draws, feasible at m ~ 10^5).
     """
-    _check_generator(generator)
     n_total = num_sources * objects_per_source
     rates = rng.uniform(*rate_range, size=n_total)
     if arrivals not in ("poisson", "bernoulli"):
         raise ValueError(f"unknown arrival model {arrivals!r}")
-    if generator == "vectorized":
-        if arrivals == "poisson":
-            times, owners = poisson_times_batch(rates, horizon, rng)
-        else:
-            times, owners = bernoulli_tick_times_batch(rates, horizon, rng)
-        trace = _trace_from_event_stream(times, owners, rng, n_total,
-                                         walk_step=walk_step)
+    if arrivals == "poisson":
+        times, owners = poisson_times_batch(rates, horizon, rng)
     else:
-        if arrivals == "poisson":
-            times_per_object = [
-                poisson_times(rate, horizon, rng) for rate in rates
-            ]
-        else:
-            times_per_object = [
-                bernoulli_tick_times(rate, horizon, rng) for rate in rates
-            ]
-        trace = _trace_from_times(times_per_object, rng, n_total,
-                                  walk_step=walk_step)
+        times, owners = bernoulli_tick_times_batch(rates, horizon, rng)
+    trace = _trace_from_event_stream(times, owners, rng, n_total,
+                                     walk_step=walk_step)
     if fluctuating_weights:
         weights: WeightModel = SineWeights.random(n_total, rng)
     else:
@@ -243,8 +180,7 @@ def uniform_random_walk(num_sources: int, objects_per_source: int,
 def skewed_validation(horizon: float, rng: np.random.Generator,
                       num_objects: int = 100,
                       heavy_weight: float = 10.0,
-                      slow_prob: float = 0.01,
-                      generator: str = "vectorized") -> Workload:
+                      slow_prob: float = 0.01) -> Workload:
     """The Sec 4.3 skewed single-source workload.
 
     "a randomly-selected half of which were assigned a weight of 10 while
@@ -252,7 +188,6 @@ def skewed_validation(horizon: float, rng: np.random.Generator,
     randomly-selected half of the objects were updated with probability
     0.01 while the other half were updated consistently every second."
     """
-    _check_generator(generator)
     if num_objects % 2:
         raise ValueError(f"num_objects must be even, got {num_objects}")
     half = num_objects // 2
@@ -260,14 +195,8 @@ def skewed_validation(horizon: float, rng: np.random.Generator,
     weight_values[rng.permutation(num_objects)[:half]] = heavy_weight
     rates = np.full(num_objects, 1.0)
     rates[rng.permutation(num_objects)[:half]] = slow_prob
-    if generator == "vectorized":
-        times, owners = bernoulli_tick_times_batch(rates, horizon, rng)
-        trace = _trace_from_event_stream(times, owners, rng, num_objects)
-    else:
-        times_per_object = [
-            bernoulli_tick_times(rate, horizon, rng) for rate in rates
-        ]
-        trace = _trace_from_times(times_per_object, rng, num_objects)
+    times, owners = bernoulli_tick_times_batch(rates, horizon, rng)
+    trace = _trace_from_event_stream(times, owners, rng, num_objects)
     return Workload(num_sources=1, objects_per_source=num_objects,
                     rates=rates, trace=trace,
                     weights=StaticWeights(weight_values), horizon=horizon)

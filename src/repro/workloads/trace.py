@@ -5,7 +5,9 @@ each policy on bit-identical update streams.  An :class:`UpdateTrace` is a
 time-sorted sequence of ``(time, object_index, new_value)`` triples that can
 be generated once per configuration and replayed into any number of
 simulations.  Traces round-trip through CSV so real data sets (e.g. a NOAA
-TAO export) can be dropped in.
+TAO export) can be dropped in.  A :class:`TraceReplayer` feeds a trace into
+a simulation, applying every event up to the next foreign simulator event
+in one batch.
 """
 
 from __future__ import annotations
@@ -191,17 +193,6 @@ class UpdateTrace:
                    initial_values=initial_values)
 
 
-#: Valid ``mode=`` choices for the replayers (here and in read_process).
-REPLAY_MODES = ("batched", "event")
-
-
-def check_replay_mode(mode: str) -> None:
-    """Raise on an unknown replayer ``mode=`` value."""
-    if mode not in REPLAY_MODES:
-        raise ValueError(
-            f"unknown replay mode {mode!r}; expected one of {REPLAY_MODES}")
-
-
 class TraceReplayer:
     """Feeds an :class:`UpdateTrace` into a :class:`Simulator`.
 
@@ -209,16 +200,14 @@ class TraceReplayer:
     so million-event traces do not bloat the heap.  Updates fire in the
     ``UPDATES`` phase, before network/scheduling work at the same timestamp.
 
-    ``mode`` selects how many trace events each firing applies:
-
-    * ``"batched"`` (default): one firing applies *every* trace event
-      strictly before the simulator's next foreign event (and within the
-      current :attr:`~repro.sim.engine.Simulator.run_horizon`) in a single
-      ``apply_batch`` call -- no per-event heap churn.  Bit-for-bit
-      identical to per-event replay provided batch appliers advance the
-      simulator clock per event and never schedule new simulator events
-      (see DESIGN.md Sec 10 for the boundary argument).
-    * ``"event"``: the original one-event-per-firing schedule.
+    One firing applies *every* trace event strictly before the simulator's
+    next foreign event (and within the current
+    :attr:`~repro.sim.engine.Simulator.run_horizon`) in a single
+    ``apply_batch`` call -- no per-event heap churn.  This is bit-for-bit
+    identical to firing once per event provided batch appliers advance the
+    simulator clock per event and never schedule new simulator events (see
+    DESIGN.md Sec 10 for the boundary argument; ``tests/oracles.py`` keeps
+    the one-event-per-firing schedule as the reference).
 
     ``apply_batch`` receives equal-length numpy array views
     ``(times, indices, values)``; when omitted, a loop over
@@ -228,16 +217,12 @@ class TraceReplayer:
 
     def __init__(self, sim: Simulator, trace: UpdateTrace,
                  apply_update: Callable[[float, int, float], None],
-                 apply_batch=None, mode: str = "batched") -> None:
-        check_replay_mode(mode)
+                 apply_batch=None) -> None:
         self._sim = sim
         self._trace = trace
         self._apply = apply_update
         self._apply_batch = apply_batch if apply_batch is not None \
             else self._default_apply_batch
-        self.mode = mode
-        self._fire = self._fire_batched if mode == "batched" \
-            else self._fire_event
         self._cursor = 0
         self._schedule_next()
 
@@ -252,15 +237,7 @@ class TraceReplayer:
         self._sim.at(max(time, self._sim.now), self._fire,
                      phase=Phase.UPDATES)
 
-    def _fire_event(self) -> None:
-        trace = self._trace
-        k = self._cursor
-        self._apply(float(trace.times[k]), int(trace.object_indices[k]),
-                    float(trace.values[k]))
-        self._cursor += 1
-        self._schedule_next()
-
-    def _fire_batched(self) -> None:
+    def _fire(self) -> None:
         trace = self._trace
         end = batch_end(self._sim, trace.times, self._cursor)
         k = self._cursor
@@ -286,8 +263,8 @@ def batch_end(sim: Simulator, times: np.ndarray, cursor: int) -> int:
     already off the heap: every queued event is *foreign*.  The batch
     covers events strictly before the next foreign event time -- a trace
     event at exactly that timestamp must go back through the heap so the
-    ``(time, phase, seq)`` ordering arbitrates, exactly as per-event
-    replay's reschedule does -- and never beyond the simulator's
+    ``(time, phase, seq)`` ordering arbitrates, exactly as a per-event
+    reschedule would -- and never beyond the simulator's
     ``run_horizon`` (events past the ``run_until`` cut-off would not have
     fired at all).  At least one event (the one this firing was scheduled
     for) is always included.

@@ -12,60 +12,15 @@ Two arrival models appear in the paper's experiments:
   the deterministic "updated consistently every second" objects of the
   skewed validation experiment.
 
-Both return sorted numpy arrays of event times in ``[0, horizon)``.
-
-Each sampler comes in two flavours:
-
-* the original per-object form (``poisson_times`` / ``bernoulli_tick_times``)
-  -- one rng draw sequence per object, kept verbatim because seeded traces
-  generated this way are pinned by regression tests (``generator="legacy"``);
-* a batched form (``*_batch``) that draws for *all* objects with O(1) numpy
-  calls and returns an object-major ``(times, owners)`` event stream.  The
-  batched forms consume the rng in a different order, so the traces they
-  sample differ from (while being statistically identical to) the legacy
-  ones.
+Both samplers draw for *all* objects with O(1) numpy calls and return an
+object-major ``(times, owners)`` event stream: events grouped by owning
+object, time-sorted within each group.  (The per-object reference loops
+they are pinned against live in ``tests/oracles.py``.)
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def poisson_times(rate: float, horizon: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Event times of a Poisson process with intensity ``rate`` on [0, horizon)."""
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if rate == 0 or horizon == 0:
-        return np.empty(0, dtype=float)
-    count = rng.poisson(rate * horizon)
-    times = rng.uniform(0.0, horizon, size=count)
-    times.sort()
-    return times
-
-
-def bernoulli_tick_times(prob: float, horizon: float,
-                         rng: np.random.Generator,
-                         dt: float = 1.0) -> np.ndarray:
-    """Ticks in ``(0, horizon]`` at which a Bernoulli(prob) trial succeeds.
-
-    ``prob = 1`` yields an update at every tick (the paper's "updated
-    consistently every second").
-    """
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {prob}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    ticks = int(np.floor(horizon / dt))
-    if ticks <= 0:
-        return np.empty(0, dtype=float)
-    tick_times = (np.arange(ticks, dtype=float) + 1.0) * dt
-    if prob >= 1.0:
-        return tick_times
-    hits = rng.random(ticks) < prob
-    return tick_times[hits]
 
 
 def poisson_times_batch(rates: np.ndarray, horizon: float,
@@ -75,9 +30,10 @@ def poisson_times_batch(rates: np.ndarray, horizon: float,
 
     Returns an *object-major* stream ``(times, owners)``: events are grouped
     by owning object (``owners`` nondecreasing) and time-sorted within each
-    group.  Three numpy calls replace ``len(rates)`` python-loop iterations
-    of :func:`poisson_times`: a batched count draw, one flat uniform draw,
-    and a lexsort that simultaneously groups and orders.
+    group.  Three numpy calls cover every object: a batched count draw
+    (``K ~ Poisson(rate * horizon)`` each), one flat uniform draw placing
+    the points in ``[0, horizon)``, and a lexsort that simultaneously
+    groups and orders.
     """
     rates = np.asarray(rates, dtype=float)
     if (rates < 0).any():
@@ -103,7 +59,9 @@ def bernoulli_tick_times_batch(probs: np.ndarray, horizon: float,
     """Per-tick Bernoulli trials for every object, drawn in bulk.
 
     Returns the same object-major ``(times, owners)`` stream as
-    :func:`poisson_times_batch`.  The full draw matrix would be
+    :func:`poisson_times_batch`: the ticks in ``(0, horizon]`` (multiples
+    of ``dt``) at which each object's trial succeeds, so a probability of
+    1 updates at every tick.  The full draw matrix would be
     ``len(probs) x ticks`` booleans, so objects are processed in chunks
     capped at ``max_draws_per_chunk`` draws to bound peak memory at
     ``m = 10^5``-scale workloads.
@@ -126,22 +84,3 @@ def bernoulli_tick_times_batch(probs: np.ndarray, horizon: float,
         owner_parts.append(obj.astype(np.int64) + start)
         times_parts.append((tick + 1.0) * dt)
     return np.concatenate(times_parts), np.concatenate(owner_parts)
-
-
-def merge_event_streams(times_per_object: list[np.ndarray]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-object event-time arrays into one time-sorted stream.
-
-    Returns ``(times, object_indices)`` where ``object_indices[k]`` is the
-    position of the source array that produced ``times[k]``.  Ties are broken
-    by object index (stable), keeping runs reproducible.
-    """
-    if not times_per_object:
-        return np.empty(0, dtype=float), np.empty(0, dtype=np.int64)
-    times = np.concatenate(times_per_object)
-    indices = np.concatenate([
-        np.full(len(t), i, dtype=np.int64)
-        for i, t in enumerate(times_per_object)
-    ])
-    order = np.lexsort((indices, times))
-    return times[order], indices[order]

@@ -12,7 +12,6 @@ from repro.workloads.bandwidth_traces import (
     SCENARIOS,
     diurnal_trace,
     heterogeneous_traces,
-    random_walk_rates,
     random_walk_rates_batch,
     random_walk_trace,
     scenario_profile,
@@ -20,6 +19,8 @@ from repro.workloads.bandwidth_traces import (
     with_outages,
 )
 from repro.workloads.synthetic import uniform_random_walk
+
+from oracles import random_walk_rates
 
 
 class TestDiurnalTrace:
@@ -57,7 +58,7 @@ class TestDiurnalTrace:
 class TestRandomWalkRates:
     def test_batch_matches_legacy_bitwise(self):
         """The bulk draw consumes the generator stream exactly as the
-        per-call loop does, so the two paths are seed-interchangeable."""
+        per-call reference loop of tests/oracles.py does."""
         for seed in (0, 7, 123):
             legacy = random_walk_rates(
                 257, np.random.default_rng(seed), 5.0)
@@ -79,13 +80,13 @@ class TestRandomWalkRates:
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            random_walk_rates(0, rng, 1.0)
+            random_walk_rates_batch(0, rng, 1.0)
         with pytest.raises(ValueError):
-            random_walk_rates(5, rng, -1.0)
+            random_walk_rates_batch(5, rng, -1.0)
         with pytest.raises(ValueError):
-            random_walk_rates(5, rng, 1.0, step_frac=0.0)
+            random_walk_rates_batch(5, rng, 1.0, step_frac=0.0)
         with pytest.raises(ValueError):
-            random_walk_rates(5, rng, 1.0, lo_frac=2.0, hi_frac=1.0)
+            random_walk_rates_batch(5, rng, 1.0, lo_frac=2.0, hi_frac=1.0)
         with pytest.raises(ValueError):
             random_walk_trace(1.0, 0.0, 5, rng)
 

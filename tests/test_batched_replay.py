@@ -1,17 +1,19 @@
 """Bit-for-bit equivalence of batched and per-event trace/read replay.
 
-``mode="batched"`` (the default) applies every trace event strictly
-before the simulator's next foreign event in one python call instead of
-one heap round-trip per event.  It must be an *optimization only*: on the
-paper's configurations every policy has to produce exactly the metrics
-per-event replay produced -- same divergence floats, same message counts,
-same read samples.  These tests pin that across:
+The replayers apply every trace event strictly before the simulator's
+next foreign event in one python call instead of one heap round-trip per
+event.  That must be an *optimization only*: on the paper's
+configurations every policy has to produce exactly the metrics of the
+per-event reference replay in ``tests/oracles.py`` -- same divergence
+floats, same message counts, same read samples.  These tests pin that
+across:
 
 * all five policies on the Figure 4 settings (fluctuating weights +
   collector resampling), one cache and four (sharded and replicated);
 * the Figure 5 settings (buoy workload, 60 s ticks, fluctuating link);
 * all three read policies at replication 2 and 3 (the read replayer
-  batches consecutive reads between wakeups on the same boundary rule);
+  batches consecutive reads between wakeups on the same boundary rule),
+  and the read-heavy readmodel matrix (read rate 8/s);
 * the batched collector arithmetic itself (``record_at`` with duplicate
   objects inside one batch, the read accumulator's seeded fold).
 
@@ -19,12 +21,16 @@ The boundary argument for why phase semantics survive batching is in
 DESIGN.md Sec 10.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
 from repro.core.weights import SineWeights, StaticWeights
+from repro.experiments.matrix import READMODEL, make_policy
+from repro.experiments.parallel import build_workload
 from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
 from repro.metrics.collector import DivergenceCollector, ReadCollector
@@ -41,6 +47,8 @@ from repro.workloads.buoy import buoy_workload
 from repro.workloads.read_process import ReadReplayer, ReadTrace
 from repro.workloads.synthetic import uniform_random_walk
 from repro.workloads.trace import TraceReplayer, UpdateTrace
+
+from oracles import reference_schedule
 
 M_SOURCES = 10
 N_PER_SOURCE = 10
@@ -75,12 +83,22 @@ def metrics_tuple(result):
     )
 
 
-def assert_replay_equivalent(make_policy, workload, spec_kwargs):
+def per_event_replay():
+    """The reference replay alone: one trace or read event per firing."""
+    return reference_schedule(scan=False, eager_links=False)
+
+
+def assert_replay_equivalent(make_policy, workload, spec_kwargs,
+                             scan=False):
+    """Per-event against batched replay, on the default schedule or (with
+    ``scan``) on the reference tick scan."""
+    spec = RunSpec(**spec_kwargs)
     results = {}
     for replay in ("event", "batched"):
-        spec = RunSpec(replay=replay, **spec_kwargs)
-        result = run_policy(workload, ValueDeviation(), make_policy(),
-                            spec)
+        with reference_schedule(scan=scan, eager_links=scan,
+                                per_event=replay == "event"):
+            result = run_policy(workload, ValueDeviation(), make_policy(),
+                                spec)
         results[replay] = metrics_tuple(result)
     assert results["event"] == results["batched"], (
         f"batched replay diverged from per-event replay:\n"
@@ -164,13 +182,12 @@ class TestPolicyEquivalence:
                  dt=60.0))
 
     def test_cooperative_tick_scheduler(self):
-        """Batched replay composes with the tick-scan scheduler too."""
+        """Batched replay composes with the reference tick scan too."""
         workload = fig4_workload()
         assert_replay_equivalent(
             lambda: CooperativePolicy(cache_profile(), source_profiles(),
-                                      priority_fn=AreaPriority(),
-                                      scheduling="tick"),
-            workload, dict(**SPEC))
+                                      priority_fn=AreaPriority()),
+            workload, dict(**SPEC), scan=True)
 
 
 class TestReadReplayEquivalence:
@@ -185,17 +202,19 @@ class TestReadReplayEquivalence:
         workload = fig4_workload()
         reads = workload.read_stream(
             RngRegistry(0).stream("read-workload"), read_rate=0.5)
+        spec = RunSpec(**SPEC,
+                       topology=TopologyConfig(kind="replicated",
+                                               num_caches=4,
+                                               replication=replication))
         results = {}
         for replay in ("event", "batched"):
-            spec = RunSpec(**SPEC, replay=replay,
-                           topology=TopologyConfig(kind="replicated",
-                                                   num_caches=4,
-                                                   replication=replication))
-            policy = CooperativePolicy(cache_profile(), source_profiles(),
-                                       priority_fn=AreaPriority())
-            result, read_run = run_policy_with_reads(
-                workload, ValueDeviation(), policy, spec, reads,
-                read_policy=read_policy, track_replicas=True)
+            with per_event_replay() if replay == "event" else nullcontext():
+                policy = CooperativePolicy(cache_profile(),
+                                           source_profiles(),
+                                           priority_fn=AreaPriority())
+                result, read_run = run_policy_with_reads(
+                    workload, ValueDeviation(), policy, spec, reads,
+                    read_policy=read_policy, track_replicas=True)
             results[replay] = (
                 metrics_tuple(result),
                 result.reads,
@@ -210,13 +229,45 @@ class TestReadReplayEquivalence:
             f"  event:   {results['event']}\n"
             f"  batched: {results['batched']}")
 
+    def test_read_heavy_readmodel_matrix(self):
+        """Every cell of a read-dominated readmodel matrix (read rate 8/s,
+        so many consecutive reads fall between simulator wakeups) gives
+        the same read-path numbers under per-event replay."""
+        params = READMODEL.parse(
+            "replication=1,2 read-rate=8 warmup=50 measure=250".split())
+        for _, _, scenario in READMODEL.cells(params):
+            workload = build_workload(scenario.workload)
+            results = {}
+            for replay in ("event", "batched"):
+                with (per_event_replay() if replay == "event"
+                      else nullcontext()):
+                    policy = make_policy(
+                        scenario.policy,
+                        *scenario.profiles(workload.num_sources),
+                        workload.num_objects)
+                    reads = workload.read_stream(
+                        RngRegistry(scenario.seed).stream("read-workload"),
+                        read_rate=scenario.read_rate)
+                    result, read_run = run_policy_with_reads(
+                        workload, ValueDeviation(), policy,
+                        scenario.spec(), reads,
+                        read_policy=scenario.read_policy,
+                        track_replicas=True)
+                results[replay] = (
+                    result.read_divergence,
+                    result.read_divergence_unweighted, result.reads,
+                    result.weighted_divergence, result.refreshes,
+                    read_run.collector.stale_read_fraction(),
+                    read_run.tracker.mean_over_replicas())
+            assert results["event"] == results["batched"], scenario
+
     def test_single_cache_fast_path_matches_store(self):
         """The vectorized single-replica read batch must still match the
         star's CacheStore.read cross-check on every read."""
         workload = fig4_workload()
         reads = workload.read_stream(
             RngRegistry(0).stream("read-workload"), read_rate=1.0)
-        spec = RunSpec(**SPEC, replay="batched")
+        spec = RunSpec(**SPEC)
         policy = CooperativePolicy(cache_profile(), source_profiles(),
                                    priority_fn=AreaPriority())
         result, read_run = run_policy_with_reads(
@@ -325,15 +376,17 @@ class TestReplayerMechanics:
                            values=np.arange(len(times), dtype=float))
 
     def test_unknown_mode_rejected(self):
+        """Replay has one mode; the retired ``mode=`` keyword is an
+        error, not a silently ignored option."""
         sim = Simulator()
-        with pytest.raises(ValueError, match="replay mode"):
+        with pytest.raises(TypeError, match="mode"):
             TraceReplayer(sim, self.trace([1.0]), lambda t, i, v: None,
-                          mode="speculative")
-        with pytest.raises(ValueError, match="replay mode"):
+                          mode="event")
+        with pytest.raises(TypeError, match="mode"):
             ReadReplayer(sim, ReadTrace(num_objects=1,
                                         times=np.array([1.0]),
                                         object_indices=np.array([0])),
-                         lambda t, i: None, mode="speculative")
+                         lambda t, i: None, mode="event")
 
     def test_batch_stops_strictly_before_foreign_events(self):
         """Events at a foreign timestamp go back through the heap so the
@@ -369,11 +422,28 @@ class TestReplayerMechanics:
         assert clocks == [1.0, 1.25, 1.5]
 
     def test_event_mode_preserved(self):
-        sim = Simulator()
-        replayer = TraceReplayer(sim, self.trace([1.0, 1.5]),
-                                 lambda t, i, v: None, mode="event")
-        sim.run_until(1.2)
-        assert replayer.remaining == 1
+        """The reference replay fires once per event through the scalar
+        applier; the default replay hands both events to one batch call
+        (nothing foreign is queued between them)."""
+        calls = []
+
+        def replay(until):
+            sim = Simulator()
+            replayer = TraceReplayer(
+                sim, self.trace([1.0, 1.5]),
+                lambda t, i, v: calls.append(("event", t)),
+                apply_batch=lambda t, i, v: calls.append(
+                    ("batch", t.tolist())))
+            sim.run_until(until)
+            return replayer.remaining
+
+        with per_event_replay():
+            assert replay(1.2) == 1
+            assert replay(5.0) == 0
+        assert calls == [("event", 1.0), ("event", 1.0), ("event", 1.5)]
+        calls.clear()
+        assert replay(5.0) == 0
+        assert calls == [("batch", [1.0, 1.5])]
 
     def test_read_batch_cannot_leap_pending_updates(self):
         """The update replayer's queued event bounds every read batch, so

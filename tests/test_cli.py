@@ -115,26 +115,32 @@ class TestScaleCommand:
         args = build_parser().parse_args(["scale"])
         assert args.sources == [100, 1000, 10000]
         assert args.update_rate == 0.002
-        assert args.max_tick_sources == 2000
 
     def test_scale_tiny_run(self, capsys):
         assert main(["scale", "--sources", "20", "--warmup", "10",
                      "--measure", "40"]) == 0
         out = capsys.readouterr().out
         assert "scale sweep" in out
-        assert "bit-for-bit" in out
 
     def test_scale_skips_tick_baseline_above_cap(self, capsys):
-        assert main(["scale", "--sources", "30", "--warmup", "10",
-                     "--measure", "30", "--max-tick-sources", "10"]) == 0
+        """One row per source count; no tick-scan baseline row."""
+        assert main(["scale", "--sources", "30", "15", "--warmup", "10",
+                     "--measure", "30"]) == 0
         out = capsys.readouterr().out
-        assert "tick" not in out.split("scheduler", 1)[1].split("\n")[2]
+        assert "tick" not in out
+        rows = [line.split()[0] for line in out.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        assert rows == ["30", "15"]
 
     def test_scale_generator_flag(self, capsys):
-        assert main(["scale", "--sources", "15", "--warmup", "10",
-                     "--measure", "30", "--generator", "legacy"]) == 0
-        out = capsys.readouterr().out
-        assert "legacy generation" in out
+        """The retired path-selection flags are usage errors."""
+        for flag, value in (("--generator", "legacy"),
+                            ("--replay", "event"),
+                            ("--max-tick-sources", "10")):
+            with pytest.raises(SystemExit) as exc:
+                main(["scale", "--sources", "15", flag, value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_scale_rejects_unknown_generator(self):
         with pytest.raises(SystemExit):

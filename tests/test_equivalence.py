@@ -1,11 +1,12 @@
-"""Bit-for-bit equivalence of the event-driven and tick-scan schedulers.
+"""Bit-for-bit equivalence of the default schedule and the reference one.
 
-The event-driven wakeup layer (``scheduling="event"``, the default) must
-be an *optimization only*: on the paper's default configurations every
-policy has to produce exactly the metrics the per-tick scan loops
-(``scheduling="tick"``, the seed's literal schedule) produced -- same
-divergence floats, same refresh/feedback/poll/message counts.  These
-tests pin that across:
+The simulator's event-driven wakeups, lazy link refills and batched
+replay must be an *optimization only*: on the paper's default
+configurations every policy has to produce exactly the metrics of the
+literal schedule in ``tests/oracles.py`` (scan every source and cache
+every tick, refill every link eagerly, fire once per trace event) --
+same divergence floats, same refresh/feedback/poll/message counts.
+These tests pin that across:
 
 * all five policies (cooperative, uniform, competitive, cache-driven CGM,
   ideal cooperative);
@@ -17,19 +18,28 @@ tests pin that across:
 * replicated topologies carrying a client *read stream*: every read-model
   metric (reads served, read-observed divergence, per-replica serving
   counts, per-replica time-averaged divergence) must be bit-for-bit
-  identical across schedulers, so the read model cannot silently depend
-  on the wakeup layer.
+  identical across schedules, so the read model cannot silently depend
+  on the wakeup layer;
+* drawn combinations of topology, bandwidth condition, faults, retries,
+  feedback TTL, rebalancing and read streams (``TestFeatureCombinations``).
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
 from repro.core.weights import StaticWeights
+from repro.experiments.matrix import POLICIES, Scenario, run_scenario
+from repro.experiments.parallel import WorkloadSpec
 from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import (
+    FAULT_SCENARIOS,
     CacheCrash,
     FaultPlan,
     LossRule,
@@ -47,13 +57,18 @@ from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
 from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
+from repro.rebalance import RebalanceConfig
 from repro.sim.random import RngRegistry
 from repro.workloads.bandwidth_traces import (
+    SCENARIOS,
     diurnal_trace,
     heterogeneous_traces,
 )
 from repro.workloads.buoy import buoy_workload
+from repro.workloads.hotspot import moving_hotspot
 from repro.workloads.synthetic import uniform_random_walk
+
+from oracles import reference_schedule
 
 M_SOURCES = 10
 N_PER_SOURCE = 10
@@ -82,27 +97,29 @@ def source_profiles(mb=0.0):
 
 
 def run_both(make_policy, workload, spec):
-    """Run tick and event schedules; return the two metric tuples."""
-    results = {}
-    for scheduling in ("tick", "event"):
-        result = run_policy(workload, ValueDeviation(),
-                            make_policy(scheduling), spec)
-        results[scheduling] = (
+    """Run the default and the reference schedule; return the two metric
+    tuples."""
+    results = []
+    for reference in (True, False):
+        with reference_schedule() if reference else nullcontext():
+            result = run_policy(workload, ValueDeviation(), make_policy(),
+                                spec)
+        results.append((
             result.weighted_divergence,
             result.unweighted_divergence,
             result.refreshes,
             result.feedback_messages,
             result.poll_messages,
             result.messages_total,
-        )
-    return results["tick"], results["event"]
+        ))
+    return tuple(results)
 
 
 def assert_equivalent(make_policy, workload, spec):
-    tick, event = run_both(make_policy, workload, spec)
-    assert tick == event, (
-        f"event-driven schedule diverged from tick scan:\n"
-        f"  tick:  {tick}\n  event: {event}")
+    reference, default = run_both(make_policy, workload, spec)
+    assert reference == default, (
+        f"default schedule diverged from the reference schedule:\n"
+        f"  reference: {reference}\n  default:   {default}")
 
 
 TOPOLOGIES = [
@@ -124,9 +141,9 @@ class TestCooperativeEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC, resample_interval=10.0, topology=topology)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(), source_profiles(),
-                priority_fn=AreaPriority(), scheduling=mode),
+                priority_fn=AreaPriority()),
             workload, spec)
 
     def test_fluctuating_bandwidth(self):
@@ -134,9 +151,9 @@ class TestCooperativeEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC, resample_interval=10.0)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(mb=0.25), source_profiles(mb=0.25),
-                priority_fn=AreaPriority(), scheduling=mode),
+                priority_fn=AreaPriority()),
             workload, spec)
 
     def test_fig5_settings(self):
@@ -148,11 +165,11 @@ class TestCooperativeEquivalence:
         spec = RunSpec(warmup=1800.0, measure=0.1 * 86_400.0 - 1800.0,
                        dt=60.0)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 SineBandwidth(10.0 / 60.0, mb),
                 [SineBandwidth(10.0 / 60.0, mb, phase=float(j))
                  for j in range(m)],
-                priority_fn=AreaPriority(), scheduling=mode),
+                priority_fn=AreaPriority()),
             workload, spec)
 
     @pytest.mark.parametrize("predictive", [False, True])
@@ -160,21 +177,20 @@ class TestCooperativeEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(), source_profiles(),
                 priority_fn=AreaPriority(), monitor="sampling",
-                sampling_interval=7.0, predictive_sampling=predictive,
-                scheduling=mode),
+                sampling_interval=7.0, predictive_sampling=predictive),
             workload, spec)
 
     def test_batching_sources(self):
         workload = fig4_workload()
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(), source_profiles(),
                 priority_fn=AreaPriority(), batch_size=3,
-                batch_timeout=4.0, scheduling=mode),
+                batch_timeout=4.0),
             workload, spec)
 
     def test_reprioritize_interval(self):
@@ -182,10 +198,9 @@ class TestCooperativeEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(), source_profiles(),
-                priority_fn=AreaPriority(), reprioritize_interval=15.0,
-                scheduling=mode),
+                priority_fn=AreaPriority(), reprioritize_interval=15.0),
             workload, spec)
 
 
@@ -195,8 +210,8 @@ class TestUniformEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC, topology=topology)
         assert_equivalent(
-            lambda mode: UniformAllocationPolicy(
-                cache_profile(), source_profiles(), scheduling=mode),
+            lambda: UniformAllocationPolicy(
+                cache_profile(), source_profiles()),
             workload, spec)
 
     def test_fractional_rates_cross_ticks(self):
@@ -204,9 +219,8 @@ class TestUniformEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: UniformAllocationPolicy(
-                ConstantBandwidth(3.0), source_profiles(),
-                scheduling=mode),
+            lambda: UniformAllocationPolicy(
+                ConstantBandwidth(3.0), source_profiles()),
             workload, spec)
 
 
@@ -218,16 +232,16 @@ class TestCompetitiveEquivalence:
         n = workload.num_objects
         spec = RunSpec(**SPEC)
 
-        def make(mode):
+        def make():
             policy = CompetitivePolicy(
                 cache_profile(), source_profiles(),
                 priority_fn=AreaPriority(),
                 source_weights=StaticWeights.uniform(n),
-                psi=0.25, option=option, scheduling=mode)
+                psi=0.25, option=option)
             return policy
 
-        tick, event = run_both(make, workload, spec)
-        assert tick == event
+        reference, default = run_both(make, workload, spec)
+        assert reference == default
 
     def test_four_caches(self):
         workload = fig4_workload()
@@ -236,11 +250,11 @@ class TestCompetitiveEquivalence:
                        topology=TopologyConfig(kind="sharded",
                                                num_caches=4))
         assert_equivalent(
-            lambda mode: CompetitivePolicy(
+            lambda: CompetitivePolicy(
                 cache_profile(), source_profiles(),
                 priority_fn=AreaPriority(),
                 source_weights=StaticWeights.uniform(n),
-                psi=0.25, scheduling=mode),
+                psi=0.25),
             workload, spec)
 
 
@@ -250,8 +264,8 @@ class TestCacheDrivenEquivalence:
         workload = fig4_workload(fluctuating_weights=False)
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: CGMPollingPolicy(
-                cache_profile(), variant=variant, scheduling=mode),
+            lambda: CGMPollingPolicy(
+                cache_profile(), variant=variant),
             workload, spec)
 
     def test_four_caches(self):
@@ -260,8 +274,7 @@ class TestCacheDrivenEquivalence:
                        topology=TopologyConfig(kind="sharded",
                                                num_caches=4))
         assert_equivalent(
-            lambda mode: CGMPollingPolicy(cache_profile(),
-                                          scheduling=mode),
+            lambda: CGMPollingPolicy(cache_profile()),
             workload, spec)
 
 
@@ -274,36 +287,32 @@ def trace_source_profiles():
                                 kind="diurnal")
 
 
-def make_trace_policy(name, mode):
+def make_trace_policy(name):
     """One of the five policies on fresh non-steady trace profiles."""
     cache_bw = trace_cache_profile()
     source_bws = trace_source_profiles()
     if name == "cooperative":
         return CooperativePolicy(cache_bw, source_bws,
-                                 priority_fn=AreaPriority(),
-                                 scheduling=mode)
+                                 priority_fn=AreaPriority())
     if name == "uniform":
-        return UniformAllocationPolicy(cache_bw, source_bws,
-                                       scheduling=mode)
+        return UniformAllocationPolicy(cache_bw, source_bws)
     if name == "competitive":
         return CompetitivePolicy(
             cache_bw, source_bws, priority_fn=AreaPriority(),
             source_weights=StaticWeights.uniform(
                 M_SOURCES * N_PER_SOURCE),
-            psi=0.25, scheduling=mode)
+            psi=0.25)
     if name == "cgm":
-        return CGMPollingPolicy(cache_bw, variant="cgm2",
-                                scheduling=mode)
+        return CGMPollingPolicy(cache_bw, variant="cgm2")
     return IdealCooperativePolicy(cache_bw, AreaPriority(),
-                                  source_bandwidths=source_bws,
-                                  scheduling=mode)
+                                  source_bandwidths=source_bws)
 
 
 class TestTraceProfileEquivalence:
     """Piecewise (trace) bandwidth on every link: the lazy segment-walk
-    replay must keep the event schedule bit-for-bit against the tick
-    scan for all five policies -- the tentpole exactness claim of the
-    trace fast path."""
+    replay must keep the default schedule bit-for-bit against the eager
+    reference for all five policies -- the exactness claim of the trace
+    fast path."""
 
     TRACE_TOPOLOGIES = [
         pytest.param(None, id="star"),
@@ -319,7 +328,7 @@ class TestTraceProfileEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC, topology=topology)
         assert_equivalent(
-            lambda mode: make_trace_policy(policy, mode),
+            lambda: make_trace_policy(policy),
             workload, spec)
 
     @pytest.mark.parametrize("policy", ["cooperative", "uniform"])
@@ -329,7 +338,7 @@ class TestTraceProfileEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC)
 
-        def make(mode):
+        def make():
             cache_bw = TraceBandwidth.with_outage(
                 20.0, 80.0, 110.0, horizon=HORIZON)
             source_bws = [TraceBandwidth.with_outage(
@@ -337,10 +346,8 @@ class TestTraceProfileEquivalence:
                 for _ in range(M_SOURCES)]
             if policy == "cooperative":
                 return CooperativePolicy(cache_bw, source_bws,
-                                         priority_fn=AreaPriority(),
-                                         scheduling=mode)
-            return UniformAllocationPolicy(cache_bw, source_bws,
-                                           scheduling=mode)
+                                         priority_fn=AreaPriority())
+            return UniformAllocationPolicy(cache_bw, source_bws)
 
         assert_equivalent(make, workload, spec)
 
@@ -376,9 +383,9 @@ class TestIdealEquivalence:
         workload = fig4_workload()
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: IdealCooperativePolicy(
+            lambda: IdealCooperativePolicy(
                 cache_profile(mb), AreaPriority(),
-                source_bandwidths=source_profiles(mb), scheduling=mode),
+                source_bandwidths=source_profiles(mb)),
             workload, spec)
 
     def test_four_caches(self):
@@ -387,14 +394,15 @@ class TestIdealEquivalence:
                        topology=TopologyConfig(kind="sharded",
                                                num_caches=4))
         assert_equivalent(
-            lambda mode: IdealCooperativePolicy(
+            lambda: IdealCooperativePolicy(
                 cache_profile(), AreaPriority(),
-                source_bandwidths=source_profiles(), scheduling=mode),
+                source_bandwidths=source_profiles()),
             workload, spec)
 
 
 class TestReadModelEquivalence:
-    """Replicated topologies with client read streams, tick vs event.
+    """Replicated topologies with client read streams, default vs
+    reference schedule.
 
     The read path observes per-replica store state at read times, so any
     scheduler-dependent difference in *when* a replica applies a snapshot
@@ -414,14 +422,16 @@ class TestReadModelEquivalence:
                                                num_caches=4,
                                                replication=replication))
         results = {}
-        for scheduling in ("tick", "event"):
-            policy = CooperativePolicy(
-                cache_profile(), source_profiles(),
-                priority_fn=AreaPriority(), scheduling=scheduling)
-            result, read_run = run_policy_with_reads(
-                workload, ValueDeviation(), policy, spec, reads,
-                read_policy=read_policy, track_replicas=True)
-            results[scheduling] = (
+        for schedule in ("reference", "default"):
+            with (reference_schedule() if schedule == "reference"
+                  else nullcontext()):
+                policy = CooperativePolicy(
+                    cache_profile(), source_profiles(),
+                    priority_fn=AreaPriority())
+                result, read_run = run_policy_with_reads(
+                    workload, ValueDeviation(), policy, spec, reads,
+                    read_policy=read_policy, track_replicas=True)
+            results[schedule] = (
                 result.weighted_divergence,
                 result.unweighted_divergence,
                 result.refreshes,
@@ -434,9 +444,10 @@ class TestReadModelEquivalence:
                 read_run.collector.stale_reads,
                 tuple(read_run.tracker.per_replica_average().tolist()),
             )
-        assert results["tick"] == results["event"], (
-            f"read-model metrics diverged across schedulers:\n"
-            f"  tick:  {results['tick']}\n  event: {results['event']}")
+        assert results["reference"] == results["default"], (
+            f"read-model metrics diverged across schedules:\n"
+            f"  reference: {results['reference']}\n"
+            f"  default:   {results['default']}")
 
     @pytest.mark.parametrize("replication", [2, 3])
     def test_uniform_with_read_stream(self, replication):
@@ -449,20 +460,22 @@ class TestReadModelEquivalence:
                                                num_caches=4,
                                                replication=replication))
         results = {}
-        for scheduling in ("tick", "event"):
-            policy = UniformAllocationPolicy(
-                cache_profile(), source_profiles(), scheduling=scheduling)
-            result, read_run = run_policy_with_reads(
-                workload, ValueDeviation(), policy, spec, reads,
-                read_policy=f"quorum-{replication}")
-            results[scheduling] = (
+        for schedule in ("reference", "default"):
+            with (reference_schedule() if schedule == "reference"
+                  else nullcontext()):
+                policy = UniformAllocationPolicy(
+                    cache_profile(), source_profiles())
+                result, read_run = run_policy_with_reads(
+                    workload, ValueDeviation(), policy, spec, reads,
+                    read_policy=f"quorum-{replication}")
+            results[schedule] = (
                 result.weighted_divergence,
                 result.refreshes,
                 result.reads,
                 result.read_divergence,
                 tuple(read_run.collector.replica_reads.tolist()),
             )
-        assert results["tick"] == results["event"]
+        assert results["reference"] == results["default"]
 
     def test_reads_never_perturb_the_simulation(self):
         """A read stream is measurement-only: attaching one changes no
@@ -503,28 +516,27 @@ class TestNonDyadicRates:
             rng=rng)
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 ConstantBandwidth(10.0),
                 [ConstantBandwidth(rate) for _ in range(20)],
-                priority_fn=AreaPriority(), scheduling=mode),
+                priority_fn=AreaPriority()),
             workload, spec)
 
     def test_uniform_fractional_cache_bandwidth(self):
         workload = fig4_workload()
         spec = RunSpec(**SPEC)
         assert_equivalent(
-            lambda mode: UniformAllocationPolicy(
-                ConstantBandwidth(1.1), source_profiles(),
-                scheduling=mode),
+            lambda: UniformAllocationPolicy(
+                ConstantBandwidth(1.1), source_profiles()),
             workload, spec)
 
 
 class TestFaultEquivalence:
     """Fault plans are ordinary simulator state: drops are counter-keyed
     per delivery, crashes are NETWORK-phase events, and retransmit
-    timers are scheduled at send time, so tick and event schedules must
-    stay bit-for-bit under every fault scenario -- the same exactness
-    bar as the fault-free runs."""
+    timers are scheduled at send time, so the default and reference
+    schedules must stay bit-for-bit under every fault scenario -- the
+    same exactness bar as the fault-free runs."""
 
     FAULT_TOPOLOGIES = [
         pytest.param(None, id="star"),
@@ -545,9 +557,9 @@ class TestFaultEquivalence:
         plan = fault_scenario(scenario, 50.0, 150.0)
         spec = RunSpec(**SPEC, topology=topology, faults=plan)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(), source_profiles(),
-                priority_fn=AreaPriority(), scheduling=mode),
+                priority_fn=AreaPriority()),
             workload, spec)
 
     def test_uniform_under_loss_and_crash(self):
@@ -559,8 +571,8 @@ class TestFaultEquivalence:
             crashes=(CacheCrash(90.0, cache_id=0),))
         spec = RunSpec(**SPEC, faults=plan)
         assert_equivalent(
-            lambda mode: UniformAllocationPolicy(
-                cache_profile(), source_profiles(), scheduling=mode),
+            lambda: UniformAllocationPolicy(
+                cache_profile(), source_profiles()),
             workload, spec)
 
     @pytest.mark.parametrize("topology", FAULT_TOPOLOGIES)
@@ -572,22 +584,21 @@ class TestFaultEquivalence:
                        retry=RetryPolicy(timeout=6.0, backoff=2.0,
                                          max_attempts=3))
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(), source_profiles(),
-                priority_fn=AreaPriority(), scheduling=mode),
+                priority_fn=AreaPriority()),
             workload, spec)
 
     def test_feedback_ttl_through_blackout(self):
-        """The TTL decay deadline must fire identically in both modes
-        (the event scheduler arms an explicit wakeup for it)."""
+        """The TTL decay deadline must fire identically on both schedules
+        (the default one arms an explicit wakeup for it)."""
         workload = fig4_workload()
         plan = fault_scenario("feedback-blackout", 50.0, 150.0)
         spec = RunSpec(**SPEC, faults=plan)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 cache_profile(), source_profiles(),
-                priority_fn=AreaPriority(), feedback_ttl=25.0,
-                scheduling=mode),
+                priority_fn=AreaPriority(), feedback_ttl=25.0),
             workload, spec)
 
 
@@ -601,8 +612,123 @@ class TestSparseRegime:
             rng=rng, rate_range=(0.002, 0.002))
         spec = RunSpec(warmup=50.0, measure=250.0)
         assert_equivalent(
-            lambda mode: CooperativePolicy(
+            lambda: CooperativePolicy(
                 ConstantBandwidth(4.0),
                 [ConstantBandwidth(1.0) for _ in range(50)],
-                priority_fn=AreaPriority(), scheduling=mode),
+                priority_fn=AreaPriority()),
             workload, spec)
+
+
+class TestReferenceSchedule:
+    """The oracle really switches the run onto the literal schedule, and
+    restores the package on exit."""
+
+    def test_patches_apply_and_restore(self):
+        workload = fig4_workload()
+        spec = RunSpec(**SPEC)
+
+        def run():
+            policy = CooperativePolicy(cache_profile(), source_profiles(),
+                                       priority_fn=AreaPriority())
+            run_policy(workload, ValueDeviation(), policy, spec)
+            return policy
+
+        with reference_schedule():
+            reference = run()
+        default = run()
+        assert not reference._event_driven
+        assert not any(link.lazy for link in reference.topology.source_links)
+        assert default._event_driven
+        assert all(link.lazy for link in default.topology.source_links)
+
+
+# ----------------------------------------------------------------------
+# Features combined: drawn tiny scenarios, default vs reference
+# ----------------------------------------------------------------------
+TINY = dict(num_sources=4, objects_per_source=2)
+WARMUP, MEASURE = 20.0, 60.0
+COMBINED_TOPOLOGIES = {
+    "star": None,
+    "sharded-2": TopologyConfig(kind="sharded", num_caches=2),
+    "replicated-2": TopologyConfig(kind="replicated", num_caches=2,
+                                   replication=2),
+    "replicated-2-multicast": TopologyConfig(
+        kind="replicated", num_caches=2, replication=2,
+        delivery="multicast"),
+}
+#: policies that take the feedback-TTL and rebalance knobs
+THRESHOLD_POLICIES = ("cooperative", "competitive")
+#: policies with per-cache stores a read stream can be served from
+STORE_POLICIES = ("cooperative", "uniform", "competitive")
+
+
+@st.composite
+def scenarios(draw):
+    # A quarter of the draws rebalance: a threshold policy on sharded-2
+    # under a moving hotspot with enough bandwidth for a cold cache to
+    # absorb migrated shards (scarcer links saturate both caches).
+    rebalance = draw(st.integers(0, 3)) == 0
+    if rebalance:
+        policy = draw(st.sampled_from(THRESHOLD_POLICIES))
+        topology = "sharded-2"
+        builder = moving_hotspot
+        cache_bandwidth = draw(st.sampled_from([3.0, 6.0]))
+    else:
+        policy = draw(st.sampled_from(POLICIES))
+        topology = draw(st.sampled_from(sorted(COMBINED_TOPOLOGIES)))
+        builder = draw(st.sampled_from([uniform_random_walk,
+                                        moving_hotspot]))
+        cache_bandwidth = draw(st.sampled_from([1.5, 3.0, 6.0]))
+    ttl = (draw(st.sampled_from([None, 15.0]))
+           if policy in THRESHOLD_POLICIES else None)
+    read_policy = (draw(st.sampled_from([None, "any", "quorum-2",
+                                         "freshest"]))
+                   if policy in STORE_POLICIES else None)
+    # A 2-replica quorum needs two replicas to draw from.
+    assume(read_policy != "quorum-2" or topology.startswith("replicated"))
+    seed = draw(st.integers(0, 3))
+    kwargs = dict(rate_range=(0.05, 0.4))
+    if builder is moving_hotspot:
+        kwargs.update(num_phases=2, hot_boost=6.0)
+    policy_kwargs = []
+    if ttl is not None:
+        policy_kwargs.append(("feedback_ttl", ttl))
+    if rebalance:
+        policy_kwargs.append(("rebalance", RebalanceConfig(
+            interval=10.0, max_moves=2, saturation_queue=1)))
+    return Scenario(
+        workload=WorkloadSpec.make(builder, seed,
+                                   horizon=WARMUP + MEASURE, **TINY,
+                                   **kwargs),
+        policy=policy,
+        cache_bandwidth=cache_bandwidth,
+        source_bandwidth=draw(st.sampled_from([0.7, 1.5])),
+        warmup=WARMUP, measure=MEASURE, seed=seed,
+        policy_kwargs=tuple(policy_kwargs),
+        bandwidth=draw(st.sampled_from(("constant",) + SCENARIOS)),
+        topology=COMBINED_TOPOLOGIES[topology],
+        faults=fault_scenario(draw(st.sampled_from(FAULT_SCENARIOS)),
+                              WARMUP, MEASURE, seed=seed),
+        retry=draw(st.sampled_from([None, RetryPolicy(timeout=4.0)])),
+        read_policy=read_policy,
+        read_rate=0.5 if read_policy is not None else 0.0)
+
+
+class TestFeatureCombinations:
+    """Policy x topology x bandwidth condition x fault scenario x retry x
+    feedback TTL x rebalancing x read stream, drawn as tiny
+    :class:`~repro.experiments.matrix.Scenario`\\ s: every field of the
+    default run's record must equal the reference schedule's."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=scenarios())
+    def test_default_matches_reference(self, scenario):
+        with reference_schedule():
+            reference = run_scenario(scenario)
+        default = run_scenario(scenario)
+        # repr: a NaN field (no reads measured) must still compare equal
+        assert repr(default) == repr(reference)
+        for feature in ("dropped", "retransmitted", "migrations", "reads"):
+            if default.get(feature):
+                event(f"{feature} > 0")

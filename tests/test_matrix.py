@@ -483,6 +483,9 @@ BAD_CONFIGURATION = [
       "replication=5"], "replication must be in [1, 4]"),
     (["multicache", "cache-rates=4,0"], "cache_rates must be > 0"),
     (["readmodel", "replication=0"], "replication must be >= 1"),
+    (["rebalance", "phases=0"], "num_phases must be >= 1"),
+    (["multicache", "hot-fraction=2"], "hot_fraction must be in [0, 1]"),
+    (["multicache", "hot-boost=0.5"], "hot_boost must be >= 1"),
 ]
 
 

@@ -79,7 +79,6 @@ class TestRunNetCondScale:
                                    measure=60.0, num_breakpoints=16)
         assert [p.bandwidth for p in points] == ["steady", "diurnal-16"]
         for point in points:
-            assert point.scheduling == "event"
             assert point.num_sources == 64
             assert point.wall_seconds > 0.0
         # Both arms replay the identical workload.

@@ -175,8 +175,7 @@ class TestSweepDeterminism:
                 == self.matrix_rows("multicache", settings))
 
     def test_scale_parallel_matches_serial(self):
-        kwargs = dict(sources=(50, 100), warmup=50.0, measure=150.0,
-                      replays=("batched", "event"))
+        kwargs = dict(sources=(50, 100), warmup=50.0, measure=150.0)
         parallel = run_scale(workers=4, **kwargs)
         serial = run_scale(**kwargs)
         strip = lambda p: dataclasses.replace(p, wall_seconds=0.0,
@@ -189,4 +188,3 @@ class TestSweepDeterminism:
         assert len(points) == 1
         assert points[0].topology == "sharded-2"
         assert points[0].workers == 2
-        assert points[0].scheduling == "event"

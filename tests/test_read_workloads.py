@@ -2,12 +2,14 @@
 
 Mirrors ``tests/test_vectorized_workloads.py`` for the read side:
 
-* **unit**: both generators produce valid, sorted read traces with the
-  right marginal distributions (exponential inter-read gaps);
-* **rng-order pins**: the legacy path consumes the rng exactly like one
-  ``poisson_times`` call per object, and the vectorized path exactly like
-  one ``poisson_times_batch`` call -- so neither can drift silently;
-* **snapshot**: seed-pinned constants for both generators and for the
+* **unit**: the batched generator and the per-object reference loop of
+  ``tests/oracles.py`` produce valid, sorted read traces with the right
+  marginal distributions (exponential inter-read gaps);
+* **rng-order pins**: the generator consumes the rng exactly like one
+  ``poisson_times_batch`` call, and for a single object exactly like the
+  reference loop's one ``poisson_times`` call -- so neither can drift
+  silently;
+* **snapshot**: seed-pinned constants for both samplers and for the
   merged update+read stream (updates strictly before reads at equal
   timestamps, the phase order the simulator realizes).
 """
@@ -22,12 +24,10 @@ from repro.workloads.read_process import (
     uniform_reads,
 )
 from repro.workloads.synthetic import uniform_random_walk
-from repro.workloads.update_process import (
-    merge_event_streams,
-    poisson_times,
-    poisson_times_batch,
-)
+from repro.workloads.update_process import poisson_times_batch
 from repro.sim.engine import Simulator
+
+from oracles import per_object_reads, poisson_times
 
 
 class TestReadTrace:
@@ -50,24 +50,29 @@ class TestReadTrace:
             uniform_reads(2, 10.0, np.random.default_rng(0), read_rate=-1.0)
 
     def test_unknown_generator_rejected(self):
-        with pytest.raises(ValueError, match="unknown generator"):
+        """One generator: the retired ``generator=`` keyword is an error,
+        not a silently ignored option."""
+        with pytest.raises(TypeError, match="generator"):
             uniform_reads(2, 10.0, np.random.default_rng(0),
                           generator="turbo")
 
 
 class TestGeneratorRngOrder:
-    """The two sampling paths consume the rng exactly as documented."""
+    """The sampling paths consume the rng exactly as documented."""
 
     def test_legacy_matches_per_object_poisson_times(self):
+        """One object: the batched generator and the per-object reference
+        loop draw the same stream bit for bit."""
         rng = np.random.default_rng(3)
-        trace = uniform_reads(4, 50.0, rng, read_rate=0.6,
-                              generator="legacy")
+        trace = uniform_reads(1, 50.0, rng, read_rate=0.6)
         rng = np.random.default_rng(3)
-        times, indices = merge_event_streams([
-            poisson_times(0.6, 50.0, rng) for _ in range(4)
-        ])
+        times = poisson_times(0.6, 50.0, rng)
         assert np.array_equal(trace.times, times)
-        assert np.array_equal(trace.object_indices, indices)
+        assert np.array_equal(trace.object_indices,
+                              np.zeros(len(times), dtype=np.int64))
+        rng = np.random.default_rng(3)
+        reference = per_object_reads(1, 50.0, rng, read_rate=0.6)
+        assert np.array_equal(reference.times, times)
 
     def test_vectorized_matches_batched_sampler(self):
         rng = np.random.default_rng(3)
@@ -79,11 +84,10 @@ class TestGeneratorRngOrder:
         assert np.array_equal(trace.object_indices, owners[order])
 
     def test_generators_statistically_compatible(self):
+        """Many objects: different rng order, same distribution."""
         make = dict(num_objects=30, horizon=100.0, read_rate=0.5)
-        legacy = uniform_reads(rng=np.random.default_rng(0),
-                               generator="legacy", **make)
-        vectorized = uniform_reads(rng=np.random.default_rng(0),
-                                   generator="vectorized", **make)
+        legacy = per_object_reads(rng=np.random.default_rng(0), **make)
+        vectorized = uniform_reads(rng=np.random.default_rng(0), **make)
         assert not np.array_equal(legacy.times, vectorized.times)
         assert len(vectorized) == pytest.approx(len(legacy), rel=0.15)
 
@@ -104,8 +108,10 @@ class TestInterReadGaps:
     @pytest.mark.parametrize("generator", ["vectorized", "legacy"])
     def test_gap_moments(self, generator):
         rate = 0.5
-        trace = uniform_reads(200, 400.0, np.random.default_rng(5),
-                              read_rate=rate, generator=generator)
+        sample = uniform_reads if generator == "vectorized" \
+            else per_object_reads
+        trace = sample(200, 400.0, np.random.default_rng(5),
+                       read_rate=rate)
         gaps = []
         for i in range(200):
             own = trace.times[trace.object_indices == i]
@@ -126,7 +132,7 @@ class TestInterReadGaps:
 
 
 class TestSnapshots:
-    """Seed-pinned rng-consumption regressions for both generators."""
+    """Seed-pinned rng-consumption regressions for both samplers."""
 
     def test_vectorized_snapshot(self):
         rng = np.random.default_rng(42)
@@ -140,9 +146,9 @@ class TestSnapshots:
             2145.485122691677, abs=1e-6)
 
     def test_legacy_snapshot(self):
+        """The per-object reference loop of tests/oracles.py."""
         rng = np.random.default_rng(42)
-        trace = uniform_reads(6, 30.0, rng, read_rate=0.8,
-                              generator="legacy")
+        trace = per_object_reads(6, 30.0, rng, read_rate=0.8)
         assert len(trace) == 145
         assert trace.object_indices[:8].tolist() == [1, 5, 2, 2, 4, 0, 2, 0]
         assert float(trace.times.sum()) == pytest.approx(

@@ -490,8 +490,8 @@ class TestMovingHotspot:
             moving_hotspot(4, 2, 10.0, rng, hot_fraction=1.5)
         with pytest.raises(ValueError):
             moving_hotspot(4, 2, 10.0, rng, hot_boost=0.5)
-        with pytest.raises(ValueError):
-            moving_hotspot(4, 2, 10.0, rng, generator="nope")
+        with pytest.raises(TypeError):
+            moving_hotspot(4, 2, 10.0, rng, generator="legacy")
 
     def test_heat_moves_between_phases(self):
         workload = moving_hotspot(8, 4, horizon=400.0,
@@ -521,11 +521,17 @@ class TestMovingHotspot:
         np.testing.assert_allclose(workload.rates, 0.3)
 
     def test_legacy_generator_same_shape(self):
+        """Per-phase draws regrouped object-major still give one sorted
+        trace with every object's events inside the horizon."""
         workload = moving_hotspot(4, 2, horizon=60.0,
                                   rng=np.random.default_rng(3),
-                                  num_phases=2, generator="legacy")
+                                  num_phases=2)
         assert workload.num_objects == 8
-        assert (np.diff(workload.trace.times) >= 0).all()
+        trace = workload.trace
+        assert (np.diff(trace.times) >= 0).all()
+        assert ((trace.times >= 0.0) & (trace.times < 60.0)).all()
+        same_time = np.diff(trace.times) == 0
+        assert (np.diff(trace.object_indices)[same_time] > 0).all()
 
 
 # ----------------------------------------------------------------------

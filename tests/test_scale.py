@@ -1,15 +1,28 @@
 """Tests for the E9 scale experiment (shape-preserving tiny sizes)."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 
 from repro.experiments.scale import (
-    check_equivalence,
-    generation_speedup,
+    ScalePoint,
     render_scale,
     run_scale,
     sparse_workload,
-    speedups,
 )
+
+from oracles import reference_schedule
+
+_CHECKER = Path(__file__).resolve().parents[1] / "benchmarks" \
+    / "check_scale_regression.py"
+_spec = importlib.util.spec_from_file_location("check_scale_regression",
+                                               _CHECKER)
+check_scale_regression = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_scale_regression)
+compare = check_scale_regression.compare
+point_key = check_scale_regression.point_key
 
 
 class TestSparseWorkload:
@@ -27,61 +40,94 @@ class TestSparseWorkload:
         assert len(workload.trace) < 60
 
 
+def outcome(point):
+    return (point.weighted_divergence, point.refreshes,
+            point.feedback_messages)
+
+
 class TestRunScale:
     def test_tick_and_event_points_agree(self):
-        points = run_scale(sources=(20,), warmup=10.0, measure=60.0)
-        assert {p.scheduling for p in points} == {"tick", "event"}
-        assert check_equivalence(points)
-        assert all(p.wall_seconds > 0 for p in points)
+        """The sweep's point equals the reference tick-scan schedule's."""
+        (point,) = run_scale(sources=(20,), warmup=10.0, measure=60.0)
+        with reference_schedule():
+            (reference,) = run_scale(sources=(20,), warmup=10.0,
+                                     measure=60.0)
+        assert outcome(point) == outcome(reference)
+        assert point.wall_seconds > 0
 
     def test_tick_baseline_skipped_above_cap(self):
-        points = run_scale(sources=(30,), warmup=10.0, measure=40.0,
-                           max_tick_sources=10)
-        assert [p.scheduling for p in points] == ["event"]
+        """One point per source count: no tick-scan baseline at any m."""
+        points = run_scale(sources=(30, 15), warmup=10.0, measure=40.0)
+        assert [p.num_sources for p in points] == [30, 15]
+        assert all(p.topology == "star" and p.workers == 1
+                   for p in points)
 
-    def test_speedups_pairs_by_source_count(self):
-        points = run_scale(sources=(15,), warmup=10.0, measure=40.0)
-        ratio = speedups(points)
-        assert set(ratio) == {15}
-        assert ratio[15] > 0
-
-    def test_render_mentions_equivalence(self):
-        points = run_scale(sources=(15,), warmup=10.0, measure=40.0)
+    def test_render_lists_every_point(self):
+        points = run_scale(sources=(15, 25), warmup=10.0, measure=40.0)
         text = render_scale(points, "tiny sweep")
         assert "tiny sweep" in text
-        assert "bit-for-bit" in text
-
-
-class TestCheckEquivalence:
-    def test_detects_divergence(self):
-        points = run_scale(sources=(15,), warmup=10.0, measure=40.0)
-        points[0].refreshes += 1
-        assert not check_equivalence(points)
+        assert "gen s" in text and "divergence" in text
+        assert "scheduler" not in text and "replay" not in text
+        rows = [line.split()[0] for line in text.splitlines()]
+        assert "15" in rows and "25" in rows
 
 
 class TestGenerators:
     def test_points_carry_generation_metadata(self):
         points = run_scale(sources=(15,), warmup=10.0, measure=40.0)
-        assert all(p.generator == "vectorized" for p in points)
         assert all(p.gen_seconds >= 0 for p in points)
 
-    def test_legacy_generator_runs(self):
-        points = run_scale(sources=(15,), warmup=10.0, measure=40.0,
-                           generator="legacy")
-        assert check_equivalence(points)
-        assert all(p.generator == "legacy" for p in points)
 
-    def test_same_divergence_shape_across_generators(self):
-        """Different rng consumption order, same model: both generators
-        produce a run with refreshes and finite divergence."""
-        for generator in ("vectorized", "legacy"):
-            points = run_scale(sources=(25,), warmup=10.0, measure=60.0,
-                               generator=generator)
-            assert all(p.refreshes > 0 for p in points)
+# ----------------------------------------------------------------------
+# The perf-regression gate across the retirement of the twin paths
+# ----------------------------------------------------------------------
+def old_point(wall, **fields):
+    """A baseline point as BENCH_scale.json recorded it before the
+    scheduler, replay and generator fields were retired."""
+    return {"num_sources": 100000, "scheduling": "event",
+            "wall_seconds": wall, "weighted_divergence": 0.49,
+            "refreshes": 4792, "feedback_messages": 8,
+            "gen_seconds": 0.05, "generator": "vectorized",
+            "replay": "batched", "workers": 1, "topology": "star",
+            **fields}
 
-    def test_generation_speedup_reports_both_paths(self):
-        report = generation_speedup(200, 50.0)
-        assert report["num_sources"] == 200
-        assert report["vectorized_seconds"] > 0
-        assert report["legacy_seconds"] > 0
-        assert report["speedup"] > 0
+
+def new_point(wall):
+    """The same point as the current ScalePoint serializes it."""
+    point = ScalePoint(num_sources=100000, wall_seconds=wall,
+                       weighted_divergence=0.49, refreshes=4792,
+                       feedback_messages=8, gen_seconds=0.05)
+    return json.loads(json.dumps(point.__dict__))
+
+
+class TestRegressionCheck:
+    BASELINE = {"points": [old_point(3.3, replay="event"),
+                           old_point(2.7),
+                           old_point(0.4, num_sources=1000,
+                                     scheduling="tick")]}
+
+    def verdicts(self, wall):
+        lines = compare(self.BASELINE, {"points": [new_point(wall)]}, 0.2)
+        return {line.split()[0] for line in lines}, lines
+
+    def test_old_baseline_matches_the_batched_point(self):
+        assert point_key(new_point(2.7)) == point_key(old_point(2.7))
+        assert point_key(new_point(2.7)) != point_key(
+            old_point(3.3, replay="event"))
+
+    def test_slower_by_a_quarter_fails(self):
+        verdicts, lines = self.verdicts(2.75 * 1.25 - 0.05)
+        assert "FAIL" in verdicts, lines
+        assert not verdicts & {"NEW", "GONE"}, lines
+
+    def test_slower_by_a_tenth_passes(self):
+        verdicts, lines = self.verdicts(2.75 * 1.1 - 0.05)
+        assert "ok" in verdicts and "FAIL" not in verdicts, lines
+        assert not verdicts & {"NEW", "GONE"}, lines
+
+    def test_retired_points_are_reported_not_compared(self):
+        _, lines = self.verdicts(2.7)
+        retired = [line for line in lines if line.startswith("RETIRED")]
+        assert len(retired) == 2
+        assert any("'tick'" in line for line in retired)
+        assert any("'event', 1," in line for line in retired)

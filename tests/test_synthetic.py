@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.weights import SineWeights, StaticWeights
-from repro.workloads.random_walk import random_walk_values
 from repro.workloads.synthetic import (
     Workload,
     skewed_validation,
     uniform_random_walk,
 )
 
+from oracles import random_walk_values
+
 
 class TestRandomWalkValues:
+    """The per-object reference walk of tests/oracles.py."""
+
     def test_length(self):
         rng = np.random.default_rng(0)
         assert len(random_walk_values(10, rng)) == 10

@@ -11,6 +11,8 @@ from repro.network.messages import (
 )
 from repro.network.topology import StarTopology
 
+from oracles import reference_schedule
+
 
 def make_topology(cache_rate=10.0, source_rates=(2.0, 2.0)):
     return StarTopology(ConstantBandwidth(cache_rate),
@@ -235,12 +237,17 @@ class TestActiveLinkSet:
         assert topo.active_link_count == 2
 
     def test_set_lazy_links_false_restores_eager_schedule(self):
-        topo = StarTopology(ConstantBandwidth(10.0),
-                            [ConstantBandwidth(1.0)] * 3)
-        topo.set_lazy_links(False)
+        """The reference schedule of tests/oracles.py refills every
+        source link eagerly; the default one leaves steady links lazy."""
+        with reference_schedule(scan=False, per_event=False):
+            topo = StarTopology(ConstantBandwidth(10.0),
+                                [ConstantBandwidth(1.0)] * 3)
         assert topo.active_link_count == 4
         topo.on_network_tick(1.0)
         assert all(link.tick_capacity == 1.0 for link in topo.source_links)
+        lazy = StarTopology(ConstantBandwidth(10.0),
+                            [ConstantBandwidth(1.0)] * 3)
+        assert lazy.active_link_count == 1
 
     def test_lazy_link_synced_before_capacity_check(self):
         """source_at_capacity on an untouched lazy link must see the

@@ -1,13 +1,14 @@
-"""Tests for update-arrival processes."""
+"""Tests for the per-object reference samplers of tests/oracles.py.
+
+The batched samplers of ``repro.workloads.update_process`` are pinned
+against these loops (``tests/test_vectorized_workloads.py``), so the
+loops themselves must be right.
+"""
 
 import numpy as np
 import pytest
 
-from repro.workloads.update_process import (
-    bernoulli_tick_times,
-    merge_event_streams,
-    poisson_times,
-)
+from oracles import bernoulli_tick_times, merge_event_streams, poisson_times
 
 
 class TestPoissonTimes:

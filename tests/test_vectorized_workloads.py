@@ -7,11 +7,10 @@ Three layers of guarantees:
   random-walk cumsum is a genuine +-step walk per object;
 * **snapshot**: seed-pinned regressions of the vectorized path, so the
   rng consumption order of the new generators cannot drift silently;
-* **legacy bit-for-bit**: ``generator="legacy"`` reproduces the exact
-  fig4 / fig5 / multicache numbers the pre-vectorization code produced
-  (values captured from the seed of this PR), proving both that the
-  legacy sampling path is untouched and that the batched message fast
-  path changed no simulation outcome.
+* **pinned experiments**: the exact fig4 / fig5 / multicache numbers,
+  and agreement with the per-object reference loops of
+  ``tests/oracles.py`` -- bit for bit where the rng consumption
+  coincides (one object), statistically where it does not.
 """
 
 import numpy as np
@@ -24,12 +23,9 @@ from repro.experiments.matrix import make_policy
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
-from repro.workloads.random_walk import (
-    random_walk_values,
-    random_walk_values_batch,
-)
+import repro.workloads
+from repro.workloads.random_walk import random_walk_values_batch
 from repro.workloads.synthetic import (
-    GENERATORS,
     skewed_validation,
     uniform_random_walk,
 )
@@ -37,6 +33,13 @@ from repro.workloads.hotspot import hotspot_shards
 from repro.workloads.update_process import (
     bernoulli_tick_times_batch,
     poisson_times_batch,
+)
+
+from oracles import (
+    bernoulli_tick_times,
+    per_object_trace,
+    poisson_times,
+    random_walk_values,
 )
 
 
@@ -74,6 +77,24 @@ class TestPoissonBatch:
             poisson_times_batch(np.array([-0.1]), 10.0,
                                 np.random.default_rng(0))
 
+    def test_interarrivals_exponential(self):
+        """Mean and CV of interarrival gaps must match Exp(lambda)."""
+        rng = np.random.default_rng(3)
+        rate = 2.0
+        times, _ = poisson_times_batch(np.array([rate]), 50_000.0, rng)
+        gaps = np.diff(times)
+        assert gaps.mean() == pytest.approx(1.0 / rate, rel=0.05)
+        assert gaps.std() / gaps.mean() == pytest.approx(1.0, rel=0.05)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_object_matches_scalar_loop(self, seed):
+        """One object: the batched draw is the per-object loop's draw."""
+        times, owners = poisson_times_batch(
+            np.array([0.6]), 50.0, np.random.default_rng(seed))
+        expected = poisson_times(0.6, 50.0, np.random.default_rng(seed))
+        assert np.array_equal(times, expected)
+        assert (owners == 0).all()
+
 
 class TestBernoulliBatch:
     def test_ticks_and_certain_updates(self):
@@ -83,6 +104,16 @@ class TestBernoulliBatch:
         certain = times[owners == 0]
         assert np.array_equal(certain, np.arange(1.0, 11.0))
         assert (owners != 1).all()
+        # Custom tick spacing: every success lands on a multiple of dt.
+        times, owners = bernoulli_tick_times_batch(probs, 10.0, rng, dt=2.5)
+        assert times[owners == 0].tolist() == [2.5, 5.0, 7.5, 10.0]
+        half = times[owners == 2] / 2.5
+        np.testing.assert_array_equal(half, np.round(half))
+        # No whole tick before the horizon: no trials at all.
+        for horizon, dt in ((0.0, 1.0), (2.0, 2.5)):
+            times, owners = bernoulli_tick_times_batch(probs, horizon, rng,
+                                                       dt=dt)
+            assert len(times) == 0 and len(owners) == 0
 
     def test_counts_match_binomial_moments(self):
         rng = np.random.default_rng(2)
@@ -108,6 +139,16 @@ class TestBernoulliBatch:
         with pytest.raises(ValueError):
             bernoulli_tick_times_batch(np.array([1.5]), 10.0,
                                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dt", [1.0, 2.5])
+    def test_single_object_matches_scalar_loop(self, dt):
+        """One object with 0 < p < 1: the batched trials are the
+        per-object loop's trials."""
+        times, _ = bernoulli_tick_times_batch(
+            np.array([0.3]), 50.0, np.random.default_rng(4), dt=dt)
+        expected = bernoulli_tick_times(0.3, 50.0,
+                                        np.random.default_rng(4), dt=dt)
+        assert np.array_equal(times, expected)
 
 
 class TestRandomWalkBatch:
@@ -143,8 +184,8 @@ class TestRandomWalkBatch:
         assert len(out) == 0
 
     def test_per_object_generator_unchanged(self):
-        """The legacy per-object sampler still consumes the rng as before
-        (one choice call of the walk's length)."""
+        """The per-object reference walk consumes the rng as one choice
+        call of the walk's length, like one segment of the batch."""
         rng = np.random.default_rng(6)
         walk = random_walk_values(5, rng, initial=1.0)
         rng = np.random.default_rng(6)
@@ -204,10 +245,12 @@ class TestVectorizedSnapshots:
         assert hot.num_objects == 16
 
     def test_unknown_generator_rejected(self):
+        """One generator: the retired ``generator=`` keyword is an error,
+        not a silently ignored option."""
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="unknown generator"):
+        with pytest.raises(TypeError, match="generator"):
             uniform_random_walk(2, 2, 10.0, rng, generator="turbo")
-        assert GENERATORS == ("vectorized", "legacy")
+        assert not hasattr(repro.workloads, "GENERATORS")
 
     def test_owner_array_matches_source_of(self):
         rng = np.random.default_rng(0)
@@ -218,29 +261,22 @@ class TestVectorizedSnapshots:
 
 
 class TestLegacyBitForBit:
-    """``generator="legacy"`` reproduces the pre-PR experiment numbers.
+    """Pinned fig4 / fig5 / multicache numbers.
 
-    The fig5 and multicache constants below were captured from the repo
-    state *before* the vectorized pipeline and the batched message fast
-    path landed; an exact match proves both changes preserved every
-    simulated outcome on the legacy sampling path.  (fig5's buoy trace
-    generation was already epoch-vectorized and is shared by both
-    generators.)
-
-    fig4 is the one pinned experiment that integrates *fluctuating*
-    weights through the collector's resample cadence, so its values moved
-    (4th decimal) when the resample weight-evaluation fix landed in this
-    same PR -- resample now weighs each closed piece at its start, as
-    ``record`` always did, instead of at its end.  Its pins are therefore
-    captured with that fix in place and lock the legacy sampling path
-    against any future drift.
+    The fig5 constants were captured before the vectorized pipeline and
+    the batched message fast path landed (fig5's buoy trace generation
+    was already epoch-vectorized).  The fig4 and multicache constants
+    once pinned the per-object "legacy" sampling path; when that path
+    was deleted they were re-captured, repr-exact, from the same calls
+    on the vectorized sampler of the commit that still had both, so the
+    deletion provably changed no simulated outcome of the one path left.
     """
 
     FIG4_PINS = [
-        ("deviation", 0.0, 0.3144738581612014, 0.6803004358256883),
-        ("lag", 0.0, 0.5736458367179945, 1.7788174569487216),
-        ("deviation", 0.25, 0.41431139134266043, 0.9487451378471574),
-        ("lag", 0.25, 0.9198072824807815, 1.9552235494307562),
+        ("deviation", 0.0, 0.5147302464542121, 1.0355687286585165),
+        ("lag", 0.0, 0.7836545675879729, 2.203696188157975),
+        ("deviation", 0.25, 0.7510256547599358, 1.3325658245288594),
+        ("lag", 0.25, 1.2880814123637274, 4.1624851233644184),
     ]
 
     FIG5_PINS = [
@@ -249,8 +285,8 @@ class TestLegacyBitForBit:
     ]
 
     MULTICACHE_PINS = [
-        (0.5609463123684587, 0.7476762284859844, 2291, 2400),
-        (0.6986720745360918, 0.7476762284859844, 2290, 2400),
+        (0.5761087442800995, 0.7334185839760353, 2292, 2400),
+        (0.6695494300542557, 0.7334185839760353, 2293, 2400),
     ]
 
     def test_fig4_legacy_pinned(self):
@@ -259,8 +295,7 @@ class TestLegacyBitForBit:
                             cache_bandwidths=(2.0,),
                             change_rates=(0.0, 0.25),
                             metrics=("deviation", "lag"),
-                            warmup=20.0, measure=80.0, seed=0,
-                            generator="legacy")
+                            warmup=20.0, measure=80.0, seed=0)
         points = run_fig4(config)
         got = [(p.metric, p.change_rate, p.ideal_divergence,
                 p.actual_divergence) for p in points]
@@ -273,11 +308,10 @@ class TestLegacyBitForBit:
         assert got == self.FIG5_PINS
 
     def test_multicache_legacy_pinned(self):
-        """Cooperative vs uniform on the legacy hot-shard workload, star
-        and sharded-2 (the multicache experiment's cells)."""
+        """Cooperative vs uniform on the hot-shard workload, star and
+        sharded-2 (the multicache experiment's cells)."""
         workload = hotspot_shards(8, 4, horizon=200.0,
-                                  rng=np.random.default_rng(0),
-                                  generator="legacy")
+                                  rng=np.random.default_rng(0))
         got = []
         for topology in (TopologyConfig(),
                          TopologyConfig(kind="sharded", num_caches=2)):
@@ -295,15 +329,17 @@ class TestLegacyBitForBit:
         assert got == self.MULTICACHE_PINS
 
     def test_legacy_and_vectorized_statistically_compatible(self):
-        """Same seed, different generators: different traces, same
-        workload shape and closely matching aggregate event counts."""
-        make = dict(num_sources=20, objects_per_source=2, horizon=200.0)
-        legacy = uniform_random_walk(
-            rng=np.random.default_rng(0), generator="legacy", **make)
+        """Same seed, batched builder vs the per-object reference loop:
+        different traces, same rates and closely matching aggregate
+        event counts."""
         vectorized = uniform_random_walk(
-            rng=np.random.default_rng(0), generator="vectorized", **make)
-        assert np.array_equal(legacy.rates, vectorized.rates)
-        assert not np.array_equal(legacy.trace.times,
-                                  vectorized.trace.times)
-        assert len(vectorized.trace) == pytest.approx(len(legacy.trace),
+            num_sources=20, objects_per_source=2, horizon=200.0,
+            rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        rates = rng.uniform(0.0, 1.0, size=40)
+        legacy = per_object_trace(
+            [poisson_times(rate, 200.0, rng) for rate in rates], rng, 40)
+        assert np.array_equal(rates, vectorized.rates)
+        assert not np.array_equal(legacy.times, vectorized.trace.times)
+        assert len(vectorized.trace) == pytest.approx(len(legacy),
                                                       rel=0.15)
