@@ -18,7 +18,7 @@ from conftest import run_once
 
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import RefreshMessage
-from repro.network.topology import StarTopology
+from repro.network.topology import Topology
 
 #: Max refactored / hand-inlined wall-clock ratio for unicast sends.
 PLANE_OVERHEAD_LIMIT = 1.1
@@ -27,8 +27,8 @@ _SENDS = 40_000
 
 def _make_star():
     """A star whose links never run dry over the benchmark window."""
-    topology = StarTopology(ConstantBandwidth(1e9),
-                            [ConstantBandwidth(1e9)])
+    topology = Topology([ConstantBandwidth(1e9)],
+                        [ConstantBandwidth(1e9)])
     topology.set_cache_receiver(lambda message: None)
     topology.on_network_tick(1.0)
     return topology
@@ -69,7 +69,7 @@ def _send_inlined(topology, count):
         source_link.total_delivered += 1
         if topology._reliable is not None:
             topology._reliable.on_send(message)
-        topology.cache_link.transmit_or_queue(message)
+        topology.cache_links[0].transmit_or_queue(message)
 
 
 def test_unicast_plane_overhead(benchmark):
@@ -87,12 +87,12 @@ def test_unicast_plane_overhead(benchmark):
             start = time.perf_counter()
             _send_via_plane(topology, _SENDS)
             walls_plane.append(time.perf_counter() - start)
-            sent.append(topology.cache_link.total_sent)
+            sent.append(topology.cache_links[0].total_sent)
             topology = _make_star()
             start = time.perf_counter()
             _send_inlined(topology, _SENDS)
             walls_inline.append(time.perf_counter() - start)
-            sent.append(topology.cache_link.total_sent)
+            sent.append(topology.cache_links[0].total_sent)
         return min(walls_plane), min(walls_inline), sent
 
     wall_plane, wall_inline, sent = run_once(benchmark, both)

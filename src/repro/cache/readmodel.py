@@ -1,8 +1,8 @@
 """Replicated read model: which replica answers a client read.
 
 The paper's divergence metric is time-averaged over *the* cache copy.  With
-a replicated :class:`~repro.network.topology.MultiCacheTopology` there is no
-single copy any more: each replica's :class:`~repro.cache.store.CacheStore`
+a replicated :class:`~repro.network.topology.Topology` there is no single
+copy any more: each replica's :class:`~repro.cache.store.CacheStore`
 holds whatever snapshots its own (possibly congested) link has delivered,
 so which replica answers a read decides the divergence the client actually
 observes.  The :class:`ReadModel` exposes the three classic read-side

@@ -34,7 +34,6 @@ from repro.experiments.fig4 import Fig4Config, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.matrix import MATRICES, run_matrix
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.params import best_cell, run_parameter_grid
 from repro.experiments.scale import render_scale, run_scale
 from repro.experiments.tables import (
@@ -50,18 +49,37 @@ from repro.experiments.validation import (
 )
 
 
+def _bounded(name: str, kind: type, low: float, strict: bool = False
+             ) -> Callable[[str], float]:
+    """An argparse ``type``: ``kind`` values ``>= low`` (``> low`` when
+    ``strict``), so a bad value is a usage error before any run."""
+    def parse(text: str) -> float:
+        value = kind(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be {'>' if strict else '>='} {low}, "
+                f"got {text}")
+        return value
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def _add_timing(parser: argparse.ArgumentParser, warmup: float,
                 measure: float) -> None:
-    parser.add_argument("--warmup", type=float, default=warmup,
+    parser.add_argument("--warmup", type=_bounded("warmup", float, 0),
+                        default=warmup,
                         help="warm-up seconds discarded from measurement")
-    parser.add_argument("--measure", type=float, default=measure,
+    parser.add_argument("--measure",
+                        type=_bounded("measure", float, 0, strict=True),
+                        default=measure,
                         help="measured window length in seconds")
     parser.add_argument("--seed", type=int, default=0,
                         help="workload random seed")
 
 
 def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_bounded("workers", int, 1),
+                        default=1,
                         help="worker processes for the sweep (1 = the "
                              "serial in-process path; results are "
                              "bit-identical at any worker count)")
@@ -104,6 +122,9 @@ def _cmd_fig4(args: argparse.Namespace) -> str:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> str:
+    if args.warmup_days >= args.days:
+        args.error(f"warmup-days must be < days, got {args.warmup_days} "
+                   f">= {args.days}")
     points = run_fig5(bandwidths=tuple(args.bandwidths),
                       fluctuating=args.fluctuating, days=args.days,
                       warmup_days=args.warmup_days, seed=args.seed,
@@ -124,10 +145,9 @@ def _cmd_matrix(args: argparse.Namespace) -> str:
     matrix = MATRICES[args.name]
     try:
         params = matrix.parse(args.settings)
-        # Build every scenario and the pool before the first run, so bad
-        # configuration is a usage error, not a traceback mid-sweep.
+        # Build every scenario before the first run, so bad configuration
+        # is a usage error, not a traceback mid-sweep.
         matrix.cells(params)
-        ParallelRunner(args.workers)
     except ValueError as exc:
         args.error(f"{args.name}: {exc}")
     return matrix.render(params, run_matrix(matrix, params, args.workers))
@@ -201,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("e1", help="Sec 4.3 uniform validation")
-    p.add_argument("--objects", type=int, default=100)
+    p.add_argument("--objects", type=_bounded("objects", int, 1), default=100)
     _add_timing(p, warmup=100.0, measure=1000.0)
     p.set_defaults(fn=_cmd_e1)
 
@@ -210,18 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_e2)
 
     p = sub.add_parser("e3", help="Sec 6.1 threshold parameter study")
-    p.add_argument("--alphas", type=float, nargs="+",
-                   default=[1.05, 1.1, 1.2, 1.5, 2.0])
-    p.add_argument("--omegas", type=float, nargs="+",
-                   default=[2.0, 5.0, 10.0, 20.0, 100.0])
-    p.add_argument("--sources", type=int, default=10)
-    p.add_argument("--objects", type=int, default=10)
+    p.add_argument("--alphas", type=_bounded("alpha", float, 1, True),
+                   nargs="+", default=[1.05, 1.1, 1.2, 1.5, 2.0])
+    p.add_argument("--omegas", type=_bounded("omega", float, 1, True),
+                   nargs="+", default=[2.0, 5.0, 10.0, 20.0, 100.0])
+    p.add_argument("--sources", type=_bounded("sources", int, 1), default=10)
+    p.add_argument("--objects", type=_bounded("objects", int, 1), default=10)
     _add_timing(p, warmup=100.0, measure=400.0)
     p.set_defaults(fn=_cmd_e3)
 
     p = sub.add_parser("fig4", help="Figure 4 sweep")
-    p.add_argument("--sources", type=int, nargs="+", default=[1, 10, 50])
-    p.add_argument("--objects", type=int, nargs="+", default=[1, 10])
+    p.add_argument("--sources", type=_bounded("sources", int, 1), nargs="+",
+                   default=[1, 10, 50])
+    p.add_argument("--objects", type=_bounded("objects", int, 1), nargs="+",
+                   default=[1, 10])
     p.add_argument("--cache-bandwidths", type=float, nargs="+",
                    default=[10.0, 40.0, 100.0])
     _add_timing(p, warmup=250.0, measure=600.0)
@@ -229,20 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fig4)
 
     p = sub.add_parser("fig5", help="Figure 5 buoy experiment")
-    p.add_argument("--bandwidths", type=float, nargs="+",
-                   default=[1, 2, 5, 10, 20, 40, 80])
+    p.add_argument("--bandwidths", type=_bounded("bandwidth", float, 0),
+                   nargs="+", default=[1, 2, 5, 10, 20, 40, 80])
     p.add_argument("--fluctuating", action="store_true",
                    help="fluctuate the link with the paper's mB = 0.25")
-    p.add_argument("--days", type=float, default=7.0)
-    p.add_argument("--warmup-days", type=float, default=1.0)
+    p.add_argument("--days", type=_bounded("days", float, 0, True),
+                   default=7.0)
+    p.add_argument("--warmup-days", type=_bounded("warmup-days", float, 0),
+                   default=1.0)
     p.add_argument("--trace-csv", type=str, default=None,
                    help="real buoy trace in time,object,value CSV form")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_fig5)
+    p.set_defaults(fn=_cmd_fig5, error=p.error)
 
     p = sub.add_parser("fig6", help="Figure 6 CGM comparison")
-    p.add_argument("--sources", type=int, default=10)
-    p.add_argument("--objects", type=int, default=10)
+    p.add_argument("--sources", type=_bounded("sources", int, 1), default=10)
+    p.add_argument("--objects", type=_bounded("objects", int, 1), default=10)
     p.add_argument("--fractions", type=float, nargs="+",
                    default=[0.1, 0.3, 0.5, 0.7, 0.9])
     _add_timing(p, warmup=100.0, measure=500.0)
@@ -270,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scale",
                        help="E9 scale sweep: event-driven simulator on "
                             "sparse workloads")
-    p.add_argument("--sources", type=int, nargs="+",
+    p.add_argument("--sources", type=_bounded("sources", int, 1), nargs="+",
                    default=[100, 1000, 10000],
                    help="source counts to sweep (one object per source)")
     p.add_argument("--update-rate", type=float, default=0.002,

@@ -20,11 +20,11 @@ Two independent tiers, both built on ``ProcessPoolExecutor``:
   serial interleaved schedule factors exactly into one independent
   sub-simulation per cache.  :func:`run_cooperative_sharded` slices the
   workload per shard (:meth:`~repro.workloads.synthetic.Workload.shard`),
-  runs each shard in a worker process advancing feedback-window by
-  feedback-window, and merges integrals/counters back into the exact
-  arithmetic the serial run performs (scatter + one ``np.sum``).  The
-  merge is pinned bit-for-bit against the serial path in
-  ``tests/test_parallel.py``; DESIGN.md Sec 11 gives the argument.
+  runs each shard as one star run in a worker process, and merges
+  integrals/counters back into the exact arithmetic the serial run
+  performs (scatter + one ``np.sum``).  The merge is pinned bit-for-bit
+  against the serial path in ``tests/test_parallel.py``; DESIGN.md
+  Sec 11 gives the argument.
 
 Everything a worker touches must be importable by reference: cell
 functions live at module level, payloads are frozen dataclasses of
@@ -188,19 +188,15 @@ class ShardResult:
     utilization: float
     queued: int
     queued_peak: int
-    windows: int  #: feedback windows executed (barrier telemetry)
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
-    """Run one shard as an independent single-cache sub-simulation.
+    """Run one shard as an independent star sub-simulation.
 
-    The sub-run advances feedback-window by feedback-window (successive
-    ``run_until`` calls at window boundaries): each boundary is the
-    designated exchange point where a future cross-shard rebalancer would
-    synchronize.  With today's disjoint shards nothing crosses the
-    boundary, so the windowed schedule is provably identical to one
-    uninterrupted run (events at or before each boundary fire in the same
-    ``(time, phase, seq)`` order either way).
+    The shard's sources keep their own bandwidth profiles and share its
+    cache's slice of the aggregate cache bandwidth on one cache link; the
+    sub-run goes through the same :meth:`SimulationContext.run
+    <repro.policies.base.SimulationContext.run>` as ``run_policy``.
     """
     with gc_paused():
         workload = build_workload(task.workload)
@@ -212,9 +208,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
         objects = (np.asarray(sources, dtype=np.int64)[:, None] * ops
                    + np.arange(ops, dtype=np.int64)[None, :]).reshape(-1)
         profile = config.cache_profiles(task.cache_bandwidth)[task.cache_id]
-        sub_spec = replace(task.spec,
-                           topology=TopologyConfig(kind="sharded",
-                                                   num_caches=1))
+        sub_spec = replace(task.spec, topology=None)
         policy = CooperativePolicy(
             profile,
             [task.source_bandwidths[j] for j in sources],
@@ -222,22 +216,8 @@ def _run_shard(task: ShardTask) -> ShardResult:
             **dict(task.policy_kwargs))
         ctx = make_context(sub, task.metric, sub_spec)
         policy.attach(ctx)
-        if task.spec.resample_interval is not None:
-            ctx.collector.schedule_resample(ctx.sim,
-                                            task.spec.resample_interval)
-        end = task.spec.end_time
-        window = policy._feedback_period_for(0, ctx)
-        windows = 0
-        if window is None or window <= 0:
-            ctx.sim.run_until(end)
-            windows = 1
-        else:
-            now = 0.0
-            while now < end:
-                now = min(now + window, end)
-                ctx.sim.run_until(now)
-                windows += 1
-        ctx.collector.finalize(end)
+        ctx.run(task.spec.end_time,
+                resample_interval=task.spec.resample_interval)
         collector = ctx.collector
         link = policy.topology.cache_links[0]
         return ShardResult(
@@ -255,7 +235,6 @@ def _run_shard(task: ShardTask) -> ShardResult:
             utilization=link.utilization(),
             queued=link.queued,
             queued_peak=link.total_queued_peak,
-            windows=windows,
         )
 
 
@@ -295,7 +274,6 @@ def merge_shard_results(shards: list[ShardResult], num_sources: int,
         "refreshes_sent": refreshes_sent,
         "refreshes_in_flight": refreshes_sent - refreshes,
         "cache_queue_peak": max((s.queued_peak for s in shards), default=0),
-        "shard_windows": [s.windows for s in shards],
     }
     if len(shards) > 1:
         extras["topology"] = {
@@ -331,8 +309,8 @@ def run_cooperative_sharded(workload_spec: WorkloadSpec,
     """Run one cooperative sharded-topology simulation, shard-parallel.
 
     ``spec.topology`` must be a ``kind="sharded"`` configuration; each of
-    its caches becomes one worker task advancing independently between
-    feedback windows.  The merged result is bit-for-bit equal to the
+    its caches becomes one worker task running its shard to the end
+    independently.  The merged result is bit-for-bit equal to the
     serial ``run_policy`` on the same workload/spec (pinned in
     ``tests/test_parallel.py``); ``workers=1`` runs the shards serially
     through the identical slicing/merge path.

@@ -28,8 +28,6 @@ from repro.network.messages import (
     message_cost,
 )
 from repro.network.topology import (
-    MultiCacheTopology,
-    StarTopology,
     Topology,
     TopologyConfig,
     replica_assignment,
@@ -46,14 +44,12 @@ __all__ = [
     "FeedbackMessage",
     "Link",
     "Message",
-    "MultiCacheTopology",
     "MulticastDelivery",
     "PollRequest",
     "PollResponse",
     "RefreshMessage",
     "ScaledBandwidth",
     "SineBandwidth",
-    "StarTopology",
     "Topology",
     "TopologyConfig",
     "TraceBandwidth",

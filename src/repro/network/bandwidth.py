@@ -433,8 +433,8 @@ def split_bandwidth(profile: BandwidthProfile,
                     shares: int) -> list[BandwidthProfile]:
     """Even 1/N split of ``profile`` across ``shares`` links.
 
-    A single share returns the original profile unscaled, so one-cache
-    multi-cache layouts reproduce the star's arithmetic bit for bit.
+    A single share returns the original profile unscaled, so the
+    one-cache star keeps the paper's link arithmetic bit for bit.
     Scaling goes through :meth:`BandwidthProfile.scaled`, so trace
     profiles keep their concrete type (and their precomputed cumulative
     arrays) across the split instead of degrading to a wrapper.

@@ -1,4 +1,4 @@
-"""Cache-side network layouts: the paper's star and its multi-cache successors.
+"""Cache-side network layout: ``m`` sources feeding ``N`` cache nodes.
 
 A :class:`Topology` connects ``m`` sources to ``N`` cache nodes and owns
 every link in between.  All message flows are addressed by the
@@ -18,22 +18,17 @@ Routing rules (see DESIGN.md Sec 4):
   feedback out of *surplus* credit, so feedback never queues behind
   refreshes, matching the paper's flood-avoidance argument.
 
-Two concrete layouts:
-
-* :class:`StarTopology` -- the paper's single shared cache link plus one
-  link per source.
-* :class:`MultiCacheTopology` -- N cache nodes, each with its own link,
-  FIFO queue and bandwidth profile.  Each source either reports to exactly
-  one cache (*sharded*) or fans every upstream message out to several
-  (*replicated*).  With one cache and the full bandwidth profile it
-  reproduces the star's results bit for bit.
+One class covers every layout: each cache node has its own link, FIFO
+queue and bandwidth profile, and an assignment maps each source to the
+cache ids it reports to.  The paper's star is the one-cache case (every
+source on cache 0); a *sharded* source reports to exactly one of several
+caches, a *replicated* one fans every upstream message out to several.
 
 The topology is policy-agnostic: receivers are registered as callbacks.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,12 +48,18 @@ from repro.network.messages import FeedbackMessage, Message
 Receiver = Callable[[Message], None]
 
 
-class Topology(ABC):
-    """Abstract routing fabric between ``m`` sources and ``N`` caches.
+class Topology:
+    """N cache nodes, each with its own link, queue and bandwidth profile.
 
-    Concrete topologies own the links and implement routing; the interface
-    exposes wiring (receiver registration), the per-tick network phase
-    (refill + drain), sending in both directions, and capacity telemetry.
+    ``assignment`` maps each source to the tuple of cache ids its upstream
+    messages reach; the first entry is the *primary* cache (feedback and
+    poll traffic), and the default is :func:`shard_assignment`.  The
+    paper's star is ``Topology([profile], source_profiles)``: one cache,
+    every source on it.  A one-element tuple per source is a sharded
+    layout; a longer tuple replicates the source's refreshes onto several
+    cache links, each copy consuming that link's capacity (the source-side
+    link is charged once -- the fan-out happens inside the network, as
+    with IP multicast).
 
     **Active-link set.**  The per-tick network phase used to refill every
     link, making each tick O(m) even when nothing moves.  Source links
@@ -71,17 +72,62 @@ class Topology(ABC):
     with non-steady profiles.
     """
 
-    # ------------------------------------------------------------------
-    # Shared per-tick state (initialized via _init_network_state)
-    # ------------------------------------------------------------------
-    def _init_network_state(self) -> None:
-        """Set up tick bookkeeping and the active-link set.
-
-        Concrete topologies call this at the end of ``__init__`` once
-        ``self.source_links``, :attr:`cache_links`, ``self._delivery``
-        (the :class:`~repro.network.delivery.DeliveryPlane`) and
-        ``self._upstream_targets`` (per-source cache-id tuples) exist.
-        """
+    def __init__(self, cache_profiles: Sequence[BandwidthProfile],
+                 source_profiles: Sequence[BandwidthProfile],
+                 assignment: Sequence[Sequence[int]] | None = None,
+                 delivery: str | DeliveryPlane = "unicast") -> None:
+        if not cache_profiles:
+            raise ValueError("need at least one cache profile")
+        num_caches = len(cache_profiles)
+        num_sources = len(source_profiles)
+        if assignment is None:
+            assignment = shard_assignment(num_sources, num_caches)
+        if len(assignment) != num_sources:
+            raise ValueError(
+                f"assignment covers {len(assignment)} sources, "
+                f"expected {num_sources}")
+        # Routes every upstream send; reassign_source edits it in place.
+        self._assignment: list[tuple[int, ...]] = [
+            tuple(targets) for targets in assignment]
+        # One pass groups the sources by target tuple, so validation and
+        # membership cost one step per distinct tuple (one on a star, N
+        # on a sharding).  Groups keep first-occurrence order: the first
+        # bad group names the first bad source.
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for j, targets in enumerate(self._assignment):
+            groups.setdefault(targets, []).append(j)
+        members: list[list[int]] = [[] for _ in range(num_caches)]
+        owned: list[list[int]] = [[] for _ in range(num_caches)]
+        for targets, group in groups.items():
+            j = group[0]
+            if not targets:
+                raise ValueError(f"source {j} is assigned to no cache")
+            if len(set(targets)) != len(targets):
+                raise ValueError(f"source {j} has duplicate cache targets")
+            for k in targets:
+                if not 0 <= k < num_caches:
+                    raise ValueError(
+                        f"source {j} assigned to unknown cache {k}")
+                members[k] += group
+            owned[targets[0]] += group
+        self._sources_by_cache = [tuple(sorted(s)) for s in members]
+        self._owned_by_cache = [tuple(sorted(s)) for s in owned]
+        #: One constrained link per cache node, indexed by ``cache_id``.
+        self.cache_links = [
+            Link(f"cache-{k}", profile, deliver=self._make_cache_deliver(k))
+            for k, profile in enumerate(cache_profiles)
+        ]
+        self.source_links = [
+            Link(f"source-{j}", profile)
+            for j, profile in enumerate(source_profiles)
+        ]
+        self._delivery = (delivery if isinstance(delivery, DeliveryPlane)
+                          else make_delivery_plane(delivery))
+        # The plane's bound fan_out, resolved once so a replicated send
+        # pays one extra call, not an attribute chain.
+        self._fan_out = self._delivery.fan_out
+        self._cache_receivers: list[Receiver | None] = [None] * num_caches
+        self._source_receivers: list[Receiver | None] = [None] * num_sources
         self._tick_no = 0
         self._tick_time = 0.0
         self._prev_tick_time = 0.0
@@ -98,11 +144,6 @@ class Topology(ABC):
         # no per-message payload beyond its routing fields, so the batch
         # path restamps one instance instead of allocating per target.
         self._feedback_scratch = FeedbackMessage(source_id=0)
-        # Downstream receiver slots, one per source; populated later via
-        # set_source_receiver.  Owned here because the concrete base
-        # methods (send_downstream_batch) index it.
-        self._source_receivers: list[Receiver | None] = (
-            [None] * self.num_sources)
         # Fault machinery (absent by default).  _delivery_guard is the
         # single upstream interception point: when it stays None every
         # delivery path runs the exact fault-free instruction sequence,
@@ -117,12 +158,6 @@ class Topology(ABC):
         # loop then iterates nothing, keeping the no-peer path exact.
         self._peer_links: dict[tuple[int, int], Link] = {}
         self._peer_link_list: list[Link] = []
-        # Hot-path bindings for the shared send_upstream: a stable list
-        # of cache links (the cache_links property may build a tuple per
-        # call) and the delivery plane's bound fan_out, resolved once so
-        # per-send cost is one extra call, not an attribute chain.
-        self._upstream_links = list(self.cache_links)
-        self._fan_out = self._delivery.fan_out
         self._classify_links()
 
     @property
@@ -159,31 +194,26 @@ class Topology(ABC):
     # Shape
     # ------------------------------------------------------------------
     @property
-    @abstractmethod
     def num_sources(self) -> int:
         """Number of source endpoints."""
+        return len(self.source_links)
 
     @property
-    @abstractmethod
     def num_caches(self) -> int:
         """Number of cache endpoints."""
+        return len(self.cache_links)
 
-    @property
-    @abstractmethod
-    def cache_links(self) -> Sequence[Link]:
-        """One constrained link per cache node, indexed by ``cache_id``."""
-
-    @abstractmethod
     def caches_of(self, source_id: int) -> tuple[int, ...]:
         """Cache ids source ``source_id`` reports to; the first is primary."""
+        return self._assignment[source_id]
 
     def primary_cache_of(self, source_id: int) -> int:
         """The cache that runs the feedback protocol for this source."""
-        return self.caches_of(source_id)[0]
+        return self._assignment[source_id][0]
 
-    @abstractmethod
     def sources_of(self, cache_id: int) -> tuple[int, ...]:
         """All sources whose upstream messages reach cache ``cache_id``."""
+        return self._sources_by_cache[cache_id]
 
     def owned_sources_of(self, cache_id: int) -> tuple[int, ...]:
         """Sources for which ``cache_id`` is the *primary* cache.
@@ -191,8 +221,7 @@ class Topology(ABC):
         Feedback targeting partitions sources by primary cache so that a
         replicated source never receives double feedback per surplus tick.
         """
-        return tuple(j for j in self.sources_of(cache_id)
-                     if self.primary_cache_of(j) == cache_id)
+        return self._owned_by_cache[cache_id]
 
     def object_replicas(self, owner: Sequence[int]
                         ) -> list[tuple[int, ...]]:
@@ -204,21 +233,66 @@ class Topology(ABC):
         land, so its replica set is its owner's cache assignment.  The read
         model resolves this once per run.
         """
-        per_source = [self.caches_of(j) for j in range(self.num_sources)]
-        return [per_source[int(j)] for j in owner]
+        assignment = self._assignment
+        return [assignment[int(j)] for j in owner]
+
+    def reassign_source(self, source_id: int, cache_id: int) -> int:
+        """Re-home a sharded source to a new primary cache; returns the old.
+
+        Routing flips immediately: the next upstream refresh lands on the
+        new cache's link, and :meth:`caches_of`/:meth:`owned_sources_of`
+        reflect the move (the precomputed membership tuples are rebuilt
+        for the two affected caches only).  Messages already sitting in
+        the old cache's FIFO still deliver there -- exactly the in-flight
+        window the migration protocol's freshness counters tolerate.
+        Only single-target (sharded) sources can migrate; a replicated
+        source's copies are load-balanced by construction.
+        """
+        if not 0 <= source_id < self.num_sources:
+            raise ValueError(f"unknown source {source_id}")
+        if not 0 <= cache_id < self.num_caches:
+            raise ValueError(f"unknown cache {cache_id}")
+        targets = self._assignment[source_id]
+        if len(targets) != 1:
+            raise ValueError(
+                f"source {source_id} is replicated to {targets}; only "
+                f"sharded sources can be re-homed")
+        old = targets[0]
+        if cache_id == old:
+            raise ValueError(
+                f"source {source_id} is already homed on cache {cache_id}")
+        self._assignment[source_id] = (cache_id,)
+        for k in (old, cache_id):
+            members = tuple(
+                j for j in range(self.num_sources)
+                if k in self._assignment[j])
+            self._sources_by_cache[k] = members
+            self._owned_by_cache[k] = tuple(
+                j for j in members if self._assignment[j][0] == k)
+        return old
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    @abstractmethod
     def set_cache_receiver(self, receiver: Receiver,
                            cache_id: int = 0) -> None:
         """Register the message handler of cache node ``cache_id``."""
+        self._cache_receivers[cache_id] = receiver
 
-    @abstractmethod
     def set_source_receiver(self, source_id: int,
                             receiver: Receiver) -> None:
         """Register the message handler of source ``source_id``."""
+        self._source_receivers[source_id] = receiver
+
+    def _make_cache_deliver(self, cache_id: int) -> Receiver:
+        def deliver(message: Message) -> None:
+            guard = self._delivery_guard
+            if guard is not None and not guard(message, cache_id):
+                return
+            receiver = self._cache_receivers[cache_id]
+            if receiver is not None:
+                receiver(message)
+        return deliver
 
     # ------------------------------------------------------------------
     # Fault injection and reliable delivery (see repro.faults)
@@ -363,17 +437,12 @@ class Topology(ABC):
             raise ValueError(f"no peer link {key[0]}->{key[1]} installed")
         return link.transmit_or_queue(message)
 
-    def _make_peer_deliver(self, cache_id: int) -> "Receiver":
+    def _make_peer_deliver(self, cache_id: int) -> Receiver:
         def deliver(message: Message) -> None:
-            receiver = self._cache_receiver_of(cache_id)
+            receiver = self._cache_receivers[cache_id]
             if receiver is not None:
                 receiver(message)
         return deliver
-
-    def _cache_receiver_of(self, cache_id: int) -> "Receiver | None":
-        """The registered receiver of one cache (topology-specific slot)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support peer links")
 
     # ------------------------------------------------------------------
     # Sending
@@ -389,9 +458,8 @@ class Topology(ABC):
         update-driven source drain lands on this method, and at m ~ 1e6
         the call overhead of the layered helpers dominates.  The float
         operations run in the helpers' exact order, so results are
-        bit-for-bit unchanged (pinned by the equivalence suites).  This
-        is the one copy of the charge block all topologies share; what
-        used to be per-topology per-replica loops is now the plane's
+        bit-for-bit unchanged (pinned by the equivalence suites).  The
+        replica fan-out is the plane's
         :meth:`~repro.network.delivery.DeliveryPlane.fan_out`.
         """
         source_link = self.source_links[message.source_id]
@@ -418,7 +486,7 @@ class Topology(ABC):
         source_link.total_delivered += 1
         if self._reliable is not None:
             self._reliable.on_send(message)
-        targets = self._upstream_targets[message.source_id]
+        targets = self._assignment[message.source_id]
         primary = targets[0]
         message.cache_id = primary
         if len(targets) == 1:
@@ -427,9 +495,9 @@ class Topology(ABC):
             # copy on the primary link, so the plane call is skipped --
             # this keeps the unicast hot path within the pre-plane
             # overhead budget (bench_multicast gates the ratio).
-            self._upstream_links[primary].transmit_or_queue(message)
+            self.cache_links[primary].transmit_or_queue(message)
         else:
-            self._fan_out(self._upstream_links, message, targets)
+            self._fan_out(self.cache_links, message, targets)
         return True
 
     def send_upstream_unconstrained(self, message: Message) -> None:
@@ -441,7 +509,7 @@ class Topology(ABC):
         ``message.cache_id`` (the cache that issued the poll) -- polls are
         point-to-point round-trips, so no plane fan-out applies.
         """
-        self._upstream_links[message.cache_id].transmit_or_queue(message)
+        self.cache_links[message.cache_id].transmit_or_queue(message)
 
     def send_downstream(self, message: Message) -> bool:
         """Cache ``message.cache_id`` -> source ``message.source_id``.
@@ -451,8 +519,7 @@ class Topology(ABC):
         if injector is not None and not injector.allow_downstream(
                 message.cache_id, message.source_id):
             receiver = None  # credit still spent; delivery suppressed
-        return self._upstream_links[message.cache_id].send(message,
-                                                           receiver)
+        return self.cache_links[message.cache_id].send(message, receiver)
 
     def send_downstream_batch(self, cache_id: int,
                               source_ids: Sequence[int],
@@ -500,9 +567,10 @@ class Topology(ABC):
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    @abstractmethod
     def source_at_capacity(self, source_id: int) -> bool:
         """True when the source spent all its credit this tick (footnote 3)."""
+        self._sync_source_link(source_id)
+        return not self.source_links[source_id].has_credit()
 
     def cache_surplus(self, cache_id: int,
                       now: float | None = None) -> float:
@@ -560,256 +628,9 @@ class Topology(ABC):
                                      if reliable is not None else 0),
         }
 
-    @abstractmethod
     def total_messages(self) -> int:
         """All messages accepted anywhere in the network so far."""
-
-
-class StarTopology(Topology):
-    """One shared cache link plus one link per source (the paper's model)."""
-
-    def __init__(self, cache_profile: BandwidthProfile,
-                 source_profiles: list[BandwidthProfile],
-                 delivery: str | DeliveryPlane = "unicast") -> None:
-        self.cache_link = Link("cache", cache_profile,
-                               deliver=self._deliver_to_cache)
-        self.source_links = [
-            Link(f"source-{j}", profile)
-            for j, profile in enumerate(source_profiles)
-        ]
-        self._cache_receiver: Receiver | None = None
-        self._all_sources = tuple(range(len(source_profiles)))
-        self._delivery = (delivery if isinstance(delivery, DeliveryPlane)
-                          else make_delivery_plane(delivery))
-        # Every source targets the single cache; one shared tuple is fine
-        # because fan_out only reads it (cache_id restamps are per copy).
-        self._upstream_targets: Sequence[tuple[int, ...]] = (
-            [(0,)] * len(source_profiles))
-        self._init_network_state()
-
-    # ------------------------------------------------------------------
-    # Shape
-    # ------------------------------------------------------------------
-    @property
-    def num_sources(self) -> int:
-        return len(self.source_links)
-
-    @property
-    def num_caches(self) -> int:
-        return 1
-
-    @property
-    def cache_links(self) -> Sequence[Link]:
-        return (self.cache_link,)
-
-    def caches_of(self, source_id: int) -> tuple[int, ...]:
-        return (0,)
-
-    def sources_of(self, cache_id: int) -> tuple[int, ...]:
-        return self._all_sources
-
-    def owned_sources_of(self, cache_id: int) -> tuple[int, ...]:
-        return self._all_sources
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def set_cache_receiver(self, receiver: Receiver,
-                           cache_id: int = 0) -> None:
-        if cache_id != 0:
-            raise IndexError(
-                f"star topology has a single cache, got id {cache_id}")
-        self._cache_receiver = receiver
-
-    def set_source_receiver(self, source_id: int,
-                            receiver: Receiver) -> None:
-        self._source_receivers[source_id] = receiver
-
-    def _cache_receiver_of(self, cache_id: int) -> Receiver | None:
-        return self._cache_receiver
-
-    # ------------------------------------------------------------------
-    # Internal delivery
-    # ------------------------------------------------------------------
-    def _deliver_to_cache(self, message: Message) -> None:
-        guard = self._delivery_guard
-        if guard is not None and not guard(message, 0):
-            return
-        if self._cache_receiver is not None:
-            self._cache_receiver(message)
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def source_at_capacity(self, source_id: int) -> bool:
-        self._sync_source_link(source_id)
-        return not self.source_links[source_id].has_credit()
-
-    def total_messages(self) -> int:
-        return (self.cache_link.total_sent
-                + sum(link.total_sent for link in self.source_links))
-
-
-class MultiCacheTopology(Topology):
-    """N cache nodes, each with its own link, queue and bandwidth profile.
-
-    ``assignment`` maps each source to the tuple of cache ids its upstream
-    messages reach; the first entry is the *primary* cache (feedback and
-    poll traffic).  A one-element tuple per source is a sharded layout; a
-    longer tuple replicates the source's refreshes onto several cache
-    links, each copy consuming that link's capacity (the source-side link
-    is charged once -- the fan-out happens inside the network, as with IP
-    multicast).
-
-    With ``len(cache_profiles) == 1`` and every source assigned to cache 0
-    the routing degenerates to exactly the star's arithmetic, which the
-    equivalence tests pin down bit for bit.
-    """
-
-    def __init__(self, cache_profiles: Sequence[BandwidthProfile],
-                 source_profiles: Sequence[BandwidthProfile],
-                 assignment: Sequence[Sequence[int]] | None = None,
-                 delivery: str | DeliveryPlane = "unicast") -> None:
-        if not cache_profiles:
-            raise ValueError("need at least one cache profile")
-        num_caches = len(cache_profiles)
-        num_sources = len(source_profiles)
-        if assignment is None:
-            assignment = shard_assignment(num_sources, num_caches)
-        if len(assignment) != num_sources:
-            raise ValueError(
-                f"assignment covers {len(assignment)} sources, "
-                f"expected {num_sources}")
-        self._assignment: list[tuple[int, ...]] = []
-        for j, targets in enumerate(assignment):
-            targets = tuple(targets)
-            if not targets:
-                raise ValueError(f"source {j} is assigned to no cache")
-            if len(set(targets)) != len(targets):
-                raise ValueError(f"source {j} has duplicate cache targets")
-            for k in targets:
-                if not 0 <= k < num_caches:
-                    raise ValueError(
-                        f"source {j} assigned to unknown cache {k}")
-            self._assignment.append(targets)
-        self._cache_links = [
-            Link(f"cache-{k}", profile,
-                 deliver=self._make_cache_deliver(k))
-            for k, profile in enumerate(cache_profiles)
-        ]
-        self.source_links = [
-            Link(f"source-{j}", profile)
-            for j, profile in enumerate(source_profiles)
-        ]
-        self._cache_receivers: list[Receiver | None] = [None] * num_caches
-        self._sources_by_cache: list[tuple[int, ...]] = [
-            tuple(j for j in range(num_sources) if k in self._assignment[j])
-            for k in range(num_caches)
-        ]
-        self._owned_by_cache: list[tuple[int, ...]] = [
-            tuple(j for j in range(num_sources)
-                  if self._assignment[j][0] == k)
-            for k in range(num_caches)
-        ]
-        self._delivery = (delivery if isinstance(delivery, DeliveryPlane)
-                          else make_delivery_plane(delivery))
-        # The SAME list object as _assignment, so reassign_source's
-        # in-place mutations route the very next upstream send.
-        self._upstream_targets: Sequence[tuple[int, ...]] = self._assignment
-        self._init_network_state()
-
-    # ------------------------------------------------------------------
-    # Shape
-    # ------------------------------------------------------------------
-    @property
-    def num_sources(self) -> int:
-        return len(self.source_links)
-
-    @property
-    def num_caches(self) -> int:
-        return len(self._cache_links)
-
-    @property
-    def cache_links(self) -> Sequence[Link]:
-        return self._cache_links
-
-    def caches_of(self, source_id: int) -> tuple[int, ...]:
-        return self._assignment[source_id]
-
-    def sources_of(self, cache_id: int) -> tuple[int, ...]:
-        return self._sources_by_cache[cache_id]
-
-    def owned_sources_of(self, cache_id: int) -> tuple[int, ...]:
-        return self._owned_by_cache[cache_id]
-
-    def reassign_source(self, source_id: int, cache_id: int) -> int:
-        """Re-home a sharded source to a new primary cache; returns the old.
-
-        Routing flips immediately: the next upstream refresh lands on the
-        new cache's link, and :meth:`caches_of`/:meth:`owned_sources_of`
-        reflect the move (the precomputed membership tuples are rebuilt
-        for the two affected caches only).  Messages already sitting in
-        the old cache's FIFO still deliver there -- exactly the in-flight
-        window the migration protocol's freshness counters tolerate.
-        Only single-target (sharded) sources can migrate; a replicated
-        source's copies are load-balanced by construction.
-        """
-        if not 0 <= source_id < self.num_sources:
-            raise ValueError(f"unknown source {source_id}")
-        if not 0 <= cache_id < self.num_caches:
-            raise ValueError(f"unknown cache {cache_id}")
-        targets = self._assignment[source_id]
-        if len(targets) != 1:
-            raise ValueError(
-                f"source {source_id} is replicated to {targets}; only "
-                f"sharded sources can be re-homed")
-        old = targets[0]
-        if cache_id == old:
-            raise ValueError(
-                f"source {source_id} is already homed on cache {cache_id}")
-        self._assignment[source_id] = (cache_id,)
-        for k in (old, cache_id):
-            members = tuple(
-                j for j in range(self.num_sources)
-                if k in self._assignment[j])
-            self._sources_by_cache[k] = members
-            self._owned_by_cache[k] = tuple(
-                j for j in members if self._assignment[j][0] == k)
-        return old
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def set_cache_receiver(self, receiver: Receiver,
-                           cache_id: int = 0) -> None:
-        self._cache_receivers[cache_id] = receiver
-
-    def set_source_receiver(self, source_id: int,
-                            receiver: Receiver) -> None:
-        self._source_receivers[source_id] = receiver
-
-    def _cache_receiver_of(self, cache_id: int) -> Receiver | None:
-        return self._cache_receivers[cache_id]
-
-    def _make_cache_deliver(self, cache_id: int) -> Receiver:
-        def deliver(message: Message) -> None:
-            guard = self._delivery_guard
-            if guard is not None and not guard(message, cache_id):
-                return
-            receiver = self._cache_receivers[cache_id]
-            if receiver is not None:
-                receiver(message)
-        return deliver
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def source_at_capacity(self, source_id: int) -> bool:
-        self._sync_source_link(source_id)
-        return not self.source_links[source_id].has_credit()
-
-    def total_messages(self) -> int:
-        return (sum(link.total_sent for link in self._cache_links)
+        return (sum(link.total_sent for link in self.cache_links)
                 + sum(link.total_sent for link in self.source_links)
                 + sum(link.total_sent for link in self._peer_link_list))
 
@@ -817,37 +638,36 @@ class MultiCacheTopology(Topology):
 # ----------------------------------------------------------------------
 # Assignment helpers
 # ----------------------------------------------------------------------
-def shard_assignment(num_sources: int, num_caches: int,
-                     strategy: str = "block") -> list[tuple[int, ...]]:
-    """One cache per source.
+def shard_assignment(num_sources: int,
+                     num_caches: int) -> list[tuple[int, ...]]:
+    """One cache per source, contiguous source ranges kept together.
 
-    ``"block"`` keeps contiguous source ranges together (balanced block
-    partition, the natural layout when object indices are row-major per
-    source); ``"stride"`` deals sources round-robin.
+    A balanced block partition, the natural layout when object indices
+    are row-major per source: source ``j`` reports to cache
+    ``j * num_caches // num_sources``.  Sources on one cache share one
+    tuple, so a star's assignment is one list repetition.
     """
     if num_caches < 1:
         raise ValueError(f"need at least one cache, got {num_caches}")
-    if strategy == "block":
-        return [(j * num_caches // max(num_sources, 1),)
-                for j in range(num_sources)]
-    if strategy == "stride":
-        return [(j % num_caches,) for j in range(num_sources)]
-    raise ValueError(f"unknown shard strategy {strategy!r}")
+    # Cache k's block starts at the first j with j * N // m == k.
+    starts = [-(-k * num_sources // num_caches)
+              for k in range(num_caches + 1)]
+    assignment: list[tuple[int, ...]] = []
+    for k in range(num_caches):
+        assignment += [(k,)] * (starts[k + 1] - starts[k])
+    return assignment
 
 
 def replica_assignment(num_sources: int, num_caches: int,
-                       replication: int,
-                       strategy: str = "block") -> list[tuple[int, ...]]:
+                       replication: int) -> list[tuple[int, ...]]:
     """``replication`` caches per source: its shard plus the next ring
     neighbours, so replica load stays balanced across caches."""
     if not 1 <= replication <= num_caches:
         raise ValueError(
             f"replication must be in [1, {num_caches}], got {replication}")
-    primaries = shard_assignment(num_sources, num_caches, strategy)
-    return [
-        tuple((primary[0] + r) % num_caches for r in range(replication))
-        for primary in primaries
-    ]
+    rings = [tuple((k + r) % num_caches for r in range(replication))
+             for k in range(num_caches)]
+    return [rings[k] for (k,) in shard_assignment(num_sources, num_caches)]
 
 
 @dataclass(frozen=True)
@@ -872,7 +692,6 @@ class TopologyConfig:
     kind: str = "star"
     num_caches: int = 1
     replication: int = 2
-    strategy: str = "block"
     cache_rates: tuple[float, ...] | None = None
     delivery: str = "unicast"
 
@@ -907,13 +726,10 @@ class TopologyConfig:
 
     def assignment_for(self, num_sources: int) -> list[tuple[int, ...]]:
         """The source -> caches map this configuration induces."""
-        if self.kind == "star":
-            return [(0,)] * num_sources
-        if self.kind == "sharded":
-            return shard_assignment(num_sources, self.num_caches,
-                                    self.strategy)
-        return replica_assignment(num_sources, self.num_caches,
-                                  self.replication, self.strategy)
+        if self.kind == "replicated":
+            return replica_assignment(num_sources, self.num_caches,
+                                      self.replication)
+        return shard_assignment(num_sources, self.num_caches)
 
     def cache_profiles(self, cache_profile: BandwidthProfile
                        ) -> list[BandwidthProfile]:
@@ -926,12 +742,6 @@ class TopologyConfig:
     def build(self, cache_profile: BandwidthProfile,
               source_profiles: Sequence[BandwidthProfile]) -> Topology:
         """Materialize the topology for one simulation run."""
-        if self.kind == "star":
-            if self.cache_rates is not None:
-                cache_profile = ConstantBandwidth(self.cache_rates[0])
-            return StarTopology(cache_profile, list(source_profiles),
-                                delivery=self.delivery)
-        return MultiCacheTopology(
-            self.cache_profiles(cache_profile), source_profiles,
-            assignment=self.assignment_for(len(source_profiles)),
-            delivery=self.delivery)
+        return Topology(self.cache_profiles(cache_profile), source_profiles,
+                        assignment=self.assignment_for(len(source_profiles)),
+                        delivery=self.delivery)

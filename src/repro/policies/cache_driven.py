@@ -59,17 +59,15 @@ class IdealCacheBasedPolicy(SyncPolicy):
     def _solve_allocation(self, ctx: SimulationContext) -> np.ndarray:
         """Refresh frequencies under the context's topology.
 
-        One cache: the paper's global freshness-optimal allocation.  N
-        caches: each cache solves the allocation over the objects of the
-        sources it is primary for, with its 1/N share of the budget --
-        budget cannot be shifted between cache nodes, which is exactly the
-        constraint the multi-cache scenario experiments probe.
+        Each cache solves the paper's freshness-optimal allocation over
+        the objects of the sources it is primary for, with its 1/N share
+        of the budget -- budget cannot be shifted between cache nodes,
+        which is exactly the constraint the multi-cache scenario
+        experiments probe.  One cache is the paper's global allocation.
         """
         workload = ctx.workload
         rates = np.asarray(workload.rates, dtype=float)
         config = ctx.topology_config
-        if config.num_caches == 1:
-            return solve_refresh_frequencies(rates, self.budget)
         assignment = config.assignment_for(workload.num_sources)
         freqs = np.zeros(len(rates))
         share = self.budget / config.num_caches

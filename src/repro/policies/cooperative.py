@@ -10,10 +10,10 @@ network substrate:
   applying whatever refreshes arrive on its link and running its own
   :class:`FeedbackController`, spending surplus link bandwidth on positive
   feedback to the highest-threshold sources it is primary for;
-* a :class:`Topology` (the paper's star by default, or a sharded /
-  replicated :class:`MultiCacheTopology` via the context's
-  :class:`TopologyConfig`) whose cache links are where congestion,
-  queueing delay and flooding actually happen.
+* a :class:`Topology` (the paper's one-cache star by default, or a
+  sharded / replicated layout via the context's :class:`TopologyConfig`)
+  whose cache links are where congestion, queueing delay and flooding
+  actually happen.
 
 Every coordination byte is accounted: refresh messages carry the
 piggybacked thresholds, feedback messages consume real bandwidth, and the
@@ -22,8 +22,7 @@ run result separates useful refreshes from overhead.
 
 from __future__ import annotations
 
-import math
-
+from repro.analysis.equilibrium import refreshes_per_feedback
 from repro.cache.cache import CacheNode
 from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
@@ -278,7 +277,7 @@ class CooperativePolicy(SyncPolicy):
         mean_rate = self.topology.cache_links[primary].profile.mean_rate
         if mean_rate <= 0:
             return None
-        slack = math.log(self.omega) / math.log(self.alpha)
+        slack = refreshes_per_feedback(self.alpha, self.omega)
         peers = len(self.topology.owned_sources_of(primary))
         return max(slack * peers / mean_rate, 5.0 * ctx.dt)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from repro.cache.cache import CacheNode, WindowStats
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import MigrateMessage
-from repro.network.topology import MultiCacheTopology, Topology
+from repro.network.topology import Topology
 from repro.sim.events import Phase
 
 MODES = ("adaptive", "distributed")
@@ -80,8 +80,8 @@ class RebalanceConfig:
 class Rebalancer:
     """Runs the decision loop over one policy's caches and topology.
 
-    Inert (no links, no ticker, no windows) on a star or single-cache
-    topology: there is nowhere to move load.  Migration additionally
+    Inert (no links, no ticker, no windows) on a one-cache topology such
+    as the star: there is nowhere to move load.  Migration additionally
     requires a fully sharded assignment (replicated copies are balanced
     by construction); ``peer_seeding`` conversely requires replicas.
     """
@@ -94,8 +94,7 @@ class Rebalancer:
         self.migrations = 0
         self.seeds_sent = 0
         self.decisions = 0
-        self.active = (isinstance(topology, MultiCacheTopology)
-                       and topology.num_caches >= 2)
+        self.active = topology.num_caches >= 2
         sharded = self.active and all(
             len(topology.caches_of(j)) == 1
             for j in range(topology.num_sources))

@@ -12,12 +12,12 @@ from repro.core.weights import StaticWeights
 from repro.metrics.collector import DivergenceCollector
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import PollResponse, RefreshMessage
-from repro.network.topology import StarTopology
+from repro.network.topology import Topology
 
 
 def make_cache(num_sources=3, cache_rate=10.0, with_feedback=True):
-    topology = StarTopology(ConstantBandwidth(cache_rate),
-                            [ConstantBandwidth(5.0)] * num_sources)
+    topology = Topology([ConstantBandwidth(cache_rate)],
+                        [ConstantBandwidth(5.0)] * num_sources)
     objects = [DataObject(index=i, source_id=i % num_sources)
                for i in range(num_sources)]
     collector = DivergenceCollector(len(objects),
@@ -91,8 +91,8 @@ class TestFeedbackController:
     def test_no_feedback_when_backlogged(self):
         cache, objects, topo, feedback, clock = make_cache(cache_rate=1.0)
         for _ in range(5):
-            topo.cache_link.enqueue(RefreshMessage(source_id=0,
-                                                   object_index=0))
+            topo.cache_links[0].enqueue(RefreshMessage(source_id=0,
+                                                       object_index=0))
         topo.on_network_tick(1.0)
         cache.on_tick(1.0)
         assert feedback.feedback_sent == 0
@@ -137,8 +137,8 @@ class TestFeedbackController:
         assert feedback.known_thresholds[0] == pytest.approx(3.0)
 
     def test_max_per_tick_cap(self):
-        topology = StarTopology(ConstantBandwidth(100.0),
-                                [ConstantBandwidth(1.0)] * 4)
+        topology = Topology([ConstantBandwidth(100.0)],
+                            [ConstantBandwidth(1.0)] * 4)
         feedback = FeedbackController(topology, omega=10.0, max_per_tick=2)
         for j in range(4):
             topology.set_source_receiver(j, lambda m: None)
@@ -157,8 +157,8 @@ class TestFeedbackController:
 
 class TestFeedbackHeapChurn:
     def make_controller(self, num_sources=6, cache_rate=2.0):
-        topology = StarTopology(
-            ConstantBandwidth(cache_rate),
+        topology = Topology(
+            [ConstantBandwidth(cache_rate)],
             [ConstantBandwidth(1.0)] * num_sources)
         feedback = FeedbackController(topology, omega=10.0)
         for j in range(num_sources):
@@ -203,12 +203,12 @@ class TestFeedbackHeapChurn:
             feedback.observe_threshold(j, threshold)
         topology.on_network_tick(1.0)
         # Manually spend one of the two credits: only one feedback fits.
-        topology.cache_link.try_consume(1.0)
+        topology.cache_links[0].try_consume(1.0)
         feedback.on_tick(1.0)
         assert feedback.feedback_sent == 1
         assert feedback.known_thresholds[0] == pytest.approx(3.0)
         # Source 1 was selected but not delivered; next tick it leads.
         topology.on_network_tick(2.0)
-        topology.cache_link.try_consume(1.0)
+        topology.cache_links[0].try_consume(1.0)
         feedback.on_tick(2.0)
         assert feedback.known_thresholds[1] == pytest.approx(2.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.matrix import MATRICES
+from repro.sim.engine import Simulator
 
 
 def matrix_defaults(name):
@@ -108,6 +109,50 @@ class TestExecution:
                      "--measure", "40"]) == 0
         assert out_file.read_text().strip() != ""
         assert "uniform" in out_file.read_text()
+
+
+#: Bad values of the paper subcommands -> the message of their usage error.
+BAD_VALUES = [
+    (["scale", "--sources", "0"], "sources must be >= 1, got 0"),
+    (["fig4", "--sources", "0"], "sources must be >= 1, got 0"),
+    (["fig6", "--sources", "0"], "sources must be >= 1, got 0"),
+    (["e1", "--objects", "0"], "objects must be >= 1, got 0"),
+    (["e3", "--sources", "0"], "sources must be >= 1, got 0"),
+    (["e3", "--alphas", "1.0"], "alpha must be > 1, got 1.0"),
+    (["e3", "--omegas", "1.0"], "omega must be > 1, got 1.0"),
+    (["e2", "--measure", "0"], "measure must be > 0, got 0"),
+    (["scale", "--measure", "0"], "measure must be > 0, got 0"),
+    (["fig5", "--days", "0"], "days must be > 0, got 0"),
+    (["fig5", "--bandwidths", "-1"], "bandwidth must be >= 0, got -1"),
+    (["scale", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["fig4", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["fig6", "--objects", "0"], "objects must be >= 1, got 0"),
+    (["e2", "--warmup", "-1"], "warmup must be >= 0, got -1"),
+    (["fig5", "--warmup-days", "-1"], "warmup-days must be >= 0, got -1"),
+    (["fig5", "--days", "1", "--warmup-days", "1"],
+     "warmup-days must be < days, got 1.0 >= 1.0"),
+    (["e1", "--objects", "ten"], "invalid int value: 'ten'"),
+]
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("argv,message", BAD_VALUES,
+                             ids=[" ".join(a) for a, _ in BAD_VALUES])
+    def test_usage_error_before_any_run(self, argv, message, capsys,
+                                        monkeypatch):
+        def must_not_run(sim, until):
+            raise AssertionError("a run started before validation")
+
+        monkeypatch.setattr(Simulator, "run_until", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [err.rstrip("\n").split("\n")[-1]]
+        assert errors[0].startswith(f"repro {argv[0]}: error: ")
+        assert message in errors[0]
 
 
 class TestScaleCommand:

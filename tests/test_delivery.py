@@ -37,11 +37,7 @@ from repro.network.delivery import (
 )
 from repro.network.link import Link
 from repro.network.messages import MESSAGE_SIZE, RefreshMessage
-from repro.network.topology import (
-    MultiCacheTopology,
-    StarTopology,
-    TopologyConfig,
-)
+from repro.network.topology import Topology, TopologyConfig
 from repro.workloads.synthetic import uniform_random_walk
 
 # Captured on the pre-refactor hard-wired send path (commit 316e641):
@@ -179,7 +175,7 @@ class TestFreeCopyMechanics:
 
     def test_units_vs_messages_on_multicast_fanout(self):
         """Units count cost once; messages count every replica copy."""
-        topology = MultiCacheTopology(
+        topology = Topology(
             [ConstantBandwidth(50.0) for _ in range(2)],
             [ConstantBandwidth(50.0)],
             assignment=[(0, 1)], delivery="multicast")
@@ -191,7 +187,7 @@ class TestFreeCopyMechanics:
                 RefreshMessage(source_id=0, sent_at=1.0))
         assert topology.cache_messages_total() == 10  # 5 x 2 replicas
         assert topology.cache_units_total() == 5.0    # charged once
-        unicast = MultiCacheTopology(
+        unicast = Topology(
             [ConstantBandwidth(50.0) for _ in range(2)],
             [ConstantBandwidth(50.0)],
             assignment=[(0, 1)], delivery="unicast")
@@ -224,9 +220,9 @@ class TestPlaneConfiguration:
             assert topo.delivery_plane.name == mode
 
     def test_star_accepts_a_plane_instance(self):
-        topo = StarTopology(ConstantBandwidth(10.0),
-                            [ConstantBandwidth(1.0)],
-                            delivery=MulticastDelivery())
+        topo = Topology([ConstantBandwidth(10.0)],
+                        [ConstantBandwidth(1.0)],
+                        delivery=MulticastDelivery())
         assert topo.delivery_plane.name == "multicast"
 
     def test_plane_cost_model(self):
@@ -239,8 +235,8 @@ class TestPlaneConfiguration:
 
 class TestFeedbackGains:
     def _controller(self, gains):
-        topology = StarTopology(ConstantBandwidth(10.0),
-                                [ConstantBandwidth(1.0) for _ in range(3)])
+        topology = Topology([ConstantBandwidth(10.0)],
+                            [ConstantBandwidth(1.0) for _ in range(3)])
         return FeedbackController(topology, omega=10.0, gains=gains)
 
     def test_gains_reorder_selection_under_scarcity(self):

@@ -13,15 +13,15 @@ from repro.experiments.overhead import (
 )
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import PollRequest, RefreshMessage
-from repro.network.topology import StarTopology
+from repro.network.topology import Topology
 from repro.workloads.buoy import generate_buoy_trace
 
 
 class TestCacheOptionalWiring:
     def make_bare_cache(self):
         """A cache with no collector, store, or feedback controller."""
-        topology = StarTopology(ConstantBandwidth(10.0),
-                                [ConstantBandwidth(5.0)])
+        topology = Topology([ConstantBandwidth(10.0)],
+                            [ConstantBandwidth(5.0)])
         objects = [DataObject(index=0, source_id=0)]
         return CacheNode(objects, ValueDeviation(), topology), objects
 
@@ -54,8 +54,8 @@ class TestSourceMessageRouting:
         from repro.source.monitor import TriggerMonitor
         from repro.source.source import SourceNode
 
-        topology = StarTopology(ConstantBandwidth(10.0),
-                                [ConstantBandwidth(5.0)])
+        topology = Topology([ConstantBandwidth(10.0)],
+                            [ConstantBandwidth(5.0)])
         objects = [DataObject(index=0, source_id=0)]
         source = SourceNode(
             0, objects,

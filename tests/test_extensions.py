@@ -13,7 +13,7 @@ from repro.core.weights import CostAdjustedWeights, StaticWeights
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth, TraceBandwidth
 from repro.network.messages import BatchRefreshMessage
-from repro.network.topology import StarTopology
+from repro.network.topology import Topology
 from repro.policies.cooperative import CooperativePolicy
 from repro.source.batching import BatchingSource
 from repro.source.monitor import TriggerMonitor
@@ -75,8 +75,8 @@ class TestTraceBandwidth:
 
 class TestBatchingSource:
     def make(self, batch_size=3, batch_timeout=5.0, source_rate=10.0):
-        topology = StarTopology(ConstantBandwidth(100.0),
-                                [ConstantBandwidth(source_rate)])
+        topology = Topology([ConstantBandwidth(100.0)],
+                            [ConstantBandwidth(source_rate)])
         objects = [DataObject(index=i, source_id=0, rate=0.5)
                    for i in range(6)]
         tracker = PriorityTracker()

@@ -42,7 +42,7 @@ from repro.faults.plan import (
 from repro.faults.retry import RetryPolicy
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import RefreshMessage
-from repro.network.topology import MultiCacheTopology, TopologyConfig
+from repro.network.topology import Topology, TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
 from repro.workloads.synthetic import uniform_random_walk
 from test_matrix import check_verdict
@@ -473,7 +473,7 @@ class TestReplicatedLegFaults:
 
     @staticmethod
     def replicated_pair(delivery):
-        topology = MultiCacheTopology(
+        topology = Topology(
             [ConstantBandwidth(50.0), ConstantBandwidth(50.0)],
             [ConstantBandwidth(50.0)],
             assignment=[(0, 1)], delivery=delivery)
@@ -560,7 +560,7 @@ class TestReplicatedLegFaults:
         """send_downstream_batch on a replicated layout: the delivered
         count is a budget prefix, and a suppressed delivery still spends
         cache credit (the injector fires after the charge)."""
-        topology = MultiCacheTopology(
+        topology = Topology(
             [ConstantBandwidth(3.0), ConstantBandwidth(50.0)],
             [ConstantBandwidth(1.0) for _ in range(4)],
             assignment=[(0, 1), (0, 1), (1, 0), (1, 0)],

@@ -68,7 +68,7 @@ class TestConservation:
                                    PoissonStalenessPriority())
         run_policy(workload(seed=5, rate_range=(0.5, 1.0)), Staleness(),
                    policy, SPEC)
-        link = policy.topology.cache_link
+        link = policy.topology.cache_links[0]
         assert link.total_sent == link.total_delivered + link.queued
         # Sent refreshes either arrived or are still queued.
         sent = sum(s.refreshes_sent for s in policy.sources)
@@ -81,7 +81,7 @@ class TestConservation:
                                    PoissonStalenessPriority())
         run_policy(workload(seed=6), Staleness(), policy, SPEC)
         sent = sum(s.refreshes_sent for s in policy.sources)
-        in_flight = policy.topology.cache_link.queued
+        in_flight = policy.topology.cache_links[0].queued
         assert sent == policy.cache.refreshes_applied + in_flight
 
     def test_divergence_always_nonnegative(self):
@@ -123,7 +123,7 @@ class TestOutageRecovery:
         after = float(np.mean([o.truth.divergence for o in ctx.objects]))
         assert during > before  # outage hurts
         assert after < during  # ...and the system recovers
-        assert policy.topology.cache_link.queued < 200
+        assert policy.topology.cache_links[0].queued < 200
 
     def test_thresholds_rise_during_outage_and_recover(self):
         w = workload(seed=9, horizon=500.0)

@@ -1,12 +1,15 @@
 """Tests for the multi-cache topology layer.
 
 Covers shard/replica routing, per-cache congestion isolation, the
-topology config factory, and the bit-for-bit equivalence of
-``MultiCacheTopology`` with one cache against the seed ``StarTopology``.
+topology config factory, the membership tables against a fresh build
+under random re-homing, and the bit-for-bit equivalence of the ``star``
+config with the one-cache ``sharded`` config.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
@@ -14,8 +17,7 @@ from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth, ScaledBandwidth
 from repro.network.messages import FeedbackMessage, RefreshMessage
 from repro.network.topology import (
-    MultiCacheTopology,
-    StarTopology,
+    Topology,
     TopologyConfig,
     replica_assignment,
     shard_assignment,
@@ -28,7 +30,7 @@ from repro.workloads.synthetic import uniform_random_walk
 
 def make_multi(cache_rates=(5.0, 5.0), source_rates=(2.0,) * 4,
                assignment=None):
-    return MultiCacheTopology(
+    return Topology(
         [ConstantBandwidth(r) for r in cache_rates],
         [ConstantBandwidth(r) for r in source_rates],
         assignment=assignment)
@@ -36,29 +38,28 @@ def make_multi(cache_rates=(5.0, 5.0), source_rates=(2.0,) * 4,
 
 class TestAssignments:
     def test_block_sharding_keeps_ranges_together(self):
-        assert shard_assignment(4, 2, "block") == [(0,), (0,), (1,), (1,)]
+        assert shard_assignment(4, 2) == [(0,), (0,), (1,), (1,)]
 
-    def test_stride_sharding_deals_round_robin(self):
-        assert shard_assignment(4, 2, "stride") == [(0,), (1,), (0,), (1,)]
+    def test_block_sharding_follows_its_formula(self):
+        for m in range(30):
+            for n in range(1, 7):
+                assert shard_assignment(m, n) == [
+                    (j * n // max(m, 1),) for j in range(m)]
 
     def test_block_sharding_balances_uneven_counts(self):
-        caches = [a[0] for a in shard_assignment(5, 2, "block")]
+        caches = [a[0] for a in shard_assignment(5, 2)]
         assert caches == sorted(caches)
         counts = [caches.count(k) for k in range(2)]
         assert max(counts) - min(counts) <= 1
 
     def test_replica_assignment_ring(self):
-        assignment = replica_assignment(4, 4, 2, "stride")
+        assignment = replica_assignment(4, 4, 2)
         assert assignment[0] == (0, 1)
         assert assignment[3] == (3, 0)  # wraps around the ring
 
     def test_replication_bounds_validated(self):
         with pytest.raises(ValueError):
             replica_assignment(4, 2, 3)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            shard_assignment(4, 2, "hash")
 
 
 class TestShardRouting:
@@ -234,18 +235,87 @@ class TestCongestionIsolation:
             assert link.total_sent == link.total_delivered + link.queued
 
 
+@st.composite
+def layouts(draw):
+    """A topology of m <= 40 sources on N <= 5 caches: star, sharded-N,
+    replicated-N with replication r, or an arbitrary assignment mixing
+    sharded and replicated sources."""
+    m = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["star", "sharded", "replicated", "mixed"]))
+    n = 1 if kind == "star" else draw(st.integers(1, 5))
+    sources = [ConstantBandwidth(1.0)] * m
+    if kind == "mixed":
+        targets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                           unique=True).map(tuple)
+        assignment = draw(st.lists(targets, min_size=m, max_size=m))
+        return Topology([ConstantBandwidth(2.0)] * n, sources,
+                        assignment=assignment)
+    config = TopologyConfig(kind=kind, num_caches=n,
+                            replication=draw(st.integers(1, n)))
+    return config.build(ConstantBandwidth(10.0), sources)
+
+
+def assert_membership_consistent(topo):
+    """The membership tables equal a fresh build from the current
+    assignment and their definition; owned sets partition the sources."""
+    m, n = topo.num_sources, topo.num_caches
+    assignment = [topo.caches_of(j) for j in range(m)]
+    fresh = Topology([ConstantBandwidth(1.0)] * n,
+                     [ConstantBandwidth(1.0)] * m, assignment=assignment)
+    assert [fresh.caches_of(j) for j in range(m)] == assignment
+    assert ([topo.primary_cache_of(j) for j in range(m)]
+            == [fresh.primary_cache_of(j) for j in range(m)]
+            == [targets[0] for targets in assignment])
+    for k in range(n):
+        members = topo.sources_of(k)
+        owned = topo.owned_sources_of(k)
+        assert members == fresh.sources_of(k)
+        assert owned == fresh.owned_sources_of(k)
+        assert members == tuple(j for j in range(m) if k in assignment[j])
+        assert owned == tuple(j for j in members if assignment[j][0] == k)
+        assert list(members) == sorted(set(members))
+        assert list(owned) == sorted(set(owned))
+    owned = [j for k in range(n) for j in topo.owned_sources_of(k)]
+    assert sorted(owned) == list(range(m))
+
+
+class TestMembership:
+    """The constructor's one-pass membership build against
+    ``reassign_source``'s incremental rebuild."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(topo=layouts(), data=st.data())
+    def test_matches_fresh_build_under_rehoming(self, topo, data):
+        assert_membership_consistent(topo)
+        n = topo.num_caches
+        sharded = [j for j in range(topo.num_sources)
+                   if len(topo.caches_of(j)) == 1]
+        if n < 2 or not sharded:
+            return
+        moves = data.draw(st.lists(
+            st.tuples(st.sampled_from(sharded), st.integers(1, n - 1)),
+            max_size=8))
+        for source, offset in moves:
+            old = topo.primary_cache_of(source)
+            new = (old + offset) % n
+            assert topo.reassign_source(source, new) == old
+            assert topo.caches_of(source) == (new,)
+            assert_membership_consistent(topo)
+
+
 class TestTopologyConfig:
     def test_star_is_default(self):
-        config = TopologyConfig()
-        topo = config.build(ConstantBandwidth(10.0),
-                            [ConstantBandwidth(1.0)] * 3)
-        assert isinstance(topo, StarTopology)
+        profile = ConstantBandwidth(10.0)
+        topo = TopologyConfig().build(profile, [ConstantBandwidth(1.0)] * 3)
+        assert topo.num_caches == 1
+        assert topo.cache_links[0].profile is profile
+        assert topo.sources_of(0) == topo.owned_sources_of(0) == (0, 1, 2)
 
     def test_sharded_build_splits_bandwidth(self):
         config = TopologyConfig(kind="sharded", num_caches=4)
         topo = config.build(ConstantBandwidth(20.0),
                             [ConstantBandwidth(1.0)] * 8)
-        assert isinstance(topo, MultiCacheTopology)
+        assert isinstance(topo, Topology)
         assert topo.num_caches == 4
         for link in topo.cache_links:
             assert isinstance(link.profile, ScaledBandwidth)
@@ -279,7 +349,8 @@ class TestTopologyConfig:
 
 
 class TestStarEquivalence:
-    """MultiCacheTopology(n_caches=1) must reproduce the star bit for bit."""
+    """The one-cache ``sharded`` config must reproduce the ``star``
+    config bit for bit."""
 
     @staticmethod
     def run_cooperative(topology_config, seed=11):

@@ -7,7 +7,7 @@ Two properties are pinned here:
   the readmodel and multicache matrices), because every cell regenerates
   its workload from a seed instead of receiving pickled state.
 * **Tier 2 equivalence** -- a sharded-topology cooperative run executed
-  shard-per-worker with feedback-window barriers merges to the exact
+  as one star run per shard and worker merges to the exact
   ``RunResult`` the serial interleaved simulation produces.
 """
 
@@ -138,14 +138,6 @@ class TestShardParallelEquivalence:
         shards = [shard_sources(config, 10, k) for k in range(3)]
         merged = sorted(j for shard in shards for j in shard)
         assert merged == list(range(10))
-
-    def test_reports_window_barrier_telemetry(self):
-        wspec, metric, spec, cache_bw, source_bws = _sharded_fixture(2)
-        merged = run_cooperative_sharded(wspec, metric, spec, cache_bw,
-                                         source_bws)
-        windows = merged.extras["shard_windows"]
-        assert len(windows) == 2
-        assert all(w >= 1 for w in windows)
 
 
 class TestSweepDeterminism:

@@ -122,6 +122,17 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             cooperative(m=3).attach(ctx)
 
+    def test_alpha_one_rejected_when_deriving_feedback_period(self):
+        """The derived gamma period divides by ln(alpha): alpha = 1 is a
+        ValueError with a message, not a ZeroDivisionError."""
+        from repro.policies.base import SimulationContext
+        ctx = SimulationContext(workload(), Staleness())
+        with pytest.raises(ValueError, match="alpha must be > 1"):
+            cooperative(alpha=1.0).attach(ctx)
+        # An explicit period needs no derivation, so alpha = 1 attaches.
+        ctx = SimulationContext(workload(), Staleness())
+        cooperative(alpha=1.0, feedback_period=10.0).attach(ctx)
+
     def test_extras_reported(self):
         result = run_policy(workload(seed=8), Staleness(), cooperative(),
                             SPEC)

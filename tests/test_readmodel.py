@@ -19,7 +19,7 @@ from repro.experiments.matrix import read_policies_for
 from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec
 from repro.network.bandwidth import ConstantBandwidth
-from repro.network.topology import MultiCacheTopology, TopologyConfig
+from repro.network.topology import Topology, TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
 from repro.sim.random import RngRegistry
 from repro.workloads.synthetic import uniform_random_walk
@@ -45,7 +45,7 @@ class TestParseReadPolicy:
 
 def make_model(num_caches=3, replication=3, rng_seed=0):
     """One source, one object, replicated across ``replication`` caches."""
-    topology = MultiCacheTopology(
+    topology = Topology(
         cache_profiles=[ConstantBandwidth(10.0)] * num_caches,
         source_profiles=[ConstantBandwidth(10.0)],
         assignment=[tuple(range(replication))])
@@ -57,7 +57,7 @@ def make_model(num_caches=3, replication=3, rng_seed=0):
 
 class TestReadModelUnit:
     def test_store_count_must_match_topology(self):
-        topology = MultiCacheTopology(
+        topology = Topology(
             cache_profiles=[ConstantBandwidth(1.0)] * 2,
             source_profiles=[ConstantBandwidth(1.0)],
             assignment=[(0, 1)])

@@ -40,11 +40,7 @@ from repro.network.bandwidth import (
 )
 from repro.network.link import Link
 from repro.network.messages import MigrateMessage, RefreshMessage
-from repro.network.topology import (
-    MultiCacheTopology,
-    StarTopology,
-    TopologyConfig,
-)
+from repro.network.topology import Topology, TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
 from repro.rebalance import RebalanceConfig, Rebalancer
 from repro.workloads.hotspot import hotspot_shards, moving_hotspot
@@ -68,7 +64,7 @@ def cooperative(workload, cache=10.0, source=2.0, **kwargs):
 
 
 def multi_topology(num_caches=2, num_sources=4, cache=5.0, source=2.0):
-    return MultiCacheTopology(
+    return Topology(
         [ConstantBandwidth(cache)] * num_caches,
         [ConstantBandwidth(source)] * num_sources)
 
@@ -263,8 +259,8 @@ class TestShardSubsetRoundTrip:
 # ----------------------------------------------------------------------
 class TestFeedbackSourceLifecycle:
     def make_controller(self, num_sources=4):
-        topology = StarTopology(ConstantBandwidth(10.0),
-                                [ConstantBandwidth(2.0)] * num_sources)
+        topology = Topology([ConstantBandwidth(10.0)],
+                            [ConstantBandwidth(2.0)] * num_sources)
         return FeedbackController(topology, omega=10.0)
 
     def test_remove_returns_learned_threshold(self):
@@ -339,7 +335,7 @@ class TestReassignSource:
             topology.reassign_source(0, 5)
         with pytest.raises(ValueError):
             topology.reassign_source(0, 0)  # already there
-        replicated = MultiCacheTopology(
+        replicated = Topology(
             [ConstantBandwidth(5.0)] * 2,
             [ConstantBandwidth(2.0)] * 2,
             assignment=[(0, 1), (1, 0)])
@@ -396,7 +392,7 @@ class TestPeerLinks:
 class TestCacheMigration:
     def make_pair(self, num_sources=4, objects_per_source=1):
         n = num_sources * objects_per_source
-        topology = MultiCacheTopology(
+        topology = Topology(
             [ConstantBandwidth(10.0)] * 2,
             [ConstantBandwidth(2.0)] * num_sources)
         objects = [DataObject(index=i, source_id=i // objects_per_source)
@@ -557,8 +553,8 @@ class TestRebalanceConfig:
 class TestRebalancerWiring:
     def test_inactive_on_star(self):
         workload = small_workload()
-        topology = StarTopology(
-            ConstantBandwidth(10.0),
+        topology = Topology(
+            [ConstantBandwidth(10.0)],
             [ConstantBandwidth(2.0)] * workload.num_sources)
         rebalancer = Rebalancer(RebalanceConfig(), topology, [])
         assert not rebalancer.active

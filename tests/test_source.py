@@ -10,7 +10,7 @@ from repro.core.tracking import PriorityTracker
 from repro.core.weights import StaticWeights
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import FeedbackMessage, RefreshMessage
-from repro.network.topology import StarTopology
+from repro.network.topology import Topology
 from repro.source.monitor import SamplingMonitor, TriggerMonitor
 from repro.source.source import SourceNode
 
@@ -19,8 +19,8 @@ import numpy as np
 
 def make_source(num_objects=3, source_rate=5.0, cache_rate=100.0,
                 initial_threshold=1.0, priority_fn=None):
-    topology = StarTopology(ConstantBandwidth(cache_rate),
-                            [ConstantBandwidth(source_rate)])
+    topology = Topology([ConstantBandwidth(cache_rate)],
+                        [ConstantBandwidth(source_rate)])
     objects = [DataObject(index=i, source_id=0, rate=0.5)
                for i in range(num_objects)]
     tracker = PriorityTracker()
@@ -40,7 +40,7 @@ class TestRefreshDecisions:
         objects[0].apply_update(1.0, 5.0, metric)
         source.on_update(objects[0], 1.0)
         assert source.refreshes_sent == 1
-        assert topo.cache_link.total_delivered == 1  # in-tick delivery
+        assert topo.cache_links[0].total_delivered == 1  # in-tick delivery
 
     def test_no_refresh_below_threshold(self):
         source, objects, topo = make_source(initial_threshold=100.0)
@@ -140,8 +140,8 @@ class TestFeedbackHandling:
 
 class TestSamplingMonitor:
     def make_sampling_source(self, interval=5.0, predictive=False):
-        topology = StarTopology(ConstantBandwidth(100.0),
-                                [ConstantBandwidth(10.0)])
+        topology = Topology([ConstantBandwidth(100.0)],
+                            [ConstantBandwidth(10.0)])
         objects = [DataObject(index=0, source_id=0, rate=0.5)]
         tracker = PriorityTracker()
         threshold = ThresholdController(initial=1.0)

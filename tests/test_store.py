@@ -23,7 +23,7 @@ from repro.core.divergence import ValueDeviation
 from repro.core.objects import DataObject
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import RefreshMessage
-from repro.network.topology import MultiCacheTopology
+from repro.network.topology import Topology
 
 
 class TestReadSemantics:
@@ -85,7 +85,7 @@ class Clock:
 
 def make_replicated_pair():
     """Two cache nodes sharing one source's objects, replication 2."""
-    topology = MultiCacheTopology(
+    topology = Topology(
         cache_profiles=[ConstantBandwidth(10.0), ConstantBandwidth(10.0)],
         source_profiles=[ConstantBandwidth(10.0)],
         assignment=[(0, 1)])

@@ -9,14 +9,14 @@ from repro.network.messages import (
     PollResponse,
     RefreshMessage,
 )
-from repro.network.topology import StarTopology
+from repro.network.topology import Topology
 
 from oracles import reference_schedule
 
 
 def make_topology(cache_rate=10.0, source_rates=(2.0, 2.0)):
-    return StarTopology(ConstantBandwidth(cache_rate),
-                        [ConstantBandwidth(r) for r in source_rates])
+    return Topology([ConstantBandwidth(cache_rate)],
+                    [ConstantBandwidth(r) for r in source_rates])
 
 
 class TestUpstream:
@@ -53,7 +53,7 @@ class TestUpstream:
         for _ in range(3):
             topo.send_upstream(RefreshMessage(source_id=0))
         assert len(received) == 1  # capacity 1, rest queued
-        assert topo.cache_link.queued == 2
+        assert topo.cache_links[0].queued == 2
         topo.on_network_tick(2.0)
         assert len(received) == 2  # drains FIFO as credit returns
 
@@ -124,11 +124,12 @@ class TestDownstreamBatch:
             sent += 1
         delivered = batched.send_downstream_batch(0, list(range(5)), 1.0)
         assert delivered == sent == 3
-        assert batched.cache_link.credit == sequential.cache_link.credit
-        assert batched.cache_link.total_sent == \
-            sequential.cache_link.total_sent
-        assert batched.cache_link.total_delivered == \
-            sequential.cache_link.total_delivered
+        assert (batched.cache_links[0].credit
+                == sequential.cache_links[0].credit)
+        assert batched.cache_links[0].total_sent == \
+            sequential.cache_links[0].total_sent
+        assert batched.cache_links[0].total_delivered == \
+            sequential.cache_links[0].total_delivered
 
     def test_batch_reuses_one_scratch_message(self):
         topo = make_topology(cache_rate=5.0, source_rates=(1.0,) * 3)
@@ -162,7 +163,7 @@ class TestSharedCacheLink:
         for _ in range(3):
             assert topo.send_downstream(FeedbackMessage(source_id=0))
         topo.send_upstream_unconstrained(RefreshMessage(source_id=0))
-        topo.cache_link.drain()
+        topo.cache_links[0].drain()
         assert received == []  # all credit went to feedback
 
     def test_total_messages_counts_everything(self):
@@ -185,7 +186,7 @@ class TestSharedCacheLink:
             for _ in range(3):
                 topo.send_upstream_unconstrained(
                     RefreshMessage(source_id=0))
-        link = topo.cache_link
+        link = topo.cache_links[0]
         assert link.total_delivered == len(received)
         assert link.total_sent == link.total_delivered + link.queued
 
@@ -222,16 +223,16 @@ class TestHeterogeneousCacheRates:
 
 class TestActiveLinkSet:
     def test_steady_source_links_are_lazy(self):
-        topo = StarTopology(ConstantBandwidth(10.0),
-                            [ConstantBandwidth(1.0)] * 5)
+        topo = Topology([ConstantBandwidth(10.0)],
+                        [ConstantBandwidth(1.0)] * 5)
         assert all(link.lazy for link in topo.source_links)
         assert topo.active_link_count == 1  # just the cache link
 
     def test_non_steady_source_links_stay_eager(self):
         from repro.network.bandwidth import SineBandwidth
-        topo = StarTopology(ConstantBandwidth(10.0),
-                            [SineBandwidth(1.0, 0.25),
-                             ConstantBandwidth(1.0)])
+        topo = Topology([ConstantBandwidth(10.0)],
+                        [SineBandwidth(1.0, 0.25),
+                         ConstantBandwidth(1.0)])
         assert not topo.source_links[0].lazy
         assert topo.source_links[1].lazy
         assert topo.active_link_count == 2
@@ -240,20 +241,20 @@ class TestActiveLinkSet:
         """The reference schedule of tests/oracles.py refills every
         source link eagerly; the default one leaves steady links lazy."""
         with reference_schedule(scan=False, per_event=False):
-            topo = StarTopology(ConstantBandwidth(10.0),
-                                [ConstantBandwidth(1.0)] * 3)
+            topo = Topology([ConstantBandwidth(10.0)],
+                            [ConstantBandwidth(1.0)] * 3)
         assert topo.active_link_count == 4
         topo.on_network_tick(1.0)
         assert all(link.tick_capacity == 1.0 for link in topo.source_links)
-        lazy = StarTopology(ConstantBandwidth(10.0),
-                            [ConstantBandwidth(1.0)] * 3)
+        lazy = Topology([ConstantBandwidth(10.0)],
+                        [ConstantBandwidth(1.0)] * 3)
         assert lazy.active_link_count == 1
 
     def test_lazy_link_synced_before_capacity_check(self):
         """source_at_capacity on an untouched lazy link must see the
         credit the eager schedule would have banked."""
-        topo = StarTopology(ConstantBandwidth(10.0),
-                            [ConstantBandwidth(0.5)] * 2)
+        topo = Topology([ConstantBandwidth(10.0)],
+                        [ConstantBandwidth(0.5)] * 2)
         for tick in range(1, 5):
             topo.on_network_tick(float(tick))
         assert not topo.source_at_capacity(0)  # 0.5/tick banked >= 1.0
