@@ -18,21 +18,31 @@ Two independent tiers, both built on ``ProcessPoolExecutor``:
   to exactly one cache, feedback flows cache -> own sources only, and no
   link, rng stream, or controller is shared across shards -- so the
   serial interleaved schedule factors exactly into one independent
-  sub-simulation per cache.  :func:`run_cooperative_sharded` slices the
-  workload per shard (:meth:`~repro.workloads.synthetic.Workload.shard`),
-  runs each shard as one star run in a worker process, and merges
-  integrals/counters back into the exact arithmetic the serial run
-  performs (scatter + one ``np.sum``).  The merge is pinned bit-for-bit
-  against the serial path in ``tests/test_parallel.py``; DESIGN.md
-  Sec 11 gives the argument.
+  sub-simulation per cache.  :func:`run_cooperative_sharded` computes
+  the block assignment once and hands each task only its own shard
+  (its source ids and their bandwidth profiles).  The worker slices the
+  workload (:meth:`~repro.workloads.synthetic.Workload.shard`) and runs
+  the shard as one star run; the parent merges integrals/counters back
+  into the exact arithmetic the serial run performs (scatter + one
+  ``np.sum``).  The merge is pinned bit-for-bit against the serial path
+  in ``tests/test_parallel.py``; DESIGN.md Sec 11 gives the argument.
+  Fault plans and rebalancing couple the shards and are rejected.
+
+Pool workers of both tiers freeze the heap they inherit by fork, so
+their collector passes skip the parent's objects.  A finished shard
+closes its policy and context while collection is still paused: that
+breaks every callback cycle, so reference counting frees the shard's
+~20 objects per source at once, where a GC pass would have had to scan
+and free them.
 
 Everything a worker touches must be importable by reference: cell
 functions live at module level, payloads are frozen dataclasses of
-scalars and small numpy-free values.
+scalars, bandwidth profiles and other small numpy-free values.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -130,6 +140,9 @@ class ParallelRunner:
     in payload order, so callers merge deterministically regardless of
     completion order.  ``fn`` must be picklable by reference (module
     level) and payloads must be picklable values.
+
+    Each worker freezes the heap it inherits by fork (``gc.freeze``), so
+    its collector passes never rescan the parent's objects.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -142,30 +155,39 @@ class ParallelRunner:
         if self.workers <= 1 or len(payloads) <= 1:
             return [fn(payload) for payload in payloads]
         workers = min(self.workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=gc.freeze) as pool:
             return list(pool.map(fn, payloads))
 
 
 # ----------------------------------------------------------------------
 # Tier 2: shard-parallel cooperative runs
 # ----------------------------------------------------------------------
-def shard_sources(config: TopologyConfig, num_sources: int,
-                  cache_id: int) -> list[int]:
-    """Global source ids owned by ``cache_id``, ascending."""
-    assignment = config.assignment_for(num_sources)
-    return [j for j in range(num_sources) if cache_id in assignment[j]]
+def shard_sources(config: TopologyConfig,
+                  num_sources: int) -> list[list[int]]:
+    """Global source ids per cache (those it is primary for), ascending."""
+    owned: list[list[int]] = [[] for _ in range(config.num_caches)]
+    for j, targets in enumerate(config.assignment_for(num_sources)):
+        owned[targets[0]].append(j)
+    return owned
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker needs to run a single shard."""
+    """Everything one worker needs to run a single shard.
+
+    Only the shard's own sources travel with the task: their global ids
+    and bandwidth profiles, ascending, so the parent pickles each
+    profile once across all tasks.
+    """
 
     workload: WorkloadSpec
     spec: RunSpec  #: the *global* run spec (topology = the sharded config)
     cache_id: int
     metric: DivergenceMetric
     cache_bandwidth: BandwidthProfile  #: aggregate cache-side profile
-    source_bandwidths: tuple[BandwidthProfile, ...]  #: full global list
+    sources: tuple[int, ...]  #: global source ids of this shard, ascending
+    source_bandwidths: tuple[BandwidthProfile, ...]  #: one per ``sources``
     priority_fn: PriorityFunction
     policy_kwargs: tuple[tuple[str, Any], ...] = ()
 
@@ -175,7 +197,7 @@ class ShardResult:
     """One shard's integrals, counters and telemetry, ready to merge."""
 
     cache_id: int
-    sources: list[int]  #: global source ids, ascending
+    sources: tuple[int, ...]  #: global source ids, ascending
     objects: np.ndarray  #: global object indices, ascending
     duration: float
     weighted_integral: np.ndarray
@@ -197,45 +219,53 @@ def _run_shard(task: ShardTask) -> ShardResult:
     cache's slice of the aggregate cache bandwidth on one cache link; the
     sub-run goes through the same :meth:`SimulationContext.run
     <repro.policies.base.SimulationContext.run>` as ``run_policy``.
+    The run is closed and dropped before the collector resumes, so its
+    object graph is freed by reference counting, not by a GC pass.
     """
     with gc_paused():
-        workload = build_workload(task.workload)
-        config = task.spec.topology
-        assert config is not None and config.kind == "sharded"
-        sources = shard_sources(config, workload.num_sources, task.cache_id)
-        sub = workload.shard(np.asarray(sources, dtype=np.int64))
-        ops = workload.objects_per_source
-        objects = (np.asarray(sources, dtype=np.int64)[:, None] * ops
-                   + np.arange(ops, dtype=np.int64)[None, :]).reshape(-1)
-        profile = config.cache_profiles(task.cache_bandwidth)[task.cache_id]
-        sub_spec = replace(task.spec, topology=None)
-        policy = CooperativePolicy(
-            profile,
-            [task.source_bandwidths[j] for j in sources],
-            priority_fn=task.priority_fn,
-            **dict(task.policy_kwargs))
-        ctx = make_context(sub, task.metric, sub_spec)
-        policy.attach(ctx)
-        ctx.run(task.spec.end_time,
-                resample_interval=task.spec.resample_interval)
-        collector = ctx.collector
-        link = policy.topology.cache_links[0]
-        return ShardResult(
-            cache_id=task.cache_id,
-            sources=sources,
-            objects=objects,
-            duration=collector.duration,
-            weighted_integral=collector._weighted_integral,
-            unweighted_integral=collector._unweighted_integral,
-            thresholds=[s.threshold.value for s in policy.sources],
-            refreshes_sent=sum(s.refreshes_sent for s in policy.sources),
-            refreshes_applied=policy.refreshes(),
-            feedback_sent=policy.feedback_messages(),
-            cache_messages=link.total_sent,
-            utilization=link.utilization(),
-            queued=link.queued,
-            queued_peak=link.total_queued_peak,
-        )
+        # The closed run lives only in the helper's frame, which is
+        # freed when it returns: before the collector resumes.
+        return _simulate_shard(task)
+
+
+def _simulate_shard(task: ShardTask) -> ShardResult:
+    """Build, run, read and close one shard."""
+    workload = build_workload(task.workload)
+    sources = np.asarray(task.sources, dtype=np.int64)
+    ops = workload.objects_per_source
+    objects = (sources[:, None] * ops
+               + np.arange(ops, dtype=np.int64)[None, :]).reshape(-1)
+    config = task.spec.topology
+    profile = config.cache_profiles(task.cache_bandwidth)[task.cache_id]
+    policy = CooperativePolicy(profile, list(task.source_bandwidths),
+                               priority_fn=task.priority_fn,
+                               **dict(task.policy_kwargs))
+    ctx = make_context(workload.shard(sources), task.metric,
+                       replace(task.spec, topology=None))
+    policy.attach(ctx)
+    ctx.run(task.spec.end_time,
+            resample_interval=task.spec.resample_interval)
+    collector = ctx.collector
+    link = policy.topology.cache_links[0]
+    result = ShardResult(
+        cache_id=task.cache_id,
+        sources=task.sources,
+        objects=objects,
+        duration=collector.duration,
+        weighted_integral=collector._weighted_integral,
+        unweighted_integral=collector._unweighted_integral,
+        thresholds=[s.threshold.value for s in policy.sources],
+        refreshes_sent=sum(s.refreshes_sent for s in policy.sources),
+        refreshes_applied=policy.refreshes(),
+        feedback_sent=policy.feedback_messages(),
+        cache_messages=link.total_sent,
+        utilization=link.utilization(),
+        queued=link.queued,
+        queued_peak=link.total_queued_peak,
+    )
+    policy.close()
+    ctx.close()
+    return result
 
 
 def merge_shard_results(shards: list[ShardResult], num_sources: int,
@@ -314,24 +344,36 @@ def run_cooperative_sharded(workload_spec: WorkloadSpec,
     serial ``run_policy`` on the same workload/spec (pinned in
     ``tests/test_parallel.py``); ``workers=1`` runs the shards serially
     through the identical slicing/merge path.
+
+    A non-empty fault plan or a ``rebalance`` configuration couples the
+    shards (fault draws follow global cache ids, migrations move
+    sources between caches), so both are rejected before any shard runs.
     """
     config = spec.topology
     if config is None or config.kind != "sharded":
         raise ValueError(
             "shard-parallel execution needs a kind='sharded' topology, "
             f"got {config!r}")
+    if spec.faults is not None and not spec.faults.is_empty():
+        raise ValueError("shard-parallel execution cannot inject faults; "
+                         "run a fault plan through run_policy")
+    if policy_kwargs.get("rebalance") is not None:
+        raise ValueError("shard-parallel execution cannot rebalance "
+                         "shards; run rebalancing through run_policy")
     if priority_fn is None:
         priority_fn = AreaPriority()
+    num_sources = len(source_bandwidths)
     tasks = [
         ShardTask(workload=workload_spec, spec=spec, cache_id=k,
                   metric=metric, cache_bandwidth=cache_bandwidth,
-                  source_bandwidths=tuple(source_bandwidths),
+                  sources=tuple(sources),
+                  source_bandwidths=tuple(source_bandwidths[j]
+                                          for j in sources),
                   priority_fn=priority_fn,
                   policy_kwargs=tuple(sorted(policy_kwargs.items())))
-        for k in range(config.num_caches)
+        for k, sources in enumerate(shard_sources(config, num_sources))
     ]
     shards = ParallelRunner(workers).map(_run_shard, tasks)
-    num_sources = len(source_bandwidths)
     workload_objects = sum(len(s.objects) for s in shards)
     return merge_shard_results(shards, num_sources, workload_objects,
                                metric.name)

@@ -634,6 +634,26 @@ class Topology:
                 + sum(link.total_sent for link in self.source_links)
                 + sum(link.total_sent for link in self._peer_link_list))
 
+    # ------------------------------------------------------------------
+    # Teardown
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Drop every callback this topology holds; it cannot route again.
+
+        Link delivery closures reach back to the topology and receivers
+        reach the nodes that hold it, so a finished run's graph is
+        cyclic until these go.  Counters stay readable.
+        """
+        for link in self.cache_links + self._peer_link_list:
+            link.deliver = None
+            link.on_queue = None
+        self._cache_receivers.clear()
+        self._source_receivers.clear()
+        self._crash_listeners.clear()
+        self._delivery_guard = None
+        self._fault_injector = None
+        self._reliable = None
+
 
 # ----------------------------------------------------------------------
 # Assignment helpers

@@ -193,6 +193,17 @@ class SimulationContext:
         self.sim.run_until(end_time)
         self.collector.finalize(end_time)
 
+    def close(self) -> None:
+        """Release the run's callbacks once its results have been read.
+
+        Closes the simulator and drops the update hooks and the trace
+        replayer, so nothing this context holds reaches back into the
+        policy.  Objects, collector and workload stay readable.
+        """
+        self.sim.close()
+        self._update_hooks.clear()
+        self.replayer = None
+
 
 class SyncPolicy(ABC):
     """A synchronization scheduling policy."""

@@ -381,6 +381,22 @@ class CooperativePolicy(SyncPolicy):
                 # full scan would notice at the next tick's drain.
                 self._source_wakeups.arm(j, now)
 
+    def close(self) -> None:
+        """Unwire the finished run so it frees without the cyclic GC.
+
+        Drops the cache clocks and hooks and the context, then closes
+        the topology; read every result first (``extras`` needs the
+        context).  Close the context too: its simulator holds this
+        policy's tickers.
+        """
+        for cache in self.caches:
+            cache.clock = None
+            cache.activity_hook = None
+            cache.refresh_hooks.clear()
+        self._ctx = None
+        if self.topology is not None:
+            self.topology.close()
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

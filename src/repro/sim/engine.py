@@ -285,6 +285,20 @@ class Simulator:
             ticker.cancel()
         self._tickers.clear()
 
+    def close(self) -> None:
+        """Drop every scheduled callback; the simulator cannot run again.
+
+        Queued events, tickers and wakeups are what tie a finished run's
+        object graph into cycles (an event's action reaches back to its
+        owner, which holds the event; a ticker's next event is queued).
+        Dropping them lets the graph be freed by reference counting
+        instead of by a cyclic GC pass.
+        """
+        self._queue.clear()
+        self._tickers.clear()
+        self._wakeups.clear()
+        self._wakeup_actions.clear()
+
     def _forget_ticker(self, ticker: Ticker) -> None:
         """Drop a cancelled ticker from the registry (idempotent)."""
         try:

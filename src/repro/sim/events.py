@@ -108,6 +108,14 @@ class EventQueue:
             self._compact()
         return event
 
+    def clear(self) -> None:
+        """Drop every queued event and detach its action, so no event
+        keeps its owner (or a cycle through it) alive."""
+        for event in self._heap:
+            event.action = None
+        self._heap.clear()
+        self._live = 0
+
     def _compact(self) -> None:
         """Evict every cancelled event and restore the heap invariant."""
         self._heap = [event for event in self._heap if not event.cancelled]

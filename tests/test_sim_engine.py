@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -220,6 +222,38 @@ class TestTickerRegistry:
             sim.every(1.0, lambda t: None)
         sim.cancel_all_tickers()
         assert sim.active_tickers == 0
+
+
+class TestClose:
+    def test_close_drops_every_callback(self):
+        sim = Simulator()
+        fired = []
+        sim.every(1.0, lambda t: fired.append(t))
+        sim.schedule(0.5, lambda: fired.append("once"))
+        sim.wake_at("src-0", 2.0, lambda: fired.append("wake"))
+        sim.close()
+        assert sim.pending_events == 0
+        assert sim.active_tickers == 0
+        assert sim.pending_wakeups == 0
+        sim.run_until(5.0)
+        assert fired == []
+
+    def test_closed_simulator_frees_without_the_collector(self):
+        """Tickers and wakeups hold cycles through their own events;
+        closing breaks them, so reference counting frees everything."""
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator()
+            sim.every(1.0, lambda t: None)
+            sim.schedule(4.0, lambda: None).cancel()
+            sim.wake_at("src-0", 3.0, lambda sim=sim: sim.now)
+            sim.run_until(1.5)
+            sim.close()
+            del sim
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestWakeAt:
