@@ -28,6 +28,10 @@ from typing import Sequence
 
 from repro.network.topology import Topology
 
+#: Heap key of a source with an unknown (infinite) threshold, shared by
+#: every seed entry instead of a fresh float each.
+_UNKNOWN_KEY = float("-inf")
+
 
 class FeedbackController:
     """Selects feedback targets and spends surplus cache bandwidth.
@@ -90,7 +94,7 @@ class FeedbackController:
         # per-source version; stale entries are discarded on pop.
         self._versions = [0] * len(self.source_ids)
         self._heap: list[tuple[float, int, int]] = [
-            (float("-inf"), sid, 0) for sid in self.source_ids
+            (_UNKNOWN_KEY, sid, 0) for sid in self.source_ids
         ]
         heapq.heapify(self._heap)
         self._eligible = len(self.source_ids)
@@ -110,7 +114,7 @@ class FeedbackController:
             float("inf") if sid in live else self.min_threshold
             for sid in self.source_ids]
         self._versions = [v + 1 for v in self._versions]
-        self._heap = [(float("-inf"), sid, self._versions[pos])
+        self._heap = [(_UNKNOWN_KEY, sid, self._versions[pos])
                       for pos, sid in enumerate(self.source_ids)
                       if sid in live]
         heapq.heapify(self._heap)

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 from repro.core.divergence import DivergenceMetric
 
+#: Update time of a never-updated object; one shared float, not one each.
+_NEVER = float("-inf")
+
 
 class SyncView:
     """One view (belief or truth) of an object's divergence history."""
@@ -114,7 +117,7 @@ class DataObject:
         self.rate = rate
         self.value = value
         self.update_count = 0
-        self.last_update_time = float("-inf")  #: time of most recent update
+        self.last_update_time = _NEVER  #: time of most recent update
         self.max_rate = max_rate
         self.belief = SyncView(value, time)
         self.truth = SyncView(value, time)

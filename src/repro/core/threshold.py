@@ -24,6 +24,8 @@ feedback message).
 
 from __future__ import annotations
 
+import math
+
 DEFAULT_ALPHA = 1.1
 DEFAULT_OMEGA = 10.0
 
@@ -92,7 +94,7 @@ class ThresholdController:
         self.feedback_ttl = feedback_ttl
         self.ttl_decays = 0
         self._decay_deadline = (start_time + feedback_ttl
-                                if feedback_ttl is not None else float("inf"))
+                                if feedback_ttl is not None else math.inf)
 
     def gamma(self, now: float) -> float:
         """Flood-acceleration factor ``max(1, t_feedback / P_feedback)``."""

@@ -32,8 +32,8 @@ Pool workers of both tiers freeze the heap they inherit by fork, so
 their collector passes skip the parent's objects.  A finished shard
 closes its policy and context while collection is still paused: that
 breaks every callback cycle, so reference counting frees the shard's
-~20 objects per source at once, where a GC pass would have had to scan
-and free them.
+~12 GC-tracked objects (~1.7 KB) per source at once, where a GC pass
+would have had to scan and free them (DESIGN.md Sec 10 tabulates them).
 
 Everything a worker touches must be importable by reference: cell
 functions live at module level, payloads are frozen dataclasses of

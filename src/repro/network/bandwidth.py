@@ -26,6 +26,8 @@ import numpy as np
 class BandwidthProfile(ABC):
     """Instantaneous capacity ``rate(t)`` and its integral over an interval."""
 
+    __slots__ = ()
+
     @abstractmethod
     def rate(self, t: float) -> float:
         """Capacity in messages per time unit at time ``t`` (>= 0)."""
@@ -88,6 +90,8 @@ class BandwidthProfile(ABC):
 
 class ConstantBandwidth(BandwidthProfile):
     """Fixed capacity: ``rate(t) = B`` for all ``t``."""
+
+    __slots__ = ("_rate",)
 
     def __init__(self, rate: float) -> None:
         if rate < 0:

@@ -43,6 +43,11 @@ DeliveryCallback = Callable[[Message], None]
 #: the vectorized prefix pass; longer gaps just take another jump.
 _JUMP_SPAN = 512
 
+#: The FIFO of a link that has never queued: empty and immutable, so
+#: ``len``, truthiness and iteration work, and sharing it costs nothing.
+#: Source links never queue, so only :meth:`Link.enqueue` allocates.
+_NO_QUEUE: tuple[()] = ()
+
 
 class Link:
     """A continuous-token-bucket message pipe with a FIFO overflow queue.
@@ -66,7 +71,7 @@ class Link:
         self.profile = profile
         self.deliver = deliver
         self.credit = 0.0
-        self.queue: deque[Message] = deque()
+        self.queue: deque[Message] | tuple[()] = _NO_QUEUE
         self._last_accrue = 0.0
         self._tick_added = 0.0
         # Constant profiles take accrue's closed-form fast path; the
@@ -405,9 +410,12 @@ class Link:
 
     def enqueue(self, message: Message) -> None:
         """Accept a message unconditionally; it transmits as credit allows."""
-        self.queue.append(message)
+        queue = self.queue
+        if queue is _NO_QUEUE:
+            queue = self.queue = deque()
+        queue.append(message)
         self.total_sent += 1
-        depth = len(self.queue)
+        depth = len(queue)
         if depth > self.total_queued_peak:
             self.total_queued_peak = depth
         if depth > self._window_queued_peak:

@@ -96,7 +96,7 @@ class CompetitivePolicy(CooperativePolicy):
         for cache in self.caches:
             cache.add_refresh_hook(self._on_refresh_applied)
         for source in self.sources:
-            source.send_hooks.append(self._on_refresh_sent)
+            source.send_hooks += (self._on_refresh_sent,)
         self._own_wakeups = WakeupSet()
         self._own_tick_no = 0
         self._own_credit_tick = [0] * m

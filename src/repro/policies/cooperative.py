@@ -111,6 +111,16 @@ class CooperativePolicy(SyncPolicy):
                  batch_timeout: float = 5.0,
                  feedback_ttl: float | None = None,
                  rebalance=None) -> None:
+        if monitor not in ("trigger", "sampling"):
+            raise ValueError(f"unknown monitor kind {monitor!r}; expected "
+                             f"'trigger' or 'sampling'")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if batch_timeout <= 0:
+            raise ValueError(f"batch_timeout must be > 0, got {batch_timeout}")
+        if sampling_interval <= 0:
+            raise ValueError(
+                f"sampling_interval must be > 0, got {sampling_interval}")
         self.cache_bandwidth = cache_bandwidth
         self.source_bandwidths = source_bandwidths
         self.priority_fn = priority_fn
@@ -160,6 +170,7 @@ class CooperativePolicy(SyncPolicy):
             raise ValueError(
                 f"expected {workload.num_sources} source bandwidth "
                 f"profiles, got {len(self.source_bandwidths)}")
+        self._ctx = ctx
         self.topology = ctx.build_topology(self.cache_bandwidth,
                                            self.source_bandwidths)
         topology = self.topology
@@ -191,6 +202,7 @@ class CooperativePolicy(SyncPolicy):
 
         per_source = workload.objects_per_source
         self.sources = []
+        receiver = self._on_source_message
         # The derived feedback period depends only on a source's primary
         # cache, so compute it once per cache instead of once per source
         # (at m ~ 10^5 the per-source log/len arithmetic is real money).
@@ -217,8 +229,7 @@ class CooperativePolicy(SyncPolicy):
                 source = SourceNode(j, objects, monitor, threshold,
                                     topology)
             self.sources.append(source)
-            topology.set_source_receiver(
-                j, self._make_receiver(source, ctx))
+            topology.set_source_receiver(j, receiver)
             if topology.reliable is not None:
                 topology.reliable.register_sender(j, source)
 
@@ -254,7 +265,6 @@ class CooperativePolicy(SyncPolicy):
             self.rebalancer = Rebalancer(self.rebalance, topology,
                                          self.caches)
             self.rebalancer.install(ctx)
-        self._ctx = ctx
 
     def _feedback_period_for(self, source_id: int,
                              ctx: SimulationContext) -> float | None:
@@ -285,21 +295,20 @@ class CooperativePolicy(SyncPolicy):
                        DivergenceMetric, threshold: ThresholdController):
         if self.monitor_kind == "trigger":
             return TriggerMonitor(tracker, self.priority_fn, weights)
-        if self.monitor_kind == "sampling":
-            return SamplingMonitor(
-                tracker, self.priority_fn, weights, metric,
-                interval=self.sampling_interval,
-                predictive=self.predictive_sampling,
-                threshold=lambda: threshold.value)
-        raise ValueError(f"unknown monitor kind {self.monitor_kind!r}")
+        return SamplingMonitor(
+            tracker, self.priority_fn, weights, metric,
+            interval=self.sampling_interval,
+            predictive=self.predictive_sampling,
+            threshold=lambda: threshold.value)
 
-    def _make_receiver(self, source: SourceNode, ctx: SimulationContext):
-        def receive(message):
-            now = ctx.sim.now
-            blocked = source.on_message(message, now)
-            if self._event_driven:
-                self._rearm_source(source.source_id, source, now, blocked)
-        return receive
+    def _on_source_message(self, message) -> None:
+        """The one receiver every source id is registered with."""
+        j = message.source_id
+        source = self.sources[j]
+        now = self._ctx.sim.now
+        blocked = source.on_message(message, now)
+        if self._event_driven:
+            self._rearm_source(j, source, now, blocked)
 
     def _make_cache_activity(self, cache_id: int):
         def hook(now: float) -> None:

@@ -71,7 +71,7 @@ class BatchingSource(SourceNode):
             tracker.pop()
             if index in staged_indices:
                 continue
-            self._staged.append(self._by_index[index])
+            self._staged.append(self.objects[index - self.first_index])
             staged_indices.add(index)
             if self._staged_since is None:
                 self._staged_since = now

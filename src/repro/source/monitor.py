@@ -220,9 +220,10 @@ class SamplingMonitor(PriorityMonitor):
         scan's deadline comparison -- so a wakeup-scheduled source takes
         bit-identical samples at bit-identical times.
         """
-        by_index = source._by_index
+        objects = source.objects
+        first = source.first_index
         for index in self._deadlines.pop_due(now, eps=1e-12):
-            self.sample(by_index[index], now)
+            self.sample(objects[index - first], now)
 
     def _set_next_sample(self, index: int, time: float) -> None:
         self._next_sample[index] = time

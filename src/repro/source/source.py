@@ -27,18 +27,29 @@ class SourceNode:
 
     The source does not care how many caches exist: the topology routes
     its upstream refreshes to the right cache link(s), and downstream
-    feedback arrives tagged with the ``cache_id`` it came from (recorded in
-    ``feedback_by_cache`` for diagnostics).
+    feedback arrives tagged with the ``cache_id`` it came from (counted
+    in ``feedback_by_cache`` for diagnostics, ``None`` until the first
+    feedback).
+
+    ``objects`` must have contiguous global indices, so the object with
+    index ``i`` is ``objects[i - first_index]``.
     """
 
     __slots__ = ("source_id", "objects", "monitor", "threshold",
                  "topology", "refreshes_sent", "feedback_received",
-                 "feedback_by_cache", "send_hooks", "_by_index")
+                 "feedback_by_cache", "send_hooks", "first_index")
 
     def __init__(self, source_id: int, objects: list[DataObject],
                  monitor: PriorityMonitor,
                  threshold: ThresholdController,
                  topology: Topology) -> None:
+        first = objects[0].index if objects else 0
+        for offset, obj in enumerate(objects):
+            if obj.index != first + offset:
+                raise ValueError(
+                    f"source {source_id}: object indices must be "
+                    f"contiguous, expected {first + offset} at offset "
+                    f"{offset}, got {obj.index}")
         self.source_id = source_id
         self.objects = objects
         self.monitor = monitor
@@ -46,10 +57,10 @@ class SourceNode:
         self.topology = topology
         self.refreshes_sent = 0
         self.feedback_received = 0
-        self.feedback_by_cache: dict[int, int] = {}
+        self.feedback_by_cache: dict[int, int] | None = None
         #: callbacks ``hook(obj, now, threshold_driven)`` fired per send
-        self.send_hooks: list = []
-        self._by_index = {obj.index: obj for obj in objects}
+        self.send_hooks: tuple = ()
+        self.first_index = first
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -92,8 +103,10 @@ class SourceNode:
     def on_feedback(self, now: float, cache_id: int = 0) -> bool:
         """Positive feedback: lower the threshold and use it right away."""
         self.feedback_received += 1
-        self.feedback_by_cache[cache_id] = (
-            self.feedback_by_cache.get(cache_id, 0) + 1)
+        by_cache = self.feedback_by_cache
+        if by_cache is None:
+            by_cache = self.feedback_by_cache = {}
+        by_cache[cache_id] = by_cache.get(cache_id, 0) + 1
         at_capacity = self.topology.source_at_capacity(self.source_id)
         self.threshold.on_feedback(now, at_capacity=at_capacity)
         return self.drain(now)
@@ -119,7 +132,7 @@ class SourceNode:
             index, priority = top
             if priority < self.threshold.value:
                 return False
-            obj = self._by_index[index]
+            obj = self.objects[index - self.first_index]
             if not self._send_refresh(obj, now):
                 return True  # out of source-side bandwidth this tick
 

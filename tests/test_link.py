@@ -1,5 +1,7 @@
 """Tests for the credit-bucket link with FIFO overflow queue."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,48 @@ class TestQueueing:
         for i in range(4):
             link.enqueue(msg(i))
         assert link.total_queued_peak == 4
+
+
+class TestQueueOnFirstUse:
+    """A link holds the shared empty stand-in until its first enqueue."""
+
+    def test_never_queued_link_reads_empty(self):
+        link, delivered = make_link()
+        assert link.queued == 0 and not link.queue and list(link.queue) == []
+        assert link.queued_peak_since() == 0 and link.total_queued_peak == 0
+        link.reset_queued_peak()
+        assert link.queued_peak_since() == 0
+        link.refill(1.0)
+        assert link.drain() == 0 and delivered == []
+        assert link.surplus() == 5.0
+
+    def test_sends_share_the_stand_in(self):
+        link, delivered = make_link(rate=3.0)
+        other, _ = make_link()
+        link.refill(1.0)
+        assert link.try_send(msg(0))
+        assert link.transmit_or_queue(msg(1))
+        assert link.send(msg(2), delivered.append)
+        assert link.queue is other.queue
+        assert len(delivered) == 3
+
+    def test_first_enqueue_allocates_and_keeps_fifo_order(self):
+        link, delivered = make_link(rate=0.0)
+        other, _ = make_link()
+        messages = [msg(i) for i in range(4)]
+        link.enqueue(messages[0])
+        assert isinstance(link.queue, deque)
+        assert not other.queue  # the stand-in stays empty
+        for message in messages[1:]:
+            link.enqueue(message)
+        assert [m.source_id for m in link.queue] == [0, 1, 2, 3]
+        link.credit = 2.0
+        assert link.drain() == 2
+        assert link.transmit_or_queue(msg(9)) is False  # behind the FIFO
+        link.credit = 3.0
+        assert link.drain() == 3
+        assert [m.source_id for m in delivered] == [0, 1, 2, 3, 9]
+        assert link.queued == 0 and link.total_queued_peak == 4
 
 
 class TestCredit:

@@ -24,7 +24,9 @@ from repro.network.topology import (
 )
 from repro.policies.cooperative import CooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
-from repro.workloads.hotspot import hotspot_shards
+from repro.rebalance import RebalanceConfig
+from repro.source.source import SourceNode
+from repro.workloads.hotspot import hotspot_shards, moving_hotspot
 from repro.workloads.synthetic import uniform_random_walk
 
 
@@ -427,6 +429,59 @@ class TestMultiCachePolicies:
         assert result.refreshes > 0
         # Each source got feedback from its primary cache only.
         for source in policy.sources:
-            primaries = set(source.feedback_by_cache)
+            primaries = set(source.feedback_by_cache or ())
             expected = {policy.topology.primary_cache_of(source.source_id)}
             assert primaries <= expected
+
+
+class TestFeedbackRouting:
+    """Every source id shares one policy receiver; each feedback message
+    must still land on the source it addresses, sent by that source's
+    primary cache at delivery time (which moves under rebalancing)."""
+
+    LAYOUTS = {
+        "sharded": (TopologyConfig(kind="sharded", num_caches=4), {}),
+        "replicated": (TopologyConfig(kind="replicated", num_caches=4,
+                                      replication=2), {}),
+        "rebalanced": (TopologyConfig(kind="sharded", num_caches=4),
+                       {"rebalance": RebalanceConfig(
+                           interval=10.0, max_moves=2,
+                           saturation_queue=2)}),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_feedback_reaches_its_source(self, layout, monkeypatch):
+        topology, policy_kwargs = self.LAYOUTS[layout]
+        num_sources = 16
+        workload = moving_hotspot(num_sources, 4, 300.0,
+                                  rng=np.random.default_rng(3),
+                                  hot_boost=25.0, rate_range=(0.02, 0.12))
+        policy = CooperativePolicy(
+            ConstantBandwidth(24.0), [ConstantBandwidth(4.0)] * num_sources,
+            priority_fn=AreaPriority(), **policy_kwargs)
+        deliveries = []
+        on_message = SourceNode.on_message
+
+        def record(source, message, now):
+            deliveries.append((source.source_id, message.source_id,
+                               message.cache_id,
+                               policy.topology.primary_cache_of(
+                                   source.source_id)))
+            return on_message(source, message, now)
+
+        monkeypatch.setattr(SourceNode, "on_message", record)
+        run_policy(workload, ValueDeviation(), policy,
+                   RunSpec(warmup=50.0, measure=250.0, topology=topology))
+        assert len(deliveries) == policy.feedback_messages() > 0
+        for receiver, addressee, cache_id, primary in deliveries:
+            assert receiver == addressee
+            assert cache_id == primary
+        for source in policy.sources:
+            assert source.feedback_received == sum(
+                1 for receiver, *_ in deliveries
+                if receiver == source.source_id)
+        if layout == "rebalanced":
+            # Migrated sources hear from their old and new primaries.
+            assert policy.rebalancer.migrations > 0
+            assert any(len(source.feedback_by_cache or ()) > 1
+                       for source in policy.sources)

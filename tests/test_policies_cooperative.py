@@ -174,3 +174,24 @@ class TestMonitorVariants:
                             RunSpec(warmup=50.0, measure=250.0,
                                     resample_interval=10.0))
         assert result.refreshes > 0
+
+
+class TestKnobValidation:
+    """Bad knobs fail at construction, before any topology is built."""
+
+    @pytest.mark.parametrize("knobs, match", [
+        ({"monitor": "telepathy"}, "monitor kind 'telepathy'"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"batch_size": -3}, "batch_size must be >= 1, got -3"),
+        ({"batch_timeout": 0.0}, "batch_timeout must be > 0"),
+        ({"batch_timeout": -1.0}, "batch_timeout must be > 0"),
+        ({"sampling_interval": 0.0}, "sampling_interval must be > 0"),
+        ({"sampling_interval": -5.0}, "sampling_interval must be > 0"),
+    ])
+    def test_rejected_at_construction(self, knobs, match):
+        with pytest.raises(ValueError, match=match):
+            cooperative(**knobs)
+
+    def test_defaults_and_edges_accepted(self):
+        cooperative(batch_size=1, batch_timeout=1e-9,
+                    monitor="sampling", sampling_interval=1e-9)

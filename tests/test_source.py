@@ -138,6 +138,46 @@ class TestFeedbackHandling:
         assert source.refreshes_sent == 1  # 20 >= 5 after /omega
 
 
+class TestObjectLayout:
+    """A source finds its objects by offset from its first index."""
+
+    @staticmethod
+    def build(indices, source_id=1):
+        topology = Topology([ConstantBandwidth(100.0)],
+                            [ConstantBandwidth(5.0)] * 2)
+        objects = [DataObject(index=i, source_id=source_id, rate=0.5)
+                   for i in indices]
+        monitor = TriggerMonitor(PriorityTracker(),
+                                 SimpleDivergencePriority(),
+                                 StaticWeights.uniform(8))
+        source = SourceNode(source_id, objects, monitor,
+                            ThresholdController(initial=1.0), topology)
+        return source, objects, topology
+
+    def test_refresh_names_the_updated_object(self):
+        source, objects, topo = self.build([3, 4, 5])
+        received = []
+        topo.set_cache_receiver(received.append)
+        topo.on_network_tick(1.0)
+        objects[2].apply_update(1.0, 5.0, ValueDeviation())
+        source.on_update(objects[2], 1.0)
+        assert [m.object_index for m in received] == [5]
+        assert objects[2].belief.reference_value == 5.0
+        assert objects[0].belief.reference_value == 0.0
+
+    @pytest.mark.parametrize("indices", [[3, 5], [4, 3], [3, 3]])
+    def test_non_contiguous_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="contiguous"):
+            self.build(indices)
+
+    def test_feedback_tally_allocated_on_first_feedback(self):
+        source, objects, topo = make_source()
+        assert source.feedback_by_cache is None
+        source.on_message(FeedbackMessage(source_id=0), 1.0)
+        source.on_message(FeedbackMessage(source_id=0), 2.0)
+        assert source.feedback_by_cache == {0: 2}
+
+
 class TestSamplingMonitor:
     def make_sampling_source(self, interval=5.0, predictive=False):
         topology = Topology([ConstantBandwidth(100.0)],

@@ -191,6 +191,28 @@ class TestSharedCacheLink:
         assert link.total_sent == link.total_delivered + link.queued
 
 
+class TestNeverQueuedCacheLink:
+    def test_telemetry_reads_empty(self):
+        topo = make_topology(cache_rate=4.0)
+        topo.on_network_tick(1.0)
+        telemetry = topo.telemetry(now=1.0)
+        assert telemetry["cache_queued"] == [0]
+        assert telemetry["cache_queued_peak"] == [0]
+        assert telemetry["cache_surplus"] == [4.0]
+        assert topo.cache_queued_peak() == 0
+
+    def test_crash_is_a_no_op_on_the_queue(self):
+        topo = make_topology()
+        crashed = []
+        topo.add_crash_listener(0, crashed.append)
+        link = topo.cache_links[0]
+        empty = link.queue
+        topo.crash_cache(0, 2.0)
+        assert crashed == [2.0]
+        assert link.queue is empty and link.queued == 0
+        assert link.total_sent == 0
+
+
 class TestHeterogeneousCacheRates:
     def test_config_builds_per_cache_constant_profiles(self):
         from repro.network.topology import TopologyConfig
