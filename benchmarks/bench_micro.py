@@ -93,7 +93,9 @@ def test_link_transmit_throughput(benchmark):
 
 
 def test_event_queue_throughput(benchmark):
-    """Schedule/execute cycles through the phased event queue."""
+    """Schedule/execute cycles through the phased event queue, over a
+    standing backlog of pending timers (as the retry layer keeps), so
+    every push and pop compares heap entries."""
 
     def run_events():
         sim = Simulator()
@@ -104,9 +106,11 @@ def test_event_queue_throughput(benchmark):
             if counter[0] < 3000:
                 sim.schedule(0.01, bump)
 
+        for k in range(2000):  # due after the run ends: never popped
+            sim.schedule(100.5 + 0.25 * k, lambda: None)
         sim.schedule(0.01, bump)
         sim.run_until(100.0)
-        return counter[0]
+        return counter[0], sim.pending_events
 
-    count = benchmark(run_events)
-    assert count == 3000
+    count, backlog = benchmark(run_events)
+    assert (count, backlog) == (3000, 2000)

@@ -156,10 +156,7 @@ class CacheNode:
 
         Object state transitions stay per item (each is a tiny state
         machine), but the divergence bookkeeping for the whole batch lands
-        in one vectorized :meth:`DivergenceCollector.record_many` call --
-        a batch holds at most one snapshot per object (the batching source
-        coalesces re-updates), which is exactly the contract record_many
-        requires.
+        in one :meth:`DivergenceCollector.record_many` call.
         """
         applied_indices: list[int] = []
         applied_divergences: list[float] = []

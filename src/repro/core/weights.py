@@ -14,6 +14,7 @@ at priority-computation time (consistent with the paper's
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -127,8 +128,15 @@ class SineWeights(WeightModel):
         super().__init__(len(base))
         self.base = base
         self.amplitude = amplitude
-        self.omega = 2.0 * np.pi / period
         self.phase = phase
+        self._set_omega(2.0 * np.pi / period)
+
+    def _set_omega(self, omega: np.ndarray) -> None:
+        self.omega = omega
+        # Python-float mirror for the scalar getter, as in StaticWeights;
+        # math.sin matches np.sin bit for bit (tests/test_weights.py).
+        self._scalars = list(zip(self.base.tolist(), self.amplitude.tolist(),
+                                 omega.tolist(), self.phase.tolist()))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator,
@@ -145,9 +153,8 @@ class SineWeights(WeightModel):
         )
 
     def weight(self, index: int, t: float) -> float:
-        return float(self.base[index]
-                     * (1.0 + self.amplitude[index]
-                        * np.sin(self.omega[index] * t + self.phase[index])))
+        base, amplitude, omega, phase = self._scalars[index]
+        return base * (1.0 + amplitude * math.sin(omega * t + phase))
 
     def weights(self, t: float) -> np.ndarray:
         return self.base * (1.0 + self.amplitude
@@ -169,7 +176,7 @@ class SineWeights(WeightModel):
                              self.phase[indices])
         # The constructor stores omega = 2*pi/period; round-tripping through
         # period can drop an ulp, so keep the original omega bits.
-        sliced.omega = self.omega[indices]
+        sliced._set_omega(self.omega[indices])
         return sliced
 
 

@@ -245,6 +245,7 @@ def _simulate_shard(task: ShardTask) -> ShardResult:
     policy.attach(ctx)
     ctx.run(task.spec.end_time,
             resample_interval=task.spec.resample_interval)
+    # ctx.run finalized the collector: its record log is folded.
     collector = ctx.collector
     link = policy.topology.cache_links[0]
     result = ShardResult(

@@ -13,6 +13,8 @@ The headline quantity is the paper's objective (Sec 3.3): the sum over
 objects of time-averaged weighted divergence, reported per object so that
 numbers are comparable across configuration sizes (Figures 4-6 all plot
 "average divergence").
+Records are logged and folded in batches by one kernel (DESIGN.md
+Sec 10).
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import numpy as np
 
 from repro.core.weights import WeightModel
 from repro.metrics.accumulators import ReadSampleAccumulator
+
+#: Records :meth:`DivergenceCollector.record` logs before folding them.
+LOG_CAPACITY = 4096
 
 
 class DivergenceCollector:
@@ -42,91 +47,75 @@ class DivergenceCollector:
         self._weighted_integral = np.zeros(num_objects)
         self._unweighted_integral = np.zeros(num_objects)
         self._end = float(start)
+        #: records logged since the last fold, one list per field
+        self._log_index: list[int] = []
+        self._log_time: list[float] = []
+        self._log_divergence: list[float] = []
 
     # ------------------------------------------------------------------
     # Event-driven recording
     # ------------------------------------------------------------------
     def record(self, index: int, now: float, divergence: float) -> None:
-        """Object ``index``'s truth divergence changed to ``divergence``."""
-        last = self._last_time[index]
-        lo = last if last > self.warmup else self.warmup
-        hi = now if now > self.warmup else self.warmup
-        if hi > lo:
-            d = self._divergence[index]
-            if d != 0.0:
-                span = hi - lo
-                self._unweighted_integral[index] += d * span
-                self._weighted_integral[index] += (
-                    d * self.weights.weight(index, lo) * span)
-        self._last_time[index] = now
-        self._divergence[index] = divergence
-        if now > self._end:
-            self._end = now
+        """Object ``index``'s truth divergence changed to ``divergence``
+        (logged; see :meth:`record_at`)."""
+        log = self._log_index
+        log.append(index)
+        self._log_time.append(now)
+        self._log_divergence.append(divergence)
+        if len(log) >= LOG_CAPACITY:
+            self._flush()
 
     def record_many(self, indices: np.ndarray, now: float,
                     divergences: np.ndarray) -> None:
-        """Batched :meth:`record`: several objects changed at one instant.
-
-        The integration state of distinct objects is independent, so a
-        batch of :meth:`record` calls at one timestamp vectorizes exactly:
-        per selected object the same close-the-piece arithmetic runs
-        element-wise (weights evaluated at each piece's own start).
-        ``indices`` must not contain duplicates -- a batch refresh delivers
-        at most one snapshot per object.  Used by the batch-refresh
-        delivery path so an m-object batch costs O(1) numpy calls instead
-        of m python-level records.
-        """
+        """Batched :meth:`record`: several objects changed at one instant
+        (the batch-refresh delivery path)."""
         indices = np.asarray(indices, dtype=np.int64)
-        if not len(indices):
-            return
-        last = self._last_time[indices]
-        lo = np.maximum(last, self.warmup)
-        hi = max(now, self.warmup)
-        d = self._divergence[indices]
-        active = (hi > lo) & (d != 0.0)
-        if active.any():
-            sel = indices[active]
-            span = hi - lo[active]
-            # Same operand order as :meth:`record` (d * w * span), so a
-            # batch and an equivalent sequence of records agree bit for bit.
-            w = self.weights.weights_at(lo[active], sel)
-            self._unweighted_integral[sel] += d[active] * span
-            self._weighted_integral[sel] += d[active] * w * span
-        self._last_time[indices] = now
-        self._divergence[indices] = divergences
-        if now > self._end:
-            self._end = now
+        self._flush()
+        self._fold(indices, np.full(len(indices), now, dtype=float),
+                   np.asarray(divergences, dtype=float))
 
     def record_at(self, indices: np.ndarray, times: np.ndarray,
                   divergences: np.ndarray) -> None:
-        """Batched :meth:`record` with *per-event* times.
+        """Batched :meth:`record` with *per-event* times, duplicates
+        allowed: the batched replayer's call, and the kernel the record
+        log folds through.
 
-        ``record_many`` handles one instant and distinct objects; this
-        handles a whole run of trace events -- nondecreasing ``times``,
-        duplicates allowed -- as the batched replayer produces between
-        simulator wakeups.  Each event's piece starts where that object's
-        previous event (in the batch, or before it) left off, so the
-        linkage is a stable grouping by object; within one object the
-        integral increments land via ``np.add.at`` in batch order, the
-        same fold-left accumulation a sequence of :meth:`record` calls
-        performs.  Arithmetic is operand-for-operand the scalar path's
-        (``d * span``, ``d * w * span``, weights at each piece's own
-        start), so a batch and the equivalent record sequence agree bit
-        for bit.
+        Each event's piece starts where that object's previous event (in
+        the batch, or before it) left off, so the linkage is a stable
+        grouping by object; within one object the integral increments
+        land via ``np.add.at`` in batch order, a fold-left like a
+        sequence of scalar records.  The arithmetic is operand for operand
+        that of the scalar reference collector in ``tests/oracles.py``
+        (``d * span``, ``d * w * span``, weights at each piece's start),
+        so a batch and the equivalent record sequence agree bit for bit.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        n = len(indices)
-        if not n:
+        self._flush()
+        self._fold(np.asarray(indices, dtype=np.int64),
+                   np.asarray(times, dtype=float),
+                   np.asarray(divergences, dtype=float))
+
+    def _flush(self) -> None:
+        """Fold every logged record into the integration state."""
+        if self._log_index:
+            indices = np.array(self._log_index, dtype=np.int64)
+            times = np.array(self._log_time, dtype=float)
+            divergences = np.array(self._log_divergence, dtype=float)
+            self._log_index.clear()
+            self._log_time.clear()
+            self._log_divergence.clear()
+            self._fold(indices, times, divergences)
+
+    def _fold(self, indices: np.ndarray, times: np.ndarray,
+              divergences: np.ndarray) -> None:
+        """The :meth:`record_at` kernel, on an empty log."""
+        if not len(indices):
             return
-        times = np.asarray(times, dtype=float)
-        divergences = np.asarray(divergences, dtype=float)
         order = np.argsort(indices, kind="stable")
         sidx = indices[order]
         stimes = times[order]
         sdiv = divergences[order]
-        follows = np.empty(n, dtype=bool)  # same object as previous entry
-        follows[0] = False
-        follows[1:] = sidx[1:] == sidx[:-1]
+        same = sidx[1:] == sidx[:-1]  # entry k + 1 continues k's object
+        follows = np.concatenate(([False], same))
         prev_time = np.where(follows, np.roll(stimes, 1),
                              self._last_time[sidx])
         prev_div = np.where(follows, np.roll(sdiv, 1),
@@ -141,24 +130,17 @@ class DivergenceCollector:
             w = self.weights.weights_at(lo[active], sel)
             np.add.at(self._unweighted_integral, sel, d * span)
             np.add.at(self._weighted_integral, sel, d * w * span)
-        last = np.empty(n, dtype=bool)  # last entry of each object's group
-        last[:-1] = sidx[1:] != sidx[:-1]
-        last[-1] = True
+        last = np.concatenate((~same, [True]))  # each object's last entry
         self._last_time[sidx[last]] = stimes[last]
         self._divergence[sidx[last]] = sdiv[last]
-        end = float(times[-1])  # times nondecreasing: the batch maximum
+        end = float(times.max())
         if end > self._end:
             self._end = end
 
     def schedule_resample(self, sim, interval: float):
-        """Register this collector's periodic re-break on its own cadence.
-
-        The collector is event-driven -- :meth:`record` fires only when a
-        divergence actually changes -- so the *only* periodic metric work
-        is this vectorized resample, and it runs at the collector's chosen
-        interval, never per simulation tick.  Returns the ticker so the
-        caller can cancel it.
-        """
+        """Run :meth:`resample` every ``interval`` -- the only periodic
+        metric work, never per simulation tick.  Returns the ticker so
+        the caller can cancel it."""
         from repro.sim.events import Phase
         return sim.every(interval, self.resample, phase=Phase.METRICS)
 
@@ -169,13 +151,12 @@ class DivergenceCollector:
         for objects that rarely change.  Vectorized; cheap to call every few
         simulated seconds.
 
-        Each closed piece is weighed at its *start*, exactly as
-        :meth:`record` weighs the piece it closes -- so the integral a
-        fluctuating-weight run accumulates does not depend on whether a
-        piece was closed by an event or by a resample tick.  (Evaluating at
-        the piece end here, as an earlier version did, made totals drift
-        with the resample cadence.)
+        Each closed piece is weighed at its *start*, exactly as a record
+        weighs the piece it closes -- so the integral a fluctuating-weight
+        run accumulates does not depend on whether a piece was closed by
+        an event or by a resample tick.
         """
+        self._flush()
         lo = np.maximum(self._last_time, self.warmup)
         span = np.maximum(max(now, self.warmup) - lo, 0.0)
         active = (self._divergence != 0.0) & (span > 0.0)
@@ -198,7 +179,9 @@ class DivergenceCollector:
     # ------------------------------------------------------------------
     @property
     def duration(self) -> float:
-        """Length of the measured (post-warm-up) window."""
+        """Length of the measured (post-warm-up) window.  Every reader
+        below starts here, so it folds the record log first."""
+        self._flush()
         return max(self._end - self.warmup, 0.0)
 
     def total_weighted_average(self) -> float:

@@ -235,3 +235,7 @@ class SyncPolicy(ABC):
     def extras(self) -> dict:
         """Policy-specific diagnostics merged into the run result."""
         return {}
+
+    def _not_attached(self) -> RuntimeError:
+        name = type(self).__name__
+        return RuntimeError(f"{name} is not attached: call attach() first")

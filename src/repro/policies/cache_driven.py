@@ -97,7 +97,8 @@ class IdealCacheBasedPolicy(SyncPolicy):
 
     def _on_tick(self, now: float) -> None:
         ctx = self._ctx
-        assert ctx is not None and self._periods is not None
+        if ctx is None or self._periods is None:
+            raise self._not_attached()
         while self._heap and self._heap[0][0] <= now:
             _, index = heapq.heappop(self._heap)
             obj = ctx.objects[index]
@@ -200,7 +201,8 @@ class CGMPollingPolicy(SyncPolicy):
     # Polling
     # ------------------------------------------------------------------
     def _on_cache_tick(self, now: float) -> None:
-        assert self.caches and self.topology is not None
+        if not self.caches or self.topology is None:
+            raise self._not_attached()
         for cache in self.caches:
             cache.on_tick(now)
         for index in self.scheduler.due(now):
@@ -220,7 +222,8 @@ class CGMPollingPolicy(SyncPolicy):
         if not isinstance(message, PollRequest):
             return
         ctx = self._ctx
-        assert ctx is not None and self.topology is not None
+        if ctx is None or self.topology is None:
+            raise self._not_attached()
         now = ctx.sim.now
         obj = ctx.objects[message.object_index]
         changed = bool(
@@ -285,6 +288,8 @@ class CGMPollingPolicy(SyncPolicy):
         return self.topology.cache_messages_total() if self.topology else 0
 
     def extras(self) -> dict:
+        if self._ctx is None:
+            raise self._not_attached()
         true_rates = np.asarray(self._ctx.workload.rates, dtype=float)
         estimates = self.estimated_rates()
         mask = true_rates > 0

@@ -253,7 +253,8 @@ class CompetitivePolicy(CooperativePolicy):
     # ------------------------------------------------------------------
     def source_objective_divergence(self, end_time: float) -> float:
         """Mean per-object divergence under the *sources'* weight scheme."""
-        assert self.source_collector is not None
+        if self.source_collector is None:
+            raise self._not_attached()
         self.source_collector.finalize(end_time)
         return self.source_collector.mean_weighted_average()
 

@@ -282,7 +282,8 @@ class CooperativePolicy(SyncPolicy):
         """
         if self.feedback_period is not None:
             return self.feedback_period
-        assert self.topology is not None
+        if self.topology is None:
+            raise self._not_attached()
         primary = self.topology.primary_cache_of(source_id)
         mean_rate = self.topology.cache_links[primary].profile.mean_rate
         if mean_rate <= 0:
@@ -377,7 +378,8 @@ class CooperativePolicy(SyncPolicy):
     def _cache_needs_tick(self, cache: CacheNode) -> bool:
         """A cache keeps its per-tick wakeup while it has queued messages
         to drain or feedback-eligible sources to pay surplus credit to."""
-        assert self.topology is not None
+        if self.topology is None:
+            raise self._not_attached()
         if self.topology.cache_links[cache.cache_id].queue:
             return True
         return cache.feedback is not None and cache.feedback.has_targets()

@@ -166,7 +166,8 @@ class IdealCooperativePolicy(SyncPolicy):
 
     def _drain(self, now: float) -> None:
         ctx = self._ctx
-        assert ctx is not None and self._cache_buckets
+        if ctx is None or not self._cache_buckets:
+            raise self._not_attached()
         self._refill(now)
         deferred: list[tuple[int, float]] = []
         while any(bucket.credit >= 1.0 for bucket in self._cache_buckets):

@@ -141,7 +141,8 @@ class UniformAllocationPolicy(SyncPolicy):
     # ------------------------------------------------------------------
     def _sources_tick(self, now: float) -> None:
         ctx = self._ctx
-        assert ctx is not None and self.topology is not None
+        if ctx is None or self.topology is None:
+            raise self._not_attached()
         self._tick_no += 1
         for j in self._wakeups.pop_due(self._tick_no):
             self._replay_accrual(j, ctx.dt)

@@ -263,16 +263,11 @@ class Simulator:
         replayers never apply trace events past the cut-off the per-event
         schedule would respect.
         """
-        queue = self._queue
+        pop = self._queue.pop
         previous_horizon = self.run_horizon
         self.run_horizon = end_time
         try:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > end_time:
-                    break
-                event = queue.pop()
-                assert event is not None
+            while (event := pop(end_time)) is not None:
                 self.now = event.time
                 event.action()
         finally:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from enum import IntEnum
 from typing import Callable
 
@@ -34,44 +35,36 @@ class Phase(IntEnum):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback: the handle :class:`EventQueue` returns.
 
     Events are created through :meth:`repro.sim.engine.Simulator.schedule`
     (not directly) and support O(1) cancellation: cancelled events stay in
-    the heap but are skipped when popped.
+    the heap but are skipped when popped.  The queue orders its entries;
+    events themselves have no ordering.
     """
 
-    __slots__ = ("time", "phase", "seq", "action", "cancelled", "_queue")
+    __slots__ = ("time", "action", "cancelled", "_queue")
 
-    def __init__(self, time: float, phase: int, seq: int,
-                 action: Callable[[], None],
-                 queue: "EventQueue | None" = None):
+    def __init__(self, time: float, action: Callable[[], None],
+                 queue: "EventQueue") -> None:
         self.time = time
-        self.phase = phase
-        self.seq = seq
         self.action = action
         self.cancelled = False
         self._queue = queue
 
     def cancel(self) -> None:
-        """Prevent this event from firing.  Safe to call more than once."""
+        """Prevent this event from firing.  Safe to call more than once,
+        also after the event left its queue."""
         if not self.cancelled and self._queue is not None:
             self._queue._live -= 1
         self.cancelled = True
 
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.phase, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.6g} phase={self.phase} seq={self.seq}{state}>"
-
 
 class EventQueue:
-    """A min-heap of :class:`Event` objects with lazy cancellation.
+    """A min-heap of :class:`Event` handles with lazy cancellation.
+
+    Heap entries are ``(time, phase, seq, event)`` tuples; ``seq`` is
+    unique, so heapq compares them in C and never reaches the event.
 
     Cancelled events are normally evicted only when they surface at the top
     of the heap.  Cancel/reschedule-heavy users (predictive sampling, the
@@ -86,7 +79,7 @@ class EventQueue:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -100,8 +93,9 @@ class EventQueue:
 
     def push(self, time: float, phase: int,
              action: Callable[[], None]) -> Event:
-        event = Event(time, phase, next(self._counter), action, queue=self)
-        heapq.heappush(self._heap, event)
+        event = Event(time, action, self)
+        heapq.heappush(self._heap,
+                       (time, phase, next(self._counter), event))
         self._live += 1
         if (len(self._heap) >= self.COMPACT_MIN_SIZE
                 and self._live * 2 < len(self._heap)):
@@ -111,38 +105,44 @@ class EventQueue:
     def clear(self) -> None:
         """Drop every queued event and detach its action, so no event
         keeps its owner (or a cycle through it) alive."""
-        for event in self._heap:
+        for _, _, _, event in self._heap:
             event.action = None
+            event._queue = None
         self._heap.clear()
         self._live = 0
 
     def _compact(self) -> None:
         """Evict every cancelled event and restore the heap invariant."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap
+                      if not entry[3].cancelled]
         heapq.heapify(self._heap)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` when empty."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def pop(self) -> Event | None:
-        """Remove and return the next live event, or ``None`` when empty."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)
-        self._live -= 1
-        return event
-
-    def _discard_cancelled(self) -> None:
+        heap = self._heap
         # Cancelled events already decremented the live counter in
         # Event.cancel(); here we only evict them from the heap.
-        heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def pop(self, until: float = math.inf) -> Event | None:
+        """Remove and return the next live event due by ``until`` (or
+        ``None``), detached: a late cancel cannot miscount it."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if event.cancelled:
+                heapq.heappop(heap)
+            elif entry[0] > until:
+                return None
+            else:
+                heapq.heappop(heap)
+                self._live -= 1
+                event._queue = None
+                return event
+        return None
 
 
 class WakeupSet:

@@ -28,7 +28,9 @@ comparing every output field (see ``tests/test_equivalence.py``).
 The module also holds the per-object scalar sampling loops the batched
 samplers of :mod:`repro.workloads` were derived from; tests compare the
 two bit for bit where their rng consumption coincides and statistically
-where it does not.
+where it does not.  And it holds :class:`ScalarCollector`, the divergence
+collector that closes each object's piece the moment a record arrives,
+which the logged collector's one fold must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.metrics.collector import DivergenceCollector
 from repro.network.topology import Topology
 from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
@@ -131,6 +134,43 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
     finally:
         for owner, name, value in saved:
             setattr(owner, name, value)
+
+
+# ----------------------------------------------------------------------
+# The scalar divergence collector
+# ----------------------------------------------------------------------
+class ScalarCollector(DivergenceCollector):
+    """:class:`DivergenceCollector` with every record integrated at once.
+
+    Each record closes its object's current piece in scalar arithmetic;
+    the batched entry points are loops of records.  Nothing is ever
+    logged, so the inherited :meth:`resample` and readers see the same
+    state the logged collector reaches after a fold.
+    """
+
+    def record(self, index: int, now: float, divergence: float) -> None:
+        last = self._last_time[index]
+        lo = last if last > self.warmup else self.warmup
+        hi = now if now > self.warmup else self.warmup
+        if hi > lo:
+            d = self._divergence[index]
+            if d != 0.0:
+                span = hi - lo
+                self._unweighted_integral[index] += d * span
+                self._weighted_integral[index] += (
+                    d * self.weights.weight(index, lo) * span)
+        self._last_time[index] = now
+        self._divergence[index] = divergence
+        if now > self._end:
+            self._end = now
+
+    def record_many(self, indices, now: float, divergences) -> None:
+        for index, divergence in zip(indices, divergences):
+            self.record(int(index), now, float(divergence))
+
+    def record_at(self, indices, times, divergences) -> None:
+        for index, now, divergence in zip(indices, times, divergences):
+            self.record(int(index), float(now), float(divergence))
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ from repro.workloads.read_process import ReadReplayer, ReadTrace
 from repro.workloads.synthetic import uniform_random_walk
 from repro.workloads.trace import TraceReplayer, UpdateTrace
 
-from oracles import reference_schedule
+from oracles import ScalarCollector, reference_schedule
 
 M_SOURCES = 10
 N_PER_SOURCE = 10
@@ -279,7 +279,9 @@ class TestReadReplayEquivalence:
 
 class TestRecordAt:
     """The per-event-times batched record must be bit-identical to the
-    equivalent sequence of scalar records, duplicates included."""
+    equivalent sequence of scalar records, duplicates included: the
+    reference is the oracle's :class:`ScalarCollector`, compared after
+    the production collector folded its log."""
 
     @staticmethod
     def batch(rng, num_objects, n_events, t0=0.0):
@@ -294,7 +296,7 @@ class TestRecordAt:
         rng = np.random.default_rng(11)
         weights = SineWeights.random(8, np.random.default_rng(2))
         times, indices, divergences = self.batch(rng, 8, 60)
-        scalar = DivergenceCollector(8, weights, warmup=warmup)
+        scalar = ScalarCollector(8, weights, warmup=warmup)
         batched = DivergenceCollector(8, weights, warmup=warmup)
         # Pre-existing state so first-in-batch pieces are nontrivial.
         for i in range(8):
@@ -304,6 +306,7 @@ class TestRecordAt:
             scalar.record(int(indices[k]), float(times[k]),
                           float(divergences[k]))
         batched.record_at(indices, times, divergences)
+        batched._flush()
         np.testing.assert_array_equal(scalar._weighted_integral,
                                       batched._weighted_integral)
         np.testing.assert_array_equal(scalar._unweighted_integral,
@@ -319,7 +322,7 @@ class TestRecordAt:
         must accumulate left to right (float addition order matters at
         these magnitudes)."""
         weights = StaticWeights(np.array([1e-8, 1e8]))
-        scalar = DivergenceCollector(2, weights)
+        scalar = ScalarCollector(2, weights)
         batched = DivergenceCollector(2, weights)
         times = np.array([1.0, 1.5, 2.0, 2.25, 3.0, 4.0])
         indices = np.array([0, 0, 1, 0, 1, 0])
@@ -328,6 +331,7 @@ class TestRecordAt:
             scalar.record(int(indices[k]), float(times[k]),
                           float(divergences[k]))
         batched.record_at(indices, times, divergences)
+        batched._flush()
         np.testing.assert_array_equal(scalar._weighted_integral,
                                       batched._weighted_integral)
         np.testing.assert_array_equal(scalar._unweighted_integral,
@@ -337,6 +341,7 @@ class TestRecordAt:
         collector = DivergenceCollector(2, StaticWeights.uniform(2))
         collector.record_at(np.array([], dtype=np.int64), np.array([]),
                             np.array([]))
+        collector._flush()
         assert collector._end == 0.0
 
 

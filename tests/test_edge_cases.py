@@ -6,6 +6,8 @@ import pytest
 from repro.cache.cache import CacheNode
 from repro.core.divergence import Staleness, ValueDeviation
 from repro.core.objects import DataObject
+from repro.core.priority import AreaPriority
+from repro.core.weights import StaticWeights
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.overhead import (
     predicted_overhead_fraction,
@@ -14,7 +16,50 @@ from repro.experiments.overhead import (
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import PollRequest, RefreshMessage
 from repro.network.topology import Topology
+from repro.policies.cache_driven import CGMPollingPolicy, IdealCacheBasedPolicy
+from repro.policies.competitive import CompetitivePolicy
+from repro.policies.cooperative import CooperativePolicy
+from repro.policies.ideal import IdealCooperativePolicy
+from repro.policies.uniform import UniformAllocationPolicy
 from repro.workloads.buoy import generate_buoy_trace
+
+
+CACHE = ConstantBandwidth(8.0)
+SOURCES = [ConstantBandwidth(1.0)] * 2
+UNATTACHED = {
+    "cooperative": lambda: CooperativePolicy(CACHE, SOURCES, AreaPriority()),
+    "competitive": lambda: CompetitivePolicy(
+        CACHE, SOURCES, AreaPriority(),
+        source_weights=StaticWeights.uniform(4)),
+    "uniform": lambda: UniformAllocationPolicy(CACHE, SOURCES),
+    "ideal": lambda: IdealCooperativePolicy(CACHE, AreaPriority()),
+    "ideal-cache": lambda: IdealCacheBasedPolicy(1.0),
+    "cgm": lambda: CGMPollingPolicy(CACHE),
+}
+
+
+class TestUnattachedPolicies:
+    """What needs ``attach()``'s wiring fails with a typed error naming
+    the policy, also under ``python -O``."""
+
+    @pytest.mark.parametrize("policy, call", [
+        ("competitive", lambda p: p.source_objective_divergence(10.0)),
+        ("cgm", lambda p: p.extras()),
+        # Callbacks attach() schedules; only a direct call reaches them.
+        ("cooperative", lambda p: p._feedback_period_for(0, None)),
+        ("cooperative", lambda p: p._cache_needs_tick(None)),
+        ("uniform", lambda p: p._sources_tick(1.0)),
+        ("ideal", lambda p: p._drain(1.0)),
+        ("ideal-cache", lambda p: p._on_tick(1.0)),
+        ("cgm", lambda p: p._on_cache_tick(1.0)),
+        ("cgm", lambda p: p._on_source_message(PollRequest(source_id=0))),
+    ])
+    def test_raises_before_attach(self, policy, call):
+        unattached = UNATTACHED[policy]()
+        name = type(unattached).__name__
+        with pytest.raises(RuntimeError,
+                           match=f"^{name} is not attached: call attach"):
+            call(unattached)
 
 
 class TestCacheOptionalWiring:

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.weights import SineWeights, StaticWeights
 from repro.metrics.accumulators import Counter, TimeAverager
-from repro.metrics.collector import DivergenceCollector
+from repro.metrics.collector import LOG_CAPACITY, DivergenceCollector
 from repro.metrics.report import (
     RunResult,
     ascii_plot,
     format_series,
     format_table,
 )
+
+from oracles import ScalarCollector
 
 
 class TestTimeAverager:
@@ -171,12 +175,15 @@ class TestDivergenceCollector:
 
 
 class TestRecordMany:
+    """``record_many`` against the oracle's scalar collector, which
+    applies the same records one at a time."""
+
     def test_matches_sequential_records_bitwise(self):
         """A batch equals the same records applied one at a time, under
         fluctuating weights (each piece weighed at its own start)."""
         rng = np.random.default_rng(0)
         sine = SineWeights.random(6, rng)
-        sequential = DivergenceCollector(6, sine, warmup=1.0)
+        sequential = ScalarCollector(6, sine, warmup=1.0)
         batched = DivergenceCollector(6, sine, warmup=1.0)
         for collector in (sequential, batched):
             for i in range(6):
@@ -198,14 +205,18 @@ class TestRecordMany:
 
     def test_empty_batch_is_a_noop(self):
         collector = DivergenceCollector(2, StaticWeights.uniform(2))
-        collector.record(0, 0.0, 1.0)
-        collector.record_many(np.empty(0, dtype=int), 5.0, np.empty(0))
-        collector.finalize(10.0)
+        reference = ScalarCollector(2, StaticWeights.uniform(2))
+        for c in (collector, reference):
+            c.record(0, 0.0, 1.0)
+            c.record_many(np.empty(0, dtype=int), 5.0, np.empty(0))
+            c.finalize(10.0)
         assert collector.total_weighted_average() == pytest.approx(1.0)
+        assert (collector.total_weighted_average()
+                == reference.total_weighted_average())
 
     def test_warmup_clamping_matches_record(self):
         weights = StaticWeights.uniform(3)
-        sequential = DivergenceCollector(3, weights, warmup=4.0)
+        sequential = ScalarCollector(3, weights, warmup=4.0)
         batched = DivergenceCollector(3, weights, warmup=4.0)
         for collector in (sequential, batched):
             collector.record(0, 1.0, 2.0)  # piece starts inside warm-up
@@ -215,6 +226,132 @@ class TestRecordMany:
         batched.finalize(10.0)
         assert (sequential.total_weighted_average()
                 == batched.total_weighted_average())
+
+
+NUM_OBJECTS = 5
+READERS = ("duration", "total_weighted_average", "total_unweighted_average",
+           "mean_weighted_average", "mean_unweighted_average",
+           "per_object_weighted_average")
+OPS = ("record", "record_many", "record_at", "resample", "read", "burst")
+
+indices = st.integers(0, NUM_OBJECTS - 1)
+#: clock steps between operations; zero steps make same-instant ties
+steps = st.sampled_from([0.0, 0.0, 0.125, 1.0, 2.75])
+divergences = st.one_of(
+    st.just(0.0), st.just(-0.0),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+def make_weights(kind: str):
+    if kind == "sine":
+        # Runs below last under ~900 s, so sine arguments stay inside
+        # [0, 100], where test_weights.py checks math.sin against np.sin.
+        return SineWeights.random(NUM_OBJECTS, np.random.default_rng(5),
+                                  period_range=(100.0, 500.0))
+    return StaticWeights(np.array([0.5, 1.0, 2.0, 1e-3, 7.0]))
+
+
+def assert_same_bits(got, want, what: str) -> None:
+    np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                  np.asarray(want, dtype=float).view(np.int64),
+                                  err_msg=what)
+
+
+def assert_same_state(collector, reference) -> None:
+    """Bit-identical integration state and totals, after a flush."""
+    collector._flush()
+    for name in ("_weighted_integral", "_unweighted_integral",
+                 "_last_time", "_divergence"):
+        assert_same_bits(getattr(collector, name), getattr(reference, name),
+                         name)
+    assert_same_bits(collector._end, reference._end, "_end")
+    for reader in READERS:
+        assert_same_bits(read(collector, reader), read(reference, reader),
+                         reader)
+
+
+def read(collector, reader: str):
+    value = getattr(collector, reader)
+    return value() if callable(value) else value
+
+
+class TestLoggedCollector:
+    """The production collector logs records and folds them in batches;
+    any interleaving of its entry points must leave exactly the state of
+    the oracle's scalar collector, which integrates every record at once."""
+
+    def test_log_folds_when_full(self):
+        weights = make_weights("sine")
+        collector = DivergenceCollector(NUM_OBJECTS, weights)
+        reference = ScalarCollector(NUM_OBJECTS, weights)
+        rng = np.random.default_rng(3)
+        for k in range(LOG_CAPACITY + 1):
+            index = int(rng.integers(NUM_OBJECTS))
+            divergence = float(rng.normal())
+            for c in (collector, reference):
+                c.record(index, 0.01 * k, divergence)
+            if k == LOG_CAPACITY - 2:
+                assert len(collector._log_index) == LOG_CAPACITY - 1
+        assert len(collector._log_index) == 1
+        assert_same_state(collector, reference)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["sine", "static"]),
+           warmup=st.sampled_from([0.0, 3.0]), data=st.data())
+    def test_interleavings_match_the_scalar_oracle(self, kind, warmup,
+                                                   data):
+        weights = make_weights(kind)
+        collector = DivergenceCollector(NUM_OBJECTS, weights, warmup=warmup)
+        reference = ScalarCollector(NUM_OBJECTS, weights, warmup=warmup)
+        both = (collector, reference)
+        now = 0.0
+        for _ in range(data.draw(st.integers(1, 20))):
+            op = data.draw(st.sampled_from(OPS))
+            now += data.draw(steps)
+            if op == "record":
+                index, d = data.draw(indices), data.draw(divergences)
+                for c in both:
+                    c.record(index, now, d)
+            elif op == "record_many":
+                batch = data.draw(st.lists(indices, unique=True,
+                                           max_size=NUM_OBJECTS))
+                ds = [data.draw(divergences) for _ in batch]
+                for c in both:
+                    c.record_many(np.array(batch, dtype=np.int64), now,
+                                  np.array(ds))
+            elif op == "record_at":
+                events = data.draw(st.lists(
+                    st.tuples(indices, steps, divergences), max_size=12))
+                times = []
+                for _, step, _ in events:
+                    now += step
+                    times.append(now)
+                for c in both:
+                    c.record_at(np.array([e[0] for e in events],
+                                         dtype=np.int64),
+                                np.array(times),
+                                np.array([e[2] for e in events]))
+            elif op == "resample":
+                for c in both:
+                    c.resample(now)
+            elif op == "read":
+                reader = data.draw(st.sampled_from(READERS))
+                assert_same_bits(read(collector, reader),
+                                 read(reference, reader), reader)
+            else:
+                # A burst of scalar records long enough to fold the log.
+                rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+                count = LOG_CAPACITY + int(rng.integers(64))
+                burst = zip(rng.integers(0, NUM_OBJECTS, count).tolist(),
+                            rng.choice([0.0, 0.001, 0.01], count).tolist(),
+                            np.where(rng.random(count) < 0.3, 0.0,
+                                     rng.normal(scale=1e3,
+                                                size=count)).tolist())
+                for index, step, d in burst:
+                    now += step
+                    for c in both:
+                        c.record(index, now, d)
+        assert_same_state(collector, reference)
 
 
 class TestReporting:

@@ -198,6 +198,30 @@ class TestTickers:
         sim.every(1.0, lambda t: None)
         assert sim.pending_events == 2
 
+    def test_ticker_cancelling_itself_keeps_the_count(self):
+        """The firing event is off the heap; cancelling it again must
+        not count it out a second time."""
+        sim = Simulator()
+        times = []
+
+        def once(now):
+            times.append(now)
+            ticker.cancel()
+
+        ticker = sim.every(1.0, once)
+        sim.schedule(5.0, lambda: None)
+        sim.run_until(3.0)
+        assert times == [1.0]
+        assert sim.pending_events == 1
+
+    def test_cancelling_a_fired_event_keeps_the_count(self):
+        sim = Simulator()
+        fired = sim.at(1.0, lambda: None)
+        sim.at(2.0, lambda: None)
+        sim.run_until(1.5)
+        fired.cancel()
+        assert sim.pending_events == 1
+
 
 class TestTickerRegistry:
     def test_cancel_prunes_the_ticker_registry(self):

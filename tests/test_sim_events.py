@@ -10,23 +10,60 @@ class TestPhaseOrdering:
         assert Phase.UPDATES < Phase.NETWORK < Phase.SOURCES
         assert Phase.SOURCES < Phase.CACHE < Phase.METRICS < Phase.DEFAULT
 
-    def test_event_sort_key_uses_time_first(self):
-        early = Event(1.0, Phase.DEFAULT, 5, lambda: None)
-        late = Event(2.0, Phase.UPDATES, 0, lambda: None)
-        assert early < late
 
-    def test_event_sort_key_uses_phase_second(self):
-        updates = Event(1.0, Phase.UPDATES, 9, lambda: None)
-        cache = Event(1.0, Phase.CACHE, 0, lambda: None)
-        assert updates < cache
-
-    def test_event_sort_key_uses_seq_last(self):
-        first = Event(1.0, Phase.CACHE, 0, lambda: None)
-        second = Event(1.0, Phase.CACHE, 1, lambda: None)
-        assert first < second
+def pop_all(queue):
+    popped = []
+    while (event := queue.pop()) is not None:
+        popped.append(event)
+    return popped
 
 
 class TestEventQueue:
+    def test_pop_order_uses_time_first(self):
+        queue = EventQueue()
+        late = queue.push(2.0, Phase.UPDATES, lambda: None)
+        early = queue.push(1.0, Phase.DEFAULT, lambda: None)
+        assert pop_all(queue) == [early, late]
+
+    def test_pop_order_uses_phase_second(self):
+        queue = EventQueue()
+        cache = queue.push(1.0, Phase.CACHE, lambda: None)
+        updates = queue.push(1.0, Phase.UPDATES, lambda: None)
+        assert pop_all(queue) == [updates, cache]
+
+    def test_pop_order_uses_seq_last(self):
+        queue = EventQueue()
+        first = queue.push(1.0, Phase.CACHE, lambda: None)
+        second = queue.push(1.0, Phase.CACHE, lambda: None)
+        assert pop_all(queue) == [first, second]
+
+    def test_events_have_no_ordering(self):
+        """The queue orders its entries; two events never compare."""
+        queue = EventQueue()
+        first = queue.push(1.0, Phase.CACHE, lambda: None)
+        second = queue.push(2.0, Phase.CACHE, lambda: None)
+        assert isinstance(first, Event)
+        with pytest.raises(TypeError):
+            first < second
+
+    def test_pop_until_leaves_later_events(self):
+        queue = EventQueue()
+        first = queue.push(1.0, Phase.DEFAULT, lambda: None)
+        dead = queue.push(1.5, Phase.DEFAULT, lambda: None)
+        later = queue.push(2.0, Phase.DEFAULT, lambda: None)
+        dead.cancel()
+        assert queue.pop(until=1.0) is first
+        assert queue.pop(until=1.9) is None
+        assert queue.heap_size == 1  # the dead head was evicted
+        assert queue.pop(until=2.0) is later
+
+    def test_cancel_after_clear_keeps_the_count(self):
+        queue = EventQueue()
+        event = queue.push(1.0, Phase.DEFAULT, lambda: None)
+        queue.clear()
+        event.cancel()
+        assert len(queue) == 0
+
     def test_pop_empty_returns_none(self):
         queue = EventQueue()
         assert queue.pop() is None
