@@ -1,12 +1,20 @@
-"""The six scenario matrices at reduced size, every verdict hard-asserted.
+"""Every scenario matrix, every verdict hard-asserted.
 
 One parametrized bench replaces the per-experiment verdict benches of
-E8 and E10-E14.  Each case runs a registered matrix
-(:data:`repro.experiments.matrix.MATRICES`) with ``KEY=VALUE`` settings
-that shrink it while keeping its verdicts meaningful, prints the table,
-and asserts that every verdict applies and holds.  The verdicts are
-exactness and ordering claims, not timings, so the asserts are hard on
-any machine.
+the paper's evaluation (E1-E6, X7) and of E8 and E10-E14.  Each case
+runs a registered matrix (:data:`repro.experiments.matrix.MATRICES`)
+with ``KEY=VALUE`` settings, prints the table, and asserts that every
+verdict it prints reads "yes" (never "n/a").  A verdict may be left out
+only by a matrix that omits inapplicable verdicts, and then another case
+of the same matrix must print it: ``test_every_verdict_reads_yes`` fails
+otherwise, so a settings change that drops a verdict's cells cannot pass
+silently.  The verdicts are exactness, ordering and bound claims, not
+timings, so the asserts are hard on any machine.
+
+The paper's cases run at the sizes of the benches they replaced, which
+are the matrices' defaults except E3's scarcer link (cache 25 msgs/s),
+the E1 size sweep and Figure 6's reduced m = 100 panel; the others run
+at reduced size.
 
 Bandwidth is deliberately scarce in the netcond/faults cases (cache 6.0
 for 32 objects): at the defaults a tiny matrix is over-provisioned,
@@ -27,9 +35,21 @@ from repro.experiments.matrix import MATRICES, run_matrix
 SCARCE = ("sources=8 objects=4 cache-bandwidth=6 source-bandwidth=1.5 "
           "warmup=50 measure=150")
 
-#: case id -> (matrix, settings); the CI matrix-smoke job runs the same
-#: settings through ``repro matrix``.
+#: case id -> (matrix, settings); the CI matrix-smoke job runs most of
+#: them through ``repro matrix`` (the paper's at their defaults, Figure 4
+#: on a smaller grid).
 CASES = {
+    "e1": ("e1", ""),
+    "e1-size-sweep": ("e1", "objects=1,10,100,500 metrics=deviation "
+                            "warmup=50 measure=400"),
+    "e2": ("e2", ""),
+    "e3": ("e3", "cache-bandwidth=25"),
+    "fig4": ("fig4", ""),
+    "fig5": ("fig5", ""),
+    "fig5-fluctuating": ("fig5", "link=fluctuating"),
+    "fig6": ("fig6", ""),
+    "fig6-m100": ("fig6", "sources=100 fractions=0.1,0.5,0.9"),
+    "overhead": ("overhead", ""),
     "netcond": ("netcond", SCARCE),
     "faults": ("faults", SCARCE),
     "rebalance": ("rebalance", "num-caches=1,2,4 warmup=50 measure=200"),
@@ -77,17 +97,43 @@ CHECKS = {
 }
 
 
+_runs: dict = {}
+
+
+def run_case(case, benchmark=None):
+    """``(matrix, params, rows)`` of one case, run at most once."""
+    if case not in _runs:
+        name, settings = CASES[case]
+        matrix = MATRICES[name]
+        params = matrix.parse(settings.split())
+        rows = (run_matrix(matrix, params) if benchmark is None
+                else run_once(benchmark, run_matrix, matrix, params))
+        _runs[case] = matrix, params, rows
+    return _runs[case]
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_matrix_verdicts(benchmark, case):
-    name, settings = CASES[case]
-    matrix = MATRICES[name]
-    params = matrix.parse(settings.split())
-    rows = run_once(benchmark, run_matrix, matrix, params)
+    matrix, params, rows = run_case(case, benchmark)
     print()
     print(matrix.render(params, rows))
     for verdict, ok in matrix.judge(rows):
         # Every printed verdict must read "yes"; only a verdict the
-        # matrix omits when inapplicable may be skipped.
+        # matrix omits when inapplicable may be skipped here.
         assert ok or (ok is None and matrix.na is None), \
-            f"{name}: {verdict.label}: {ok}"
+            f"{matrix.name}: {verdict.label}: {ok}"
     CHECKS.get(case, lambda rows: None)(rows)
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(
+    name for name, _ in CASES.values())))
+def test_every_verdict_reads_yes(name):
+    """Each verdict of each matrix reads "yes" in one of its cases."""
+    passed = set()
+    for case, (matrix_name, _) in CASES.items():
+        if matrix_name == name:
+            matrix, _, rows = run_case(case)
+            passed |= {v.label for v, ok in matrix.judge(rows) if ok}
+    missing = [v.label for v in MATRICES[name].verdicts
+               if v.label not in passed]
+    assert not missing, f"{name}: no case reads yes for {missing}"

@@ -3,8 +3,8 @@
 Every benchmark reproduces one evaluation artifact of the paper (see
 DESIGN.md Sec 3).  Experiment bodies are long-running simulations, so each
 is executed exactly once via ``benchmark.pedantic(rounds=1)``; the metric
-of interest is the experiment's *output* (printed, and archived in
-EXPERIMENTS.md), the wall-clock time is incidental.
+of interest is the experiment's printed *output*, the wall-clock time is
+incidental.
 
 Scaled-down grids: the paper's largest configurations (m = 1000 sources,
 n = 100 objects each, 5000 s measurements) are CPU-days in pure Python.

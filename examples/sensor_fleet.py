@@ -14,21 +14,22 @@ theoretical optimum.
 Run:  python examples/sensor_fleet.py
 """
 
-from repro.experiments.fig5 import run_fig5
+from repro.experiments import MATRICES, run_matrix
 from repro.metrics import format_table
 
 
 def main() -> None:
     print("Simulating 40 buoys x 2 wind components, 3 days of 10-minute "
           "readings...")
-    points = run_fig5(bandwidths=(1, 4, 16, 64), days=3.0,
-                      warmup_days=0.5, seed=7)
+    fig5 = MATRICES["fig5"]
+    points = run_matrix(fig5, fig5.parse(["bandwidths=1,4,16,64", "days=3",
+                                          "warmup-days=0.5", "seed=7"]))
 
     rows = []
     for p in points:
-        gap = p.actual_divergence - p.ideal_divergence
-        rows.append([f"{p.bandwidth_per_minute:g} msgs/min",
-                     p.ideal_divergence, p.actual_divergence, gap])
+        ideal, ours = p["ideal"]["unweighted"], p["ours"]["unweighted"]
+        rows.append([f"{p['bandwidths']:g} msgs/min", ideal, ours,
+                     ours - ideal])
     print(format_table(
         ["satellite link budget", "ideal scenario", "threshold protocol",
          "gap"],

@@ -4,19 +4,25 @@ Usage (installed package)::
 
     python -m repro e1                    # Sec 4.3 uniform validation
     python -m repro e2                    # Sec 4.3 skewed validation
-    python -m repro e3 --alphas 1.1 1.2   # Sec 6.1 parameter study
-    python -m repro fig4 --measure 600
-    python -m repro fig5 --fluctuating
-    python -m repro fig6 --sources 10 --fractions 0.1 0.5 0.9
+    python -m repro e3 alphas=1.1,1.2     # Sec 6.1 parameter study
+    python -m repro fig4 measure=600 --workers 2
+    python -m repro fig5 link=fluctuating
+    python -m repro fig6 sources=10 fractions=0.1,0.5,0.9
+    python -m repro matrix overhead sources=5,20,80   # X7
     python -m repro matrix multicache num-caches=1,2,4 topology=sharded
     python -m repro matrix faults scenarios=lossy-10,crash-restart
     python -m repro matrix multicast replications=1,2,4
     python -m repro matrix readmodel replication=3 read-rate=0.5
+    python -m repro scale --sources 1000 10000
     python -m repro quickstart            # the README comparison
     python -m repro profile scale --sources 100000   # cProfile any command
 
-Every subcommand prints the same rows/series the corresponding figure in
-the paper plots; ``--output FILE`` additionally archives the text.
+Every experiment is a scenario matrix (``repro matrix NAME``); the paper's
+``e1`` ... ``fig6`` are also subcommands of their own.  Both take
+``KEY=VALUE[,VALUE...]`` settings and ``--workers``, and print a table
+or figure series followed by one verdict line per checked claim;
+``--output FILE`` additionally archives the text.  A bad key or value is
+a one-line usage error (exit 2) before anything runs.
 
 ``profile`` wraps any other subcommand in cProfile and appends a top-N
 cumulative-time report -- the measurement loop behind every hot-path
@@ -30,23 +36,16 @@ import sys
 import textwrap
 from typing import Callable, Sequence
 
-from repro.experiments.fig4 import Fig4Config, run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
 from repro.experiments.matrix import MATRICES, run_matrix
-from repro.experiments.params import best_cell, run_parameter_grid
 from repro.experiments.scale import render_scale, run_scale
-from repro.experiments.tables import (
-    render_fig4,
-    render_fig5,
-    render_fig6,
-    render_parameter_grid,
-    render_validation,
-)
-from repro.experiments.validation import (
-    run_skewed_validation,
-    run_uniform_validation,
-)
+
+#: the paper's experiments that are subcommands of their own, with help
+PAPER = {"e1": "Sec 4.3 uniform validation",
+         "e2": "Sec 4.3 skewed validation",
+         "e3": "Sec 6.1 threshold parameter study",
+         "fig4": "Figure 4 sweep",
+         "fig5": "Figure 5 buoy experiment",
+         "fig6": "Figure 6 CGM comparison"}
 
 
 def _bounded(name: str, kind: type, low: float, strict: bool = False
@@ -64,19 +63,6 @@ def _bounded(name: str, kind: type, low: float, strict: bool = False
     return parse
 
 
-def _add_timing(parser: argparse.ArgumentParser, warmup: float,
-                measure: float) -> None:
-    parser.add_argument("--warmup", type=_bounded("warmup", float, 0),
-                        default=warmup,
-                        help="warm-up seconds discarded from measurement")
-    parser.add_argument("--measure",
-                        type=_bounded("measure", float, 0, strict=True),
-                        default=measure,
-                        help="measured window length in seconds")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload random seed")
-
-
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_bounded("workers", int, 1),
                         default=1,
@@ -85,60 +71,22 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
                              "bit-identical at any worker count)")
 
 
-def _cmd_e1(args: argparse.Namespace) -> str:
-    rows = run_uniform_validation(num_objects=args.objects, seed=args.seed,
-                                  warmup=args.warmup, measure=args.measure)
-    return render_validation(
-        rows, "E1 (Sec 4.3, uniform): paper claims < 10% difference")
+def _add_settings(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("settings", nargs="*",
+                        metavar="KEY=VALUE[,VALUE...]",
+                        help="override a parameter or restrict an axis")
+    _add_workers(parser)
 
 
-def _cmd_e2(args: argparse.Namespace) -> str:
-    rows = run_skewed_validation(seed=args.seed, warmup=args.warmup,
-                                 measure=args.measure)
-    return render_validation(
-        rows, "E2 (Sec 4.3, skewed): paper claims +64%/+74%/+84%")
-
-
-def _cmd_e3(args: argparse.Namespace) -> str:
-    cells = run_parameter_grid(alphas=tuple(args.alphas),
-                               omegas=tuple(args.omegas),
-                               num_sources=args.sources,
-                               objects_per_source=args.objects,
-                               warmup=args.warmup, measure=args.measure,
-                               seed=args.seed)
-    best = best_cell(cells)
-    return (render_parameter_grid(cells)
-            + f"\nbest setting: alpha={best.alpha}, omega={best.omega} "
-              f"(paper: alpha=1.1, omega=10)")
-
-
-def _cmd_fig4(args: argparse.Namespace) -> str:
-    config = Fig4Config(sources=tuple(args.sources),
-                        objects_per_source=tuple(args.objects),
-                        cache_bandwidths=tuple(args.cache_bandwidths),
-                        warmup=args.warmup, measure=args.measure,
-                        seed=args.seed)
-    return render_fig4(run_fig4(config, workers=args.workers))
-
-
-def _cmd_fig5(args: argparse.Namespace) -> str:
-    if args.warmup_days >= args.days:
-        args.error(f"warmup-days must be < days, got {args.warmup_days} "
-                   f">= {args.days}")
-    points = run_fig5(bandwidths=tuple(args.bandwidths),
-                      fluctuating=args.fluctuating, days=args.days,
-                      warmup_days=args.warmup_days, seed=args.seed,
-                      trace_csv=args.trace_csv)
-    label = "fluctuating" if args.fluctuating else "fixed"
-    return render_fig5(points, f"Figure 5 ({label} bandwidth, msgs/min)")
-
-
-def _cmd_fig6(args: argparse.Namespace) -> str:
-    points = run_fig6(num_sources=args.sources,
-                      objects_per_source=args.objects,
-                      fractions=tuple(args.fractions), seed=args.seed,
-                      warmup=args.warmup, measure=args.measure)
-    return render_fig6(points, f"Figure 6, m = {args.sources} sources")
+def _keys_help(matrices) -> str:
+    """The epilog listing every key of ``matrices`` with its default."""
+    return "\n".join(
+        textwrap.fill(line, width=79, subsequent_indent="    ",
+                      break_on_hyphens=False)
+        for line in ("KEY=default per matrix (VALUE lists are "
+                     "comma-separated; an axis key restricts or "
+                     "reorders its axis):",
+                     *(m.usage() for m in matrices)))
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str:
@@ -220,75 +168,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the result text to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("e1", help="Sec 4.3 uniform validation")
-    p.add_argument("--objects", type=_bounded("objects", int, 1), default=100)
-    _add_timing(p, warmup=100.0, measure=1000.0)
-    p.set_defaults(fn=_cmd_e1)
-
-    p = sub.add_parser("e2", help="Sec 4.3 skewed validation")
-    _add_timing(p, warmup=100.0, measure=1000.0)
-    p.set_defaults(fn=_cmd_e2)
-
-    p = sub.add_parser("e3", help="Sec 6.1 threshold parameter study")
-    p.add_argument("--alphas", type=_bounded("alpha", float, 1, True),
-                   nargs="+", default=[1.05, 1.1, 1.2, 1.5, 2.0])
-    p.add_argument("--omegas", type=_bounded("omega", float, 1, True),
-                   nargs="+", default=[2.0, 5.0, 10.0, 20.0, 100.0])
-    p.add_argument("--sources", type=_bounded("sources", int, 1), default=10)
-    p.add_argument("--objects", type=_bounded("objects", int, 1), default=10)
-    _add_timing(p, warmup=100.0, measure=400.0)
-    p.set_defaults(fn=_cmd_e3)
-
-    p = sub.add_parser("fig4", help="Figure 4 sweep")
-    p.add_argument("--sources", type=_bounded("sources", int, 1), nargs="+",
-                   default=[1, 10, 50])
-    p.add_argument("--objects", type=_bounded("objects", int, 1), nargs="+",
-                   default=[1, 10])
-    p.add_argument("--cache-bandwidths", type=float, nargs="+",
-                   default=[10.0, 40.0, 100.0])
-    _add_timing(p, warmup=250.0, measure=600.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_fig4)
-
-    p = sub.add_parser("fig5", help="Figure 5 buoy experiment")
-    p.add_argument("--bandwidths", type=_bounded("bandwidth", float, 0),
-                   nargs="+", default=[1, 2, 5, 10, 20, 40, 80])
-    p.add_argument("--fluctuating", action="store_true",
-                   help="fluctuate the link with the paper's mB = 0.25")
-    p.add_argument("--days", type=_bounded("days", float, 0, True),
-                   default=7.0)
-    p.add_argument("--warmup-days", type=_bounded("warmup-days", float, 0),
-                   default=1.0)
-    p.add_argument("--trace-csv", type=str, default=None,
-                   help="real buoy trace in time,object,value CSV form")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_fig5, error=p.error)
-
-    p = sub.add_parser("fig6", help="Figure 6 CGM comparison")
-    p.add_argument("--sources", type=_bounded("sources", int, 1), default=10)
-    p.add_argument("--objects", type=_bounded("objects", int, 1), default=10)
-    p.add_argument("--fractions", type=float, nargs="+",
-                   default=[0.1, 0.3, 0.5, 0.7, 0.9])
-    _add_timing(p, warmup=100.0, measure=500.0)
-    p.set_defaults(fn=_cmd_fig6)
+    for name, help_text in PAPER.items():
+        p = sub.add_parser(
+            name, help=help_text,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            description=f"{help_text}; the same as `repro matrix {name}`.",
+            epilog=_keys_help([MATRICES[name]]))
+        _add_settings(p)
+        p.set_defaults(fn=_cmd_matrix, name=name, error=p.error)
 
     p = sub.add_parser(
         "matrix",
-        help="a scenario matrix beyond the paper: netcond (E11), faults "
-             "(E12), rebalance (E13), multicast (E14), multicache (E8), "
-             "readmodel (E10)",
+        help="a scenario matrix: the paper's e1, e2, e3, fig4, fig5, "
+             "fig6 and overhead (X7), or beyond it netcond (E11), faults "
+             "(E12), rebalance (E13), multicast (E14), multicache (E8) "
+             "and readmodel (E10)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="\n".join(
-            textwrap.fill(line, width=79, subsequent_indent="    ",
-                          break_on_hyphens=False)
-            for line in ("KEY=default per matrix (VALUE lists are "
-                         "comma-separated; an axis key restricts or "
-                         "reorders its axis):",
-                         *(m.usage() for m in MATRICES.values()))))
+        epilog=_keys_help(MATRICES.values()))
     p.add_argument("name", choices=list(MATRICES))
-    p.add_argument("settings", nargs="*", metavar="KEY=VALUE[,VALUE...]",
-                   help="override a parameter or restrict an axis")
-    _add_workers(p)
+    _add_settings(p)
     p.set_defaults(fn=_cmd_matrix, error=p.error)
 
     p = sub.add_parser("scale",
@@ -297,17 +195,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", type=_bounded("sources", int, 1), nargs="+",
                    default=[100, 1000, 10000],
                    help="source counts to sweep (one object per source)")
-    p.add_argument("--update-rate", type=float, default=0.002,
+    p.add_argument("--update-rate", type=_bounded("update-rate", float, 0),
+                   default=0.002,
                    help="per-object Poisson update rate (<< 1/dt)")
-    p.add_argument("--cache-bandwidth", type=float, default=8.0)
-    p.add_argument("--source-bandwidth", type=float, default=1.0)
-    p.add_argument("--shard-caches", type=int, default=None,
+    p.add_argument("--cache-bandwidth",
+                   type=_bounded("cache-bandwidth", float, 0), default=8.0)
+    p.add_argument("--source-bandwidth",
+                   type=_bounded("source-bandwidth", float, 0), default=1.0)
+    p.add_argument("--shard-caches", type=_bounded("shard-caches", int, 1),
+                   default=None,
                    help="run each point as a sharded multi-cache "
                         "topology with this many caches, advancing the "
                         "shards in parallel worker processes (tier 2); "
                         "without it --workers parallelizes across sweep "
                         "cells (tier 1)")
-    _add_timing(p, warmup=100.0, measure=500.0)
+    p.add_argument("--warmup", type=_bounded("warmup", float, 0),
+                   default=100.0,
+                   help="warm-up seconds discarded from measurement")
+    p.add_argument("--measure",
+                   type=_bounded("measure", float, 0, strict=True),
+                   default=500.0, help="measured window length in seconds")
+    p.add_argument("--seed", type=_bounded("seed", int, 0), default=0,
+                   help="workload random seed")
     _add_workers(p)
     p.set_defaults(fn=_cmd_scale)
 

@@ -1,16 +1,18 @@
-"""One scenario matrix for the beyond-the-paper experiments (E8, E10-E14).
+"""One scenario matrix for every experiment: the paper's and beyond.
 
-Each of those experiments asks the paper's question once more -- how does
-the threshold protocol fare against the uniform, CGM and ideal baselines?
--- under one more setting: a bandwidth condition, a fault plan, a moving
-hotspot, a delivery plane, a cache layout or a client read stream.  So one
-declarative harness runs them all:
+The paper's evaluation (E1-E6, X7) compares the threshold protocol with
+the ideal scheduler, a strawman priority or the CGM pollers; each
+beyond-the-paper experiment (E8, E10-E14) asks the same question once
+more under one more setting: a bandwidth condition, a fault plan, a
+moving hotspot, a delivery plane, a cache layout or a client read
+stream.  So one declarative harness runs them all:
 
 * a :class:`Scenario` is one simulation run as picklable data: a
   :class:`~repro.experiments.parallel.WorkloadSpec`, a policy name plus
-  constructor kwargs (``feedback_ttl``, ``rebalance``, ...) and the run
-  settings -- layout and delivery plane, bandwidth condition, fault plan,
-  retry policy and an optional client read stream;
+  constructor kwargs (``alpha``, ``feedback_ttl``, ``rebalance``, ...),
+  the divergence metric and priority, and the run settings -- links,
+  tick and timing, layout and delivery plane, bandwidth condition, fault
+  plan, retry policy and an optional client read stream;
 * a :class:`Matrix` declares settable parameters with defaults, the axes
   whose product forms the table rows, the arms run once per row, an
   include filter for dependent cells, the table columns, extra lines and
@@ -20,10 +22,17 @@ declarative harness runs them all:
 :func:`run_matrix` fans a matrix's scenarios over a
 :class:`~repro.experiments.parallel.ParallelRunner` (bit-identical at any
 worker count) and folds the records into rows; :meth:`Matrix.render`
-prints the table and its verdicts.  :data:`MATRICES` registers six
+prints the table and its verdicts.  :data:`MATRICES` registers thirteen
 matrices behind ``repro matrix NAME [KEY=VALUE[,VALUE...] ...]``:
 
 ==========  ===========================================================
+e1          Sec 4.3 uniform validation: paper vs D*W priority x metric
+e2          Sec 4.3 skewed validation: paper vs D*W priority x metric
+e3          Sec 6.1 threshold study: alpha x omega
+fig4        Figure 4: ours vs ideal over a configuration grid
+fig5        Figure 5: ours vs ideal on wind buoys x link bandwidth
+fig6        Figure 6: ideal, ours and the CGM pollers x bandwidth
+overhead    X7: feedback share of cache traffic x source count
 netcond     E11: five policies x bandwidth condition x layout
 faults      E12: five policies x fault plan x layout, plus the
             empty-plan, reliable-delivery and feedback-TTL arms
@@ -43,13 +52,19 @@ rows, so they can be checked on hand-built rows as well as on runs.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Sequence
 
+from repro.analysis.equilibrium import equilibrium_overhead_fraction
 from repro.cache.readmodel import parse_read_policy
-from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
+from repro.core.divergence import make_metric
+from repro.core.priority import (
+    AreaPriority,
+    SimpleDivergencePriority,
+    default_priority_for,
+)
 from repro.core.weights import StaticWeights
 from repro.experiments.parallel import (
     ParallelRunner,
@@ -60,11 +75,11 @@ from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import FAULT_SCENARIOS, FaultPlan, fault_scenario
 from repro.faults.retry import RetryPolicy
-from repro.metrics.report import format_table
-from repro.network.bandwidth import ConstantBandwidth
+from repro.metrics.report import ascii_plot, format_series, format_table
+from repro.network.bandwidth import make_bandwidth
 from repro.network.delivery import DELIVERY_MODES
 from repro.network.topology import TopologyConfig
-from repro.policies.cache_driven import CGMPollingPolicy
+from repro.policies.cache_driven import CGMPollingPolicy, IdealCacheBasedPolicy
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
 from repro.policies.ideal import IdealCooperativePolicy
@@ -72,39 +87,54 @@ from repro.policies.uniform import UniformAllocationPolicy
 from repro.rebalance import RebalanceConfig
 from repro.sim.random import RngRegistry
 from repro.workloads.bandwidth_traces import SCENARIOS, scenario_profile
+from repro.workloads.buoy import (
+    SECONDS_PER_DAY,
+    buoy_workload,
+    recorded_buoy_workload,
+)
 from repro.workloads.hotspot import (
     check_hotspot,
     hotspot_shards,
     moving_hotspot,
 )
-from repro.workloads.synthetic import uniform_random_walk
+from repro.workloads.synthetic import skewed_validation, uniform_random_walk
 
 POLICIES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
 
 
 def make_policy(name: str, cache_bw, source_bws, num_objects: int,
-                **kwargs):
-    """One of the five compared policies on fresh bandwidth profiles.
+                priority=None, **kwargs):
+    """One compared policy on fresh bandwidth profiles.
 
+    ``name`` is one of :data:`POLICIES` or a Figure 6 curve (``cgm1``,
+    ``ideal-cache-based``).  ``priority`` is the refresh priority of the
+    priority-driven policies (default: the area priority); ``source_bws``
+    of None leaves the ideal scheduler without a source limit.
     ``kwargs`` reach the policy constructor (e.g. the cooperative
-    policy's ``feedback_ttl``, ``rebalance`` or batching knobs).
+    policy's ``alpha``, ``feedback_ttl``, ``rebalance`` or batching
+    knobs).
     """
+    if priority is None:
+        priority = AreaPriority()
     if name == "cooperative":
-        return CooperativePolicy(cache_bw, source_bws,
-                                 priority_fn=AreaPriority(), **kwargs)
+        return CooperativePolicy(cache_bw, source_bws, priority_fn=priority,
+                                 **kwargs)
     if name == "uniform":
         return UniformAllocationPolicy(cache_bw, source_bws, **kwargs)
     if name == "competitive":
         return CompetitivePolicy(
-            cache_bw, source_bws, priority_fn=AreaPriority(),
+            cache_bw, source_bws, priority_fn=priority,
             source_weights=StaticWeights.uniform(num_objects), psi=0.25,
             **kwargs)
-    if name == "cgm":
-        return CGMPollingPolicy(cache_bw, variant="cgm2", **kwargs)
+    if name in ("cgm", "cgm1"):  # "cgm" is the CGM2 variant
+        variant = "cgm1" if name == "cgm1" else "cgm2"
+        return CGMPollingPolicy(cache_bw, variant=variant, **kwargs)
     if name == "ideal":
-        return IdealCooperativePolicy(cache_bw, AreaPriority(),
+        return IdealCooperativePolicy(cache_bw, priority,
                                       source_bandwidths=source_bws,
                                       **kwargs)
+    if name == "ideal-cache-based":
+        return IdealCacheBasedPolicy(cache_bw.mean_rate, **kwargs)
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -117,16 +147,23 @@ class Scenario:
     """
 
     workload: WorkloadSpec
-    policy: str  #: a :data:`POLICIES` name
+    policy: str  #: a :func:`make_policy` name
     cache_bandwidth: float  #: aggregate cache-side msgs/s
-    source_bandwidth: float  #: per-source msgs/s
+    #: per-source msgs/s (None: the ideal scheduler without a source limit)
+    source_bandwidth: float | None
     warmup: float
     measure: float
     seed: int = 0
+    metric: str = "deviation"  #: staleness, lag or deviation
+    #: "paper" (default_priority_for(metric)) or "simple" (the D*W strawman)
+    priority: str = "paper"
+    change_rate: float = 0.0  #: the paper's mB on every "constant" link
+    dt: float = 1.0  #: tick length
+    resample_interval: float | None = None  #: collector re-break period
     #: policy constructor kwargs, e.g. ``feedback_ttl`` or ``rebalance``
     policy_kwargs: tuple[tuple[str, Any], ...] = ()
-    #: ``"constant"`` links, or an E11 condition of
-    #: :func:`~repro.workloads.bandwidth_traces.scenario_profile`
+    #: ``"constant"`` links (the paper's (B, mB) form), or an E11
+    #: condition of :func:`~repro.workloads.bandwidth_traces.scenario_profile`
     bandwidth: str = "constant"
     topology: TopologyConfig | None = None  #: layout + plane (None = star)
     faults: FaultPlan | None = None
@@ -138,21 +175,27 @@ class Scenario:
         self.spec()
 
     def spec(self) -> RunSpec:
-        return RunSpec(warmup=self.warmup, measure=self.measure,
-                       seed=self.seed, topology=self.topology,
-                       faults=self.faults, retry=self.retry)
+        return RunSpec(warmup=self.warmup, measure=self.measure, dt=self.dt,
+                       seed=self.seed,
+                       resample_interval=self.resample_interval,
+                       topology=self.topology, faults=self.faults,
+                       retry=self.retry)
 
     def profiles(self, num_sources: int):
         """Fresh cache and per-source profiles (links consume them).
 
-        A trace condition shapes the cache link and, seeded per source,
+        Constant links are the paper's sine waves of peak relative change
+        rate mB, one phase per source (plain constants at mB = 0).  A
+        trace condition shapes the cache link and, seeded per source,
         every source link, so bursty runs get heterogeneous per-source
         congestion walks.
         """
         if self.bandwidth == "constant":
-            return (ConstantBandwidth(self.cache_bandwidth),
-                    [ConstantBandwidth(self.source_bandwidth)
-                     for _ in range(num_sources)])
+            return (make_bandwidth(self.cache_bandwidth, self.change_rate),
+                    None if self.source_bandwidth is None else
+                    [make_bandwidth(self.source_bandwidth, self.change_rate,
+                                    phase=float(j))
+                     for j in range(num_sources)])
         duration = self.warmup + self.measure
         return (scenario_profile(self.bandwidth, self.cache_bandwidth,
                                  duration, seed=self.seed),
@@ -170,19 +213,21 @@ def run_scenario(scenario: Scenario) -> dict:
     """
     workload = build_workload(scenario.workload)
     cache_bw, source_bws = scenario.profiles(workload.num_sources)
+    metric = make_metric(scenario.metric)
+    priority = (SimpleDivergencePriority() if scenario.priority == "simple"
+                else default_priority_for(scenario.metric))
     policy = make_policy(scenario.policy, cache_bw, source_bws,
-                         workload.num_objects,
+                         workload.num_objects, priority=priority,
                          **dict(scenario.policy_kwargs))
     record: dict = {}
     if scenario.read_policy is None:
-        result = run_policy(workload, ValueDeviation(), policy,
-                            scenario.spec())
+        result = run_policy(workload, metric, policy, scenario.spec())
     else:
         reads = workload.read_stream(
             RngRegistry(scenario.seed).stream("read-workload"),
             read_rate=scenario.read_rate)
         result, read_run = run_policy_with_reads(
-            workload, ValueDeviation(), policy, scenario.spec(), reads,
+            workload, metric, policy, scenario.spec(), reads,
             read_policy=scenario.read_policy, track_replicas=True)
         record = {
             "reads": result.reads,
@@ -197,8 +242,12 @@ def run_scenario(scenario: Scenario) -> dict:
     rebalancer = getattr(policy, "rebalancer", None)
     record.update(
         divergence=result.weighted_divergence,
+        unweighted=result.unweighted_divergence,
+        num_objects=workload.num_objects,
         refreshes=result.refreshes,
         messages=result.messages_total,
+        feedback=result.feedback_messages,
+        overhead=result.overhead_fraction,
         # cache-side bandwidth units: a multicast sibling copy is one
         # more message but zero more units (the E14 denominator)
         units=topology.cache_units_total() if topology is not None else 0.0,
@@ -223,7 +272,8 @@ class Param:
     kind: type = float  #: element type: int, float or str
     many: bool = False  #: a comma-separated tuple (axes, rate lists)
     choices: tuple = ()  #: allowed elements (empty: any)
-    minimum: float | None = None  #: smallest allowed element
+    minimum: float | None = None  #: lower bound of every element
+    strict: bool = False  #: elements must exceed ``minimum``
     size: int | None = None  #: exact tuple length
 
     def parse(self, text: str):
@@ -237,9 +287,12 @@ class Param:
                 raise ValueError(
                     f"{self.key}: unknown value {value!r}; choose from "
                     f"{','.join(map(str, self.choices))}")
-            if self.minimum is not None and value < self.minimum:
+            if self.minimum is not None and (
+                    value < self.minimum
+                    or self.strict and value == self.minimum):
                 raise ValueError(
-                    f"{self.key} must be >= {self.minimum}, got {value}")
+                    f"{self.key} must be {'>' if self.strict else '>='} "
+                    f"{self.minimum}, got {value}")
         if not self.many:
             if len(values) != 1:
                 raise ValueError(f"{self.key} takes one value, "
@@ -278,11 +331,14 @@ class Matrix:
     params: tuple[Param, ...]
     axes: tuple[str, ...]  #: row keys, outermost first
     scenario: Callable[[dict], Scenario]  #: cell -> its run
+    #: table columns (empty: the title alone, then the extra lines)
     columns: tuple[tuple[str, Callable[[dict], Any]], ...]
     arms: tuple[str, ...] = ()  #: runs per row, as ``cell["arm"]``
     include: Callable[[dict], bool] = lambda cell: True
     #: derive or normalize axis values from the parameters
     resolve: Callable[[dict], dict] = lambda params: params
+    #: derive row values from all folded rows (E3: each cell vs the best)
+    finish: Callable[[list[dict]], list[dict]] = lambda rows: rows
     extras: Callable[[list[dict]], list[str]] = lambda rows: []
     verdicts: tuple[Verdict, ...] = ()
     #: outcome text of an inapplicable verdict (None: omit its line)
@@ -327,11 +383,12 @@ class Matrix:
 
     def render(self, params: dict, rows: list[dict]) -> str:
         """The rows as a table, then extra lines, then verdict lines."""
-        lines = [format_table([header for header, _ in self.columns],
-                              [[value(row) for _, value in self.columns]
-                               for row in rows],
-                              title=self.title(params)),
-                 *self.extras(rows)]
+        title = self.title(params)
+        if self.columns:
+            title = format_table([header for header, _ in self.columns],
+                                 [[value(row) for _, value in self.columns]
+                                  for row in rows], title=title)
+        lines = [title, *self.extras(rows)]
         for verdict, ok in self.judge(rows):
             if ok is None and self.na is None:
                 continue
@@ -365,14 +422,18 @@ def run_matrix(matrix: Matrix, params: dict,
             rows.append(dict(row))
             last = row
         rows[-1][arm] = record
-    return rows
+    return matrix.finish(rows)
 
 
 # ----------------------------------------------------------------------
 # Shared declarations
 # ----------------------------------------------------------------------
-TIMING = (Param("warmup", 100.0), Param("measure", 400.0),
-          Param("seed", 0, int))
+def _timing(warmup: float, measure: float) -> tuple[Param, ...]:
+    return (Param("warmup", warmup), Param("measure", measure),
+            Param("seed", 0, int, minimum=0))
+
+
+TIMING = _timing(100.0, 400.0)
 #: the two reference layouts of E11/E12 ("sharded-4" = 4 block shards)
 LAYOUTS = {"star": None,
            "sharded-4": TopologyConfig(kind="sharded", num_caches=4)}
@@ -382,6 +443,11 @@ TOPOLOGIES = tuple(LAYOUTS)
 def _size(sources: int, objects: int) -> tuple[Param, Param]:
     return (Param("sources", sources, int, minimum=1),
             Param("objects", objects, int, minimum=1))
+
+
+def _links(cache: float, source: float) -> tuple[Param, Param]:
+    return (Param("cache-bandwidth", cache, minimum=0),
+            Param("source-bandwidth", source, minimum=0))
 
 
 def _workload(builder, cell: dict, **kwargs) -> WorkloadSpec:
@@ -428,6 +494,492 @@ def _paired(rows: list[dict], scenarios: tuple[str, ...],
 
 def _values(rows: list[dict], key: str) -> set:
     return {r[key] for r in rows}
+
+
+# ----------------------------------------------------------------------
+# The paper's experiments: E1-E3, Figures 4-6 and X7
+# ----------------------------------------------------------------------
+# Their runs keep the paper harnesses' seeding: the seed key seeds the
+# workload only (through each harness's own seed expression) and every
+# run itself uses seed 0.
+METRICS = ("staleness", "lag", "deviation")
+#: the Sec 4.3 validation link: "up to 10 refreshes per second"
+VALIDATION_BANDWIDTH = 10.0
+
+
+def _validation_scenario(cell: dict, workload: WorkloadSpec) -> Scenario:
+    # The ideal scheduler on one unlimited source, so the two arms differ
+    # only in the priority function.
+    return Scenario(workload=workload, policy="ideal",
+                    cache_bandwidth=VALIDATION_BANDWIDTH,
+                    source_bandwidth=None, warmup=cell["warmup"],
+                    measure=cell["measure"], metric=cell["metrics"],
+                    priority="paper" if cell["arm"] == "ours" else "simple")
+
+
+def _e1_scenario(cell: dict) -> Scenario:
+    workload = WorkloadSpec.make(
+        uniform_random_walk, cell["seed"], num_sources=1,
+        objects_per_source=cell["objects"],
+        horizon=cell["warmup"] + cell["measure"], arrivals="bernoulli")
+    return _validation_scenario(cell, workload)
+
+
+def _e2_scenario(cell: dict) -> Scenario:
+    workload = WorkloadSpec.make(skewed_validation, cell["seed"],
+                                 horizon=cell["warmup"] + cell["measure"])
+    return _validation_scenario(cell, workload)
+
+
+def increase_pct(row: dict) -> float:
+    """The D*W strawman's divergence over the paper priority's, in %."""
+    ours = row["ours"]["divergence"]
+    if ours <= 0:
+        return 0.0
+    return 100.0 * (row["simple"]["divergence"] / ours - 1.0)
+
+
+def priorities_agree(rows: list[dict]) -> bool:
+    """E1: on uniform rates and weights the strawman is within 25% of
+    the paper's priority in every row (the paper reports < 10%)."""
+    return bool(rows) and all(abs(increase_pct(r)) < 25.0 for r in rows)
+
+
+def _penalty_exceeds(rows: list[dict], metric: str, bound: float) -> bool:
+    found = [increase_pct(r) for r in rows if r["metrics"] == metric]
+    return bool(found) and all(increase > bound for increase in found)
+
+
+def skew_penalizes_lag(rows: list[dict]) -> bool:
+    """E2: on the skewed workload the strawman raises lag divergence by
+    more than 30% (the paper reports +74%)."""
+    return _penalty_exceeds(rows, "lag", 30.0)
+
+
+def skew_penalizes_deviation(rows: list[dict]) -> bool:
+    """E2: ... and value deviation by more than 15% (paper: +84%)."""
+    return _penalty_exceeds(rows, "deviation", 15.0)
+
+
+VALIDATION_COLUMNS = (("metric", itemgetter("metrics")),
+                      ("n", _field("ours", "num_objects")),
+                      ("our priority", _field("ours", "divergence")),
+                      ("simple D*W", _field("simple", "divergence")),
+                      ("increase %", increase_pct))
+
+E1 = Matrix(
+    name="e1",
+    title=lambda p: "E1 (Sec 4.3, uniform): paper claims < 10% difference",
+    params=(Param("objects", (100,), int, many=True, minimum=1),
+            Param("metrics", METRICS, str, many=True, choices=METRICS),
+            *_timing(100.0, 1000.0)),
+    axes=("objects", "metrics"),
+    arms=("ours", "simple"),
+    scenario=_e1_scenario,
+    columns=VALIDATION_COLUMNS,
+    verdicts=(Verdict("strawman D*W within 25% of the paper's priority in "
+                      "every row (paper: < 10%)", priorities_agree),),
+)
+
+E2 = Matrix(
+    name="e2",
+    title=lambda p: "E2 (Sec 4.3, skewed): paper claims +64%/+74%/+84%",
+    params=_timing(100.0, 1000.0),
+    axes=("metrics",),
+    arms=("ours", "simple"),
+    resolve=lambda params: {**params, "metrics": METRICS},
+    scenario=_e2_scenario,
+    columns=VALIDATION_COLUMNS,
+    verdicts=(Verdict("strawman D*W raises lag divergence by > 30% "
+                      "(paper: +74%)", skew_penalizes_lag),
+              Verdict("strawman D*W raises deviation by > 15% "
+                      "(paper: +84%)", skew_penalizes_deviation)),
+)
+
+
+#: the Sec 6.1 study's links: per-source msgs/s and their mB
+E3_SOURCE_BANDWIDTH = 10.0
+E3_CHANGE_RATE = 0.05
+
+
+def _e3_scenario(cell: dict) -> Scenario:
+    workload = _workload(uniform_random_walk, cell,
+                         fluctuating_weights=True)
+    return Scenario(workload=workload, policy="cooperative",
+                    cache_bandwidth=cell["cache-bandwidth"],
+                    source_bandwidth=E3_SOURCE_BANDWIDTH,
+                    warmup=cell["warmup"], measure=cell["measure"],
+                    change_rate=E3_CHANGE_RATE, resample_interval=10.0,
+                    policy_kwargs=(("alpha", cell["alphas"]),
+                                   ("omega", cell["omegas"])))
+
+
+def _against_best(rows: list[dict]) -> list[dict]:
+    """Each cell's divergence over the grid's best (1 at a zero best)."""
+    best = min((r["divergence"] for r in rows), default=0.0)
+    for r in rows:
+        r["normalized"] = r["divergence"] / best if best > 0 else 1.0
+    return rows
+
+
+def _near_best(rows: list[dict], alpha: float, omega: float,
+               factor: float) -> bool:
+    cells = [r for r in rows if (r["alphas"], r["omegas"]) == (alpha, omega)]
+    return bool(cells) and all(r["normalized"] < factor for r in cells)
+
+
+def paper_setting_near_best(rows: list[dict]) -> bool:
+    """E3: the paper's choice (1.1, 10) is within 1.3x of the best."""
+    return _near_best(rows, 1.1, 10.0, 1.3)
+
+
+def neighbour_setting_near_best(rows: list[dict]) -> bool:
+    """E3: the neighbour the paper calls similar, (1.2, 20), is within
+    1.5x of the best (low sensitivity)."""
+    return _near_best(rows, 1.2, 20.0, 1.5)
+
+
+def _has_cell(alpha: float, omega: float) -> Callable[[list[dict]], bool]:
+    return lambda rows: any((r["alphas"], r["omegas"]) == (alpha, omega)
+                            for r in rows)
+
+
+def _best_setting(rows: list[dict]) -> list[str]:
+    best = min(rows, key=itemgetter("divergence"))
+    return [f"best setting: alpha={best['alphas']}, omega={best['omegas']} "
+            "(paper: alpha=1.1, omega=10)"]
+
+
+E3 = Matrix(
+    name="e3",
+    title=lambda p: "Sec 6.1 threshold parameter study",
+    params=(Param("alphas", (1.05, 1.1, 1.2, 1.5, 2.0), many=True,
+                  minimum=1, strict=True),
+            Param("omegas", (2.0, 5.0, 10.0, 20.0, 100.0), many=True,
+                  minimum=1, strict=True),
+            *_size(10, 10), Param("cache-bandwidth", 30.0, minimum=0),
+            *TIMING),
+    axes=("alphas", "omegas"),
+    scenario=_e3_scenario,
+    finish=_against_best,
+    columns=(("alpha", itemgetter("alphas")), ("omega", itemgetter("omegas")),
+             ("divergence", itemgetter("divergence")),
+             ("vs best", lambda r: f"{r['normalized']:.3f}x")),
+    extras=_best_setting,
+    verdicts=(Verdict("paper setting (1.1, 10) within 1.3x of the best "
+                      "cell", paper_setting_near_best,
+                      applies=_has_cell(1.1, 10.0)),
+              Verdict("neighbour setting (1.2, 20) within 1.5x of the best "
+                      "cell", neighbour_setting_near_best,
+                      applies=_has_cell(1.2, 20.0))),
+    na="n/a (cells not in this matrix)",
+)
+
+
+#: Figure 4 skips grid points above this many objects
+FIG4_MAX_OBJECTS = 2000
+
+
+def _fig4_scenario(cell: dict) -> Scenario:
+    m, n = cell["sources"], cell["objects"]
+    bs, bc, mb = (cell["source-bandwidths"], cell["cache-bandwidths"],
+                  cell["change-rates"])
+    workload = WorkloadSpec.make(
+        uniform_random_walk, hash((m, n, bs, bc, mb, cell["seed"]))
+        & 0x7FFFFFFF, num_sources=m, objects_per_source=n,
+        horizon=cell["warmup"] + cell["measure"], fluctuating_weights=True)
+    return Scenario(workload=workload,
+                    policy="ideal" if cell["arm"] == "ideal"
+                    else "cooperative",
+                    cache_bandwidth=bc, source_bandwidth=bs,
+                    warmup=cell["warmup"], measure=cell["measure"],
+                    metric=cell["metrics"], change_rate=mb,
+                    resample_interval=10.0)
+
+
+def ratio_to_ideal(row: dict) -> float:
+    """Figure 4's y: ours over the theoretically attainable divergence."""
+    ideal, ours = row["ideal"]["divergence"], row["ours"]["divergence"]
+    if ideal <= 0:
+        return 1.0 if ours <= 0 else float("inf")
+    return ours / ideal
+
+
+def series_by_metric(rows: list[dict]
+                     ) -> dict[str, list[tuple[float, float]]]:
+    """Per metric, the (ideal divergence, ratio) points in x order."""
+    panels: dict[str, list[tuple[float, float]]] = {}
+    for r in rows:
+        panels.setdefault(r["metrics"], []).append(
+            (r["ideal"]["divergence"], ratio_to_ideal(r)))
+    for series in panels.values():
+        series.sort()
+    return panels
+
+
+def tracks_ideal(rows: list[dict]) -> bool:
+    """Figure 4: in every panel ours is within 4x of the ideal wherever
+    the ideal divergence is above a quarter of the panel's maximum (the
+    bandwidth-starved points), and there are such points."""
+    panels = series_by_metric(rows)
+    for series in panels.values():
+        top = max(x for x, _ in series)
+        starved = [ratio for x, ratio in series if x > 0.25 * top]
+        if not starved or max(starved) >= 4.0:
+            return False
+    return bool(panels)
+
+
+FIG4 = Matrix(
+    name="fig4",
+    title=lambda p: ("Figure 4: ratio of actual to ideal divergence "
+                     "(x = theoretically achievable divergence)"),
+    params=(Param("sources", (1, 10, 50), int, many=True, minimum=1),
+            Param("objects", (1, 10), int, many=True, minimum=1),
+            Param("source-bandwidths", (10.0,), many=True, minimum=0),
+            Param("cache-bandwidths", (10.0, 40.0, 100.0), many=True,
+                  minimum=0),
+            Param("change-rates", (0.0, 0.25), many=True, minimum=0),
+            Param("metrics", ("deviation", "lag", "staleness"), str,
+                  many=True, choices=METRICS),
+            *_timing(250.0, 600.0)),
+    axes=("sources", "objects", "source-bandwidths", "cache-bandwidths",
+          "change-rates", "metrics"),
+    arms=("ideal", "ours"),
+    include=lambda c: c["sources"] * c["objects"] <= FIG4_MAX_OBJECTS,
+    scenario=_fig4_scenario,
+    columns=(),
+    extras=lambda rows: [
+        format_series(f"{metric} metric", [x for x, _ in series],
+                      [y for _, y in series], x_label="ideal divergence",
+                      y_label="ratio")
+        for metric, series in series_by_metric(rows).items()],
+    verdicts=(Verdict("ratio < 4 wherever the ideal divergence is above a "
+                      "quarter of its panel's maximum", tracks_ideal,
+                      applies=bool),),
+    na="n/a (cells not in this matrix)",
+)
+
+
+#: Figure 5 ticks once a minute, the paper's bandwidth unit (msgs/min)
+FIG5_TICK = 60.0
+FIG5_SOURCE_BANDWIDTH = 10.0  #: msgs/min per buoy
+#: the fluctuating link's mB, relative to the per-minute unit
+FIG5_CHANGE_RATE = 0.25 / 60.0
+
+
+def _check_fig5(params: dict) -> dict:
+    if params["warmup-days"] >= params["days"]:
+        raise ValueError(f"warmup-days must be < days, got "
+                         f"{params['warmup-days']} >= {params['days']}")
+    if params["trace-csv"] is not None and not os.path.isfile(
+            params["trace-csv"]):
+        raise ValueError(f"trace-csv: no such file {params['trace-csv']!r}")
+    return params
+
+
+def _fig5_scenario(cell: dict) -> Scenario:
+    if cell["trace-csv"] is None:
+        workload = WorkloadSpec.make(buoy_workload, cell["seed"],
+                                     days=cell["days"])
+    else:
+        workload = WorkloadSpec.make(recorded_buoy_workload, cell["seed"],
+                                     path=cell["trace-csv"])
+    return Scenario(
+        workload=workload,
+        policy="ideal" if cell["arm"] == "ideal" else "cooperative",
+        cache_bandwidth=cell["bandwidths"] / 60.0,
+        source_bandwidth=FIG5_SOURCE_BANDWIDTH / 60.0,
+        warmup=cell["warmup-days"] * SECONDS_PER_DAY,
+        measure=(cell["days"] - cell["warmup-days"]) * SECONDS_PER_DAY,
+        dt=FIG5_TICK,
+        change_rate=FIG5_CHANGE_RATE if cell["link"] == "fluctuating"
+        else 0.0)
+
+
+def ideal_falls_with_bandwidth(rows: list[dict]) -> bool:
+    """Figure 5: the ideal divergence is non-increasing in bandwidth."""
+    ideal = [r["ideal"]["unweighted"]
+             for r in sorted(rows, key=itemgetter("bandwidths"))]
+    return bool(ideal) and all(a >= b for a, b in zip(ideal, ideal[1:]))
+
+
+def ours_follows_ideal(rows: list[dict]) -> bool:
+    """Figure 5: ours "closely follows" the ideal: within 2x plus 0.15
+    at every bandwidth."""
+    return bool(rows) and all(
+        r["ours"]["unweighted"] <= 2.0 * r["ideal"]["unweighted"] + 0.15
+        for r in rows)
+
+
+FIG5 = Matrix(
+    name="fig5",
+    title=lambda p: f"Figure 5 ({p['link']} bandwidth, msgs/min)",
+    params=(Param("bandwidths", (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0),
+                  many=True, minimum=0),
+            Param("link", "fixed", str, choices=("fixed", "fluctuating")),
+            Param("days", 7.0, minimum=0, strict=True),
+            Param("warmup-days", 1.0, minimum=0),
+            Param("trace-csv", None, str), Param("seed", 0, int, minimum=0)),
+    axes=("bandwidths",),
+    arms=("ideal", "ours"),
+    resolve=_check_fig5,
+    scenario=_fig5_scenario,
+    columns=(("bandwidth (msgs/min)", itemgetter("bandwidths")),
+             ("ideal scenario", _field("ideal", "unweighted")),
+             ("our algorithm", _field("ours", "unweighted"))),
+    extras=lambda rows: [ascii_plot(
+        {arm: [(r["bandwidths"], r[arm]["unweighted"]) for r in rows]
+         for arm in ("ideal", "ours")},
+        x_label="bandwidth", y_label="avg deviation")],
+    verdicts=(Verdict("ideal divergence non-increasing in bandwidth",
+                      ideal_falls_with_bandwidth),
+              Verdict("ours <= 2 x ideal + 0.15 at every bandwidth",
+                      ours_follows_ideal)),
+)
+
+
+#: Figure 6's curves -> their make_policy names
+FIG6_CURVES = {"ideal-cooperative": "ideal", "our-algorithm": "cooperative",
+               "ideal-cache-based": "ideal-cache-based", "cgm1": "cgm1",
+               "cgm2": "cgm"}
+#: the threshold protocol's sources: "no limitations on source-side
+#: bandwidth" in this comparison
+UNLIMITED = 1e9
+
+
+def _fig6_scenario(cell: dict) -> Scenario:
+    curve = cell["arm"]
+    return Scenario(
+        workload=_workload(uniform_random_walk, cell),
+        policy=FIG6_CURVES[curve],
+        cache_bandwidth=cell["fractions"] * (cell["sources"]
+                                             * cell["objects"]),
+        source_bandwidth=None if curve == "ideal-cooperative" else UNLIMITED,
+        warmup=cell["warmup"], measure=cell["measure"], metric="staleness")
+
+
+def series_by_curve(rows: list[dict]
+                    ) -> dict[str, list[tuple[float, float]]]:
+    """Per Figure 6 curve, the (fraction, staleness) points in x order."""
+    return {curve: sorted((r["fractions"], r[curve]["unweighted"])
+                          for r in rows) for curve in FIG6_CURVES}
+
+
+def _staleness_order(rows: list[dict], lower: str, upper: str,
+                     slack: float | None = None) -> bool:
+    """``lower`` below ``upper`` at every fraction (strictly), or within
+    ``slack`` x ``upper`` + 0.01."""
+    def holds(row: dict) -> bool:
+        low, up = row[lower]["unweighted"], row[upper]["unweighted"]
+        return low < up if slack is None else low <= slack * up + 0.01
+    return bool(rows) and all(holds(r) for r in rows)
+
+
+def ideal_leads_ours(rows: list[dict]) -> bool:
+    """Figure 6: ideal cooperative <= 1.10 x ours + 0.01."""
+    return _staleness_order(rows, "ideal-cooperative", "our-algorithm",
+                            1.10)
+
+
+def ours_beats_cgm1(rows: list[dict]) -> bool:
+    """Figure 6: source cooperation beats cache-driven CGM1 polling."""
+    return _staleness_order(rows, "our-algorithm", "cgm1")
+
+
+def ideal_cache_beats_cgm1(rows: list[dict]) -> bool:
+    """Figure 6: the oracle cache-based schedule beats CGM1."""
+    return _staleness_order(rows, "ideal-cache-based", "cgm1")
+
+
+def cgm1_at_most_cgm2(rows: list[dict]) -> bool:
+    """Figure 6: update times (CGM1) help over booleans (CGM2), up to
+    1.10 x + 0.01."""
+    return _staleness_order(rows, "cgm1", "cgm2", 1.10)
+
+
+FIG6 = Matrix(
+    name="fig6",
+    title=lambda p: f"Figure 6, m = {p['sources']} sources",
+    params=(*_size(10, 10),
+            Param("fractions", (0.1, 0.3, 0.5, 0.7, 0.9), many=True,
+                  minimum=0),
+            *_timing(100.0, 500.0)),
+    axes=("fractions",),
+    arms=tuple(FIG6_CURVES),
+    scenario=_fig6_scenario,
+    columns=(("fraction", itemgetter("fractions")),
+             *((curve, _field(curve, "unweighted")) for curve in FIG6_CURVES)),
+    extras=lambda rows: [ascii_plot(series_by_curve(rows),
+                                    x_label="bandwidth fraction",
+                                    y_label="staleness")],
+    verdicts=(Verdict("ideal-cooperative <= 1.10 x ours + 0.01 at every "
+                      "fraction", ideal_leads_ours),
+              Verdict("ours < CGM1 at every fraction", ours_beats_cgm1),
+              Verdict("ideal cache-based < CGM1 at every fraction",
+                      ideal_cache_beats_cgm1),
+              Verdict("CGM1 <= 1.10 x CGM2 + 0.01 at every fraction",
+                      cgm1_at_most_cgm2)),
+)
+
+
+#: X7's constant per-source share of the cache link, and each source's
+#: own link (msgs/s)
+X7_CACHE_SHARE = 1.5
+X7_SOURCE_BANDWIDTH = 5.0
+
+
+def _overhead_scenario(cell: dict) -> Scenario:
+    m = cell["sources"]
+    workload = WorkloadSpec.make(
+        uniform_random_walk, cell["seed"] + m, num_sources=m,
+        objects_per_source=cell["objects"],
+        horizon=cell["warmup"] + cell["measure"], rate_range=(0.2, 0.8))
+    return Scenario(workload=workload, policy="cooperative",
+                    cache_bandwidth=X7_CACHE_SHARE * m,
+                    source_bandwidth=X7_SOURCE_BANDWIDTH,
+                    warmup=cell["warmup"], measure=cell["measure"],
+                    metric="staleness")
+
+
+def overhead_low(rows: list[dict]) -> bool:
+    """X7: feedback stays below 12% of cache traffic at every m."""
+    return bool(rows) and all(r["overhead"] < 0.12 for r in rows)
+
+
+def overhead_flat(rows: list[dict]) -> bool:
+    """X7: no blow-up in m: the largest share is below 3x the smallest
+    (or 3x 0.01, whichever is larger)."""
+    shares = [r["overhead"] for r in rows]
+    return bool(shares) and max(shares) < 3.0 * max(min(shares), 0.01)
+
+
+def overhead_near_equilibrium(rows: list[dict]) -> bool:
+    """X7: every share within (0.2, 3)x of the analytic equilibrium."""
+    predicted = equilibrium_overhead_fraction()
+    return bool(rows) and all(0.2 * predicted < r["overhead"]
+                              < 3.0 * predicted for r in rows)
+
+
+OVERHEAD = Matrix(
+    name="overhead",
+    title=lambda p: ("X7: coordination overhead vs. m (analytic "
+                     f"equilibrium ~{equilibrium_overhead_fraction():.3f})"),
+    params=(Param("sources", (5, 20, 80), int, many=True, minimum=1),
+            Param("objects", 5, int, minimum=1), *_timing(150.0, 450.0)),
+    axes=("sources",),
+    scenario=_overhead_scenario,
+    columns=(("sources", itemgetter("sources")),
+             ("overhead fraction", itemgetter("overhead")),
+             ("staleness", itemgetter("unweighted")),
+             ("feedback", itemgetter("feedback")),
+             ("refreshes", itemgetter("refreshes"))),
+    verdicts=(Verdict("overhead share < 0.12 at every m", overhead_low),
+              Verdict("overhead flat in m (max < 3 x max(min, 0.01))",
+                      overhead_flat),
+              Verdict("overhead within (0.2, 3)x of the equilibrium "
+                      "prediction", overhead_near_equilibrium)),
+)
 
 
 # ----------------------------------------------------------------------
@@ -487,8 +1039,7 @@ NETCOND = Matrix(
                   choices=SCENARIOS),
             Param("topologies", TOPOLOGIES, str, many=True,
                   choices=TOPOLOGIES),
-            *_size(16, 8), Param("cache-bandwidth", 20.0),
-            Param("source-bandwidth", 4.0), *TIMING),
+            *_size(16, 8), *_links(20.0, 4.0), *TIMING),
     axes=("scenarios", "topologies"),
     arms=(*POLICIES, "control"),
     include=lambda c: c["arm"] != "control" or c["scenarios"] == "steady",
@@ -625,12 +1176,11 @@ FAULTS = Matrix(
                   choices=FAULT_SCENARIOS),
             Param("topologies", TOPOLOGIES, str, many=True,
                   choices=TOPOLOGIES),
-            *_size(16, 8), Param("cache-bandwidth", 12.0),
-            Param("source-bandwidth", 4.0),
+            *_size(16, 8), *_links(12.0, 4.0),
             # sparse updates are where loss hurts and retries help
-            Param("rate-cap", 0.1), Param("retry-timeout", 3.0),
+            Param("rate-cap", 0.1, minimum=0), Param("retry-timeout", 3.0),
             Param("retry-backoff", 2.0), Param("retry-attempts", 4, int),
-            Param("feedback-ttl", 40.0), *TIMING),
+            Param("feedback-ttl", 40.0, minimum=0, strict=True), *TIMING),
     axes=("scenarios", "topologies"),
     arms=FAULT_ARMS,
     include=_faults_include,
@@ -682,7 +1232,8 @@ def _rebalance_scenario(cell: dict) -> Scenario:
             saturation_queue=cell["saturation-queue"],
             max_moves=0 if arm == "inert" else cell["max-moves"],
             peer_rate=cell["peer-rate"])),)
-    check_hotspot(hot_boost=cell["hot-boost"], num_phases=cell["phases"])
+    check_hotspot(hot_boost=cell["hot-boost"], num_phases=cell["phases"],
+                  rate_range=cell["rate-range"])
     workload = _workload(moving_hotspot, cell, num_phases=cell["phases"],
                          hot_boost=cell["hot-boost"],
                          rate_range=cell["rate-range"])
@@ -718,8 +1269,7 @@ REBALANCE = Matrix(
                      "distributed under a moving hotspot (weighted "
                      "divergence)"),
     params=(Param("num-caches", (1, 2, 4, 8), int, many=True, minimum=1),
-            *_size(16, 8), Param("cache-bandwidth", 24.0),
-            Param("source-bandwidth", 4.0), Param("phases", 4, int),
+            *_size(16, 8), *_links(24.0, 4.0), Param("phases", 4, int),
             Param("hot-boost", 25.0),
             Param("rate-range", (0.02, 0.12), many=True, size=2),
             Param("interval", 10.0), Param("max-moves", 2, int),
@@ -818,8 +1368,7 @@ MULTICAST = Matrix(
                   choices=DELIVERY_MODES),
             Param("num-caches", 4, int, minimum=1), *_size(16, 8),
             # keep the links saturated: idle links hide the planes' cost
-            Param("cache-bandwidth", 12.0),
-            Param("source-bandwidth", 4.0), *TIMING),
+            *_links(12.0, 4.0), *TIMING),
     axes=("replications", "deliveries"),
     arms=POLICIES,
     scenario=_multicast_scenario,
@@ -899,8 +1448,8 @@ MULTICACHE = Matrix(
             Param("topology", "sharded", str,
                   choices=("sharded", "replicated")),
             Param("replication", 2, int), *_size(16, 8),
-            Param("cache-bandwidth", 24.0), Param("source-bandwidth", 4.0),
-            Param("hot-fraction", 0.25), Param("hot-boost", 8.0),
+            *_links(24.0, 4.0), Param("hot-fraction", 0.25),
+            Param("hot-boost", 8.0),
             Param("cache-rates", None, many=True),
             Param("delivery", "unicast", str, choices=DELIVERY_MODES),
             *TIMING),
@@ -1013,9 +1562,9 @@ READMODEL = Matrix(
                      "read-observed divergence by read policy"),
     params=(Param("num-caches", 3, int, minimum=1),
             Param("replication", (1, 2, 3), int, many=True, minimum=1),
-            Param("cache-bandwidths", (18.0,), many=True),
-            Param("read-rate", 0.5), *_size(12, 4),
-            Param("source-bandwidth", 3.0),
+            Param("cache-bandwidths", (18.0,), many=True, minimum=0),
+            Param("read-rate", 0.5, minimum=0), *_size(12, 4),
+            Param("source-bandwidth", 3.0, minimum=0),
             Param("delivery", "unicast", str, choices=DELIVERY_MODES),
             *TIMING),
     axes=("cache-bandwidths", "replication", "read"),
@@ -1051,5 +1600,6 @@ READMODEL = Matrix(
 )
 
 
-MATRICES = {m.name: m for m in (NETCOND, FAULTS, REBALANCE, MULTICAST,
+MATRICES = {m.name: m for m in (E1, E2, E3, FIG4, FIG5, FIG6, OVERHEAD,
+                                NETCOND, FAULTS, REBALANCE, MULTICAST,
                                 MULTICACHE, READMODEL)}

@@ -128,3 +128,16 @@ def buoy_workload(rng: np.random.Generator,
 def load_buoy_trace(path: str) -> UpdateTrace:
     """Load a measurement trace from CSV (drop-in for real TAO exports)."""
     return UpdateTrace.from_csv(path)
+
+
+def recorded_buoy_workload(path: str, rng: np.random.Generator | None = None
+                           ) -> Workload:
+    """The Figure 5 workload on a recorded trace (``rng`` is unused):
+    one source per buoy of ``COMPONENTS_PER_BUOY`` components."""
+    trace = load_buoy_trace(path)
+    num_objects = trace.num_objects
+    return Workload(num_sources=num_objects // COMPONENTS_PER_BUOY,
+                    objects_per_source=COMPONENTS_PER_BUOY,
+                    rates=np.full(num_objects, 1.0 / SAMPLE_INTERVAL),
+                    trace=trace, weights=StaticWeights.uniform(num_objects),
+                    horizon=trace.horizon)

@@ -26,7 +26,8 @@ from repro.workloads.update_process import poisson_times_batch
 
 
 def check_hotspot(hot_fraction: float = 0.0, hot_boost: float = 1.0,
-                  num_phases: int = 1) -> None:
+                  num_phases: int = 1,
+                  rate_range: tuple[float, float] = (0.0, 1.0)) -> None:
     """Raise ``ValueError`` on an argument no hot-spot builder accepts.
 
     The builders call this first; the scenario matrices call it while
@@ -40,6 +41,10 @@ def check_hotspot(hot_fraction: float = 0.0, hot_boost: float = 1.0,
             f"hot_fraction must be in [0, 1], got {hot_fraction}")
     if hot_boost < 1.0:
         raise ValueError(f"hot_boost must be >= 1, got {hot_boost}")
+    low, high = rate_range
+    if not 0.0 <= low <= high:
+        raise ValueError(
+            f"rate_range must satisfy 0 <= low <= high, got {rate_range}")
 
 
 def hotspot_shards(num_sources: int, objects_per_source: int,
@@ -55,7 +60,8 @@ def hotspot_shards(num_sources: int, objects_per_source: int,
     so divergence differences between policies come purely from how well
     refresh bandwidth tracks the update load.
     """
-    check_hotspot(hot_fraction=hot_fraction, hot_boost=hot_boost)
+    check_hotspot(hot_fraction=hot_fraction, hot_boost=hot_boost,
+                  rate_range=rate_range)
     n_total = num_sources * objects_per_source
     rates = rng.uniform(*rate_range, size=n_total)
     num_hot = int(round(hot_fraction * num_sources))
@@ -95,7 +101,7 @@ def moving_hotspot(num_sources: int, objects_per_source: int,
     :func:`hotspot_shards`.
     """
     check_hotspot(hot_fraction=hot_fraction, hot_boost=hot_boost,
-                  num_phases=num_phases)
+                  num_phases=num_phases, rate_range=rate_range)
     n_total = num_sources * objects_per_source
     base_rates = rng.uniform(*rate_range, size=n_total)
     num_hot = int(round(hot_fraction * num_sources))

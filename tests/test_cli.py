@@ -14,6 +14,13 @@ def matrix_defaults(name):
     return MATRICES[name].parse(args.settings)
 
 
+def paper_params(argv):
+    """Parse a paper subcommand and return its matrix's parameters."""
+    args = build_parser().parse_args(argv)
+    assert args.name == argv[0]
+    return MATRICES[args.name].parse(args.settings)
+
+
 def rejected(argv, capsys):
     """True when ``repro matrix ...`` stops with a usage error."""
     with pytest.raises(SystemExit) as exc:
@@ -27,20 +34,18 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_e1_defaults(self):
-        args = build_parser().parse_args(["e1"])
-        assert args.objects == 100
-        assert args.warmup == 100.0
+        params = paper_params(["e1"])
+        assert params["objects"] == (100,)
+        assert params["warmup"] == 100.0
 
     def test_fig6_custom_fractions(self):
-        args = build_parser().parse_args(
-            ["fig6", "--fractions", "0.2", "0.8"])
-        assert args.fractions == [0.2, 0.8]
+        params = paper_params(["fig6", "fractions=0.2,0.8"])
+        assert params["fractions"] == (0.2, 0.8)
 
     def test_fig5_flags(self):
-        args = build_parser().parse_args(["fig5", "--fluctuating",
-                                          "--days", "2"])
-        assert args.fluctuating is True
-        assert args.days == 2.0
+        params = paper_params(["fig5", "link=fluctuating", "days=2"])
+        assert params["link"] == "fluctuating"
+        assert params["days"] == 2.0
 
     def test_multicache_defaults(self):
         params = matrix_defaults("multicache")
@@ -62,31 +67,28 @@ class TestParser:
 
 class TestExecution:
     def test_e1_tiny_run(self, capsys):
-        code = main(["e1", "--objects", "10", "--warmup", "10",
-                     "--measure", "50"])
+        code = main(["e1", "objects=10", "warmup=10", "measure=50"])
         assert code == 0
         out = capsys.readouterr().out
         assert "staleness" in out and "lag" in out
 
     def test_e2_tiny_run(self, capsys):
-        assert main(["e2", "--warmup", "20", "--measure", "80"]) == 0
+        assert main(["e2", "warmup=20", "measure=80"]) == 0
         assert "skewed" in capsys.readouterr().out
 
     def test_e3_tiny_run(self, capsys):
-        assert main(["e3", "--alphas", "1.1", "--omegas", "10",
-                     "--sources", "2", "--objects", "5",
-                     "--warmup", "10", "--measure", "50"]) == 0
+        assert main(["e3", "alphas=1.1", "omegas=10", "sources=2",
+                     "objects=5", "warmup=10", "measure=50"]) == 0
         assert "best setting" in capsys.readouterr().out
 
     def test_fig4_tiny_run(self, capsys):
-        assert main(["fig4", "--sources", "2", "--objects", "5",
-                     "--cache-bandwidths", "5",
-                     "--warmup", "20", "--measure", "60"]) == 0
+        assert main(["fig4", "sources=2", "objects=5",
+                     "cache-bandwidths=5", "warmup=20", "measure=60"]) == 0
         assert "Figure 4" in capsys.readouterr().out
 
     def test_fig5_tiny_run(self, capsys):
-        assert main(["fig5", "--bandwidths", "5", "--days", "1",
-                     "--warmup-days", "0.25"]) == 0
+        assert main(["fig5", "bandwidths=5", "days=1",
+                     "warmup-days=0.25"]) == 0
         assert "Figure 5" in capsys.readouterr().out
 
     def test_multicache_tiny_run(self, capsys):
@@ -97,16 +99,14 @@ class TestExecution:
         assert "Multi-cache sweep" in out and "uniform" in out
 
     def test_fig6_tiny_run(self, capsys):
-        assert main(["fig6", "--sources", "2", "--objects", "5",
-                     "--fractions", "0.5",
-                     "--warmup", "20", "--measure", "80"]) == 0
+        assert main(["fig6", "sources=2", "objects=5", "fractions=0.5",
+                     "warmup=20", "measure=80"]) == 0
         assert "Figure 6" in capsys.readouterr().out
 
     def test_output_file(self, tmp_path, capsys):
         out_file = tmp_path / "result.txt"
         assert main(["--output", str(out_file), "e1",
-                     "--objects", "5", "--warmup", "10",
-                     "--measure", "40"]) == 0
+                     "objects=5", "warmup=10", "measure=40"]) == 0
         assert out_file.read_text().strip() != ""
         assert "uniform" in out_file.read_text()
 
@@ -114,24 +114,31 @@ class TestExecution:
 #: Bad values of the paper subcommands -> the message of their usage error.
 BAD_VALUES = [
     (["scale", "--sources", "0"], "sources must be >= 1, got 0"),
-    (["fig4", "--sources", "0"], "sources must be >= 1, got 0"),
-    (["fig6", "--sources", "0"], "sources must be >= 1, got 0"),
-    (["e1", "--objects", "0"], "objects must be >= 1, got 0"),
-    (["e3", "--sources", "0"], "sources must be >= 1, got 0"),
-    (["e3", "--alphas", "1.0"], "alpha must be > 1, got 1.0"),
-    (["e3", "--omegas", "1.0"], "omega must be > 1, got 1.0"),
-    (["e2", "--measure", "0"], "measure must be > 0, got 0"),
+    (["fig4", "sources=0"], "sources must be >= 1, got 0"),
+    (["fig6", "sources=0"], "sources must be >= 1, got 0"),
+    (["e1", "objects=0"], "objects must be >= 1, got 0"),
+    (["e3", "sources=0"], "sources must be >= 1, got 0"),
+    (["e3", "alphas=1.0"], "alphas must be > 1, got 1.0"),
+    (["e3", "omegas=1.0"], "omegas must be > 1, got 1.0"),
+    (["e2", "measure=0"], "measure must be > 0, got 0"),
     (["scale", "--measure", "0"], "measure must be > 0, got 0"),
-    (["fig5", "--days", "0"], "days must be > 0, got 0"),
-    (["fig5", "--bandwidths", "-1"], "bandwidth must be >= 0, got -1"),
+    (["fig5", "days=0"], "days must be > 0, got 0"),
+    (["fig5", "bandwidths=-1"], "bandwidths must be >= 0, got -1"),
     (["scale", "--workers", "0"], "workers must be >= 1, got 0"),
     (["fig4", "--workers", "0"], "workers must be >= 1, got 0"),
-    (["fig6", "--objects", "0"], "objects must be >= 1, got 0"),
-    (["e2", "--warmup", "-1"], "warmup must be >= 0, got -1"),
-    (["fig5", "--warmup-days", "-1"], "warmup-days must be >= 0, got -1"),
-    (["fig5", "--days", "1", "--warmup-days", "1"],
+    (["fig6", "objects=0"], "objects must be >= 1, got 0"),
+    (["e2", "warmup=-1"], "warmup must be >= 0, got -1"),
+    (["fig5", "warmup-days=-1"], "warmup-days must be >= 0, got -1"),
+    (["fig5", "days=1", "warmup-days=1"],
      "warmup-days must be < days, got 1.0 >= 1.0"),
-    (["e1", "--objects", "ten"], "invalid int value: 'ten'"),
+    (["e1", "objects=ten"], "objects: expected int values, got 'ten'"),
+    (["scale", "--cache-bandwidth", "-1"],
+     "cache-bandwidth must be >= 0, got -1"),
+    (["scale", "--source-bandwidth", "-1"],
+     "source-bandwidth must be >= 0, got -1"),
+    (["scale", "--update-rate", "-1"], "update-rate must be >= 0, got -1"),
+    (["scale", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["scale", "--shard-caches", "0"], "shard-caches must be >= 1, got 0"),
 ]
 
 

@@ -8,11 +8,7 @@ from repro.core.divergence import Staleness, ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
 from repro.core.weights import StaticWeights
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.overhead import (
-    predicted_overhead_fraction,
-    run_overhead_scaling,
-)
+from repro.experiments.matrix import MATRICES, run_matrix
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import PollRequest, RefreshMessage
 from repro.network.topology import Topology
@@ -140,28 +136,32 @@ class TestFig5WithExternalTrace:
                                     num_buoys=4)
         path = str(tmp_path / "tao.csv")
         trace.to_csv(path)
-        points = run_fig5(bandwidths=(5,), days=1.0, warmup_days=0.25,
-                          trace_csv=path)
+        matrix = MATRICES["fig5"]
+        points = run_matrix(matrix, matrix.parse(
+            ["bandwidths=5", "days=1", "warmup-days=0.25",
+             f"trace-csv={path}"]))
         assert len(points) == 1
-        assert points[0].ideal_divergence >= 0.0
+        assert points[0]["ideal"]["unweighted"] >= 0.0
 
 
 class TestOverheadExperiment:
     def test_overhead_points_structure(self):
-        points = run_overhead_scaling(source_counts=(3,),
-                                      objects_per_source=4,
-                                      warmup=30.0, measure=120.0)
+        matrix = MATRICES["overhead"]
+        points = run_matrix(matrix, matrix.parse(
+            ["sources=3", "objects=4", "warmup=30", "measure=120"]))
         (point,) = points
-        assert point.num_sources == 3
-        assert 0.0 <= point.overhead_fraction < 0.5
-        assert point.refreshes > 0
+        assert point["sources"] == 3
+        assert 0.0 <= point["overhead"] < 0.5
+        assert point["refreshes"] > 0
 
     def test_predicted_fraction_matches_analysis(self):
+        """X7 quotes the analysis' equilibrium share as its prediction."""
         from repro.analysis.equilibrium import (
             equilibrium_overhead_fraction,
         )
-        assert predicted_overhead_fraction() == pytest.approx(
-            equilibrium_overhead_fraction())
+        title = MATRICES["overhead"].title({})
+        assert title.endswith(
+            f"equilibrium ~{equilibrium_overhead_fraction():.3f})")
 
 
 class TestWorkloadLayout:

@@ -1,24 +1,27 @@
-"""Tests for the experiment harness (tiny configurations)."""
+"""Tests for the paper's experiments on the scenario matrix (tiny sizes)."""
 
-import numpy as np
 import pytest
 
-from repro.experiments.fig4 import Fig4Config, run_fig4, series_by_metric
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6, series_by_policy
-from repro.experiments.params import best_cell, run_parameter_grid
+from repro.experiments.matrix import (
+    MATRICES,
+    increase_pct,
+    ratio_to_ideal,
+    run_matrix,
+    series_by_curve,
+    series_by_metric,
+)
 from repro.experiments.runner import RunSpec
-from repro.experiments.tables import (
-    render_fig4,
-    render_fig5,
-    render_fig6,
-    render_parameter_grid,
-    render_validation,
-)
-from repro.experiments.validation import (
-    run_skewed_validation,
-    run_uniform_validation,
-)
+
+
+def run(name, settings):
+    """``(params, rows)`` of one paper matrix at ``settings``."""
+    matrix = MATRICES[name]
+    params = matrix.parse(settings.split())
+    return params, run_matrix(matrix, params)
+
+
+def render(name, settings):
+    return MATRICES[name].render(*run(name, settings))
 
 
 class TestRunSpec:
@@ -36,115 +39,99 @@ class TestRunSpec:
 
 class TestValidationExperiment:
     def test_uniform_rows_cover_all_metrics(self):
-        rows = run_uniform_validation(num_objects=20, warmup=20.0,
-                                      measure=100.0)
-        assert [r.metric for r in rows] == ["staleness", "lag",
-                                            "deviation"]
+        _, rows = run("e1", "objects=20 warmup=20 measure=100")
+        assert [r["metrics"] for r in rows] == ["staleness", "lag",
+                                                "deviation"]
         for row in rows:
-            assert row.our_divergence >= 0.0
-            assert row.simple_divergence >= 0.0
+            assert row["ours"]["divergence"] >= 0.0
+            assert row["simple"]["divergence"] >= 0.0
 
     def test_skewed_shows_simple_penalty_on_lag(self):
         """The headline skew claim, scaled down: the strawman must be
         clearly worse under the lag metric."""
-        rows = run_skewed_validation(warmup=50.0, measure=400.0)
-        lag_row = next(r for r in rows if r.metric == "lag")
-        assert lag_row.increase_pct > 25.0
+        _, rows = run("e2", "warmup=50 measure=400")
+        lag_row = next(r for r in rows if r["metrics"] == "lag")
+        assert increase_pct(lag_row) > 25.0
 
     def test_render(self):
-        rows = run_uniform_validation(num_objects=10, warmup=10.0,
-                                      measure=50.0)
-        text = render_validation(rows, "E1")
+        text = render("e1", "objects=10 warmup=10 measure=50")
         assert "staleness" in text and "E1" in text
 
 
 class TestParameterGrid:
     def test_grid_shape_and_normalization(self):
-        cells = run_parameter_grid(alphas=(1.1, 1.5), omegas=(5.0, 10.0),
-                                   num_sources=4, objects_per_source=5,
-                                   warmup=20.0, measure=100.0)
+        _, cells = run("e3", "alphas=1.1,1.5 omegas=5,10 sources=4 "
+                             "objects=5 warmup=20 measure=100")
         assert len(cells) == 4
-        best = best_cell(cells)
-        assert best.normalized == pytest.approx(1.0)
-        assert all(cell.normalized >= 1.0 for cell in cells)
+        best = min(cells, key=lambda cell: cell["divergence"])
+        assert best["normalized"] == pytest.approx(1.0)
+        assert all(cell["normalized"] >= 1.0 for cell in cells)
 
     def test_render(self):
-        cells = run_parameter_grid(alphas=(1.1,), omegas=(10.0,),
-                                   num_sources=2, objects_per_source=5,
-                                   warmup=10.0, measure=50.0)
-        assert "alpha" in render_parameter_grid(cells)
+        assert "alpha" in render("e3", "alphas=1.1 omegas=10 sources=2 "
+                                       "objects=5 warmup=10 measure=50")
 
 
 class TestFig4:
     def test_points_and_ratio(self):
-        config = Fig4Config(sources=(2,), objects_per_source=(5,),
-                            source_bandwidths=(5.0,),
-                            cache_bandwidths=(5.0,),
-                            change_rates=(0.0,),
-                            metrics=("staleness",),
-                            warmup=20.0, measure=100.0)
-        points = run_fig4(config)
+        _, points = run("fig4", "sources=2 objects=5 source-bandwidths=5 "
+                                "cache-bandwidths=5 change-rates=0 "
+                                "metrics=staleness warmup=20 measure=100")
         assert len(points) == 1
-        assert points[0].ratio >= 0.9  # practical can't beat ideal much
+        # practical can't beat ideal much
+        assert ratio_to_ideal(points[0]) >= 0.9
 
     def test_max_objects_skips_large_configs(self):
-        config = Fig4Config(sources=(100,), objects_per_source=(100,),
-                            metrics=("staleness",), max_objects=50)
-        assert run_fig4(config) == []
+        # 100 x 100 objects is above the grid's 2,000-object cap
+        assert run("fig4", "sources=100 objects=100 metrics=staleness"
+                   )[1] == []
 
     def test_series_grouping(self):
-        config = Fig4Config(sources=(2,), objects_per_source=(5,),
-                            source_bandwidths=(5.0,),
-                            cache_bandwidths=(3.0, 6.0),
-                            change_rates=(0.0,),
-                            metrics=("lag",),
-                            warmup=20.0, measure=80.0)
-        points = run_fig4(config)
+        params, points = run("fig4", "sources=2 objects=5 "
+                                     "source-bandwidths=5 "
+                                     "cache-bandwidths=3,6 change-rates=0 "
+                                     "metrics=lag warmup=20 measure=80")
         series = series_by_metric(points)
         assert set(series) == {"lag"}
         assert len(series["lag"]) == 2
         xs = [x for x, _ in series["lag"]]
         assert xs == sorted(xs)
-        assert "Figure 4" in render_fig4(points)
+        assert "Figure 4" in MATRICES["fig4"].render(params, points)
 
 
 class TestFig5:
     def test_divergence_decreases_with_bandwidth(self):
-        points = run_fig5(bandwidths=(2, 20), days=1.5, warmup_days=0.5)
-        assert points[0].ideal_divergence > points[1].ideal_divergence
-        assert points[0].actual_divergence > points[1].actual_divergence
+        _, points = run("fig5", "bandwidths=2,20 days=1.5 warmup-days=0.5")
+        assert (points[0]["ideal"]["unweighted"]
+                > points[1]["ideal"]["unweighted"])
+        assert (points[0]["ours"]["unweighted"]
+                > points[1]["ours"]["unweighted"])
 
     def test_actual_tracks_ideal(self):
-        points = run_fig5(bandwidths=(10,), days=1.5, warmup_days=0.5)
+        _, points = run("fig5", "bandwidths=10 days=1.5 warmup-days=0.5")
         p = points[0]
-        assert p.actual_divergence <= 3.0 * p.ideal_divergence + 0.2
+        assert (p["ours"]["unweighted"]
+                <= 3.0 * p["ideal"]["unweighted"] + 0.2)
 
     def test_render(self):
-        points = run_fig5(bandwidths=(5,), days=1.0, warmup_days=0.25)
-        assert "bandwidth" in render_fig5(points, "fixed")
+        assert "bandwidth" in render("fig5", "bandwidths=5 days=1 "
+                                             "warmup-days=0.25")
 
 
 class TestFig6:
     def test_policy_ordering_holds(self):
-        points = run_fig6(num_sources=4, objects_per_source=10,
-                          fractions=(0.5,), warmup=60.0, measure=240.0)
-        staleness = points[0].staleness
+        _, points = run("fig6", "sources=4 objects=10 fractions=0.5 "
+                                "warmup=60 measure=240")
+        staleness = {curve: points[0][curve]["unweighted"]
+                     for curve in series_by_curve(points)}
         assert staleness["ideal-cooperative"] \
             <= staleness["our-algorithm"] * 1.05
         assert staleness["our-algorithm"] < staleness["cgm1"]
         assert staleness["ideal-cache-based"] < staleness["cgm1"]
 
-    def test_policy_subset(self):
-        points = run_fig6(num_sources=2, objects_per_source=5,
-                          fractions=(0.5,), warmup=30.0, measure=120.0,
-                          policies=("ideal-cooperative", "cgm2"))
-        assert set(points[0].staleness) == {"ideal-cooperative", "cgm2"}
-
     def test_series_and_render(self):
-        points = run_fig6(num_sources=2, objects_per_source=5,
-                          fractions=(0.3, 0.7), warmup=30.0,
-                          measure=120.0,
-                          policies=("ideal-cooperative",))
-        series = series_by_policy(points)
+        params, points = run("fig6", "sources=2 objects=5 fractions=0.3,0.7 "
+                                     "warmup=30 measure=120")
+        series = series_by_curve(points)
         assert len(series["ideal-cooperative"]) == 2
-        assert "fraction" in render_fig6(points, "m=2")
+        assert "fraction" in MATRICES["fig6"].render(params, points)

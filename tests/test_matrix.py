@@ -1,10 +1,10 @@
 """The scenario matrix: pins, verdicts, workers, the ``repro matrix`` CLI.
 
 * **Exact-float pins.**  ``PINS`` holds, per registered matrix at a tiny
-  size, the weighted divergence of every (row, arm) -- ``repr``-exact
-  floats captured from the six per-experiment harnesses this module
-  replaced.  ``tests/golden/matrix_<name>.txt`` holds the same harnesses'
-  CLI text at that size, byte for byte.
+  size, the divergence of every (row, arm) -- ``repr``-exact floats
+  captured from the per-experiment harnesses this module replaced.
+  ``tests/golden/matrix_<name>.txt`` holds the same harnesses' CLI text
+  at that size, byte for byte, followed by the matrix's verdict lines.
 * **Verdict table.**  ``VERDICT_CASES`` drives every verdict predicate
   through its pass, fail, vacuous and tolerance cases on hand-built rows.
 * **Workers.**  A pool run folds into the same rows as the serial run.
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.equilibrium import equilibrium_overhead_fraction
 from repro.cli import main
 from repro.experiments import matrix as matrix_module
 from repro.experiments.matrix import (
@@ -29,19 +30,34 @@ from repro.experiments.matrix import (
     adaptive_beats_static,
     adaptive_migrates,
     blackout_graceful,
+    cgm1_at_most_cgm2,
     controls_invariant,
     empty_plan_is_baseline,
     freshest_equals_full_quorum,
     graceful_degradation,
+    ideal_cache_beats_cgm1,
+    ideal_falls_with_bandwidth,
+    ideal_leads_ours,
     inert_matches_static,
     loss_monotone,
     multicast_dominates,
+    neighbour_setting_near_best,
+    ours_beats_cgm1,
+    ours_follows_ideal,
     outage_degrades,
+    overhead_flat,
+    overhead_low,
+    overhead_near_equilibrium,
+    paper_setting_near_best,
+    priorities_agree,
     quorum_monotone,
     retry_recovers,
     run_matrix,
     run_scenario,
+    skew_penalizes_deviation,
+    skew_penalizes_lag,
     steady_matches_constant,
+    tracks_ideal,
     unicast_tie_at_r1,
 )
 from repro.experiments.parallel import WorkloadSpec
@@ -52,6 +68,15 @@ GOLDEN = Path(__file__).parent / "golden"
 #: Tiny settings per matrix; the pins and golden texts were captured at
 #: exactly these sizes.
 TINY = {
+    "e1": "objects=40 warmup=20 measure=100 seed=3",
+    "e2": "warmup=20 measure=80",
+    "e3": "alphas=1.1,1.5 omegas=5,10 sources=4 objects=20 warmup=20 "
+          "measure=100",
+    "fig4": "sources=2 objects=5 cache-bandwidths=3,6 warmup=20 measure=60",
+    "fig5": "bandwidths=2,10 link=fluctuating days=0.5 warmup-days=0.1",
+    "fig6": "sources=2 objects=5 fractions=0.3,0.7 warmup=30 measure=120 "
+            "seed=3",
+    "overhead": "sources=3,5 objects=4 warmup=30 measure=120",
     "netcond": "scenarios=steady,outage topologies=star sources=4 "
                "objects=2 cache-bandwidth=6 source-bandwidth=1.5 "
                "warmup=20 measure=60",
@@ -68,9 +93,86 @@ TINY = {
                  "sources=6 objects=2 warmup=50 measure=100",
 }
 
-#: (row axis values) -> arm -> weighted divergence; readmodel rows carry
-#: their read-path floats instead (it has no arms).
+#: (row axis values) -> arm -> weighted divergence (Figures 5 and 6 plot
+#: the unweighted one); matrices without arms (e3, overhead, readmodel)
+#: pin their record fields instead.
 PINS = {
+    "e1": {
+        (40, "staleness"): {"ours": 0.4925,
+                            "simple": 0.4885},
+        (40, "lag"): {"ours": 0.875,
+                      "simple": 0.8800000000000001},
+        (40, "deviation"): {"ours": 0.56875,
+                            "simple": 0.5247499999999999},
+    },
+    "e2": {
+        ("staleness",): {"ours": 2.4619999999999997,
+                         "simple": 2.5435},
+        ("lag",): {"ours": 7.6575,
+                   "simple": 9.648375},
+        ("deviation",): {"ours": 3.302625,
+                         "simple": 3.5552499999999996},
+    },
+    "e3": {
+        (1.1, 5.0): {"divergence": 0.5193637998173763},
+        (1.1, 10.0): {"divergence": 0.6138179665468474},
+        (1.5, 5.0): {"divergence": 0.5078001559418169},
+        (1.5, 10.0): {"divergence": 0.42825850751408623},
+    },
+    "fig4": {
+        (2, 5, 10.0, 3.0, 0.0, "deviation"): {"ideal": 0.20591198712531084,
+                                              "ours": 0.987451560372499},
+        (2, 5, 10.0, 3.0, 0.0, "lag"): {"ideal": 0.3572492831862233,
+                                        "ours": 1.7312109361328791},
+        (2, 5, 10.0, 3.0, 0.0, "staleness"): {"ideal": 0.14546973573093588,
+                                              "ours": 0.6632072332958276},
+        (2, 5, 10.0, 3.0, 0.25, "deviation"): {"ideal": 0.20279225938163864,
+                                               "ours": 0.585847877257652},
+        (2, 5, 10.0, 3.0, 0.25, "lag"): {"ideal": 0.3020241697432646,
+                                         "ours": 1.2351428698709888},
+        (2, 5, 10.0, 3.0, 0.25, "staleness"): {"ideal": 0.14849630297336386,
+                                               "ours": 0.5629557972857187},
+        (2, 5, 10.0, 6.0, 0.0, "deviation"): {"ideal": 0.006135452047318255,
+                                              "ours": 0.0349600130886038},
+        (2, 5, 10.0, 6.0, 0.0, "lag"): {"ideal": 0.006470694766218828,
+                                        "ours": 0.04132197658300924},
+        (2, 5, 10.0, 6.0, 0.0, "staleness"): {"ideal": 0.005791238329135227,
+                                              "ours": 0.03198064898830559},
+        (2, 5, 10.0, 6.0, 0.25, "deviation"): {"ideal": 0.0066076829789578195,
+                                               "ours": 0.05326377950915233},
+        (2, 5, 10.0, 6.0, 0.25, "lag"): {"ideal": 0.007888869740555356,
+                                         "ours": 0.0704297388699904},
+        (2, 5, 10.0, 6.0, 0.25, "staleness"): {"ideal": 0.0059246910867115435,
+                                               "ours": 0.05501360115782099},
+    },
+    "fig5": {
+        (2.0,): {"ideal": 0.4674012313528923,
+                 "ours": 1.760106979420618},
+        (10.0,): {"ideal": 0.09642128880897088,
+                  "ours": 0.11556508428351882},
+    },
+    "fig6": {
+        (0.3,): {"ideal-cooperative": 0.0789407159217944,
+                 "our-algorithm": 0.4273599097265051,
+                 "ideal-cache-based": 0.3167652433127126,
+                 "cgm1": 0.4911644760906285,
+                 "cgm2": 0.4436018567652889},
+        (0.7,): {"ideal-cooperative": 0.0,
+                 "our-algorithm": 0.0,
+                 "ideal-cache-based": 0.23447144008889143,
+                 "cgm1": 0.34474639803348095,
+                 "cgm2": 0.34949529444790994},
+    },
+    "overhead": {
+        (3,): {"overhead": 0.044444444444444446,
+               "unweighted": 0.39451544524748616,
+               "feedback": 30,
+               "refreshes": 645},
+        (5,): {"overhead": 0.041740674955595025,
+               "unweighted": 0.3755650236475897,
+               "feedback": 47,
+               "refreshes": 1078},
+    },
     "netcond": {
         ("steady", "star"): {"cooperative": 0.07331317362900115,
                              "uniform": 0.32027754395076363,
@@ -181,14 +283,19 @@ def tiny(name: str, workers: int = 1):
     return _tiny_runs[name]
 
 
+#: the record field an arm's pin holds, where it is not "divergence"
+PINNED_FIELD = {"fig5": "unweighted", "fig6": "unweighted"}
+
+
 def observed(name: str, rows: list[dict]) -> dict:
     """The pinned floats of ``rows``, in ``PINS`` layout."""
     matrix = MATRICES[name]
+    field = PINNED_FIELD.get(name, "divergence")
     out = {}
     for row in rows:
         key = tuple(row[axis] for axis in matrix.axes)
         if matrix.arms:
-            out[key] = {arm: row[arm]["divergence"]
+            out[key] = {arm: row[arm][field]
                         for arm in matrix.arms if arm in row}
         else:
             out[key] = {field: row[field] for field in PINS[name][key]}
@@ -208,12 +315,14 @@ class TestTinyPins:
         assert MATRICES[name].render(params, rows) + "\n" == expected
 
     def test_registry_order(self):
-        assert list(MATRICES) == ["netcond", "faults", "rebalance",
-                                  "multicast", "multicache", "readmodel"]
+        assert list(MATRICES) == ["e1", "e2", "e3", "fig4", "fig5", "fig6",
+                                  "overhead", "netcond", "faults",
+                                  "rebalance", "multicast", "multicache",
+                                  "readmodel"]
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("name", ["faults", "readmodel"])
+    @pytest.mark.parametrize("name", ["faults", "readmodel", "fig6"])
     def test_pool_rows_equal_serial_rows(self, name):
         assert tiny(name, workers=2)[1] == tiny(name)[1]
 
@@ -227,9 +336,11 @@ class TestScenario:
             policy="cooperative", cache_bandwidth=4.0,
             source_bandwidth=1.0, warmup=10.0, measure=30.0)
         record = run_scenario(scenario)
-        assert set(record) == {"divergence", "refreshes", "messages",
-                               "units", "dropped", "retransmitted",
-                               "duplicates", "migrations", "queue_peak"}
+        assert set(record) == {"divergence", "unweighted", "num_objects",
+                               "refreshes", "messages", "feedback",
+                               "overhead", "units", "dropped",
+                               "retransmitted", "duplicates", "migrations",
+                               "queue_peak"}
         assert record["refreshes"] > 0 and record["units"] > 0
 
     def test_construction_validates_the_timing_window(self):
@@ -290,11 +401,133 @@ def read(policy, divergence, r=2, reads=100, bandwidth=6.0):
             "read": policy, "read_divergence": divergence, "reads": reads}
 
 
+def prio(metric, ours, simple):
+    return {"metrics": metric, "ours": arm(ours), "simple": arm(simple)}
+
+
+def grid(alpha, omega, normalized):
+    return {"alphas": alpha, "omegas": omega, "normalized": normalized}
+
+
+def point(metric, ideal, ours):
+    return {"metrics": metric, "ideal": arm(ideal), "ours": arm(ours)}
+
+
+def link(bandwidth, ideal, ours=0.0):
+    return {"bandwidths": bandwidth, "ideal": {"unweighted": ideal},
+            "ours": {"unweighted": ours}}
+
+
+def curves(ideal=0.1, ours=0.2, cache=0.3, cgm1=0.5, cgm2=0.5):
+    values = {"ideal-cooperative": ideal, "our-algorithm": ours,
+              "ideal-cache-based": cache, "cgm1": cgm1, "cgm2": cgm2}
+    return {"fractions": 0.5,
+            **{name: {"unweighted": v} for name, v in values.items()}}
+
+
+def share(sources, overhead):
+    return {"sources": sources, "overhead": overhead}
+
+
+PREDICTED = equilibrium_overhead_fraction()
+
+
 def case(fn, rows, expected, name):
     return pytest.param(fn, rows, expected, id=f"{fn.__name__}-{name}")
 
 
 VERDICT_CASES = [
+    # E1/E2 validation
+    case(priorities_agree, [prio("lag", 1.0, 1.2), prio("deviation", 1.0,
+                                                        0.9)],
+         True, "within"),
+    case(priorities_agree, [prio("lag", 1.0, 1.25)], False, "edge-25"),
+    case(priorities_agree, [prio("lag", 1.0, 0.7)], False, "strawman-wins"),
+    case(priorities_agree, [prio("lag", 0.0, 0.5)], True, "zero-baseline"),
+    case(priorities_agree, [], False, "vacuous"),
+    case(skew_penalizes_lag, [prio("lag", 1.0, 1.5)], True, "penalized"),
+    case(skew_penalizes_lag, [prio("lag", 1.0, 1.2)], False, "mild"),
+    case(skew_penalizes_lag, [prio("deviation", 1.0, 1.5)], False,
+         "vacuous"),
+    case(skew_penalizes_deviation, [prio("deviation", 1.0, 1.2)], True,
+         "penalized"),
+    case(skew_penalizes_deviation, [prio("deviation", 1.0, 1.1)], False,
+         "mild"),
+    case(skew_penalizes_deviation, [prio("lag", 1.0, 1.5)], False,
+         "vacuous"),
+    # E3 threshold study
+    case(paper_setting_near_best, [grid(1.1, 10.0, 1.29)], True, "near"),
+    case(paper_setting_near_best, [grid(1.1, 10.0, 1.3)], False, "edge-1.3"),
+    case(paper_setting_near_best, [grid(1.2, 20.0, 1.0)], False, "vacuous"),
+    case(neighbour_setting_near_best, [grid(1.2, 20.0, 1.49)], True,
+         "near"),
+    case(neighbour_setting_near_best, [grid(1.2, 20.0, 1.5)], False,
+         "edge-1.5"),
+    case(neighbour_setting_near_best, [grid(1.1, 10.0, 1.0)], False,
+         "vacuous"),
+    # Figure 4: starved points are above a quarter of the panel maximum
+    case(tracks_ideal, [point("lag", 1.0, 3.0), point("lag", 0.1, 9.0)],
+         True, "unstarved-outlier-ignored"),
+    case(tracks_ideal, [point("lag", 1.0, 4.0)], False, "ratio-4"),
+    case(tracks_ideal, [point("lag", 1.0, 2.0), point("lag", 0.25, 1.25)],
+         True, "quarter-excluded"),
+    case(tracks_ideal, [point("lag", 1.0, 2.0), point("lag", 0.26, 1.3)],
+         False, "above-quarter"),
+    case(tracks_ideal, [point("lag", 1.0, 2.0),
+                        point("staleness", 1.0, 5.0)], False,
+         "one-panel-fails"),
+    case(tracks_ideal, [point("lag", 0.0, 0.0)], False, "no-starved-points"),
+    case(tracks_ideal, [], False, "vacuous"),
+    # Figure 5
+    case(ideal_falls_with_bandwidth, [link(1.0, 0.5), link(5.0, 0.2)],
+         True, "falls"),
+    case(ideal_falls_with_bandwidth, [link(1.0, 0.5), link(5.0, 0.5)],
+         True, "flat"),
+    case(ideal_falls_with_bandwidth, [link(1.0, 0.2), link(5.0, 0.3)],
+         False, "rises"),
+    case(ideal_falls_with_bandwidth, [link(5.0, 0.2), link(1.0, 0.5)],
+         True, "sorted-by-bandwidth"),
+    case(ideal_falls_with_bandwidth, [], False, "vacuous"),
+    case(ours_follows_ideal, [link(1.0, 0.5, 1.1)], True, "close"),
+    case(ours_follows_ideal, [link(1.0, 0.25, 0.65)], True,
+         "edge-2x-plus-0.15"),
+    case(ours_follows_ideal, [link(1.0, 0.5, 1.2)], False, "far"),
+    case(ours_follows_ideal, [], False, "vacuous"),
+    # Figure 6: the 1.10x + 0.01 tolerance is inclusive
+    case(ideal_leads_ours, [curves()], True, "leads"),
+    case(ideal_leads_ours, [curves(ideal=1.11, ours=1.0)], True,
+         "edge-1.10x-plus-0.01"),
+    case(ideal_leads_ours, [curves(ideal=1.2, ours=1.0)], False, "behind"),
+    case(ideal_leads_ours, [], False, "vacuous"),
+    case(ours_beats_cgm1, [curves()], True, "beats"),
+    case(ours_beats_cgm1, [curves(ours=0.5)], False, "tie-loses"),
+    case(ours_beats_cgm1, [], False, "vacuous"),
+    case(ideal_cache_beats_cgm1, [curves()], True, "beats"),
+    case(ideal_cache_beats_cgm1, [curves(cache=0.6)], False, "loses"),
+    case(ideal_cache_beats_cgm1, [], False, "vacuous"),
+    case(cgm1_at_most_cgm2, [curves()], True, "tie"),
+    case(cgm1_at_most_cgm2, [curves(cgm1=1.11, cgm2=1.0)], True,
+         "edge-1.10x-plus-0.01"),
+    case(cgm1_at_most_cgm2, [curves(cgm1=1.2, cgm2=1.0)], False, "worse"),
+    case(cgm1_at_most_cgm2, [], False, "vacuous"),
+    # X7 overhead: the equilibrium band is open at both ends
+    case(overhead_low, [share(5, 0.04), share(80, 0.05)], True, "low"),
+    case(overhead_low, [share(5, 0.12)], False, "edge-0.12"),
+    case(overhead_low, [], False, "vacuous"),
+    case(overhead_flat, [share(5, 0.04), share(80, 0.11)], True, "flat"),
+    case(overhead_flat, [share(5, 0.04), share(80, 0.12)], False,
+         "edge-3x"),
+    case(overhead_flat, [share(5, 0.001), share(80, 0.029)], True,
+         "floor-0.01"),
+    case(overhead_flat, [share(5, 0.01), share(80, 0.05)], False,
+         "grows"),
+    case(overhead_flat, [], False, "vacuous"),
+    case(overhead_near_equilibrium, [share(5, PREDICTED)], True, "at"),
+    case(overhead_near_equilibrium, [share(5, 0.2 * PREDICTED)], False,
+         "edge-0.2x"),
+    case(overhead_near_equilibrium, [share(5, 3.0 * PREDICTED)], False,
+         "edge-3x"),
+    case(overhead_near_equilibrium, [], False, "vacuous"),
     # E11 netcond
     case(steady_matches_constant, [net("steady", 0.5, control=0.5)],
          True, "exact"),
@@ -486,6 +719,63 @@ BAD_CONFIGURATION = [
     (["rebalance", "phases=0"], "num_phases must be >= 1"),
     (["multicache", "hot-fraction=2"], "hot_fraction must be in [0, 1]"),
     (["multicache", "hot-boost=0.5"], "hot_boost must be >= 1"),
+    # values that reached the simulator before their Param bounds
+    (["netcond", "cache-bandwidth=-1"], "cache-bandwidth must be >= 0"),
+    (["netcond", "source-bandwidth=-1"], "source-bandwidth must be >= 0"),
+    (["multicache", "source-bandwidth=-2"],
+     "source-bandwidth must be >= 0"),
+    (["readmodel", "cache-bandwidths=-3"], "cache-bandwidths must be >= 0"),
+    (["readmodel", "read-rate=-1"], "read-rate must be >= 0"),
+    (["faults", "rate-cap=-1"], "rate-cap must be >= 0"),
+    (["rebalance", "rate-range=0.5,0.1"],
+     "rate_range must satisfy 0 <= low <= high"),
+    (["faults", "feedback-ttl=-1"], "feedback-ttl must be > 0"),
+    (["multicast", "seed=-1"], "seed must be >= 0"),
+    # every key of the paper's matrices
+    (["e1", "objects=0"], "objects must be >= 1"),
+    (["e1", "metrics=speed"], "unknown value 'speed'"),
+    (["e1", "warmup=-1"], "warmup must be >= 0"),
+    (["e1", "measure=0"], "measure must be > 0"),
+    (["e1", "seed=-1"], "seed must be >= 0"),
+    (["e2", "warmup=-1"], "warmup must be >= 0"),
+    (["e2", "measure=0"], "measure must be > 0"),
+    (["e2", "seed=-1"], "seed must be >= 0"),
+    (["e3", "alphas=1"], "alphas must be > 1"),
+    (["e3", "omegas=0.5"], "omegas must be > 1"),
+    (["e3", "sources=0"], "sources must be >= 1"),
+    (["e3", "objects=0"], "objects must be >= 1"),
+    (["e3", "cache-bandwidth=-1"], "cache-bandwidth must be >= 0"),
+    (["e3", "warmup=-1"], "warmup must be >= 0"),
+    (["e3", "measure=0"], "measure must be > 0"),
+    (["e3", "seed=-1"], "seed must be >= 0"),
+    (["fig4", "sources=0"], "sources must be >= 1"),
+    (["fig4", "objects=0"], "objects must be >= 1"),
+    (["fig4", "source-bandwidths=-1"], "source-bandwidths must be >= 0"),
+    (["fig4", "cache-bandwidths=-1"], "cache-bandwidths must be >= 0"),
+    (["fig4", "change-rates=-0.1"], "change-rates must be >= 0"),
+    (["fig4", "metrics=speed"], "unknown value 'speed'"),
+    (["fig4", "warmup=-1"], "warmup must be >= 0"),
+    (["fig4", "measure=0"], "measure must be > 0"),
+    (["fig4", "seed=-1"], "seed must be >= 0"),
+    (["fig5", "bandwidths=-1"], "bandwidths must be >= 0"),
+    (["fig5", "link=wobbly"], "unknown value 'wobbly'"),
+    (["fig5", "days=0"], "days must be > 0"),
+    (["fig5", "warmup-days=-1"], "warmup-days must be >= 0"),
+    (["fig5", "days=1", "warmup-days=1"],
+     "warmup-days must be < days, got 1.0 >= 1.0"),
+    (["fig5", "trace-csv=no-such-trace.csv"], "trace-csv: no such file"),
+    (["fig5", "seed=-1"], "seed must be >= 0"),
+    (["fig6", "sources=0"], "sources must be >= 1"),
+    (["fig6", "objects=0"], "objects must be >= 1"),
+    (["fig6", "fractions=-0.1"], "fractions must be >= 0"),
+    (["fig6", "warmup=-1"], "warmup must be >= 0"),
+    (["fig6", "measure=0"], "measure must be > 0"),
+    (["fig6", "seed=-1"], "seed must be >= 0"),
+    (["overhead", "sources=0"], "sources must be >= 1"),
+    (["overhead", "objects=0"], "objects must be >= 1"),
+    (["overhead", "warmup=-1"], "warmup must be >= 0"),
+    (["overhead", "measure=0"], "measure must be > 0"),
+    (["overhead", "seed=-1"], "seed must be >= 0"),
 ]
 
 
@@ -534,6 +824,20 @@ class TestCommand:
         out = capsys.readouterr().out
         assert "Multi-cache sweep (sharded)" in out
         assert "--- cProfile: matrix multicache" in out
+
+    def test_paper_name_is_the_matrix(self, capsys):
+        assert main(["e2", *TINY["e2"].split(), "--workers", "2"]) == 0
+        assert capsys.readouterr().out == (
+            GOLDEN / "matrix_e2.txt").read_text()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["e1", "--help"],
+                                      ["fig5", "--help"]])
+    def test_help_renders(self, argv, capsys):
+        # argparse %-formats help text: a bare "%" would raise here
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: repro" in capsys.readouterr().out
 
     def test_help_lists_every_key(self, capsys):
         with pytest.raises(SystemExit):

@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
-from repro.experiments.fig4 import Fig4Config, run_fig4
 from repro.experiments.matrix import MATRICES, run_matrix
 from repro.experiments.parallel import (
     ParallelRunner,
@@ -288,12 +287,11 @@ class TestTeardown:
 
 class TestSweepDeterminism:
     def test_fig4_parallel_matches_serial(self):
-        config = Fig4Config(sources=(1, 4), objects_per_source=(2,),
-                            cache_bandwidths=(10.0,),
-                            change_rates=(0.0, 0.25),
-                            metrics=("deviation",),
-                            warmup=20.0, measure=80.0)
-        assert run_fig4(config, workers=4) == run_fig4(config)
+        settings = ("sources=1,4 objects=2 cache-bandwidths=10 "
+                    "change-rates=0,0.25 metrics=deviation warmup=20 "
+                    "measure=80")
+        assert (self.matrix_rows("fig4", settings, workers=4)
+                == self.matrix_rows("fig4", settings))
 
     @staticmethod
     def matrix_rows(name, settings, workers=1):

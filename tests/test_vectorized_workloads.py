@@ -17,9 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.divergence import ValueDeviation
-from repro.experiments.fig4 import Fig4Config, run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.matrix import make_policy
+from repro.experiments.matrix import MATRICES, make_policy, run_matrix
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
@@ -289,22 +287,25 @@ class TestLegacyBitForBit:
         (0.6695494300542557, 0.7334185839760353, 2293, 2400),
     ]
 
+    @staticmethod
+    def matrix_rows(name, settings):
+        matrix = MATRICES[name]
+        return run_matrix(matrix, matrix.parse(settings.split()))
+
     def test_fig4_legacy_pinned(self):
-        config = Fig4Config(sources=(3,), objects_per_source=(4,),
-                            source_bandwidths=(1.0,),
-                            cache_bandwidths=(2.0,),
-                            change_rates=(0.0, 0.25),
-                            metrics=("deviation", "lag"),
-                            warmup=20.0, measure=80.0, seed=0)
-        points = run_fig4(config)
-        got = [(p.metric, p.change_rate, p.ideal_divergence,
-                p.actual_divergence) for p in points]
+        points = self.matrix_rows(
+            "fig4", "sources=3 objects=4 source-bandwidths=1 "
+                    "cache-bandwidths=2 change-rates=0,0.25 "
+                    "metrics=deviation,lag warmup=20 measure=80 seed=0")
+        got = [(p["metrics"], p["change-rates"], p["ideal"]["divergence"],
+                p["ours"]["divergence"]) for p in points]
         assert got == self.FIG4_PINS
 
     def test_fig5_pinned(self):
-        points = run_fig5(bandwidths=(2.0, 10.0), days=0.5,
-                          warmup_days=0.1, seed=0)
-        got = [(p.ideal_divergence, p.actual_divergence) for p in points]
+        points = self.matrix_rows(
+            "fig5", "bandwidths=2,10 days=0.5 warmup-days=0.1 seed=0")
+        got = [(p["ideal"]["unweighted"], p["ours"]["unweighted"])
+               for p in points]
         assert got == self.FIG5_PINS
 
     def test_multicache_legacy_pinned(self):
