@@ -4,23 +4,19 @@ A machinery-overhead pair: one cooperative run fault-free, one with an
 *armed but inert* plan (a zero-probability loss rule spanning the whole
 horizon), so the delivery guard is consulted on every message yet never
 fires.  The results must match bit for bit and the guarded wall must
-stay within ``MACHINERY_OVERHEAD_LIMIT`` x the unguarded one -- the
+stay within ``MACHINERY_OVERHEAD_LIMIT`` x the unguarded one, as the
+median ratio over repeated pairs (:func:`conftest.ab_ratio`) -- the
 acceptance number for keeping the fault hooks out of the fault-free hot
 path.  The E12 matrix's verdicts are asserted in ``bench_matrix``.
-
-The overhead test merges its walls into ``BENCH_scale.current.json``
-(untracked; see ``bench_scale.py``) under a ``faults`` section so the
-perf regression job archives them alongside the E9/E11 points.
 
 Timing-ratio asserts are machine-sensitive; CI runs this bench in the
 non-failing perf-smoke job.
 """
 
-import json
 import time
 
 import numpy as np
-from conftest import run_once
+from conftest import ab_ratio, run_once
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
@@ -33,15 +29,20 @@ from repro.workloads.synthetic import uniform_random_walk
 #: Max guarded / unguarded wall-clock ratio with an inert fault plan.
 MACHINERY_OVERHEAD_LIMIT = 1.2
 
+#: A run takes ~0.3 s, so extra pairs are cheap and steady the median.
+PAIRS = 11
 
-def _cooperative_wall(workload, spec):
-    policy = CooperativePolicy(
-        ConstantBandwidth(24.0),
-        [ConstantBandwidth(4.0) for _ in range(workload.num_sources)],
-        priority_fn=AreaPriority())
-    start = time.perf_counter()
-    result = run_policy(workload, ValueDeviation(), policy, spec)
-    return time.perf_counter() - start, result.weighted_divergence
+
+def _arm(workload, spec):
+    def run():
+        policy = CooperativePolicy(
+            ConstantBandwidth(24.0),
+            [ConstantBandwidth(4.0) for _ in range(workload.num_sources)],
+            priority_fn=AreaPriority())
+        start = time.perf_counter()
+        result = run_policy(workload, ValueDeviation(), policy, spec)
+        return time.perf_counter() - start, result.weighted_divergence
+    return run
 
 
 def test_fault_machinery_overhead(benchmark):
@@ -52,45 +53,19 @@ def test_fault_machinery_overhead(benchmark):
     installed and the delivery guard runs on every upstream and
     downstream message -- the worst case for machinery-off overhead.
     """
-
-    def both():
-        workload = uniform_random_walk(48, 8, horizon=300.0,
-                                       rng=np.random.default_rng(0))
-        spec_off = RunSpec(warmup=50.0, measure=250.0, seed=0)
-        inert = FaultPlan(loss=(LossRule(0.0, 300.0, 0.0),))
-        spec_on = RunSpec(warmup=50.0, measure=250.0, seed=0,
-                          faults=inert)
-        # Interleave and take minima so clock drift hits both arms.
-        walls_off, walls_on, divs = [], [], []
-        for _ in range(2):
-            wall, div = _cooperative_wall(workload, spec_off)
-            walls_off.append(wall)
-            divs.append(div)
-            wall, div = _cooperative_wall(workload, spec_on)
-            walls_on.append(wall)
-            divs.append(div)
-        return min(walls_off), min(walls_on), divs
-
-    wall_off, wall_on, divs = run_once(benchmark, both)
-    assert len(set(divs)) == 1, \
+    workload = uniform_random_walk(48, 8, horizon=300.0,
+                                   rng=np.random.default_rng(0))
+    inert = FaultPlan(loss=(LossRule(0.0, 300.0, 0.0),))
+    ratio, off, on = run_once(
+        benchmark, ab_ratio,
+        _arm(workload, RunSpec(warmup=50.0, measure=250.0, seed=0)),
+        _arm(workload, RunSpec(warmup=50.0, measure=250.0, seed=0,
+                               faults=inert)),
+        pairs=PAIRS)
+    assert len({divergence for _, divergence in off + on}) == 1, \
         "the inert fault plan changed the cooperative result"
-
-    ratio = wall_on / wall_off
-    try:
-        with open("BENCH_scale.current.json") as f:
-            payload = json.load(f)
-    except FileNotFoundError:
-        payload = {"experiment": "E9-extreme"}
-    payload["faults"] = {
-        "machinery_overhead_limit": MACHINERY_OVERHEAD_LIMIT,
-        "machinery_overhead": ratio,
-        "wall_off_seconds": wall_off,
-        "wall_on_seconds": wall_on,
-    }
-    with open("BENCH_scale.current.json", "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
+    print(f"\ninert plan / fault-free: median ratio {ratio:.3f} over "
+          f"{len(off)} pairs (limit {MACHINERY_OVERHEAD_LIMIT})")
     assert ratio <= MACHINERY_OVERHEAD_LIMIT, (
         f"inert-plan run {ratio:.2f}x the fault-free wall "
         f"(limit {MACHINERY_OVERHEAD_LIMIT}x) -- the delivery guard is "

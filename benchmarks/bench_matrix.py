@@ -23,6 +23,8 @@ degradation *ratio* is undefined.
 
 The multicache matrix prints no verdicts; its case asserts the E8 claim
 directly (cooperative beats uniform allocation at every cache count).
+The E9 scale case also asserts that its m = 10^5 row is the seed-0 pin
+of ``bench/run.py``'s ``sparse-star-100k`` workload, the same run.
 The machinery-overhead timing benches stay in ``bench_netcond``,
 ``bench_faults``, ``bench_rebalance`` and ``bench_multicast``.
 """
@@ -61,6 +63,7 @@ CASES = {
     "readmodel": ("readmodel", "cache-bandwidths=12,24"),
     "readmodel-single-cache": ("readmodel", "num-caches=1 replication=1 "
                                             "measure=300"),
+    "scale": ("scale", "sources=1000,10000,100000"),
 }
 
 
@@ -88,12 +91,24 @@ def _reads_are_measurement_only(rows):
     assert all(len(runs) == 1 for runs in groups.values())
 
 
+#: (divergence, refreshes, feedback) pinned for sparse-star-100k in
+#: bench/suite.py
+SPARSE_STAR_100K = (0.48856192209942767, 4792, 8)
+
+
+def _e9_point_is_the_bench_pin(rows):
+    (row,) = [row for row in rows if row["sources"] == 100_000]
+    assert (row["divergence"], row["refreshes"],
+            row["feedback"]) == SPARSE_STAR_100K
+
+
 #: assertions beyond the printed verdicts
 CHECKS = {
     "multicache": _cooperative_beats_uniform,
     "multicache-replicated": _replicated_layout_runs,
     "readmodel": _reads_are_measurement_only,
     "readmodel-single-cache": _reads_are_measurement_only,
+    "scale": _e9_point_is_the_bench_pin,
 }
 
 

@@ -3,7 +3,8 @@
 A plane-indirection overhead pair: the refactored
 ``Topology.send_upstream`` (charge block + bound ``fan_out`` call)
 against a hand-inlined replica of the pre-refactor star send path on an
-identical fresh topology.  The wall-clock ratio must stay within
+identical fresh topology.  The median wall-clock ratio over repeated
+pairs (:func:`conftest.ab_ratio`) must stay within
 ``PLANE_OVERHEAD_LIMIT`` -- the acceptance number for routing every
 unicast send through the plane interface.  The E14 matrix's verdicts
 are asserted in ``bench_matrix``.
@@ -14,7 +15,7 @@ non-failing perf-smoke job.
 
 import time
 
-from conftest import run_once
+from conftest import ab_ratio, run_once
 
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import RefreshMessage
@@ -23,6 +24,8 @@ from repro.network.topology import Topology
 #: Max refactored / hand-inlined wall-clock ratio for unicast sends.
 PLANE_OVERHEAD_LIMIT = 1.1
 _SENDS = 40_000
+#: A run takes ~50 ms, so extra pairs are cheap and steady the median.
+PAIRS = 21
 
 
 def _make_star():
@@ -72,35 +75,26 @@ def _send_inlined(topology, count):
         topology.cache_links[0].transmit_or_queue(message)
 
 
+def _arm(send):
+    def run():
+        # A fresh topology per run: links accumulate credit and counters.
+        topology = _make_star()
+        start = time.perf_counter()
+        send(topology, _SENDS)
+        return (time.perf_counter() - start,
+                topology.cache_links[0].total_sent)
+    return run
+
+
 def test_unicast_plane_overhead(benchmark):
-    """Plane-routed unicast sends stay within 1.1x the inlined path.
-
-    Fresh topologies per repeat (links accumulate credit/counters);
-    interleaved minima so clock drift hits both arms equally.
-    """
-
-    def both():
-        walls_plane, walls_inline = [], []
-        sent = []
-        for _ in range(3):
-            topology = _make_star()
-            start = time.perf_counter()
-            _send_via_plane(topology, _SENDS)
-            walls_plane.append(time.perf_counter() - start)
-            sent.append(topology.cache_links[0].total_sent)
-            topology = _make_star()
-            start = time.perf_counter()
-            _send_inlined(topology, _SENDS)
-            walls_inline.append(time.perf_counter() - start)
-            sent.append(topology.cache_links[0].total_sent)
-        return min(walls_plane), min(walls_inline), sent
-
-    wall_plane, wall_inline, sent = run_once(benchmark, both)
-    assert all(count == _SENDS for count in sent), \
+    """Plane-routed unicast sends stay within 1.1x the inlined path."""
+    ratio, inlined, plane = run_once(benchmark, ab_ratio,
+                                     _arm(_send_inlined),
+                                     _arm(_send_via_plane), pairs=PAIRS)
+    assert all(sent == _SENDS for _, sent in inlined + plane), \
         "a benchmark arm dropped sends (link ran dry?)"
-    ratio = wall_plane / wall_inline
-    print(f"\nplane {wall_plane:.4f}s vs inlined {wall_inline:.4f}s "
-          f"-> ratio {ratio:.3f} (limit {PLANE_OVERHEAD_LIMIT})")
+    print(f"\nplane / inlined: median ratio {ratio:.3f} over "
+          f"{len(plane)} pairs (limit {PLANE_OVERHEAD_LIMIT})")
     assert ratio <= PLANE_OVERHEAD_LIMIT, (
         f"plane-routed unicast send ran {ratio:.2f}x the inlined path "
         f"(limit {PLANE_OVERHEAD_LIMIT}x) -- the delivery indirection "

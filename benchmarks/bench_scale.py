@@ -1,165 +1,70 @@
-"""E9: the event-driven simulator and vectorized pipeline at scale.
+"""E9 at m = 10^6: the shard-parallel path against its 60 s budget.
 
-Reproduces the scale sweep of ``repro.experiments.scale`` at the points
-the acceptance criteria pin:
+One sparse workload of 10^6 sources (the E9 shape: update rate 0.002/s,
+cache 8/s, sources 1/s, 100 s warm-up, 500 s measured) on a 4-cache
+sharded layout, run through
+:func:`~repro.experiments.parallel.run_cooperative_sharded` at one
+worker and at ``min(4, cpu_count)``.  The two results must be equal, and
+the parallel run must fit the 60 s budget; generation happens inside the
+shard workers, so it is part of the wall.  The test prints both walls
+and writes nothing: the end-to-end walls of the E9 points are
+``bench/run.py``'s, gated by CI's perf-regression job.
 
-* m = 10^4 sparse sources: the run completes in CI time;
-* m = 10^5 sparse sources: generation + a cooperative run must complete
-  within a CI-feasible budget;
-* m = 10^6 sparse sources: a 4-shard topology run shard-parallel
-  (tier 2 of ``repro.experiments.parallel``) must fit the same 60 s
-  budget on a multi-core runner, with generation folded into the
-  workers' wall clock.  The test also measures both parallel tiers
-  against their serial counterparts and archives worker counts and
-  per-tier speedups alongside the m = 10^5 numbers.
-
-The m = 10^5 point also archives its numbers to
-``BENCH_scale.current.json`` in the working directory (untracked, so
-local bench runs never dirty the tree); CI uploads the file as an
-artifact, the perf-regression job compares it against a baseline
-measured on the same runner, and the *committed* ``BENCH_scale.json``
-snapshot is refreshed deliberately by copying a representative run over
-it.
-
-Budget asserts are inherently machine-sensitive; CI runs this bench in a
-non-failing perf-smoke job, while the bit-for-bit asserts are hard
-everywhere.  (Equivalence with the per-tick reference schedule is pinned
-in ``tests/test_equivalence.py``.)
+The budget assert needs a multi-core runner; CI runs this bench as an
+advisory step of the parallel-smoke job.  The smaller E9 points are the
+rows of ``repro matrix scale``, checked in ``bench_matrix``.
 """
 
-import dataclasses
-import json
 import os
 import time
-from dataclasses import asdict
 
 from conftest import run_once
 
-from repro.experiments.scale import run_scale
+from repro.core.divergence import ValueDeviation
+from repro.core.priority import AreaPriority
+from repro.experiments.parallel import WorkloadSpec, run_cooperative_sharded
+from repro.experiments.runner import RunSpec
+from repro.experiments.scale import sparse_workload
+from repro.network.bandwidth import ConstantBandwidth
+from repro.network.topology import TopologyConfig
 
-#: Wall-clock budget for the m = 10^5 generation + run.
-EXTREME_BUDGET_SECONDS = 60.0
-
-#: Wall-clock budget for the m = 10^6 shard-parallel run (gen + run;
-#: generation happens inside the workers, so it is part of the wall).
+#: Wall-clock budget for the m = 10^6 shard-parallel run.
 MILLION_BUDGET_SECONDS = 60.0
 
-#: Shards (= workers, capped by the machine) for the m = 10^6 point.
+MILLION = 1_000_000
+#: Shards, and the most workers the parallel run uses.
 MILLION_SHARDS = 4
 
 
-def test_scale_10000_sources(benchmark):
-    """The m = 10^4 point finishes in CI time."""
-    points = run_once(benchmark, run_scale, sources=(10000,),
-                      warmup=100.0, measure=500.0)
-    (point,) = points
-    assert point.refreshes > 0
-
-
-def test_scale_100000_sources_extreme(benchmark):
-    """m = 10^5: CI-feasible end to end.
-
-    Writes ``BENCH_scale.current.json`` (untracked) so the perf-smoke
-    job can archive the numbers as an artifact and the regression job
-    can compare them against a same-runner baseline; the committed
-    ``BENCH_scale.json`` snapshot is only ever updated deliberately.
-    """
-    points = run_once(benchmark, run_scale, sources=(100_000,),
-                      warmup=100.0, measure=500.0)
-    payload = {
-        "experiment": "E9-extreme",
-        "budget_seconds": EXTREME_BUDGET_SECONDS,
-        "points": [asdict(p) for p in points],
-    }
-    with open("BENCH_scale.current.json", "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    (point,) = points
-    assert point.refreshes > 0
-    total = point.gen_seconds + point.wall_seconds
-    assert total <= EXTREME_BUDGET_SECONDS, (
-        f"m = 10^5 generation + run took {total:.1f}s "
-        f"(budget {EXTREME_BUDGET_SECONDS}s)")
-
-
-def _strip_timing(point):
-    """Drop machine-dependent fields so points compare bit-for-bit."""
-    return dataclasses.replace(point, wall_seconds=0.0, gen_seconds=0.0,
-                               workers=1)
-
-
-def _run_million():
-    """The m = 10^6 point: 4-shard topology, serial then shard-parallel,
-    plus a small tier-1 sweep timed serial vs pooled."""
-    workers = max(1, min(MILLION_SHARDS, os.cpu_count() or 1))
-    million = dict(sources=(1_000_000,), warmup=100.0, measure=500.0,
-                   shard_caches=MILLION_SHARDS)
+def _timed_run(workers: int):
     start = time.perf_counter()
-    serial = run_scale(workers=1, **million)
-    serial_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_scale(workers=workers, **million)
-    parallel_wall = time.perf_counter() - start
-
-    sweep = dict(sources=(20_000, 40_000), warmup=100.0, measure=500.0)
-    start = time.perf_counter()
-    sweep_serial = run_scale(workers=1, **sweep)
-    tier1_serial_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    sweep_parallel = run_scale(workers=workers, **sweep)
-    tier1_parallel_wall = time.perf_counter() - start
-    return {
-        "workers": workers,
-        "serial": serial, "serial_wall": serial_wall,
-        "parallel": parallel, "parallel_wall": parallel_wall,
-        "sweep_serial": sweep_serial,
-        "sweep_parallel": sweep_parallel,
-        "tier1_speedup": tier1_serial_wall / tier1_parallel_wall,
-        "tier2_speedup": serial_wall / parallel_wall,
-    }
+    result = run_cooperative_sharded(
+        WorkloadSpec.make(sparse_workload, 0, num_sources=MILLION,
+                          horizon=600.0, update_rate=0.002),
+        ValueDeviation(),
+        RunSpec(warmup=100.0, measure=500.0,
+                topology=TopologyConfig(kind="sharded",
+                                        num_caches=MILLION_SHARDS)),
+        ConstantBandwidth(8.0),
+        [ConstantBandwidth(1.0) for _ in range(MILLION)],
+        priority_fn=AreaPriority(), workers=workers)
+    return time.perf_counter() - start, result
 
 
 def test_scale_1000000_sources_shard_parallel(benchmark):
-    """m = 10^6 via 4 shard-parallel caches: under the 60 s budget on a
-    multi-core runner, bit-identical to the serially-executed shards.
+    """m = 10^6 via 4 shard-parallel caches: equal to one worker's run,
+    and under the 60 s budget on a multi-core runner."""
+    workers = max(1, min(MILLION_SHARDS, os.cpu_count() or 1))
 
-    Merges its numbers (worker count, per-tier speedups, the million
-    points) into ``BENCH_scale.current.json`` next to the m = 10^5
-    payload; the budget assert is expected to hold on CI's multi-core
-    runners, not necessarily on a single-core laptop (this bench runs
-    in the non-failing perf-smoke job).
-    """
-    r = run_once(benchmark, _run_million)
+    def both():
+        return _timed_run(1), _timed_run(workers)
 
-    # Shard-parallel execution must not change a single bit.
-    assert ([_strip_timing(p) for p in r["parallel"]]
-            == [_strip_timing(p) for p in r["serial"]])
-    assert ([_strip_timing(p) for p in r["sweep_parallel"]]
-            == [_strip_timing(p) for p in r["sweep_serial"]])
-
-    try:
-        with open("BENCH_scale.current.json") as f:
-            payload = json.load(f)
-    except FileNotFoundError:
-        payload = {"experiment": "E9-extreme"}
-    payload["million"] = {
-        "budget_seconds": MILLION_BUDGET_SECONDS,
-        "shard_caches": MILLION_SHARDS,
-        "workers": r["workers"],
-        "points": [asdict(p) for p in r["parallel"]],
-        "serial_wall_seconds": r["serial_wall"],
-        "parallel_wall_seconds": r["parallel_wall"],
-        "tier1_sweep_speedup": r["tier1_speedup"],
-        "tier2_shard_speedup": r["tier2_speedup"],
-    }
-    with open("BENCH_scale.current.json", "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-    (point,) = r["parallel"]
-    assert point.topology == f"sharded-{MILLION_SHARDS}"
-    assert point.refreshes > 0
-    total = point.gen_seconds + point.wall_seconds
-    assert total <= MILLION_BUDGET_SECONDS, (
-        f"m = 10^6 shard-parallel run took {total:.1f}s "
-        f"(budget {MILLION_BUDGET_SECONDS}s, {r['workers']} workers)")
+    (serial_wall, serial), (parallel_wall, parallel) = run_once(benchmark,
+                                                                both)
+    print(f"\nm = 10^6 sharded-{MILLION_SHARDS}: {serial_wall:.1f} s at 1 "
+          f"worker, {parallel_wall:.1f} s at {workers} workers")
+    assert parallel == serial, "shard-parallel execution changed the result"
+    assert parallel.refreshes > 0
+    assert parallel_wall <= MILLION_BUDGET_SECONDS, (
+        f"m = 10^6 shard-parallel run took {parallel_wall:.1f}s "
+        f"(budget {MILLION_BUDGET_SECONDS}s, {workers} workers)")

@@ -13,9 +13,9 @@ Usage (installed package)::
     python -m repro matrix faults scenarios=lossy-10,crash-restart
     python -m repro matrix multicast replications=1,2,4
     python -m repro matrix readmodel replication=3 read-rate=0.5
-    python -m repro scale --sources 1000 10000
+    python -m repro matrix scale sources=1000,10000   # E9
     python -m repro quickstart            # the README comparison
-    python -m repro profile scale --sources 100000   # cProfile any command
+    python -m repro profile matrix scale sources=100000   # cProfile any command
 
 Every experiment is a scenario matrix (``repro matrix NAME``); the paper's
 ``e1`` ... ``fig6`` are also subcommands of their own.  Both take
@@ -37,7 +37,6 @@ import textwrap
 from typing import Callable, Sequence
 
 from repro.experiments.matrix import MATRICES, run_matrix
-from repro.experiments.scale import render_scale, run_scale
 
 #: the paper's experiments that are subcommands of their own, with help
 PAPER = {"e1": "Sec 4.3 uniform validation",
@@ -48,34 +47,28 @@ PAPER = {"e1": "Sec 4.3 uniform validation",
          "fig6": "Figure 6 CGM comparison"}
 
 
-def _bounded(name: str, kind: type, low: float, strict: bool = False
-             ) -> Callable[[str], float]:
-    """An argparse ``type``: ``kind`` values ``>= low`` (``> low`` when
-    ``strict``), so a bad value is a usage error before any run."""
+def _bounded(name: str, kind: type, low: float) -> Callable[[str], float]:
+    """An argparse ``type``: ``kind`` values ``>= low``, so a bad value is
+    a usage error before any run."""
     def parse(text: str) -> float:
         value = kind(text)
-        if value < low or (strict and value == low):
+        if value < low:
             raise argparse.ArgumentTypeError(
-                f"{name} must be {'>' if strict else '>='} {low}, "
-                f"got {text}")
+                f"{name} must be >= {low}, got {text}")
         return value
     parse.__name__ = kind.__name__  # "invalid int value: 'x'"
     return parse
-
-
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=_bounded("workers", int, 1),
-                        default=1,
-                        help="worker processes for the sweep (1 = the "
-                             "serial in-process path; results are "
-                             "bit-identical at any worker count)")
 
 
 def _add_settings(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("settings", nargs="*",
                         metavar="KEY=VALUE[,VALUE...]",
                         help="override a parameter or restrict an axis")
-    _add_workers(parser)
+    parser.add_argument("--workers", type=_bounded("workers", int, 1),
+                        default=1,
+                        help="worker processes for the sweep (1 = the "
+                             "serial in-process path; results are "
+                             "bit-identical at any worker count)")
 
 
 def _keys_help(matrices) -> str:
@@ -101,20 +94,6 @@ def _cmd_matrix(args: argparse.Namespace) -> str:
     return matrix.render(params, run_matrix(matrix, params, args.workers))
 
 
-def _cmd_scale(args: argparse.Namespace) -> str:
-    points = run_scale(sources=tuple(args.sources),
-                       update_rate=args.update_rate,
-                       cache_bandwidth=args.cache_bandwidth,
-                       source_bandwidth=args.source_bandwidth,
-                       warmup=args.warmup, measure=args.measure,
-                       seed=args.seed,
-                       workers=args.workers,
-                       shard_caches=args.shard_caches)
-    return render_scale(
-        points, "E9 scale sweep: event-driven simulator on sparse "
-                f"updates (lambda = {args.update_rate}/s)")
-
-
 def _cmd_profile(args: argparse.Namespace) -> str:
     """cProfile another subcommand and append the hot-spot report."""
     import cProfile
@@ -122,10 +101,10 @@ def _cmd_profile(args: argparse.Namespace) -> str:
     import pstats
 
     if not args.target:
-        raise SystemExit("profile: expected a subcommand to profile, "
-                         "e.g. `repro profile scale --sources 10000`")
+        args.error("expected a subcommand to profile, e.g. "
+                   "`repro profile matrix scale sources=10000`")
     if args.target[0] == "profile":
-        raise SystemExit("profile: cannot profile itself")
+        args.error("cannot profile itself")
     inner = build_parser().parse_args(args.target)
     inner_fn: Callable[[argparse.Namespace], str] = inner.fn
     profiler = cProfile.Profile()
@@ -181,56 +160,25 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix",
         help="a scenario matrix: the paper's e1, e2, e3, fig4, fig5, "
              "fig6 and overhead (X7), or beyond it netcond (E11), faults "
-             "(E12), rebalance (E13), multicast (E14), multicache (E8) "
-             "and readmodel (E10)",
+             "(E12), rebalance (E13), multicast (E14), multicache (E8), "
+             "readmodel (E10) and scale (E9)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=_keys_help(MATRICES.values()))
     p.add_argument("name", choices=list(MATRICES))
     _add_settings(p)
     p.set_defaults(fn=_cmd_matrix, error=p.error)
 
-    p = sub.add_parser("scale",
-                       help="E9 scale sweep: event-driven simulator on "
-                            "sparse workloads")
-    p.add_argument("--sources", type=_bounded("sources", int, 1), nargs="+",
-                   default=[100, 1000, 10000],
-                   help="source counts to sweep (one object per source)")
-    p.add_argument("--update-rate", type=_bounded("update-rate", float, 0),
-                   default=0.002,
-                   help="per-object Poisson update rate (<< 1/dt)")
-    p.add_argument("--cache-bandwidth",
-                   type=_bounded("cache-bandwidth", float, 0), default=8.0)
-    p.add_argument("--source-bandwidth",
-                   type=_bounded("source-bandwidth", float, 0), default=1.0)
-    p.add_argument("--shard-caches", type=_bounded("shard-caches", int, 1),
-                   default=None,
-                   help="run each point as a sharded multi-cache "
-                        "topology with this many caches, advancing the "
-                        "shards in parallel worker processes (tier 2); "
-                        "without it --workers parallelizes across sweep "
-                        "cells (tier 1)")
-    p.add_argument("--warmup", type=_bounded("warmup", float, 0),
-                   default=100.0,
-                   help="warm-up seconds discarded from measurement")
-    p.add_argument("--measure",
-                   type=_bounded("measure", float, 0, strict=True),
-                   default=500.0, help="measured window length in seconds")
-    p.add_argument("--seed", type=_bounded("seed", int, 0), default=0,
-                   help="workload random seed")
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_scale)
-
     p = sub.add_parser("profile",
                        help="run another subcommand under cProfile and "
                             "print the top-N hot spots")
-    p.add_argument("--top", type=int, default=25,
+    p.add_argument("--top", type=_bounded("top", int, 1), default=25,
                    help="number of rows in the profile report")
     p.add_argument("--sort", choices=["cumulative", "tottime"],
                    default="cumulative",
                    help="profile report sort order")
     p.add_argument("target", nargs=argparse.REMAINDER,
                    help="subcommand (plus its arguments) to profile")
-    p.set_defaults(fn=_cmd_profile)
+    p.set_defaults(fn=_cmd_profile, error=p.error)
 
     p = sub.add_parser("quickstart", help="the README comparison")
     p.set_defaults(fn=_cmd_quickstart)

@@ -2,10 +2,11 @@
 
 The paper's evaluation (E1-E6, X7) compares the threshold protocol with
 the ideal scheduler, a strawman priority or the CGM pollers; each
-beyond-the-paper experiment (E8, E10-E14) asks the same question once
-more under one more setting: a bandwidth condition, a fault plan, a
-moving hotspot, a delivery plane, a cache layout or a client read
-stream.  So one declarative harness runs them all:
+beyond-the-paper experiment (E8-E14) asks the same question once more
+under one more setting: a bandwidth condition, a fault plan, a moving
+hotspot, a delivery plane, a cache layout, a client read stream or a
+large count of sparse sources.  So one declarative harness runs them
+all:
 
 * a :class:`Scenario` is one simulation run as picklable data: a
   :class:`~repro.experiments.parallel.WorkloadSpec`, a policy name plus
@@ -22,7 +23,7 @@ stream.  So one declarative harness runs them all:
 :func:`run_matrix` fans a matrix's scenarios over a
 :class:`~repro.experiments.parallel.ParallelRunner` (bit-identical at any
 worker count) and folds the records into rows; :meth:`Matrix.render`
-prints the table and its verdicts.  :data:`MATRICES` registers thirteen
+prints the table and its verdicts.  :data:`MATRICES` registers fourteen
 matrices behind ``repro matrix NAME [KEY=VALUE[,VALUE...] ...]``:
 
 ==========  ===========================================================
@@ -41,6 +42,8 @@ rebalance   E13: static/inert/adaptive/distributed x cache count under
 multicast   E14: five policies x delivery plane x replication
 multicache  E8: cooperative vs uniform x cache count on hot shards
 readmodel   E10: read policy x replication x cache bandwidth
+scale       E9: cooperative on sparse sources x source count, with
+            the refreshes sent, delivered and still queued
 ==========  ===========================================================
 
 A row is a dict holding the resolved parameters and the row's axis
@@ -52,6 +55,7 @@ rows, so they can be checked on hand-built rows as well as on runs.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from operator import itemgetter
@@ -70,12 +74,19 @@ from repro.experiments.parallel import (
     ParallelRunner,
     WorkloadSpec,
     build_workload,
+    run_cooperative_sharded,
 )
 from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
+from repro.experiments.scale import sparse_workload
 from repro.faults.plan import FAULT_SCENARIOS, FaultPlan, fault_scenario
 from repro.faults.retry import RetryPolicy
-from repro.metrics.report import ascii_plot, format_series, format_table
+from repro.metrics.report import (
+    RunResult,
+    ascii_plot,
+    format_series,
+    format_table,
+)
 from repro.network.bandwidth import make_bandwidth
 from repro.network.delivery import DELIVERY_MODES
 from repro.network.topology import TopologyConfig
@@ -181,6 +192,11 @@ class Scenario:
                        topology=self.topology, faults=self.faults,
                        retry=self.retry)
 
+    def priority_fn(self):
+        """The refresh priority the policy ranks objects by."""
+        return (SimpleDivergencePriority() if self.priority == "simple"
+                else default_priority_for(self.metric))
+
     def profiles(self, num_sources: int):
         """Fresh cache and per-source profiles (links consume them).
 
@@ -214,10 +230,9 @@ def run_scenario(scenario: Scenario) -> dict:
     workload = build_workload(scenario.workload)
     cache_bw, source_bws = scenario.profiles(workload.num_sources)
     metric = make_metric(scenario.metric)
-    priority = (SimpleDivergencePriority() if scenario.priority == "simple"
-                else default_priority_for(scenario.metric))
     policy = make_policy(scenario.policy, cache_bw, source_bws,
-                         workload.num_objects, priority=priority,
+                         workload.num_objects,
+                         priority=scenario.priority_fn(),
                          **dict(scenario.policy_kwargs))
     record: dict = {}
     if scenario.read_policy is None:
@@ -238,26 +253,71 @@ def run_scenario(scenario: Scenario) -> dict:
         }
     # The analytic ideal curve builds no network; star runs no rebalancer.
     topology = getattr(policy, "topology", None)
-    telemetry = topology.telemetry() if topology is not None else {}
     rebalancer = getattr(policy, "rebalancer", None)
-    record.update(
+    record.update(_measurements(
+        result, topology.telemetry() if topology is not None else {},
+        # cache-side bandwidth units: a multicast sibling copy is one
+        # more message but zero more units (the E14 denominator)
+        units=topology.cache_units_total() if topology is not None else 0.0,
+        migrations=rebalancer.migrations if rebalancer is not None else 0))
+    return record
+
+
+def _measurements(result: RunResult, telemetry: dict, units: float,
+                  migrations: int) -> dict:
+    """The record fields every run reports, from its result and the
+    telemetry of its topology."""
+    return dict(
         divergence=result.weighted_divergence,
         unweighted=result.unweighted_divergence,
-        num_objects=workload.num_objects,
+        num_objects=result.num_objects,
         refreshes=result.refreshes,
         messages=result.messages_total,
         feedback=result.feedback_messages,
         overhead=result.overhead_fraction,
-        # cache-side bandwidth units: a multicast sibling copy is one
-        # more message but zero more units (the E14 denominator)
-        units=topology.cache_units_total() if topology is not None else 0.0,
+        units=units,
         dropped=telemetry.get("dropped", 0),
         retransmitted=telemetry.get("retransmitted", 0),
         duplicates=telemetry.get("duplicate_suppressed", 0),
-        migrations=rebalancer.migrations if rebalancer is not None else 0,
+        migrations=migrations,
         queue_peak=int(result.extras.get("cache_queue_peak", 0)),
+        sent=result.extras.get("refreshes_sent", result.refreshes),
+        queued=sum(telemetry.get("cache_queued", ())),
     )
-    return record
+
+
+def shard_parallel(scenario: Scenario) -> bool:
+    """Whether tier 2 can run ``scenario``: a cooperative run on several
+    sharded caches that never interact -- no faults, retries,
+    rebalancing or client reads."""
+    topology = scenario.topology
+    return (scenario.policy == "cooperative" and topology is not None
+            and topology.kind == "sharded" and topology.num_caches > 1
+            and (scenario.faults is None or scenario.faults.is_empty())
+            and scenario.retry is None and scenario.read_policy is None
+            and dict(scenario.policy_kwargs).get("rebalance") is None)
+
+
+def run_scenario_sharded(scenario: Scenario, workers: int) -> dict:
+    """:func:`run_scenario`'s record of a :func:`shard_parallel` scenario,
+    its shards run on ``workers`` processes by
+    :func:`~repro.experiments.parallel.run_cooperative_sharded`.
+
+    Bit-identical to :func:`run_scenario` (pinned in
+    ``tests/test_scale.py``).  The workload is regenerated in the shard
+    workers, never in this process.
+    """
+    num_sources = dict(scenario.workload.kwargs)["num_sources"]
+    cache_bw, source_bws = scenario.profiles(num_sources)
+    result = run_cooperative_sharded(
+        scenario.workload, make_metric(scenario.metric), scenario.spec(),
+        cache_bw, source_bws, priority_fn=scenario.priority_fn(),
+        workers=workers, **dict(scenario.policy_kwargs))
+    telemetry = result.extras["topology"]
+    # Every message on a sharded cache link costs one unit, and a queued
+    # one has not spent it yet.
+    units = float(result.messages_total - sum(telemetry["cache_queued"]))
+    return _measurements(result, telemetry, units=units, migrations=0)
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +343,9 @@ class Param:
             raise ValueError(f"{self.key}: expected {self.kind.__name__} "
                              f"values, got {text!r}") from None
         for value in values:
+            # "inf" and "nan" parse as floats, and nan fails no bound
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{self.key} must be finite, got {value}")
             if self.choices and value not in self.choices:
                 raise ValueError(
                     f"{self.key}: unknown value {value!r}; choose from "
@@ -407,11 +470,18 @@ def run_matrix(matrix: Matrix, params: dict,
     """Run every scenario of ``matrix`` and fold the records into rows.
 
     ``workers`` > 1 fans the scenarios over a process pool; the rows are
-    bit-identical to the serial run, in the same order.
+    bit-identical to the serial run, in the same order.  When there are
+    more workers than scenarios and each is :func:`shard_parallel`, the
+    scenarios run one after another with their shards spread over the
+    workers instead (tier 2).
     """
     cells = matrix.cells(params)
-    records = ParallelRunner(workers).map(
-        run_scenario, [scenario for _, _, scenario in cells])
+    scenarios = [scenario for _, _, scenario in cells]
+    if workers > len(scenarios) and all(map(shard_parallel, scenarios)):
+        records = [run_scenario_sharded(scenario, workers)
+                   for scenario in scenarios]
+    else:
+        records = ParallelRunner(workers).map(run_scenario, scenarios)
     rows: list[dict] = []
     last = None
     for (row, arm, _), record in zip(cells, records):
@@ -1600,6 +1670,64 @@ READMODEL = Matrix(
 )
 
 
+# ----------------------------------------------------------------------
+# E9 scale: the cooperative policy on sparse sources x source count
+# ----------------------------------------------------------------------
+def _scale_scenario(cell: dict) -> Scenario:
+    caches = cell["shard-caches"]
+    workload = WorkloadSpec.make(
+        sparse_workload, cell["seed"], num_sources=cell["sources"],
+        horizon=cell["warmup"] + cell["measure"],
+        update_rate=cell["update-rate"])
+    return _scenario(cell, workload, "cooperative",
+                     topology=None if caches == 1 else TopologyConfig(
+                         kind="sharded", num_caches=caches))
+
+
+def _scale_title(params: dict) -> str:
+    caches = params["shard-caches"]
+    layout = "star" if caches == 1 else f"sharded-{caches}"
+    return ("E9 scale sweep: the cooperative policy on sparse updates "
+            f"(lambda = {params['update-rate']}/s, {layout})")
+
+
+def _backlog_seconds(row: dict) -> float:
+    """The refreshes still queued at the end, in seconds of cache link."""
+    bandwidth = row["cache-bandwidth"]
+    if bandwidth > 0:
+        return row["queued"] / bandwidth
+    return float("inf") if row["queued"] else 0.0
+
+
+def refreshes_conserved(rows: list[dict]) -> bool:
+    """E9: every refresh sent was delivered or is still queued.  A star
+    or sharded layout discards no stale refresh, so this is exact."""
+    return bool(rows) and all(r["sent"] == r["refreshes"] + r["queued"]
+                              for r in rows)
+
+
+SCALE = Matrix(
+    name="scale",
+    title=_scale_title,
+    params=(Param("sources", (100, 1000, 10000), int, many=True, minimum=1),
+            Param("update-rate", 0.002, minimum=0), *_links(8.0, 1.0),
+            Param("shard-caches", 1, int, minimum=1),
+            *_timing(100.0, 500.0)),
+    axes=("sources",),
+    scenario=_scale_scenario,
+    columns=(("sources", itemgetter("sources")),
+             ("divergence", itemgetter("divergence")),
+             ("sent", itemgetter("sent")),
+             ("delivered", itemgetter("refreshes")),
+             ("queued", itemgetter("queued")),
+             ("backlog s", _backlog_seconds),
+             ("feedback", itemgetter("feedback")),
+             ("feedback share", itemgetter("overhead"))),
+    verdicts=(Verdict("every refresh sent was delivered or is still queued",
+                      refreshes_conserved),),
+)
+
+
 MATRICES = {m.name: m for m in (E1, E2, E3, FIG4, FIG5, FIG6, OVERHEAD,
                                 NETCOND, FAULTS, REBALANCE, MULTICAST,
-                                MULTICACHE, READMODEL)}
+                                MULTICACHE, READMODEL, SCALE)}

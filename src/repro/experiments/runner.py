@@ -37,11 +37,12 @@ class RunSpec:
         return self.warmup + self.measure
 
     def __post_init__(self) -> None:
-        if self.warmup < 0:
+        # Negated comparisons, so a NaN fails them too.
+        if not self.warmup >= 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.measure <= 0:
+        if not self.measure > 0:
             raise ValueError(f"measure must be > 0, got {self.measure}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
 
 

@@ -1,10 +1,6 @@
-"""Measurement: divergence integration, counters, result reporting."""
+"""Measurement: divergence integration, read sampling, result reporting."""
 
-from repro.metrics.accumulators import (
-    Counter,
-    ReadSampleAccumulator,
-    TimeAverager,
-)
+from repro.metrics.accumulators import ReadSampleAccumulator
 from repro.metrics.collector import (
     DivergenceCollector,
     ReadCollector,
@@ -18,13 +14,11 @@ from repro.metrics.report import (
 )
 
 __all__ = [
-    "Counter",
     "DivergenceCollector",
     "ReadCollector",
     "ReadSampleAccumulator",
     "ReplicaDivergenceTracker",
     "RunResult",
-    "TimeAverager",
     "ascii_plot",
     "format_series",
     "format_table",

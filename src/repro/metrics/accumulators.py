@@ -1,9 +1,9 @@
-"""Low-level time-averaging accumulators.
+"""Low-level sample accumulators.
 
-:class:`TimeAverager` integrates a piecewise-constant signal over time with
-a warm-up cutoff: contributions before ``warmup`` are discarded, matching
-the paper's "we measured average divergence over a period of ... after an
-initial warm-up period".
+:class:`ReadSampleAccumulator` averages point samples of a signal (client
+reads) with a warm-up cutoff: samples before ``warmup`` are discarded,
+matching the paper's "we measured average divergence over a period of
+... after an initial warm-up period".
 """
 
 from __future__ import annotations
@@ -11,64 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
-class TimeAverager:
-    """Time average of a piecewise-constant scalar signal."""
-
-    __slots__ = ("warmup", "_last_time", "_value", "_integral", "_end")
-
-    def __init__(self, warmup: float = 0.0, start: float = 0.0,
-                 value: float = 0.0) -> None:
-        self.warmup = warmup
-        self._last_time = start
-        self._value = value
-        self._integral = 0.0
-        self._end = start
-
-    @property
-    def value(self) -> float:
-        """The signal's current value."""
-        return self._value
-
-    def record(self, now: float, value: float) -> None:
-        """The signal changed to ``value`` at time ``now``."""
-        self._accrue(now)
-        self._value = value
-
-    def _accrue(self, now: float) -> None:
-        lo = max(self._last_time, self.warmup)
-        hi = max(now, self.warmup)
-        if hi > lo:
-            self._integral += self._value * (hi - lo)
-        self._last_time = now
-        self._end = max(self._end, now)
-
-    def finalize(self, end: float) -> None:
-        """Accrue up to the measurement end time."""
-        self._accrue(end)
-
-    def integral(self) -> float:
-        """Integral of the signal over ``[warmup, last recorded time]``."""
-        return self._integral
-
-    def average(self) -> float:
-        """Time average over the measured window (0 for an empty window)."""
-        duration = self._end - self.warmup
-        if duration <= 0:
-            return 0.0
-        return self._integral / duration
-
-
 class ReadSampleAccumulator:
     """Mean of weighted point samples with a warm-up cutoff.
 
-    The time-averaging classes above integrate piecewise-constant signals;
+    The divergence collector integrates piecewise-constant signals;
     client reads instead *sample* a signal at discrete instants.  Each
     sample contributes ``value`` and ``weight * value`` (the read-time
     analogue of the paper's weighted divergence integrand); means divide by
     the sample count, so under Poisson read times the weighted mean is an
     unbiased estimate of the paper's ``(1/T) integral w(t) D(t) dt``.
     Samples strictly before ``warmup`` are discarded, exactly like the
-    integrators' warm-up window.
+    collector's warm-up window.
     """
 
     __slots__ = ("warmup", "count", "_sum", "_weighted_sum")
@@ -123,24 +76,3 @@ class ReadSampleAccumulator:
         if self.count == 0:
             return 0.0
         return self._weighted_sum / self.count
-
-
-class Counter:
-    """A named monotonic event counter with optional rate reporting."""
-
-    __slots__ = ("name", "count")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-
-    def increment(self, by: int = 1) -> None:
-        self.count += by
-
-    def rate(self, duration: float) -> float:
-        if duration <= 0:
-            return 0.0
-        return self.count / duration
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.count})"

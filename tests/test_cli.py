@@ -111,9 +111,9 @@ class TestExecution:
         assert "uniform" in out_file.read_text()
 
 
-#: Bad values of the paper subcommands -> the message of their usage error.
+#: Bad values of the subcommands -> the message of their usage error.
 BAD_VALUES = [
-    (["scale", "--sources", "0"], "sources must be >= 1, got 0"),
+    (["matrix", "scale", "sources=0"], "sources must be >= 1, got 0"),
     (["fig4", "sources=0"], "sources must be >= 1, got 0"),
     (["fig6", "sources=0"], "sources must be >= 1, got 0"),
     (["e1", "objects=0"], "objects must be >= 1, got 0"),
@@ -121,10 +121,10 @@ BAD_VALUES = [
     (["e3", "alphas=1.0"], "alphas must be > 1, got 1.0"),
     (["e3", "omegas=1.0"], "omegas must be > 1, got 1.0"),
     (["e2", "measure=0"], "measure must be > 0, got 0"),
-    (["scale", "--measure", "0"], "measure must be > 0, got 0"),
+    (["matrix", "scale", "measure=0"], "measure must be > 0, got 0.0"),
     (["fig5", "days=0"], "days must be > 0, got 0"),
     (["fig5", "bandwidths=-1"], "bandwidths must be >= 0, got -1"),
-    (["scale", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["matrix", "scale", "--workers", "0"], "workers must be >= 1, got 0"),
     (["fig4", "--workers", "0"], "workers must be >= 1, got 0"),
     (["fig6", "objects=0"], "objects must be >= 1, got 0"),
     (["e2", "warmup=-1"], "warmup must be >= 0, got -1"),
@@ -132,13 +132,19 @@ BAD_VALUES = [
     (["fig5", "days=1", "warmup-days=1"],
      "warmup-days must be < days, got 1.0 >= 1.0"),
     (["e1", "objects=ten"], "objects: expected int values, got 'ten'"),
-    (["scale", "--cache-bandwidth", "-1"],
-     "cache-bandwidth must be >= 0, got -1"),
-    (["scale", "--source-bandwidth", "-1"],
-     "source-bandwidth must be >= 0, got -1"),
-    (["scale", "--update-rate", "-1"], "update-rate must be >= 0, got -1"),
-    (["scale", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["scale", "--shard-caches", "0"], "shard-caches must be >= 1, got 0"),
+    (["matrix", "scale", "cache-bandwidth=-1"],
+     "cache-bandwidth must be >= 0, got -1.0"),
+    (["matrix", "scale", "source-bandwidth=-1"],
+     "source-bandwidth must be >= 0, got -1.0"),
+    (["matrix", "scale", "update-rate=-1"],
+     "update-rate must be >= 0, got -1.0"),
+    (["matrix", "scale", "seed=-1"], "seed must be >= 0, got -1"),
+    (["matrix", "scale", "shard-caches=0"],
+     "shard-caches must be >= 1, got 0"),
+    (["profile", "--top", "0"], "top must be >= 1, got 0"),
+    (["profile", "--top", "-3"], "top must be >= 1, got -3"),
+    (["profile"], "expected a subcommand to profile, e.g. "
+                  "`repro profile matrix scale sources=10000`"),
 ]
 
 
@@ -164,20 +170,23 @@ class TestBoundaryValidation:
 
 class TestScaleCommand:
     def test_scale_defaults(self):
-        args = build_parser().parse_args(["scale"])
-        assert args.sources == [100, 1000, 10000]
-        assert args.update_rate == 0.002
+        params = matrix_defaults("scale")
+        assert params["sources"] == (100, 1000, 10000)
+        assert params["update-rate"] == 0.002
+        assert params["shard-caches"] == 1
 
     def test_scale_tiny_run(self, capsys):
-        assert main(["scale", "--sources", "20", "--warmup", "10",
-                     "--measure", "40"]) == 0
+        assert main(["matrix", "scale", "sources=20", "warmup=10",
+                     "measure=40"]) == 0
         out = capsys.readouterr().out
         assert "scale sweep" in out
+        assert ("every refresh sent was delivered or is still queued: "
+                "yes") in out
 
     def test_scale_skips_tick_baseline_above_cap(self, capsys):
         """One row per source count; no tick-scan baseline row."""
-        assert main(["scale", "--sources", "30", "15", "--warmup", "10",
-                     "--measure", "30"]) == 0
+        assert main(["matrix", "scale", "sources=30,15", "warmup=10",
+                     "measure=30"]) == 0
         out = capsys.readouterr().out
         assert "tick" not in out
         rows = [line.split()[0] for line in out.splitlines()
@@ -185,18 +194,13 @@ class TestScaleCommand:
         assert rows == ["30", "15"]
 
     def test_scale_generator_flag(self, capsys):
-        """The retired path-selection flags are usage errors."""
-        for flag, value in (("--generator", "legacy"),
-                            ("--replay", "event"),
-                            ("--max-tick-sources", "10")):
-            with pytest.raises(SystemExit) as exc:
-                main(["scale", "--sources", "15", flag, value])
-            assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+        """The retired path-selection settings are usage errors."""
+        for setting in ("generator=legacy", "replay=event",
+                        "max-tick-sources=10"):
+            assert rejected(["scale", "sources=15", setting], capsys)
 
-    def test_scale_rejects_unknown_generator(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["scale", "--generator", "turbo"])
+    def test_scale_rejects_unknown_generator(self, capsys):
+        assert rejected(["scale", "generator=turbo"], capsys)
 
 
 class TestNetCondCommand:
@@ -294,20 +298,22 @@ class TestMulticastCommand:
 
 class TestProfileCommand:
     def test_profile_wraps_subcommand(self, capsys):
-        assert main(["profile", "--top", "5", "scale", "--sources", "15",
-                     "--warmup", "10", "--measure", "30"]) == 0
+        assert main(["profile", "--top", "5", "matrix", "scale",
+                     "sources=15", "warmup=10", "measure=30"]) == 0
         out = capsys.readouterr().out
         assert "scale sweep" in out  # the wrapped command's output
         assert "cProfile" in out
         assert "cumulative" in out
 
     def test_profile_requires_target(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["profile"])
+        assert exc.value.code == 2
 
     def test_profile_refuses_recursion(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "profile", "scale"])
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "profile", "matrix", "scale"])
+        assert exc.value.code == 2
 
 
 class TestCacheRatesFlag:

@@ -51,6 +51,7 @@ from repro.experiments.matrix import (
     paper_setting_near_best,
     priorities_agree,
     quorum_monotone,
+    refreshes_conserved,
     retry_recovers,
     run_matrix,
     run_scenario,
@@ -91,11 +92,13 @@ TINY = {
                   "measure=100",
     "readmodel": "num-caches=2 replication=1,2 cache-bandwidths=6 "
                  "sources=6 objects=2 warmup=50 measure=100",
+    "scale": "sources=50,400 update-rate=0.01 cache-bandwidth=2 warmup=20 "
+             "measure=100",
 }
 
 #: (row axis values) -> arm -> weighted divergence (Figures 5 and 6 plot
-#: the unweighted one); matrices without arms (e3, overhead, readmodel)
-#: pin their record fields instead.
+#: the unweighted one); matrices without arms (e3, overhead, readmodel,
+#: scale) pin their record fields instead.
 PINS = {
     "e1": {
         (40, "staleness"): {"ours": 0.4925,
@@ -266,6 +269,14 @@ PINS = {
                                "read_divergence": 0.9780907668231612,
                                "replica_divergence": 1.0167168610736532},
     },
+    # divergence, refreshes and feedback as the E9 harness this matrix
+    # replaced computed them
+    "scale": {
+        (50,): {"divergence": 0.02888657760578641, "refreshes": 75,
+                "feedback": 165, "sent": 75, "queued": 0},
+        (400,): {"divergence": 0.2928933609581074, "refreshes": 238,
+                 "feedback": 2, "sent": 471, "queued": 233},
+    },
 }
 
 _tiny_runs: dict = {}
@@ -318,7 +329,7 @@ class TestTinyPins:
         assert list(MATRICES) == ["e1", "e2", "e3", "fig4", "fig5", "fig6",
                                   "overhead", "netcond", "faults",
                                   "rebalance", "multicast", "multicache",
-                                  "readmodel"]
+                                  "readmodel", "scale"]
 
 
 class TestWorkers:
@@ -340,14 +351,24 @@ class TestScenario:
                                "refreshes", "messages", "feedback",
                                "overhead", "units", "dropped",
                                "retransmitted", "duplicates", "migrations",
-                               "queue_peak"}
+                               "queue_peak", "sent", "queued"}
         assert record["refreshes"] > 0 and record["units"] > 0
+        assert record["sent"] == record["refreshes"] + record["queued"]
 
     def test_construction_validates_the_timing_window(self):
         with pytest.raises(ValueError, match="measure must be > 0"):
             Scenario(workload=WorkloadSpec.make(uniform_random_walk, 0),
                      policy="uniform", cache_bandwidth=1.0,
                      source_bandwidth=1.0, warmup=1.0, measure=0.0)
+
+    @pytest.mark.parametrize("window,message", [
+        ({"warmup": float("nan"), "measure": 1.0}, "warmup must be >= 0"),
+        ({"warmup": 1.0, "measure": float("nan")}, "measure must be > 0")])
+    def test_nan_fails_the_timing_window(self, window, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario(workload=WorkloadSpec.make(uniform_random_walk, 0),
+                     policy="uniform", cache_bandwidth=1.0,
+                     source_bandwidth=1.0, **window)
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +448,10 @@ def curves(ideal=0.1, ours=0.2, cache=0.3, cgm1=0.5, cgm2=0.5):
 
 def share(sources, overhead):
     return {"sources": sources, "overhead": overhead}
+
+
+def backlog(sent, delivered, queued):
+    return {"sent": sent, "refreshes": delivered, "queued": queued}
 
 
 PREDICTED = equilibrium_overhead_fraction()
@@ -528,6 +553,11 @@ VERDICT_CASES = [
     case(overhead_near_equilibrium, [share(5, 3.0 * PREDICTED)], False,
          "edge-3x"),
     case(overhead_near_equilibrium, [], False, "vacuous"),
+    # E9 scale
+    case(refreshes_conserved, [backlog(75, 75, 0), backlog(471, 238, 233)],
+         True, "conserved"),
+    case(refreshes_conserved, [backlog(471, 238, 232)], False, "lost"),
+    case(refreshes_conserved, [], False, "empty"),
     # E11 netcond
     case(steady_matches_constant, [net("steady", 0.5, control=0.5)],
          True, "exact"),
@@ -776,6 +806,30 @@ BAD_CONFIGURATION = [
     (["overhead", "warmup=-1"], "warmup must be >= 0"),
     (["overhead", "measure=0"], "measure must be > 0"),
     (["overhead", "seed=-1"], "seed must be >= 0"),
+    # non-finite floats: inf and nan parse as floats, and nan fails no
+    # comparison, so these reached the simulator
+    (["e1", "warmup=inf"], "warmup must be finite, got inf"),
+    (["e1", "measure=nan"], "measure must be finite, got nan"),
+    (["fig5", "days=inf"], "days must be finite, got inf"),
+    (["fig5", "days=nan"], "days must be finite, got nan"),
+    (["netcond", "cache-bandwidth=inf"], "cache-bandwidth must be finite"),
+    (["netcond", "source-bandwidth=nan"], "source-bandwidth must be finite"),
+    (["faults", "rate-cap=nan"], "rate-cap must be finite"),
+    (["readmodel", "read-rate=inf"], "read-rate must be finite"),
+    (["e3", "alphas=inf"], "alphas must be finite"),
+    (["e3", "alphas=nan"], "alphas must be finite"),
+    (["rebalance", "interval=nan"], "interval must be finite"),
+    (["rebalance", "rate-range=0.1,-inf"], "rate-range must be finite"),
+    # every key of the E9 scale sweep
+    (["scale", "sources=0"], "sources must be >= 1"),
+    (["scale", "update-rate=-1"], "update-rate must be >= 0"),
+    (["scale", "update-rate=inf"], "update-rate must be finite"),
+    (["scale", "cache-bandwidth=-1"], "cache-bandwidth must be >= 0"),
+    (["scale", "source-bandwidth=-1"], "source-bandwidth must be >= 0"),
+    (["scale", "shard-caches=0"], "shard-caches must be >= 1"),
+    (["scale", "warmup=-1"], "warmup must be >= 0"),
+    (["scale", "measure=0"], "measure must be > 0"),
+    (["scale", "seed=-1"], "seed must be >= 0"),
 ]
 
 
@@ -801,11 +855,13 @@ class TestBoundaryValidation:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_old_subcommands_are_gone(self):
+    def test_old_subcommands_are_gone(self, capsys):
         for old in ("netcond", "faults", "rebalance", "multicast",
-                    "multicache", "readmodel"):
-            with pytest.raises(SystemExit):
+                    "multicache", "readmodel", "scale"):
+            with pytest.raises(SystemExit) as exc:
                 main([old])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommand:

@@ -1,4 +1,4 @@
-"""Tests for time averaging, the divergence collector and reporting."""
+"""Tests for the divergence collector and reporting."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.weights import SineWeights, StaticWeights
-from repro.metrics.accumulators import Counter, TimeAverager
 from repro.metrics.collector import LOG_CAPACITY, DivergenceCollector
 from repro.metrics.report import (
     RunResult,
@@ -16,42 +15,6 @@ from repro.metrics.report import (
 )
 
 from oracles import ScalarCollector
-
-
-class TestTimeAverager:
-    def test_piecewise_constant_average(self):
-        avg = TimeAverager()
-        avg.record(2.0, 1.0)  # 0 over [0,2]
-        avg.record(6.0, 3.0)  # 1 over [2,6]
-        avg.finalize(10.0)  # 3 over [6,10]
-        assert avg.average() == pytest.approx((0 * 2 + 1 * 4 + 3 * 4) / 10)
-
-    def test_warmup_discards_early_signal(self):
-        avg = TimeAverager(warmup=5.0)
-        avg.record(0.0, 10.0)
-        avg.record(5.0, 2.0)
-        avg.finalize(10.0)
-        assert avg.average() == pytest.approx(2.0)
-
-    def test_warmup_straddling_piece_partially_counted(self):
-        avg = TimeAverager(warmup=5.0)
-        avg.record(3.0, 4.0)  # piece [3,8] straddles the warmup boundary
-        avg.record(8.0, 0.0)
-        avg.finalize(10.0)
-        assert avg.integral() == pytest.approx(4.0 * 3.0)
-
-    def test_empty_window_is_zero(self):
-        avg = TimeAverager(warmup=10.0)
-        avg.finalize(5.0)
-        assert avg.average() == 0.0
-
-    def test_counter(self):
-        counter = Counter("polls")
-        counter.increment()
-        counter.increment(4)
-        assert counter.count == 5
-        assert counter.rate(10.0) == pytest.approx(0.5)
-        assert counter.rate(0.0) == 0.0
 
 
 class TestDivergenceCollector:

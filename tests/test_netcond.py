@@ -10,7 +10,6 @@ from repro.experiments.matrix import (
     run_matrix,
     steady_matches_constant,
 )
-from repro.experiments.scale import run_netcond_scale
 from test_matrix import check_verdict
 
 SMALL = "sources=6 objects=3 warmup=30 measure=90"
@@ -72,14 +71,3 @@ class TestVerdictHelpers:
     def test_graceful_degradation_compares_ratios(self):
         check_verdict(graceful_degradation)
 
-
-class TestRunNetCondScale:
-    def test_small_scale_pair(self):
-        points = run_netcond_scale(num_sources=64, warmup=20.0,
-                                   measure=60.0, num_breakpoints=16)
-        assert [p.bandwidth for p in points] == ["steady", "diurnal-16"]
-        for point in points:
-            assert point.num_sources == 64
-            assert point.wall_seconds > 0.0
-        # Both arms replay the identical workload.
-        assert points[0].gen_seconds == points[1].gen_seconds

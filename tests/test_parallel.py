@@ -3,9 +3,9 @@
 Three properties are pinned here:
 
 * **Tier 1 determinism** -- a sweep fanned over worker processes is
-  bit-for-bit identical to the serial loop (fig4 grid, E9 scale sweep,
-  the readmodel and multicache matrices), because every cell regenerates
-  its workload from a seed instead of receiving pickled state.
+  bit-for-bit identical to the serial loop (the fig4, scale, readmodel
+  and multicache matrices), because every cell regenerates its workload
+  from a seed instead of receiving pickled state.
 * **Tier 2 equivalence** -- a sharded-topology cooperative run executed
   as one star run per shard and worker merges to the exact
   ``RunResult`` the serial interleaved simulation produces, under every
@@ -38,7 +38,6 @@ from repro.experiments.runner import (
     make_context,
     run_policy,
 )
-from repro.experiments.scale import run_scale
 from repro.faults import RetryPolicy, fault_scenario
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
@@ -311,16 +310,6 @@ class TestSweepDeterminism:
                 == self.matrix_rows("multicache", settings))
 
     def test_scale_parallel_matches_serial(self):
-        kwargs = dict(sources=(50, 100), warmup=50.0, measure=150.0)
-        parallel = run_scale(workers=4, **kwargs)
-        serial = run_scale(**kwargs)
-        strip = lambda p: dataclasses.replace(p, wall_seconds=0.0,
-                                              gen_seconds=0.0, workers=1)
-        assert [strip(p) for p in parallel] == [strip(p) for p in serial]
-
-    def test_scale_sharded_mode_runs_and_tags_points(self):
-        points = run_scale(sources=(60,), warmup=50.0, measure=100.0,
-                           shard_caches=2, workers=2)
-        assert len(points) == 1
-        assert points[0].topology == "sharded-2"
-        assert points[0].workers == 2
+        settings = "sources=50,100 warmup=50 measure=150"
+        assert (self.matrix_rows("scale", settings, workers=4)
+                == self.matrix_rows("scale", settings))

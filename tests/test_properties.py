@@ -11,7 +11,6 @@ from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
 from repro.core.threshold import ThresholdController
 from repro.core.tracking import PriorityTracker
-from repro.metrics.accumulators import TimeAverager
 from repro.network.bandwidth import SineBandwidth
 
 # ---------------------------------------------------------------------------
@@ -224,20 +223,3 @@ class TestLinkProperties:
         # Capacity accounting: the link can never deliver more than the
         # total accrued capacity plus its initial burst allowance.
         assert link.total_delivered <= rate * now + rate + 1.0
-
-
-class TestTimeAveragerProperties:
-    @given(events=st.lists(st.tuples(st.floats(0.0, 100.0),
-                                     st.floats(0.0, 1e3)),
-                           min_size=1, max_size=50),
-           warmup=st.floats(0.0, 50.0))
-    @settings(max_examples=60, deadline=None)
-    def test_average_between_min_and_max(self, events, warmup):
-        events = sorted(events)
-        averager = TimeAverager(warmup=warmup)
-        for t, value in events:
-            averager.record(t, value)
-        end = events[-1][0] + 1.0
-        averager.finalize(end)
-        seen = [0.0] + [v for _, v in events]
-        assert -1e-9 <= averager.average() <= max(seen) + 1e-9

@@ -1,28 +1,23 @@
-"""Tests for the E9 scale experiment (shape-preserving tiny sizes)."""
-
-import importlib.util
-import json
-from pathlib import Path
+"""Tests for the E9 scale sweep (``repro matrix scale``) at tiny sizes."""
 
 import numpy as np
 
-from repro.experiments.scale import (
-    ScalePoint,
-    render_scale,
-    run_scale,
-    sparse_workload,
-)
+from repro.experiments import matrix
+from repro.experiments.matrix import MATRICES, Scenario, run_matrix
+from repro.experiments.parallel import WorkloadSpec, run_cooperative_sharded
+from repro.experiments.scale import sparse_workload
+from repro.faults.plan import fault_scenario
+from repro.faults.retry import RetryPolicy
+from repro.network.topology import TopologyConfig
+from repro.rebalance import RebalanceConfig
 
 from oracles import reference_schedule
 
-_CHECKER = Path(__file__).resolve().parents[1] / "benchmarks" \
-    / "check_scale_regression.py"
-_spec = importlib.util.spec_from_file_location("check_scale_regression",
-                                               _CHECKER)
-check_scale_regression = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_scale_regression)
-compare = check_scale_regression.compare
-point_key = check_scale_regression.point_key
+SCALE = MATRICES["scale"]
+
+
+def scale_rows(settings):
+    return run_matrix(SCALE, SCALE.parse(settings.split()))
 
 
 class TestSparseWorkload:
@@ -40,94 +35,85 @@ class TestSparseWorkload:
         assert len(workload.trace) < 60
 
 
-def outcome(point):
-    return (point.weighted_divergence, point.refreshes,
-            point.feedback_messages)
-
-
 class TestRunScale:
     def test_tick_and_event_points_agree(self):
-        """The sweep's point equals the reference tick-scan schedule's."""
-        (point,) = run_scale(sources=(20,), warmup=10.0, measure=60.0)
+        """The sweep's rows equal the reference tick-scan schedule's."""
+        settings = ("sources=20,60 update-rate=0.05 cache-bandwidth=0.5 "
+                    "warmup=10 measure=60")
+        rows = scale_rows(settings)
         with reference_schedule():
-            (reference,) = run_scale(sources=(20,), warmup=10.0,
-                                     measure=60.0)
-        assert outcome(point) == outcome(reference)
-        assert point.wall_seconds > 0
+            reference = scale_rows(settings)
+        assert rows == reference
+        assert rows[1]["queued"] > 0  # the reference replays a backlog too
 
     def test_tick_baseline_skipped_above_cap(self):
-        """One point per source count: no tick-scan baseline at any m."""
-        points = run_scale(sources=(30, 15), warmup=10.0, measure=40.0)
-        assert [p.num_sources for p in points] == [30, 15]
-        assert all(p.topology == "star" and p.workers == 1
-                   for p in points)
+        """One row per source count, in the order given."""
+        rows = scale_rows("sources=30,15 warmup=10 measure=40")
+        assert [r["sources"] for r in rows] == [30, 15]
 
     def test_render_lists_every_point(self):
-        points = run_scale(sources=(15, 25), warmup=10.0, measure=40.0)
-        text = render_scale(points, "tiny sweep")
-        assert "tiny sweep" in text
-        assert "gen s" in text and "divergence" in text
-        assert "scheduler" not in text and "replay" not in text
+        params = SCALE.parse("sources=15,25 warmup=10 measure=40".split())
+        text = SCALE.render(params, run_matrix(SCALE, params))
+        assert "E9 scale sweep" in text and "(lambda = 0.002/s, star)" in text
+        assert "queued" in text and "backlog s" in text
         rows = [line.split()[0] for line in text.splitlines()]
         assert "15" in rows and "25" in rows
+        assert text.endswith(
+            "every refresh sent was delivered or is still queued: yes")
+
+    def test_sharded_rows_run_shard_parallel_and_equal_serial(
+            self, monkeypatch):
+        """With more workers than cells, ``shard-caches`` rows run their
+        shards on the workers (tier 2), and every field of a row equals
+        the serial ``run_policy`` row bit for bit, backlog included."""
+        settings = ("sources=400 shard-caches=4 update-rate=0.05 "
+                    "cache-bandwidth=2 warmup=50 measure=150")
+        serial = scale_rows(settings)
+        workers = []
+
+        def spy(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return run_cooperative_sharded(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, "run_cooperative_sharded", spy)
+        parallel = run_matrix(SCALE, SCALE.parse(settings.split()),
+                              workers=2)
+        assert workers == [2]
+        assert parallel == serial
+        assert serial[0]["queued"] > 0
+
+    def test_star_rows_and_fewer_workers_stay_cell_parallel(
+            self, monkeypatch):
+        monkeypatch.setattr(matrix, "run_cooperative_sharded", None)
+        for settings, workers in (("sources=30 shard-caches=1", 2),
+                                  ("sources=30,40 shard-caches=2", 2)):
+            params = SCALE.parse(f"{settings} warmup=10 measure=40".split())
+            assert (run_matrix(SCALE, params, workers=workers)
+                    == run_matrix(SCALE, params))
 
 
-class TestGenerators:
-    def test_points_carry_generation_metadata(self):
-        points = run_scale(sources=(15,), warmup=10.0, measure=40.0)
-        assert all(p.gen_seconds >= 0 for p in points)
+class TestShardParallel:
+    def scenario(self, **fields):
+        base = dict(workload=WorkloadSpec.make(sparse_workload, 0,
+                                               num_sources=8, horizon=50.0),
+                    policy="cooperative", cache_bandwidth=8.0,
+                    source_bandwidth=1.0, warmup=10.0, measure=40.0,
+                    topology=TopologyConfig(kind="sharded", num_caches=2))
+        return Scenario(**{**base, **fields})
 
-
-# ----------------------------------------------------------------------
-# The perf-regression gate across the retirement of the twin paths
-# ----------------------------------------------------------------------
-def old_point(wall, **fields):
-    """A baseline point as BENCH_scale.json recorded it before the
-    scheduler, replay and generator fields were retired."""
-    return {"num_sources": 100000, "scheduling": "event",
-            "wall_seconds": wall, "weighted_divergence": 0.49,
-            "refreshes": 4792, "feedback_messages": 8,
-            "gen_seconds": 0.05, "generator": "vectorized",
-            "replay": "batched", "workers": 1, "topology": "star",
-            **fields}
-
-
-def new_point(wall):
-    """The same point as the current ScalePoint serializes it."""
-    point = ScalePoint(num_sources=100000, wall_seconds=wall,
-                       weighted_divergence=0.49, refreshes=4792,
-                       feedback_messages=8, gen_seconds=0.05)
-    return json.loads(json.dumps(point.__dict__))
-
-
-class TestRegressionCheck:
-    BASELINE = {"points": [old_point(3.3, replay="event"),
-                           old_point(2.7),
-                           old_point(0.4, num_sources=1000,
-                                     scheduling="tick")]}
-
-    def verdicts(self, wall):
-        lines = compare(self.BASELINE, {"points": [new_point(wall)]}, 0.2)
-        return {line.split()[0] for line in lines}, lines
-
-    def test_old_baseline_matches_the_batched_point(self):
-        assert point_key(new_point(2.7)) == point_key(old_point(2.7))
-        assert point_key(new_point(2.7)) != point_key(
-            old_point(3.3, replay="event"))
-
-    def test_slower_by_a_quarter_fails(self):
-        verdicts, lines = self.verdicts(2.75 * 1.25 - 0.05)
-        assert "FAIL" in verdicts, lines
-        assert not verdicts & {"NEW", "GONE"}, lines
-
-    def test_slower_by_a_tenth_passes(self):
-        verdicts, lines = self.verdicts(2.75 * 1.1 - 0.05)
-        assert "ok" in verdicts and "FAIL" not in verdicts, lines
-        assert not verdicts & {"NEW", "GONE"}, lines
-
-    def test_retired_points_are_reported_not_compared(self):
-        _, lines = self.verdicts(2.7)
-        retired = [line for line in lines if line.startswith("RETIRED")]
-        assert len(retired) == 2
-        assert any("'tick'" in line for line in retired)
-        assert any("'event', 1," in line for line in retired)
+    def test_cooperative_on_independent_shards_only(self):
+        assert matrix.shard_parallel(self.scenario())
+        assert matrix.shard_parallel(self.scenario(
+            faults=fault_scenario("none", 10.0, 40.0)))
+        for fields in (
+                {"policy": "uniform"},
+                {"topology": None},
+                {"topology": TopologyConfig(kind="sharded", num_caches=1)},
+                {"topology": TopologyConfig(kind="replicated",
+                                            num_caches=2)},
+                {"faults": fault_scenario("lossy-10", 10.0, 40.0)},
+                {"retry": RetryPolicy()},
+                {"read_policy": "freshest", "read_rate": 0.1},
+                {"policy_kwargs": (("rebalance",
+                                    RebalanceConfig(interval=10.0)),)}):
+            assert not matrix.shard_parallel(self.scenario(**fields)), fields
