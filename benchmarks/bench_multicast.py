@@ -1,13 +1,13 @@
-"""E14: the delivery plane's indirection overhead.
+"""E14: what the replica fan-out costs a unicast send.
 
-A plane-indirection overhead pair: the refactored
-``Topology.send_upstream`` (charge block + bound ``fan_out`` call)
+An overhead pair: ``Topology.send_upstream`` (charge block, primary
+delivery, and the sibling-copy loop that a single-target send skips)
 against a hand-inlined replica of the pre-refactor star send path on an
 identical fresh topology.  The median wall-clock ratio over repeated
 pairs (:func:`conftest.ab_ratio`) must stay within
 ``PLANE_OVERHEAD_LIMIT`` -- the acceptance number for routing every
-unicast send through the plane interface.  The E14 matrix's verdicts
-are asserted in ``bench_matrix``.
+unicast send through the one send path that also fans out replica
+copies.  The E14 matrix's verdicts are asserted in ``bench_matrix``.
 
 Timing-ratio asserts are machine-sensitive; CI runs this bench in the
 non-failing perf-smoke job.

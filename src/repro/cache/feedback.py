@@ -49,9 +49,9 @@ class FeedbackController:
     ``known_thresholds`` is indexed in step with that tuple.
 
     ``gains``, aligned with ``source_ids``, weights the ranking by how
-    much divergence one refresh from that source removes (the delivery
-    plane's :meth:`~repro.network.delivery.DeliveryPlane.feedback_gain`:
-    under multicast a source replicated ``r`` ways freshens ``r``
+    much divergence one refresh from that source removes
+    (:meth:`~repro.network.topology.Topology.feedback_gain`: under
+    multicast a source replicated ``r`` ways freshens ``r``
     replicas per unit of upstream bandwidth, so its threshold counts
     ``r`` times heavier when choosing whom to ask for more refreshes).
     ``None`` keeps the paper's unweighted ranking and leaves the

@@ -88,8 +88,7 @@ from repro.metrics.report import (
     format_table,
 )
 from repro.network.bandwidth import make_bandwidth
-from repro.network.delivery import DELIVERY_MODES
-from repro.network.topology import TopologyConfig
+from repro.network.topology import DELIVERY_MODES, TopologyConfig
 from repro.policies.cache_driven import CGMPollingPolicy, IdealCacheBasedPolicy
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
@@ -1633,7 +1632,9 @@ READMODEL = Matrix(
     params=(Param("num-caches", 3, int, minimum=1),
             Param("replication", (1, 2, 3), int, many=True, minimum=1),
             Param("cache-bandwidths", (18.0,), many=True, minimum=0),
-            Param("read-rate", 0.5, minimum=0), *_size(12, 4),
+            # Strict: at zero reads the read verdicts check nothing.
+            Param("read-rate", 0.5, minimum=0, strict=True),
+            *_size(12, 4),
             Param("source-bandwidth", 3.0, minimum=0),
             Param("delivery", "unicast", str, choices=DELIVERY_MODES),
             *TIMING),

@@ -1,4 +1,10 @@
-"""Network substrate: bandwidth profiles, links, topologies, messages."""
+"""Network substrate: bandwidth profiles, links, topologies, messages.
+
+A :class:`Topology` owns every link between the sources and the cache
+nodes and routes each message; its ``delivery`` mode (``"unicast"`` or
+``"multicast"``) is the one rule for what a replicated source's sibling
+copies cost.
+"""
 
 from repro.network.bandwidth import (
     BandwidthProfile,
@@ -8,13 +14,6 @@ from repro.network.bandwidth import (
     SineBandwidth,
     make_bandwidth,
     split_bandwidth,
-)
-from repro.network.delivery import (
-    DELIVERY_MODES,
-    DeliveryPlane,
-    MulticastDelivery,
-    UnicastDelivery,
-    make_delivery_plane,
 )
 from repro.network.link import Link
 from repro.network.messages import (
@@ -28,6 +27,7 @@ from repro.network.messages import (
     message_cost,
 )
 from repro.network.topology import (
+    DELIVERY_MODES,
     Topology,
     TopologyConfig,
     replica_assignment,
@@ -40,11 +40,9 @@ __all__ = [
     "BandwidthProfile",
     "BatchRefreshMessage",
     "ConstantBandwidth",
-    "DeliveryPlane",
     "FeedbackMessage",
     "Link",
     "Message",
-    "MulticastDelivery",
     "PollRequest",
     "PollResponse",
     "RefreshMessage",
@@ -53,9 +51,7 @@ __all__ = [
     "Topology",
     "TopologyConfig",
     "TraceBandwidth",
-    "UnicastDelivery",
     "make_bandwidth",
-    "make_delivery_plane",
     "message_cost",
     "replica_assignment",
     "shard_assignment",

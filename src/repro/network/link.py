@@ -34,6 +34,7 @@ from repro.network.bandwidth import (
     BandwidthProfile,
     ConstantBandwidth,
     TraceBandwidth,
+    ticks_until_capacity,
 )
 from repro.network.messages import Message
 
@@ -128,6 +129,23 @@ class Link:
                 f"replays per-tick refills, which is only exact when the "
                 f"capacity earned per tick is reconstructible)")
         self._lazy = value
+
+    def retry_ticks(self, now: float, dt: float) -> int | None:
+        """Ticks until a sender this link refused at ``now`` may retry.
+
+        A steady link retries next tick.  A trace link can stay dry for a
+        whole outage, so the tick it regains one message of credit is
+        solved on the profile's cumulative array instead of polled for;
+        the answer is conservative (never late, at most one tick early),
+        so the send still lands on the tick a per-tick retry loop picks
+        and an early wake just finds the link dry again.  ``None`` -- the
+        link can never afford another message -- parks the sender, as
+        the retry loop would have, one failed send per tick at a time.
+        """
+        if self._trace is None:
+            return 1
+        return ticks_until_capacity(self.profile, now, dt,
+                                    1.0 - self.credit)
 
     def accrue(self, now: float) -> None:
         """Fold in capacity earned since the last accrual."""

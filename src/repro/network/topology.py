@@ -29,7 +29,7 @@ The topology is policy-agnostic: receivers are registered as callbacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.network.bandwidth import (
@@ -37,15 +37,14 @@ from repro.network.bandwidth import (
     ConstantBandwidth,
     split_bandwidth,
 )
-from repro.network.delivery import (
-    DELIVERY_MODES,
-    DeliveryPlane,
-    make_delivery_plane,
-)
 from repro.network.link import Link
 from repro.network.messages import FeedbackMessage, Message
 
 Receiver = Callable[[Message], None]
+
+#: How a replicated source's upstream send reaches its sibling replicas
+#: (accepted by :class:`Topology` and :class:`TopologyConfig`).
+DELIVERY_MODES = ("unicast", "multicast")
 
 
 class Topology:
@@ -57,9 +56,16 @@ class Topology:
     paper's star is ``Topology([profile], source_profiles)``: one cache,
     every source on it.  A one-element tuple per source is a sharded
     layout; a longer tuple replicates the source's refreshes onto several
-    cache links, each copy consuming that link's capacity (the source-side
-    link is charged once -- the fan-out happens inside the network, as
-    with IP multicast).
+    cache links (the source-side link is charged once -- the fan-out
+    happens inside the network, as with IP multicast).
+
+    **Fan-out.**  The primary replica gets the message itself; every
+    sibling replica ``k`` gets ``replace(message, cache_id=k)``, a copy
+    that rides its link's FIFO and keeps per-leg delivery, ack and fault
+    semantics.  ``delivery`` sets what a sibling copy costs: full size
+    under ``"unicast"`` (``r`` units of cache-side bandwidth per logical
+    refresh) and size 0 under ``"multicast"`` (one unit whatever ``r``).
+    :meth:`feedback_gain` tells the feedback economy what that buys.
 
     **Active-link set.**  The per-tick network phase used to refill every
     link, making each tick O(m) even when nothing moves.  Source links
@@ -75,9 +81,10 @@ class Topology:
     def __init__(self, cache_profiles: Sequence[BandwidthProfile],
                  source_profiles: Sequence[BandwidthProfile],
                  assignment: Sequence[Sequence[int]] | None = None,
-                 delivery: str | DeliveryPlane = "unicast") -> None:
+                 delivery: str = "unicast") -> None:
         if not cache_profiles:
             raise ValueError("need at least one cache profile")
+        _check_delivery(delivery)
         num_caches = len(cache_profiles)
         num_sources = len(source_profiles)
         if assignment is None:
@@ -121,11 +128,7 @@ class Topology:
             Link(f"source-{j}", profile)
             for j, profile in enumerate(source_profiles)
         ]
-        self._delivery = (delivery if isinstance(delivery, DeliveryPlane)
-                          else make_delivery_plane(delivery))
-        # The plane's bound fan_out, resolved once so a replicated send
-        # pays one extra call, not an attribute chain.
-        self._fan_out = self._delivery.fan_out
+        self.delivery = delivery
         self._cache_receivers: list[Receiver | None] = [None] * num_caches
         self._source_receivers: list[Receiver | None] = [None] * num_sources
         self._tick_no = 0
@@ -159,11 +162,6 @@ class Topology:
         self._peer_links: dict[tuple[int, int], Link] = {}
         self._peer_link_list: list[Link] = []
         self._classify_links()
-
-    @property
-    def delivery_plane(self) -> DeliveryPlane:
-        """The fan-out strategy this topology routes upstream sends by."""
-        return self._delivery
 
     def _classify_links(self) -> None:
         eager: list[Link] = []
@@ -210,6 +208,16 @@ class Topology:
     def primary_cache_of(self, source_id: int) -> int:
         """The cache that runs the feedback protocol for this source."""
         return self._assignment[source_id][0]
+
+    def feedback_gain(self, source_id: int) -> float:
+        """Replicas one refresh from ``source_id`` freshens per unit of
+        cache-side bandwidth: its replication ``r`` under multicast, 1
+        under unicast (``r`` replica updates for ``r`` units).  The
+        cooperative cache weighs the source's threshold by it when it
+        ranks feedback targets."""
+        if self.delivery == "multicast":
+            return float(len(self._assignment[source_id]))
+        return 1.0
 
     def sources_of(self, cache_id: int) -> tuple[int, ...]:
         """All sources whose upstream messages reach cache ``cache_id``."""
@@ -451,16 +459,14 @@ class Topology:
         """Source -> assigned cache(s); source credit is charged once.
 
         Returns False if the source link lacks credit; routing stamps
-        ``message.cache_id`` with the primary target before the delivery
-        plane fans the message out to every replica link.
+        ``message.cache_id`` with the primary target, then every sibling
+        replica gets its copy (see the class docstring's fan-out rule).
 
         The sync/accrue/consume helpers are inlined here: every
         update-driven source drain lands on this method, and at m ~ 1e6
         the call overhead of the layered helpers dominates.  The float
         operations run in the helpers' exact order, so results are
-        bit-for-bit unchanged (pinned by the equivalence suites).  The
-        replica fan-out is the plane's
-        :meth:`~repro.network.delivery.DeliveryPlane.fan_out`.
+        bit-for-bit unchanged (pinned by the equivalence suites).
         """
         source_link = self.source_links[message.source_id]
         if source_link._lazy and source_link._synced_tick < self._tick_no:
@@ -489,15 +495,14 @@ class Topology:
         targets = self._assignment[message.source_id]
         primary = targets[0]
         message.cache_id = primary
-        if len(targets) == 1:
-            # Single-target sends (star, sharded, replication 1) have no
-            # fan-out to delegate: every plane delivers one full-size
-            # copy on the primary link, so the plane call is skipped --
-            # this keeps the unicast hot path within the pre-plane
-            # overhead budget (bench_multicast gates the ratio).
-            self.cache_links[primary].transmit_or_queue(message)
-        else:
-            self._fan_out(self.cache_links, message, targets)
+        self.cache_links[primary].transmit_or_queue(message)
+        if len(targets) > 1:
+            links = self.cache_links
+            multicast = self.delivery == "multicast"
+            for k in targets[1:]:
+                links[k].transmit_or_queue(
+                    replace(message, cache_id=k, size=0.0) if multicast
+                    else replace(message, cache_id=k))
         return True
 
     def send_upstream_unconstrained(self, message: Message) -> None:
@@ -507,7 +512,7 @@ class Topology:
         approach assumes no limitations on source-side bandwidth", so poll
         responses bypass the source link.  The target cache is
         ``message.cache_id`` (the cache that issued the poll) -- polls are
-        point-to-point round-trips, so no plane fan-out applies.
+        point-to-point round-trips, so no replica fan-out applies.
         """
         self.cache_links[message.cache_id].transmit_or_queue(message)
 
@@ -658,6 +663,12 @@ class Topology:
 # ----------------------------------------------------------------------
 # Assignment helpers
 # ----------------------------------------------------------------------
+def _check_delivery(delivery: str) -> None:
+    if delivery not in DELIVERY_MODES:
+        raise ValueError(f"unknown delivery plane {delivery!r}; expected "
+                         f"one of {DELIVERY_MODES}")
+
+
 def shard_assignment(num_sources: int,
                      num_caches: int) -> list[tuple[int, ...]]:
     """One cache per source, contiguous source ranges kept together.
@@ -703,10 +714,10 @@ class TopologyConfig:
     one beefy regional cache plus thin PoPs), in which case those absolute
     msgs/s rates replace the even split of the aggregate profile.
 
-    ``delivery`` picks the fan-out plane (``"unicast"``/``"multicast"``,
-    see :mod:`repro.network.delivery`); it only changes behavior when
-    sources are replicated, but is accepted for every kind so sweeps can
-    vary it orthogonally.
+    ``delivery`` sets what a sibling replica copy costs (``"unicast"`` /
+    ``"multicast"``, see :class:`Topology`); it only changes behavior
+    when sources are replicated, but is accepted for every kind so sweeps
+    can vary it orthogonally.
     """
 
     kind: str = "star"
@@ -718,10 +729,7 @@ class TopologyConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("star", "sharded", "replicated"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
-        if self.delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"unknown delivery plane {self.delivery!r}; expected one "
-                f"of {DELIVERY_MODES}")
+        _check_delivery(self.delivery)
         if self.num_caches < 1:
             raise ValueError(
                 f"num_caches must be >= 1, got {self.num_caches}")

@@ -40,6 +40,9 @@ from repro.network.topology import Topology
 from repro.policies.base import SimulationContext, SyncPolicy
 from repro.sim.events import Phase
 
+#: Link cost of one polled refresh: a request plus a response.
+MESSAGES_PER_REFRESH = 2.0
+
 
 class IdealCacheBasedPolicy(SyncPolicy):
     """Freshness-optimal polling with oracle rates and free communication."""
@@ -126,22 +129,20 @@ class CGMPollingPolicy(SyncPolicy):
     resolve_interval:
         How often the frequency allocation is re-solved from the current
         rate estimates.
-    messages_per_refresh:
-        Link cost of one refresh; the allocator budgets
-        ``mean_bandwidth / messages_per_refresh`` total poll frequency.
+
+    The allocator budgets ``mean_bandwidth / MESSAGES_PER_REFRESH``
+    total poll frequency.
     """
 
     def __init__(self, cache_bandwidth: BandwidthProfile,
                  variant: str = "cgm1",
-                 resolve_interval: float = 50.0,
-                 messages_per_refresh: float = 2.0) -> None:
+                 resolve_interval: float = 50.0) -> None:
         if variant not in ("cgm1", "cgm2"):
             raise ValueError(f"unknown CGM variant {variant!r}")
         self.cache_bandwidth = cache_bandwidth
         self.variant = variant
         self.name = variant
         self.resolve_interval = resolve_interval
-        self.messages_per_refresh = messages_per_refresh
         self.topology: Topology | None = None
         self.caches: list[CacheNode] = []
         self.scheduler = PollScheduler()
@@ -195,7 +196,7 @@ class CGMPollingPolicy(SyncPolicy):
 
     def poll_budget(self) -> float:
         """Total poll frequency affordable on the cache link."""
-        return self.cache_bandwidth.mean_rate / self.messages_per_refresh
+        return self.cache_bandwidth.mean_rate / MESSAGES_PER_REFRESH
 
     # ------------------------------------------------------------------
     # Polling

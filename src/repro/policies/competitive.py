@@ -29,18 +29,12 @@ weights, so experiments can plot the Psi trade-off curve.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.objects import DataObject
 from repro.core.priority import PriorityFunction
 from repro.core.tracking import PriorityTracker
 from repro.core.weights import WeightModel
 from repro.metrics.collector import DivergenceCollector
-from repro.network.bandwidth import (
-    replay_credit_ticks,
-    ticks_until_capacity,
-    ticks_until_credit,
-)
+from repro.network.bandwidth import replay_credit_ticks, ticks_until_credit
 from repro.policies.base import SimulationContext
 from repro.policies.cooperative import CooperativePolicy
 from repro.sim.events import Phase, WakeupSet
@@ -69,8 +63,8 @@ class CompetitivePolicy(CooperativePolicy):
         self._own_credit: list[float] = []
         self._own_rate: list[float] = []
         self.source_collector: DivergenceCollector | None = None
-        # Event-driven own-send state: wakeups keyed by (integer) tick
-        # number of the own-sends dispatcher, per-source last-accrual tick.
+        # Own-send wakeups keyed by (integer) tick number of the
+        # own-sends dispatcher, and each source's last-accrual tick.
         self._own_wakeups = WakeupSet()
         self._own_tick_no = 0
         self._own_credit_tick: list[int] = []
@@ -92,7 +86,6 @@ class CompetitivePolicy(CooperativePolicy):
         self.source_collector = DivergenceCollector(
             workload.num_objects, self.source_weights, warmup=ctx.warmup)
         ctx.add_update_hook(self._on_update_competitive)
-        assert self.caches
         for cache in self.caches:
             cache.add_refresh_hook(self._on_refresh_applied)
         for source in self.sources:
@@ -122,10 +115,9 @@ class CompetitivePolicy(CooperativePolicy):
         weight = self.source_weights.weight(obj.index, now)
         priority = self.source_priority_fn.priority(obj, weight, now)
         self._own_trackers[obj.source_id].update(obj.index, priority)
-        if self._event_driven:
-            # Fresh own-priority work: wake at the next own-sends fire
-            # (the same tick when the update lands before SOURCES phase).
-            self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)
+        # Fresh own-priority work: wake at the next own-sends fire (the
+        # same tick when the update lands before SOURCES phase).
+        self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)
         if self.source_collector is not None:
             self.source_collector.record(obj.index, now,
                                          obj.truth.divergence)
@@ -152,42 +144,30 @@ class CompetitivePolicy(CooperativePolicy):
             earned = self._own_credit[obj.source_id] \
                 + self.psi / (1.0 - self.psi)
             self._own_credit[obj.source_id] = min(earned, 4.0)
-            if self._event_driven:
-                # Earned credit may now cover a piggybacked send.
-                self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)
+            # Earned credit may now cover a piggybacked send.
+            self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)
 
     # ------------------------------------------------------------------
     # Own-priority sends
     #
-    # Event-driven runs mirror the uniform policy's exact-replay trick:
-    # wakeups are keyed by own-dispatcher tick number, and the per-tick
-    # token accruals a parked source skipped are replayed float-for-float
-    # at wake time (short-circuiting once the credit saturates at its
-    # cap), so own-priority sends land on exactly the ticks the full scan
-    # chooses.  The scan itself runs under the time-varying-priority
-    # fallback (``_event_driven`` off), accruing every source every tick.
+    # The uniform policy's exact-replay trick: wakeups are keyed by
+    # own-dispatcher tick number, and the per-tick token accruals a
+    # parked source skipped are replayed float-for-float at wake time
+    # (short-circuiting once the credit saturates at its cap), so
+    # own-priority sends land on exactly the ticks the per-tick scan of
+    # tests/oracles.py chooses.
     # ------------------------------------------------------------------
     def _own_sends_tick(self, now: float) -> None:
         self._own_tick_no += 1
-        if not self._event_driven:
-            for j in range(len(self.sources)):
-                self._own_accrue_one_tick(j)
-                self._own_send_while_credit(j, now)
-            return
         for j in self._own_wakeups.pop_due(self._own_tick_no):
             self._own_replay_accrual(j)
-            blocked = self._own_send_while_credit(j, now)
-            if blocked:
-                self._own_arm_blocked(j, now)
+            if self._own_send_while_credit(j, now):
+                ticks = self.topology.source_links[j].retry_ticks(
+                    now, self._ctx.dt)
+                if ticks is not None:
+                    self._own_wakeups.arm(j, self._own_tick_no + ticks)
             elif len(self._own_trackers[j]):
                 self._own_arm_crossing(j)
-
-    def _own_accrue_one_tick(self, j: int) -> None:
-        if self.option in ("equal", "proportional"):
-            rate_dt = self._own_rate[j] * self._ctx.dt
-            self._own_credit[j] = min(self._own_credit[j] + rate_dt,
-                                      max(1.0, rate_dt))
-        self._own_credit_tick[j] = self._own_tick_no
 
     def _own_replay_accrual(self, j: int) -> None:
         if self.option in ("equal", "proportional"):
@@ -219,24 +199,6 @@ class CompetitivePolicy(CooperativePolicy):
             self._own_credit[j] -= 1.0
             self.own_refreshes_sent += 1
         return False
-
-    def _own_arm_blocked(self, j: int, now: float) -> None:
-        """Re-arm a source whose *link* is dry mid own-priority send.
-
-        Same contract as the uniform policy's ``_arm_blocked``: steady
-        links retry next tick; trace links solve the crossing tick on the
-        profile's cumulative capacity array (conservative -- never late,
-        at most one tick early, re-verified at wake).  ``None`` parks the
-        source, exactly like the retry loop's forever-failing sends.
-        """
-        link = self.topology.source_links[j]
-        ticks = 1
-        if link._trace is not None:
-            ticks = ticks_until_capacity(link.profile, now, self._ctx.dt,
-                                         1.0 - link.credit)
-            if ticks is None:
-                return
-        self._own_wakeups.arm(j, self._own_tick_no + ticks)
 
     def _own_arm_crossing(self, j: int) -> None:
         """Arm source ``j`` at the tick its own-credit next reaches 1.0."""

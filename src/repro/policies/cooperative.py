@@ -65,9 +65,6 @@ class CooperativePolicy(SyncPolicy):
         ``"trigger"`` (exact, default) or ``"sampling"`` (Sec 8.2.1).
     sampling_interval, predictive_sampling:
         Sampling-monitor knobs (ignored for trigger monitoring).
-    reprioritize_interval:
-        Optional periodic re-computation of all priorities, for fluctuating
-        weights or time-varying priority functions.
     batch_size, batch_timeout:
         When ``batch_size > 1``, sources package that many refreshes into
         each message (Sec 10.1 future work), flushing a partial batch
@@ -87,11 +84,11 @@ class CooperativePolicy(SyncPolicy):
 
     Sources and caches are woken per entity by a
     :class:`~repro.sim.events.WakeupSet` only when they have work (pending
-    bandwidth-blocked refreshes, sampling deadlines, feedback targets,
-    queued messages), and idle steady-profile source links skip the
-    network tick.  Time-varying priorities fall back to scanning every
-    node every ``dt``.  ``tests/test_equivalence.py`` pins both against
-    the paper-literal full scan of ``tests/oracles.py``.
+    bandwidth-blocked refreshes, sampling deadlines, a time-varying
+    priority, feedback targets, queued messages), and idle steady-profile
+    source links skip the network tick.  ``tests/test_equivalence.py``
+    pins this one schedule against the paper-literal full scan of
+    ``tests/oracles.py``.
     """
 
     name = "cooperative"
@@ -106,7 +103,6 @@ class CooperativePolicy(SyncPolicy):
                  monitor: str = "trigger",
                  sampling_interval: float = 10.0,
                  predictive_sampling: bool = False,
-                 reprioritize_interval: float | None = None,
                  batch_size: int = 1,
                  batch_timeout: float = 5.0,
                  feedback_ttl: float | None = None,
@@ -131,7 +127,6 @@ class CooperativePolicy(SyncPolicy):
         self.monitor_kind = monitor
         self.sampling_interval = sampling_interval
         self.predictive_sampling = predictive_sampling
-        self.reprioritize_interval = reprioritize_interval
         self.batch_size = batch_size
         self.batch_timeout = batch_timeout
         self.feedback_ttl = feedback_ttl
@@ -142,7 +137,6 @@ class CooperativePolicy(SyncPolicy):
         self.stores: list[CacheStore] = []
         self.feedbacks: list[FeedbackController] = []
         self.sources: list[SourceNode] = []
-        self._event_driven = False
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
 
@@ -177,15 +171,13 @@ class CooperativePolicy(SyncPolicy):
         self.caches = []
         self.stores = []
         self.feedbacks = []
-        plane = topology.delivery_plane
         for k in range(topology.num_caches):
             owned = topology.owned_sources_of(k)
-            # Per-source refresh value under this delivery plane: r-way
-            # replicated sources are r times cheaper per unit of
-            # divergence removed under multicast.  All-ones collapses to
-            # None so the unicast ranking arithmetic is untouched.
-            gains = [plane.feedback_gain(len(topology.caches_of(j)))
-                     for j in owned]
+            # Per-source refresh value: r-way replicated sources are r
+            # times cheaper per unit of divergence removed under
+            # multicast.  All-ones collapses to None so the unicast
+            # ranking arithmetic is untouched.
+            gains = [topology.feedback_gain(j) for j in owned]
             feedback = FeedbackController(
                 topology, self.omega, cache_id=k,
                 source_ids=owned,
@@ -233,30 +225,21 @@ class CooperativePolicy(SyncPolicy):
             if topology.reliable is not None:
                 topology.reliable.register_sender(j, source)
 
-        # Time-varying priorities change every object's priority every
-        # tick, so there is nothing to schedule around: fall back to the
-        # degenerate everyone-wakes-every-dt schedule for them.
-        self._event_driven = not any(
-            source.monitor.wants_tick for source in self.sources)
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
-        if self._event_driven:
-            for j, source in enumerate(self.sources):
-                source.monitor.prime(source.objects)
-                self._rearm_source(j, source, 0.0, blocked=False)
-            for k in range(topology.num_caches):
-                self._cache_wakeups.arm(k, 0.0)
-                self.caches[k].activity_hook = self._make_cache_activity(k)
-                topology.cache_links[k].on_queue = self._make_queue_hook(k)
+        for j, source in enumerate(self.sources):
+            source.monitor.prime(source.objects)
+            self._rearm_source(j, source, 0.0, blocked=False)
+        for k in range(topology.num_caches):
+            self._cache_wakeups.arm(k, 0.0)
+            self.caches[k].activity_hook = self._make_cache_activity(k)
+            topology.cache_links[k].on_queue = self._make_queue_hook(k)
 
         ctx.add_update_hook(self._on_update)
         ctx.sim.every(ctx.dt, topology.on_network_tick,
                       phase=Phase.NETWORK)
         ctx.sim.every(ctx.dt, self._sources_tick, phase=Phase.SOURCES)
         ctx.sim.every(ctx.dt, self._caches_tick, phase=Phase.CACHE)
-        if self.reprioritize_interval is not None:
-            ctx.sim.every(self.reprioritize_interval,
-                          self._reprioritize_all, phase=Phase.SOURCES)
         self.rebalancer = None
         if self.rebalance is not None:
             # Local import: the rebalance package imports cache/topology
@@ -307,9 +290,7 @@ class CooperativePolicy(SyncPolicy):
         j = message.source_id
         source = self.sources[j]
         now = self._ctx.sim.now
-        blocked = source.on_message(message, now)
-        if self._event_driven:
-            self._rearm_source(j, source, now, blocked)
+        self._rearm_source(j, source, now, source.on_message(message, now))
 
     def _make_cache_activity(self, cache_id: int):
         def hook(now: float) -> None:
@@ -328,16 +309,16 @@ class CooperativePolicy(SyncPolicy):
     # WakeupSet entry is due, in the same ascending-id order a full scan
     # visits them; every source entry point (update, feedback, wake)
     # re-arms the source's wakeup from its blocked status and its
-    # monitor's next sampling deadline.  A source is parked exactly when
-    # a full-scan visit would be a no-op, which is what keeps the run
-    # bit-for-bit identical to the scan (the fallback below, and the
-    # reference schedule of tests/oracles.py).
+    # monitor's next wake time (a sampling deadline, or every fire for a
+    # time-varying priority).  A source is parked exactly when a
+    # full-scan visit would be a no-op, which is what keeps the run
+    # bit-for-bit identical to the reference schedule of
+    # tests/oracles.py.
     # ------------------------------------------------------------------
     def _on_update(self, obj: DataObject, now: float) -> None:
         source = self.sources[obj.source_id]
-        blocked = source.on_update(obj, now)
-        if self._event_driven:
-            self._rearm_source(obj.source_id, source, now, blocked)
+        self._rearm_source(obj.source_id, source, now,
+                           source.on_update(obj, now))
 
     def _rearm_source(self, j: int, source: SourceNode, now: float,
                       blocked: bool) -> None:
@@ -355,20 +336,12 @@ class CooperativePolicy(SyncPolicy):
             self._source_wakeups.arm(j, decay)
 
     def _sources_tick(self, now: float) -> None:
-        if not self._event_driven:
-            for source in self.sources:
-                source.on_tick(now)
-            return
         for j in self._source_wakeups.pop_due(now, eps=1e-12):
             source = self.sources[j]
             blocked = source.on_wake(now)
             self._rearm_source(j, source, now, blocked)
 
     def _caches_tick(self, now: float) -> None:
-        if not self._event_driven:
-            for cache in self.caches:
-                cache.on_tick(now)
-            return
         for k in self._cache_wakeups.pop_due(now):
             cache = self.caches[k]
             cache.on_tick(now)
@@ -383,14 +356,6 @@ class CooperativePolicy(SyncPolicy):
         if self.topology.cache_links[cache.cache_id].queue:
             return True
         return cache.feedback is not None and cache.feedback.has_targets()
-
-    def _reprioritize_all(self, now: float) -> None:
-        for j, source in enumerate(self.sources):
-            source.monitor.refresh_priorities(source.objects, now)
-            if self._event_driven and len(source.monitor.tracker):
-                # Re-evaluated priorities may now clear the threshold; a
-                # full scan would notice at the next tick's drain.
-                self._source_wakeups.arm(j, now)
 
     def close(self) -> None:
         """Unwire the finished run so it frees without the cyclic GC.

@@ -145,8 +145,12 @@ class IdealCooperativePolicy(SyncPolicy):
     # ------------------------------------------------------------------
     def _on_tick(self, now: float) -> None:
         if self.priority_fn.time_varying:
+            # Every object's priority moves every tick: re-evaluate all.
             self._refill(now)
-            self._reprioritize_all(now)
+            weights = self._ctx.workload.weights
+            for obj in self._ctx.objects:
+                self.tracker.update(obj.index, self.priority_fn.priority(
+                    obj, weights.weight(obj.index, now), now))
             self._drain(now)
             return
         # Parked whenever the queue is empty: a tick's drain would be a
@@ -203,14 +207,6 @@ class IdealCooperativePolicy(SyncPolicy):
         self._refreshes += 1
         for hook in self.refresh_hooks:
             hook(obj, now)
-
-    def _reprioritize_all(self, now: float) -> None:
-        ctx = self._ctx
-        weights = ctx.workload.weights
-        for obj in ctx.objects:
-            priority = self.priority_fn.priority(
-                obj, weights.weight(obj.index, now), now)
-            self.tracker.update(obj.index, priority)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -22,13 +22,16 @@ from repro.cache.store import CacheStore
 from repro.network.bandwidth import (
     BandwidthProfile,
     replay_credit_ticks,
-    ticks_until_capacity,
     ticks_until_credit,
 )
 from repro.network.messages import RefreshMessage
 from repro.network.topology import Topology
 from repro.policies.base import SimulationContext, SyncPolicy
 from repro.sim.events import Phase, WakeupSet
+
+#: Fraction of its cache-link share each source schedules: uniform
+#: allocation spends the whole budget.
+UTILIZATION = 1.0
 
 
 class UniformAllocationPolicy(SyncPolicy):
@@ -42,9 +45,6 @@ class UniformAllocationPolicy(SyncPolicy):
         its primary cache's mean rate.
     source_bandwidths:
         One profile per source; sends still respect source-side credit.
-    utilization:
-        Fraction of the cache-link share each source actually schedules
-        (default 1.0 -- uniform allocation spends the whole budget).
 
     Each source wakes only on the tick its credit crosses one message,
     replaying the skipped per-tick accruals in the same float-operation
@@ -55,14 +55,9 @@ class UniformAllocationPolicy(SyncPolicy):
     name = "uniform"
 
     def __init__(self, cache_bandwidth: BandwidthProfile,
-                 source_bandwidths: list[BandwidthProfile],
-                 utilization: float = 1.0) -> None:
-        if not 0.0 < utilization <= 1.0:
-            raise ValueError(
-                f"utilization must be in (0, 1], got {utilization}")
+                 source_bandwidths: list[BandwidthProfile]) -> None:
         self.cache_bandwidth = cache_bandwidth
         self.source_bandwidths = source_bandwidths
-        self.utilization = utilization
         self.topology: Topology | None = None
         self.caches: list[CacheNode] = []
         self.stores: list[CacheStore] = []
@@ -104,7 +99,7 @@ class UniformAllocationPolicy(SyncPolicy):
             primary = topology.primary_cache_of(j)
             peers = len(topology.owned_sources_of(primary))
             mean_rate = topology.cache_links[primary].profile.mean_rate
-            self._rates.append(self.utilization * mean_rate / max(peers, 1))
+            self._rates.append(UTILIZATION * mean_rate / max(peers, 1))
         self._credit = [0.0] * workload.num_sources
         self._cursor = [0] * workload.num_sources
         self._tick_no = 0
@@ -146,9 +141,12 @@ class UniformAllocationPolicy(SyncPolicy):
         self._tick_no += 1
         for j in self._wakeups.pop_due(self._tick_no):
             self._replay_accrual(j, ctx.dt)
-            blocked = self._send_while_credit(j, now)
-            if blocked:
-                self._arm_blocked(j, now)
+            if self._send_while_credit(j, now):
+                # The link, not the token bucket, is dry.
+                ticks = self.topology.source_links[j].retry_ticks(
+                    now, ctx.dt)
+                if ticks is not None:
+                    self._wakeups.arm(j, self._tick_no + ticks)
             else:
                 self._arm_crossing(j)
 
@@ -177,28 +175,6 @@ class UniformAllocationPolicy(SyncPolicy):
             self._credit[j] -= 1.0
             self._sent += 1
         return False
-
-    def _arm_blocked(self, j: int, now: float) -> None:
-        """Re-arm a source whose *link* (not its token bucket) is dry.
-
-        Steady links retry next tick, as before.  On a trace link the
-        blocked spell can span a whole outage; the crossing tick is
-        solved on the profile's cumulative array instead of polled for.
-        The prediction is conservative (never late, at most one tick
-        early), so the eventual send lands on exactly the tick the
-        per-tick retry loop would have chosen; an early wake just finds
-        the link still dry and re-arms.  ``None`` -- the link can never
-        afford another message -- parks the source, which the retry loop
-        would have done too, one failed send per tick at a time.
-        """
-        link = self.topology.source_links[j]
-        ticks = 1
-        if link._trace is not None:
-            ticks = ticks_until_capacity(link.profile, now, self._ctx.dt,
-                                         1.0 - link.credit)
-            if ticks is None:
-                return
-        self._wakeups.arm(j, self._tick_no + ticks)
 
     def _arm_crossing(self, j: int) -> None:
         """Arm source ``j`` at the tick its credit next reaches 1.0.

@@ -78,10 +78,6 @@ class BatchingSource(SourceNode):
         self._maybe_flush(now)
         return bool(self._staged)
 
-    def on_tick(self, now: float) -> None:
-        super().on_tick(now)
-        self._maybe_flush(now)
-
     def _maybe_flush(self, now: float) -> None:
         if not self._staged:
             return

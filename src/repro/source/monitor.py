@@ -1,13 +1,19 @@
 """Priority monitoring at the sources (paper Sec 8).
 
-Two implementations of the same interface:
+A monitor tells its policy when to wake its source
+(:meth:`PriorityMonitor.next_wake_time`) and does the woken source's
+monitoring work (:meth:`PriorityMonitor.on_wake`); the policy's wakeup
+dispatcher is the only schedule.  Two implementations:
 
 * :class:`TriggerMonitor` -- exact: priority is recomputed whenever an
   update occurs (Sec 8.2 shows priority can only change on updates for
-  non-time-varying priority functions).  Requires triggers or equivalent
+  non-time-varying priority functions), so it asks for no wakeup; under
+  a time-varying priority (Sec 9's bound) it asks for every dispatcher
+  fire and re-evaluates every object.  Requires triggers or equivalent
   change capture at the source.
 * :class:`SamplingMonitor` -- approximate (Sec 8.2.1): the source samples
-  each object's divergence periodically, estimates the divergence integral
+  each object's divergence periodically (woken at the earliest per-object
+  deadline), estimates the divergence integral
   by the midpoint rule ("each sampled value can be assumed to have been
   active during the period beginning and ending halfway between successive
   samples"), and optionally schedules the *next* sample predictively at the
@@ -33,7 +39,13 @@ from repro.sim.events import WakeupSet
 
 
 class PriorityMonitor(ABC):
-    """Keeps a source's :class:`PriorityTracker` up to date."""
+    """Keeps a source's :class:`PriorityTracker` up to date.
+
+    The owning policy wakes the source through its wakeup dispatcher:
+    after every interaction it arms the source at :meth:`next_wake_time`,
+    and a woken source calls :meth:`on_wake` before it drains.  A monitor
+    never calls back into the engine itself.
+    """
 
     __slots__ = ("tracker", "priority_fn", "weights")
 
@@ -48,49 +60,19 @@ class PriorityMonitor(ABC):
     def on_update(self, obj: DataObject, now: float) -> None:
         """An update was applied to ``obj``."""
 
-    @abstractmethod
-    def on_tick(self, obj_list: list[DataObject], now: float) -> None:
-        """Periodic work (sampling, re-evaluation of time-varying priority)."""
-
-    # ------------------------------------------------------------------
-    # Event-driven scheduling hooks
-    # ------------------------------------------------------------------
-    #: True when :meth:`on_tick` does real work *every* tick regardless of
-    #: activity (time-varying priorities); the policy then falls back to
-    #: the degenerate everyone-wakes-every-dt schedule.
-    @property
-    def wants_tick(self) -> bool:
-        return False
-
     def prime(self, obj_list: list[DataObject]) -> None:
-        """Install initial wakeup state for event-driven scheduling."""
+        """Install the initial wakeup state for the source's objects."""
 
     def next_wake_time(self) -> float | None:
-        """Earliest time this monitor needs its source woken (or ``None``).
-
-        The owning policy arms the source's wakeup with this after every
-        interaction, so a monitor never needs to call back into the
-        engine itself.
-        """
+        """Earliest time this monitor needs its source woken (or ``None``)."""
         return None
 
     def on_wake(self, source, now: float) -> None:
-        """Deadline-driven replacement for :meth:`on_tick`.
-
-        Called by the policy dispatcher when the source was woken; must
-        perform exactly the work the per-tick scan would have done at this
-        tick for the objects that are actually due.
-        """
+        """Re-evaluate the objects that are due at this dispatcher fire."""
 
     def on_refresh_sent(self, obj: DataObject, now: float) -> None:
         """``obj`` was refreshed; drop it from the queue."""
         self.tracker.remove(obj.index)
-
-    def refresh_priorities(self, obj_list: list[DataObject],
-                           now: float) -> None:
-        """Bulk re-evaluation (for fluctuating weights or time-varying
-        priority functions).  Monitors that cannot observe state on demand
-        (sampling) leave their estimates untouched."""
 
     def _recompute(self, obj: DataObject, now: float) -> None:
         weight = self.weights.weight(obj.index, now)
@@ -99,36 +81,26 @@ class PriorityMonitor(ABC):
 
 
 class TriggerMonitor(PriorityMonitor):
-    """Exact monitoring via update triggers (the paper's default)."""
+    """Exact monitoring via update triggers (the paper's default).
+
+    Priorities move only on updates (Sec 8.2), so the monitor never asks
+    for a wakeup -- except under a time-varying priority function (the
+    Sec 9 bound), which grows every object's priority every tick, even a
+    synchronized one's: the monitor then asks to be woken at every
+    dispatcher fire and re-evaluates all of its objects.
+    """
 
     __slots__ = ()
 
     def on_update(self, obj: DataObject, now: float) -> None:
         self._recompute(obj, now)
 
-    def on_tick(self, obj_list: list[DataObject], now: float) -> None:
-        # Only time-varying priority functions (the Sec 9 bound priority)
-        # need periodic recomputation; everything else is exact already.
+    def next_wake_time(self) -> float | None:
+        return 0.0 if self.priority_fn.time_varying else None
+
+    def on_wake(self, source, now: float) -> None:
         if self.priority_fn.time_varying:
-            self.refresh_priorities(obj_list, now)
-
-    @property
-    def wants_tick(self) -> bool:
-        # With a time-varying priority every object's priority changes
-        # every tick, so there is nothing to schedule around; otherwise
-        # priorities move only on updates and the monitor is fully
-        # event-driven (Sec 8.2).
-        return self.priority_fn.time_varying
-
-    def refresh_priorities(self, obj_list: list[DataObject],
-                           now: float) -> None:
-        # Time-varying priorities (the Sec 9 bound) grow even for
-        # synchronized objects, so every object is re-evaluated; for
-        # update-driven priorities only diverged objects can be nonzero.
-        time_varying = self.priority_fn.time_varying
-        for obj in obj_list:
-            if (time_varying or obj.index in self.tracker
-                    or obj.belief.divergence != 0.0):
+            for obj in source.objects:
                 self._recompute(obj, now)
 
 
@@ -152,8 +124,7 @@ class SamplingMonitor(PriorityMonitor):
 
     __slots__ = ("metric", "interval", "min_interval", "predictive",
                  "threshold", "samples_taken", "_last_sample_time",
-                 "_last_sample_div", "_est_integral", "_next_sample",
-                 "_deadlines")
+                 "_last_sample_div", "_est_integral", "_deadlines")
 
     def __init__(self, tracker: PriorityTracker,
                  priority_fn: PriorityFunction, weights: WeightModel,
@@ -173,10 +144,8 @@ class SamplingMonitor(PriorityMonitor):
         self._last_sample_time: dict[int, float] = {}
         self._last_sample_div: dict[int, float] = {}
         self._est_integral: dict[int, float] = {}
-        self._next_sample: dict[int, float] = {}
-        # Event-driven view of _next_sample: the same deadlines on a heap,
-        # so a wakeup-scheduled source touches only the objects that are
-        # due instead of scanning all of them each tick.
+        # Each object's next sample time, on a heap, so a woken source
+        # touches only the objects that are due.
         self._deadlines = WakeupSet()
 
     # ------------------------------------------------------------------
@@ -192,22 +161,12 @@ class SamplingMonitor(PriorityMonitor):
         self._last_sample_time[index] = now
         self._last_sample_div[index] = 0.0
         self._est_integral[index] = 0.0
-        self._set_next_sample(index, now + self.interval)
+        self._deadlines.reschedule(index, now + self.interval)
 
-    def on_tick(self, obj_list: list[DataObject], now: float) -> None:
-        for obj in obj_list:
-            if now + 1e-12 >= self._next_sample.get(obj.index, 0.0):
-                self.sample(obj, now)
-
-    # ------------------------------------------------------------------
-    # Event-driven scheduling hooks
-    # ------------------------------------------------------------------
     def prime(self, obj_list: list[DataObject]) -> None:
-        """Arm every object's deadline (unseen objects are due at once,
-        mirroring ``_next_sample``'s default of 0)."""
+        """Arm every object's first sample at time 0 (due at once)."""
         for obj in obj_list:
-            self._deadlines.reschedule(
-                obj.index, self._next_sample.get(obj.index, 0.0))
+            self._deadlines.reschedule(obj.index, 0.0)
 
     def next_wake_time(self) -> float | None:
         return self._deadlines.peek_time()
@@ -215,19 +174,14 @@ class SamplingMonitor(PriorityMonitor):
     def on_wake(self, source, now: float) -> None:
         """Sample exactly the objects whose deadline has arrived.
 
-        ``pop_due`` returns indices ascending, the same order the per-tick
-        scan visited due objects, and the ``1e-12`` slack matches the
-        scan's deadline comparison -- so a wakeup-scheduled source takes
-        bit-identical samples at bit-identical times.
+        ``pop_due`` returns indices ascending, the order a scan of every
+        object visits the due ones, with a ``1e-12`` slack on the
+        deadline comparison.
         """
         objects = source.objects
         first = source.first_index
         for index in self._deadlines.pop_due(now, eps=1e-12):
             self.sample(objects[index - first], now)
-
-    def _set_next_sample(self, index: int, time: float) -> None:
-        self._next_sample[index] = time
-        self._deadlines.reschedule(index, time)
 
     # ------------------------------------------------------------------
     # Sampling machinery
@@ -255,7 +209,7 @@ class SamplingMonitor(PriorityMonitor):
         elapsed = now - view.last_refresh_time
         priority = (elapsed * divergence - integral) * weight
         self.tracker.update(index, priority)
-        self._set_next_sample(index, now + self._next_delay(
+        self._deadlines.reschedule(index, now + self._next_delay(
             obj, priority, divergence, last_t, last_d, now, weight))
 
     def _next_delay(self, obj: DataObject, priority: float,

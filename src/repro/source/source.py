@@ -77,18 +77,12 @@ class SourceNode:
         self.monitor.on_update(obj, now)
         return self.drain(now)
 
-    def on_tick(self, now: float) -> None:
-        """Per-tick refresh opportunity (SOURCES phase, full-scan
-        fallback for time-varying priorities)."""
-        self.monitor.on_tick(self.objects, now)
-        self.drain(now)
-
     def on_wake(self, now: float) -> bool:
-        """Deadline-driven refresh opportunity (event scheduling).
+        """The policy's dispatcher woke this source (SOURCES phase).
 
-        Performs exactly what :meth:`on_tick` would have at this tick --
-        the monitor touches only its due objects -- and reports whether
-        the source still has over-threshold work blocked on bandwidth.
+        The monitor re-evaluates its due objects, then the source drains;
+        returns whether over-threshold work is still blocked on
+        bandwidth.
         """
         self.monitor.on_wake(self, now)
         return self.drain(now)

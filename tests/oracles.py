@@ -11,11 +11,13 @@ configuration both ways and demand bit-identical results.
 :func:`reference_schedule` patches the package for the duration of a
 ``with`` block:
 
-* **scan** -- every source and every cache is visited each ``dt``.  The
-  cooperative and competitive policies are forced onto the per-tick
-  fallback they keep for time-varying priorities; the uniform policy's
-  per-tick credit accrual loop and the ideal policy's every-tick drain
-  live here;
+* **scan** -- every source and every cache is visited each ``dt``: a
+  cooperative source does its monitor's per-tick work (re-evaluate every
+  object under a time-varying priority, sample every object whose
+  deadline has come) and drains; a competitive source also accrues one
+  tick of own credit and sends; a uniform source accrues one tick of
+  credit and sends; the ideal policy drains every tick.  The policies'
+  own wakeup sets are armed as usual and never consulted;
 * **eager links** -- every source link refills on every network tick
   instead of replaying skipped refills on first touch;
 * **per event** -- each replayer firing applies one trace event or serves
@@ -41,9 +43,11 @@ import numpy as np
 
 from repro.metrics.collector import DivergenceCollector
 from repro.network.topology import Topology
+from repro.policies.competitive import CompetitivePolicy
+from repro.policies.cooperative import CooperativePolicy
 from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
-from repro.source.monitor import PriorityMonitor
+from repro.source.monitor import SamplingMonitor
 from repro.workloads.read_process import ReadReplayer, ReadTrace
 from repro.workloads.trace import TraceReplayer, UpdateTrace
 
@@ -51,10 +55,32 @@ from repro.workloads.trace import TraceReplayer, UpdateTrace
 # ----------------------------------------------------------------------
 # The reference schedule
 # ----------------------------------------------------------------------
-def _monitor_classes(cls=PriorityMonitor):
-    yield cls
-    for sub in cls.__subclasses__():
-        yield from _monitor_classes(sub)
+def _cooperative_scan_sources(self, now: float) -> None:
+    """Every source does its monitor's per-tick work and drains (a
+    batching source's drain sends at most one batch)."""
+    for source in self.sources:
+        monitor = source.monitor
+        if isinstance(monitor, SamplingMonitor):
+            # Read each deadline where the wakeups keep it, never popping.
+            deadlines = monitor._deadlines
+            for obj in source.objects:
+                if now + 1e-12 >= deadlines.wake_time(obj.index):
+                    monitor.sample(obj, now)
+        elif monitor.priority_fn.time_varying:
+            for obj in source.objects:
+                monitor._recompute(obj, now)
+        source.drain(now)
+
+
+def _competitive_scan_own_sends(self, now: float) -> None:
+    """Every source accrues one tick of own credit, then sends."""
+    dt = self._ctx.dt
+    for j in range(len(self.sources)):
+        if self.option in ("equal", "proportional"):
+            rate_dt = self._own_rate[j] * dt
+            self._own_credit[j] = min(self._own_credit[j] + rate_dt,
+                                      max(1.0, rate_dt))
+        self._own_send_while_credit(j, now)
 
 
 def _uniform_scan_sources(self, now: float) -> None:
@@ -104,9 +130,6 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
     schedule; each flag switches one of its three parts."""
     patches: list[tuple[type, str, object]] = []
     if scan:
-        tick = property(lambda self: True)
-        patches += [(cls, "wants_tick", tick) for cls in _monitor_classes()
-                    if "wants_tick" in cls.__dict__]
         ideal_tick = IdealCooperativePolicy._on_tick
 
         def drain_every_tick(self, now: float) -> None:
@@ -116,6 +139,10 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
                 self._drain(now)
 
         patches += [
+            (CooperativePolicy, "_sources_tick", _cooperative_scan_sources),
+            (CooperativePolicy, "_caches_tick", _scan_caches),
+            (CompetitivePolicy, "_own_sends_tick",
+             _competitive_scan_own_sends),
             (UniformAllocationPolicy, "_sources_tick", _uniform_scan_sources),
             (UniformAllocationPolicy, "_caches_tick", _scan_caches),
             (IdealCooperativePolicy, "_on_tick", drain_every_tick),

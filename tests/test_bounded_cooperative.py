@@ -3,7 +3,8 @@
 The paper notes "the threshold-based algorithm from Section 5 for
 coordinating refreshes from multiple sources can be used in conjunction
 with this priority policy"; these tests exercise exactly that composition
-(time-varying priority + trigger monitors + periodic re-evaluation).
+(time-varying priority + trigger monitors, which re-evaluate every object
+at each dispatcher fire).
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.policies.cooperative import CooperativePolicy
 from repro.workloads.synthetic import uniform_random_walk
 
 
-def run_bounded_cooperative(seed=0, bandwidth=6.0, reprioritize=1.0):
+def run_bounded_cooperative(seed=0, bandwidth=6.0):
     workload = uniform_random_walk(
         num_sources=3, objects_per_source=10, horizon=400.0,
         rng=np.random.default_rng(seed), rate_range=(0.05, 0.8))
@@ -28,7 +29,7 @@ def run_bounded_cooperative(seed=0, bandwidth=6.0, reprioritize=1.0):
     meter = BoundMeter(max_rates, np.full(30, 0.5), warmup=100.0)
     policy = CooperativePolicy(
         ConstantBandwidth(bandwidth), [ConstantBandwidth(4.0)] * 3,
-        DivergenceBoundPriority(), reprioritize_interval=reprioritize)
+        DivergenceBoundPriority())
     policy.attach(ctx)
     policy.cache.add_refresh_hook(meter.on_refresh)
     ctx.run(400.0)
@@ -45,7 +46,7 @@ class TestBoundedThroughThresholdProtocol:
 
     def test_synchronized_objects_reenter_the_queue(self):
         """After a refresh, the object's bound priority regrows and the
-        periodic re-evaluation must put it back in the queue."""
+        per-tick re-evaluation must put it back in the queue."""
         meter, policy, ctx = run_bounded_cooperative()
         refreshed_more_than_once = sum(
             1 for count in policy.store.refresh_counts if count >= 2)

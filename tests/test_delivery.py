@@ -1,11 +1,11 @@
-"""The pluggable delivery plane: unicast pins, multicast semantics.
+"""Replica delivery modes: unicast pins, multicast semantics.
 
 Three layers of guarantees:
 
 * **Bitwise pins.**  ``PINS`` freezes the (weighted divergence,
   refreshes, total messages) triples captured on the *pre-refactor*
   hard-wired send path for all five policies on star, sharded-4 and
-  replicated-4 layouts.  The default :class:`UnicastDelivery` must
+  replicated-4 layouts.  The default ``delivery="unicast"`` must
   reproduce every one exactly -- the refactor's not-a-behavior-change
   contract.  The same capture doubles as the replication-1 tie: with a
   single replica there is no sibling leg, so multicast must match
@@ -29,15 +29,9 @@ from repro.cache.feedback import FeedbackController
 from repro.experiments.matrix import POLICIES, make_policy
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth
-from repro.network.delivery import (
-    DELIVERY_MODES,
-    MulticastDelivery,
-    UnicastDelivery,
-    make_delivery_plane,
-)
 from repro.network.link import Link
 from repro.network.messages import MESSAGE_SIZE, RefreshMessage
-from repro.network.topology import Topology, TopologyConfig
+from repro.network.topology import DELIVERY_MODES, Topology, TopologyConfig
 from repro.workloads.synthetic import uniform_random_walk
 
 # Captured on the pre-refactor hard-wired send path (commit 316e641):
@@ -202,13 +196,6 @@ class TestFreeCopyMechanics:
 
 
 class TestPlaneConfiguration:
-    def test_make_delivery_plane(self):
-        assert isinstance(make_delivery_plane("unicast"), UnicastDelivery)
-        assert isinstance(make_delivery_plane("multicast"),
-                          MulticastDelivery)
-        with pytest.raises(ValueError, match="unknown delivery plane"):
-            make_delivery_plane("broadcast")
-
     def test_topology_config_validates_delivery(self):
         with pytest.raises(ValueError, match="unknown delivery plane"):
             TopologyConfig(delivery="carrier-pigeon")
@@ -217,20 +204,24 @@ class TestPlaneConfiguration:
                                     replication=2, delivery=mode)
             topo = config.build(ConstantBandwidth(10.0),
                                 [ConstantBandwidth(1.0)])
-            assert topo.delivery_plane.name == mode
+            assert topo.delivery == mode
 
-    def test_star_accepts_a_plane_instance(self):
-        topo = Topology([ConstantBandwidth(10.0)],
-                        [ConstantBandwidth(1.0)],
-                        delivery=MulticastDelivery())
-        assert topo.delivery_plane.name == "multicast"
+    def test_topology_validates_delivery(self):
+        with pytest.raises(ValueError, match="unknown delivery plane"):
+            Topology([ConstantBandwidth(10.0)], [ConstantBandwidth(1.0)],
+                     delivery="broadcast")
 
-    def test_plane_cost_model(self):
-        unicast, multicast = UnicastDelivery(), MulticastDelivery()
-        assert unicast.refresh_cost(4) == 4.0
-        assert unicast.feedback_gain(4) == 1.0
-        assert multicast.refresh_cost(4) == 1.0
-        assert multicast.feedback_gain(4) == 4.0
+    @pytest.mark.parametrize("delivery, gains", [
+        ("unicast", [1.0, 1.0, 1.0]),
+        ("multicast", [4.0, 1.0, 2.0]),
+    ])
+    def test_feedback_gain_is_replication_under_multicast(self, delivery,
+                                                         gains):
+        topo = Topology([ConstantBandwidth(10.0)] * 4,
+                        [ConstantBandwidth(1.0)] * 3,
+                        assignment=[(0, 1, 2, 3), (1,), (2, 3)],
+                        delivery=delivery)
+        assert [topo.feedback_gain(j) for j in range(3)] == gains
 
 
 class TestFeedbackGains:

@@ -15,6 +15,9 @@ These tests pin that across:
 * the Figure 5 settings (buoy workload, 60 s ticks, fluctuating link);
 * one cache (the paper's star) and four caches (sharded and replicated);
 * the sampling monitor (plain and predictive) and batching sources;
+* the Sec 9 time-varying bound priority, whose trigger monitors ask for
+  every dispatcher fire (``TestTimeVaryingPriority``, also pinned to
+  the outputs of the per-tick scan the policies ran it on before);
 * replicated topologies carrying a client *read stream*: every read-model
   metric (reads served, read-observed divergence, per-replica serving
   counts, per-replica time-averaged divergence) must be bit-for-bit
@@ -32,12 +35,17 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
+from repro.core.priority import AreaPriority, DivergenceBoundPriority
 from repro.core.weights import StaticWeights
 from repro.experiments.matrix import POLICIES, Scenario, run_scenario
 from repro.experiments.parallel import WorkloadSpec
 from repro.experiments.readmodel import run_policy_with_reads
-from repro.experiments.runner import RunSpec, run_policy
+from repro.experiments.runner import (
+    RunSpec,
+    build_result,
+    make_context,
+    run_policy,
+)
 from repro.faults.plan import (
     FAULT_SCENARIOS,
     CacheCrash,
@@ -52,6 +60,7 @@ from repro.network.bandwidth import (
     TraceBandwidth,
 )
 from repro.network.topology import TopologyConfig
+from repro.policies.bounded import assign_max_rates
 from repro.policies.cache_driven import CGMPollingPolicy
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
@@ -191,16 +200,6 @@ class TestCooperativeEquivalence:
                 cache_profile(), source_profiles(),
                 priority_fn=AreaPriority(), batch_size=3,
                 batch_timeout=4.0),
-            workload, spec)
-
-    def test_reprioritize_interval(self):
-        """Periodic bulk re-prioritization must re-arm wakeups."""
-        workload = fig4_workload()
-        spec = RunSpec(**SPEC)
-        assert_equivalent(
-            lambda: CooperativePolicy(
-                cache_profile(), source_profiles(),
-                priority_fn=AreaPriority(), reprioritize_interval=15.0),
             workload, spec)
 
 
@@ -619,6 +618,125 @@ class TestSparseRegime:
             workload, spec)
 
 
+BOUND_TOPOLOGIES = {
+    "star": None,
+    "sharded-2": TopologyConfig(kind="sharded", num_caches=2),
+    "replicated-2-multicast": TopologyConfig(
+        kind="replicated", num_caches=2, replication=2,
+        delivery="multicast"),
+}
+
+
+def run_bound(policy, topology, monitor, batch_size, sine_weights, seed,
+              priority_fn=DivergenceBoundPriority, source_bandwidth=1.5,
+              cache_bandwidth=3.0, objects_per_source=3):
+    """One small run, by default under the Sec 9 bound priority (known
+    max rates installed), reduced to a tuple of its outputs."""
+    m, n = 4, objects_per_source
+    workload = uniform_random_walk(
+        num_sources=m, objects_per_source=n, horizon=120.0,
+        rng=np.random.default_rng(seed), rate_range=(0.05, 0.8),
+        fluctuating_weights=sine_weights)
+    spec = RunSpec(warmup=30.0, measure=90.0,
+                   topology=BOUND_TOPOLOGIES[topology])
+    ctx = make_context(workload, ValueDeviation(), spec)
+    assign_max_rates(ctx.objects, np.asarray(workload.rates))
+    knobs = dict(monitor=monitor, sampling_interval=4.0,
+                 batch_size=batch_size, batch_timeout=4.0)
+    args = (ConstantBandwidth(cache_bandwidth),
+            [ConstantBandwidth(source_bandwidth) for _ in range(m)],
+            priority_fn())
+    if policy == "cooperative":
+        made = CooperativePolicy(*args, **knobs)
+    else:
+        made = CompetitivePolicy(
+            *args, **knobs, source_weights=StaticWeights.uniform(m * n),
+            psi=0.25)
+    made.attach(ctx)
+    ctx.run(spec.end_time)
+    result = build_result(workload, ValueDeviation(), made, ctx)
+    extras = result.extras
+    return (result.weighted_divergence, result.unweighted_divergence,
+            result.refreshes, result.feedback_messages,
+            result.messages_total, extras["refreshes_sent"],
+            extras["mean_threshold"], extras.get("own_refreshes_sent"))
+
+
+class TestTimeVaryingPriority:
+    """The bound priority grows every object's priority every tick, so a
+    trigger monitor asks its source to be woken at every dispatcher fire.
+    Each run must equal the per-tick scan of the reference schedule, and
+    the pin: (policy, topology, monitor, batch size, sine weights, seed)
+    -> (weighted and unweighted divergence, refreshes, feedback,
+    messages, refreshes sent, mean threshold, own-priority sends),
+    captured when the policies ran this priority on a per-tick scan of
+    their own."""
+
+    PINS = {
+        ("cooperative", "star", "trigger", 1, False, 0):
+            (0.8282954779864559, 0.8282954779864559, 345, 15, 362, 347,
+             2.860660310528509, None),
+        ("cooperative", "star", "trigger", 3, True, 3):
+            (0.3325056780776376, 0.2818330080005591, 1020, 20, 361, 341,
+             0.06936625945003551, None),
+        ("cooperative", "star", "sampling", 1, True, 0):
+            (0.7380199076655917, 0.5727039035843947, 203, 56, 259, 203,
+             3.8420731119896455e-12, None),
+        ("cooperative", "sharded-2", "trigger", 1, True, 0):
+            (1.203191073103932, 0.9731723905750065, 345, 15, 363, 348,
+             3.5891493327548245, None),
+        ("cooperative", "sharded-2", "sampling", 3, False, 3):
+            (0.6270049164719459, 0.6270049164719459, 152, 52, 115, 63,
+             4.0872441597506744e-12, None),
+        ("cooperative", "replicated-2-multicast", "trigger", 1, True, 3):
+            (0.7993833368771286, 0.6568590470933787, 685, 15, 711, 348,
+             2.7422516478610306, None),
+        ("cooperative", "replicated-2-multicast", "trigger", 3, False, 0):
+            (0.4030729483092989, 0.4030729483092989, 1987, 20, 704, 342,
+             0.050748241583704126, None),
+        ("competitive", "star", "trigger", 1, True, 0):
+            (1.250028280581999, 1.0336279672429343, 347, 13, 362, 349,
+             3.6151620470306485, 66),
+        ("competitive", "star", "sampling", 3, False, 3):
+            (0.5267273000484041, 0.5267273000484041, 195, 52, 185, 133,
+             3.3596602517819227e-12, 73),
+        ("competitive", "sharded-2", "trigger", 3, True, 0):
+            (0.5966890287661395, 0.4652791234767022, 945, 19, 362, 343,
+             0.04028458997004446, 39),
+        ("competitive", "replicated-2-multicast", "trigger", 1, False, 3):
+            (0.8059822500639403, 0.8059822500639403, 690, 13, 717, 352,
+             2.7606861192429673, 62),
+        ("competitive", "replicated-2-multicast", "sampling", 1, True, 0):
+            (0.6208546782634277, 0.48269992545350293, 472, 54, 526, 236,
+             3.5087139465000665e-12, 72),
+    }
+
+    @pytest.mark.parametrize("config", sorted(PINS), ids=lambda c: "-".join(
+        map(str, c)))
+    def test_matches_reference_and_pin(self, config):
+        with reference_schedule():
+            reference = run_bound(*config)
+        default = run_bound(*config)
+        assert repr(default) == repr(reference)
+        assert repr(default) == repr(self.PINS[config])
+
+    @pytest.mark.parametrize("monitor, priority_fn", [
+        ("trigger", DivergenceBoundPriority), ("sampling", AreaPriority)])
+    @pytest.mark.parametrize("policy", ["cooperative", "competitive"])
+    def test_batching_with_full_batches_waiting(self, policy, monitor,
+                                                priority_fn):
+        """Roomy links with batches of two: a source re-evaluating or
+        sampling many objects at once often holds two full batches and
+        the credit for both, and sends one per visit on both schedules
+        (a per-tick second flush changes these results)."""
+        config = (policy, "star", monitor, 2, True, 1)
+        knobs = dict(priority_fn=priority_fn, source_bandwidth=4.0,
+                     cache_bandwidth=8.0, objects_per_source=8)
+        with reference_schedule():
+            reference = run_bound(*config, **knobs)
+        assert repr(run_bound(*config, **knobs)) == repr(reference)
+
+
 class TestReferenceSchedule:
     """The oracle really switches the run onto the literal schedule, and
     restores the package on exit."""
@@ -633,12 +751,17 @@ class TestReferenceSchedule:
             run_policy(workload, ValueDeviation(), policy, spec)
             return policy
 
+        scans = [(CooperativePolicy, "_sources_tick"),
+                 (CooperativePolicy, "_caches_tick"),
+                 (CompetitivePolicy, "_own_sends_tick")]
+        originals = [owner.__dict__[name] for owner, name in scans]
         with reference_schedule():
+            assert all(owner.__dict__[name] is not original
+                       for (owner, name), original in zip(scans, originals))
             reference = run()
         default = run()
-        assert not reference._event_driven
+        assert [owner.__dict__[name] for owner, name in scans] == originals
         assert not any(link.lazy for link in reference.topology.source_links)
-        assert default._event_driven
         assert all(link.lazy for link in default.topology.source_links)
 
 

@@ -112,10 +112,10 @@ class TestBatchingSource:
         source, objects, topo, received = self.make(batch_size=4,
                                                     batch_timeout=3.0)
         self.stale(source, objects, [0], 1.0)
-        source.on_tick(2.0)
+        source.on_wake(2.0)
         assert received == []
         topo.on_network_tick(5.0)
-        source.on_tick(5.0)  # 4 seconds elapsed >= timeout
+        source.on_wake(5.0)  # 4 seconds elapsed >= timeout
         assert len(received) == 1
         assert len(received[0].items) == 1
 

@@ -183,13 +183,13 @@ class TestMixedPolicies:
         assert result.unweighted_divergence < 10.0
 
     def test_fluctuating_everything(self):
-        """Sine bandwidth + sine weights + reprioritization together."""
+        """Sine bandwidth and sine weights together."""
         from repro.network.bandwidth import SineBandwidth
         w = workload(seed=12, fluctuating_weights=True)
         policy = CooperativePolicy(
             SineBandwidth(15.0, 0.25),
             [SineBandwidth(8.0, 0.25, phase=float(j)) for j in range(4)],
-            AreaPriority(), reprioritize_interval=10.0)
+            AreaPriority())
         result = run_policy(w, ValueDeviation(), policy,
                             RunSpec(warmup=100.0, measure=300.0,
                                     resample_interval=5.0))

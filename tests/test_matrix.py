@@ -755,7 +755,8 @@ BAD_CONFIGURATION = [
     (["multicache", "source-bandwidth=-2"],
      "source-bandwidth must be >= 0"),
     (["readmodel", "cache-bandwidths=-3"], "cache-bandwidths must be >= 0"),
-    (["readmodel", "read-rate=-1"], "read-rate must be >= 0"),
+    (["readmodel", "read-rate=-1"], "read-rate must be > 0"),
+    (["readmodel", "read-rate=0"], "read-rate must be > 0"),
     (["faults", "rate-cap=-1"], "rate-cap must be >= 0"),
     (["rebalance", "rate-range=0.5,0.1"],
      "rate_range must satisfy 0 <= low <= high"),

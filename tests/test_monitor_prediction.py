@@ -76,7 +76,7 @@ class TestProjectedCrossing:
             obj.apply_update(t, rho * t, metric)
             t += 0.05
         monitor.sample(obj, 4.0)  # two samples establish the rate
-        predicted = monitor._next_sample[0]
+        predicted = monitor._deadlines.wake_time(0)
         # True crossing: rho t^2 / 2 = threshold  =>  t = sqrt(2T/rho)
         true_crossing = math.sqrt(2.0 * threshold / rho)
         assert predicted == pytest.approx(true_crossing, rel=0.1)
@@ -91,7 +91,7 @@ class TestProjectedCrossing:
         obj = linear_divergence_object(0.1, until=2.0)
         monitor.sample(obj, 1.0)
         monitor.sample(obj, 2.0)
-        assert monitor._next_sample[0] - 2.0 <= 7.0 + 1e-9
+        assert monitor._deadlines.wake_time(0) - 2.0 <= 7.0 + 1e-9
 
     def test_over_threshold_object_sampled_immediately(self):
         tracker = PriorityTracker()
@@ -101,7 +101,7 @@ class TestProjectedCrossing:
             threshold=lambda: 0.001, min_interval=0.5)
         obj = linear_divergence_object(1.0, until=5.0)
         monitor.sample(obj, 5.0)
-        assert monitor._next_sample[0] - 5.0 == pytest.approx(0.5)
+        assert monitor._deadlines.wake_time(0) - 5.0 == pytest.approx(0.5)
 
     def test_shrinking_divergence_uses_regular_interval(self):
         """Negative observed rate (divergence falling) cannot predict a
@@ -117,7 +117,7 @@ class TestProjectedCrossing:
         monitor.sample(obj, 1.0)
         obj.apply_update(2.0, 1.0, metric)  # walked back toward cache
         monitor.sample(obj, 2.0)
-        assert monitor._next_sample[0] - 2.0 == pytest.approx(5.0)
+        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(5.0)
 
 
 def make_monitor(threshold=100.0, interval=5.0, min_interval=0.5,
@@ -157,14 +157,14 @@ class TestPredictiveFallbacks:
         obj.apply_update(1.0, 3.0, metric)
         monitor.sample(obj, 1.0)
         monitor.sample(obj, 2.0)  # same divergence: rho == 0
-        assert monitor._next_sample[0] - 2.0 == pytest.approx(5.0)
+        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(5.0)
 
     def test_zero_weight_uses_regular_interval(self):
         """weight <= 0 makes the projection formula singular; fall back."""
         monitor = make_monitor(interval=6.0,
                                weights=StaticWeights(np.zeros(1)))
         sample_linear(monitor, 0.5, [1.0, 2.0])
-        assert monitor._next_sample[0] - 2.0 == pytest.approx(6.0)
+        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(6.0)
 
     def test_repeated_sample_at_same_instant_uses_regular_interval(self):
         """elapsed_since_last == 0 would divide by zero estimating rho."""
@@ -172,7 +172,7 @@ class TestPredictiveFallbacks:
         obj = linear_divergence_object(0.5, until=2.0)
         monitor.sample(obj, 2.0)
         monitor.sample(obj, 2.0)
-        assert monitor._next_sample[0] - 2.0 == pytest.approx(4.0)
+        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(4.0)
 
     def test_imminent_crossing_clamped_to_min_interval(self):
         """A projection closer than min_interval clamps up to it (the
@@ -183,14 +183,14 @@ class TestPredictiveFallbacks:
         sample_linear(monitor, rho, [1.0, 2.0])
         # Priority at t=2 is ~rho*t^2/2 = 4; crossing t=sqrt(4.2)~2.05,
         # i.e. 0.05s away -- far below min_interval.
-        assert monitor._next_sample[0] - 2.0 == pytest.approx(1.5)
+        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(1.5)
 
     def test_far_crossing_clamped_to_interval(self):
         """A projection beyond the regular interval clamps down to it
         (the upper edge of the clamp)."""
         monitor = make_monitor(threshold=1e9, interval=8.0)
         sample_linear(monitor, 0.1, [1.0, 2.0])
-        assert monitor._next_sample[0] - 2.0 == pytest.approx(8.0)
+        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(8.0)
 
     def test_radicand_guard_returns_min_interval(self):
         """The negative-radicand branch is defensive (with one threshold
@@ -218,11 +218,11 @@ class TestPredictiveFallbacks:
 
     def test_next_delay_feeds_the_wakeup_deadlines(self):
         """The predictive schedule and the event-driven deadline heap
-        must agree: next_wake_time tracks the earliest _next_sample."""
+        must agree: next_wake_time tracks the earliest deadline."""
         monitor = make_monitor(threshold=30.0, interval=9.0)
         obj = linear_divergence_object(0.5, until=2.0)
         monitor.prime([obj])
         assert monitor.next_wake_time() == pytest.approx(0.0)
         monitor.sample(obj, 2.0)
         assert monitor.next_wake_time() == pytest.approx(
-            monitor._next_sample[0])
+            monitor._deadlines.wake_time(0))

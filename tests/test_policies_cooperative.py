@@ -166,15 +166,6 @@ class TestMonitorVariants:
         with pytest.raises(ValueError):
             cooperative(monitor="telepathy").attach(ctx)
 
-    def test_reprioritize_interval_accepts_fluctuating_weights(self):
-        w = workload(seed=11, fluctuating_weights=True)
-        policy = cooperative(priority_fn=AreaPriority(),
-                             reprioritize_interval=10.0)
-        result = run_policy(w, ValueDeviation(), policy,
-                            RunSpec(warmup=50.0, measure=250.0,
-                                    resample_interval=10.0))
-        assert result.refreshes > 0
-
 
 class TestKnobValidation:
     """Bad knobs fail at construction, before any topology is built."""

@@ -68,7 +68,7 @@ class TestRefreshDecisions:
             objects[i].apply_update(1.0, dv, metric)
             source.on_update(objects[i], 1.0)
         source.threshold.value = 1.0
-        source.on_tick(1.0)
+        source.on_wake(1.0)
         topo.on_network_tick(2.0)
         assert [m.object_index for m in received] == [1, 2, 0]
 
@@ -81,7 +81,7 @@ class TestRefreshDecisions:
             source.on_update(objects[i], 1.0)
         assert source.refreshes_sent == 2  # only 2 credits this tick
         topo.on_network_tick(2.0)
-        source.on_tick(2.0)
+        source.on_wake(2.0)
         assert source.refreshes_sent == 3
 
     def test_refresh_resets_belief_and_queue(self):
@@ -199,7 +199,8 @@ class TestSamplingMonitor:
         objects[0].apply_update(1.0, 9.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
         assert source.refreshes_sent == 0  # not sampled yet
-        source.on_tick(5.0)  # first sample due at t >= 0
+        monitor.prime(objects)
+        source.on_wake(5.0)  # first sample due at t >= 0
         assert monitor.samples_taken >= 1
 
     def test_sampled_priority_approximates_exact(self):
@@ -223,7 +224,7 @@ class TestSamplingMonitor:
         monitor.sample(objects[0], 1.0)
         objects[0].apply_update(1.5, 2.0, metric)
         monitor.sample(objects[0], 2.0)  # rising divergence -> prediction
-        next_due = monitor._next_sample[0]
+        next_due = monitor._deadlines.wake_time(0)
         assert next_due - 2.0 <= 100.0
 
     def test_refresh_resets_sampler_state(self):
@@ -233,7 +234,7 @@ class TestSamplingMonitor:
         metric = ValueDeviation()
         objects[0].apply_update(0.5, 50.0, metric)
         monitor.sample(objects[0], 1.0)
-        source.on_tick(1.0)
+        source.on_wake(1.0)
         assert source.refreshes_sent == 1
         assert monitor._est_integral[0] == 0.0
         assert monitor.tracker.peek() is None
