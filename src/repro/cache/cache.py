@@ -30,6 +30,7 @@ from repro.network.messages import (
     RefreshMessage,
 )
 from repro.network.topology import Topology
+from repro.sim.engine import Simulator
 
 
 class WindowStats:
@@ -73,7 +74,7 @@ class CacheNode:
                  collector: DivergenceCollector | None = None,
                  store: CacheStore | None = None,
                  feedback: FeedbackController | None = None,
-                 clock: Callable[[], float] = lambda: 0.0,
+                 sim: Simulator | None = None,
                  cache_id: int = 0) -> None:
         self.objects = objects
         self.metric = metric
@@ -81,7 +82,9 @@ class CacheNode:
         self.collector = collector
         self.store = store
         self.feedback = feedback
-        self.clock = clock
+        #: the run's simulator, whose ``now`` stamps every delivery (a
+        #: node built without one stays at time 0)
+        self.sim = sim if sim is not None else Simulator()
         self.cache_id = cache_id
         self.refreshes_applied = 0
         self.stale_discards = 0
@@ -113,16 +116,17 @@ class CacheNode:
     # Message handling
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
-        now = self.clock()
-        if isinstance(message, RefreshMessage):
+        now = self.sim.now
+        kind = type(message)
+        if kind is RefreshMessage:
             self._apply_refresh(message, now)
-        elif isinstance(message, BatchRefreshMessage):
+        elif kind is BatchRefreshMessage:
             self._apply_batch(message, now)
-        elif isinstance(message, PollResponse):
+        elif kind is PollResponse:
             self.poll_responses += 1
             if self._poll_handler is not None:
                 self._poll_handler(message, now)
-        elif isinstance(message, MigrateMessage):
+        elif kind is MigrateMessage:
             self._apply_migration(message, now)
         if self.activity_hook is not None:
             self.activity_hook(now)

@@ -32,17 +32,26 @@ from repro.network.topology import Topology
 #: every seed entry instead of a fresh float each.
 _UNKNOWN_KEY = float("-inf")
 
+#: Recorded thresholds at or below this are at the sources' numerical
+#: floor (1e-12): such a source already refreshes everything it has, so
+#: it gets no feedback until a higher threshold is piggybacked again.
+MIN_THRESHOLD = 1e-11
+
+#: Stale entries the target heap may carry beyond twice its eligible
+#: sources before :meth:`FeedbackController.on_tick` rebuilds it.
+_HEAP_SLACK = 64
+
 
 class FeedbackController:
     """Selects feedback targets and spends surplus cache bandwidth.
 
-    ``min_threshold`` prevents waste in bandwidth-rich regimes: a source
-    whose piggybacked threshold is already at the numerical floor refreshes
-    everything it has, so further feedback cannot increase the refresh rate
-    and would only burn capacity.  Because the controller optimistically
-    divides its local record by ``omega`` after each feedback, a silent
-    source stops receiving feedback after a few rounds until fresh
-    piggybacked evidence arrives.
+    :data:`MIN_THRESHOLD` prevents waste in bandwidth-rich regimes: a
+    source whose piggybacked threshold is already at the numerical floor
+    refreshes everything it has, so further feedback cannot increase the
+    refresh rate and would only burn capacity.  Because the controller
+    optimistically divides its local record by ``omega`` after each
+    feedback, a silent source stops receiving feedback after a few rounds
+    until fresh piggybacked evidence arrives.
 
     ``source_ids`` restricts the controller to the sources this cache is
     responsible for (``None`` means every source in the topology);
@@ -61,15 +70,11 @@ class FeedbackController:
     """
 
     def __init__(self, topology: Topology, omega: float,
-                 max_per_tick: int | None = None,
-                 min_threshold: float = 1e-11,
                  cache_id: int = 0,
                  source_ids: Sequence[int] | None = None,
                  gains: Sequence[float] | None = None) -> None:
         self.topology = topology
         self.omega = omega
-        self.max_per_tick = max_per_tick
-        self.min_threshold = min_threshold
         self.cache_id = cache_id
         if source_ids is None:
             source_ids = range(topology.num_sources)
@@ -111,7 +116,7 @@ class FeedbackController:
         """
         live = self._position
         self.known_thresholds = [
-            float("inf") if sid in live else self.min_threshold
+            float("inf") if sid in live else MIN_THRESHOLD
             for sid in self.source_ids]
         self._versions = [v + 1 for v in self._versions]
         self._heap = [(_UNKNOWN_KEY, sid, self._versions[pos])
@@ -136,7 +141,7 @@ class FeedbackController:
             raise ValueError(
                 f"source {source_id} is not owned by cache {self.cache_id}")
         threshold = self.known_thresholds[position]
-        self._set_threshold(position, self.min_threshold)
+        self._set_threshold(position, MIN_THRESHOLD)
         del self._position[source_id]
         return threshold
 
@@ -159,7 +164,7 @@ class FeedbackController:
             self.source_ids = self.source_ids + (source_id,)
             # Seed the new slot at the floor (ineligible) so the
             # _set_threshold below accounts the eligibility delta.
-            self.known_thresholds.append(self.min_threshold)
+            self.known_thresholds.append(MIN_THRESHOLD)
             self._versions.append(0)
             if self._gains is not None:
                 # Migrations only move sharded (unreplicated) sources,
@@ -177,10 +182,10 @@ class FeedbackController:
     def _set_threshold(self, position: int, threshold: float) -> None:
         old = self.known_thresholds[position]
         self.known_thresholds[position] = threshold
-        self._eligible += ((threshold > self.min_threshold)
-                           - (old > self.min_threshold))
+        self._eligible += ((threshold > MIN_THRESHOLD)
+                           - (old > MIN_THRESHOLD))
         self._versions[position] += 1
-        if threshold > self.min_threshold:
+        if threshold > MIN_THRESHOLD:
             # Heap keys carry the gain; eligibility and the push condition
             # use the raw threshold, so a gained entry can never outlive
             # its source's eligibility (version bumps invalidate anyway).
@@ -206,13 +211,21 @@ class FeedbackController:
         :meth:`Topology.send_downstream_batch` call -- one link accrue,
         one counter update, one reused message object -- instead of a
         per-target :class:`FeedbackMessage` allocation and ``send``.
+
+        Every piggybacked threshold pushes a heap entry, and a superseded
+        one leaves only when it surfaces, so the heap grows with the
+        refreshes (85k entries for 40 sources on ``dense-star-2k``).
+        Once it holds more than twice the eligible sources plus a slack,
+        the tick starts by rebuilding it from the one live entry per
+        eligible source -- before any entry is drained, so the selection
+        sees exactly the entries it would have.
         """
+        if len(self._heap) > 2 * self._eligible + _HEAP_SLACK:
+            self._rebuild_heap()
         surplus = self.topology.cache_surplus(self.cache_id, now)
         budget = int(surplus)
         if budget <= 0:
             return
-        if self.max_per_tick is not None:
-            budget = min(budget, self.max_per_tick)
         budget = min(budget, len(self.source_ids))
         targets, entries = self._select_targets(budget)
         delivered = self.topology.send_downstream_batch(
@@ -235,6 +248,20 @@ class FeedbackController:
                 # so its drained entry is restored untouched.
                 heapq.heappush(self._heap, entries[rank])
 
+    def _rebuild_heap(self) -> None:
+        gains = self._gains
+        versions = self._versions
+        known = self.known_thresholds
+        heap = []
+        for source_id, position in self._position.items():
+            threshold = known[position]
+            if threshold > MIN_THRESHOLD:
+                if gains is not None:
+                    threshold = threshold * gains[position]
+                heap.append((-threshold, source_id, versions[position]))
+        heapq.heapify(heap)
+        self._heap = heap
+
     def _select_targets(self, budget: int
                         ) -> tuple[list[int],
                                    list[tuple[float, int, int]] | None]:
@@ -254,7 +281,7 @@ class FeedbackController:
             return ([source_id
                      for source_id, threshold in zip(self.source_ids,
                                                      self.known_thresholds)
-                     if threshold > self.min_threshold], None)
+                     if threshold > MIN_THRESHOLD], None)
         selected: list[int] = []
         popped: list[tuple[float, int, int]] = []
         heap = self._heap
@@ -264,7 +291,7 @@ class FeedbackController:
             position = self._position.get(source_id)
             if (position is None
                     or version != self._versions[position]
-                    or -neg_threshold <= self.min_threshold):
+                    or -neg_threshold <= MIN_THRESHOLD):
                 # Stale, no longer eligible, or migrated away since the
                 # entry was pushed: dropped for good.
                 continue

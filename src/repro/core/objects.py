@@ -13,10 +13,12 @@ Each data object has *two* views of its synchronization status:
 
 For ideal (omniscient, zero-latency) policies the two views coincide.
 
-:class:`SyncView` also maintains the running integral of divergence since
-the last refresh, updated lazily: divergence only changes at update and
-refresh events (paper Sec 8.2), so the integral accrues
-``divergence * elapsed`` per piece, in O(1) per event.
+:class:`SyncView` also holds the running integral of divergence since the
+last refresh, which :class:`DataObject` updates lazily: divergence only
+changes at update and refresh events (paper Sec 8.2), so the integral
+accrues ``divergence * elapsed`` per piece, in O(1) per event.  The
+integral at time ``t`` is ``integral_acc + divergence * (t -
+last_change_time)``.
 """
 
 from __future__ import annotations
@@ -40,45 +42,6 @@ class SyncView:
         self.divergence = 0.0
         self.integral_acc = 0.0  #: integral of divergence up to last change
         self.last_change_time = time
-
-    # ------------------------------------------------------------------
-    # Incremental bookkeeping
-    # ------------------------------------------------------------------
-    def accrue(self, now: float) -> None:
-        """Fold ``divergence * (now - last_change)`` into the integral."""
-        if now > self.last_change_time:
-            self.integral_acc += self.divergence * (now - self.last_change_time)
-            self.last_change_time = now
-
-    def set_divergence(self, now: float, divergence: float) -> None:
-        """Record a divergence change at time ``now``."""
-        self.accrue(now)
-        self.divergence = divergence
-
-    def reset(self, now: float, value: float, count: int) -> None:
-        """Start a new refresh epoch: the view saw ``value`` refreshed."""
-        self.reference_value = value
-        self.reference_count = count
-        self.last_refresh_time = now
-        self.divergence = 0.0
-        self.integral_acc = 0.0
-        self.last_change_time = now
-
-    # ------------------------------------------------------------------
-    # Derived quantities
-    # ------------------------------------------------------------------
-    def integral_at(self, now: float) -> float:
-        """Integral of divergence over ``[last_refresh, now]``."""
-        return self.integral_acc + self.divergence * (now - self.last_change_time)
-
-    def area_priority(self, now: float) -> float:
-        """Unweighted general refresh priority (paper Sec 3.3, Eq. 2).
-
-        The area *above* the divergence curve:
-        ``(now - t_last) * D(now) - integral(D)``.
-        """
-        elapsed = now - self.last_refresh_time
-        return elapsed * self.divergence - self.integral_at(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SyncView d={self.divergence:.4g} "
@@ -127,44 +90,82 @@ class DataObject:
     # ------------------------------------------------------------------
     def apply_update(self, now: float, new_value: float,
                      metric: DivergenceMetric) -> None:
-        """Apply a source-side update and refresh both views' divergence."""
+        """Apply a source-side update and refresh both views' divergence.
+
+        Each view first folds ``divergence * (now - last_change)`` into
+        its integral, then takes the new divergence.  This runs once per
+        trace event, so the bookkeeping is written out for both views,
+        and the metric runs once when the views share their reference
+        (no refresh in flight): its arguments, and so its result, are
+        then the same for both.
+        """
         self.value = new_value
         count = self.update_count + 1
         self.update_count = count
         self.last_update_time = now
-        # Unrolled over the two views: this runs once per trace event.
-        view = self.belief
-        view.set_divergence(now, metric.compute(
-            new_value, view.reference_value,
-            count - view.reference_count))
-        view = self.truth
-        view.set_divergence(now, metric.compute(
-            new_value, view.reference_value,
-            count - view.reference_count))
+        belief = self.belief
+        truth = self.truth
+        divergence = metric.compute(new_value, belief.reference_value,
+                                    count - belief.reference_count)
+        if now > belief.last_change_time:
+            belief.integral_acc += belief.divergence * (
+                now - belief.last_change_time)
+            belief.last_change_time = now
+        belief.divergence = divergence
+        if (truth.reference_count != belief.reference_count
+                or truth.reference_value != belief.reference_value):
+            divergence = metric.compute(new_value, truth.reference_value,
+                                        count - truth.reference_count)
+        if now > truth.last_change_time:
+            truth.integral_acc += truth.divergence * (
+                now - truth.last_change_time)
+            truth.last_change_time = now
+        truth.divergence = divergence
 
     def mark_sent(self, now: float) -> None:
-        """The source sent a refresh: reset the belief view."""
-        self.belief.reset(now, self.value, self.update_count)
+        """The source sent a refresh: the belief view starts a new
+        refresh epoch at ``now``, referencing the current value."""
+        belief = self.belief
+        belief.reference_value = self.value
+        belief.reference_count = self.update_count
+        belief.last_refresh_time = now
+        belief.divergence = 0.0
+        belief.integral_acc = 0.0
+        belief.last_change_time = now
 
     def apply_refresh(self, now: float, delivered_value: float,
                       delivered_count: int,
                       metric: DivergenceMetric) -> None:
-        """The cache applied a (possibly stale) refresh: reset truth view.
+        """The cache applied a (possibly stale) refresh: the truth view
+        starts a new refresh epoch at ``now``.
 
         ``delivered_value``/``delivered_count`` are the snapshot carried by
         the refresh message, which may already be behind the source if more
-        updates happened while the message was queued.
+        updates happened while the message was queued; the new epoch then
+        starts at that residual divergence.
         """
-        self.truth.reset(now, delivered_value, delivered_count)
+        truth = self.truth
+        truth.reference_value = delivered_value
+        truth.reference_count = delivered_count
+        truth.last_refresh_time = now
+        truth.integral_acc = 0.0
+        truth.last_change_time = now
         residual = metric.compute(self.value, delivered_value,
                                   self.update_count - delivered_count)
-        if residual != 0.0:
-            self.truth.set_divergence(now, residual)
+        # A zero residual of either sign leaves the epoch's 0.0.
+        truth.divergence = residual if residual != 0.0 else 0.0
 
     def sync_views(self, now: float) -> None:
-        """Make belief match truth (used by omniscient/instant policies)."""
-        self.belief.reset(now, self.value, self.update_count)
-        self.truth.reset(now, self.value, self.update_count)
+        """Make belief match truth (used by omniscient/instant policies):
+        both views start a new refresh epoch at the current value."""
+        self.mark_sent(now)
+        truth = self.truth
+        truth.reference_value = self.value
+        truth.reference_count = self.update_count
+        truth.last_refresh_time = now
+        truth.divergence = 0.0
+        truth.integral_acc = 0.0
+        truth.last_change_time = now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DataObject {self.index} src={self.source_id} "

@@ -32,9 +32,18 @@ from abc import ABC, abstractmethod
 
 from repro.core.objects import DataObject
 
+_INF = float("inf")
+
 
 class PriorityFunction(ABC):
-    """Strategy interface mapping object state to a refresh priority."""
+    """Strategy interface mapping an object's divergence history to a
+    weighted refresh priority.
+
+    :meth:`priority` takes its operands explicitly, so one evaluation
+    serves both monitors: a trigger monitor passes the exact belief view
+    (divergence, integral since the last refresh, elapsed time), a
+    sampling monitor passes its estimates of the same quantities.
+    """
 
     #: short machine-readable name used in configs and reports
     name: str = "abstract"
@@ -45,12 +54,16 @@ class PriorityFunction(ABC):
     time_varying: bool = False
 
     @abstractmethod
-    def unweighted(self, obj: DataObject, now: float) -> float:
-        """Priority before applying the weight factor."""
+    def priority(self, obj: DataObject, divergence: float, integral: float,
+                 elapsed: float, weight: float) -> float:
+        """Weighted refresh priority ``P(O, now)``.
 
-    def priority(self, obj: DataObject, weight: float, now: float) -> float:
-        """Weighted refresh priority ``P(O, now)``."""
-        return self.unweighted(obj, now) * weight
+        ``divergence`` is ``D(O, now)``, ``integral`` the integral of
+        ``D`` since the last refresh, ``elapsed`` the time since the last
+        refresh and ``weight`` is ``W(O, now)``; ``obj`` supplies the
+        rates the special-case formulas need.  Each function evaluates in
+        this one frame.
+        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -65,8 +78,9 @@ class AreaPriority(PriorityFunction):
 
     name = "area"
 
-    def unweighted(self, obj: DataObject, now: float) -> float:
-        return obj.belief.area_priority(now)
+    def priority(self, obj: DataObject, divergence: float, integral: float,
+                 elapsed: float, weight: float) -> float:
+        return (elapsed * divergence - integral) * weight
 
 
 class PoissonStalenessPriority(PriorityFunction):
@@ -78,16 +92,17 @@ class PoissonStalenessPriority(PriorityFunction):
 
     name = "poisson-staleness"
 
-    def unweighted(self, obj: DataObject, now: float) -> float:
-        if obj.belief.divergence == 0.0:
+    def priority(self, obj: DataObject, divergence: float, integral: float,
+                 elapsed: float, weight: float) -> float:
+        if divergence == 0.0:
             return 0.0
         rate = obj.rate
         if rate <= 0.0:
             # An object that "never" updates yet is stale diverged through
             # some exceptional path; treat its expected freshness horizon as
             # unbounded, i.e. maximal priority.
-            return float("inf")
-        return 1.0 / rate
+            return _INF * weight
+        return 1.0 / rate * weight
 
 
 class PoissonLagPriority(PriorityFunction):
@@ -99,14 +114,14 @@ class PoissonLagPriority(PriorityFunction):
 
     name = "poisson-lag"
 
-    def unweighted(self, obj: DataObject, now: float) -> float:
-        lag = obj.belief.divergence
-        if lag == 0.0:
+    def priority(self, obj: DataObject, divergence: float, integral: float,
+                 elapsed: float, weight: float) -> float:
+        if divergence == 0.0:
             return 0.0
         rate = obj.rate
         if rate <= 0.0:
-            return float("inf")
-        return lag * (lag + 1.0) / (2.0 * rate)
+            return _INF * weight
+        return divergence * (divergence + 1.0) / (2.0 * rate) * weight
 
 
 class SimpleDivergencePriority(PriorityFunction):
@@ -114,8 +129,9 @@ class SimpleDivergencePriority(PriorityFunction):
 
     name = "simple"
 
-    def unweighted(self, obj: DataObject, now: float) -> float:
-        return obj.belief.divergence
+    def priority(self, obj: DataObject, divergence: float, integral: float,
+                 elapsed: float, weight: float) -> float:
+        return divergence * weight
 
 
 class DivergenceBoundPriority(PriorityFunction):
@@ -129,9 +145,9 @@ class DivergenceBoundPriority(PriorityFunction):
     name = "bound"
     time_varying = True
 
-    def unweighted(self, obj: DataObject, now: float) -> float:
-        elapsed = now - obj.belief.last_refresh_time
-        return obj.max_rate * elapsed * elapsed / 2.0
+    def priority(self, obj: DataObject, divergence: float, integral: float,
+                 elapsed: float, weight: float) -> float:
+        return obj.max_rate * elapsed * elapsed / 2.0 * weight
 
 
 _PRIORITIES = {

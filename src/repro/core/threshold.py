@@ -61,13 +61,12 @@ class ThresholdController:
     __slots__ = ("value", "alpha", "omega", "feedback_period", "floor",
                  "ceil", "last_feedback_time", "refreshes", "feedbacks",
                  "feedbacks_ignored", "feedback_ttl", "ttl_decays",
-                 "_decay_deadline")
+                 "decay_deadline")
 
     def __init__(self, initial: float = 1.0, alpha: float = DEFAULT_ALPHA,
                  omega: float = DEFAULT_OMEGA,
                  feedback_period: float | None = None,
                  floor: float = 1e-12, ceil: float = 1e15,
-                 start_time: float = 0.0,
                  feedback_ttl: float | None = None) -> None:
         if initial <= 0:
             raise ValueError(f"initial threshold must be > 0, got {initial}")
@@ -87,28 +86,15 @@ class ThresholdController:
         self.feedback_period = feedback_period
         self.floor = floor
         self.ceil = ceil
-        self.last_feedback_time = start_time
+        self.last_feedback_time = 0.0
         self.refreshes = 0
         self.feedbacks = 0
         self.feedbacks_ignored = 0
         self.feedback_ttl = feedback_ttl
         self.ttl_decays = 0
-        self._decay_deadline = (start_time + feedback_ttl
-                                if feedback_ttl is not None else math.inf)
-
-    def gamma(self, now: float) -> float:
-        """Flood-acceleration factor ``max(1, t_feedback / P_feedback)``."""
-        if self.feedback_period is None:
-            return 1.0
-        elapsed = now - self.last_feedback_time
-        if elapsed <= self.feedback_period:
-            return 1.0
-        ttl = self.feedback_ttl
-        if ttl is not None and elapsed > ttl:
-            # Feedback is *stale*, not merely overdue: silence this long
-            # means the channel is down, which is no evidence of flooding.
-            return 1.0
-        return elapsed / self.feedback_period
+        #: when the next TTL decay is due (infinite with the TTL off)
+        self.decay_deadline = (feedback_ttl if feedback_ttl is not None
+                               else math.inf)
 
     def maybe_decay(self, now: float) -> None:
         """Apply any TTL decays that have come due (lazy, idempotent).
@@ -118,24 +104,41 @@ class ThresholdController:
         the result depends only on ``now`` -- not on how often the
         source happened to be polled during the blackout.
         """
-        if now < self._decay_deadline:
+        if now < self.decay_deadline:
             return
         ttl = self.feedback_ttl
-        while now >= self._decay_deadline:
+        while now >= self.decay_deadline:
             self.value = max(self.floor, self.value / self.omega)
             self.ttl_decays += 1
-            self._decay_deadline += ttl
+            self.decay_deadline += ttl
 
     def next_decay_time(self) -> float | None:
         """When the next TTL decay is due (``None`` if TTL disabled)."""
         if self.feedback_ttl is None:
             return None
-        return self._decay_deadline
+        return self.decay_deadline
 
     def on_refresh(self, now: float) -> None:
-        """A refresh was sent: raise the threshold by ``alpha * gamma``."""
+        """A refresh was sent: raise the threshold by ``alpha * gamma``.
+
+        ``gamma = max(1, t_feedback / P_feedback)`` with ``t_feedback``
+        the time since the last feedback; it stays 1 without a feedback
+        period, and once feedback is older than the TTL: silence that
+        long means the channel is down, which is no evidence of
+        flooding.  A ``gamma`` of 1 skips its multiplication, which
+        leaves every float unchanged.
+        """
         self.refreshes += 1
-        self.value = min(self.ceil, self.value * self.alpha * self.gamma(now))
+        value = self.value * self.alpha
+        period = self.feedback_period
+        if period is not None:
+            elapsed = now - self.last_feedback_time
+            if elapsed > period:
+                ttl = self.feedback_ttl
+                if ttl is None or elapsed <= ttl:
+                    value = value * (elapsed / period)
+        ceil = self.ceil
+        self.value = value if value < ceil else ceil
 
     def on_feedback(self, now: float, at_capacity: bool = False) -> None:
         """Positive feedback arrived: lower the threshold by ``omega``.
@@ -145,7 +148,7 @@ class ThresholdController:
         """
         self.last_feedback_time = now
         if self.feedback_ttl is not None:
-            self._decay_deadline = now + self.feedback_ttl
+            self.decay_deadline = now + self.feedback_ttl
         if at_capacity:
             self.feedbacks_ignored += 1
             return

@@ -47,10 +47,11 @@ class DivergenceCollector:
         self._weighted_integral = np.zeros(num_objects)
         self._unweighted_integral = np.zeros(num_objects)
         self._end = float(start)
-        #: records logged since the last fold, one list per field
-        self._log_index: list[int] = []
-        self._log_time: list[float] = []
-        self._log_divergence: list[float] = []
+        #: records logged since the last fold, flat: index, time,
+        #: divergence, index, ... (one list folds faster than three)
+        self._log: list = []
+        #: records the log takes before it folds
+        self._log_room = LOG_CAPACITY
 
     # ------------------------------------------------------------------
     # Event-driven recording
@@ -58,11 +59,10 @@ class DivergenceCollector:
     def record(self, index: int, now: float, divergence: float) -> None:
         """Object ``index``'s truth divergence changed to ``divergence``
         (logged; see :meth:`record_at`)."""
-        log = self._log_index
-        log.append(index)
-        self._log_time.append(now)
-        self._log_divergence.append(divergence)
-        if len(log) >= LOG_CAPACITY:
+        log = self._log
+        log += (index, now, divergence)
+        self._log_room -= 1
+        if not self._log_room:
             self._flush()
 
     def record_many(self, indices: np.ndarray, now: float,
@@ -96,14 +96,14 @@ class DivergenceCollector:
 
     def _flush(self) -> None:
         """Fold every logged record into the integration state."""
-        if self._log_index:
-            indices = np.array(self._log_index, dtype=np.int64)
-            times = np.array(self._log_time, dtype=float)
-            divergences = np.array(self._log_divergence, dtype=float)
-            self._log_index.clear()
-            self._log_time.clear()
-            self._log_divergence.clear()
-            self._fold(indices, times, divergences)
+        log = self._log
+        if log:
+            # Object indices are exact in float64 (they are far below
+            # 2**53), so one float array carries all three fields.
+            flat = np.array(log, dtype=float)
+            log.clear()
+            self._log_room = LOG_CAPACITY
+            self._fold(flat[0::3].astype(np.int64), flat[1::3], flat[2::3])
 
     def _fold(self, indices: np.ndarray, times: np.ndarray,
               divergences: np.ndarray) -> None:

@@ -384,7 +384,9 @@ class Link:
         that do their own routing and bookkeeping."""
         if self.credit < size:
             return False
-        self._consume(size)
+        self.credit -= size
+        self.tick_used += size
+        self.total_units += size
         return True
 
     # ------------------------------------------------------------------
@@ -460,11 +462,16 @@ class Link:
             if queue:
                 self.enqueue(message)
                 return False
-        if self.try_consume(message.size):
+        size = message.size
+        if self.credit >= size:
+            self.credit -= size
+            self.tick_used += size
+            self.total_units += size
             self.total_sent += 1
             self.total_delivered += 1
-            if self.deliver is not None:
-                self.deliver(message)
+            deliver = self.deliver
+            if deliver is not None:
+                deliver(message)
             return True
         self.enqueue(message)
         return False
@@ -479,11 +486,6 @@ class Link:
             if self.deliver is not None:
                 self.deliver(message)
         return delivered
-
-    def _consume(self, size: float) -> None:
-        self.credit -= size
-        self.tick_used += size
-        self.total_units += size
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -119,16 +119,19 @@ class Topology:
             owned[targets[0]] += group
         self._sources_by_cache = [tuple(sorted(s)) for s in members]
         self._owned_by_cache = [tuple(sorted(s)) for s in owned]
-        #: One constrained link per cache node, indexed by ``cache_id``.
-        self.cache_links = [
-            Link(f"cache-{k}", profile, deliver=self._make_cache_deliver(k))
-            for k, profile in enumerate(cache_profiles)
-        ]
+        #: One constrained link per cache node, indexed by ``cache_id``;
+        #: each delivers to its cache's receiver (see _wire_cache_link).
+        self.cache_links = [Link(f"cache-{k}", profile)
+                            for k, profile in enumerate(cache_profiles)]
         self.source_links = [
             Link(f"source-{j}", profile)
             for j, profile in enumerate(source_profiles)
         ]
         self.delivery = delivery
+        # The primary cache of each source, and whether any source has
+        # sibling replicas: all a single-target send_upstream reads.
+        self._primary = [targets[0] for targets in self._assignment]
+        self._replicated = any(len(targets) > 1 for targets in groups)
         self._cache_receivers: list[Receiver | None] = [None] * num_caches
         self._source_receivers: list[Receiver | None] = [None] * num_sources
         self._tick_no = 0
@@ -270,6 +273,7 @@ class Topology:
             raise ValueError(
                 f"source {source_id} is already homed on cache {cache_id}")
         self._assignment[source_id] = (cache_id,)
+        self._primary[source_id] = cache_id
         for k in (old, cache_id):
             members = tuple(
                 j for j in range(self.num_sources)
@@ -286,21 +290,30 @@ class Topology:
                            cache_id: int = 0) -> None:
         """Register the message handler of cache node ``cache_id``."""
         self._cache_receivers[cache_id] = receiver
+        self._wire_cache_link(cache_id)
 
     def set_source_receiver(self, source_id: int,
                             receiver: Receiver) -> None:
         """Register the message handler of source ``source_id``."""
         self._source_receivers[source_id] = receiver
 
-    def _make_cache_deliver(self, cache_id: int) -> Receiver:
+    def _wire_cache_link(self, cache_id: int) -> None:
+        """Point cache link ``cache_id`` at its receiver.
+
+        While no fault guard is installed the link delivers straight to
+        the cache's receiver; with one, through a closure that asks the
+        guard first.
+        """
+        receiver = self._cache_receivers[cache_id]
+        guard = self._delivery_guard
+        if guard is None:
+            self.cache_links[cache_id].deliver = receiver
+            return
+
         def deliver(message: Message) -> None:
-            guard = self._delivery_guard
-            if guard is not None and not guard(message, cache_id):
-                return
-            receiver = self._cache_receivers[cache_id]
-            if receiver is not None:
+            if guard(message, cache_id) and receiver is not None:
                 receiver(message)
-        return deliver
+        self.cache_links[cache_id].deliver = deliver
 
     # ------------------------------------------------------------------
     # Fault injection and reliable delivery (see repro.faults)
@@ -311,28 +324,29 @@ class Topology:
         ``injector`` (a :class:`~repro.faults.injector.FaultInjector`)
         decides the fate of each delivery *after* link credit was spent;
         ``reliable`` (a :class:`~repro.faults.retry.ReliableDelivery`)
-        tracks refresh acks and suppresses duplicate deliveries.  With
-        both ``None`` the guard resets to the fault-free fast path.
+        tracks refresh acks and suppresses duplicate deliveries.  Each
+        cache link then delivers through the guard; with both ``None``
+        it delivers straight to its cache's receiver again.
         """
         self._fault_injector = injector
         self._reliable = reliable
         if reliable is not None:
             reliable.bind(self)
-        if injector is None and reliable is None:
-            self._delivery_guard = None
-            return
-
-        def guard(message: Message, cache_id: int) -> bool:
-            if injector is not None and not injector.allow_upstream(
-                    message, cache_id):
+        guard = None
+        if injector is not None or reliable is not None:
+            def guard(message: Message, cache_id: int) -> bool:
+                if injector is not None and not injector.allow_upstream(
+                        message, cache_id):
+                    if reliable is not None:
+                        reliable.on_lost(message, cache_id)
+                    return False
                 if reliable is not None:
-                    reliable.on_lost(message, cache_id)
-                return False
-            if reliable is not None:
-                return reliable.on_delivered(message, cache_id)
-            return True
+                    return reliable.on_delivered(message, cache_id)
+                return True
 
         self._delivery_guard = guard
+        for cache_id in range(self.num_caches):
+            self._wire_cache_link(cache_id)
 
     @property
     def reliable(self):
@@ -466,9 +480,13 @@ class Topology:
         update-driven source drain lands on this method, and at m ~ 1e6
         the call overhead of the layered helpers dominates.  The float
         operations run in the helpers' exact order, so results are
-        bit-for-bit unchanged (pinned by the equivalence suites).
+        bit-for-bit unchanged (pinned by the equivalence suites).  A
+        single-target send reads one list entry for its route, and the
+        sibling fan-out is skipped on a topology with no replicated
+        source.
         """
-        source_link = self.source_links[message.source_id]
+        source_id = message.source_id
+        source_link = self.source_links[source_id]
         if source_link._lazy and source_link._synced_tick < self._tick_no:
             source_link.sync_to_tick(self._tick_no, self._tick_time,
                                      self._prev_tick_time, self._tick_dt,
@@ -492,11 +510,11 @@ class Topology:
         source_link.total_delivered += 1
         if self._reliable is not None:
             self._reliable.on_send(message)
-        targets = self._assignment[message.source_id]
-        primary = targets[0]
+        primary = self._primary[source_id]
         message.cache_id = primary
         self.cache_links[primary].transmit_or_queue(message)
-        if len(targets) > 1:
+        if self._replicated:
+            targets = self._assignment[source_id]
             links = self.cache_links
             multicast = self.delivery == "multicast"
             for k in targets[1:]:

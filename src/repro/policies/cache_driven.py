@@ -168,7 +168,7 @@ class CGMPollingPolicy(SyncPolicy):
         for k in range(self.topology.num_caches):
             cache = CacheNode(ctx.objects, ctx.metric, self.topology,
                               collector=ctx.collector,
-                              clock=lambda: ctx.sim.now, cache_id=k)
+                              sim=ctx.sim, cache_id=k)
             cache.set_poll_handler(self._on_poll_response)
             self.caches.append(cache)
         for j in range(workload.num_sources):

@@ -38,6 +38,7 @@ from repro.network.bandwidth import replay_credit_ticks, ticks_until_credit
 from repro.policies.base import SimulationContext
 from repro.policies.cooperative import CooperativePolicy
 from repro.sim.events import Phase, WakeupSet
+from repro.source.monitor import TriggerMonitor
 
 
 class CompetitivePolicy(CooperativePolicy):
@@ -60,6 +61,7 @@ class CompetitivePolicy(CooperativePolicy):
         self.source_priority_fn = source_priority_fn or self.priority_fn
         self.own_refreshes_sent = 0
         self._own_trackers: list[PriorityTracker] = []
+        self._own_monitors: list[TriggerMonitor] = []
         self._own_credit: list[float] = []
         self._own_rate: list[float] = []
         self.source_collector: DivergenceCollector | None = None
@@ -81,6 +83,12 @@ class CompetitivePolicy(CooperativePolicy):
                 f"objects, expected {workload.num_objects}")
         m = workload.num_sources
         self._own_trackers = [PriorityTracker() for _ in range(m)]
+        # Each source keeps its own-priority queue exact on every update,
+        # under its own priority function and weights.
+        self._own_monitors = [
+            TriggerMonitor(tracker, self.source_priority_fn,
+                           self.source_weights)
+            for tracker in self._own_trackers]
         self._own_credit = [0.0] * m
         self._own_rate = self._allocate_rates(workload)
         self.source_collector = DivergenceCollector(
@@ -112,9 +120,7 @@ class CompetitivePolicy(CooperativePolicy):
     # Event routing
     # ------------------------------------------------------------------
     def _on_update_competitive(self, obj: DataObject, now: float) -> None:
-        weight = self.source_weights.weight(obj.index, now)
-        priority = self.source_priority_fn.priority(obj, weight, now)
-        self._own_trackers[obj.source_id].update(obj.index, priority)
+        self._own_monitors[obj.source_id].on_update(obj, now)
         # Fresh own-priority work: wake at the next own-sends fire (the
         # same tick when the update lands before SOURCES phase).
         self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)

@@ -22,13 +22,15 @@ run result separates useful refreshes from overhead.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.analysis.equilibrium import refreshes_per_feedback
 from repro.cache.cache import CacheNode
 from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
 from repro.core.divergence import DivergenceMetric
 from repro.core.objects import DataObject
-from repro.core.priority import PriorityFunction
+from repro.core.priority import AreaPriority, PriorityFunction
 from repro.core.threshold import DEFAULT_ALPHA, DEFAULT_OMEGA, ThresholdController
 from repro.core.tracking import PriorityTracker
 from repro.network.bandwidth import BandwidthProfile
@@ -65,6 +67,8 @@ class CooperativePolicy(SyncPolicy):
         ``"trigger"`` (exact, default) or ``"sampling"`` (Sec 8.2.1).
     sampling_interval, predictive_sampling:
         Sampling-monitor knobs (ignored for trigger monitoring).
+        Predictive sampling projects the area priority's formula, so it
+        is refused with any other priority function.
     batch_size, batch_timeout:
         When ``batch_size > 1``, sources package that many refreshes into
         each message (Sec 10.1 future work), flushing a partial batch
@@ -117,6 +121,10 @@ class CooperativePolicy(SyncPolicy):
         if sampling_interval <= 0:
             raise ValueError(
                 f"sampling_interval must be > 0, got {sampling_interval}")
+        if predictive_sampling and not isinstance(priority_fn, AreaPriority):
+            raise ValueError(
+                f"predictive_sampling projects the area priority only, "
+                f"got priority {priority_fn.name!r}")
         self.cache_bandwidth = cache_bandwidth
         self.source_bandwidths = source_bandwidths
         self.priority_fn = priority_fn
@@ -131,6 +139,11 @@ class CooperativePolicy(SyncPolicy):
         self.batch_timeout = batch_timeout
         self.feedback_ttl = feedback_ttl
         self.rebalance = rebalance
+        # Whether a source can ask to be woken (a sampling deadline, every
+        # fire under a time-varying priority, a TTL decay): only then does
+        # an update that left the source unblocked re-arm it.
+        self._wakes = (monitor == "sampling" or priority_fn.time_varying
+                       or feedback_ttl is not None)
         self.rebalancer = None
         self.topology: Topology | None = None
         self.caches: list[CacheNode] = []
@@ -187,7 +200,7 @@ class CooperativePolicy(SyncPolicy):
             cache = CacheNode(ctx.objects, ctx.metric, topology,
                               collector=ctx.collector, store=store,
                               feedback=feedback,
-                              clock=lambda: ctx.sim.now, cache_id=k)
+                              sim=ctx.sim, cache_id=k)
             self.feedbacks.append(feedback)
             self.stores.append(store)
             self.caches.append(cache)
@@ -232,7 +245,10 @@ class CooperativePolicy(SyncPolicy):
             self._rearm_source(j, source, 0.0, blocked=False)
         for k in range(topology.num_caches):
             self._cache_wakeups.arm(k, 0.0)
-            self.caches[k].activity_hook = self._make_cache_activity(k)
+            # Every delivery arms its cache; a partial runs no Python
+            # frame of its own.
+            self.caches[k].activity_hook = partial(
+                self._cache_wakeups.arm, k)
             topology.cache_links[k].on_queue = self._make_queue_hook(k)
 
         ctx.add_update_hook(self._on_update)
@@ -292,11 +308,6 @@ class CooperativePolicy(SyncPolicy):
         now = self._ctx.sim.now
         self._rearm_source(j, source, now, source.on_message(message, now))
 
-    def _make_cache_activity(self, cache_id: int):
-        def hook(now: float) -> None:
-            self._cache_wakeups.arm(cache_id, now)
-        return hook
-
     def _make_queue_hook(self, cache_id: int):
         def hook(message) -> None:
             self._cache_wakeups.arm(cache_id, message.sent_at)
@@ -308,17 +319,20 @@ class CooperativePolicy(SyncPolicy):
     # The per-tick dispatchers below wake only the entities whose
     # WakeupSet entry is due, in the same ascending-id order a full scan
     # visits them; every source entry point (update, feedback, wake)
-    # re-arms the source's wakeup from its blocked status and its
-    # monitor's next wake time (a sampling deadline, or every fire for a
-    # time-varying priority).  A source is parked exactly when a
-    # full-scan visit would be a no-op, which is what keeps the run
-    # bit-for-bit identical to the reference schedule of
-    # tests/oracles.py.
+    # re-arms the source's wakeup from its blocked status, its monitor's
+    # next wake time (a sampling deadline, or every fire for a
+    # time-varying priority) and its next TTL decay.  An update skips
+    # the re-arm when it left the source unblocked in a run where no
+    # source can ask for a wake: the re-arm would arm nothing.  A source
+    # is parked exactly when a full-scan visit would be a no-op, which
+    # is what keeps the run bit-for-bit identical to the reference
+    # schedule of tests/oracles.py.
     # ------------------------------------------------------------------
     def _on_update(self, obj: DataObject, now: float) -> None:
         source = self.sources[obj.source_id]
-        self._rearm_source(obj.source_id, source, now,
-                           source.on_update(obj, now))
+        blocked = source.on_update(obj, now)
+        if blocked or self._wakes:
+            self._rearm_source(obj.source_id, source, now, blocked)
 
     def _rearm_source(self, j: int, source: SourceNode, now: float,
                       blocked: bool) -> None:
@@ -360,13 +374,13 @@ class CooperativePolicy(SyncPolicy):
     def close(self) -> None:
         """Unwire the finished run so it frees without the cyclic GC.
 
-        Drops the cache clocks and hooks and the context, then closes
-        the topology; read every result first (``extras`` needs the
-        context).  Close the context too: its simulator holds this
-        policy's tickers.
+        Drops the caches' simulator references and hooks and the
+        context, then closes the topology; read every result first
+        (``extras`` needs the context).  Close the context too: its
+        simulator holds this policy's tickers.
         """
         for cache in self.caches:
-            cache.clock = None
+            cache.sim = None
             cache.activity_hook = None
             cache.refresh_hooks.clear()
         self._ctx = None

@@ -26,6 +26,7 @@ from repro.core.tracking import PriorityTracker
 from repro.network.bandwidth import BandwidthProfile
 from repro.policies.base import SimulationContext, SyncPolicy
 from repro.sim.events import Phase
+from repro.source.monitor import TriggerMonitor
 
 
 class _CreditBucket:
@@ -88,6 +89,7 @@ class IdealCooperativePolicy(SyncPolicy):
         self.priority_fn = priority_fn
         self.source_bandwidths = source_bandwidths
         self.tracker = PriorityTracker()
+        self._monitor: TriggerMonitor | None = None
         self._refreshes = 0
         self._ctx: SimulationContext | None = None
         self._cache_buckets: list[_CreditBucket] = []
@@ -127,13 +129,14 @@ class IdealCooperativePolicy(SyncPolicy):
                 for p in self.source_bandwidths
             ]
         self._armed = False
+        # Exact priorities on every update, as a trigger monitor keeps them.
+        self._monitor = TriggerMonitor(self.tracker, self.priority_fn,
+                                       ctx.workload.weights)
         ctx.add_update_hook(self._on_update)
         ctx.sim.every(ctx.dt, self._on_tick, phase=Phase.SOURCES)
 
     def _on_update(self, obj: DataObject, now: float) -> None:
-        weight = self._ctx.workload.weights.weight(obj.index, now)
-        priority = self.priority_fn.priority(obj, weight, now)
-        self.tracker.update(obj.index, priority)
+        self._monitor.on_update(obj, now)
         # "Each time there is enough cache-side bandwidth to accept a
         # refresh" (Sec 3.3): the idealized scheduler reacts immediately,
         # not at the next tick.
@@ -147,10 +150,8 @@ class IdealCooperativePolicy(SyncPolicy):
         if self.priority_fn.time_varying:
             # Every object's priority moves every tick: re-evaluate all.
             self._refill(now)
-            weights = self._ctx.workload.weights
             for obj in self._ctx.objects:
-                self.tracker.update(obj.index, self.priority_fn.priority(
-                    obj, weights.weight(obj.index, now), now))
+                self._monitor.on_update(obj, now)
             self._drain(now)
             return
         # Parked whenever the queue is empty: a tick's drain would be a

@@ -93,7 +93,7 @@ class UniformAllocationPolicy(SyncPolicy):
             self.caches.append(
                 CacheNode(ctx.objects, ctx.metric, topology,
                           collector=ctx.collector, store=store,
-                          clock=lambda: ctx.sim.now, cache_id=k))
+                          sim=ctx.sim, cache_id=k))
         self._rates = []
         for j in range(workload.num_sources):
             primary = topology.primary_cache_of(j)

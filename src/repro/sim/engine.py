@@ -117,8 +117,8 @@ class Simulator:
         sim.run_until(3.0)
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self.now = float(start_time)
+    def __init__(self) -> None:
+        self.now = 0.0
         self._queue = EventQueue()
         self._tickers: list[Ticker] = []
         self._wakeups: dict[tuple[int, object], Event] = {}

@@ -56,7 +56,8 @@ class BatchingSource(SourceNode):
         A batching source reports "needs a wakeup" whenever refreshes are
         still staged: a partial batch is waiting on its timeout and a full
         one may be waiting on bandwidth, both of which resolve on a later
-        tick.
+        tick.  So a staged batch also counts as ``blocked``: the next
+        update must drain, since that drain may flush on the timeout.
         """
         self.threshold.maybe_decay(now)
         tracker = self.monitor.tracker
@@ -76,7 +77,8 @@ class BatchingSource(SourceNode):
             if self._staged_since is None:
                 self._staged_since = now
         self._maybe_flush(now)
-        return bool(self._staged)
+        self.blocked = bool(self._staged)
+        return self.blocked
 
     def _maybe_flush(self, now: float) -> None:
         if not self._staged:

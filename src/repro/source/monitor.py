@@ -16,8 +16,10 @@ dispatcher is the only schedule.  Two implementations:
   deadline), estimates the divergence integral
   by the midpoint rule ("each sampled value can be assumed to have been
   active during the period beginning and ending halfway between successive
-  samples"), and optionally schedules the *next* sample predictively at the
-  time the priority is projected to reach the refresh threshold:
+  samples"), and hands the sampled divergence, that integral and the time
+  since the last refresh to the priority function.  Under the area
+  priority it can optionally schedule the *next* sample predictively at
+  the time the priority is projected to reach the refresh threshold:
 
       t_future = t_last + sqrt((t_now - t_last)^2
                                + 2 (T - P(O, t_now)) / (rho_i W(O, t_now)))
@@ -57,8 +59,9 @@ class PriorityMonitor(ABC):
         self.weights = weights
 
     @abstractmethod
-    def on_update(self, obj: DataObject, now: float) -> None:
-        """An update was applied to ``obj``."""
+    def on_update(self, obj: DataObject, now: float) -> float:
+        """An update was applied to ``obj``; returns ``obj``'s priority as
+        this monitor now tracks it (0.0 when it does not see updates)."""
 
     def prime(self, obj_list: list[DataObject]) -> None:
         """Install the initial wakeup state for the source's objects."""
@@ -74,11 +77,6 @@ class PriorityMonitor(ABC):
         """``obj`` was refreshed; drop it from the queue."""
         self.tracker.remove(obj.index)
 
-    def _recompute(self, obj: DataObject, now: float) -> None:
-        weight = self.weights.weight(obj.index, now)
-        priority = self.priority_fn.priority(obj, weight, now)
-        self.tracker.update(obj.index, priority)
-
 
 class TriggerMonitor(PriorityMonitor):
     """Exact monitoring via update triggers (the paper's default).
@@ -92,8 +90,22 @@ class TriggerMonitor(PriorityMonitor):
 
     __slots__ = ()
 
-    def on_update(self, obj: DataObject, now: float) -> None:
-        self._recompute(obj, now)
+    def on_update(self, obj: DataObject, now: float) -> float:
+        """Re-evaluate ``obj`` from its exact belief view at ``now``.
+
+        The operands are the belief's divergence, its integral since the
+        last refresh (the accrued part plus the current piece) and the
+        time since the last refresh.
+        """
+        view = obj.belief
+        divergence = view.divergence
+        priority = self.priority_fn.priority(
+            obj, divergence,
+            view.integral_acc + divergence * (now - view.last_change_time),
+            now - view.last_refresh_time,
+            self.weights.weight(obj.index, now))
+        self.tracker.update(obj.index, priority)
+        return priority
 
     def next_wake_time(self) -> float | None:
         return 0.0 if self.priority_fn.time_varying else None
@@ -101,7 +113,7 @@ class TriggerMonitor(PriorityMonitor):
     def on_wake(self, source, now: float) -> None:
         if self.priority_fn.time_varying:
             for obj in source.objects:
-                self._recompute(obj, now)
+                self.on_update(obj, now)
 
 
 class SamplingMonitor(PriorityMonitor):
@@ -116,7 +128,9 @@ class SamplingMonitor(PriorityMonitor):
     predictive:
         When True and a threshold getter is provided, the next sample of an
         object is scheduled at the projected threshold-crossing time
-        (clamped to ``[min_interval, interval]``).
+        (clamped to ``[min_interval, interval]``).  The projection solves
+        the area priority's formula, so the owning policy pairs it with
+        :class:`~repro.core.priority.AreaPriority` only.
     threshold:
         Zero-argument callable returning the source's current refresh
         threshold (used only for predictive scheduling).
@@ -151,9 +165,9 @@ class SamplingMonitor(PriorityMonitor):
     # ------------------------------------------------------------------
     # Monitor interface
     # ------------------------------------------------------------------
-    def on_update(self, obj: DataObject, now: float) -> None:
+    def on_update(self, obj: DataObject, now: float) -> float:
         # A sampling source does not see individual updates.
-        pass
+        return 0.0
 
     def on_refresh_sent(self, obj: DataObject, now: float) -> None:
         super().on_refresh_sent(obj, now)
@@ -206,8 +220,8 @@ class SamplingMonitor(PriorityMonitor):
         self.samples_taken += 1
 
         weight = self.weights.weight(index, now)
-        elapsed = now - view.last_refresh_time
-        priority = (elapsed * divergence - integral) * weight
+        priority = self.priority_fn.priority(
+            obj, divergence, integral, now - view.last_refresh_time, weight)
         self.tracker.update(index, priority)
         self._deadlines.reschedule(index, now + self._next_delay(
             obj, priority, divergence, last_t, last_d, now, weight))

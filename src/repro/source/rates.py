@@ -92,10 +92,12 @@ class EstimatedRatePriority(PriorityFunction):
         self.name = f"estimated-{inner.name}"
         self.time_varying = inner.time_varying
 
-    def unweighted(self, obj: DataObject, now: float) -> float:
+    def priority(self, obj: DataObject, divergence: float, integral: float,
+                 elapsed: float, weight: float) -> float:
         oracle_rate = obj.rate
         obj.rate = self.estimator.rate(obj.index)
         try:
-            return self.inner.unweighted(obj, now)
+            return self.inner.priority(obj, divergence, integral, elapsed,
+                                       weight)
         finally:
             obj.rate = oracle_rate

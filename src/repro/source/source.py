@@ -37,7 +37,8 @@ class SourceNode:
 
     __slots__ = ("source_id", "objects", "monitor", "threshold",
                  "topology", "refreshes_sent", "feedback_received",
-                 "feedback_by_cache", "send_hooks", "first_index")
+                 "feedback_by_cache", "send_hooks", "first_index",
+                 "blocked")
 
     def __init__(self, source_id: int, objects: list[DataObject],
                  monitor: PriorityMonitor,
@@ -61,6 +62,9 @@ class SourceNode:
         #: callbacks ``hook(obj, now, threshold_driven)`` fired per send
         self.send_hooks: tuple = ()
         self.first_index = first
+        #: whether the last drain stopped on over-threshold work it had
+        #: no source-side bandwidth for (see :meth:`drain`)
+        self.blocked = False
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -69,12 +73,21 @@ class SourceNode:
         """An update was applied to one of this source's objects.
 
         The paper's sources "decide whether to refresh immediately after
-        each update" (Sec 3.4), so after repositioning the object in the
-        priority queue we immediately try to drain.  Returns True when the
-        drain was cut short by bandwidth (the source needs a wakeup at the
-        next refill to finish).
+        each update" (Sec 3.4): the monitor repositions the object in the
+        priority queue, then the source drains -- unless the answer is
+        already known to be no.  After a drain that ended unblocked every
+        tracked priority is below ``T_j``, and only an update, feedback
+        (which lowers ``T_j``), a wake or a due TTL decay (which the drain
+        applies) can change that; feedback and wakes drain on their own.
+        So when the new priority is below ``T_j``, the last drain ended
+        unblocked and no decay is due, the drain would change nothing,
+        and it is skipped.  Returns True when the source is blocked on
+        bandwidth (it needs a wakeup at the next refill to finish).
         """
-        self.monitor.on_update(obj, now)
+        threshold = self.threshold
+        if (self.monitor.on_update(obj, now) < threshold.value
+                and not self.blocked and now < threshold.decay_deadline):
+            return False
         return self.drain(now)
 
     def on_wake(self, now: float) -> bool:
@@ -114,20 +127,21 @@ class SourceNode:
         Returns True when an over-threshold object could not be sent for
         lack of source-side bandwidth -- the caller should schedule a
         wakeup at the next credit refill; False when the queue is exhausted
-        or the top priority fell below the threshold (only a new update,
-        feedback or sample can change that, each of which re-drains).
+        or the top priority fell below the threshold, which leaves every
+        tracked priority below ``T_j`` (what lets :meth:`on_update` skip
+        the next drain).  The result is also kept in ``blocked``.
         """
-        self.threshold.maybe_decay(now)
+        threshold = self.threshold
+        threshold.maybe_decay(now)
         tracker = self.monitor.tracker
         while True:
             top = tracker.peek()
-            if top is None:
+            if top is None or top[1] < threshold.value:
+                self.blocked = False
                 return False
-            index, priority = top
-            if priority < self.threshold.value:
-                return False
-            obj = self.objects[index - self.first_index]
+            obj = self.objects[top[0] - self.first_index]
             if not self._send_refresh(obj, now):
+                self.blocked = True
                 return True  # out of source-side bandwidth this tick
 
     def _send_refresh(self, obj: DataObject, now: float,
@@ -135,14 +149,10 @@ class SourceNode:
         """Send one refresh message; ``adjust_threshold=False`` is used by
         source-priority sends in competitive mode (Sec 7), which are paced
         by their own allocation rather than the threshold protocol."""
-        message = RefreshMessage(
-            source_id=self.source_id,
-            sent_at=now,
-            object_index=obj.index,
-            value=obj.value,
-            threshold=self.threshold.value,
-            update_count=obj.update_count,
-        )
+        # Positional fields: the cheapest way to build the message.
+        message = RefreshMessage(self.source_id, obj.index, obj.value,
+                                 self.threshold.value, obj.update_count,
+                                 sent_at=now)
         if not self.topology.send_upstream(message):
             return False
         obj.mark_sent(now)

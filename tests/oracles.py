@@ -16,8 +16,10 @@ configuration both ways and demand bit-identical results.
   object under a time-varying priority, sample every object whose
   deadline has come) and drains; a competitive source also accrues one
   tick of own credit and sends; a uniform source accrues one tick of
-  credit and sends; the ideal policy drains every tick.  The policies'
-  own wakeup sets are armed as usual and never consulted;
+  credit and sends; the ideal policy drains every tick.  Every update
+  re-prioritizes its object, then drains its cooperative source and
+  re-arms it, with no skip rule.  The policies' own wakeup sets are
+  armed as usual and never consulted;
 * **eager links** -- every source link refills on every network tick
   instead of replaying skipped refills on first touch;
 * **per event** -- each replayer firing applies one trace event or serves
@@ -26,6 +28,12 @@ configuration both ways and demand bit-identical results.
 A new feature is checked against the literal schedule by running it
 twice, once plainly and once inside ``with reference_schedule():``, and
 comparing every output field (see ``tests/test_equivalence.py``).
+
+Two probes read out quantities the package computes inline on its hot
+path: :func:`belief_priority` (a priority function evaluated on an
+object's exact belief view, as a trigger monitor does) and
+:func:`flood_factor` (the ``gamma`` a refresh multiplies the threshold
+by on top of ``alpha``).
 
 The module also holds the per-object scalar sampling loops the batched
 samplers of :mod:`repro.workloads` were derived from; tests compare the
@@ -37,17 +45,21 @@ which the logged collector's one fold must reproduce bit for bit.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 
 import numpy as np
 
+from repro.core.tracking import PriorityTracker
+from repro.core.weights import StaticWeights
 from repro.metrics.collector import DivergenceCollector
 from repro.network.topology import Topology
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
 from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
-from repro.source.monitor import SamplingMonitor
+from repro.source.monitor import SamplingMonitor, TriggerMonitor
+from repro.source.source import SourceNode
 from repro.workloads.read_process import ReadReplayer, ReadTrace
 from repro.workloads.trace import TraceReplayer, UpdateTrace
 
@@ -68,8 +80,22 @@ def _cooperative_scan_sources(self, now: float) -> None:
                     monitor.sample(obj, now)
         elif monitor.priority_fn.time_varying:
             for obj in source.objects:
-                monitor._recompute(obj, now)
+                monitor.on_update(obj, now)
         source.drain(now)
+
+
+def recompute_then_drain(source, obj, now: float) -> bool:
+    """The paper's literal per-update decision for ``source``:
+    re-prioritize the object, then always drain."""
+    source.monitor.on_update(obj, now)
+    return source.drain(now)
+
+
+def _always_rearm(self, obj, now: float) -> None:
+    """Every update re-arms its source."""
+    source = self.sources[obj.source_id]
+    self._rearm_source(obj.source_id, source, now,
+                       source.on_update(obj, now))
 
 
 def _competitive_scan_own_sends(self, now: float) -> None:
@@ -139,6 +165,8 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
                 self._drain(now)
 
         patches += [
+            (SourceNode, "on_update", recompute_then_drain),
+            (CooperativePolicy, "_on_update", _always_rearm),
             (CooperativePolicy, "_sources_tick", _cooperative_scan_sources),
             (CooperativePolicy, "_caches_tick", _scan_caches),
             (CompetitivePolicy, "_own_sends_tick",
@@ -161,6 +189,28 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
     finally:
         for owner, name, value in saved:
             setattr(owner, name, value)
+
+
+# ----------------------------------------------------------------------
+# Probes
+# ----------------------------------------------------------------------
+def belief_priority(priority_fn, obj, now: float,
+                    weight: float = 1.0) -> float:
+    """``priority_fn``'s weighted priority of ``obj`` at ``now``, from its
+    exact belief view: what a trigger monitor evaluates on an update."""
+    weights = StaticWeights(np.full(obj.index + 1, float(weight)))
+    monitor = TriggerMonitor(PriorityTracker(), priority_fn, weights)
+    return monitor.on_update(obj, now)
+
+
+def flood_factor(controller, now: float) -> float:
+    """The ``gamma`` a refresh at ``now`` would apply on top of ``alpha``,
+    read off a copy of ``controller`` (which is left untouched)."""
+    probe = copy.copy(controller)
+    probe.value = probe.alpha = 1.0
+    probe.ceil = float("inf")
+    probe.on_refresh(now)
+    return probe.value
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.metrics.collector import DivergenceCollector
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import PollResponse, RefreshMessage
 from repro.network.topology import Topology
+from repro.sim.engine import Simulator
 
 
 def make_cache(num_sources=3, cache_rate=10.0, with_feedback=True):
@@ -24,11 +25,10 @@ def make_cache(num_sources=3, cache_rate=10.0, with_feedback=True):
                                     StaticWeights.uniform(len(objects)))
     feedback = (FeedbackController(topology, omega=10.0)
                 if with_feedback else None)
-    clock = {"now": 0.0}
+    clock = Simulator()
     cache = CacheNode(objects, ValueDeviation(), topology,
                       collector=collector, feedback=feedback,
-                      store=CacheStore(len(objects)),
-                      clock=lambda: clock["now"])
+                      store=CacheStore(len(objects)), sim=clock)
     return cache, objects, topology, feedback, clock
 
 
@@ -53,7 +53,7 @@ class TestRefreshApplication:
     def test_refresh_updates_truth_and_store(self):
         cache, objects, topo, _, clock = make_cache()
         objects[0].apply_update(1.0, 5.0, ValueDeviation())
-        clock["now"] = 2.0
+        clock.now = 2.0
         cache.on_message(RefreshMessage(source_id=0, object_index=0,
                                         value=5.0, update_count=1,
                                         threshold=3.0))
@@ -136,16 +136,6 @@ class TestFeedbackController:
         cache.on_tick(1.0)
         assert feedback.known_thresholds[0] == pytest.approx(3.0)
 
-    def test_max_per_tick_cap(self):
-        topology = Topology([ConstantBandwidth(100.0)],
-                            [ConstantBandwidth(1.0)] * 4)
-        feedback = FeedbackController(topology, omega=10.0, max_per_tick=2)
-        for j in range(4):
-            topology.set_source_receiver(j, lambda m: None)
-        topology.on_network_tick(1.0)
-        feedback.on_tick(1.0)
-        assert feedback.feedback_sent == 2
-
     def test_feedback_consumes_cache_credit(self):
         cache, objects, topo, feedback, clock = make_cache(cache_rate=2.0)
         for j in range(3):
@@ -180,6 +170,24 @@ class TestFeedbackHeapChurn:
         # Every tick selects 2 targets (budget 2 < 6 eligible): drained
         # entries are superseded by their /omega re-push, not duplicated.
         assert len(feedback._heap) <= baseline + 6
+
+    def test_piggybacked_thresholds_do_not_grow_the_heap(self):
+        """Every piggybacked threshold pushes an entry; a surplus tick
+        first sweeps the superseded ones out, then still picks the
+        highest thresholds."""
+        topology, feedback = self.make_controller()
+        for k in range(5_000):
+            feedback.observe_threshold(k % 6, 100.0 + k)
+        assert len(feedback._heap) > 5_000
+        topology.on_network_tick(1.0)
+        feedback.on_tick(1.0)
+        # one entry per source: the two targets' drained entries were
+        # superseded by their /omega re-pushes
+        assert len(feedback._heap) == 6
+        # sources 1 and 0 piggybacked the highest thresholds last
+        assert feedback.known_thresholds[1] == pytest.approx(509.9)
+        assert feedback.known_thresholds[0] == pytest.approx(509.8)
+        assert feedback.known_thresholds[5] == 5097.0
 
     def test_drained_infinite_thresholds_are_restored(self):
         """A bootstrapping source (threshold still inf) keeps receiving

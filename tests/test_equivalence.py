@@ -24,7 +24,9 @@ These tests pin that across:
   identical across schedules, so the read model cannot silently depend
   on the wakeup layer;
 * drawn combinations of topology, bandwidth condition, faults, retries,
-  feedback TTL, rebalancing and read streams (``TestFeatureCombinations``).
+  feedback TTL, batching, rebalancing and read streams
+  (``TestFeatureCombinations``), where the reference schedule also makes
+  every update drain and re-arm its source (no skip rule).
 """
 
 from contextlib import nullcontext
@@ -35,7 +37,11 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority, DivergenceBoundPriority
+from repro.core.priority import (
+    AreaPriority,
+    DivergenceBoundPriority,
+    SimpleDivergencePriority,
+)
 from repro.core.weights import StaticWeights
 from repro.experiments.matrix import POLICIES, Scenario, run_scenario
 from repro.experiments.parallel import WorkloadSpec
@@ -68,6 +74,7 @@ from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
 from repro.rebalance import RebalanceConfig
 from repro.sim.random import RngRegistry
+from repro.source.source import SourceNode
 from repro.workloads.bandwidth_traces import (
     SCENARIOS,
     diurnal_trace,
@@ -670,7 +677,9 @@ class TestTimeVaryingPriority:
     -> (weighted and unweighted divergence, refreshes, feedback,
     messages, refreshes sent, mean threshold, own-priority sends),
     captured when the policies ran this priority on a per-tick scan of
-    their own."""
+    their own.  The sampling pins were re-captured once sampling passed
+    its estimate through the priority function: until then a sampling
+    source ranked by the area priority whatever function it was given."""
 
     PINS = {
         ("cooperative", "star", "trigger", 1, False, 0):
@@ -680,14 +689,14 @@ class TestTimeVaryingPriority:
             (0.3325056780776376, 0.2818330080005591, 1020, 20, 361, 341,
              0.06936625945003551, None),
         ("cooperative", "star", "sampling", 1, True, 0):
-            (0.7380199076655917, 0.5727039035843947, 203, 56, 259, 203,
-             3.8420731119896455e-12, None),
+            (0.7540138261205356, 0.599336561795773, 344, 16, 360, 344,
+             0.6147538813784805, None),
         ("cooperative", "sharded-2", "trigger", 1, True, 0):
             (1.203191073103932, 0.9731723905750065, 345, 15, 363, 348,
              3.5891493327548245, None),
         ("cooperative", "sharded-2", "sampling", 3, False, 3):
-            (0.6270049164719459, 0.6270049164719459, 152, 52, 115, 63,
-             4.0872441597506744e-12, None),
+            (0.4441376847710495, 0.4441376847710495, 360, 54, 174, 120,
+             7.464095928677914e-12, None),
         ("cooperative", "replicated-2-multicast", "trigger", 1, True, 3):
             (0.7993833368771286, 0.6568590470933787, 685, 15, 711, 348,
              2.7422516478610306, None),
@@ -698,8 +707,8 @@ class TestTimeVaryingPriority:
             (1.250028280581999, 1.0336279672429343, 347, 13, 362, 349,
              3.6151620470306485, 66),
         ("competitive", "star", "sampling", 3, False, 3):
-            (0.5267273000484041, 0.5267273000484041, 195, 52, 185, 133,
-             3.3596602517819227e-12, 73),
+            (0.47144288023220077, 0.47144288023220077, 319, 52, 209, 157,
+             2.7127003433085605e-12, 76),
         ("competitive", "sharded-2", "trigger", 3, True, 0):
             (0.5966890287661395, 0.4652791234767022, 945, 19, 362, 343,
              0.04028458997004446, 39),
@@ -707,8 +716,8 @@ class TestTimeVaryingPriority:
             (0.8059822500639403, 0.8059822500639403, 690, 13, 717, 352,
              2.7606861192429673, 62),
         ("competitive", "replicated-2-multicast", "sampling", 1, True, 0):
-            (0.6208546782634277, 0.48269992545350293, 472, 54, 526, 236,
-             3.5087139465000665e-12, 72),
+            (0.8119316196416365, 0.6608606215634415, 679, 17, 705, 344,
+             1.6853526832658494, 67),
     }
 
     @pytest.mark.parametrize("config", sorted(PINS), ids=lambda c: "-".join(
@@ -737,6 +746,26 @@ class TestTimeVaryingPriority:
         assert repr(run_bound(*config, **knobs)) == repr(reference)
 
 
+class TestSamplingPriorityFunction:
+    """A sampling monitor hands its estimate -- the sampled divergence,
+    the midpoint-rule integral and the time since the last refresh -- to
+    the priority function it was given, so the function changes the run."""
+
+    def test_three_priorities_three_runs(self):
+        runs = {fn.__name__: run_bound("cooperative", "star", "sampling",
+                                       1, True, 0, priority_fn=fn)
+                for fn in (AreaPriority, DivergenceBoundPriority,
+                           SimpleDivergencePriority)}
+        assert len({repr(run) for run in runs.values()}) == 3, runs
+
+    def test_predictive_sampling_needs_the_area_priority(self):
+        with pytest.raises(ValueError, match="area priority only"):
+            CooperativePolicy(ConstantBandwidth(3.0),
+                              [ConstantBandwidth(1.0)],
+                              priority_fn=SimpleDivergencePriority(),
+                              monitor="sampling", predictive_sampling=True)
+
+
 class TestReferenceSchedule:
     """The oracle really switches the run onto the literal schedule, and
     restores the package on exit."""
@@ -753,7 +782,9 @@ class TestReferenceSchedule:
 
         scans = [(CooperativePolicy, "_sources_tick"),
                  (CooperativePolicy, "_caches_tick"),
-                 (CompetitivePolicy, "_own_sends_tick")]
+                 (CompetitivePolicy, "_own_sends_tick"),
+                 (CooperativePolicy, "_on_update"),
+                 (SourceNode, "on_update")]
         originals = [owner.__dict__[name] for owner, name in scans]
         with reference_schedule():
             assert all(owner.__dict__[name] is not original
@@ -804,6 +835,8 @@ def scenarios(draw):
         cache_bandwidth = draw(st.sampled_from([1.5, 3.0, 6.0]))
     ttl = (draw(st.sampled_from([None, 15.0]))
            if policy in THRESHOLD_POLICIES else None)
+    batch_size = (draw(st.sampled_from([1, 3]))
+                  if policy in THRESHOLD_POLICIES else 1)
     read_policy = (draw(st.sampled_from([None, "any", "quorum-2",
                                          "freshest"]))
                    if policy in STORE_POLICIES else None)
@@ -816,6 +849,9 @@ def scenarios(draw):
     policy_kwargs = []
     if ttl is not None:
         policy_kwargs.append(("feedback_ttl", ttl))
+    if batch_size > 1:
+        policy_kwargs += [("batch_size", batch_size),
+                          ("batch_timeout", 4.0)]
     if rebalance:
         policy_kwargs.append(("rebalance", RebalanceConfig(
             interval=10.0, max_moves=2, saturation_queue=1)))
@@ -839,7 +875,7 @@ def scenarios(draw):
 
 class TestFeatureCombinations:
     """Policy x topology x bandwidth condition x fault scenario x retry x
-    feedback TTL x rebalancing x read stream, drawn as tiny
+    feedback TTL x batching x rebalancing x read stream, drawn as tiny
     :class:`~repro.experiments.matrix.Scenario`\\ s: every field of the
     default run's record must equal the reference schedule's."""
 
@@ -855,3 +891,5 @@ class TestFeatureCombinations:
         for feature in ("dropped", "retransmitted", "migrations", "reads"):
             if default.get(feature):
                 event(f"{feature} > 0")
+        if dict(scenario.policy_kwargs).get("batch_size", 1) > 1:
+            event("batching")

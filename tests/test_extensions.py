@@ -20,6 +20,8 @@ from repro.source.monitor import TriggerMonitor
 from repro.source.rates import EstimatedRatePriority, OnlineRateEstimator
 from repro.workloads.synthetic import uniform_random_walk
 
+from oracles import belief_priority
+
 
 class TestTraceBandwidth:
     def test_step_lookup(self):
@@ -226,7 +228,7 @@ class TestOnlineRateEstimator:
         priority = EstimatedRatePriority(PoissonStalenessPriority(), est)
         obj = DataObject(index=0, source_id=0, rate=123.0)  # oracle unused
         obj.apply_update(1.0, 1.0, Staleness())
-        assert priority.unweighted(obj, 2.0) == pytest.approx(1.0 / 0.5)
+        assert belief_priority(priority, obj, 2.0) == pytest.approx(1.0 / 0.5)
         assert obj.rate == 123.0  # oracle rate restored after evaluation
 
     def test_estimated_close_to_oracle_after_warmup(self):

@@ -45,6 +45,7 @@ from repro.network.messages import RefreshMessage
 from repro.network.topology import Topology, TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
 from repro.workloads.synthetic import uniform_random_walk
+from oracles import flood_factor
 from test_matrix import check_verdict
 
 
@@ -271,9 +272,9 @@ class TestThresholdTTL:
     def test_gamma_freezes_on_stale_feedback(self):
         controller = ThresholdController(feedback_period=5.0,
                                          feedback_ttl=30.0)
-        assert controller.gamma(4.0) == 1.0
-        assert controller.gamma(10.0) == 2.0  # overdue: accelerate
-        assert controller.gamma(31.0) == 1.0  # stale: channel is down
+        assert flood_factor(controller, 4.0) == 1.0
+        assert flood_factor(controller, 10.0) == 2.0  # overdue: speed up
+        assert flood_factor(controller, 31.0) == 1.0  # stale: link down
 
     def test_disabled_ttl_is_inert(self):
         controller = ThresholdController(initial=4.0)

@@ -244,19 +244,28 @@ class TestLoggedCollector:
     the oracle's scalar collector, which integrates every record at once."""
 
     def test_log_folds_when_full(self):
+        """The log folds exactly when its LOG_CAPACITY-th record arrives,
+        all of the logged records at once, and starts over empty."""
         weights = make_weights("sine")
         collector = DivergenceCollector(NUM_OBJECTS, weights)
         reference = ScalarCollector(NUM_OBJECTS, weights)
+        folds = []
+        fold = collector._fold
+
+        def counting_fold(indices, times, divergences):
+            folds.append(len(indices))
+            fold(indices, times, divergences)
+
+        collector._fold = counting_fold
         rng = np.random.default_rng(3)
-        for k in range(LOG_CAPACITY + 1):
+        for k in range(2 * LOG_CAPACITY + 1):
             index = int(rng.integers(NUM_OBJECTS))
             divergence = float(rng.normal())
             for c in (collector, reference):
                 c.record(index, 0.01 * k, divergence)
-            if k == LOG_CAPACITY - 2:
-                assert len(collector._log_index) == LOG_CAPACITY - 1
-        assert len(collector._log_index) == 1
+            assert folds == [LOG_CAPACITY] * ((k + 1) // LOG_CAPACITY)
         assert_same_state(collector, reference)
+        assert folds == [LOG_CAPACITY] * 2 + [1]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["sine", "static"]),

@@ -23,6 +23,8 @@ from repro.core.tracking import PriorityTracker
 from repro.core.weights import StaticWeights
 from repro.source.monitor import SamplingMonitor
 
+from oracles import belief_priority
+
 
 def linear_divergence_object(rate: float, until: float,
                              step: float = 0.25) -> DataObject:
@@ -41,7 +43,7 @@ class TestProjectedCrossing:
         """For D(t) = rho * t the area priority is rho * t^2 / 2."""
         rho = 0.8
         obj = linear_divergence_object(rho, until=10.0, step=0.01)
-        priority = AreaPriority().unweighted(obj, 10.0)
+        priority = belief_priority(AreaPriority(), obj, 10.0)
         assert priority == pytest.approx(rho * 100.0 / 2.0, rel=0.01)
 
     def test_paper_formula_inverts_the_priority(self):

@@ -3,46 +3,69 @@
 import pytest
 
 from repro.core.divergence import Lag, Staleness, ValueDeviation
-from repro.core.objects import DataObject, SyncView
+from repro.core.objects import DataObject
+from repro.core.priority import AreaPriority
+
+from oracles import belief_priority
 
 
 class TestSyncView:
+    """Each view's divergence history: the accrued integral and the
+    refresh epoch that :class:`DataObject` maintains in place."""
+
     def test_initial_state_synchronized(self):
-        view = SyncView(value=3.0, time=0.0)
-        assert view.divergence == 0.0
-        assert view.integral_at(10.0) == 0.0
-        assert view.area_priority(10.0) == 0.0
+        obj = DataObject(index=0, source_id=0, value=3.0)
+        for view in (obj.belief, obj.truth):
+            assert view.divergence == 0.0
+            assert view.integral_acc == 0.0
+            assert view.reference_value == 3.0
+        assert belief_priority(AreaPriority(), obj, 10.0) == 0.0
 
     def test_integral_accrues_piecewise(self):
-        view = SyncView()
-        view.set_divergence(2.0, 1.0)  # divergence 1 from t=2
-        view.set_divergence(5.0, 3.0)  # divergence 3 from t=5
-        # integral over [0, 7]: 0*2 + 1*3 + 3*2 = 9
-        assert view.integral_at(7.0) == pytest.approx(9.0)
+        obj = DataObject(index=0, source_id=0)
+        metric = ValueDeviation()
+        obj.apply_update(2.0, 1.0, metric)  # divergence 1 from t=2
+        obj.apply_update(5.0, 3.0, metric)  # divergence 3 from t=5
+        for view in (obj.belief, obj.truth):
+            # integral over [0, 5]: 0*2 + 1*3, folded in at the change
+            assert view.integral_acc == pytest.approx(3.0)
+            assert view.last_change_time == 5.0
+            assert view.divergence == 3.0
 
     def test_area_priority_matches_definition(self):
-        view = SyncView()
-        view.set_divergence(2.0, 1.0)
-        view.set_divergence(5.0, 3.0)
+        obj = DataObject(index=0, source_id=0)
+        metric = ValueDeviation()
+        obj.apply_update(2.0, 1.0, metric)
+        obj.apply_update(5.0, 3.0, metric)
         now = 7.0
+        # integral over [0, 7]: 0*2 + 1*3 + 3*2 = 9
         expected = (now - 0.0) * 3.0 - 9.0
-        assert view.area_priority(now) == pytest.approx(expected)
+        assert belief_priority(AreaPriority(), obj, now) == \
+            pytest.approx(expected)
 
     def test_reset_clears_history(self):
-        view = SyncView()
-        view.set_divergence(1.0, 4.0)
-        view.reset(3.0, value=9.0, count=5)
+        obj = DataObject(index=0, source_id=0)
+        metric = ValueDeviation()
+        for k in range(5):
+            obj.apply_update(1.0 + k, 9.0 + k, metric)
+        obj.mark_sent(8.0)
+        view = obj.belief
         assert view.divergence == 0.0
-        assert view.reference_value == 9.0
+        assert view.reference_value == 13.0
         assert view.reference_count == 5
-        assert view.integral_at(10.0) == 0.0
+        assert view.integral_acc == 0.0
+        assert view.last_refresh_time == 8.0
+        assert belief_priority(AreaPriority(), obj, 10.0) == 0.0
+        assert obj.truth.divergence == 13.0  # truth waits for delivery
 
     def test_accrue_is_idempotent_at_same_time(self):
-        view = SyncView()
-        view.set_divergence(1.0, 2.0)
-        view.accrue(4.0)
-        view.accrue(4.0)
-        assert view.integral_at(4.0) == pytest.approx(6.0)
+        obj = DataObject(index=0, source_id=0)
+        metric = ValueDeviation()
+        obj.apply_update(1.0, 2.0, metric)
+        obj.apply_update(4.0, 5.0, metric)
+        obj.apply_update(4.0, 6.0, metric)
+        assert obj.belief.integral_acc == pytest.approx(6.0)
+        assert obj.belief.divergence == 6.0
 
 
 class TestDataObjectUpdates:
@@ -109,6 +132,25 @@ class TestDataObjectUpdates:
         assert obj.truth.divergence == 0.0
         assert obj.belief.reference_value == 1.0
 
+    def test_metric_runs_once_while_the_views_agree(self):
+        """With no refresh in flight both views share their reference,
+        so one metric evaluation serves both; a refresh in flight splits
+        them."""
+        calls = []
+
+        def delta(a, b):
+            calls.append((a, b))
+            return abs(a - b)
+
+        metric = ValueDeviation(delta=delta)
+        obj = DataObject(index=0, source_id=0)
+        obj.apply_update(1.0, 2.0, metric)
+        assert len(calls) == 1
+        obj.mark_sent(1.5)
+        obj.apply_update(2.0, 3.0, metric)
+        assert len(calls) == 3
+        assert (obj.belief.divergence, obj.truth.divergence) == (1.0, 3.0)
+
 
 class TestPriorityIdentity:
     def test_lag_area_priority_telescopes_to_update_offsets(self):
@@ -124,7 +166,8 @@ class TestPriorityIdentity:
             obj.apply_update(t, float(k + 1), metric)
         for now in (4.5, 6.0, 11.0):
             expected = sum(t - 0.0 for t in update_times)
-            assert obj.belief.area_priority(now) == pytest.approx(expected)
+            assert belief_priority(AreaPriority(), obj, now) == \
+                pytest.approx(expected)
 
     def test_staleness_area_priority_is_time_stayed_fresh(self):
         """For staleness, the area above the curve is the time the object
@@ -136,4 +179,5 @@ class TestPriorityIdentity:
         obj.apply_update(2.0, 1.0, metric)
         obj.apply_update(4.0, 2.0, metric)
         now = 9.0
-        assert obj.belief.area_priority(now) == pytest.approx(2.0 - 0.0)
+        assert belief_priority(AreaPriority(), obj, now) == \
+            pytest.approx(2.0 - 0.0)

@@ -14,6 +14,8 @@ from repro.core.priority import (
     make_priority,
 )
 
+from oracles import belief_priority
+
 
 def walk_object(update_times, metric, rate=0.5, values=None):
     obj = DataObject(index=0, source_id=0, rate=rate, value=0.0)
@@ -26,7 +28,7 @@ def walk_object(update_times, metric, rate=0.5, values=None):
 class TestAreaPriority:
     def test_zero_for_synchronized_object(self):
         obj = DataObject(index=0, source_id=0, value=0.0)
-        assert AreaPriority().unweighted(obj, 10.0) == 0.0
+        assert belief_priority(AreaPriority(), obj, 10.0) == 0.0
 
     def test_recent_diverger_beats_early_diverger(self):
         """The paper's Figure 3: same current divergence, but the object
@@ -36,23 +38,23 @@ class TestAreaPriority:
         early = walk_object([1.0], metric, values=[4.0])
         now = 10.0
         priority = AreaPriority()
-        assert priority.unweighted(late, now) > priority.unweighted(
-            early, now)
+        assert belief_priority(priority, late, now) > belief_priority(
+            priority, early, now)
 
     def test_priority_constant_between_updates(self):
         """Sec 8.2: priority only changes when divergence changes."""
         metric = ValueDeviation()
         obj = walk_object([2.0], metric, values=[3.0])
         priority = AreaPriority()
-        assert priority.unweighted(obj, 5.0) == pytest.approx(
-            priority.unweighted(obj, 50.0))
+        assert belief_priority(priority, obj, 5.0) == pytest.approx(
+            belief_priority(priority, obj, 50.0))
 
     def test_weight_multiplies(self):
         metric = ValueDeviation()
         obj = walk_object([2.0], metric, values=[3.0])
         priority = AreaPriority()
-        assert priority.priority(obj, 10.0, 5.0) == pytest.approx(
-            10.0 * priority.unweighted(obj, 5.0))
+        assert belief_priority(priority, obj, 5.0, weight=10.0) == \
+            pytest.approx(10.0 * belief_priority(priority, obj, 5.0))
 
     def test_nondecreasing_under_nondecreasing_divergence(self):
         metric = Lag()
@@ -61,7 +63,7 @@ class TestAreaPriority:
         last = 0.0
         for k, t in enumerate([1.0, 2.0, 4.0, 7.0]):
             obj.apply_update(t, float(k), metric)
-            current = priority.unweighted(obj, t)
+            current = belief_priority(priority, obj, t)
             assert current >= last - 1e-12
             last = current
 
@@ -69,20 +71,21 @@ class TestAreaPriority:
 class TestPoissonStalenessPriority:
     def test_fresh_object_zero_priority(self):
         obj = DataObject(index=0, source_id=0, rate=0.5, value=0.0)
-        assert PoissonStalenessPriority().unweighted(obj, 5.0) == 0.0
+        assert belief_priority(PoissonStalenessPriority(), obj, 5.0) == 0.0
 
     def test_stale_priority_is_inverse_rate(self):
         metric = Staleness()
         slow = walk_object([1.0], metric, rate=0.01)
         fast = walk_object([1.0], metric, rate=1.0)
         priority = PoissonStalenessPriority()
-        assert priority.unweighted(slow, 2.0) == pytest.approx(100.0)
-        assert priority.unweighted(fast, 2.0) == pytest.approx(1.0)
+        assert belief_priority(priority, slow, 2.0) == pytest.approx(100.0)
+        assert belief_priority(priority, fast, 2.0) == pytest.approx(1.0)
 
     def test_zero_rate_stale_object_is_infinite(self):
         metric = Staleness()
         obj = walk_object([1.0], metric, rate=0.0)
-        assert PoissonStalenessPriority().unweighted(obj, 2.0) == float("inf")
+        assert belief_priority(PoissonStalenessPriority(), obj,
+                               2.0) == float("inf")
 
 
 class TestPoissonLagPriority:
@@ -90,12 +93,12 @@ class TestPoissonLagPriority:
         metric = Lag()
         obj = walk_object([1.0, 2.0, 3.0], metric, rate=2.0)
         expected = 3.0 * 4.0 / (2.0 * 2.0)
-        assert PoissonLagPriority().unweighted(obj, 4.0) == pytest.approx(
-            expected)
+        assert belief_priority(PoissonLagPriority(), obj,
+                               4.0) == pytest.approx(expected)
 
     def test_zero_when_caught_up(self):
         obj = DataObject(index=0, source_id=0, rate=2.0, value=0.0)
-        assert PoissonLagPriority().unweighted(obj, 4.0) == 0.0
+        assert belief_priority(PoissonLagPriority(), obj, 4.0) == 0.0
 
     def test_expected_consistency_with_area_priority(self):
         """For updates exactly at their Poisson-expected times (k/lambda),
@@ -106,8 +109,8 @@ class TestPoissonLagPriority:
         update_times = [(k + 1) / rate for k in range(lag)]
         obj = walk_object(update_times, metric, rate=rate)
         now = update_times[-1]
-        area = AreaPriority().unweighted(obj, now)
-        special = PoissonLagPriority().unweighted(obj, now)
+        area = belief_priority(AreaPriority(), obj, now)
+        special = belief_priority(PoissonLagPriority(), obj, now)
         assert area == pytest.approx(special)
 
 
@@ -115,20 +118,21 @@ class TestSimpleDivergencePriority:
     def test_equals_current_divergence(self):
         metric = ValueDeviation()
         obj = walk_object([1.0], metric, values=[7.0])
-        assert SimpleDivergencePriority().unweighted(obj, 5.0) == 7.0
+        assert belief_priority(SimpleDivergencePriority(), obj, 5.0) == 7.0
 
 
 class TestDivergenceBoundPriority:
     def test_quadratic_growth(self):
         obj = DataObject(index=0, source_id=0, value=0.0, max_rate=2.0)
         priority = DivergenceBoundPriority()
-        assert priority.unweighted(obj, 3.0) == pytest.approx(2.0 * 9 / 2)
+        assert belief_priority(priority, obj, 3.0) == pytest.approx(2.0 * 9 / 2)
         assert priority.time_varying
 
     def test_grows_with_time_without_updates(self):
         obj = DataObject(index=0, source_id=0, value=0.0, max_rate=1.0)
         priority = DivergenceBoundPriority()
-        assert priority.unweighted(obj, 2.0) < priority.unweighted(obj, 4.0)
+        assert (belief_priority(priority, obj, 2.0)
+                < belief_priority(priority, obj, 4.0))
 
 
 class TestFactories:

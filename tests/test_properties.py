@@ -13,6 +13,8 @@ from repro.core.threshold import ThresholdController
 from repro.core.tracking import PriorityTracker
 from repro.network.bandwidth import SineBandwidth
 
+from oracles import belief_priority
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -34,11 +36,16 @@ class TestSyncViewProperties:
         divs = data.draw(st.lists(
             st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
             min_size=len(times), max_size=len(times)))
+        # Under value deviation from a reference of 0, an update to value
+        # d sets the divergence to d.
         obj = DataObject(index=0, source_id=0)
-        view = obj.belief
+        metric = ValueDeviation()
         for t, d in zip(times, divs):
-            view.set_divergence(t, d)
+            obj.apply_update(t, d, metric)
         end = times[-1] + 5.0
+        # One more update at the end folds the last piece into the
+        # accrued integral.
+        obj.apply_update(end, 0.0, metric)
         # Brute force: piecewise-constant integral from 0 to end.
         brute = 0.0
         boundaries = [0.0] + list(times) + [end]
@@ -48,7 +55,8 @@ class TestSyncViewProperties:
             brute += current * (hi - lo)
             if hi != end:
                 current = next(div_iter)
-        assert abs(view.integral_at(end) - brute) <= 1e-6 * max(1.0, brute)
+        for view in (obj.belief, obj.truth):
+            assert abs(view.integral_acc - brute) <= 1e-6 * max(1.0, brute)
 
     @given(times=update_times)
     @settings(max_examples=60, deadline=None)
@@ -61,7 +69,7 @@ class TestSyncViewProperties:
         last = 0.0
         for k, t in enumerate(times):
             obj.apply_update(t, float(k), metric)
-            current = priority.unweighted(obj, t)
+            current = belief_priority(priority, obj, t)
             assert current >= -1e-9
             assert current >= last - 1e-6
             last = current
@@ -76,7 +84,7 @@ class TestSyncViewProperties:
         refresh_time = times[-1] + data.draw(
             st.floats(min_value=0.0, max_value=10.0))
         obj.mark_sent(refresh_time)
-        assert AreaPriority().unweighted(obj, refresh_time + 1.0) == 0.0
+        assert belief_priority(AreaPriority(), obj, refresh_time + 1.0) == 0.0
 
 
 class TestDivergenceProperties:

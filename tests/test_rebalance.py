@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cache.cache import CacheNode, WindowStats
-from repro.cache.feedback import FeedbackController
+from repro.cache.feedback import MIN_THRESHOLD, FeedbackController
 from repro.cache.store import CacheStore
 from repro.cli import main as cli_main
 from repro.core.divergence import ValueDeviation
@@ -276,7 +276,7 @@ class TestFeedbackSourceLifecycle:
         fb.observe_threshold(1, 3.0)  # late in-flight refresh
         assert 1 not in fb._position
         # And its parked slot stays at the floor (ineligible).
-        assert fb.known_thresholds[1] == fb.min_threshold
+        assert fb.known_thresholds[1] == MIN_THRESHOLD
 
     def test_stale_heap_entries_skipped_after_removal(self):
         fb = self.make_controller()
@@ -310,7 +310,7 @@ class TestFeedbackSourceLifecycle:
         fb.remove_source(2)
         fb.reset()
         assert 2 not in fb._position
-        assert fb.known_thresholds[fb._slots[2]] == fb.min_threshold
+        assert fb.known_thresholds[fb._slots[2]] == MIN_THRESHOLD
 
 
 # ----------------------------------------------------------------------

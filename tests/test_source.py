@@ -11,8 +11,11 @@ from repro.core.weights import StaticWeights
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import FeedbackMessage, RefreshMessage
 from repro.network.topology import Topology
+from repro.source.batching import BatchingSource
 from repro.source.monitor import SamplingMonitor, TriggerMonitor
 from repro.source.source import SourceNode
+
+from oracles import belief_priority, recompute_then_drain
 
 import numpy as np
 
@@ -107,6 +110,98 @@ class TestRefreshDecisions:
         # Threshold piggybacked *at send time* (before the alpha increase
         # applies it is the pre-send value; either is within one factor).
         assert message.threshold > 0
+
+
+class TestDrainSkipRule:
+    """``SourceNode.on_update`` skips the drain only where the literal
+    rule's drain (``oracles.recompute_then_drain``) would change nothing.
+    Each scripted run below goes through both and must end in the same
+    state; each breaks if one condition of the skip rule is dropped."""
+
+    @staticmethod
+    def script(make, events, literal):
+        """Run ``events`` -- ``(time, object, value)`` updates, ``"tick"``
+        and ``"wake"`` entries -- through a fresh source from ``make``;
+        return the state it ends in."""
+        source, objects, topo = make()
+        metric = ValueDeviation()
+        for time, what, value in events:
+            if what == "tick":
+                topo.on_network_tick(time)
+            elif what == "wake":
+                source.on_wake(time)
+            else:
+                obj = objects[what]
+                obj.apply_update(time, value, metric)
+                if literal:
+                    recompute_then_drain(source, obj, time)
+                else:
+                    source.on_update(obj, time)
+        threshold = source.threshold
+        link = topo.source_links[0]
+        return (source.refreshes_sent, source.blocked,
+                threshold.value.hex(), threshold.ttl_decays,
+                link.credit.hex(), link.tick_used.hex(),
+                getattr(source, "batches_sent", None),
+                getattr(source, "staged", None))
+
+    def assert_same_as_literal(self, make, events):
+        default = self.script(make, events, literal=False)
+        assert default == self.script(make, events, literal=True)
+        return default
+
+    def test_update_to_a_blocked_source_mid_tick_drains(self):
+        """A low-priority update lands on a source blocked earlier in the
+        same tick.  Its drain sends nothing, but it accrues the source
+        link's credit at that instant, which splits the accrual and
+        changes the credit's bits by the next wake."""
+        def make():
+            return make_source(source_rate=0.65)
+        blocking = [(1.0, "tick", None),
+                    (1.1, 0, 5.0),   # sent
+                    (1.5, 1, 5.0),   # over threshold, no credit: blocked
+                    (1.9, 2, 0.5)]   # below threshold, still no credit
+        assert self.script(make, blocking, literal=True)[:2] == (1, True)
+        self.assert_same_as_literal(make, blocking + [
+            (2.0, "tick", None), (2.0, "wake", None),
+            (3.0, "tick", None), (3.0, "wake", None)])
+
+    def test_update_at_the_ttl_deadline_drains(self):
+        """The first update at or after a TTL decay deadline drains: the
+        decay lowers ``T_j`` below priorities that were under it."""
+        def make():
+            source, objects, topo = make_source()
+            source.threshold = ThresholdController(initial=1.0,
+                                                   feedback_ttl=5.0)
+            return source, objects, topo
+        events = [(1.0, "tick", None),
+                  (2.0, 0, 0.5),   # below threshold: skipped
+                  (5.0, "tick", None),
+                  (5.0, 1, 0.3)]   # due decay: T_j 1.0 -> 0.1
+        state = self.assert_same_as_literal(make, events)
+        assert state[0] == 2 and state[3] == 1
+
+    def test_update_to_a_timed_out_partial_batch_drains(self):
+        """A batching source holds a partial batch (which counts as
+        blocked); an update after the batch's timeout drains, and the
+        drain flushes the batch."""
+        def make():
+            topology = Topology([ConstantBandwidth(100.0)],
+                                [ConstantBandwidth(5.0)])
+            objects = [DataObject(index=i, source_id=0) for i in range(3)]
+            monitor = TriggerMonitor(PriorityTracker(),
+                                     SimpleDivergencePriority(),
+                                     StaticWeights.uniform(3))
+            source = BatchingSource(0, objects, monitor,
+                                    ThresholdController(initial=1.0),
+                                    topology, batch_size=4,
+                                    batch_timeout=5.0)
+            return source, objects, topology
+        events = [(1.0, "tick", None),
+                  (1.5, 0, 5.0),   # staged: a partial batch
+                  (7.0, 1, 0.2)]   # below threshold, timeout passed
+        state = self.assert_same_as_literal(make, events)
+        assert state[6] == 1 and state[7] == 0
 
 
 class TestFeedbackHandling:
@@ -212,7 +307,7 @@ class TestSamplingMonitor:
         for t in range(1, 11):
             monitor.sample(objects[0], float(t))
         estimated = monitor.tracker.get(0)
-        truth = exact.unweighted(objects[0], 10.0)
+        truth = belief_priority(exact, objects[0], 10.0)
         assert estimated == pytest.approx(truth, rel=0.3)
 
     def test_predictive_scheduling_shortens_near_threshold(self):

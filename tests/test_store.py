@@ -79,9 +79,6 @@ class Clock:
     def __init__(self) -> None:
         self.now = 0.0
 
-    def __call__(self) -> float:
-        return self.now
-
 
 def make_replicated_pair():
     """Two cache nodes sharing one source's objects, replication 2."""
@@ -96,7 +93,7 @@ def make_replicated_pair():
     for k in range(2):
         store = CacheStore(1)
         nodes.append(CacheNode(objects, metric, topology, store=store,
-                               clock=clock, cache_id=k))
+                               sim=clock, cache_id=k))
         stores.append(store)
     return topology, objects, nodes, stores, clock
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.threshold import ThresholdController
 
+from oracles import flood_factor
+
 
 class TestRefreshIncrease:
     def test_refresh_multiplies_by_alpha(self):
@@ -44,7 +46,7 @@ class TestFeedbackDecrease:
     def test_ignored_feedback_still_resets_gamma_clock(self):
         ctl = ThresholdController(initial=1.0, feedback_period=1.0)
         ctl.on_feedback(50.0, at_capacity=True)
-        assert ctl.gamma(50.5) == 1.0
+        assert flood_factor(ctl, 50.5) == 1.0
 
     def test_floor_clamps(self):
         ctl = ThresholdController(initial=1.0, omega=10.0, floor=1e-3)
@@ -54,26 +56,28 @@ class TestFeedbackDecrease:
 
 
 class TestGamma:
+    """The flood factor ``gamma`` a refresh applies on top of ``alpha``."""
+
     def test_gamma_one_without_feedback_period(self):
         ctl = ThresholdController()
-        assert ctl.gamma(1e9) == 1.0
+        assert flood_factor(ctl, 1e9) == 1.0
 
     def test_gamma_one_within_period(self):
         ctl = ThresholdController(feedback_period=10.0)
-        assert ctl.gamma(5.0) == 1.0
-        assert ctl.gamma(10.0) == 1.0
+        assert flood_factor(ctl, 5.0) == 1.0
+        assert flood_factor(ctl, 10.0) == 1.0
 
     def test_gamma_grows_past_period(self):
         """Flood acceleration: the longer feedback is overdue, the faster
         thresholds climb."""
         ctl = ThresholdController(feedback_period=10.0)
-        assert ctl.gamma(20.0) == pytest.approx(2.0)
-        assert ctl.gamma(50.0) == pytest.approx(5.0)
+        assert flood_factor(ctl, 20.0) == pytest.approx(2.0)
+        assert flood_factor(ctl, 50.0) == pytest.approx(5.0)
 
     def test_gamma_resets_on_feedback(self):
         ctl = ThresholdController(feedback_period=10.0)
         ctl.on_feedback(100.0)
-        assert ctl.gamma(105.0) == 1.0
+        assert flood_factor(ctl, 105.0) == 1.0
 
     def test_refresh_applies_gamma(self):
         ctl = ThresholdController(initial=1.0, alpha=1.1,

@@ -111,3 +111,40 @@ class TestAgainstNaiveArgmax:
                     assert got[1] == pytest.approx(best[1])
                     oracle.pop(got[0])
             assert len(tracker) == len(oracle)
+
+
+class TestHeapRebuild:
+    """Superseded entries are swept out once they outnumber the live
+    ones, so the heap tracks the objects, not the update count."""
+
+    def test_heap_stays_bounded_by_live_entries(self):
+        rng = np.random.default_rng(7)
+        tracker = PriorityTracker()
+        for step in range(20_000):
+            tracker.update(int(rng.integers(0, 10)),
+                           float(rng.uniform(0.1, 10.0)))
+            # at most twice the live entries plus the slack, plus the
+            # push that triggers the next rebuild
+            assert len(tracker._heap) <= 2 * 10 + 64 + 1
+
+    def test_rebuild_keeps_the_queue_order(self):
+        """Interleaved with pops, a tracker that rebuilt many times hands
+        out the same sequence as a dict + argmax oracle, ties included
+        (equal priorities leave in (version, index) order)."""
+        rng = np.random.default_rng(11)
+        tracker = PriorityTracker()
+        oracle: dict[int, float] = {}
+        versions = [0] * 30  # per index: updates and pops so far
+        for step in range(5_000):
+            index = int(rng.integers(0, 30))
+            priority = float(rng.integers(1, 4))  # many ties
+            versions[index] += 1
+            tracker.update(index, priority)
+            oracle[index] = priority
+            if step % 7 == 0:
+                got = tracker.pop()
+                best = min(oracle, key=lambda i: (-oracle[i], versions[i],
+                                                  i))
+                versions[best] += 1
+                assert got == (best, oracle.pop(best))
+
