@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core import ValueDeviation
 from repro.core.priority import AreaPriority
-from repro.experiments import RunSpec, run_policy_with_reads
+from repro.experiments import RunSpec, run_policy
 from repro.metrics import format_table
 from repro.network import ConstantBandwidth
 from repro.network.topology import TopologyConfig
@@ -48,13 +48,11 @@ def main() -> None:
             cache_bandwidth=ConstantBandwidth(18.0),
             source_bandwidths=[ConstantBandwidth(3.0)] * num_sources,
             priority_fn=AreaPriority())
-        result, read_run = run_policy_with_reads(
-            workload, ValueDeviation(), policy, spec, reads,
-            read_policy=read_policy)
-        stale = read_run.collector.stale_read_fraction()
-        rows.append([label, result.read_divergence,
-                     f"{100 * stale:.1f}%", result.weighted_divergence,
-                     result.reads])
+        result = run_policy(workload, ValueDeviation(), policy, spec,
+                            reads=reads, read_policy=read_policy)
+        rows.append([label, result.reads.divergence,
+                     f"{100 * result.reads.stale_fraction:.1f}%",
+                     result.weighted_divergence, result.reads.count])
 
     print(format_table(
         ["read policy", "read-observed div", "stale reads",

@@ -90,7 +90,6 @@ class CacheNode:
         self.stale_discards = 0
         self.poll_responses = 0
         self.migrations_in = 0
-        self.seeds_in = 0
         #: windowed telemetry, installed by a rebalancer (None = off path)
         self.window: WindowStats | None = None
         self._poll_handler: Callable[[PollResponse, float], None] | None = None
@@ -228,9 +227,10 @@ class CacheNode:
         regressing ``applied_count`` would resurrect a stale copy.  Truth
         views are never touched -- see :meth:`export_source`.
 
-        A single-item message whose source is *not* homed here is a
-        replica seed: it updates the store copy but leaves the feedback
-        table alone (the primary cache runs the protocol).
+        A payload whose source has moved on again before it landed (a
+        later migration re-routed it) updates the store copy but leaves
+        the feedback table alone: the source's new primary runs the
+        protocol.
         """
         store = self.store
         if store is not None:
@@ -245,8 +245,6 @@ class CacheNode:
             if self.feedback is not None:
                 self.feedback.add_source(message.source_id,
                                          message.threshold)
-        else:
-            self.seeds_in += 1
 
     def _is_stale(self, obj: DataObject, update_count: int) -> bool:
         """True when a fresher snapshot of ``obj`` was already applied.

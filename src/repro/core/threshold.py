@@ -28,6 +28,9 @@ import math
 
 DEFAULT_ALPHA = 1.1
 DEFAULT_OMEGA = 10.0
+#: Numerical clamps keeping every threshold in a sane range.
+THRESHOLD_FLOOR = 1e-12
+THRESHOLD_CEIL = 1e15
 
 
 class ThresholdController:
@@ -46,8 +49,6 @@ class ThresholdController:
         Expected time between feedback messages (``P_feedback``); ``None``
         disables the flood-acceleration factor ``gamma`` (it stays 1).  The
         paper notes the estimate "need only be a rough estimate".
-    floor, ceil:
-        Numerical clamps keeping the threshold in a sane range.
     feedback_ttl:
         Staleness bound on the last feedback message.  When set, silence
         longer than the TTL stops counting as flood evidence (``gamma``
@@ -58,15 +59,14 @@ class ThresholdController:
         keeps the paper's pure behaviour.
     """
 
-    __slots__ = ("value", "alpha", "omega", "feedback_period", "floor",
-                 "ceil", "last_feedback_time", "refreshes", "feedbacks",
+    __slots__ = ("value", "alpha", "omega", "feedback_period",
+                 "last_feedback_time", "refreshes", "feedbacks",
                  "feedbacks_ignored", "feedback_ttl", "ttl_decays",
                  "decay_deadline")
 
     def __init__(self, initial: float = 1.0, alpha: float = DEFAULT_ALPHA,
                  omega: float = DEFAULT_OMEGA,
                  feedback_period: float | None = None,
-                 floor: float = 1e-12, ceil: float = 1e15,
                  feedback_ttl: float | None = None) -> None:
         if initial <= 0:
             raise ValueError(f"initial threshold must be > 0, got {initial}")
@@ -84,8 +84,6 @@ class ThresholdController:
         self.alpha = float(alpha)
         self.omega = float(omega)
         self.feedback_period = feedback_period
-        self.floor = floor
-        self.ceil = ceil
         self.last_feedback_time = 0.0
         self.refreshes = 0
         self.feedbacks = 0
@@ -108,7 +106,7 @@ class ThresholdController:
             return
         ttl = self.feedback_ttl
         while now >= self.decay_deadline:
-            self.value = max(self.floor, self.value / self.omega)
+            self.value = max(THRESHOLD_FLOOR, self.value / self.omega)
             self.ttl_decays += 1
             self.decay_deadline += ttl
 
@@ -137,8 +135,7 @@ class ThresholdController:
                 ttl = self.feedback_ttl
                 if ttl is None or elapsed <= ttl:
                     value = value * (elapsed / period)
-        ceil = self.ceil
-        self.value = value if value < ceil else ceil
+        self.value = value if value < THRESHOLD_CEIL else THRESHOLD_CEIL
 
     def on_feedback(self, now: float, at_capacity: bool = False) -> None:
         """Positive feedback arrived: lower the threshold by ``omega``.
@@ -153,7 +150,7 @@ class ThresholdController:
             self.feedbacks_ignored += 1
             return
         self.feedbacks += 1
-        self.value = max(self.floor, self.value / self.omega)
+        self.value = max(THRESHOLD_FLOOR, self.value / self.omega)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ThresholdController T={self.value:.4g} "

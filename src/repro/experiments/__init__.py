@@ -8,7 +8,6 @@ from repro.experiments.matrix import (
     run_matrix,
     run_scenario,
 )
-from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "RunSpec",
     "Scenario",
     "make_policy",
-    "run_policy_with_reads",
     "run_matrix",
     "run_policy",
     "run_scenario",

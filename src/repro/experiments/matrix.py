@@ -76,7 +76,6 @@ from repro.experiments.parallel import (
     build_workload,
     run_cooperative_sharded,
 )
-from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
 from repro.experiments.scale import sparse_workload
 from repro.faults.plan import FAULT_SCENARIOS, FaultPlan, fault_scenario
@@ -233,40 +232,30 @@ def run_scenario(scenario: Scenario) -> dict:
                          workload.num_objects,
                          priority=scenario.priority_fn(),
                          **dict(scenario.policy_kwargs))
-    record: dict = {}
+    spec = scenario.spec()
     if scenario.read_policy is None:
-        result = run_policy(workload, metric, policy, scenario.spec())
-    else:
-        reads = workload.read_stream(
-            RngRegistry(scenario.seed).stream("read-workload"),
-            read_rate=scenario.read_rate)
-        result, read_run = run_policy_with_reads(
-            workload, metric, policy, scenario.spec(), reads,
-            read_policy=scenario.read_policy, track_replicas=True)
+        return _measurements(run_policy(workload, metric, policy, spec))
+    reads = workload.read_stream(
+        RngRegistry(scenario.seed).stream("read-workload"),
+        read_rate=scenario.read_rate)
+    return _measurements(run_policy(workload, metric, policy, spec,
+                                    reads=reads,
+                                    read_policy=scenario.read_policy))
+
+
+def _measurements(result: RunResult) -> dict:
+    """The record of one run: a projection of its result, plus the read
+    columns when a read stream ran."""
+    record: dict = {}
+    if result.reads is not None:
         record = {
-            "reads": result.reads,
-            "read_divergence": result.read_divergence,
-            "stale_fraction": read_run.collector.stale_read_fraction(),
-            "replica_divergence": read_run.tracker.mean_over_replicas(),
-            "matches_direct": read_run.matches_direct,
+            "reads": result.reads.count,
+            "read_divergence": result.reads.divergence,
+            "stale_fraction": result.reads.stale_fraction,
+            "replica_divergence": result.reads.replica_divergence,
+            "matches_direct": result.reads.matches_direct,
         }
-    # The analytic ideal curve builds no network; star runs no rebalancer.
-    topology = getattr(policy, "topology", None)
-    rebalancer = getattr(policy, "rebalancer", None)
-    record.update(_measurements(
-        result, topology.telemetry() if topology is not None else {},
-        # cache-side bandwidth units: a multicast sibling copy is one
-        # more message but zero more units (the E14 denominator)
-        units=topology.cache_units_total() if topology is not None else 0.0,
-        migrations=rebalancer.migrations if rebalancer is not None else 0))
-    return record
-
-
-def _measurements(result: RunResult, telemetry: dict, units: float,
-                  migrations: int) -> dict:
-    """The record fields every run reports, from its result and the
-    telemetry of its topology."""
-    return dict(
+    record.update(
         divergence=result.weighted_divergence,
         unweighted=result.unweighted_divergence,
         num_objects=result.num_objects,
@@ -274,15 +263,18 @@ def _measurements(result: RunResult, telemetry: dict, units: float,
         messages=result.messages_total,
         feedback=result.feedback_messages,
         overhead=result.overhead_fraction,
-        units=units,
-        dropped=telemetry.get("dropped", 0),
-        retransmitted=telemetry.get("retransmitted", 0),
-        duplicates=telemetry.get("duplicate_suppressed", 0),
-        migrations=migrations,
-        queue_peak=int(result.extras.get("cache_queue_peak", 0)),
-        sent=result.extras.get("refreshes_sent", result.refreshes),
-        queued=sum(telemetry.get("cache_queued", ())),
+        # cache-side bandwidth units: a multicast sibling copy is one
+        # more message but zero more units (the E14 denominator)
+        units=result.units,
+        dropped=result.dropped,
+        retransmitted=result.retransmitted,
+        duplicates=result.duplicates,
+        migrations=result.migrations,
+        queue_peak=result.queued_peak,
+        sent=result.refreshes_sent,
+        queued=result.queued,
     )
+    return record
 
 
 def shard_parallel(scenario: Scenario) -> bool:
@@ -312,11 +304,7 @@ def run_scenario_sharded(scenario: Scenario, workers: int) -> dict:
         scenario.workload, make_metric(scenario.metric), scenario.spec(),
         cache_bw, source_bws, priority_fn=scenario.priority_fn(),
         workers=workers, **dict(scenario.policy_kwargs))
-    telemetry = result.extras["topology"]
-    # Every message on a sharded cache link costs one unit, and a queued
-    # one has not spent it yet.
-    units = float(result.messages_total - sum(telemetry["cache_queued"]))
-    return _measurements(result, telemetry, units=units, migrations=0)
+    return _measurements(result)
 
 
 # ----------------------------------------------------------------------
@@ -1503,6 +1491,13 @@ def _advantage(row: dict) -> float:
     return row["uniform"]["divergence"] / cooperative
 
 
+def cooperative_beats_uniform(rows: list[dict]) -> bool:
+    """E8's claim: adaptive allocation wins at every cache count."""
+    return bool(rows) and all(row["cooperative"]["divergence"]
+                              < row["uniform"]["divergence"]
+                              for row in rows)
+
+
 def _multicache_title(params: dict) -> str:
     label = (f"heterogeneous cache rates {params['cache-rates']}"
              if params["cache-rates"] else params["topology"])
@@ -1534,6 +1529,8 @@ MULTICACHE = Matrix(
              ("coop refreshes", _field("cooperative", "refreshes")),
              ("unif refreshes", _field("uniform", "refreshes")),
              ("queue peak", _field("cooperative", "queue_peak"))),
+    verdicts=(Verdict("cooperative beats uniform at every cache count",
+                      cooperative_beats_uniform),),
 )
 
 

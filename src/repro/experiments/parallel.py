@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.core.divergence import DivergenceMetric
 from repro.core.priority import AreaPriority, PriorityFunction
-from repro.experiments.runner import RunSpec, make_context
+from repro.experiments.runner import RunSpec, build_result, make_context
 from repro.metrics.report import RunResult
 from repro.network.bandwidth import BandwidthProfile
 from repro.network.topology import TopologyConfig
@@ -194,22 +194,15 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """One shard's integrals, counters and telemetry, ready to merge."""
+    """One shard's integrals, thresholds and counters, ready to merge."""
 
     cache_id: int
     sources: tuple[int, ...]  #: global source ids, ascending
     objects: np.ndarray  #: global object indices, ascending
-    duration: float
     weighted_integral: np.ndarray
     unweighted_integral: np.ndarray
     thresholds: list[float]  #: final T_j per source, global-ascending order
-    refreshes_sent: int
-    refreshes_applied: int
-    feedback_sent: int
-    cache_messages: int
-    utilization: float
-    queued: int
-    queued_peak: int
+    result: RunResult  #: the shard's own run: its duration and counters
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
@@ -240,29 +233,21 @@ def _simulate_shard(task: ShardTask) -> ShardResult:
     policy = CooperativePolicy(profile, list(task.source_bandwidths),
                                priority_fn=task.priority_fn,
                                **dict(task.policy_kwargs))
-    ctx = make_context(workload.shard(sources), task.metric,
-                       replace(task.spec, topology=None))
+    shard = workload.shard(sources)
+    ctx = make_context(shard, task.metric, replace(task.spec, topology=None))
     policy.attach(ctx)
     ctx.run(task.spec.end_time,
             resample_interval=task.spec.resample_interval)
     # ctx.run finalized the collector: its record log is folded.
     collector = ctx.collector
-    link = policy.topology.cache_links[0]
     result = ShardResult(
         cache_id=task.cache_id,
         sources=task.sources,
         objects=objects,
-        duration=collector.duration,
         weighted_integral=collector._weighted_integral,
         unweighted_integral=collector._unweighted_integral,
         thresholds=[s.threshold.value for s in policy.sources],
-        refreshes_sent=sum(s.refreshes_sent for s in policy.sources),
-        refreshes_applied=policy.refreshes(),
-        feedback_sent=policy.feedback_messages(),
-        cache_messages=link.total_sent,
-        utilization=link.utilization(),
-        queued=link.queued,
-        queued_peak=link.total_queued_peak,
+        result=build_result(shard, task.metric, policy, ctx),
     )
     policy.close()
     ctx.close()
@@ -273,46 +258,30 @@ def merge_shard_results(shards: list[ShardResult], num_sources: int,
                         num_objects: int, metric_name: str) -> RunResult:
     """Reassemble per-shard results into the serial run's ``RunResult``.
 
-    Bitwise-faithful to the serial arithmetic: per-object integrals are
-    scattered back to their global positions and reduced by the same
+    Bitwise-faithful to the serial arithmetic of
+    :func:`~repro.experiments.runner.build_result`: per-object integrals
+    are scattered back to their global positions and reduced by the same
     single ``np.sum`` the collector performs; the mean threshold is a
     left-to-right Python-float sum in ascending global source order,
-    exactly the order ``CooperativePolicy.extras`` folds; counters are
-    integer sums and maxes.
+    exactly the order ``CooperativePolicy.mean_threshold`` folds; every
+    counter is a sum (or, for the backlog peak, a max) over the shards
+    in cache order, which is the order the serial run sums its links.
     """
     shards = sorted(shards, key=lambda s: s.cache_id)
     weighted = np.zeros(num_objects)
     unweighted = np.zeros(num_objects)
     thresholds = [0.0] * num_sources
-    refreshes_sent = refreshes = feedback = messages = 0
     for shard in shards:
         weighted[shard.objects] = shard.weighted_integral
         unweighted[shard.objects] = shard.unweighted_integral
         for j, value in zip(shard.sources, shard.thresholds):
             thresholds[j] = value
-        refreshes_sent += shard.refreshes_sent
-        refreshes += shard.refreshes_applied
-        feedback += shard.feedback_sent
-        messages += shard.cache_messages
-    duration = shards[0].duration
+    parts = [shard.result for shard in shards]
+    duration = parts[0].duration
     weighted_mean = (float(weighted.sum()) / duration / num_objects
                      if duration > 0 else 0.0)
     unweighted_mean = (float(unweighted.sum()) / duration / num_objects
                        if duration > 0 else 0.0)
-    extras: dict = {
-        "mean_threshold": (sum(thresholds) / len(thresholds)
-                           if thresholds else 0.0),
-        "refreshes_sent": refreshes_sent,
-        "refreshes_in_flight": refreshes_sent - refreshes,
-        "cache_queue_peak": max((s.queued_peak for s in shards), default=0),
-    }
-    if len(shards) > 1:
-        extras["topology"] = {
-            "num_caches": len(shards),
-            "cache_utilization": [s.utilization for s in shards],
-            "cache_queued": [s.queued for s in shards],
-            "cache_queued_peak": [s.queued_peak for s in shards],
-        }
     return RunResult(
         policy="cooperative",
         metric=metric_name,
@@ -321,11 +290,20 @@ def merge_shard_results(shards: list[ShardResult], num_sources: int,
         duration=duration,
         weighted_divergence=weighted_mean,
         unweighted_divergence=unweighted_mean,
-        refreshes=refreshes,
-        feedback_messages=feedback,
-        poll_messages=0,
-        messages_total=messages,
-        extras=extras,
+        refreshes=sum(p.refreshes for p in parts),
+        feedback_messages=sum(p.feedback_messages for p in parts),
+        poll_messages=sum(p.poll_messages for p in parts),
+        messages_total=sum(p.messages_total for p in parts),
+        refreshes_sent=sum(p.refreshes_sent for p in parts),
+        units=sum(p.units for p in parts),
+        queued=sum(p.queued for p in parts),
+        queued_peak=max(p.queued_peak for p in parts),
+        dropped=sum(p.dropped for p in parts),
+        retransmitted=sum(p.retransmitted for p in parts),
+        duplicates=sum(p.duplicates for p in parts),
+        migrations=sum(p.migrations for p in parts),
+        mean_threshold=(sum(thresholds) / len(thresholds)
+                        if thresholds else 0.0),
     )
 
 

@@ -4,8 +4,9 @@ The paper's metric (and every experiment so far) time-averages the
 divergence of the *logical* cache copy -- the freshest applied snapshot.
 What a client experiences under replication is different: the replica that
 answers its read may be behind the logical copy, and which replica answers
-is a read-path policy decision.  :func:`run_policy_with_reads` runs a
-policy with a Poisson client read stream and measures, per read policy:
+is a read-path policy decision.  ``run_policy(..., reads=trace)`` (in
+:mod:`repro.experiments.runner`) runs a policy with a Poisson client read
+stream through a :class:`ReadRun` and measures, per read policy:
 
 * **read-observed divergence** -- mean weighted ``|answered - true|`` over
   the reads actually served (the client's-eye metric);
@@ -34,14 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.readmodel import ReadModel, parse_read_policy
-from repro.core.divergence import DivergenceMetric
-from repro.experiments.runner import RunSpec, build_result, make_context
 from repro.metrics.collector import ReadCollector, ReplicaDivergenceTracker
-from repro.metrics.report import RunResult
+from repro.metrics.report import ReadStats
 from repro.policies.base import SimulationContext, SyncPolicy
-from repro.sim.engine import gc_paused
 from repro.workloads.read_process import ReadReplayer, ReadTrace
-from repro.workloads.synthetic import Workload
 
 
 class ReadRun:
@@ -54,11 +51,10 @@ class ReadRun:
     """
 
     def __init__(self, ctx: SimulationContext, policy: SyncPolicy,
-                 read_trace: ReadTrace, read_policy: str = "any",
-                 track_replicas: bool = False) -> None:
-        stores = getattr(policy, "stores", None)
-        topology = getattr(policy, "topology", None)
-        if not stores or topology is None:
+                 read_trace: ReadTrace, read_policy: str = "any") -> None:
+        stores = [cache.store for cache in policy.caches]
+        topology = policy.topology
+        if not stores or None in stores or topology is None:
             raise ValueError(
                 f"policy {policy.name!r} exposes no per-cache stores; "
                 f"attach it first and use a store-backed policy")
@@ -70,15 +66,11 @@ class ReadRun:
                                        ctx.workload.weights,
                                        num_replicas=topology.num_caches,
                                        warmup=ctx.warmup)
-        self.tracker: ReplicaDivergenceTracker | None = None
-        if track_replicas:
-            self.tracker = ReplicaDivergenceTracker(
-                stores, ctx.objects, self.model.replicas,
-                warmup=ctx.warmup)
-            ctx.add_update_hook(self.tracker.on_update)
-            for cache in policy.caches:
-                cache.add_refresh_hook(
-                    self.tracker.refresh_hook(cache.cache_id))
+        self.tracker = ReplicaDivergenceTracker(
+            stores, ctx.objects, self.model.replicas, warmup=ctx.warmup)
+        ctx.add_update_hook(self.tracker.on_update)
+        for cache in policy.caches:
+            cache.add_refresh_hook(self.tracker.refresh_hook(cache.cache_id))
         # Single cache: every policy must answer exactly what the star's
         # CacheStore.read returns.  Cross-check each read bit for bit.
         self._baseline_store = stores[0] if topology.num_caches == 1 \
@@ -136,41 +128,15 @@ class ReadRun:
             return None
         return self.baseline_mismatches == 0
 
-    def finalize(self, end: float) -> None:
-        if self.tracker is not None:
-            self.tracker.finalize(end)
-
-
-def run_policy_with_reads(workload: Workload, metric: DivergenceMetric,
-                          policy: SyncPolicy, spec: RunSpec,
-                          read_trace: ReadTrace,
-                          read_policy: str = "any",
-                          track_replicas: bool = False
-                          ) -> tuple[RunResult, ReadRun]:
-    """:func:`~repro.experiments.runner.run_policy` plus a client read
-    stream; returns the result (read columns populated) and the read run.
-    """
-    with gc_paused():
-        ctx = make_context(workload, metric, spec)
-        policy.attach(ctx)
-        read_run = ReadRun(ctx, policy, read_trace,
-                           read_policy=read_policy,
-                           track_replicas=track_replicas)
-        ctx.run(spec.end_time, resample_interval=spec.resample_interval)
-        read_run.finalize(spec.end_time)
-    reads = read_run.collector
-    extras = dict(policy.extras())
-    extras["replica_reads"] = reads.replica_reads.tolist()
-    extras["stale_read_fraction"] = reads.stale_read_fraction()
-    if read_run.matches_direct is not None:
-        extras["matches_direct_store_read"] = read_run.matches_direct
-    if read_run.tracker is not None:
-        extras["replica_divergence"] = \
-            read_run.tracker.per_replica_average().tolist()
-    result = build_result(
-        workload, metric, policy, ctx, extras=extras,
-        reads=reads.reads,
-        read_divergence=reads.mean_read_divergence(),
-        read_divergence_unweighted=reads.mean_unweighted_read_divergence(),
-    )
-    return result, read_run
+    def stats(self, end: float) -> ReadStats:
+        """Close the replica integrals at ``end`` and summarize the reads."""
+        self.tracker.finalize(end)
+        reads = self.collector
+        return ReadStats(
+            count=reads.reads,
+            divergence=reads.mean_read_divergence(),
+            divergence_unweighted=reads.mean_unweighted_read_divergence(),
+            stale_fraction=reads.stale_read_fraction(),
+            replica_reads=tuple(reads.replica_reads.tolist()),
+            replica_divergence=self.tracker.mean_over_replicas(),
+            matches_direct=self.matches_direct)

@@ -10,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.divergence import DivergenceMetric
+from repro.experiments.readmodel import ReadRun
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.metrics.report import RunResult
+from repro.metrics.report import ReadStats, RunResult
 from repro.network.topology import TopologyConfig
 from repro.policies.base import SimulationContext, SyncPolicy
 from repro.sim.engine import gc_paused
+from repro.workloads.read_process import ReadTrace
 from repro.workloads.synthetic import Workload
 
 
@@ -58,14 +60,18 @@ def make_context(workload: Workload, metric: DivergenceMetric,
 
 def build_result(workload: Workload, metric: DivergenceMetric,
                  policy: SyncPolicy, ctx: SimulationContext,
-                 extras: dict | None = None, **extra_fields) -> RunResult:
-    """Assemble the standard :class:`RunResult` from a finished run.
-
-    ``extras`` overrides ``policy.extras()`` (harnesses that merge their
-    own diagnostics in); ``extra_fields`` forwards additional RunResult
-    columns (e.g. the read-model harness's read statistics).
-    """
+                 reads: ReadStats | None = None) -> RunResult:
+    """Assemble the :class:`RunResult` of a finished run."""
     collector = ctx.collector
+    topology = policy.topology
+    network = {}
+    if topology is not None:
+        dropped, retransmitted, duplicates = topology.fault_counters()
+        network = dict(units=topology.cache_units_total(),
+                       queued=topology.cache_queued(),
+                       queued_peak=topology.cache_queued_peak(),
+                       dropped=dropped, retransmitted=retransmitted,
+                       duplicates=duplicates)
     return RunResult(
         policy=policy.name,
         metric=metric.name,
@@ -78,14 +84,23 @@ def build_result(workload: Workload, metric: DivergenceMetric,
         feedback_messages=policy.feedback_messages(),
         poll_messages=policy.poll_messages(),
         messages_total=policy.messages_total(),
-        extras=policy.extras() if extras is None else extras,
-        **extra_fields,
+        refreshes_sent=policy.refreshes_sent(),
+        migrations=policy.migrations(),
+        mean_threshold=policy.mean_threshold(),
+        reads=reads,
+        **network,
     )
 
 
 def run_policy(workload: Workload, metric: DivergenceMetric,
-               policy: SyncPolicy, spec: RunSpec) -> RunResult:
+               policy: SyncPolicy, spec: RunSpec,
+               reads: ReadTrace | None = None,
+               read_policy: str = "any") -> RunResult:
     """Replay ``workload`` through ``policy`` and measure divergence.
+
+    ``reads`` adds a client read stream served by ``read_policy`` (see
+    :class:`~repro.experiments.readmodel.ReadRun`); reads never perturb
+    the simulation, and the result's ``reads`` holds what they saw.
 
     Runs with the cyclic garbage collector paused: one run allocates a
     large, mostly-acyclic object graph (per-source nodes, events,
@@ -95,5 +110,8 @@ def run_policy(workload: Workload, metric: DivergenceMetric,
     with gc_paused():
         ctx = make_context(workload, metric, spec)
         policy.attach(ctx)
+        read_run = (None if reads is None else
+                    ReadRun(ctx, policy, reads, read_policy=read_policy))
         ctx.run(spec.end_time, resample_interval=spec.resample_interval)
-        return build_result(workload, metric, policy, ctx)
+        stats = None if read_run is None else read_run.stats(spec.end_time)
+        return build_result(workload, metric, policy, ctx, reads=stats)

@@ -5,9 +5,8 @@ bandwidth is delivered and caches never lose state.  This package makes
 partial failure a first-class, *seeded* experiment axis:
 
 * :class:`FaultPlan` -- a declarative schedule of piecewise per-link
-  loss-probability windows, cache crash/restart events and source stall
-  windows (a feedback blackout is a downstream loss window with
-  probability 1).
+  loss-probability windows and cache crash/restart events (a feedback
+  blackout is a downstream loss window with probability 1).
 * :class:`FaultInjector` -- the runtime hooked into the
   :class:`~repro.network.topology.Topology` delivery paths.  Drops
   happen at *delivery* time, after link credit is spent, like real
@@ -27,7 +26,6 @@ from repro.faults.plan import (
     CacheCrash,
     FaultPlan,
     LossRule,
-    SourceStall,
     fault_scenario,
     hash01,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "LossRule",
     "ReliableDelivery",
     "RetryPolicy",
-    "SourceStall",
     "fault_scenario",
     "hash01",
 ]

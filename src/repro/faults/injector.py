@@ -33,8 +33,7 @@ class FaultInjector:
     """Applies one :class:`FaultPlan` to a topology's delivery paths."""
 
     __slots__ = ("plan", "clock", "dropped_upstream", "dropped_downstream",
-                 "dropped_crash", "_counts", "_up_rules", "_down_rules",
-                 "_stalls")
+                 "dropped_crash", "_counts", "_up_rules", "_down_rules")
 
     def __init__(self, plan: FaultPlan,
                  clock: Callable[[], float]) -> None:
@@ -49,7 +48,6 @@ class FaultInjector:
                                if r.direction in ("upstream", "both"))
         self._down_rules = tuple(r for r in plan.loss
                                  if r.direction in ("downstream", "both"))
-        self._stalls = plan.stalls
 
     @property
     def dropped(self) -> int:
@@ -78,14 +76,8 @@ class FaultInjector:
     def allow_upstream(self, message: Message, cache_id: int) -> bool:
         """Fate of one source -> cache delivery (False = dropped)."""
         count = self._next_count(_UPSTREAM, cache_id)
-        now = self.clock()
-        source_id = message.source_id
-        for stall in self._stalls:
-            if stall.matches(now, source_id):
-                self.dropped_upstream += 1
-                return False
-        if self._drop(self._up_rules, _UPSTREAM, cache_id, source_id,
-                      now, count):
+        if self._drop(self._up_rules, _UPSTREAM, cache_id,
+                      message.source_id, self.clock(), count):
             self.dropped_upstream += 1
             return False
         return True

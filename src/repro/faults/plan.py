@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` describes *what goes wrong when*, independent of any
 policy or topology: loss-probability windows per direction (optionally
-restricted to particular caches or sources), cache crash/restart events,
-and source stall windows.  The plan is frozen data; the runtime half
-lives in :class:`repro.faults.injector.FaultInjector`.
+restricted to particular caches or sources) and cache crash/restart
+events.  The plan is frozen data; the runtime half lives in
+:class:`repro.faults.injector.FaultInjector`.
 
 Loss draws must be reproducible against the reference schedule of the
 tests (per-tick scan, per-event replay) and across process-parallel
@@ -114,34 +114,6 @@ class CacheCrash:
 
 
 @dataclass(frozen=True)
-class SourceStall:
-    """Sources in ``source_ids`` deliver nothing in ``[start, end)``.
-
-    A stalled source's upstream messages still spend link credit (the
-    process is wedged, not the network), so a stall is a deterministic
-    drop of every matching upstream delivery.  ``None`` stalls all.
-    """
-
-    start: float
-    end: float
-    source_ids: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.start < self.end:
-            raise ValueError(
-                f"stall window must satisfy start < end, "
-                f"got [{self.start}, {self.end})")
-        if self.source_ids is not None:
-            object.__setattr__(self, "source_ids",
-                               tuple(int(i) for i in self.source_ids))
-
-    def matches(self, now: float, source_id: int) -> bool:
-        if not self.start <= now < self.end:
-            return False
-        return self.source_ids is None or source_id in self.source_ids
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A complete seeded fault schedule for one run.
 
@@ -155,16 +127,14 @@ class FaultPlan:
     seed: int = 0
     loss: tuple[LossRule, ...] = ()
     crashes: tuple[CacheCrash, ...] = ()
-    stalls: tuple[SourceStall, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "loss", tuple(self.loss))
         object.__setattr__(self, "crashes", tuple(self.crashes))
-        object.__setattr__(self, "stalls", tuple(self.stalls))
 
     def is_empty(self) -> bool:
         """True when the plan injects nothing at all."""
-        return not (self.loss or self.crashes or self.stalls)
+        return not (self.loss or self.crashes)
 
 
 def fault_scenario(name: str, warmup: float, measure: float,

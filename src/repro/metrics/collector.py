@@ -311,8 +311,8 @@ class ReplicaDivergenceTracker:
     The signal is piecewise-constant -- it changes only when the source
     applies an update or replica ``k`` applies a refresh -- so hooking both
     event kinds gives an exact integral, same as the main collector.  Cost
-    is O(replication) python work per update, so the tracker is opt-in
-    (experiments and tests; not wired into plain policy runs).
+    is O(replication) python work per update, so only runs with a read
+    stream wire it in (not plain policy runs).
 
     The uniform any-replica read policy samples precisely this signal at
     read times: its read-observed divergence converges, as the read rate
@@ -398,12 +398,6 @@ class ReplicaDivergenceTracker:
             out[self._member] = (self._integral[self._member]
                                  / self.duration)
         return out
-
-    def per_replica_average(self) -> np.ndarray:
-        """Mean time-averaged divergence of each cache's own copies."""
-        per_pair = self.per_replica_object_average()
-        with np.errstate(invalid="ignore"):
-            return np.nanmean(per_pair, axis=1)
 
     def mean_over_replicas(self) -> float:
         """Objects' replica-averaged divergence, averaged over objects.

@@ -6,13 +6,36 @@ helpers keep that output consistent and readable in a terminal log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
+
+
+@dataclass(frozen=True)
+class ReadStats:
+    """What a client read stream saw over the measured window."""
+
+    count: int  #: reads served after warm-up
+    divergence: float  #: mean weighted ``|answered - true|`` per read
+    divergence_unweighted: float  #: mean ``|answered - true|`` per read
+    stale_fraction: float  #: share of reads that returned a diverged value
+    replica_reads: tuple[int, ...]  #: reads served by each cache
+    #: per-object replica-averaged time-averaged copy divergence, averaged
+    #: over objects (the any-replica large-read-rate limit)
+    replica_divergence: float
+    #: every read equalled the star's ``CacheStore.read`` (None: several
+    #: caches, so there is no single store to compare with)
+    matches_direct: bool | None
 
 
 @dataclass
 class RunResult:
-    """Outcome of one simulation run (one policy on one workload)."""
+    """Outcome of one simulation run (one policy on one workload).
+
+    Every counter is filled by the serial path
+    (:func:`~repro.experiments.runner.build_result`) and by the shard
+    merge (:func:`~repro.experiments.parallel.merge_shard_results`) with
+    the same arithmetic; a policy without a network reports zeros.
+    """
 
     policy: str
     metric: str
@@ -21,14 +44,23 @@ class RunResult:
     duration: float  #: measured (post-warm-up) window length
     weighted_divergence: float  #: mean per-object weighted divergence
     unweighted_divergence: float  #: mean per-object unweighted divergence
-    refreshes: int = 0  #: refresh messages applied at the cache
+    refreshes: int = 0  #: object refreshes applied, summed over caches
     feedback_messages: int = 0
     poll_messages: int = 0  #: poll round-trip messages (CGM baselines)
-    messages_total: int = 0  #: all messages that crossed the cache link
-    reads: int = 0  #: client reads served (0 when no read stream ran)
-    read_divergence: float = 0.0  #: mean weighted read-observed divergence
-    read_divergence_unweighted: float = 0.0  #: mean |answered - true|/read
-    extras: dict = field(default_factory=dict)
+    messages_total: int = 0  #: all messages that crossed the cache links
+    #: refresh messages the sources handed to the network, a batch once
+    #: (``refreshes`` for policies that do not count sends)
+    refreshes_sent: int = 0
+    units: float = 0.0  #: cache-link bandwidth units spent
+    queued: int = 0  #: messages still waiting on the cache links at the end
+    queued_peak: int = 0  #: worst FIFO backlog of any cache link, messages
+    dropped: int = 0  #: messages the fault injector dropped
+    retransmitted: int = 0  #: refreshes resent by reliable delivery
+    duplicates: int = 0  #: retransmitted copies suppressed at a cache
+    migrations: int = 0  #: sources the rebalancer moved between caches
+    #: mean final source threshold ``T_j`` (None: a policy without one)
+    mean_threshold: float | None = None
+    reads: ReadStats | None = None  #: None when no read stream ran
 
     @property
     def overhead_fraction(self) -> float:
@@ -37,6 +69,15 @@ class RunResult:
             return 0.0
         overhead = self.feedback_messages + self.poll_messages
         return overhead / self.messages_total
+
+    extras = property(
+        lambda self: {"mean_threshold": self.mean_threshold,
+                      "cache_queue_peak": self.queued_peak},
+        doc="""Read-only view of two counters under their old dict keys.
+
+        Kept only for ``bench/suite.py``, which reads these two keys; the
+        next change to the benchmark reads the typed fields and deletes
+        this view.""")
 
 
 def format_table(headers: Sequence[str],

@@ -109,13 +109,12 @@ class MigrateMessage(Message):
     Unlike :class:`BatchRefreshMessage` (the paper's one-unit amortized
     batch), a migration pays for what it moves: ``size`` scales with the
     item count, so a whole-shard handoff honestly competes for peer-link
-    credit.  A single-item instance doubles as the replica *seed* message
-    (fresh value forwarded to a sibling for one unit instead of a source
-    round-trip); seeds carry no threshold and never touch feedback.
+    credit.
     """
 
     items: list[tuple[int, float, int]] = field(default_factory=list)
-    threshold: float = float("inf")  #: donor's learned threshold (inf = seed)
+    #: donor's learned threshold (inf: the donor had learned none)
+    threshold: float = float("inf")
     from_cache: int = 0  #: donor cache id
 
     def __post_init__(self) -> None:

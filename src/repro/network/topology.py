@@ -159,9 +159,9 @@ class Topology:
         self._reliable = None
         self._delivery_guard: Callable[[Message, int], bool] | None = None
         self._crash_listeners: dict[int, list[Callable[[float], None]]] = {}
-        # Cache-to-cache transfer links (rebalancer migrations, replica
-        # seeding).  Empty unless a controller installs some; the tick
-        # loop then iterates nothing, keeping the no-peer path exact.
+        # Cache-to-cache transfer links (rebalancer migrations).  Empty
+        # unless a controller installs some; the tick loop then iterates
+        # nothing, keeping the no-peer path exact.
         self._peer_links: dict[tuple[int, int], Link] = {}
         self._peer_link_list: list[Link] = []
         self._classify_links()
@@ -417,13 +417,13 @@ class Topology:
                       now: float = 0.0) -> Link:
         """Install a directed transfer link between two cache nodes.
 
-        Peer links carry migrations and replica seeds; they are refilled
-        and drained in the NETWORK phase like cache links but deliver
-        straight to the destination cache's receiver (no fault guard:
-        they model an internal backbone, not the source-edge paths the
-        injector perturbs).  ``now`` anchors credit accrual at the
-        installation time so a link created mid-run does not bank the
-        whole elapsed history on its first refill.
+        Peer links carry migrations; they are refilled and drained in the
+        NETWORK phase like cache links but deliver straight to the
+        destination cache's receiver (no fault guard: they model an
+        internal backbone, not the source-edge paths the injector
+        perturbs).  ``now`` anchors credit accrual at the installation
+        time so a link created mid-run does not bank the whole elapsed
+        history on its first refill.
         """
         if from_cache == to_cache:
             raise ValueError(f"peer link {from_cache}->{to_cache} is a loop")
@@ -439,10 +439,6 @@ class Topology:
         self._peer_links[key] = link
         self._peer_link_list.append(link)
         return link
-
-    def peer_link(self, from_cache: int, to_cache: int) -> Link | None:
-        """The directed transfer link between two caches, if installed."""
-        return self._peer_links.get((from_cache, to_cache))
 
     def send_peer(self, message: Message) -> bool:
         """Cache ``from_cache`` -> cache ``cache_id`` over the peer link.
@@ -619,10 +615,25 @@ class Topology:
         """
         return sum(link.total_units for link in self.cache_links)
 
+    def cache_queued(self) -> int:
+        """Messages still waiting on the cache links."""
+        return sum(link.queued for link in self.cache_links)
+
     def cache_queued_peak(self) -> int:
         """Worst FIFO backlog observed on any cache link."""
         return max((link.total_queued_peak for link in self.cache_links),
                    default=0)
+
+    def fault_counters(self) -> tuple[int, int, int]:
+        """Deliveries the fault injector dropped, refreshes retransmitted
+        and duplicate copies suppressed so far (zeros without the fault
+        machinery)."""
+        injector = self._fault_injector
+        reliable = self._reliable
+        return (injector.dropped if injector is not None else 0,
+                reliable.retransmitted if reliable is not None else 0,
+                reliable.duplicate_suppressed if reliable is not None
+                else 0)
 
     def telemetry(self, now: float | None = None) -> dict:
         """Per-cache capacity counters, for reports and diagnostics.
@@ -633,8 +644,7 @@ class Topology:
         reports pass the simulation clock instead of hand-rolling
         per-cache ``cache_surplus`` calls.
         """
-        injector = self._fault_injector
-        reliable = self._reliable
+        dropped, retransmitted, duplicates = self.fault_counters()
         return {
             "num_caches": self.num_caches,
             "cache_utilization": [link.utilization()
@@ -644,11 +654,9 @@ class Topology:
                                   for link in self.cache_links],
             "cache_surplus": [link.surplus(now)
                               for link in self.cache_links],
-            "dropped": injector.dropped if injector is not None else 0,
-            "retransmitted": (reliable.retransmitted
-                              if reliable is not None else 0),
-            "duplicate_suppressed": (reliable.duplicate_suppressed
-                                     if reliable is not None else 0),
+            "dropped": dropped,
+            "retransmitted": retransmitted,
+            "duplicate_suppressed": duplicates,
         }
 
     def total_messages(self) -> int:

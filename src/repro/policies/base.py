@@ -210,6 +210,10 @@ class SyncPolicy(ABC):
 
     #: short machine-readable policy name used in configs and reports
     name: str = "abstract"
+    #: the run's network and cache nodes, built in :meth:`attach` (None
+    #: and empty: the analytic ideal schedulers, which build neither)
+    topology: Topology | None = None
+    caches: Sequence = ()
 
     @abstractmethod
     def attach(self, ctx: SimulationContext) -> None:
@@ -229,12 +233,24 @@ class SyncPolicy(ABC):
         return 0
 
     def messages_total(self) -> int:
-        """All messages that crossed the (possibly virtual) cache link."""
-        return self.refreshes() + self.feedback_messages() + self.poll_messages()
+        """All messages that crossed the cache links (the virtual link's
+        refreshes, feedback and polls for a policy without a network)."""
+        if self.topology is None:
+            return (self.refreshes() + self.feedback_messages()
+                    + self.poll_messages())
+        return self.topology.cache_messages_total()
 
-    def extras(self) -> dict:
-        """Policy-specific diagnostics merged into the run result."""
-        return {}
+    def refreshes_sent(self) -> int:
+        """Refresh messages handed to the network; a batch counts once."""
+        return self.refreshes()
+
+    def mean_threshold(self) -> float | None:
+        """Mean final source threshold (None: the policy keeps none)."""
+        return None
+
+    def migrations(self) -> int:
+        """Sources moved between caches by a rebalancer."""
+        return 0
 
     def _not_attached(self) -> RuntimeError:
         name = type(self).__name__

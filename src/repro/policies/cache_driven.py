@@ -33,7 +33,6 @@ from repro.cgm.estimators import (
     RateEstimator,
 )
 from repro.cgm.poller import PollScheduler
-from repro.core.objects import DataObject
 from repro.network.bandwidth import BandwidthProfile, ConstantBandwidth
 from repro.network.messages import Message, PollRequest, PollResponse
 from repro.network.topology import Topology
@@ -284,19 +283,3 @@ class CGMPollingPolicy(SyncPolicy):
         refresh traffic rather than overhead.
         """
         return self._polls_sent
-
-    def messages_total(self) -> int:
-        return self.topology.cache_messages_total() if self.topology else 0
-
-    def extras(self) -> dict:
-        if self._ctx is None:
-            raise self._not_attached()
-        true_rates = np.asarray(self._ctx.workload.rates, dtype=float)
-        estimates = self.estimated_rates()
-        mask = true_rates > 0
-        rel_err = np.abs(estimates[mask] - true_rates[mask]) / true_rates[mask]
-        return {
-            "polls_sent": self._polls_sent,
-            "rate_estimate_mean_rel_error": (float(np.mean(rel_err))
-                                             if mask.any() else 0.0),
-        }

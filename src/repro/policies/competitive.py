@@ -30,7 +30,6 @@ weights, so experiments can plot the Psi trade-off curve.
 from __future__ import annotations
 
 from repro.core.objects import DataObject
-from repro.core.priority import PriorityFunction
 from repro.core.tracking import PriorityTracker
 from repro.core.weights import WeightModel
 from repro.metrics.collector import DivergenceCollector
@@ -48,7 +47,6 @@ class CompetitivePolicy(CooperativePolicy):
 
     def __init__(self, *args, source_weights: WeightModel,
                  psi: float = 0.25, option: str = "equal",
-                 source_priority_fn: PriorityFunction | None = None,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if not 0.0 <= psi < 1.0:
@@ -58,7 +56,6 @@ class CompetitivePolicy(CooperativePolicy):
         self.source_weights = source_weights
         self.psi = psi
         self.option = option
-        self.source_priority_fn = source_priority_fn or self.priority_fn
         self.own_refreshes_sent = 0
         self._own_trackers: list[PriorityTracker] = []
         self._own_monitors: list[TriggerMonitor] = []
@@ -84,10 +81,9 @@ class CompetitivePolicy(CooperativePolicy):
         m = workload.num_sources
         self._own_trackers = [PriorityTracker() for _ in range(m)]
         # Each source keeps its own-priority queue exact on every update,
-        # under its own priority function and weights.
+        # under the shared priority function and its own weights.
         self._own_monitors = [
-            TriggerMonitor(tracker, self.source_priority_fn,
-                           self.source_weights)
+            TriggerMonitor(tracker, self.priority_fn, self.source_weights)
             for tracker in self._own_trackers]
         self._own_credit = [0.0] * m
         self._own_rate = self._allocate_rates(workload)
@@ -225,10 +221,3 @@ class CompetitivePolicy(CooperativePolicy):
             raise self._not_attached()
         self.source_collector.finalize(end_time)
         return self.source_collector.mean_weighted_average()
-
-    def extras(self) -> dict:
-        extras = super().extras()
-        extras["own_refreshes_sent"] = self.own_refreshes_sent
-        extras["psi"] = self.psi
-        extras["option"] = self.option
-        return extras

@@ -376,8 +376,9 @@ class CooperativePolicy(SyncPolicy):
 
         Drops the caches' simulator references and hooks and the
         context, then closes the topology; read every result first
-        (``extras`` needs the context).  Close the context too: its
-        simulator holds this policy's tickers.
+        (the fault counters live on the topology's fault machinery).
+        Close the context too: its simulator holds this policy's
+        tickers.
         """
         for cache in self.caches:
             cache.sim = None
@@ -396,25 +397,14 @@ class CooperativePolicy(SyncPolicy):
     def feedback_messages(self) -> int:
         return sum(fb.feedback_sent for fb in self.feedbacks)
 
-    def messages_total(self) -> int:
-        if self.topology is None:
-            return 0
-        return self.topology.cache_messages_total()
+    def refreshes_sent(self) -> int:
+        return sum(s.refreshes_sent for s in self.sources)
 
-    def extras(self) -> dict:
+    def mean_threshold(self) -> float:
+        """Left-to-right mean in ascending source order (the shard merge
+        folds in the same order)."""
         thresholds = [s.threshold.value for s in self.sources]
-        sent = sum(s.refreshes_sent for s in self.sources)
-        extras = {
-            "mean_threshold": (sum(thresholds) / len(thresholds)
-                               if thresholds else 0.0),
-            "refreshes_sent": sent,
-            "refreshes_in_flight": (sent - self.refreshes()),
-            "cache_queue_peak": (self.topology.cache_queued_peak()
-                                 if self.topology else 0),
-        }
-        if self.topology is not None and self.topology.num_caches > 1:
-            extras["topology"] = self.topology.telemetry(
-                now=self._ctx.sim.now)
-        if self.rebalancer is not None:
-            extras["rebalance"] = self.rebalancer.telemetry()
-        return extras
+        return sum(thresholds) / len(thresholds) if thresholds else 0.0
+
+    def migrations(self) -> int:
+        return self.rebalancer.migrations if self.rebalancer else 0

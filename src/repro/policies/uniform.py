@@ -204,16 +204,5 @@ class UniformAllocationPolicy(SyncPolicy):
     def refreshes(self) -> int:
         return sum(cache.refreshes_applied for cache in self.caches)
 
-    def messages_total(self) -> int:
-        return self.topology.cache_messages_total() if self.topology else 0
-
-    def extras(self) -> dict:
-        extras = {
-            "refreshes_sent": self._sent,
-            "cache_queue_peak": (self.topology.cache_queued_peak()
-                                 if self.topology else 0),
-        }
-        if self.topology is not None and self.topology.num_caches > 1:
-            extras["topology"] = self.topology.telemetry(
-                now=self._ctx.sim.now)
-        return extras
+    def refreshes_sent(self) -> int:
+        return self._sent

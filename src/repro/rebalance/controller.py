@@ -26,10 +26,6 @@ one :class:`~repro.network.messages.MigrateMessage` over a peer link
 (paying credit proportional to the shard size), routing flips
 immediately, and the shared truth views are never touched -- so
 divergence accounting through a migration is exact by construction.
-
-With ``peer_seeding`` on a replicated layout, a refresh applied at one
-replica is forwarded to stale siblings over the peer links for one
-credit unit instead of a full source round-trip.
 """
 
 from __future__ import annotations
@@ -43,6 +39,8 @@ from repro.network.topology import Topology
 from repro.sim.events import Phase
 
 MODES = ("adaptive", "distributed")
+#: Credit a recipient cache must have banked to accept a shard.
+MIN_SURPLUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,8 @@ class RebalanceConfig:
     interval: float = 20.0  #: seconds between decision windows
     mode: str = "adaptive"  #: "adaptive" (global) or "distributed" (ring)
     saturation_queue: int = 4  #: windowed FIFO peak that flags a donor
-    min_surplus: float = 1.0  #: credit a recipient must have banked
     max_moves: int = 1  #: migrations per decision window (0 = inert)
     peer_rate: float = 4.0  #: msgs/s capacity of each peer link
-    peer_seeding: bool = False  #: forward fresh values to stale replicas
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -81,9 +77,9 @@ class Rebalancer:
     """Runs the decision loop over one policy's caches and topology.
 
     Inert (no links, no ticker, no windows) on a one-cache topology such
-    as the star: there is nowhere to move load.  Migration additionally
-    requires a fully sharded assignment (replicated copies are balanced
-    by construction); ``peer_seeding`` conversely requires replicas.
+    as the star, where there is nowhere to move load, and on a
+    replicated assignment, whose copies are balanced by construction:
+    only a fully sharded layout of two or more caches migrates.
     """
 
     def __init__(self, config: RebalanceConfig, topology: Topology,
@@ -92,17 +88,10 @@ class Rebalancer:
         self.topology = topology
         self.caches = caches
         self.migrations = 0
-        self.seeds_sent = 0
-        self.decisions = 0
-        self.active = topology.num_caches >= 2
-        sharded = self.active and all(
+        self.active = topology.num_caches >= 2 and all(
             len(topology.caches_of(j)) == 1
             for j in range(topology.num_sources))
-        self._can_migrate = (self.active and sharded
-                             and config.max_moves > 0)
-        self._machinery = self.active and sharded
-        self._can_seed = (self.active and config.peer_seeding
-                          and not sharded)
+        self._can_migrate = self.active and config.max_moves > 0
         # Row-major object blocks per source, for store handoffs.
         self._objects_of: dict[int, list[int]] = {}
         if self.active:
@@ -120,61 +109,23 @@ class Rebalancer:
         topology = self.topology
         n = topology.num_caches
         profile = ConstantBandwidth(self.config.peer_rate)
-        if self.config.mode == "distributed" and not self._can_seed:
+        if self.config.mode == "distributed":
             # Ring only: each cache talks to its right neighbour.
             pairs = [(k, (k + 1) % n) for k in range(n)]
         else:
             pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         for a, b in pairs:
             topology.add_peer_link(a, b, profile, now=ctx.sim.now)
-        if self._machinery:
-            for cache in self.caches:
-                cache.window = WindowStats()
-            ctx.sim.every(self.config.interval, self.on_window,
-                          phase=Phase.METRICS)
-        if self._can_seed:
-            for k, cache in enumerate(self.caches):
-                cache.add_refresh_hook(self._make_seed_hook(k))
-
-    # ------------------------------------------------------------------
-    # Replica seeding
-    # ------------------------------------------------------------------
-    def _make_seed_hook(self, cache_id: int):
-        topology = self.topology
-        caches = self.caches
-
-        def hook(obj, now: float) -> None:
-            replicas = topology.caches_of(obj.source_id)
-            if len(replicas) == 1:
-                return
-            store = caches[cache_id].store
-            if store is None:
-                return
-            index = obj.index
-            value = float(store.values[index])
-            count = int(store.applied_counts[index])
-            for sibling in replicas:
-                if sibling == cache_id:
-                    continue
-                sibling_store = caches[sibling].store
-                if (sibling_store is not None
-                        and sibling_store.applied_counts[index] >= count):
-                    continue  # sibling already as fresh
-                if topology.peer_link(cache_id, sibling) is None:
-                    continue
-                self.seeds_sent += 1
-                topology.send_peer(MigrateMessage(
-                    source_id=obj.source_id, sent_at=now,
-                    cache_id=sibling, from_cache=cache_id,
-                    items=[(index, value, count)]))
-        return hook
+        for cache in self.caches:
+            cache.window = WindowStats()
+        ctx.sim.every(self.config.interval, self.on_window,
+                      phase=Phase.METRICS)
 
     # ------------------------------------------------------------------
     # Decision loop
     # ------------------------------------------------------------------
     def on_window(self, now: float) -> None:
         """One decision window: read telemetry, move shards, reset."""
-        self.decisions += 1
         topology = self.topology
         links = topology.cache_links
         n = topology.num_caches
@@ -214,7 +165,7 @@ class Rebalancer:
             recipients = [k for k in range(len(peaks))
                           if k != donor
                           and peaks[k] < config.saturation_queue
-                          and surpluses[k] >= config.min_surplus]
+                          and surpluses[k] >= MIN_SURPLUS]
             if not recipients:
                 break
             recipient = max(recipients, key=lambda k: surpluses[k])
@@ -244,7 +195,7 @@ class Rebalancer:
             neighbour = (k + 1) % n
             if (peaks[k] >= config.saturation_queue
                     and peaks[neighbour] < peaks[k]
-                    and surpluses[neighbour] >= config.min_surplus):
+                    and surpluses[neighbour] >= MIN_SURPLUS):
                 source_id = self._hottest_source(k, taken)
                 if source_id is not None:
                     taken.add(source_id)
@@ -295,17 +246,3 @@ class Rebalancer:
         self.topology.send_peer(MigrateMessage(
             source_id=source_id, sent_at=now, cache_id=recipient,
             from_cache=donor, items=items, threshold=threshold))
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def telemetry(self) -> dict:
-        return {
-            "mode": self.config.mode,
-            "active": self.active,
-            "decisions": self.decisions,
-            "migrations": self.migrations,
-            "seeds_sent": self.seeds_sent,
-            "migrations_in": sum(c.migrations_in for c in self.caches),
-            "seeds_in": sum(c.seeds_in for c in self.caches),
-        }

@@ -39,6 +39,9 @@ from repro.core.tracking import PriorityTracker
 from repro.core.weights import WeightModel
 from repro.sim.events import WakeupSet
 
+#: Shortest delay a predictive sampling monitor schedules, in seconds.
+MIN_SAMPLING_INTERVAL = 1.0
+
 
 class PriorityMonitor(ABC):
     """Keeps a source's :class:`PriorityTracker` up to date.
@@ -128,15 +131,16 @@ class SamplingMonitor(PriorityMonitor):
     predictive:
         When True and a threshold getter is provided, the next sample of an
         object is scheduled at the projected threshold-crossing time
-        (clamped to ``[min_interval, interval]``).  The projection solves
-        the area priority's formula, so the owning policy pairs it with
-        :class:`~repro.core.priority.AreaPriority` only.
+        (clamped to ``[MIN_SAMPLING_INTERVAL, interval]``).  The
+        projection solves the area priority's formula, so the owning
+        policy pairs it with :class:`~repro.core.priority.AreaPriority`
+        only.
     threshold:
         Zero-argument callable returning the source's current refresh
         threshold (used only for predictive scheduling).
     """
 
-    __slots__ = ("metric", "interval", "min_interval", "predictive",
+    __slots__ = ("metric", "interval", "predictive",
                  "threshold", "samples_taken", "_last_sample_time",
                  "_last_sample_div", "_est_integral", "_deadlines")
 
@@ -144,13 +148,12 @@ class SamplingMonitor(PriorityMonitor):
                  priority_fn: PriorityFunction, weights: WeightModel,
                  metric: DivergenceMetric, interval: float,
                  predictive: bool = False,
-                 threshold=None, min_interval: float = 1.0) -> None:
+                 threshold=None) -> None:
         super().__init__(tracker, priority_fn, weights)
         if interval <= 0:
             raise ValueError(f"sampling interval must be > 0, got {interval}")
         self.metric = metric
         self.interval = interval
-        self.min_interval = min_interval
         self.predictive = predictive
         self.threshold = threshold
         self.samples_taken = 0
@@ -233,7 +236,7 @@ class SamplingMonitor(PriorityMonitor):
             return self.interval
         threshold = self.threshold()
         if priority >= threshold:
-            return self.min_interval
+            return MIN_SAMPLING_INTERVAL
         elapsed_since_last = now - last_t
         if elapsed_since_last <= 0:
             return self.interval
@@ -244,6 +247,7 @@ class SamplingMonitor(PriorityMonitor):
         radicand = ((now - t_last) ** 2
                     + 2.0 * (threshold - priority) / (rho * weight))
         if radicand < 0:
-            return self.min_interval
+            return MIN_SAMPLING_INTERVAL
         t_future = t_last + math.sqrt(radicand)
-        return min(max(t_future - now, self.min_interval), self.interval)
+        return min(max(t_future - now, MIN_SAMPLING_INTERVAL),
+                   self.interval)

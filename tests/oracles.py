@@ -204,11 +204,11 @@ def belief_priority(priority_fn, obj, now: float,
 
 
 def flood_factor(controller, now: float) -> float:
-    """The ``gamma`` a refresh at ``now`` would apply on top of ``alpha``,
-    read off a copy of ``controller`` (which is left untouched)."""
+    """The ``gamma`` a refresh at ``now`` would apply on top of ``alpha``
+    (below ``THRESHOLD_CEIL``), read off a copy of ``controller`` (which
+    is left untouched)."""
     probe = copy.copy(controller)
     probe.value = probe.alpha = 1.0
-    probe.ceil = float("inf")
     probe.on_refresh(now)
     return probe.value
 

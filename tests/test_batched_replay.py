@@ -31,7 +31,6 @@ from repro.core.priority import AreaPriority
 from repro.core.weights import SineWeights, StaticWeights
 from repro.experiments.matrix import READMODEL, make_policy
 from repro.experiments.parallel import build_workload
-from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import RunSpec, run_policy
 from repro.metrics.collector import DivergenceCollector, ReadCollector
 from repro.network.bandwidth import ConstantBandwidth, SineBandwidth
@@ -212,18 +211,10 @@ class TestReadReplayEquivalence:
                 policy = CooperativePolicy(cache_profile(),
                                            source_profiles(),
                                            priority_fn=AreaPriority())
-                result, read_run = run_policy_with_reads(
-                    workload, ValueDeviation(), policy, spec, reads,
-                    read_policy=read_policy, track_replicas=True)
-            results[replay] = (
-                metrics_tuple(result),
-                result.reads,
-                result.read_divergence,
-                result.read_divergence_unweighted,
-                tuple(read_run.collector.replica_reads.tolist()),
-                read_run.collector.stale_reads,
-                tuple(read_run.tracker.per_replica_average().tolist()),
-            )
+                results[replay] = run_policy(
+                    workload, ValueDeviation(), policy, spec, reads=reads,
+                    read_policy=read_policy)
+        assert results["event"].reads.count > 0
         assert results["event"] == results["batched"], (
             f"read metrics diverged across replay modes:\n"
             f"  event:   {results['event']}\n"
@@ -248,17 +239,10 @@ class TestReadReplayEquivalence:
                     reads = workload.read_stream(
                         RngRegistry(scenario.seed).stream("read-workload"),
                         read_rate=scenario.read_rate)
-                    result, read_run = run_policy_with_reads(
+                    results[replay] = run_policy(
                         workload, ValueDeviation(), policy,
-                        scenario.spec(), reads,
-                        read_policy=scenario.read_policy,
-                        track_replicas=True)
-                results[replay] = (
-                    result.read_divergence,
-                    result.read_divergence_unweighted, result.reads,
-                    result.weighted_divergence, result.refreshes,
-                    read_run.collector.stale_read_fraction(),
-                    read_run.tracker.mean_over_replicas())
+                        scenario.spec(), reads=reads,
+                        read_policy=scenario.read_policy)
             assert results["event"] == results["batched"], scenario
 
     def test_single_cache_fast_path_matches_store(self):
@@ -270,11 +254,10 @@ class TestReadReplayEquivalence:
         spec = RunSpec(**SPEC)
         policy = CooperativePolicy(cache_profile(), source_profiles(),
                                    priority_fn=AreaPriority())
-        result, read_run = run_policy_with_reads(
-            workload, ValueDeviation(), policy, spec, reads,
-            read_policy="any")
-        assert result.reads > 0
-        assert read_run.matches_direct is True
+        result = run_policy(workload, ValueDeviation(), policy, spec,
+                            reads=reads, read_policy="any")
+        assert result.reads.count > 0
+        assert result.reads.matches_direct is True
 
 
 class TestRecordAt:

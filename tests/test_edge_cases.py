@@ -40,7 +40,6 @@ class TestUnattachedPolicies:
 
     @pytest.mark.parametrize("policy, call", [
         ("competitive", lambda p: p.source_objective_divergence(10.0)),
-        ("cgm", lambda p: p.extras()),
         # Callbacks attach() schedules; only a direct call reaches them.
         ("cooperative", lambda p: p._feedback_period_for(0, None)),
         ("cooperative", lambda p: p._cache_needs_tick(None)),

@@ -29,6 +29,7 @@ These tests pin that across:
   every update drain and re-arm its source (no skip rule).
 """
 
+import dataclasses
 from contextlib import nullcontext
 
 import numpy as np
@@ -45,7 +46,6 @@ from repro.core.priority import (
 from repro.core.weights import StaticWeights
 from repro.experiments.matrix import POLICIES, Scenario, run_scenario
 from repro.experiments.parallel import WorkloadSpec
-from repro.experiments.readmodel import run_policy_with_reads
 from repro.experiments.runner import (
     RunSpec,
     build_result,
@@ -434,22 +434,10 @@ class TestReadModelEquivalence:
                 policy = CooperativePolicy(
                     cache_profile(), source_profiles(),
                     priority_fn=AreaPriority())
-                result, read_run = run_policy_with_reads(
-                    workload, ValueDeviation(), policy, spec, reads,
-                    read_policy=read_policy, track_replicas=True)
-            results[schedule] = (
-                result.weighted_divergence,
-                result.unweighted_divergence,
-                result.refreshes,
-                result.feedback_messages,
-                result.messages_total,
-                result.reads,
-                result.read_divergence,
-                result.read_divergence_unweighted,
-                tuple(read_run.collector.replica_reads.tolist()),
-                read_run.collector.stale_reads,
-                tuple(read_run.tracker.per_replica_average().tolist()),
-            )
+                results[schedule] = run_policy(
+                    workload, ValueDeviation(), policy, spec, reads=reads,
+                    read_policy=read_policy)
+        assert results["reference"].reads.count > 0
         assert results["reference"] == results["default"], (
             f"read-model metrics diverged across schedules:\n"
             f"  reference: {results['reference']}\n"
@@ -471,16 +459,10 @@ class TestReadModelEquivalence:
                   else nullcontext()):
                 policy = UniformAllocationPolicy(
                     cache_profile(), source_profiles())
-                result, read_run = run_policy_with_reads(
-                    workload, ValueDeviation(), policy, spec, reads,
+                results[schedule] = run_policy(
+                    workload, ValueDeviation(), policy, spec, reads=reads,
                     read_policy=f"quorum-{replication}")
-            results[schedule] = (
-                result.weighted_divergence,
-                result.refreshes,
-                result.reads,
-                result.read_divergence,
-                tuple(read_run.collector.replica_reads.tolist()),
-            )
+        assert results["reference"].reads.count > 0
         assert results["reference"] == results["default"]
 
     def test_reads_never_perturb_the_simulation(self):
@@ -499,13 +481,10 @@ class TestReadModelEquivalence:
                                      priority_fn=AreaPriority())
 
         plain = run_policy(workload, ValueDeviation(), make(), spec)
-        with_reads, _ = run_policy_with_reads(
-            workload, ValueDeviation(), make(), spec, reads,
-            read_policy="freshest")
-        assert plain.weighted_divergence == with_reads.weighted_divergence
-        assert plain.refreshes == with_reads.refreshes
-        assert plain.feedback_messages == with_reads.feedback_messages
-        assert plain.messages_total == with_reads.messages_total
+        with_reads = run_policy(workload, ValueDeviation(), make(), spec,
+                                reads=reads, read_policy="freshest")
+        assert with_reads.reads is not None
+        assert dataclasses.replace(with_reads, reads=None) == plain
 
 
 class TestNonDyadicRates:
@@ -662,11 +641,11 @@ def run_bound(policy, topology, monitor, batch_size, sine_weights, seed,
     made.attach(ctx)
     ctx.run(spec.end_time)
     result = build_result(workload, ValueDeviation(), made, ctx)
-    extras = result.extras
     return (result.weighted_divergence, result.unweighted_divergence,
             result.refreshes, result.feedback_messages,
-            result.messages_total, extras["refreshes_sent"],
-            extras["mean_threshold"], extras.get("own_refreshes_sent"))
+            result.messages_total, result.refreshes_sent,
+            result.mean_threshold,
+            made.own_refreshes_sent if policy == "competitive" else None)
 
 
 class TestTimeVaryingPriority:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
-from repro.core.threshold import ThresholdController
+from repro.core.threshold import THRESHOLD_FLOOR, ThresholdController
 from repro.core.weights import StaticWeights, WeightModel
 from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
@@ -35,7 +35,6 @@ from repro.faults.plan import (
     CacheCrash,
     FaultPlan,
     LossRule,
-    SourceStall,
     fault_scenario,
     hash01,
 )
@@ -110,20 +109,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="cache_id"):
             CacheCrash(5.0, cache_id=-1)
 
-    def test_stall_validation_and_matching(self):
-        with pytest.raises(ValueError, match="start < end"):
-            SourceStall(5.0, 5.0)
-        stall = SourceStall(0.0, 10.0, source_ids=(1,))
-        assert stall.matches(0.0, 1)
-        assert not stall.matches(0.0, 2)
-        assert SourceStall(0.0, 10.0).matches(5.0, 99)  # None = all
-
     def test_plan_is_empty(self):
         assert FaultPlan().is_empty()
         assert FaultPlan(seed=9).is_empty()  # a seed alone injects nothing
         assert not FaultPlan(loss=(LossRule(0.0, 1.0, 0.1),)).is_empty()
         assert not FaultPlan(crashes=(CacheCrash(1.0),)).is_empty()
-        assert not FaultPlan(stalls=(SourceStall(0.0, 1.0),)).is_empty()
 
     def test_fault_scenarios(self):
         assert fault_scenario("none", 50.0, 150.0).is_empty()
@@ -181,14 +171,6 @@ class TestFaultInjector:
         injector, _ = make_injector(plan, now=5.0)
         assert injector.allow_upstream(refresh(), 0)
         assert not injector.allow_downstream(0, 0)
-
-    def test_stall_drops_upstream_only(self):
-        plan = FaultPlan(stalls=(SourceStall(0.0, 50.0,
-                                             source_ids=(1,)),))
-        injector, _ = make_injector(plan, now=10.0)
-        assert injector.allow_upstream(refresh(source_id=0), 0)
-        assert not injector.allow_upstream(refresh(source_id=1), 0)
-        assert injector.allow_downstream(0, 1)  # stalls are upstream-only
 
     def test_overlapping_rules_compound(self):
         # keep = (1-p1)(1-p2); with p2 = 1 everything dies regardless.
@@ -257,9 +239,9 @@ class TestThresholdTTL:
 
     def test_decay_respects_floor(self):
         controller = ThresholdController(initial=1.0, omega=10.0,
-                                         floor=1e-3, feedback_ttl=1.0)
+                                         feedback_ttl=1.0)
         controller.maybe_decay(100.0)
-        assert controller.value == 1e-3
+        assert controller.value == THRESHOLD_FLOOR
 
     def test_feedback_pushes_deadline(self):
         controller = ThresholdController(initial=4.0, omega=2.0,

@@ -32,6 +32,7 @@ from repro.experiments.matrix import (
     blackout_graceful,
     cgm1_at_most_cgm2,
     controls_invariant,
+    cooperative_beats_uniform,
     empty_plan_is_baseline,
     freshest_equals_full_quorum,
     graceful_degradation,
@@ -409,6 +410,11 @@ def caches(n, static=1.0, inert=1.0, adaptive=0.7, moves=3):
 SINGLE = caches(1, 0.5, 0.5, 0.5, moves=0)
 
 
+def sweep(n, cooperative=0.2, uniform=0.5):
+    return {"num-caches": n, "cooperative": arm(cooperative),
+            "uniform": arm(uniform)}
+
+
 def plane(delivery, r, div=1.0, units=100.0, control=2.0):
     policies = {name: arm(div, units=units, messages=int(units))
                 for name in ("cooperative", "uniform", "competitive")}
@@ -631,6 +637,11 @@ VERDICT_CASES = [
     case(adaptive_beats_static, [SINGLE, caches(2, adaptive=1.0)], False,
          "tie-loses"),
     case(adaptive_beats_static, [SINGLE], False, "single-cache-vacuous"),
+    # E8 multicache
+    case(cooperative_beats_uniform, [sweep(1), sweep(4)], True, "beats"),
+    case(cooperative_beats_uniform, [sweep(1), sweep(4, 0.5)], False,
+         "tie-loses"),
+    case(cooperative_beats_uniform, [], False, "vacuous"),
     # E14 multicast
     case(unicast_tie_at_r1, [plane("unicast", 1), plane("multicast", 1)],
          True, "tie"),

@@ -21,7 +21,7 @@ from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
 from repro.core.tracking import PriorityTracker
 from repro.core.weights import StaticWeights
-from repro.source.monitor import SamplingMonitor
+from repro.source.monitor import MIN_SAMPLING_INTERVAL, SamplingMonitor
 
 from oracles import belief_priority
 
@@ -66,7 +66,7 @@ class TestProjectedCrossing:
         monitor = SamplingMonitor(
             tracker, AreaPriority(), StaticWeights.uniform(1),
             ValueDeviation(), interval=100.0, predictive=True,
-            threshold=lambda: threshold, min_interval=0.1)
+            threshold=lambda: threshold)
         obj = DataObject(index=0, source_id=0, value=0.0)
         metric = ValueDeviation()
         t = 0.05
@@ -100,10 +100,11 @@ class TestProjectedCrossing:
         monitor = SamplingMonitor(
             tracker, AreaPriority(), StaticWeights.uniform(1),
             ValueDeviation(), interval=50.0, predictive=True,
-            threshold=lambda: 0.001, min_interval=0.5)
+            threshold=lambda: 0.001)
         obj = linear_divergence_object(1.0, until=5.0)
         monitor.sample(obj, 5.0)
-        assert monitor._deadlines.wake_time(0) - 5.0 == pytest.approx(0.5)
+        assert monitor._deadlines.wake_time(0) - 5.0 == pytest.approx(
+            MIN_SAMPLING_INTERVAL)
 
     def test_shrinking_divergence_uses_regular_interval(self):
         """Negative observed rate (divergence falling) cannot predict a
@@ -122,13 +123,12 @@ class TestProjectedCrossing:
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(5.0)
 
 
-def make_monitor(threshold=100.0, interval=5.0, min_interval=0.5,
-                 weights=None):
+def make_monitor(threshold=100.0, interval=5.0, weights=None):
     return SamplingMonitor(
         PriorityTracker(), AreaPriority(),
         weights or StaticWeights.uniform(1), ValueDeviation(),
         interval=interval, predictive=True,
-        threshold=lambda: threshold, min_interval=min_interval)
+        threshold=lambda: threshold)
 
 
 def sample_linear(monitor, rho, sample_times, step=0.01):
@@ -147,7 +147,8 @@ def sample_linear(monitor, rho, sample_times, step=0.01):
 
 class TestPredictiveFallbacks:
     """The `_next_delay` guard rails: every code path must land the next
-    sample inside [min_interval, interval] and never schedule into the
+    sample inside [MIN_SAMPLING_INTERVAL, interval] and never schedule
+    into the
     past, whatever the estimator state looks like."""
 
     def test_zero_rate_uses_regular_interval(self):
@@ -177,15 +178,15 @@ class TestPredictiveFallbacks:
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(4.0)
 
     def test_imminent_crossing_clamped_to_min_interval(self):
-        """A projection closer than min_interval clamps up to it (the
-        lower edge of the [min_interval, interval] clamp)."""
+        """A projection closer than MIN_SAMPLING_INTERVAL clamps up to it
+        (the lower edge of the [MIN_SAMPLING_INTERVAL, interval] clamp)."""
         rho = 2.0
-        monitor = make_monitor(threshold=4.2, interval=50.0,
-                               min_interval=1.5)
+        monitor = make_monitor(threshold=4.2, interval=50.0)
         sample_linear(monitor, rho, [1.0, 2.0])
         # Priority at t=2 is ~rho*t^2/2 = 4; crossing t=sqrt(4.2)~2.05,
-        # i.e. 0.05s away -- far below min_interval.
-        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(1.5)
+        # i.e. 0.05s away -- far below the minimum interval.
+        assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(
+            MIN_SAMPLING_INTERVAL)
 
     def test_far_crossing_clamped_to_interval(self):
         """A projection beyond the regular interval clamps down to it
@@ -198,8 +199,7 @@ class TestPredictiveFallbacks:
         """The negative-radicand branch is defensive (with one threshold
         evaluation per call, priority < T forces a positive radicand) but
         must fail safe: sample soon, never crash or schedule backwards."""
-        monitor = make_monitor(threshold=10.0, interval=20.0,
-                               min_interval=0.25)
+        monitor = make_monitor(threshold=10.0, interval=20.0)
         obj = linear_divergence_object(0.5, until=4.0)
         delay = monitor._next_delay(obj, priority=5.0, divergence=2.0,
                                     last_t=2.0, last_d=-1e9, now=4.0,
@@ -216,7 +216,7 @@ class TestPredictiveFallbacks:
             delay = monitor._next_delay(
                 obj, priority=priority, divergence=divergence,
                 last_t=last_t, last_d=last_d, now=4.0, weight=weight)
-            assert 0.25 <= delay <= 20.0
+            assert MIN_SAMPLING_INTERVAL <= delay <= 20.0
 
     def test_next_delay_feeds_the_wakeup_deadlines(self):
         """The predictive schedule and the event-driven deadline heap

@@ -138,10 +138,9 @@ SERIAL_ONLY_ROWS = {
     "fault-plan": ({"faults": fault_scenario("lossy-10", 50.0, 200.0,
                                              seed=3)}, {}, None),
     "rebalance": ({}, {"rebalance": RebalanceConfig(interval=10.0)}, None),
-    "replica-seeding": (
+    "replicated-rebalance": (
         {"topology": TopologyConfig(kind="replicated", num_caches=2)},
-        {"rebalance": RebalanceConfig(interval=10.0, peer_seeding=True)},
-        None),
+        {"rebalance": RebalanceConfig(interval=10.0)}, None),
 }
 
 
@@ -166,16 +165,8 @@ def _assert_matches_serial(wspec, metric, spec, cache_bw, source_bws,
         CooperativePolicy(cache_bw, list(source_bws),
                           priority_fn=AreaPriority(), **policy_kwargs),
         spec)
-    assert merged.weighted_divergence == serial.weighted_divergence
-    assert merged.unweighted_divergence == serial.unweighted_divergence
-    assert merged.duration == serial.duration
-    assert merged.refreshes == serial.refreshes
-    assert merged.feedback_messages == serial.feedback_messages
-    assert merged.messages_total == serial.messages_total
-    assert (merged.extras["mean_threshold"]
-            == serial.extras["mean_threshold"])
-    assert (merged.extras["cache_queue_peak"]
-            == serial.extras["cache_queue_peak"])
+    assert serial.refreshes > 0
+    assert merged == serial
 
 
 class TestShardParallelEquivalence:
@@ -188,6 +179,13 @@ class TestShardParallelEquivalence:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_serial_run_with_feature(self, row, workers):
         *case, policy_kwargs = _feature_case(row)
+        _assert_matches_serial(*case, workers, **policy_kwargs)
+
+    @pytest.mark.parametrize("row", FEATURE_ROWS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_serial_run_with_feature_on_four_caches(self, row,
+                                                            workers):
+        *case, policy_kwargs = _feature_case(row, num_caches=4)
         _assert_matches_serial(*case, workers, **policy_kwargs)
 
     def test_each_task_carries_only_its_shard(self, monkeypatch):

@@ -128,9 +128,3 @@ class TestPsiTradeoff:
         ctx2 = SimulationContext(w2, ValueDeviation())
         prop.attach(ctx2)
         assert equal._own_rate == prop._own_rate
-
-    def test_extras_report_psi(self):
-        _, _, policy = self.run_psi(0.25)
-        extras = policy.extras()
-        assert extras["psi"] == 0.25
-        assert "own_refreshes_sent" in extras

@@ -73,7 +73,6 @@ class TestScheduling:
                             RunSpec(warmup=10.0, measure=90.0))
         assert result.refreshes > 0
         # Source 0 can never send: its objects stay diverged.
-        per_object = result.extras if False else None
         assert result.unweighted_divergence > 0.0
 
     def test_wrong_source_profile_count_rejected(self):

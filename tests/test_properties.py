@@ -9,7 +9,11 @@ from repro.cgm.freshness import phi, phi_inverse
 from repro.core.divergence import Lag, Staleness, ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
-from repro.core.threshold import ThresholdController
+from repro.core.threshold import (
+    THRESHOLD_CEIL,
+    THRESHOLD_FLOOR,
+    ThresholdController,
+)
 from repro.core.tracking import PriorityTracker
 from repro.network.bandwidth import SineBandwidth
 
@@ -141,7 +145,8 @@ class TestThresholdProperties:
     @given(events=st.lists(st.booleans(), min_size=1, max_size=300))
     @settings(max_examples=60, deadline=None)
     def test_threshold_stays_in_bounds(self, events):
-        ctl = ThresholdController(initial=1.0, floor=1e-9, ceil=1e9)
+        # alpha = 2 and omega = 10 reach both clamps within 60 events.
+        ctl = ThresholdController(initial=1.0, alpha=2.0)
         t = 0.0
         for is_refresh in events:
             t += 1.0
@@ -149,7 +154,7 @@ class TestThresholdProperties:
                 ctl.on_refresh(t)
             else:
                 ctl.on_feedback(t)
-            assert 1e-9 <= ctl.value <= 1e9
+            assert THRESHOLD_FLOOR <= ctl.value <= THRESHOLD_CEIL
 
     @given(n_refresh=st.integers(0, 50), n_feedback=st.integers(0, 50))
     @settings(max_examples=60, deadline=None)

@@ -16,8 +16,7 @@ from repro.cache.store import CacheStore
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
 from repro.experiments.matrix import read_policies_for
-from repro.experiments.readmodel import run_policy_with_reads
-from repro.experiments.runner import RunSpec
+from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import Topology, TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
@@ -139,7 +138,7 @@ class TestStatisticalProperties:
 
     WARMUP, MEASURE = 50.0, 250.0
 
-    def _run(self, read_policy, read_rate, track=False, seed=0):
+    def _run(self, read_policy, read_rate, seed=0):
         rng = np.random.default_rng(seed)
         workload = uniform_random_walk(8, 3, self.WARMUP + self.MEASURE,
                                        rng)
@@ -154,33 +153,31 @@ class TestStatisticalProperties:
         policy = CooperativePolicy(
             ConstantBandwidth(9.0), [ConstantBandwidth(2.0)] * 8,
             priority_fn=AreaPriority())
-        return run_policy_with_reads(workload, ValueDeviation(), policy,
-                                     spec, reads,
-                                     read_policy=read_policy,
-                                     track_replicas=track)
+        return run_policy(workload, ValueDeviation(), policy, spec,
+                          reads=reads, read_policy=read_policy)
 
     def test_any_replica_converges_to_replica_time_average(self):
         """Poisson reads sample each replica's divergence signal at
         uniform times and replicas uniformly at random, so at a high read
         rate the mean read-observed divergence lands on the mean of the
         per-replica time-averaged divergence."""
-        result, read_run = self._run("any", read_rate=6.0, track=True)
-        assert result.reads > 30_000
-        expected = read_run.tracker.mean_over_replicas()
+        reads = self._run("any", read_rate=6.0).reads
+        assert reads.count > 30_000
+        expected = reads.replica_divergence
         assert expected > 0
-        assert result.read_divergence_unweighted == pytest.approx(
+        assert reads.divergence_unweighted == pytest.approx(
             expected, rel=0.02)
         # Uniform replica choice serves each of the 3 replicas ~equally.
-        counts = read_run.collector.replica_reads
+        counts = np.array(reads.replica_reads)
         assert counts.min() > 0.9 * counts.mean()
 
     def test_full_quorum_matches_freshest_exactly(self):
-        full, _ = self._run("quorum-3", read_rate=0.5)
-        freshest, _ = self._run("freshest", read_rate=0.5)
-        assert full.reads == freshest.reads
-        assert full.read_divergence == freshest.read_divergence
-        assert (full.read_divergence_unweighted
-                == freshest.read_divergence_unweighted)
+        full = self._run("quorum-3", read_rate=0.5)
+        freshest = self._run("freshest", read_rate=0.5)
+        assert full.reads.count == freshest.reads.count
+        assert full.reads.divergence == freshest.reads.divergence
+        assert (full.reads.divergence_unweighted
+                == freshest.reads.divergence_unweighted)
         # The simulation itself is read-policy-independent.
         assert full.weighted_divergence == freshest.weighted_divergence
         assert full.refreshes == freshest.refreshes
@@ -188,8 +185,7 @@ class TestStatisticalProperties:
     def test_freshest_never_exceeds_any_on_staleness(self):
         """Freshest-replica reads serve strictly fresher-or-equal
         snapshots, which shows up as fewer stale reads in aggregate."""
-        any_result, any_run = self._run("any", read_rate=1.0)
-        fresh_result, fresh_run = self._run("freshest", read_rate=1.0)
-        assert (fresh_run.collector.stale_read_fraction()
-                <= any_run.collector.stale_read_fraction())
-        assert fresh_result.read_divergence <= any_result.read_divergence
+        any_reads = self._run("any", read_rate=1.0).reads
+        fresh_reads = self._run("freshest", read_rate=1.0).reads
+        assert fresh_reads.stale_fraction <= any_reads.stale_fraction
+        assert fresh_reads.divergence <= any_reads.divergence

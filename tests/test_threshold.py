@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.threshold import ThresholdController
+from repro.core.threshold import (
+    THRESHOLD_CEIL,
+    THRESHOLD_FLOOR,
+    ThresholdController,
+)
 
 from oracles import flood_factor
 
@@ -22,10 +26,10 @@ class TestRefreshIncrease:
         assert ctl.refreshes == 5
 
     def test_ceil_clamps(self):
-        ctl = ThresholdController(initial=1.0, alpha=2.0, ceil=4.0)
-        for _ in range(10):
+        ctl = ThresholdController(initial=1.0, alpha=2.0)
+        for _ in range(60):  # 2**60 > THRESHOLD_CEIL
             ctl.on_refresh(0.0)
-        assert ctl.value == 4.0
+        assert ctl.value == THRESHOLD_CEIL
 
 
 class TestFeedbackDecrease:
@@ -49,10 +53,10 @@ class TestFeedbackDecrease:
         assert flood_factor(ctl, 50.5) == 1.0
 
     def test_floor_clamps(self):
-        ctl = ThresholdController(initial=1.0, omega=10.0, floor=1e-3)
-        for t in range(10):
+        ctl = ThresholdController(initial=1.0, omega=10.0)
+        for t in range(20):  # 10**-20 < THRESHOLD_FLOOR
             ctl.on_feedback(float(t))
-        assert ctl.value == 1e-3
+        assert ctl.value == THRESHOLD_FLOOR
 
 
 class TestGamma:
