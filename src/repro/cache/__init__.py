@@ -5,7 +5,6 @@ from repro.cache.feedback import FeedbackController
 from repro.cache.readmodel import (
     READ_POLICIES,
     ReadModel,
-    ReadSample,
     parse_read_policy,
 )
 from repro.cache.store import CacheStore
@@ -16,6 +15,5 @@ __all__ = [
     "FeedbackController",
     "READ_POLICIES",
     "ReadModel",
-    "ReadSample",
     "parse_read_policy",
 ]

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
 from repro.core.divergence import DivergenceMetric
@@ -38,27 +36,20 @@ class WindowStats:
 
     Attached to a :class:`CacheNode` only when a rebalancer is running
     (``None`` otherwise, so the fault-free refresh hot path pays one
-    pointer check).  ``divergence_removed`` accumulates the before-minus-
-    after divergence of every applied refresh -- the numerator of the
-    "divergence removed per message" signal -- and ``refreshes`` counts
-    applied refreshes per source, which is what picks the hottest shard
-    to migrate.
+    pointer check).  ``refreshes`` counts applied refreshes per source,
+    which is what picks the hottest shard to migrate.
     """
 
-    __slots__ = ("divergence_removed", "refreshes", "messages")
+    __slots__ = ("refreshes",)
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.divergence_removed = 0.0
         self.refreshes: dict[int, int] = {}
-        self.messages = 0
 
-    def note(self, source_id: int, removed: float) -> None:
-        self.divergence_removed += removed
+    def note(self, source_id: int) -> None:
         self.refreshes[source_id] = self.refreshes.get(source_id, 0) + 1
-        self.messages += 1
 
 
 class CacheNode:
@@ -134,13 +125,10 @@ class CacheNode:
         obj = self.objects[message.object_index]
         if self._is_stale(obj, message.update_count):
             return
-        window = self.window
-        if window is not None:
-            before = obj.truth.divergence
         obj.apply_refresh(now, message.value, message.update_count,
                           self.metric)
-        if window is not None:
-            window.note(message.source_id, before - obj.truth.divergence)
+        if self.window is not None:
+            self.window.note(message.source_id)
         if self.collector is not None:
             self.collector.record(obj.index, now, obj.truth.divergence)
         if self.store is not None:
@@ -155,37 +143,27 @@ class CacheNode:
 
     def _apply_batch(self, message: BatchRefreshMessage,
                      now: float) -> None:
-        """Apply each packaged item of a Sec 10.1 batch refresh.
-
-        Object state transitions stay per item (each is a tiny state
-        machine), but the divergence bookkeeping for the whole batch lands
-        in one :meth:`DivergenceCollector.record_many` call.
-        """
-        applied_indices: list[int] = []
-        applied_divergences: list[float] = []
+        """Apply each packaged item of a Sec 10.1 batch refresh, as
+        :meth:`_apply_refresh` applies one, then note the piggybacked
+        threshold once."""
         window = self.window
+        collector = self.collector
+        store = self.store
         for object_index, value, update_count in message.items:
             obj = self.objects[object_index]
             if self._is_stale(obj, update_count):
                 continue
-            if window is not None:
-                before = obj.truth.divergence
             obj.apply_refresh(now, value, update_count, self.metric)
             if window is not None:
-                window.note(message.source_id,
-                            before - obj.truth.divergence)
-            applied_indices.append(obj.index)
-            applied_divergences.append(obj.truth.divergence)
-            if self.store is not None:
-                self.store.apply(obj.index, value, now,
-                                 update_count=update_count)
+                window.note(message.source_id)
+            if collector is not None:
+                collector.record(obj.index, now, obj.truth.divergence)
+            if store is not None:
+                store.apply(obj.index, value, now,
+                            update_count=update_count)
             self.refreshes_applied += 1
             for hook in self.refresh_hooks:
                 hook(obj, now)
-        if self.collector is not None and applied_indices:
-            self.collector.record_many(np.asarray(applied_indices),
-                                       now,
-                                       np.asarray(applied_divergences))
         if self.feedback is not None:
             self.feedback.observe_threshold(message.source_id,
                                             message.threshold)

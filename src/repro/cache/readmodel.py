@@ -35,7 +35,6 @@ every policy consults the single store and returns exactly its value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -68,17 +67,6 @@ def parse_read_policy(name: str) -> tuple[str, int]:
     raise ValueError(
         f"unknown read policy {name!r}; expected 'any', 'freshest' "
         f"or 'quorum-k'")
-
-
-@dataclass(frozen=True)
-class ReadSample:
-    """Outcome of one client read."""
-
-    value: float  #: the answered (possibly stale) cached value
-    cache_id: int  #: replica that supplied the answer
-    refresh_time: float  #: when that replica last refreshed the object
-    applied_count: int  #: update counter of the answered snapshot
-    consulted: int  #: replicas consulted to serve this read
 
 
 class ReadModel:
@@ -115,84 +103,21 @@ class ReadModel:
         #: replica cache ids per object, resolved once from the topology
         self.replicas: list[tuple[int, ...]] = \
             topology.object_replicas(owner)
-        # Single-replica layouts (one cache, or sharded with no fan-out)
-        # never draw from the rng and always answer from the object's home
-        # cache, so batched reads can skip the per-read dispatch entirely.
-        self._single_replica = all(
-            len(replicas) == 1 for replicas in self.replicas)
-        self._home = np.array([replicas[0] for replicas in self.replicas],
-                              dtype=np.int64)
-
-    def replicas_of(self, index: int) -> tuple[int, ...]:
-        """Cache ids holding a copy of object ``index``."""
-        return self.replicas[index]
 
     # ------------------------------------------------------------------
     # Read policies
     # ------------------------------------------------------------------
-    def read(self, index: int, policy: str = "any",
-             quorum_size: int = 0) -> ReadSample:
-        """Serve one read under a named policy (see the module docstring)."""
-        kind, k = parse_read_policy(policy)
-        if kind == "any":
-            return self.any_replica(index)
-        if kind == "freshest":
-            return self.freshest_replica(index)
-        return self.quorum(index, quorum_size or k)
-
-    def read_batch(self, indices: np.ndarray, policy: str = "any",
-                   quorum_size: int = 0
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve many reads under one policy; returns answered
-        ``(values, cache_ids)`` arrays aligned with ``indices``.
-
-        Bit-for-bit the same answers (and the same rng consumption) as a
-        loop over :meth:`read`: quorum subset draws are inherently
-        sequential, so replicated layouts loop read-by-read, while
-        single-replica layouts (one cache, or sharded without fan-out)
-        vectorize to plain store lookups -- there is exactly one candidate
-        and no draw.  The batched read replay path feeds these arrays
-        straight into :meth:`ReadCollector.record_many
-        <repro.metrics.collector.ReadCollector.record_many>`.
-        """
-        kind, k = parse_read_policy(policy)
-        if kind == "quorum":
-            k = quorum_size or k
-        indices = np.asarray(indices, dtype=np.int64)
-        n = len(indices)
-        values = np.empty(n)
-        cache_ids = np.empty(n, dtype=np.int64)
-        if self._single_replica and (kind != "quorum" or k == 1):
-            homes = self._home[indices]
-            for cache_id in np.unique(homes).tolist():
-                mask = homes == cache_id
-                values[mask] = self.stores[cache_id].values[indices[mask]]
-            cache_ids[:] = homes
-            return values, cache_ids
-        if kind == "any":
-            read = self.any_replica
-        elif kind == "freshest":
-            read = self.freshest_replica
-        else:
-            def read(index: int) -> ReadSample:
-                return self.quorum(index, k)
-        for pos, index in enumerate(indices.tolist()):
-            sample = read(index)
-            values[pos] = sample.value
-            cache_ids[pos] = sample.cache_id
-        return values, cache_ids
-
-    def any_replica(self, index: int) -> ReadSample:
+    def any_replica(self, index: int) -> tuple[float, int]:
         """Answer from one uniformly random replica (= quorum(1))."""
         return self.quorum(index, 1)
 
-    def freshest_replica(self, index: int) -> ReadSample:
+    def freshest_replica(self, index: int) -> tuple[float, int]:
         """Answer from the freshest replica snapshot; deterministic, no
         rng draw (unlike ``quorum(r)``, which consumes a permutation to
         stay aligned with smaller quorums on the same stream)."""
         return self._freshest(index, self.replicas[index])
 
-    def quorum(self, index: int, k: int) -> ReadSample:
+    def quorum(self, index: int, k: int) -> tuple[float, int]:
         """Answer from the freshest of ``k`` randomly drawn replicas.
 
         The draw is the first ``k`` entries of one full replica
@@ -216,7 +141,7 @@ class ReadModel:
         return self._freshest(index, chosen)
 
     def _freshest(self, index: int,
-                  candidates: Sequence[int]) -> ReadSample:
+                  candidates: Sequence[int]) -> tuple[float, int]:
         best = -1
         best_key = (float("-inf"), -1)
         for cache_id in candidates:
@@ -230,9 +155,4 @@ class ReadModel:
                                               and cache_id < best):
                 best = cache_id
                 best_key = key
-        store = self.stores[best]
-        return ReadSample(value=float(store.values[index]),
-                          cache_id=best,
-                          refresh_time=best_key[0],
-                          applied_count=best_key[1],
-                          consulted=len(candidates))
+        return float(self.stores[best].values[index]), best

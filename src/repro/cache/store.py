@@ -38,7 +38,6 @@ class CacheStore:
         self.initial_values = np.array(initial_values, dtype=float)
         self.values = self.initial_values.copy()
         self.refresh_times = np.zeros(num_objects)
-        self.refresh_counts = np.zeros(num_objects, dtype=np.int64)
         #: update counter carried by the last applied snapshot (0 until the
         #: first refresh: the initial value is the count-0 snapshot)
         self.applied_counts = np.zeros(num_objects, dtype=np.int64)
@@ -52,7 +51,6 @@ class CacheStore:
         """
         self.values = self.initial_values.copy()
         self.refresh_times.fill(0.0)
-        self.refresh_counts.fill(0)
         self.applied_counts.fill(0)
 
     def __len__(self) -> int:
@@ -77,7 +75,6 @@ class CacheStore:
         self._check_index(index)
         self.values[index] = value
         self.refresh_times[index] = now
-        self.refresh_counts[index] += 1
         self.applied_counts[index] = update_count
 
     def read(self, index: int) -> float:
@@ -96,6 +93,3 @@ class CacheStore:
         self._check_index(index)
         return (float(self.refresh_times[index]),
                 int(self.applied_counts[index]))
-
-    def total_refreshes(self) -> int:
-        return int(self.refresh_counts.sum())

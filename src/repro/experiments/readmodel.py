@@ -32,13 +32,15 @@ With one cache every policy degenerates to the star's ``CacheStore.read``;
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from repro.cache.readmodel import ReadModel, parse_read_policy
 from repro.metrics.collector import ReadCollector, ReplicaDivergenceTracker
 from repro.metrics.report import ReadStats
 from repro.policies.base import SimulationContext, SyncPolicy
-from repro.workloads.read_process import ReadReplayer, ReadTrace
+from repro.sim.events import Phase
+from repro.workloads.read_process import ReadTrace
+from repro.workloads.trace import TraceReplayer
 
 
 class ReadRun:
@@ -59,9 +61,13 @@ class ReadRun:
                 f"policy {policy.name!r} exposes no per-cache stores; "
                 f"attach it first and use a store-backed policy")
         self.read_policy = read_policy
-        self._kind, self._k = parse_read_policy(read_policy)
+        kind, k = parse_read_policy(read_policy)
         self.model = ReadModel(stores, topology, ctx.workload.owner,
                                rng=ctx.rngs.stream("read-subsets"))
+        #: ``answer(index) -> (value, cache_id)`` under the read policy
+        self._answer = (self.model.any_replica if kind == "any" else
+                        self.model.freshest_replica if kind == "freshest"
+                        else partial(self.model.quorum, k=k))
         self.collector = ReadCollector(ctx.workload.num_objects,
                                        ctx.workload.weights,
                                        num_replicas=topology.num_caches,
@@ -78,47 +84,27 @@ class ReadRun:
         self.baseline_mismatches = 0
         self._objects = ctx.objects
         self._sim = ctx.sim
-        self.replayer = ReadReplayer(ctx.sim, read_trace, self._on_read,
-                                     on_read_batch=self._on_read_batch)
+        self.replayer = TraceReplayer(
+            ctx.sim, (read_trace.times, read_trace.object_indices),
+            self._on_reads, Phase.METRICS)
+
+    def _on_reads(self, times, indices) -> None:
+        """Serve a run of consecutive reads, one at a time, with the
+        clock advanced per read as one firing per read would."""
+        sim = self._sim
+        on_read = self._on_read
+        for now, index in zip(times.tolist(), indices.tolist()):
+            sim.now = now
+            on_read(now, index)
 
     def _on_read(self, now: float, index: int) -> None:
-        if self._kind == "any":
-            sample = self.model.any_replica(index)
-        elif self._kind == "freshest":
-            sample = self.model.freshest_replica(index)
-        else:
-            sample = self.model.quorum(index, self._k)
-        divergence = abs(sample.value - self._objects[index].value)
-        self.collector.record_read(index, now, divergence,
-                                   sample.cache_id)
+        value, cache_id = self._answer(index)
+        self.collector.record_read(index, now,
+                                   abs(value - self._objects[index].value),
+                                   cache_id)
         if self._baseline_store is not None and \
-                sample.value != float(self._baseline_store.values[index]):
+                value != float(self._baseline_store.values[index]):
             self.baseline_mismatches += 1
-
-    def _on_read_batch(self, times: np.ndarray,
-                       indices: np.ndarray) -> None:
-        """Serve a run of consecutive reads between simulator wakeups.
-
-        Answers come from :meth:`ReadModel.read_batch` (same values, same
-        rng consumption as the per-read loop) and land in one
-        :meth:`ReadCollector.record_many` call.  The true source values
-        are gathered per read -- they change between batches -- but
-        ``abs`` and the baseline cross-check vectorize.
-        """
-        values, cache_ids = self.model.read_batch(
-            indices, policy=self.read_policy)
-        objects = self._objects
-        truth = np.array([objects[index].value
-                          for index in indices.tolist()])
-        divergences = np.abs(values - truth)
-        self.collector.record_many(indices, times, divergences, cache_ids)
-        if self._baseline_store is not None:
-            baseline = self._baseline_store.values[indices]
-            self.baseline_mismatches += int(
-                np.count_nonzero(values != baseline))
-        # Keep the clock where per-event replay would have left it (reads
-        # never touch simulator state, so only the final position matters).
-        self._sim.advance_clock(float(times[-1]))
 
     @property
     def matches_direct(self) -> bool | None:
@@ -137,6 +123,6 @@ class ReadRun:
             divergence=reads.mean_read_divergence(),
             divergence_unweighted=reads.mean_unweighted_read_divergence(),
             stale_fraction=reads.stale_read_fraction(),
-            replica_reads=tuple(reads.replica_reads.tolist()),
+            replica_reads=tuple(reads.replica_reads),
             replica_divergence=self.tracker.mean_over_replicas(),
             matches_direct=self.matches_direct)

@@ -46,6 +46,12 @@ class RunSpec:
             raise ValueError(f"measure must be > 0, got {self.measure}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        # A retry timer armed by an update hook must not land inside the
+        # replay batch being applied; a timeout of one tick or more lands
+        # at or after the batch's end (DESIGN.md Sec 10).
+        if self.retry is not None and self.retry.timeout < self.dt:
+            raise ValueError(f"retry timeout must be >= dt ({self.dt}), "
+                             f"got {self.retry.timeout}")
 
 
 def make_context(workload: Workload, metric: DivergenceMetric,

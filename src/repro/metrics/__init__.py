@@ -1,6 +1,5 @@
 """Measurement: divergence integration, read sampling, result reporting."""
 
-from repro.metrics.accumulators import ReadSampleAccumulator
 from repro.metrics.collector import (
     DivergenceCollector,
     ReadCollector,
@@ -16,7 +15,6 @@ from repro.metrics.report import (
 __all__ = [
     "DivergenceCollector",
     "ReadCollector",
-    "ReadSampleAccumulator",
     "ReplicaDivergenceTracker",
     "RunResult",
     "ascii_plot",

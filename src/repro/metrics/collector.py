@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.weights import WeightModel
-from repro.metrics.accumulators import ReadSampleAccumulator
+from repro.core.weights import StaticWeights, WeightModel
 
 #: Records :meth:`DivergenceCollector.record` logs before folding them.
 LOG_CAPACITY = 4096
@@ -65,20 +64,10 @@ class DivergenceCollector:
         if not self._log_room:
             self._flush()
 
-    def record_many(self, indices: np.ndarray, now: float,
-                    divergences: np.ndarray) -> None:
-        """Batched :meth:`record`: several objects changed at one instant
-        (the batch-refresh delivery path)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        self._flush()
-        self._fold(indices, np.full(len(indices), now, dtype=float),
-                   np.asarray(divergences, dtype=float))
-
     def record_at(self, indices: np.ndarray, times: np.ndarray,
                   divergences: np.ndarray) -> None:
         """Batched :meth:`record` with *per-event* times, duplicates
-        allowed: the batched replayer's call, and the kernel the record
-        log folds through.
+        allowed: the kernel the record log folds through.
 
         Each event's piece starts where that object's previous event (in
         the batch, or before it) left off, so the linkage is a stable
@@ -217,12 +206,16 @@ class ReadCollector:
     The paper's metric time-averages the divergence of the cache copy;
     a client's experience is instead the divergence of the snapshots its
     reads actually return.  This collector accumulates, at each read,
-    ``|answered value - true source value|`` -- weighted by the object's
-    refresh weight at read time, the point-sample analogue of the paper's
-    weighted divergence integrand -- plus per-replica serving counts so
-    experiments can see which replicas answered.
+    ``|answered value - true source value|`` and its weighted form -- the
+    object's refresh weight at read time times the divergence, the
+    point-sample analogue of the paper's weighted divergence integrand --
+    plus per-replica serving counts so experiments can see which
+    replicas answered.  Means divide by the read count, so under Poisson
+    read times the weighted mean is an unbiased estimate of the paper's
+    ``(1/T) integral w(t) D(t) dt`` as seen through the read policy.
 
-    Reads during warm-up are discarded, mirroring the integral collectors.
+    Reads strictly before ``warmup`` are discarded, mirroring the
+    integral collectors.
     """
 
     def __init__(self, num_objects: int, weights: WeightModel,
@@ -234,68 +227,35 @@ class ReadCollector:
         self.num_objects = num_objects
         self.weights = weights
         self.warmup = warmup
-        self._acc = ReadSampleAccumulator(warmup)
-        self.replica_reads = np.zeros(num_replicas, dtype=np.int64)
+        self.reads = 0  #: post-warm-up reads served
+        self.replica_reads = [0] * num_replicas  #: reads each cache served
         self.stale_reads = 0  #: post-warm-up reads that observed divergence
+        self._sum = 0.0
+        self._weighted_sum = 0.0
 
     def record_read(self, index: int, now: float, divergence: float,
                     cache_id: int) -> None:
         """One served read of object ``index`` at time ``now``."""
         if now < self.warmup:
             return
-        self._acc.record(now, divergence,
-                         self.weights.weight(index, now))
+        self.reads += 1
+        self._sum += divergence
+        self._weighted_sum += self.weights.weight(index, now) * divergence
         self.replica_reads[cache_id] += 1
         if divergence != 0.0:
             self.stale_reads += 1
 
-    def record_many(self, indices: np.ndarray, times: np.ndarray,
-                    divergences: np.ndarray,
-                    cache_ids: np.ndarray) -> None:
-        """Batched :meth:`record_read`, bit-for-bit against the loop.
-
-        The replica/stale tallies are integers (order-free); the sample
-        sums delegate to the accumulator's sequential-fold batch, and the
-        weights come from the same vectorized ``weights_at`` the
-        divergence collectors use.  Used by the batched read replay path.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if not len(indices):
-            return
-        times = np.asarray(times, dtype=float)
-        divergences = np.asarray(divergences, dtype=float)
-        cache_ids = np.asarray(cache_ids, dtype=np.int64)
-        keep = times >= self.warmup
-        if not keep.all():
-            indices = indices[keep]
-            times = times[keep]
-            divergences = divergences[keep]
-            cache_ids = cache_ids[keep]
-            if not len(indices):
-                return
-        weights = self.weights.weights_at(times, indices)
-        self._acc.record_many(times, divergences, weights)
-        np.add.at(self.replica_reads, cache_ids, 1)
-        self.stale_reads += int(np.count_nonzero(divergences))
-
-    @property
-    def reads(self) -> int:
-        """Post-warm-up reads served."""
-        return self._acc.count
-
     def mean_read_divergence(self) -> float:
         """Mean weighted read-observed divergence per read."""
-        return self._acc.weighted_mean()
+        return self._weighted_sum / self.reads if self.reads else 0.0
 
     def mean_unweighted_read_divergence(self) -> float:
         """Mean |answered - true| per read, unweighted."""
-        return self._acc.mean()
+        return self._sum / self.reads if self.reads else 0.0
 
     def stale_read_fraction(self) -> float:
         """Share of reads that returned a diverged value."""
-        if self._acc.count == 0:
-            return 0.0
-        return self.stale_reads / self._acc.count
+        return self.stale_reads / self.reads if self.reads else 0.0
 
 
 class ReplicaDivergenceTracker:
@@ -310,9 +270,11 @@ class ReplicaDivergenceTracker:
 
     The signal is piecewise-constant -- it changes only when the source
     applies an update or replica ``k`` applies a refresh -- so hooking both
-    event kinds gives an exact integral, same as the main collector.  Cost
-    is O(replication) python work per update, so only runs with a read
-    stream wire it in (not plain policy runs).
+    event kinds gives an exact integral.  The integral is a
+    :class:`DivergenceCollector`'s over the flattened pairs
+    ``k * num_objects + i``, so it folds through the collector's one
+    kernel.  Cost is O(replication) records per update, so only runs with
+    a read stream wire it in (not plain policy runs).
 
     The uniform any-replica read policy samples precisely this signal at
     read times: its read-observed divergence converges, as the read rate
@@ -321,8 +283,7 @@ class ReplicaDivergenceTracker:
 
     def __init__(self, stores: Sequence, objects: Sequence,
                  replicas_of: Sequence[tuple[int, ...]],
-                 warmup: float = 0.0, start: float = 0.0) -> None:
-        num_caches = len(stores)
+                 warmup: float = 0.0) -> None:
         num_objects = len(objects)
         if len(replicas_of) != num_objects:
             raise ValueError(
@@ -331,15 +292,13 @@ class ReplicaDivergenceTracker:
         self.stores = list(stores)
         self.objects = list(objects)
         self.replicas_of = list(replicas_of)
-        self.warmup = warmup
-        self._member = np.zeros((num_caches, num_objects), dtype=bool)
+        pairs = len(self.stores) * num_objects
+        self._pairs = DivergenceCollector(pairs, StaticWeights.uniform(pairs),
+                                          warmup=warmup)
+        self._member = np.zeros((len(self.stores), num_objects), dtype=bool)
         for i, replicas in enumerate(self.replicas_of):
             for k in replicas:
                 self._member[k, i] = True
-        self._divergence = np.zeros((num_caches, num_objects))
-        self._last_time = np.full((num_caches, num_objects), float(start))
-        self._integral = np.zeros((num_caches, num_objects))
-        self._end = float(start)
 
     # ------------------------------------------------------------------
     # Event hooks
@@ -360,43 +319,29 @@ class ReplicaDivergenceTracker:
         return hook
 
     def _touch(self, k: int, i: int, now: float) -> None:
-        lo = max(self._last_time[k, i], self.warmup)
-        hi = max(now, self.warmup)
-        if hi > lo:
-            self._integral[k, i] += self._divergence[k, i] * (hi - lo)
-        self._last_time[k, i] = now
-        self._divergence[k, i] = abs(
-            float(self.stores[k].values[i]) - self.objects[i].value)
-        if now > self._end:
-            self._end = now
+        self._pairs.record(
+            k * len(self.objects) + i, now,
+            abs(float(self.stores[k].values[i]) - self.objects[i].value))
 
     def finalize(self, end: float) -> None:
         """Close every pair's current piece at the measurement end."""
-        lo = np.maximum(self._last_time, self.warmup)
-        span = np.maximum(max(end, self.warmup) - lo, 0.0)
-        self._integral += self._divergence * span
-        self._last_time[:] = np.maximum(self._last_time, end)
-        if end > self._end:
-            self._end = end
+        self._pairs.finalize(end)
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    @property
-    def duration(self) -> float:
-        """Length of the measured (post-warm-up) window."""
-        return max(self._end - self.warmup, 0.0)
-
     def per_replica_object_average(self) -> np.ndarray:
         """Time-averaged divergence per ``(cache, object)`` pair.
 
         Entries for caches that never hold an object are NaN, so averages
         over replicas cannot silently dilute with non-members.
         """
-        out = np.full(self._integral.shape, np.nan)
-        if self.duration > 0:
-            out[self._member] = (self._integral[self._member]
-                                 / self.duration)
+        out = np.full(self._member.shape, np.nan)
+        if self._pairs.duration > 0:
+            # Unit weights: each weighted increment is ``d * 1.0 * span``,
+            # bit for bit the unweighted one.
+            average = self._pairs.per_object_weighted_average()
+            out[self._member] = average.reshape(out.shape)[self._member]
         return out
 
     def mean_over_replicas(self) -> float:

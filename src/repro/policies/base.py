@@ -79,8 +79,9 @@ class SimulationContext:
                                              workload.weights,
                                              warmup=warmup)
         self._update_hooks: list[UpdateHook] = []
-        self.replayer = TraceReplayer(self.sim, trace, self.apply_update,
-                                      apply_batch=self.apply_update_batch)
+        self.replayer = TraceReplayer(
+            self.sim, (trace.times, trace.object_indices, trace.values),
+            self.apply_update_batch, Phase.UPDATES)
 
     def build_topology(self, cache_bandwidth: BandwidthProfile,
                        source_profiles: Sequence[BandwidthProfile]
@@ -139,45 +140,23 @@ class SimulationContext:
                            values: np.ndarray) -> None:
         """Apply a run of consecutive trace updates in one call.
 
-        The batched replayer hands over every trace event strictly before
-        the simulator's next foreign event.  With update hooks registered
-        (the cooperative/ideal/competitive policies) each event must run
-        the full per-event sequence -- hooks can send messages whose
-        delivery reads the simulator clock -- so the hooked path loops,
-        advancing ``sim.now`` per event exactly as per-event replay's
-        firings did.  Hooks may mutate any policy or network state but
-        must not schedule new simulator events; every built-in policy
-        routes its scheduling through :class:`~repro.sim.events.WakeupSet`
+        The replayer hands over every trace event strictly before the
+        simulator's next foreign event.  Each runs the full per-event
+        sequence of :meth:`apply_update`, with ``sim.now`` advanced per
+        event exactly as one firing per event would: update hooks can
+        send messages whose delivery reads the simulator clock.  Hooks
+        may mutate any policy or network state but must not schedule
+        new simulator events; every built-in policy routes its
+        scheduling through :class:`~repro.sim.events.WakeupSet`
         dispatchers precisely so that replay batching stays exact (see
         DESIGN.md Sec 10).
-
-        Without hooks nothing can interleave with the batch, so the
-        divergence bookkeeping for the whole run lands in one vectorized
-        :meth:`DivergenceCollector.record_at
-        <repro.metrics.collector.DivergenceCollector.record_at>` call;
-        object state transitions stay per event (each is a tiny state
-        machine), matching the per-event path bit for bit.
         """
         sim = self.sim
-        objects = self.objects
-        metric = self.metric
-        times_list = times.tolist()
-        indices_list = indices.tolist()
-        values_list = values.tolist()
-        if self._update_hooks:
-            apply = self.apply_update
-            for pos in range(len(times_list)):
-                now = times_list[pos]
-                sim.now = now  # advance_clock inlined (hot loop)
-                apply(now, indices_list[pos], values_list[pos])
-            return
-        divergences = np.empty(len(times_list))
-        for pos in range(len(times_list)):
-            obj = objects[indices_list[pos]]
-            obj.apply_update(times_list[pos], values_list[pos], metric)
-            divergences[pos] = obj.truth.divergence
-        self.collector.record_at(indices, times, divergences)
-        sim.advance_clock(times_list[-1])
+        apply = self.apply_update
+        for now, index, value in zip(times.tolist(), indices.tolist(),
+                                     values.tolist()):
+            sim.now = now
+            apply(now, index, value)
 
     def run(self, end_time: float,
             resample_interval: float | None = None) -> None:

@@ -10,7 +10,7 @@ controller reads three per-cache signals --
 * the link's banked surplus credit (accrued by the NETWORK-phase refill
   that just ran, so the reading is tick-fresh without touching the
   accrual chain);
-* per-source applied-refresh counts and divergence removed, from the
+* per-source applied-refresh counts, from the
   :class:`~repro.cache.cache.WindowStats` the rebalancer installs on
   each cache node.
 

@@ -16,12 +16,7 @@ from repro.workloads.buoy import (
     load_buoy_trace,
 )
 from repro.workloads.hotspot import hotspot_shards
-from repro.workloads.read_process import (
-    ReadReplayer,
-    ReadTrace,
-    merge_reads_with_updates,
-    uniform_reads,
-)
+from repro.workloads.read_process import ReadTrace, uniform_reads
 from repro.workloads.random_walk import (
     expected_walk_deviation,
     random_walk_values_batch,
@@ -38,7 +33,6 @@ from repro.workloads.update_process import (
 )
 
 __all__ = [
-    "ReadReplayer",
     "ReadTrace",
     "SCENARIOS",
     "TraceReplayer",
@@ -52,7 +46,6 @@ __all__ = [
     "heterogeneous_traces",
     "hotspot_shards",
     "load_buoy_trace",
-    "merge_reads_with_updates",
     "uniform_reads",
     "poisson_times_batch",
     "random_walk_rates_batch",

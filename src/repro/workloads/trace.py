@@ -5,9 +5,9 @@ each policy on bit-identical update streams.  An :class:`UpdateTrace` is a
 time-sorted sequence of ``(time, object_index, new_value)`` triples that can
 be generated once per configuration and replayed into any number of
 simulations.  Traces round-trip through CSV so real data sets (e.g. a NOAA
-TAO export) can be dropped in.  A :class:`TraceReplayer` feeds a trace into
-a simulation, applying every event up to the next foreign simulator event
-in one batch.
+TAO export) can be dropped in.  A :class:`TraceReplayer` feeds a trace (or
+a client read stream) into a simulation, handing every event up to the
+next foreign simulator event to one batch applier.
 """
 
 from __future__ import annotations
@@ -194,87 +194,75 @@ class UpdateTrace:
 
 
 class TraceReplayer:
-    """Feeds an :class:`UpdateTrace` into a :class:`Simulator`.
+    """Feeds a time-sorted event stream into a :class:`Simulator`.
 
-    Only one event is in the simulator's queue at a time (the next update),
-    so million-event traces do not bloat the heap.  Updates fire in the
-    ``UPDATES`` phase, before network/scheduling work at the same timestamp.
+    ``columns`` are the stream's equal-length numpy arrays, times first:
+    an update trace's ``(times, object_indices, values)`` or a read
+    trace's ``(times, object_indices)``.  Only one event (the next) is in
+    the simulator's queue at a time, so million-event traces do not bloat
+    the heap.  Events fire in ``phase``: updates in ``UPDATES``, before
+    network/scheduling work at the same timestamp, and reads in
+    ``METRICS``, after it.
 
-    One firing applies *every* trace event strictly before the simulator's
-    next foreign event (and within the current
-    :attr:`~repro.sim.engine.Simulator.run_horizon`) in a single
-    ``apply_batch`` call -- no per-event heap churn.  This is bit-for-bit
-    identical to firing once per event provided batch appliers advance the
-    simulator clock per event and never schedule new simulator events (see
-    DESIGN.md Sec 10 for the boundary argument; ``tests/oracles.py`` keeps
-    the one-event-per-firing schedule as the reference).
-
-    ``apply_batch`` receives equal-length numpy array views
-    ``(times, indices, values)``; when omitted, a loop over
-    ``apply_update`` (with the clock advanced per event) is used, which is
-    exact for any applier that does not schedule simulator events.
+    One firing hands *every* event strictly before the simulator's next
+    foreign event (and within the current
+    :attr:`~repro.sim.engine.Simulator.run_horizon`) to ``apply_batch``
+    as slices of the columns -- no per-event heap churn.  This is bit for
+    bit the schedule of one event per firing provided the applier
+    advances the simulator clock per event and never schedules simulator
+    events (DESIGN.md Sec 10); ``tests/oracles.py`` keeps that schedule
+    as the reference by handing the same applier one-event slices.
     """
 
-    def __init__(self, sim: Simulator, trace: UpdateTrace,
-                 apply_update: Callable[[float, int, float], None],
-                 apply_batch=None) -> None:
+    def __init__(self, sim: Simulator, columns: tuple[np.ndarray, ...],
+                 apply_batch: Callable[..., None], phase: Phase) -> None:
         self._sim = sim
-        self._trace = trace
-        self._apply = apply_update
-        self._apply_batch = apply_batch if apply_batch is not None \
-            else self._default_apply_batch
+        self._columns = columns
+        self._times = columns[0]
+        self._apply_batch = apply_batch
+        self._phase = phase
         self._cursor = 0
         self._schedule_next()
 
     @property
     def remaining(self) -> int:
-        return len(self._trace) - self._cursor
+        return len(self._times) - self._cursor
 
     def _schedule_next(self) -> None:
-        if self._cursor >= len(self._trace):
+        if self._cursor >= len(self._times):
             return
-        time = float(self._trace.times[self._cursor])
-        self._sim.at(max(time, self._sim.now), self._fire,
-                     phase=Phase.UPDATES)
+        time = float(self._times[self._cursor])
+        self._sim.at(max(time, self._sim.now), self._fire, phase=self._phase)
 
     def _fire(self) -> None:
-        trace = self._trace
-        end = batch_end(self._sim, trace.times, self._cursor)
+        """Apply the run of events up to the next foreign event.
+
+        Called when this replayer's own event is already off the heap, so
+        every queued event is *foreign*.  The run covers events strictly
+        before the next foreign event time -- an event at exactly that
+        timestamp goes back through the heap so the ``(time, phase,
+        seq)`` ordering arbitrates, exactly as a per-event reschedule
+        would -- and never beyond the simulator's ``run_horizon`` (events
+        past the ``run_until`` cut-off would not have fired at all).  At
+        least the event this firing was scheduled for is included.
+        """
+        sim = self._sim
+        times = self._times
+        boundary = sim.next_event_time
+        if boundary is None:
+            end = len(times)
+        else:
+            end = int(np.searchsorted(times, boundary, side="left"))
+        horizon = sim.run_horizon
+        if horizon < np.inf:
+            end = min(end, int(np.searchsorted(times, horizon,
+                                               side="right")))
+        self._apply_through(max(end, self._cursor + 1))
+
+    def _apply_through(self, end: int) -> None:
+        """Hand events ``cursor .. end - 1`` to the applier, then queue
+        the next one."""
         k = self._cursor
-        self._apply_batch(trace.times[k:end],
-                          trace.object_indices[k:end],
-                          trace.values[k:end])
+        self._apply_batch(*[column[k:end] for column in self._columns])
         self._cursor = end
         self._schedule_next()
-
-    def _default_apply_batch(self, times, indices, values) -> None:
-        sim = self._sim
-        apply = self._apply
-        for time, index, value in zip(times.tolist(), indices.tolist(),
-                                      values.tolist()):
-            sim.now = time  # advance_clock inlined (hot loop)
-            apply(time, index, value)
-
-
-def batch_end(sim: Simulator, times: np.ndarray, cursor: int) -> int:
-    """End (exclusive) of the event run a replayer firing may apply.
-
-    Called from inside the replayer's own firing, when its event is
-    already off the heap: every queued event is *foreign*.  The batch
-    covers events strictly before the next foreign event time -- a trace
-    event at exactly that timestamp must go back through the heap so the
-    ``(time, phase, seq)`` ordering arbitrates, exactly as a per-event
-    reschedule would -- and never beyond the simulator's
-    ``run_horizon`` (events past the ``run_until`` cut-off would not have
-    fired at all).  At least one event (the one this firing was scheduled
-    for) is always included.
-    """
-    boundary = sim.next_event_time
-    if boundary is None:
-        end = len(times)
-    else:
-        end = int(np.searchsorted(times, boundary, side="left"))
-    horizon = sim.run_horizon
-    if horizon < np.inf:
-        end = min(end, int(np.searchsorted(times, horizon, side="right")))
-    return max(end, cursor + 1)

@@ -22,12 +22,16 @@ configuration both ways and demand bit-identical results.
   armed as usual and never consulted;
 * **eager links** -- every source link refills on every network tick
   instead of replaying skipped refills on first touch;
-* **per event** -- each replayer firing applies one trace event or serves
-  one read, rescheduling through the simulator heap in between.
+* **per event** -- each replayer firing hands its applier a one-event
+  slice (one trace update or one read), rescheduling through the
+  simulator heap in between.
 
 A new feature is checked against the literal schedule by running it
 twice, once plainly and once inside ``with reference_schedule():``, and
 comparing every output field (see ``tests/test_equivalence.py``).
+
+:func:`each_event` adapts a per-event callback into a replayer's batch
+applier, for tests that drive a :class:`TraceReplayer` by hand.
 
 Two probes read out quantities the package computes inline on its hot
 path: :func:`belief_priority` (a priority function evaluated on an
@@ -60,7 +64,7 @@ from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
 from repro.source.monitor import SamplingMonitor, TriggerMonitor
 from repro.source.source import SourceNode
-from repro.workloads.read_process import ReadReplayer, ReadTrace
+from repro.workloads.read_process import ReadTrace
 from repro.workloads.trace import TraceReplayer, UpdateTrace
 
 
@@ -132,21 +136,18 @@ def _all_links_eager(self) -> None:
     self._eager_source_links = list(self.source_links)
 
 
-def _fire_one_update(self) -> None:
-    trace = self._trace
-    k = self._cursor
-    self._apply(float(trace.times[k]), int(trace.object_indices[k]),
-                float(trace.values[k]))
-    self._cursor += 1
-    self._schedule_next()
+def _fire_one_event(self) -> None:
+    """Hand the replayer's applier a one-event slice."""
+    self._apply_through(self._cursor + 1)
 
 
-def _fire_one_read(self) -> None:
-    trace = self._trace
-    k = self._cursor
-    self._on_read(float(trace.times[k]), int(trace.object_indices[k]))
-    self._cursor += 1
-    self._schedule_next()
+def each_event(apply):
+    """A replayer batch applier that hands ``apply`` one event at a time,
+    as ``apply(time, index)`` or ``apply(time, index, value)``."""
+    def apply_batch(*columns):
+        for event in zip(*(column.tolist() for column in columns)):
+            apply(*event)
+    return apply_batch
 
 
 @contextmanager
@@ -178,8 +179,7 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
     if eager_links:
         patches.append((Topology, "_classify_links", _all_links_eager))
     if per_event:
-        patches += [(TraceReplayer, "_fire", _fire_one_update),
-                    (ReadReplayer, "_fire", _fire_one_read)]
+        patches.append((TraceReplayer, "_fire", _fire_one_event))
     saved = [(owner, name, owner.__dict__[name])
              for owner, name, _ in patches]
     try:
@@ -220,7 +220,7 @@ class ScalarCollector(DivergenceCollector):
     """:class:`DivergenceCollector` with every record integrated at once.
 
     Each record closes its object's current piece in scalar arithmetic;
-    the batched entry points are loops of records.  Nothing is ever
+    the batched entry point is a loop of records.  Nothing is ever
     logged, so the inherited :meth:`resample` and readers see the same
     state the logged collector reaches after a fold.
     """
@@ -240,10 +240,6 @@ class ScalarCollector(DivergenceCollector):
         self._divergence[index] = divergence
         if now > self._end:
             self._end = now
-
-    def record_many(self, indices, now: float, divergences) -> None:
-        for index, divergence in zip(indices, divergences):
-            self.record(int(index), now, float(divergence))
 
     def record_at(self, indices, times, divergences) -> None:
         for index, now, divergence in zip(indices, times, divergences):

@@ -1,8 +1,8 @@
 """Bit-for-bit equivalence of batched and per-event trace/read replay.
 
-The replayers apply every trace event strictly before the simulator's
-next foreign event in one python call instead of one heap round-trip per
-event.  That must be an *optimization only*: on the paper's
+The replayer hands every event strictly before the simulator's next
+foreign event to its applier in one python call instead of one heap
+round-trip per event.  That must be an *optimization only*: on the paper's
 configurations every policy has to produce exactly the metrics of the
 per-event reference replay in ``tests/oracles.py`` -- same divergence
 floats, same message counts, same read samples.  These tests pin that
@@ -11,11 +11,11 @@ across:
 * all five policies on the Figure 4 settings (fluctuating weights +
   collector resampling), one cache and four (sharded and replicated);
 * the Figure 5 settings (buoy workload, 60 s ticks, fluctuating link);
-* all three read policies at replication 2 and 3 (the read replayer
-  batches consecutive reads between wakeups on the same boundary rule),
-  and the read-heavy readmodel matrix (read rate 8/s);
+* all three read policies at replication 2 and 3 (reads are replayed
+  by the same replayer, on the same boundary rule), and the read-heavy
+  readmodel matrix (read rate 8/s);
 * the batched collector arithmetic itself (``record_at`` with duplicate
-  objects inside one batch, the read accumulator's seeded fold).
+  objects inside one batch).
 
 The boundary argument for why phase semantics survive batching is in
 DESIGN.md Sec 10.
@@ -32,22 +32,23 @@ from repro.core.weights import SineWeights, StaticWeights
 from repro.experiments.matrix import READMODEL, make_policy
 from repro.experiments.parallel import build_workload
 from repro.experiments.runner import RunSpec, run_policy
-from repro.metrics.collector import DivergenceCollector, ReadCollector
+from repro.metrics.collector import DivergenceCollector
 from repro.network.bandwidth import ConstantBandwidth, SineBandwidth
 from repro.network.topology import TopologyConfig
+from repro.policies.base import SimulationContext
 from repro.policies.cache_driven import CGMPollingPolicy
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
 from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
 from repro.sim.engine import Simulator
+from repro.sim.events import Phase
 from repro.sim.random import RngRegistry
 from repro.workloads.buoy import buoy_workload
-from repro.workloads.read_process import ReadReplayer, ReadTrace
 from repro.workloads.synthetic import uniform_random_walk
 from repro.workloads.trace import TraceReplayer, UpdateTrace
 
-from oracles import ScalarCollector, reference_schedule
+from oracles import ScalarCollector, each_event, reference_schedule
 
 M_SOURCES = 10
 N_PER_SOURCE = 10
@@ -192,7 +193,7 @@ class TestPolicyEquivalence:
 class TestReadReplayEquivalence:
     """All three read policies at replication 2 and 3: read samples,
     replica serving counts and stale tallies must match per-event replay
-    exactly (one knob batches both the trace and the read replayer)."""
+    exactly (the oracle hands one-event slices to both appliers)."""
 
     @pytest.mark.parametrize("replication", [2, 3])
     @pytest.mark.parametrize("read_policy",
@@ -246,8 +247,9 @@ class TestReadReplayEquivalence:
             assert results["event"] == results["batched"], scenario
 
     def test_single_cache_fast_path_matches_store(self):
-        """The vectorized single-replica read batch must still match the
-        star's CacheStore.read cross-check on every read."""
+        """Single-replica reads answer from the one store without an rng
+        draw, and match the star's CacheStore.read cross-check on every
+        read."""
         workload = fig4_workload()
         reads = workload.read_stream(
             RngRegistry(0).stream("read-workload"), read_rate=1.0)
@@ -328,32 +330,6 @@ class TestRecordAt:
         assert collector._end == 0.0
 
 
-class TestReadCollectorBatch:
-    def test_matches_sequential_record_read(self):
-        rng = np.random.default_rng(3)
-        weights = SineWeights.random(6, np.random.default_rng(4))
-        n = 50
-        times = np.sort(rng.uniform(0.0, 10.0, size=n))
-        indices = rng.integers(0, 6, size=n)
-        divergences = np.where(rng.random(n) < 0.4, 0.0,
-                               rng.normal(scale=100.0, size=n))
-        cache_ids = rng.integers(0, 3, size=n)
-        scalar = ReadCollector(6, weights, num_replicas=3, warmup=2.5)
-        batched = ReadCollector(6, weights, num_replicas=3, warmup=2.5)
-        for k in range(n):
-            scalar.record_read(int(indices[k]), float(times[k]),
-                               float(divergences[k]), int(cache_ids[k]))
-        batched.record_many(indices, times, divergences, cache_ids)
-        assert scalar.reads == batched.reads
-        assert scalar.mean_read_divergence() \
-            == batched.mean_read_divergence()
-        assert scalar.mean_unweighted_read_divergence() \
-            == batched.mean_unweighted_read_divergence()
-        assert scalar.stale_reads == batched.stale_reads
-        np.testing.assert_array_equal(scalar.replica_reads,
-                                      batched.replica_reads)
-
-
 class TestReplayerMechanics:
     @staticmethod
     def trace(times, num_objects=1):
@@ -363,18 +339,21 @@ class TestReplayerMechanics:
                                                    dtype=np.int64),
                            values=np.arange(len(times), dtype=float))
 
+    @staticmethod
+    def replayer(sim, trace, apply_batch, phase=Phase.UPDATES):
+        return TraceReplayer(sim, (trace.times, trace.object_indices,
+                                   trace.values), apply_batch, phase)
+
     def test_unknown_mode_rejected(self):
         """Replay has one mode; the retired ``mode=`` keyword is an
         error, not a silently ignored option."""
         sim = Simulator()
+        trace = self.trace([1.0])
         with pytest.raises(TypeError, match="mode"):
-            TraceReplayer(sim, self.trace([1.0]), lambda t, i, v: None,
+            TraceReplayer(sim, (trace.times, trace.object_indices,
+                                trace.values),
+                          each_event(lambda t, i, v: None), Phase.UPDATES,
                           mode="event")
-        with pytest.raises(TypeError, match="mode"):
-            ReadReplayer(sim, ReadTrace(num_objects=1,
-                                        times=np.array([1.0]),
-                                        object_indices=np.array([0])),
-                         lambda t, i: None, mode="event")
 
     def test_batch_stops_strictly_before_foreign_events(self):
         """Events at a foreign timestamp go back through the heap so the
@@ -382,8 +361,8 @@ class TestReplayerMechanics:
         sim = Simulator()
         seen = []
         sim.at(2.0, lambda: seen.append("foreign"))
-        TraceReplayer(sim, self.trace([1.0, 1.5, 2.0, 2.5]),
-                      lambda t, i, v: seen.append(t))
+        self.replayer(sim, self.trace([1.0, 1.5, 2.0, 2.5]),
+                      each_event(lambda t, i, v: seen.append(t)))
         sim.run_until(10.0)
         # 2.0 fires in the UPDATES phase, before the DEFAULT-phase
         # foreign event at the same timestamp -- but via its own firing.
@@ -394,57 +373,58 @@ class TestReplayerMechanics:
         end time; later events fire on the next run_until call."""
         sim = Simulator()
         seen = []
-        TraceReplayer(sim, self.trace([1.0, 2.0, 3.0, 4.0]),
-                      lambda t, i, v: seen.append(t))
+        self.replayer(sim, self.trace([1.0, 2.0, 3.0, 4.0]),
+                      each_event(lambda t, i, v: seen.append(t)))
         sim.run_until(2.5)
         assert seen == [1.0, 2.0]
         sim.run_until(10.0)
         assert seen == [1.0, 2.0, 3.0, 4.0]
 
     def test_batched_default_loop_advances_the_clock(self):
-        sim = Simulator()
+        """The update applier moves ``sim.now`` to each event's time
+        before its hooks run, as one firing per event would."""
+        workload = fig4_workload()
+        ctx = SimulationContext(workload, ValueDeviation())
         clocks = []
-        TraceReplayer(sim, self.trace([1.0, 1.25, 1.5]),
-                      lambda t, i, v: clocks.append(sim.now))
-        sim.run_until(5.0)
-        assert clocks == [1.0, 1.25, 1.5]
+        ctx.add_update_hook(lambda obj, now: clocks.append(
+            (now, ctx.sim.now)))
+        ctx.run(20.0)
+        assert len(clocks) == int(np.sum(workload.trace.times <= 20.0))
+        assert all(now == clock for now, clock in clocks)
 
     def test_event_mode_preserved(self):
-        """The reference replay fires once per event through the scalar
-        applier; the default replay hands both events to one batch call
-        (nothing foreign is queued between them)."""
+        """The reference replay hands the same applier one-event slices;
+        the default replay hands both events to one batch call (nothing
+        foreign is queued between them)."""
         calls = []
 
         def replay(until):
             sim = Simulator()
-            replayer = TraceReplayer(
+            replayer = self.replayer(
                 sim, self.trace([1.0, 1.5]),
-                lambda t, i, v: calls.append(("event", t)),
-                apply_batch=lambda t, i, v: calls.append(
-                    ("batch", t.tolist())))
+                lambda t, i, v: calls.append(t.tolist()))
             sim.run_until(until)
             return replayer.remaining
 
         with per_event_replay():
             assert replay(1.2) == 1
             assert replay(5.0) == 0
-        assert calls == [("event", 1.0), ("event", 1.0), ("event", 1.5)]
+        assert calls == [[1.0], [1.0], [1.5]]
         calls.clear()
         assert replay(5.0) == 0
-        assert calls == [("batch", [1.0, 1.5])]
+        assert calls == [[1.0, 1.5]]
 
     def test_read_batch_cannot_leap_pending_updates(self):
         """The update replayer's queued event bounds every read batch, so
         reads observe state with all earlier updates applied."""
         sim = Simulator()
         log = []
-        TraceReplayer(sim, self.trace([1.0, 3.0]),
-                      lambda t, i, v: log.append(("update", t)))
-        ReadReplayer(sim, ReadTrace(num_objects=1,
-                                    times=np.array([0.5, 2.0, 2.5, 3.5]),
-                                    object_indices=np.zeros(4,
-                                                            dtype=np.int64)),
-                     lambda t, i: log.append(("read", t)))
+        self.replayer(sim, self.trace([1.0, 3.0]),
+                      each_event(lambda t, i, v: log.append(("update", t))))
+        reads = np.array([0.5, 2.0, 2.5, 3.5])
+        TraceReplayer(sim, (reads, np.zeros(4, dtype=np.int64)),
+                      each_event(lambda t, i: log.append(("read", t))),
+                      Phase.METRICS)
         sim.run_until(10.0)
         assert log == [("read", 0.5), ("update", 1.0), ("read", 2.0),
                        ("read", 2.5), ("update", 3.0), ("read", 3.5)]

@@ -38,7 +38,6 @@ class TestCacheStore:
         store.apply(1, 7.5, now=4.0)
         assert store.read(1) == 7.5
         assert store.age(1, 10.0) == pytest.approx(6.0)
-        assert store.total_refreshes() == 1
 
     def test_initial_values(self):
         store = CacheStore(2, initial_values=np.array([1.0, 2.0]))

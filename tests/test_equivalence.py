@@ -574,6 +574,27 @@ class TestFaultEquivalence:
                 priority_fn=AreaPriority()),
             workload, spec)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_retry_timeout_of_one_tick(self, seed):
+        """A retry timer armed by an update hook inside a replay batch
+        lands at or after the next tick when ``timeout >= dt``, so the
+        shortest timeout a run accepts keeps the default path on the
+        reference schedule.  A 0.5 s timeout, now refused, landed inside
+        the batch and diverged at each of these seeds."""
+        workload = uniform_random_walk(8, 4, 200.0,
+                                       np.random.default_rng(seed),
+                                       rate_range=(0.5, 2.0))
+        plan = fault_scenario("lossy-10", 50.0, 150.0, seed=seed)
+        spec = RunSpec(**SPEC, seed=seed, faults=plan,
+                       retry=RetryPolicy(timeout=1.0))
+        assert_equivalent(
+            lambda: CooperativePolicy(
+                ConstantBandwidth(3.0), [ConstantBandwidth(1.5)] * 8,
+                priority_fn=AreaPriority()),
+            workload, spec)
+        with pytest.raises(ValueError, match="retry timeout must be >= dt"):
+            dataclasses.replace(spec, retry=RetryPolicy(timeout=0.5))
+
     def test_feedback_ttl_through_blackout(self):
         """The TTL decay deadline must fire identically on both schedules
         (the default one arms an explicit wakeup for it)."""
@@ -847,7 +868,11 @@ def scenarios(draw):
         topology=COMBINED_TOPOLOGIES[topology],
         faults=fault_scenario(draw(st.sampled_from(FAULT_SCENARIOS)),
                               WARMUP, MEASURE, seed=seed),
-        retry=draw(st.sampled_from([None, RetryPolicy(timeout=4.0)])),
+        # timeout=1.0 is the shortest RunSpec accepts at dt=1: a timer
+        # armed at an update lands on the next tick, never inside the
+        # replay batch being applied.
+        retry=draw(st.sampled_from([None, RetryPolicy(timeout=4.0),
+                                    RetryPolicy(timeout=1.0)])),
         read_policy=read_policy,
         read_rate=0.5 if read_policy is not None else 0.0)
 

@@ -276,7 +276,6 @@ class TestCrashResets:
         store.apply(2, 7.0, now=6.0, update_count=2)
         store.reset()
         assert store.read(0) == 1.0 and store.read(2) == 3.0
-        assert store.total_refreshes() == 0
         assert list(store.applied_counts) == [0, 0, 0]
         assert list(store.refresh_times) == [0.0, 0.0, 0.0]
 

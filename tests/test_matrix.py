@@ -751,6 +751,7 @@ BAD_CONFIGURATION = [
     (["faults", "sources=4,8"], "sources takes one value"),
     (["rebalance", "rate-range=0.1"], "rate-range takes 2 values"),
     (["faults", "retry-timeout=0"], "timeout must be > 0"),
+    (["faults", "retry-timeout=0.5"], "retry timeout must be >= dt"),
     (["rebalance", "interval=0"], "interval must be > 0"),
     (["netcond", "measure=0"], "measure must be > 0"),
     (["multicache", "topology=replicated", "num-caches=4",

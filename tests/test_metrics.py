@@ -138,12 +138,14 @@ class TestDivergenceCollector:
 
 
 class TestRecordMany:
-    """``record_many`` against the oracle's scalar collector, which
-    applies the same records one at a time."""
+    """Many records at one instant -- what a batch refresh delivers --
+    against the oracle's scalar collector, which integrates each record
+    as it arrives."""
 
     def test_matches_sequential_records_bitwise(self):
-        """A batch equals the same records applied one at a time, under
-        fluctuating weights (each piece weighed at its own start)."""
+        """Logged same-instant records equal the same records integrated
+        one at a time, under fluctuating weights (each piece weighed at
+        its own start)."""
         rng = np.random.default_rng(0)
         sine = SineWeights.random(6, rng)
         sequential = ScalarCollector(6, sine, warmup=1.0)
@@ -153,9 +155,9 @@ class TestRecordMany:
                 collector.record(i, 0.5 + 0.3 * i, float(i))
         indices = np.array([4, 0, 2])
         values = np.array([0.25, 1.5, 0.0])
-        for i, v in zip(indices, values):
-            sequential.record(int(i), 5.0, float(v))
-        batched.record_many(indices, 5.0, values)
+        for collector in (sequential, batched):
+            for i, v in zip(indices, values):
+                collector.record(int(i), 5.0, float(v))
         sequential.finalize(8.0)
         batched.finalize(8.0)
         assert (sequential.total_weighted_average()
@@ -171,7 +173,7 @@ class TestRecordMany:
         reference = ScalarCollector(2, StaticWeights.uniform(2))
         for c in (collector, reference):
             c.record(0, 0.0, 1.0)
-            c.record_many(np.empty(0, dtype=int), 5.0, np.empty(0))
+            c.record_at(np.empty(0, dtype=int), np.empty(0), np.empty(0))
             c.finalize(10.0)
         assert collector.total_weighted_average() == pytest.approx(1.0)
         assert (collector.total_weighted_average()
@@ -184,7 +186,7 @@ class TestRecordMany:
         for collector in (sequential, batched):
             collector.record(0, 1.0, 2.0)  # piece starts inside warm-up
         sequential.record(0, 6.0, 0.0)
-        batched.record_many(np.array([0]), 6.0, np.array([0.0]))
+        batched.record_at(np.array([0]), np.array([6.0]), np.array([0.0]))
         sequential.finalize(10.0)
         batched.finalize(10.0)
         assert (sequential.total_weighted_average()
@@ -195,7 +197,7 @@ NUM_OBJECTS = 5
 READERS = ("duration", "total_weighted_average", "total_unweighted_average",
            "mean_weighted_average", "mean_unweighted_average",
            "per_object_weighted_average")
-OPS = ("record", "record_many", "record_at", "resample", "read", "burst")
+OPS = ("record", "record_at", "resample", "read", "burst")
 
 indices = st.integers(0, NUM_OBJECTS - 1)
 #: clock steps between operations; zero steps make same-instant ties
@@ -284,13 +286,6 @@ class TestLoggedCollector:
                 index, d = data.draw(indices), data.draw(divergences)
                 for c in both:
                     c.record(index, now, d)
-            elif op == "record_many":
-                batch = data.draw(st.lists(indices, unique=True,
-                                           max_size=NUM_OBJECTS))
-                ds = [data.draw(divergences) for _ in batch]
-                for c in both:
-                    c.record_many(np.array(batch, dtype=np.int64), now,
-                                  np.array(ds))
             elif op == "record_at":
                 events = data.draw(st.lists(
                     st.tuples(indices, steps, divergences), max_size=12))

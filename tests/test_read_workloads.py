@@ -10,24 +10,21 @@ Mirrors ``tests/test_vectorized_workloads.py`` for the read side:
   reference loop's one ``poisson_times`` call -- so neither can drift
   silently;
 * **snapshot**: seed-pinned constants for both samplers and for the
-  merged update+read stream (updates strictly before reads at equal
-  timestamps, the phase order the simulator realizes).
+  update+read interleaving the simulator realizes (updates strictly
+  before reads at equal timestamps).
 """
 
 import numpy as np
 import pytest
 
-from repro.workloads.read_process import (
-    ReadReplayer,
-    ReadTrace,
-    merge_reads_with_updates,
-    uniform_reads,
-)
-from repro.workloads.synthetic import uniform_random_walk
-from repro.workloads.update_process import poisson_times_batch
 from repro.sim.engine import Simulator
+from repro.sim.events import Phase
+from repro.workloads.read_process import ReadTrace, uniform_reads
+from repro.workloads.synthetic import uniform_random_walk
+from repro.workloads.trace import TraceReplayer
+from repro.workloads.update_process import poisson_times_batch
 
-from oracles import per_object_reads, poisson_times
+from oracles import each_event, per_object_reads, poisson_times
 
 
 class TestReadTrace:
@@ -155,34 +152,47 @@ class TestSnapshots:
             2079.1449468594137, abs=1e-6)
 
     def test_merged_stream_snapshot(self):
-        """Updates strictly precede reads at equal timestamps, and the
-        seeded interleaving is pinned."""
+        """Replayed together, updates strictly precede reads at equal
+        timestamps, and the seeded interleaving is pinned."""
         rng = np.random.default_rng(7)
         workload = uniform_random_walk(2, 3, 20.0, rng,
                                        arrivals="bernoulli")
         reads = uniform_reads(workload.num_objects, 20.0,
                               np.random.default_rng(9), read_rate=0.5)
-        times, indices, is_read = merge_reads_with_updates(
-            reads, workload.trace)
+        sim = Simulator()
+        stream = []
+
+        def log(is_read):
+            return lambda times, *_: stream.extend(
+                (t, is_read) for t in times.tolist())
+
+        trace = workload.trace
+        TraceReplayer(sim, (trace.times, trace.object_indices,
+                            trace.values), log(False), Phase.UPDATES)
+        TraceReplayer(sim, (reads.times, reads.object_indices), log(True),
+                      Phase.METRICS)
+        sim.run_until(np.inf)
+        times = np.array([t for t, _ in stream])
+        is_read = np.array([r for _, r in stream])
         assert len(times) == 139
         assert int(is_read.sum()) == 59
         assert float(times.sum()) == pytest.approx(1471.935500528765,
                                                    abs=1e-6)
-        # Bernoulli updates land exactly on tick 1.0; the merged stream
-        # puts all four same-tick updates before any same-tick read.
+        # Bernoulli updates land exactly on tick 1.0; the simulator
+        # applies all four same-tick updates before any same-tick read.
         at_one = np.nonzero(times == 1.0)[0]
         assert len(at_one) == 4
         assert not is_read[at_one].any()
-        # Global invariant: within equal times, updates sort first.
+        # Global invariants: time order, and updates first at equal times.
+        assert (np.diff(times) >= 0).all()
         same = np.diff(times) == 0
         assert not (is_read[:-1][same] & ~is_read[1:][same]).any()
 
-    def test_mismatched_object_counts_rejected(self):
-        rng = np.random.default_rng(0)
-        workload = uniform_random_walk(2, 2, 10.0, rng)
-        reads = uniform_reads(3, 10.0, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="objects"):
-            merge_reads_with_updates(reads, workload.trace)
+
+def replay_reads(sim, trace, on_read):
+    """Replay ``trace`` into ``on_read(time, index)``."""
+    return TraceReplayer(sim, (trace.times, trace.object_indices),
+                         each_event(on_read), Phase.METRICS)
 
 
 class TestReadReplayer:
@@ -191,7 +201,7 @@ class TestReadReplayer:
         trace = ReadTrace(2, times=np.array([0.5, 0.5, 2.25]),
                           object_indices=np.array([0, 1, 0]))
         fired = []
-        replayer = ReadReplayer(sim, trace,
+        replayer = replay_reads(sim, trace,
                                 lambda now, i: fired.append((now, i)))
         assert replayer.remaining == 3
         sim.run_until(10.0)
@@ -200,12 +210,11 @@ class TestReadReplayer:
 
     def test_reads_fire_after_same_time_updates(self):
         """METRICS-phase reads observe same-timestamp UPDATES effects."""
-        from repro.sim.events import Phase
         sim = Simulator()
         order = []
         sim.at(1.0, lambda: order.append("update"), phase=Phase.UPDATES)
         trace = ReadTrace(1, times=np.array([1.0]),
                           object_indices=np.array([0]))
-        ReadReplayer(sim, trace, lambda now, i: order.append("read"))
+        replay_reads(sim, trace, lambda now, i: order.append("read"))
         sim.run_until(2.0)
         assert order == ["update", "read"]

@@ -84,9 +84,9 @@ class TestReadModelUnit:
         stores[0].apply(0, 3.5, now=1.0, update_count=1)
         before = model.rng.bit_generator.state["state"]["state"]
         for _ in range(5):
-            assert model.any_replica(0).value == stores[0].read(0)
-            assert model.quorum(0, 1).value == stores[0].read(0)
-            assert model.freshest_replica(0).value == stores[0].read(0)
+            assert model.any_replica(0) == (stores[0].read(0), 0)
+            assert model.quorum(0, 1) == (stores[0].read(0), 0)
+            assert model.freshest_replica(0) == (stores[0].read(0), 0)
         assert model.rng.bit_generator.state["state"]["state"] == before
 
     def test_freshest_picks_time_then_count_then_lowest_id(self):
@@ -94,13 +94,11 @@ class TestReadModelUnit:
         stores[0].apply(0, 1.0, now=5.0, update_count=3)
         stores[1].apply(0, 2.0, now=5.0, update_count=4)
         stores[2].apply(0, 3.0, now=4.0, update_count=4)
-        sample = model.freshest_replica(0)
-        assert (sample.cache_id, sample.value) == (1, 2.0)
-        assert sample.consulted == 3
+        assert model.freshest_replica(0) == (2.0, 1)
         # Full tie resolves to the lowest cache id.
         stores[0].apply(0, 9.0, now=6.0, update_count=5)
         stores[1].apply(0, 8.0, now=6.0, update_count=5)
-        assert model.freshest_replica(0).cache_id == 0
+        assert model.freshest_replica(0) == (9.0, 0)
 
     def test_quorum_full_equals_freshest(self):
         model, stores = make_model()
@@ -120,17 +118,10 @@ class TestReadModelUnit:
             state = model.rng.bit_generator.state
             for k in (1, 2, 3):
                 model.rng.bit_generator.state = state  # same permutation
-                sample = model.quorum(0, k)
-                keys.append((sample.refresh_time, sample.applied_count))
+                _, cache_id = model.quorum(0, k)
+                keys.append(stores[cache_id].freshness_key(0))
             assert keys[0] <= keys[1] <= keys[2]
             assert keys[2] == (3.0, 3)
-
-    def test_read_dispatch(self):
-        model, stores = make_model()
-        stores[2].apply(0, 4.0, now=9.0, update_count=1)
-        assert model.read(0, "freshest").value == 4.0
-        assert model.read(0, "quorum-3").value == 4.0
-        assert model.read(0, "any").consulted == 1
 
 
 class TestStatisticalProperties:

@@ -6,9 +6,10 @@ A sensitivity probe: for each setting of :class:`CooperativePolicy`,
 a base where the setting can matter and one at another valid value.  The
 two :class:`~repro.metrics.report.RunResult` objects must differ, or the
 pair must sit on :data:`INERT` with the reason it cannot move the run.
-Every silent (or failing) pair is reported in one pass, the way a
-parameter sweep logs its failed runs and goes on, so one run of the
-test names them all.
+The ``readmodel`` matrix's parameters are probed the same way, each
+against a tiny replicated base of three rows.  Every silent (or failing)
+pair is reported in one pass, the way a parameter sweep logs its failed
+runs and goes on, so one run of the test names them all.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority, SimpleDivergencePriority
 from repro.core.weights import StaticWeights
+from repro.experiments.matrix import READMODEL, run_scenario
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import FaultPlan, LossRule
 from repro.faults.retry import RetryPolicy
@@ -214,3 +216,67 @@ def test_probe_bases_exercise_their_feature():
     assert outcome(RETRIED).retransmitted > 0
     assert outcome(RETRIED).dropped > 0
     assert outcome(HOT).queued_peak >= RebalanceConfig().saturation_queue
+
+
+# ----------------------------------------------------------------------
+# Matrix Params: the readmodel matrix (E10)
+# ----------------------------------------------------------------------
+#: a tiny replicated base whose links queue, so cache count and bandwidth
+#: reach the reads: three rows (any, quorum-2, freshest)
+READMODEL_BASE = {"num-caches": "2", "replication": "2", "sources": "2",
+                  "objects": "2", "cache-bandwidths": "4",
+                  "source-bandwidth": "1", "warmup": "10", "measure": "30"}
+#: Param key -> one other valid value
+READMODEL_PROBES = {
+    "num-caches": "3",
+    "replication": "1",
+    "cache-bandwidths": "6",
+    "read-rate": "2",
+    "sources": "3",
+    "objects": "3",
+    "source-bandwidth": "2",
+    "delivery": "multicast",
+    "warmup": "5",
+    "measure": "40",
+    "seed": "1",
+}
+#: Param key -> why its probe leaves every row unchanged
+READMODEL_INERT: dict[str, str] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def readmodel_rows(settings: tuple) -> str:
+    """Every row's measurements, without the settings themselves (repr,
+    so a NaN compares equal to itself)."""
+    params = READMODEL.parse([f"{key}={value}" for key, value in settings])
+    return repr([run_scenario(scenario)
+                 for _, _, scenario in READMODEL.cells(params)])
+
+
+def _readmodel(**changes) -> tuple:
+    return tuple(sorted({**READMODEL_BASE, **changes}.items()))
+
+
+def test_every_readmodel_param_is_probed():
+    keys = [param.key for param in READMODEL.params]
+    assert sorted(READMODEL_PROBES) == sorted(keys)
+    assert readmodel_rows(_readmodel()).count("'read_divergence'") == 3
+
+
+def test_every_readmodel_param_changes_a_row_or_is_inert():
+    base = readmodel_rows(_readmodel())
+    problems = []
+    for key, value in READMODEL_PROBES.items():
+        try:
+            moved = readmodel_rows(_readmodel(**{key: value})) != base
+        except Exception as exc:  # noqa: BLE001 - reported with the rest
+            problems.append(f"readmodel {key}={value}: "
+                            f"{type(exc).__name__}: {exc}")
+            continue
+        if not moved and key not in READMODEL_INERT:
+            problems.append(f"readmodel {key}={value}: silent "
+                            f"(every row is unchanged)")
+        elif moved and key in READMODEL_INERT:
+            problems.append(f"readmodel {key}={value}: listed inert but "
+                            f"changes a row")
+    assert not problems, "\n".join(problems)

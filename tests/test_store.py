@@ -31,7 +31,6 @@ class TestReadSemantics:
         store = CacheStore(3, initial_values=np.array([1.5, 0.0, -2.0]))
         assert store.read(0) == 1.5
         assert store.read(2) == -2.0
-        assert store.refresh_counts[2] == 0
         assert store.applied_counts[2] == 0
         # The initial value is the count-0 snapshot taken at time 0.
         assert store.freshness_key(2) == (0.0, 0)
@@ -42,10 +41,8 @@ class TestReadSemantics:
         store.apply(1, 7.5, now=4.0, update_count=3)
         assert store.read(1) == 7.5
         assert store.refresh_times[1] == 4.0
-        assert store.refresh_counts[1] == 1
         assert store.applied_counts[1] == 3
         assert store.freshness_key(1) == (4.0, 3)
-        assert store.total_refreshes() == 1
 
     @pytest.mark.parametrize("index", [-1, 3, 100])
     def test_out_of_range_indices_raise(self, index):
@@ -151,10 +148,9 @@ class TestStaleReplicaDiscard:
         nodes[1].on_message(refresh(10.0, 1, now=3.0))  # discarded
         model = ReadModel(stores, topology, owner=np.zeros(1, np.int64),
                           rng=np.random.default_rng(0))
-        observed = {model.any_replica(0).value for _ in range(20)}
-        observed.add(model.freshest_replica(0).value)
+        observed = {model.any_replica(0)[0] for _ in range(20)}
+        observed.add(model.freshest_replica(0)[0])
         for k in (1, 2):
-            observed.add(model.quorum(0, k).value)
+            observed.add(model.quorum(0, k)[0])
         assert 10.0 not in observed  # the discarded snapshot
-        assert model.freshest_replica(0).value == 20.0
-        assert model.freshest_replica(0).cache_id == 0
+        assert model.freshest_replica(0) == (20.0, 0)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.events import Phase
 from repro.workloads.trace import TraceReplayer, UpdateTrace
+
+from oracles import each_event
 
 
 def small_trace():
@@ -137,19 +140,25 @@ class TestCsvRoundTrip:
             UpdateTrace.from_csv(str(path))
 
 
+def replay(sim, trace, apply):
+    """Replay ``trace`` into ``apply(time, index, value)``."""
+    return TraceReplayer(sim, (trace.times, trace.object_indices,
+                               trace.values), each_event(apply),
+                         Phase.UPDATES)
+
+
 class TestReplayer:
     def test_replays_all_updates_in_order(self):
         sim = Simulator()
         seen = []
-        TraceReplayer(sim, small_trace(),
-                      lambda t, i, v: seen.append((t, i, v)))
+        replay(sim, small_trace(), lambda t, i, v: seen.append((t, i, v)))
         sim.run_until(10.0)
         assert seen == [(1.0, 0, 1.0), (2.0, 1, -1.0), (2.0, 0, 2.0),
                         (5.5, 2, 7.5)]
 
     def test_only_one_event_in_flight(self):
         sim = Simulator()
-        replayer = TraceReplayer(sim, small_trace(), lambda t, i, v: None)
+        replayer = replay(sim, small_trace(), lambda t, i, v: None)
         assert sim.pending_events == 1
         sim.run_until(1.5)
         assert replayer.remaining == 3
@@ -158,8 +167,7 @@ class TestReplayer:
     def test_stops_at_end_time(self):
         sim = Simulator()
         seen = []
-        TraceReplayer(sim, small_trace(),
-                      lambda t, i, v: seen.append(i))
+        replay(sim, small_trace(), lambda t, i, v: seen.append(i))
         sim.run_until(2.0)
         assert seen == [0, 1, 0]
 
@@ -168,6 +176,6 @@ class TestReplayer:
         trace = UpdateTrace(num_objects=1, times=np.array([]),
                             object_indices=np.array([]),
                             values=np.array([]))
-        replayer = TraceReplayer(sim, trace, lambda t, i, v: None)
+        replayer = replay(sim, trace, lambda t, i, v: None)
         sim.run_until(10.0)
         assert replayer.remaining == 0
