@@ -86,11 +86,12 @@ class FeedbackController:
                     f"gains lists {len(gains)} entries for "
                     f"{len(self.source_ids)} sources")
         self._gains: list[float] | None = gains
-        self._position = {sid: pos for pos, sid in enumerate(self.source_ids)}
         # Permanent sid -> slot map: slots are never compacted, so a
         # source migrated away and back (see add/remove_source) reuses
         # its original slot instead of aliasing a second heap identity.
-        self._slots = dict(self._position)
+        # ``_live`` marks the slots of the sources this cache owns now.
+        self._slots = {sid: pos for pos, sid in enumerate(self.source_ids)}
+        self._live = [True] * len(self.source_ids)
         self.known_thresholds = [float("inf")] * len(self.source_ids)
         self.feedback_sent = 0
         # Lazy max-heap over (threshold, source) so selecting the top
@@ -114,35 +115,34 @@ class FeedbackController:
         Versions keep advancing (never reset) so heap entries drained
         before the crash stay stale.
         """
-        live = self._position
-        self.known_thresholds = [
-            float("inf") if sid in live else MIN_THRESHOLD
-            for sid in self.source_ids]
+        live = self._live
+        self.known_thresholds = [float("inf") if alive else MIN_THRESHOLD
+                                 for alive in live]
         self._versions = [v + 1 for v in self._versions]
         self._heap = [(_UNKNOWN_KEY, sid, self._versions[pos])
                       for pos, sid in enumerate(self.source_ids)
-                      if sid in live]
+                      if live[pos]]
         heapq.heapify(self._heap)
-        self._eligible = len(live)
+        self._eligible = sum(live)
 
     def remove_source(self, source_id: int) -> float:
         """Forget one migrated-away source; returns its learned threshold.
 
         The slot is parked, not compacted: the recorded threshold drops
         to the floor (fixing the eligible count and invalidating live
-        heap entries via the version bump) and the source leaves the
-        live ``_position`` map, so late refreshes that were still in
-        flight to this cache can no longer resurrect it through
-        :meth:`observe_threshold`.  The returned threshold travels with
-        the migration so the recipient skips the infinite bootstrap.
+        heap entries via the version bump) and the slot stops being
+        live, so late refreshes that were still in flight to this cache
+        can no longer resurrect it through :meth:`observe_threshold`.
+        The returned threshold travels with the migration so the
+        recipient skips the infinite bootstrap.
         """
-        position = self._position.get(source_id)
-        if position is None:
+        if not self.owns(source_id):
             raise ValueError(
                 f"source {source_id} is not owned by cache {self.cache_id}")
+        position = self._slots[source_id]
         threshold = self.known_thresholds[position]
         self._set_threshold(position, MIN_THRESHOLD)
-        del self._position[source_id]
+        self._live[position] = False
         return threshold
 
     def add_source(self, source_id: int,
@@ -153,14 +153,11 @@ class FeedbackController:
         back) reuses its original slot; a brand-new one is appended.
         Already-live sources just observe the threshold.
         """
-        position = self._position.get(source_id)
-        if position is not None:
-            self._set_threshold(position, threshold)
-            return
         position = self._slots.get(source_id)
         if position is None:
             position = len(self.known_thresholds)
             self._slots[source_id] = position
+            self._live.append(False)
             self.source_ids = self.source_ids + (source_id,)
             # Seed the new slot at the floor (ineligible) so the
             # _set_threshold below accounts the eligibility delta.
@@ -170,13 +167,18 @@ class FeedbackController:
                 # Migrations only move sharded (unreplicated) sources,
                 # whose refresh gain is 1 under every delivery plane.
                 self._gains.append(1.0)
-        self._position[source_id] = position
+        self._live[position] = True
         self._set_threshold(position, threshold)
+
+    def owns(self, source_id: int) -> bool:
+        """Whether ``source_id`` is one of this cache's sources now."""
+        position = self._slots.get(source_id)
+        return position is not None and self._live[position]
 
     def observe_threshold(self, source_id: int, threshold: float) -> None:
         """Record a threshold piggybacked on a refresh message."""
-        position = self._position.get(source_id)
-        if position is not None:
+        position = self._slots.get(source_id)
+        if position is not None and self._live[position]:
             self._set_threshold(position, threshold)
 
     def _set_threshold(self, position: int, threshold: float) -> None:
@@ -232,7 +234,7 @@ class FeedbackController:
             self.cache_id, targets, now)
         self.feedback_sent += delivered
         for rank, source_id in enumerate(targets):
-            position = self._position[source_id]
+            position = self._slots[source_id]
             if rank < delivered:
                 # The protocol's optimistic ``/ omega``; its _set_threshold
                 # pushes a fresh heap entry, superseding the drained one.
@@ -253,7 +255,9 @@ class FeedbackController:
         versions = self._versions
         known = self.known_thresholds
         heap = []
-        for source_id, position in self._position.items():
+        # A parked slot's threshold sits at the floor, so only the live
+        # slots of eligible sources pass.
+        for source_id, position in self._slots.items():
             threshold = known[position]
             if threshold > MIN_THRESHOLD:
                 if gains is not None:
@@ -288,12 +292,10 @@ class FeedbackController:
         while heap and len(selected) < budget:
             entry = heapq.heappop(heap)
             neg_threshold, source_id, version = entry
-            position = self._position.get(source_id)
-            if (position is None
-                    or version != self._versions[position]
+            if (version != self._versions[self._slots[source_id]]
                     or -neg_threshold <= MIN_THRESHOLD):
-                # Stale, no longer eligible, or migrated away since the
-                # entry was pushed: dropped for good.
+                # Stale (migrating away bumps the version too) or no
+                # longer eligible: dropped for good.
                 continue
             selected.append(source_id)
             popped.append(entry)

@@ -36,6 +36,8 @@ class CacheStore:
         #: the count-0 snapshot every copy starts from; kept so a crash
         #: can cold-restart the store (see :meth:`reset`)
         self.initial_values = np.array(initial_values, dtype=float)
+        #: the object count every bounds check compares against
+        self._size = num_objects
         self.values = self.initial_values.copy()
         self.refresh_times = np.zeros(num_objects)
         #: update counter carried by the last applied snapshot (0 until the
@@ -54,15 +56,14 @@ class CacheStore:
         self.applied_counts.fill(0)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self._size
 
     def _check_index(self, index: int) -> None:
         # Negative indices would silently wrap (numpy semantics), which for
         # a cache keyed by object id is always a caller bug.
-        if not 0 <= index < len(self.values):
+        if not 0 <= index < self._size:
             raise IndexError(
-                f"object index {index} out of range "
-                f"[0, {len(self.values)})")
+                f"object index {index} out of range [0, {self._size})")
 
     def apply(self, index: int, value: float, now: float,
               update_count: int = 0) -> None:
@@ -70,9 +71,11 @@ class CacheStore:
 
         ``update_count`` is the source update counter carried by the
         snapshot; the read model's freshest-replica selection uses it to
-        break refresh-time ties across replicas.
+        break refresh-time ties across replicas.  The bounds check runs
+        in this frame: this is called once per delivered refresh.
         """
-        self._check_index(index)
+        if not 0 <= index < self._size:
+            self._check_index(index)  # raises
         self.values[index] = value
         self.refresh_times[index] = now
         self.applied_counts[index] = update_count

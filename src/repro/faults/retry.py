@@ -246,7 +246,8 @@ class ReliableDelivery:
             for obj in marks:
                 obj.mark_sent(now)
                 if sender is not None:
-                    sender.monitor.on_refresh_sent(obj, now)
+                    sender.monitor.on_refresh_sent(sender.tracker, obj,
+                                                   now)
         delay = self.policy.timeout * (
             self.policy.backoff ** (entry.attempts - 1))
         entry.timer = self.sim.at(now + delay,

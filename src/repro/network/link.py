@@ -66,8 +66,9 @@ class Link:
                  "total_delivered", "total_units", "total_queued_peak",
                  "_window_queued_peak")
 
-    def __init__(self, name: str, profile: BandwidthProfile,
+    def __init__(self, name: str | int, profile: BandwidthProfile,
                  deliver: DeliveryCallback | None = None) -> None:
+        #: a cache or peer link's name, or a source link's source id
         self.name = name
         self.profile = profile
         self.deliver = deliver
@@ -110,6 +111,13 @@ class Link:
     # Credit management
     # ------------------------------------------------------------------
     @property
+    def label(self) -> str:
+        """The name errors and ``repr`` show (``source-<id>`` for a
+        source link)."""
+        name = self.name
+        return name if isinstance(name, str) else f"source-{name}"
+
+    @property
     def lazy(self) -> bool:
         """True when this link skips eager per-tick refills."""
         return self._lazy
@@ -124,7 +132,7 @@ class Link:
         if value and self.profile.steady_rate is None \
                 and self._trace is None:
             raise ValueError(
-                f"link {self.name!r} cannot refill lazily: profile "
+                f"link {self.label!r} cannot refill lazily: profile "
                 f"{self.profile!r} is not steady or piecewise (lazy sync "
                 f"replays per-tick refills, which is only exact when the "
                 f"capacity earned per tick is reconstructible)")
@@ -550,5 +558,5 @@ class Link:
         return min(1.0, self.tick_used / self.tick_capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Link {self.name} credit={self.credit:.2f} "
+        return (f"<Link {self.label} credit={self.credit:.2f} "
                 f"queued={len(self.queue)}>")

@@ -101,8 +101,13 @@ class Topology:
         # on a sharding).  Groups keep first-occurrence order: the first
         # bad group names the first bad source.
         groups: dict[tuple[int, ...], list[int]] = {}
-        for j, targets in enumerate(self._assignment):
+        # A source link is named by its source id, the int the membership
+        # tuples below keep anyway: naming allocates nothing per source.
+        self.source_links: list[Link] = []
+        for j, (targets, profile) in enumerate(zip(self._assignment,
+                                                   source_profiles)):
             groups.setdefault(targets, []).append(j)
+            self.source_links.append(Link(j, profile))
         members: list[list[int]] = [[] for _ in range(num_caches)]
         owned: list[list[int]] = [[] for _ in range(num_caches)]
         for targets, group in groups.items():
@@ -123,10 +128,6 @@ class Topology:
         #: each delivers to its cache's receiver (see _wire_cache_link).
         self.cache_links = [Link(f"cache-{k}", profile)
                             for k, profile in enumerate(cache_profiles)]
-        self.source_links = [
-            Link(f"source-{j}", profile)
-            for j, profile in enumerate(source_profiles)
-        ]
         self.delivery = delivery
         # The primary cache of each source, and whether any source has
         # sibling replicas: all a single-target send_upstream reads.

@@ -58,7 +58,7 @@ class CompetitivePolicy(CooperativePolicy):
         self.option = option
         self.own_refreshes_sent = 0
         self._own_trackers: list[PriorityTracker] = []
-        self._own_monitors: list[TriggerMonitor] = []
+        self._own_monitor: TriggerMonitor | None = None
         self._own_credit: list[float] = []
         self._own_rate: list[float] = []
         self.source_collector: DivergenceCollector | None = None
@@ -79,12 +79,13 @@ class CompetitivePolicy(CooperativePolicy):
                 f"source weight model covers {self.source_weights.n} "
                 f"objects, expected {workload.num_objects}")
         m = workload.num_sources
-        self._own_trackers = [PriorityTracker() for _ in range(m)]
+        # The own-priority queues share a version store of their own.
+        versions = [0] * workload.num_objects
+        self._own_trackers = [PriorityTracker(versions) for _ in range(m)]
         # Each source keeps its own-priority queue exact on every update,
         # under the shared priority function and its own weights.
-        self._own_monitors = [
-            TriggerMonitor(tracker, self.priority_fn, self.source_weights)
-            for tracker in self._own_trackers]
+        self._own_monitor = TriggerMonitor(self.priority_fn,
+                                           self.source_weights)
         self._own_credit = [0.0] * m
         self._own_rate = self._allocate_rates(workload)
         self.source_collector = DivergenceCollector(
@@ -116,7 +117,8 @@ class CompetitivePolicy(CooperativePolicy):
     # Event routing
     # ------------------------------------------------------------------
     def _on_update_competitive(self, obj: DataObject, now: float) -> None:
-        self._own_monitors[obj.source_id].on_update(obj, now)
+        self._own_monitor.on_update(self._own_trackers[obj.source_id], obj,
+                                    now)
         # Fresh own-priority work: wake at the next own-sends fire (the
         # same tick when the update lands before SOURCES phase).
         self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)

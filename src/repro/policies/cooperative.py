@@ -206,33 +206,42 @@ class CooperativePolicy(SyncPolicy):
             self.caches.append(cache)
 
         per_source = workload.objects_per_source
+        objects = ctx.objects
         self.sources = []
         receiver = self._on_source_message
         # The derived feedback period depends only on a source's primary
         # cache, so compute it once per cache instead of once per source
         # (at m ~ 10^5 the per-source log/len arithmetic is real money).
         period_by_cache: dict[int, float | None] = {}
+        # Every source's tracker shares one version store (an object is
+        # tracked by its own source only), and a trigger monitor keeps no
+        # per-source state, so one serves every source.
+        versions = [0] * workload.num_objects
+        trigger = (TriggerMonitor(self.priority_fn, workload.weights)
+                   if self.monitor_kind == "trigger" else None)
         for j in range(workload.num_sources):
-            objects = ctx.objects[j * per_source:(j + 1) * per_source]
             primary = topology.primary_cache_of(j)
             if primary not in period_by_cache:
                 period_by_cache[primary] = self._feedback_period_for(j, ctx)
-            tracker = PriorityTracker()
             threshold = ThresholdController(
                 initial=self.initial_threshold, alpha=self.alpha,
                 omega=self.omega,
                 feedback_period=period_by_cache[primary],
                 feedback_ttl=self.feedback_ttl)
-            monitor = self._build_monitor(tracker, workload.weights,
-                                          ctx.metric, threshold)
+            monitor = trigger if trigger is not None else \
+                self._sampling_monitor(workload.weights, ctx.metric,
+                                       threshold)
+            # The first object's own index int, as the source's first
+            # index: a computed one would cost each source 32 B more.
+            first = objects[j * per_source].index if per_source else 0
+            args = (j, objects, first, per_source,
+                    PriorityTracker(versions), monitor, threshold, topology)
             if self.batch_size > 1:
                 source: SourceNode = BatchingSource(
-                    j, objects, monitor, threshold, topology,
-                    batch_size=self.batch_size,
+                    *args, batch_size=self.batch_size,
                     batch_timeout=self.batch_timeout)
             else:
-                source = SourceNode(j, objects, monitor, threshold,
-                                    topology)
+                source = SourceNode(*args)
             self.sources.append(source)
             topology.set_source_receiver(j, receiver)
             if topology.reliable is not None:
@@ -241,7 +250,7 @@ class CooperativePolicy(SyncPolicy):
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
         for j, source in enumerate(self.sources):
-            source.monitor.prime(source.objects)
+            source.monitor.prime(source.indices())
             self._rearm_source(j, source, 0.0, blocked=False)
         for k in range(topology.num_caches):
             self._cache_wakeups.arm(k, 0.0)
@@ -291,12 +300,11 @@ class CooperativePolicy(SyncPolicy):
         peers = len(self.topology.owned_sources_of(primary))
         return max(slack * peers / mean_rate, 5.0 * ctx.dt)
 
-    def _build_monitor(self, tracker: PriorityTracker, weights, metric:
-                       DivergenceMetric, threshold: ThresholdController):
-        if self.monitor_kind == "trigger":
-            return TriggerMonitor(tracker, self.priority_fn, weights)
+    def _sampling_monitor(self, weights, metric: DivergenceMetric,
+                          threshold: ThresholdController) -> SamplingMonitor:
+        """One source's sampling monitor, reading its ``threshold``."""
         return SamplingMonitor(
-            tracker, self.priority_fn, weights, metric,
+            self.priority_fn, weights, metric,
             interval=self.sampling_interval,
             predictive=self.predictive_sampling,
             threshold=lambda: threshold.value)

@@ -88,7 +88,7 @@ class IdealCooperativePolicy(SyncPolicy):
         self.cache_bandwidth = cache_bandwidth
         self.priority_fn = priority_fn
         self.source_bandwidths = source_bandwidths
-        self.tracker = PriorityTracker()
+        self.tracker: PriorityTracker | None = None
         self._monitor: TriggerMonitor | None = None
         self._refreshes = 0
         self._ctx: SimulationContext | None = None
@@ -130,13 +130,14 @@ class IdealCooperativePolicy(SyncPolicy):
             ]
         self._armed = False
         # Exact priorities on every update, as a trigger monitor keeps them.
-        self._monitor = TriggerMonitor(self.tracker, self.priority_fn,
+        self.tracker = PriorityTracker([0] * ctx.workload.num_objects)
+        self._monitor = TriggerMonitor(self.priority_fn,
                                        ctx.workload.weights)
         ctx.add_update_hook(self._on_update)
         ctx.sim.every(ctx.dt, self._on_tick, phase=Phase.SOURCES)
 
     def _on_update(self, obj: DataObject, now: float) -> None:
-        self._monitor.on_update(obj, now)
+        self._monitor.on_update(self.tracker, obj, now)
         # "Each time there is enough cache-side bandwidth to accept a
         # refresh" (Sec 3.3): the idealized scheduler reacts immediately,
         # not at the next tick.
@@ -151,7 +152,7 @@ class IdealCooperativePolicy(SyncPolicy):
             # Every object's priority moves every tick: re-evaluate all.
             self._refill(now)
             for obj in self._ctx.objects:
-                self._monitor.on_update(obj, now)
+                self._monitor.on_update(self.tracker, obj, now)
             self._drain(now)
             return
         # Parked whenever the queue is empty: a tick's drain would be a

@@ -229,22 +229,6 @@ class Simulator:
         """
         return self._queue.peek_time()
 
-    def advance_clock(self, time: float) -> None:
-        """Move ``now`` forward between queued events (batched replay).
-
-        A batched replayer applies several trace events inside one
-        simulator event; advancing the clock as it goes keeps every
-        ``sim.now`` read (message delivery clocks, hook timestamps)
-        identical to the per-event schedule, where each trace event's own
-        firing moved the clock.  Must never rewind, and must stay at or
-        before the next queued event (enforced by the batch boundary, not
-        re-checked here -- this is a hot-path call).
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot rewind the clock to t={time} < now={self.now}")
-        self.now = time
-
     def step(self) -> bool:
         """Execute the single next event.  Returns ``False`` when idle."""
         event = self._queue.pop()

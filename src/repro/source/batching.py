@@ -60,7 +60,7 @@ class BatchingSource(SourceNode):
         update must drain, since that drain may flush on the timeout.
         """
         self.threshold.maybe_decay(now)
-        tracker = self.monitor.tracker
+        tracker = self.tracker
         staged_indices = {obj.index for obj in self._staged}
         while True:
             top = tracker.peek()
@@ -72,7 +72,7 @@ class BatchingSource(SourceNode):
             tracker.pop()
             if index in staged_indices:
                 continue
-            self._staged.append(self.objects[index - self.first_index])
+            self._staged.append(self.objects[index])
             staged_indices.add(index)
             if self._staged_since is None:
                 self._staged_since = now
@@ -103,7 +103,7 @@ class BatchingSource(SourceNode):
             return False  # out of bandwidth; retry on a later tick
         for obj in batch:
             obj.mark_sent(now)
-            self.monitor.on_refresh_sent(obj, now)
+            self.monitor.on_refresh_sent(self.tracker, obj, now)
             self.items_sent += 1
         self._staged = self._staged[self.batch_size:]
         self._staged_since = now if self._staged else None

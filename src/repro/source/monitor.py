@@ -1,6 +1,7 @@
 """Priority monitoring at the sources (paper Sec 8).
 
-A monitor tells its policy when to wake its source
+A monitor keeps a source's :class:`PriorityTracker` (held by the source)
+up to date, tells its policy when to wake the source
 (:meth:`PriorityMonitor.next_wake_time`) and does the woken source's
 monitoring work (:meth:`PriorityMonitor.on_wake`); the policy's wakeup
 dispatcher is the only schedule.  Two implementations:
@@ -10,7 +11,8 @@ dispatcher is the only schedule.  Two implementations:
   non-time-varying priority functions), so it asks for no wakeup; under
   a time-varying priority (Sec 9's bound) it asks for every dispatcher
   fire and re-evaluates every object.  Requires triggers or equivalent
-  change capture at the source.
+  change capture at the source.  It keeps no per-source state, so a
+  policy builds one for all of its sources.
 * :class:`SamplingMonitor` -- approximate (Sec 8.2.1): the source samples
   each object's divergence periodically (woken at the earliest per-object
   deadline), estimates the divergence integral
@@ -46,28 +48,31 @@ MIN_SAMPLING_INTERVAL = 1.0
 class PriorityMonitor(ABC):
     """Keeps a source's :class:`PriorityTracker` up to date.
 
-    The owning policy wakes the source through its wakeup dispatcher:
-    after every interaction it arms the source at :meth:`next_wake_time`,
-    and a woken source calls :meth:`on_wake` before it drains.  A monitor
-    never calls back into the engine itself.
+    The tracker belongs to the source and is passed in, so a monitor
+    holds only what it computes priorities from.  The owning policy wakes
+    the source through its wakeup dispatcher: after every interaction it
+    arms the source at :meth:`next_wake_time`, and a woken source calls
+    :meth:`on_wake` before it drains.  A monitor never calls back into
+    the engine itself.
     """
 
-    __slots__ = ("tracker", "priority_fn", "weights")
+    __slots__ = ("priority_fn", "weights")
 
-    def __init__(self, tracker: PriorityTracker,
-                 priority_fn: PriorityFunction,
+    def __init__(self, priority_fn: PriorityFunction,
                  weights: WeightModel) -> None:
-        self.tracker = tracker
         self.priority_fn = priority_fn
         self.weights = weights
 
     @abstractmethod
-    def on_update(self, obj: DataObject, now: float) -> float:
+    def on_update(self, tracker: PriorityTracker, obj: DataObject,
+                  now: float) -> float:
         """An update was applied to ``obj``; returns ``obj``'s priority as
-        this monitor now tracks it (0.0 when it does not see updates)."""
+        ``tracker`` now holds it (0.0 when this monitor does not see
+        updates)."""
 
-    def prime(self, obj_list: list[DataObject]) -> None:
-        """Install the initial wakeup state for the source's objects."""
+    def prime(self, indices) -> None:
+        """Install the initial wakeup state for the source's objects (by
+        global index)."""
 
     def next_wake_time(self) -> float | None:
         """Earliest time this monitor needs its source woken (or ``None``)."""
@@ -76,9 +81,10 @@ class PriorityMonitor(ABC):
     def on_wake(self, source, now: float) -> None:
         """Re-evaluate the objects that are due at this dispatcher fire."""
 
-    def on_refresh_sent(self, obj: DataObject, now: float) -> None:
-        """``obj`` was refreshed; drop it from the queue."""
-        self.tracker.remove(obj.index)
+    def on_refresh_sent(self, tracker: PriorityTracker, obj: DataObject,
+                        now: float) -> None:
+        """``obj`` was refreshed; drop it from ``tracker``."""
+        tracker.remove(obj.index)
 
 
 class TriggerMonitor(PriorityMonitor):
@@ -93,7 +99,8 @@ class TriggerMonitor(PriorityMonitor):
 
     __slots__ = ()
 
-    def on_update(self, obj: DataObject, now: float) -> float:
+    def on_update(self, tracker: PriorityTracker, obj: DataObject,
+                  now: float) -> float:
         """Re-evaluate ``obj`` from its exact belief view at ``now``.
 
         The operands are the belief's divergence, its integral since the
@@ -107,7 +114,7 @@ class TriggerMonitor(PriorityMonitor):
             view.integral_acc + divergence * (now - view.last_change_time),
             now - view.last_refresh_time,
             self.weights.weight(obj.index, now))
-        self.tracker.update(obj.index, priority)
+        tracker.update(obj.index, priority)
         return priority
 
     def next_wake_time(self) -> float | None:
@@ -115,8 +122,10 @@ class TriggerMonitor(PriorityMonitor):
 
     def on_wake(self, source, now: float) -> None:
         if self.priority_fn.time_varying:
-            for obj in source.objects:
-                self.on_update(obj, now)
+            tracker = source.tracker
+            objects = source.objects
+            for index in source.indices():
+                self.on_update(tracker, objects[index], now)
 
 
 class SamplingMonitor(PriorityMonitor):
@@ -144,12 +153,11 @@ class SamplingMonitor(PriorityMonitor):
                  "threshold", "samples_taken", "_last_sample_time",
                  "_last_sample_div", "_est_integral", "_deadlines")
 
-    def __init__(self, tracker: PriorityTracker,
-                 priority_fn: PriorityFunction, weights: WeightModel,
+    def __init__(self, priority_fn: PriorityFunction, weights: WeightModel,
                  metric: DivergenceMetric, interval: float,
                  predictive: bool = False,
                  threshold=None) -> None:
-        super().__init__(tracker, priority_fn, weights)
+        super().__init__(priority_fn, weights)
         if interval <= 0:
             raise ValueError(f"sampling interval must be > 0, got {interval}")
         self.metric = metric
@@ -168,22 +176,24 @@ class SamplingMonitor(PriorityMonitor):
     # ------------------------------------------------------------------
     # Monitor interface
     # ------------------------------------------------------------------
-    def on_update(self, obj: DataObject, now: float) -> float:
+    def on_update(self, tracker: PriorityTracker, obj: DataObject,
+                  now: float) -> float:
         # A sampling source does not see individual updates.
         return 0.0
 
-    def on_refresh_sent(self, obj: DataObject, now: float) -> None:
-        super().on_refresh_sent(obj, now)
+    def on_refresh_sent(self, tracker: PriorityTracker, obj: DataObject,
+                        now: float) -> None:
+        super().on_refresh_sent(tracker, obj, now)
         index = obj.index
         self._last_sample_time[index] = now
         self._last_sample_div[index] = 0.0
         self._est_integral[index] = 0.0
         self._deadlines.reschedule(index, now + self.interval)
 
-    def prime(self, obj_list: list[DataObject]) -> None:
+    def prime(self, indices) -> None:
         """Arm every object's first sample at time 0 (due at once)."""
-        for obj in obj_list:
-            self._deadlines.reschedule(obj.index, 0.0)
+        for index in indices:
+            self._deadlines.reschedule(index, 0.0)
 
     def next_wake_time(self) -> float | None:
         return self._deadlines.peek_time()
@@ -195,16 +205,18 @@ class SamplingMonitor(PriorityMonitor):
         object visits the due ones, with a ``1e-12`` slack on the
         deadline comparison.
         """
+        tracker = source.tracker
         objects = source.objects
-        first = source.first_index
         for index in self._deadlines.pop_due(now, eps=1e-12):
-            self.sample(objects[index - first], now)
+            self.sample(tracker, objects[index], now)
 
     # ------------------------------------------------------------------
     # Sampling machinery
     # ------------------------------------------------------------------
-    def sample(self, obj: DataObject, now: float) -> None:
-        """Take one divergence sample of ``obj`` and update its priority."""
+    def sample(self, tracker: PriorityTracker, obj: DataObject,
+               now: float) -> None:
+        """Take one divergence sample of ``obj`` and update its priority
+        in ``tracker``."""
         index = obj.index
         view = obj.belief
         divergence = self.metric.compute(
@@ -225,7 +237,7 @@ class SamplingMonitor(PriorityMonitor):
         weight = self.weights.weight(index, now)
         priority = self.priority_fn.priority(
             obj, divergence, integral, now - view.last_refresh_time, weight)
-        self.tracker.update(index, priority)
+        tracker.update(index, priority)
         self._deadlines.reschedule(index, now + self._next_delay(
             obj, priority, divergence, last_t, last_d, now, weight))
 

@@ -1,8 +1,9 @@
 """The cooperating data source (paper Secs 5 and 8).
 
-A :class:`SourceNode` owns a contiguous range of objects, watches their
-refresh priorities through a :class:`PriorityMonitor`, and implements the
-source half of the threshold-setting protocol:
+A :class:`SourceNode` owns a contiguous range of objects, keeps their
+refresh priorities in its :class:`PriorityTracker` through a
+:class:`PriorityMonitor`, and implements the source half of the
+threshold-setting protocol:
 
 * whenever source-side bandwidth allows, refresh the highest-priority
   object *if* its priority is at least the local threshold ``T_j``;
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from repro.core.objects import DataObject
 from repro.core.threshold import ThresholdController
+from repro.core.tracking import PriorityTracker
 from repro.network.messages import FeedbackMessage, Message, RefreshMessage
 from repro.network.topology import Topology
 from repro.source.monitor import PriorityMonitor
@@ -31,28 +33,34 @@ class SourceNode:
     in ``feedback_by_cache`` for diagnostics, ``None`` until the first
     feedback).
 
-    ``objects`` must have contiguous global indices, so the object with
-    index ``i`` is ``objects[i - first_index]``.
+    ``objects`` is the run's list of every object, indexed by global
+    object index and shared by all sources; this source owns the
+    ``num_objects`` objects from ``first_index`` on (:meth:`indices`).
+    ``tracker`` is its priority queue and ``monitor`` keeps it up to date
+    (one trigger monitor serves every source of a policy).
     """
 
-    __slots__ = ("source_id", "objects", "monitor", "threshold",
-                 "topology", "refreshes_sent", "feedback_received",
-                 "feedback_by_cache", "send_hooks", "first_index",
-                 "blocked")
+    __slots__ = ("source_id", "objects", "first_index", "num_objects",
+                 "tracker", "monitor", "threshold", "topology",
+                 "refreshes_sent", "feedback_received",
+                 "feedback_by_cache", "send_hooks", "blocked")
 
     def __init__(self, source_id: int, objects: list[DataObject],
-                 monitor: PriorityMonitor,
+                 first_index: int, num_objects: int,
+                 tracker: PriorityTracker, monitor: PriorityMonitor,
                  threshold: ThresholdController,
                  topology: Topology) -> None:
-        first = objects[0].index if objects else 0
-        for offset, obj in enumerate(objects):
-            if obj.index != first + offset:
+        for index in range(first_index, first_index + num_objects):
+            if objects[index].index != index:
                 raise ValueError(
                     f"source {source_id}: object indices must be "
-                    f"contiguous, expected {first + offset} at offset "
-                    f"{offset}, got {obj.index}")
+                    f"contiguous, expected {index} at position {index}, "
+                    f"got {objects[index].index}")
         self.source_id = source_id
         self.objects = objects
+        self.first_index = first_index
+        self.num_objects = num_objects
+        self.tracker = tracker
         self.monitor = monitor
         self.threshold = threshold
         self.topology = topology
@@ -61,10 +69,13 @@ class SourceNode:
         self.feedback_by_cache: dict[int, int] | None = None
         #: callbacks ``hook(obj, now, threshold_driven)`` fired per send
         self.send_hooks: tuple = ()
-        self.first_index = first
         #: whether the last drain stopped on over-threshold work it had
         #: no source-side bandwidth for (see :meth:`drain`)
         self.blocked = False
+
+    def indices(self) -> range:
+        """Global indices of this source's objects."""
+        return range(self.first_index, self.first_index + self.num_objects)
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -85,7 +96,8 @@ class SourceNode:
         bandwidth (it needs a wakeup at the next refill to finish).
         """
         threshold = self.threshold
-        if (self.monitor.on_update(obj, now) < threshold.value
+        if (self.monitor.on_update(self.tracker, obj, now)
+                < threshold.value
                 and not self.blocked and now < threshold.decay_deadline):
             return False
         return self.drain(now)
@@ -133,14 +145,13 @@ class SourceNode:
         """
         threshold = self.threshold
         threshold.maybe_decay(now)
-        tracker = self.monitor.tracker
+        tracker = self.tracker
         while True:
             top = tracker.peek()
             if top is None or top[1] < threshold.value:
                 self.blocked = False
                 return False
-            obj = self.objects[top[0] - self.first_index]
-            if not self._send_refresh(obj, now):
+            if not self._send_refresh(self.objects[top[0]], now):
                 self.blocked = True
                 return True  # out of source-side bandwidth this tick
 
@@ -156,7 +167,7 @@ class SourceNode:
         if not self.topology.send_upstream(message):
             return False
         obj.mark_sent(now)
-        self.monitor.on_refresh_sent(obj, now)
+        self.monitor.on_refresh_sent(self.tracker, obj, now)
         if adjust_threshold:
             self.threshold.on_refresh(now)
         self.refreshes_sent += 1

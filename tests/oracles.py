@@ -76,22 +76,23 @@ def _cooperative_scan_sources(self, now: float) -> None:
     batching source's drain sends at most one batch)."""
     for source in self.sources:
         monitor = source.monitor
+        tracker = source.tracker
         if isinstance(monitor, SamplingMonitor):
             # Read each deadline where the wakeups keep it, never popping.
             deadlines = monitor._deadlines
-            for obj in source.objects:
-                if now + 1e-12 >= deadlines.wake_time(obj.index):
-                    monitor.sample(obj, now)
+            for index in source.indices():
+                if now + 1e-12 >= deadlines.wake_time(index):
+                    monitor.sample(tracker, source.objects[index], now)
         elif monitor.priority_fn.time_varying:
-            for obj in source.objects:
-                monitor.on_update(obj, now)
+            for index in source.indices():
+                monitor.on_update(tracker, source.objects[index], now)
         source.drain(now)
 
 
 def recompute_then_drain(source, obj, now: float) -> bool:
     """The paper's literal per-update decision for ``source``:
     re-prioritize the object, then always drain."""
-    source.monitor.on_update(obj, now)
+    source.monitor.on_update(source.tracker, obj, now)
     return source.drain(now)
 
 
@@ -199,8 +200,8 @@ def belief_priority(priority_fn, obj, now: float,
     """``priority_fn``'s weighted priority of ``obj`` at ``now``, from its
     exact belief view: what a trigger monitor evaluates on an update."""
     weights = StaticWeights(np.full(obj.index + 1, float(weight)))
-    monitor = TriggerMonitor(PriorityTracker(), priority_fn, weights)
-    return monitor.on_update(obj, now)
+    monitor = TriggerMonitor(priority_fn, weights)
+    return monitor.on_update(PriorityTracker(), obj, now)
 
 
 def flood_factor(controller, now: float) -> float:

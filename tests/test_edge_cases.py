@@ -98,8 +98,8 @@ class TestSourceMessageRouting:
                             [ConstantBandwidth(5.0)])
         objects = [DataObject(index=0, source_id=0)]
         source = SourceNode(
-            0, objects,
-            TriggerMonitor(PriorityTracker(), SimpleDivergencePriority(),
+            0, objects, 0, 1, PriorityTracker(),
+            TriggerMonitor(SimpleDivergencePriority(),
                            StaticWeights.uniform(1)),
             ThresholdController(), topology)
         before = source.threshold.value

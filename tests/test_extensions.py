@@ -81,11 +81,11 @@ class TestBatchingSource:
                             [ConstantBandwidth(source_rate)])
         objects = [DataObject(index=i, source_id=0, rate=0.5)
                    for i in range(6)]
-        tracker = PriorityTracker()
-        monitor = TriggerMonitor(tracker, PoissonStalenessPriority(),
+        monitor = TriggerMonitor(PoissonStalenessPriority(),
                                  StaticWeights.uniform(6))
         threshold = ThresholdController(initial=0.5)
-        source = BatchingSource(0, objects, monitor, threshold, topology,
+        source = BatchingSource(0, objects, 0, 6, PriorityTracker(),
+                                monitor, threshold, topology,
                                 batch_size=batch_size,
                                 batch_timeout=batch_timeout)
         received = []

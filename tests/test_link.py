@@ -12,6 +12,7 @@ from repro.network.bandwidth import (
 )
 from repro.network.link import Link
 from repro.network.messages import FeedbackMessage
+from repro.network.topology import Topology
 
 
 def make_link(rate=5.0, sink=None):
@@ -272,6 +273,14 @@ class TestLazyRequiresSteadyProfile:
         link = Link("sine", SineBandwidth(4.0, 0.25))
         link.lazy = False  # the classify loop always assigns
         assert not link.lazy
+
+    def test_a_source_link_refusal_names_its_source(self):
+        """Source links carry their source id, not a name string."""
+        topology = Topology([ConstantBandwidth(10.0)],
+                            [ConstantBandwidth(1.0),
+                             SineBandwidth(4.0, 0.25)])
+        with pytest.raises(ValueError, match="'source-1' cannot refill"):
+            topology.source_links[1].lazy = True
 
 
 class TestLazySync:

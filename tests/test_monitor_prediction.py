@@ -62,9 +62,8 @@ class TestProjectedCrossing:
         """Drive a SamplingMonitor over a linearly diverging object and
         check the predicted next-sample time against the true crossing."""
         rho, threshold = 0.5, 30.0
-        tracker = PriorityTracker()
         monitor = SamplingMonitor(
-            tracker, AreaPriority(), StaticWeights.uniform(1),
+            AreaPriority(), StaticWeights.uniform(1),
             ValueDeviation(), interval=100.0, predictive=True,
             threshold=lambda: threshold)
         obj = DataObject(index=0, source_id=0, value=0.0)
@@ -73,11 +72,12 @@ class TestProjectedCrossing:
         while t <= 2.0 + 1e-9:  # divergence grows to rho * 2 by t = 2
             obj.apply_update(t, rho * t, metric)
             t += 0.05
-        monitor.sample(obj, 2.0)
+        monitor.sample(PriorityTracker(), obj, 2.0)
         while t <= 4.0 + 1e-9:  # ...and to rho * 4 by t = 4
             obj.apply_update(t, rho * t, metric)
             t += 0.05
-        monitor.sample(obj, 4.0)  # two samples establish the rate
+        # two samples establish the rate
+        monitor.sample(PriorityTracker(), obj, 4.0)
         predicted = monitor._deadlines.wake_time(0)
         # True crossing: rho t^2 / 2 = threshold  =>  t = sqrt(2T/rho)
         true_crossing = math.sqrt(2.0 * threshold / rho)
@@ -85,48 +85,45 @@ class TestProjectedCrossing:
 
     def test_prediction_clamped_to_regular_interval(self):
         """Far-from-threshold objects fall back to the regular interval."""
-        tracker = PriorityTracker()
         monitor = SamplingMonitor(
-            tracker, AreaPriority(), StaticWeights.uniform(1),
+            AreaPriority(), StaticWeights.uniform(1),
             ValueDeviation(), interval=7.0, predictive=True,
             threshold=lambda: 1e12)
         obj = linear_divergence_object(0.1, until=2.0)
-        monitor.sample(obj, 1.0)
-        monitor.sample(obj, 2.0)
+        monitor.sample(PriorityTracker(), obj, 1.0)
+        monitor.sample(PriorityTracker(), obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 <= 7.0 + 1e-9
 
     def test_over_threshold_object_sampled_immediately(self):
-        tracker = PriorityTracker()
         monitor = SamplingMonitor(
-            tracker, AreaPriority(), StaticWeights.uniform(1),
+            AreaPriority(), StaticWeights.uniform(1),
             ValueDeviation(), interval=50.0, predictive=True,
             threshold=lambda: 0.001)
         obj = linear_divergence_object(1.0, until=5.0)
-        monitor.sample(obj, 5.0)
+        monitor.sample(PriorityTracker(), obj, 5.0)
         assert monitor._deadlines.wake_time(0) - 5.0 == pytest.approx(
             MIN_SAMPLING_INTERVAL)
 
     def test_shrinking_divergence_uses_regular_interval(self):
         """Negative observed rate (divergence falling) cannot predict a
         crossing; the monitor must not crash or schedule in the past."""
-        tracker = PriorityTracker()
         monitor = SamplingMonitor(
-            tracker, AreaPriority(), StaticWeights.uniform(1),
+            AreaPriority(), StaticWeights.uniform(1),
             ValueDeviation(), interval=5.0, predictive=True,
             threshold=lambda: 100.0)
         obj = DataObject(index=0, source_id=0, value=0.0)
         metric = ValueDeviation()
         obj.apply_update(1.0, 4.0, metric)
-        monitor.sample(obj, 1.0)
+        monitor.sample(PriorityTracker(), obj, 1.0)
         obj.apply_update(2.0, 1.0, metric)  # walked back toward cache
-        monitor.sample(obj, 2.0)
+        monitor.sample(PriorityTracker(), obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(5.0)
 
 
 def make_monitor(threshold=100.0, interval=5.0, weights=None):
     return SamplingMonitor(
-        PriorityTracker(), AreaPriority(),
-        weights or StaticWeights.uniform(1), ValueDeviation(),
+        AreaPriority(), weights or StaticWeights.uniform(1),
+        ValueDeviation(),
         interval=interval, predictive=True,
         threshold=lambda: threshold)
 
@@ -141,7 +138,7 @@ def sample_linear(monitor, rho, sample_times, step=0.01):
         while t <= when + 1e-9:
             obj.apply_update(t, rho * t, metric)
             t += step
-        monitor.sample(obj, when)
+        monitor.sample(PriorityTracker(), obj, when)
     return obj
 
 
@@ -158,8 +155,9 @@ class TestPredictiveFallbacks:
         obj = DataObject(index=0, source_id=0, value=0.0)
         metric = ValueDeviation()
         obj.apply_update(1.0, 3.0, metric)
-        monitor.sample(obj, 1.0)
-        monitor.sample(obj, 2.0)  # same divergence: rho == 0
+        monitor.sample(PriorityTracker(), obj, 1.0)
+        # same divergence: rho == 0
+        monitor.sample(PriorityTracker(), obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(5.0)
 
     def test_zero_weight_uses_regular_interval(self):
@@ -173,8 +171,8 @@ class TestPredictiveFallbacks:
         """elapsed_since_last == 0 would divide by zero estimating rho."""
         monitor = make_monitor(interval=4.0)
         obj = linear_divergence_object(0.5, until=2.0)
-        monitor.sample(obj, 2.0)
-        monitor.sample(obj, 2.0)
+        monitor.sample(PriorityTracker(), obj, 2.0)
+        monitor.sample(PriorityTracker(), obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(4.0)
 
     def test_imminent_crossing_clamped_to_min_interval(self):
@@ -223,8 +221,8 @@ class TestPredictiveFallbacks:
         must agree: next_wake_time tracks the earliest deadline."""
         monitor = make_monitor(threshold=30.0, interval=9.0)
         obj = linear_divergence_object(0.5, until=2.0)
-        monitor.prime([obj])
+        monitor.prime([obj.index])
         assert monitor.next_wake_time() == pytest.approx(0.0)
-        monitor.sample(obj, 2.0)
+        monitor.sample(PriorityTracker(), obj, 2.0)
         assert monitor.next_wake_time() == pytest.approx(
             monitor._deadlines.wake_time(0))

@@ -17,9 +17,12 @@ BOUNDS = {"wall_s": ("lower", 0.24), "setup_s": ("lower", 0.25),
 STEADY = (0.99, 1.0, 1.01)  #: a 1% spread around the median
 
 
-def record(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
-           failed=0, cpu_count=2):
-    """A one-workload ``bench/run.py`` record; values are scale * spread."""
+SHARDED = "sharded4-200k"
+
+
+def workload(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
+             failed=0) -> dict:
+    """One workload's part of a record; values are scale * spread."""
     scales = {"wall_s": wall, "setup_s": 0.3 * wall, "run_s": 0.7 * wall,
               "updates_per_s": 1e5 / wall, "peak_rss_mb": rss}
     end_to_end = {}
@@ -32,11 +35,21 @@ def record(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
                               "median": median, "q1": q1, "q3": q3,
                               "values": values}
     attempted = len(spread)
+    return {"workers": 1, "attempted": attempted, "failed": failed,
+            "failed_frac": failed / attempted, "per_layer": {},
+            "end_to_end": end_to_end}
+
+
+def record(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
+           failed=0, cpu_count=2, sharded=None):
+    """A ``bench/run.py`` record of the E9 point, plus ``sharded4-200k``
+    when ``sharded`` holds its :func:`workload` settings."""
+    workloads = {perf_gate.WORKLOAD: workload(wall, rss, spread,
+                                              setup_spread, failed)}
+    if sharded is not None:
+        workloads[SHARDED] = workload(**sharded)
     return {"revision": None, "seed": 0, "cpu_count": cpu_count,
-            "workloads": {perf_gate.WORKLOAD: {
-                "workers": 1, "attempted": attempted, "failed": failed,
-                "failed_frac": failed / attempted, "per_layer": {},
-                "end_to_end": end_to_end}}}
+            "workloads": workloads}
 
 
 def gate(base, candidate):
@@ -115,6 +128,38 @@ class TestGate:
         assert outcome == perf_gate.PASS
         assert any(line.split()[0] == "setup_s"
                    and line.endswith("unresolved") for line in lines)
+
+
+class TestShardedWorkload:
+    """``sharded4-200k`` is gated on its peak RSS and failed repeats."""
+
+    def test_peak_rss_above_its_bound_fails(self):
+        lines, outcome = gate(record(sharded={"rss": 228.0}),
+                              record(sharded={"rss": 255.0}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == ("FAIL: sharded4-200k peak_rss_mb worse than "
+                             "its bound")
+
+    def test_lower_peak_rss_passes(self):
+        assert status(record(sharded={"rss": 228.0}),
+                      record(sharded={"rss": 205.0})) == perf_gate.PASS
+
+    def test_wall_s_is_not_gated(self):
+        lines, outcome = gate(record(sharded={"wall": 5.0}),
+                              record(sharded={"wall": 8.0}))
+        assert outcome == perf_gate.PASS
+        assert any(line.split()[0] == "wall_s" and line.endswith("worse")
+                   for line in lines)
+
+    def test_a_failed_repeat_fails(self):
+        lines, outcome = gate(record(sharded={}),
+                              record(sharded={"failed": 1}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == "FAIL: sharded4-200k failed_frac grew"
+
+    def test_a_side_without_it_skips_it(self):
+        assert status(record(), record(sharded={"rss": 999.0})) \
+            == perf_gate.PASS
 
 
 class TestMain:

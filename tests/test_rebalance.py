@@ -278,7 +278,7 @@ class TestFeedbackSourceLifecycle:
         fb = self.make_controller()
         fb.remove_source(1)
         fb.observe_threshold(1, 3.0)  # late in-flight refresh
-        assert 1 not in fb._position
+        assert not fb.owns(1)
         # And its parked slot stays at the floor (ineligible).
         assert fb.known_thresholds[1] == MIN_THRESHOLD
 
@@ -297,23 +297,24 @@ class TestFeedbackSourceLifecycle:
         fb.observe_threshold(3, 0.25)
         threshold = fb.remove_source(3)
         fb.add_source(3, threshold)
-        assert 3 in fb._position
-        assert fb.known_thresholds[fb._position[3]] == 0.25
+        assert fb.owns(3)
+        assert fb.known_thresholds[fb._slots[3]] == 0.25
         # Re-add reuses the original slot: no duplicate identity.
-        assert fb._position[3] == fb._slots[3]
+        assert fb._slots[3] == 3
+        assert len(fb.source_ids) == len(fb.known_thresholds)
 
     def test_add_brand_new_source_appends_slot(self):
         fb = self.make_controller(num_sources=2)
         fb.add_source(7, 1.5)
-        assert 7 in fb._position
-        assert fb.known_thresholds[fb._position[7]] == 1.5
+        assert fb.owns(7)
+        assert fb.known_thresholds[fb._slots[7]] == 1.5
         assert len(fb.source_ids) == 3
 
     def test_reset_does_not_resurrect_removed(self):
         fb = self.make_controller()
         fb.remove_source(2)
         fb.reset()
-        assert 2 not in fb._position
+        assert not fb.owns(2)
         assert fb.known_thresholds[fb._slots[2]] == MIN_THRESHOLD
 
 
@@ -418,7 +419,7 @@ class TestCacheMigration:
         items, threshold = caches[0].export_source(0, [0])
         assert items == [(0, 4.5, 3)]
         assert threshold == 0.75
-        assert 0 not in caches[0].feedback._position
+        assert not caches[0].feedback.owns(0)
 
     def test_export_leaves_truth_untouched(self):
         topology, objects, caches = self.make_pair()
@@ -437,7 +438,7 @@ class TestCacheMigration:
             items=items, threshold=threshold))
         assert caches[1].migrations_in == 1
         assert caches[1].store.read(0) == 4.5
-        assert 0 in caches[1].feedback._position
+        assert caches[1].feedback.owns(0)
 
     def test_stale_snapshot_never_regresses_store(self):
         """A refresh racing ahead of the migration payload wins."""
@@ -460,7 +461,7 @@ class TestCacheMigration:
             items=[(2, 3.3, 1)]))
         assert caches[0].migrations_in == 0
         assert caches[0].store.read(2) == 3.3
-        assert 2 not in caches[0].feedback._position
+        assert not caches[0].feedback.owns(2)
 
 
 class TestWindowStats:

@@ -6,10 +6,11 @@ A sensitivity probe: for each setting of :class:`CooperativePolicy`,
 a base where the setting can matter and one at another valid value.  The
 two :class:`~repro.metrics.report.RunResult` objects must differ, or the
 pair must sit on :data:`INERT` with the reason it cannot move the run.
-The ``readmodel`` matrix's parameters are probed the same way, each
-against a tiny replicated base of three rows.  Every silent (or failing)
-pair is reported in one pass, the way a parameter sweep logs its failed
-runs and goes on, so one run of the test names them all.
+The ``readmodel`` and ``scale`` matrices' parameters are probed the same
+way, each against a tiny base (three replicated rows; one row of 200
+sources).  Every silent (or failing) pair is reported in one pass, the
+way a parameter sweep logs its failed runs and goes on, so one run of
+the test names them all.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority, SimpleDivergencePriority
 from repro.core.weights import StaticWeights
-from repro.experiments.matrix import READMODEL, run_scenario
+from repro.experiments.matrix import MATRICES, READMODEL, SCALE, run_scenario
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import FaultPlan, LossRule
 from repro.faults.retry import RetryPolicy
@@ -245,38 +246,82 @@ READMODEL_INERT: dict[str, str] = {}
 
 
 @functools.lru_cache(maxsize=None)
-def readmodel_rows(settings: tuple) -> str:
-    """Every row's measurements, without the settings themselves (repr,
-    so a NaN compares equal to itself)."""
-    params = READMODEL.parse([f"{key}={value}" for key, value in settings])
+def matrix_rows(name: str, settings: tuple) -> str:
+    """Every row's measurements of matrix ``name``, without the settings
+    themselves (repr, so a NaN compares equal to itself)."""
+    matrix = MATRICES[name]
+    params = matrix.parse([f"{key}={value}" for key, value in settings])
     return repr([run_scenario(scenario)
-                 for _, _, scenario in READMODEL.cells(params)])
+                 for _, _, scenario in matrix.cells(params)])
 
 
-def _readmodel(**changes) -> tuple:
-    return tuple(sorted({**READMODEL_BASE, **changes}.items()))
+def _rows(matrix, base: dict, **changes) -> str:
+    return matrix_rows(matrix.name,
+                       tuple(sorted({**base, **changes}.items())))
+
+
+def param_problems(matrix, base: dict, probes: dict,
+                   inert: dict) -> list[str]:
+    """Each probe that is silent and not on ``inert``, moves a row while
+    on it, or fails, as one line."""
+    base_rows = _rows(matrix, base)
+    problems = []
+    for key, value in probes.items():
+        try:
+            moved = _rows(matrix, base, **{key: value}) != base_rows
+        except Exception as exc:  # noqa: BLE001 - reported with the rest
+            problems.append(f"{matrix.name} {key}={value}: "
+                            f"{type(exc).__name__}: {exc}")
+            continue
+        if not moved and key not in inert:
+            problems.append(f"{matrix.name} {key}={value}: silent "
+                            f"(every row is unchanged)")
+        elif moved and key in inert:
+            problems.append(f"{matrix.name} {key}={value}: listed inert "
+                            f"but changes a row")
+    return problems
 
 
 def test_every_readmodel_param_is_probed():
     keys = [param.key for param in READMODEL.params]
     assert sorted(READMODEL_PROBES) == sorted(keys)
-    assert readmodel_rows(_readmodel()).count("'read_divergence'") == 3
+    assert _rows(READMODEL, READMODEL_BASE).count("'read_divergence'") == 3
 
 
 def test_every_readmodel_param_changes_a_row_or_is_inert():
-    base = readmodel_rows(_readmodel())
-    problems = []
-    for key, value in READMODEL_PROBES.items():
-        try:
-            moved = readmodel_rows(_readmodel(**{key: value})) != base
-        except Exception as exc:  # noqa: BLE001 - reported with the rest
-            problems.append(f"readmodel {key}={value}: "
-                            f"{type(exc).__name__}: {exc}")
-            continue
-        if not moved and key not in READMODEL_INERT:
-            problems.append(f"readmodel {key}={value}: silent "
-                            f"(every row is unchanged)")
-        elif moved and key in READMODEL_INERT:
-            problems.append(f"readmodel {key}={value}: listed inert but "
-                            f"changes a row")
+    problems = param_problems(READMODEL, READMODEL_BASE, READMODEL_PROBES,
+                              READMODEL_INERT)
+    assert not problems, "\n".join(problems)
+
+
+# ----------------------------------------------------------------------
+# Matrix Params: the scale matrix (E9)
+# ----------------------------------------------------------------------
+#: one row of 200 sparse sources on a star (~0.05 s a run)
+SCALE_BASE = {"sources": "200"}
+#: Param key -> one other valid value
+SCALE_PROBES = {
+    "sources": "300",
+    "update-rate": "0.004",
+    "cache-bandwidth": "4",
+    # A sparse source sends far below 1/s, so only a link slower than
+    # its refresh bursts binds (0.5 leaves the row unchanged).
+    "source-bandwidth": "0.2",
+    "shard-caches": "2",
+    "warmup": "50",
+    "measure": "400",
+    "seed": "1",
+}
+#: Param key -> why its probe leaves the row unchanged
+SCALE_INERT: dict[str, str] = {}
+
+
+def test_every_scale_param_is_probed():
+    keys = [param.key for param in SCALE.params]
+    assert sorted(SCALE_PROBES) == sorted(keys)
+    assert _rows(SCALE, SCALE_BASE).count("'divergence'") == 1
+
+
+def test_every_scale_param_changes_a_row_or_is_inert():
+    problems = param_problems(SCALE, SCALE_BASE, SCALE_PROBES, SCALE_INERT)
     assert not problems, "\n".join(problems)

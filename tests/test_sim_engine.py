@@ -75,17 +75,6 @@ class TestBatchedReplayApi:
         sim.at(1.5, lambda: None)
         assert sim.next_event_time == 1.5
 
-    def test_advance_clock_moves_forward(self):
-        sim = Simulator()
-        sim.advance_clock(2.5)
-        assert sim.now == 2.5
-
-    def test_advance_clock_refuses_rewind(self):
-        sim = Simulator()
-        sim.advance_clock(2.5)
-        with pytest.raises(SimulationError):
-            sim.advance_clock(1.0)
-
     def test_run_horizon_published_during_run(self):
         import math
 

@@ -26,12 +26,11 @@ def make_source(num_objects=3, source_rate=5.0, cache_rate=100.0,
                         [ConstantBandwidth(source_rate)])
     objects = [DataObject(index=i, source_id=0, rate=0.5)
                for i in range(num_objects)]
-    tracker = PriorityTracker()
-    monitor = TriggerMonitor(tracker,
-                             priority_fn or SimpleDivergencePriority(),
+    monitor = TriggerMonitor(priority_fn or SimpleDivergencePriority(),
                              StaticWeights.uniform(num_objects))
     threshold = ThresholdController(initial=initial_threshold)
-    source = SourceNode(0, objects, monitor, threshold, topology)
+    source = SourceNode(0, objects, 0, num_objects, PriorityTracker(),
+                        monitor, threshold, topology)
     return source, objects, topology
 
 
@@ -93,7 +92,7 @@ class TestRefreshDecisions:
         objects[0].apply_update(1.0, 5.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
         assert objects[0].belief.divergence == 0.0
-        assert source.monitor.tracker.peek() is None
+        assert source.tracker.peek() is None
 
     def test_refresh_message_carries_snapshot_and_threshold(self):
         source, objects, topo = make_source()
@@ -189,10 +188,10 @@ class TestDrainSkipRule:
             topology = Topology([ConstantBandwidth(100.0)],
                                 [ConstantBandwidth(5.0)])
             objects = [DataObject(index=i, source_id=0) for i in range(3)]
-            monitor = TriggerMonitor(PriorityTracker(),
-                                     SimpleDivergencePriority(),
+            monitor = TriggerMonitor(SimpleDivergencePriority(),
                                      StaticWeights.uniform(3))
-            source = BatchingSource(0, objects, monitor,
+            source = BatchingSource(0, objects, 0, 3, PriorityTracker(),
+                                    monitor,
                                     ThresholdController(initial=1.0),
                                     topology, batch_size=4,
                                     batch_timeout=5.0)
@@ -234,20 +233,24 @@ class TestFeedbackHandling:
 
 
 class TestObjectLayout:
-    """A source finds its objects by offset from its first index."""
+    """A source reads its objects from the run's list by global index."""
 
     @staticmethod
     def build(indices, source_id=1):
+        """Source ``source_id`` owns positions 3.. of a run's object
+        list, where objects carrying ``indices`` sit."""
         topology = Topology([ConstantBandwidth(100.0)],
                             [ConstantBandwidth(5.0)] * 2)
-        objects = [DataObject(index=i, source_id=source_id, rate=0.5)
-                   for i in indices]
-        monitor = TriggerMonitor(PriorityTracker(),
-                                 SimpleDivergencePriority(),
+        objects = [DataObject(index=i, source_id=0, rate=0.5)
+                   for i in range(3)]
+        objects += [DataObject(index=i, source_id=source_id, rate=0.5)
+                    for i in indices]
+        monitor = TriggerMonitor(SimpleDivergencePriority(),
                                  StaticWeights.uniform(8))
-        source = SourceNode(source_id, objects, monitor,
+        source = SourceNode(source_id, objects, 3, len(indices),
+                            PriorityTracker(), monitor,
                             ThresholdController(initial=1.0), topology)
-        return source, objects, topology
+        return source, objects[3:], topology
 
     def test_refresh_names_the_updated_object(self):
         source, objects, topo = self.build([3, 4, 5])
@@ -278,14 +281,14 @@ class TestSamplingMonitor:
         topology = Topology([ConstantBandwidth(100.0)],
                             [ConstantBandwidth(10.0)])
         objects = [DataObject(index=0, source_id=0, rate=0.5)]
-        tracker = PriorityTracker()
         threshold = ThresholdController(initial=1.0)
-        monitor = SamplingMonitor(tracker, AreaPriority(),
+        monitor = SamplingMonitor(AreaPriority(),
                                   StaticWeights.uniform(1),
                                   ValueDeviation(), interval=interval,
                                   predictive=predictive,
                                   threshold=lambda: threshold.value)
-        source = SourceNode(0, objects, monitor, threshold, topology)
+        source = SourceNode(0, objects, 0, 1, PriorityTracker(), monitor,
+                            threshold, topology)
         return source, objects, topology, monitor
 
     def test_updates_invisible_until_sampled(self):
@@ -294,7 +297,7 @@ class TestSamplingMonitor:
         objects[0].apply_update(1.0, 9.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
         assert source.refreshes_sent == 0  # not sampled yet
-        monitor.prime(objects)
+        monitor.prime(source.indices())
         source.on_wake(5.0)  # first sample due at t >= 0
         assert monitor.samples_taken >= 1
 
@@ -305,8 +308,8 @@ class TestSamplingMonitor:
         exact = AreaPriority()
         objects[0].apply_update(0.5, 2.0, metric)
         for t in range(1, 11):
-            monitor.sample(objects[0], float(t))
-        estimated = monitor.tracker.get(0)
+            monitor.sample(source.tracker, objects[0], float(t))
+        estimated = source.tracker.get(0)
         truth = belief_priority(exact, objects[0], 10.0)
         assert estimated == pytest.approx(truth, rel=0.3)
 
@@ -316,9 +319,10 @@ class TestSamplingMonitor:
         metric = ValueDeviation()
         source.threshold.value = 1e4
         objects[0].apply_update(0.5, 1.0, metric)
-        monitor.sample(objects[0], 1.0)
+        monitor.sample(source.tracker, objects[0], 1.0)
         objects[0].apply_update(1.5, 2.0, metric)
-        monitor.sample(objects[0], 2.0)  # rising divergence -> prediction
+        # rising divergence -> prediction
+        monitor.sample(source.tracker, objects[0], 2.0)
         next_due = monitor._deadlines.wake_time(0)
         assert next_due - 2.0 <= 100.0
 
@@ -328,8 +332,8 @@ class TestSamplingMonitor:
         topo.on_network_tick(1.0)
         metric = ValueDeviation()
         objects[0].apply_update(0.5, 50.0, metric)
-        monitor.sample(objects[0], 1.0)
+        monitor.sample(source.tracker, objects[0], 1.0)
         source.on_wake(1.0)
         assert source.refreshes_sent == 1
         assert monitor._est_integral[0] == 0.0
-        assert monitor.tracker.peek() is None
+        assert source.tracker.peek() is None
