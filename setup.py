@@ -1,11 +1,27 @@
-"""Setuptools shim.
+"""Packaging for the ``repro`` simulator.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-offline environments whose setuptools predates bundled wheel support (the
-PEP 660 editable path requires the ``wheel`` package; the legacy
-``setup.py develop`` path does not).
+``pip install .`` installs it.  Offline, where setuptools predates
+bundled wheel support (the PEP 660 editable path of ``pip install -e .``
+needs the ``wheel`` package), ``python setup.py develop`` installs it
+editable.  NumPy is the only runtime dependency.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(),
+                    re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=("A simulator of best-effort cache synchronization with "
+                 "source cooperation (Olston & Widom, SIGMOD 2002)"),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

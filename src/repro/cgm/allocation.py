@@ -12,16 +12,74 @@ with ``g`` from :mod:`repro.cgm.freshness` and ``mu`` the multiplier.  The
 paper under reproduction notes the multiplier "was shown not to be solvable
 mathematically [analytically]" and that the authors tuned it by repeated
 runs; here we simply solve the one-dimensional root problem numerically
-(scipy ``brentq`` on the monotone budget residual), which finds the same
+(Brent's method on the monotone budget residual), which finds the same
 optimum without manual tuning.
+
+:func:`_brentq` is Brent's method (R. P. Brent, *Algorithms for
+Minimization Without Derivatives*, 1973, ch. 4) transcribed from scipy's
+``brentq.c``: the same defaults, errors and float operations in the same
+order, so it returns scipy's root bit for bit without importing scipy.
 """
 
 from __future__ import annotations
 
+import sys
+from math import copysign
+from typing import Callable
+
 import numpy as np
-from scipy import optimize
 
 from repro.cgm.freshness import phi_inverse, staleness_at_frequency
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in ``[xa, xb]``, where ``f(xa)`` and ``f(xb)``
+    differ in sign: inverse quadratic interpolation or the secant step
+    while it shrinks the bracket fast enough, bisection otherwise.
+    ``maxiter`` and the relative tolerance are ``brentq``'s defaults."""
+    rtol = 4 * sys.float_info.epsilon
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if copysign(1.0, fpre) == copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre and fcur and copysign(1.0, fpre) != copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def frequencies_for_multiplier(rates: np.ndarray, mu: float,
@@ -87,7 +145,7 @@ def solve_refresh_frequencies(rates: np.ndarray, budget: float,
         lo -= 2.0
     else:  # pragma: no cover - pathological budget
         raise RuntimeError("could not bracket the allocation multiplier")
-    log_mu = optimize.brentq(residual, lo, hi, xtol=tol)
+    log_mu = _brentq(residual, lo, hi, xtol=tol)
     freqs = frequencies_for_multiplier(rates, float(np.exp(log_mu)),
                                        weights)
     # Deep in the starved regime the root lies in phi's exponential tail,

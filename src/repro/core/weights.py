@@ -81,8 +81,13 @@ class StaticWeights(WeightModel):
         self.values = values
         # Python-float mirror for the scalar getter: one list index beats
         # a numpy scalar extraction in per-event hot paths (same bits --
-        # tolist() converts float64 exactly).
-        self._scalars = values.tolist()
+        # tolist() converts float64 exactly).  Equal weights share one
+        # float object instead of a 24 B float each.
+        bits = values.view(np.uint64)
+        if len(values) and (bits == bits[0]).all():
+            self._scalars = [float(values[0])] * len(values)
+        else:
+            self._scalars = values.tolist()
 
     @classmethod
     def uniform(cls, n: int, value: float = 1.0) -> "StaticWeights":

@@ -121,16 +121,20 @@ def moving_hotspot(num_sources: int, objects_per_source: int,
     all_owners: list[np.ndarray] = []
     for p in range(num_phases):
         times, owners = poisson_times_batch(phase_rates(p), phase_len, rng)
-        all_times.append(times + p * phase_len)
+        times += p * phase_len
+        all_times.append(times)
         all_owners.append(owners)
     times = np.concatenate(all_times)
     owners = np.concatenate(all_owners)
+    del all_times, all_owners
     # Regroup the per-phase streams into the object-major layout
     # _trace_from_event_stream requires (owner-grouped, time-sorted within
-    # each group).
+    # each group), one column at a time.
     order = np.lexsort((times, owners))
-    trace = _trace_from_event_stream(times[order], owners[order], rng,
-                                     n_total)
+    times = times[order]
+    owners = owners[order]
+    del order
+    trace = _trace_from_event_stream(times, owners, rng, n_total)
     avg_rates = np.mean([phase_rates(p) for p in range(num_phases)],
                         axis=0)
     return Workload(num_sources=num_sources,

@@ -25,6 +25,9 @@ def random_walk_values_batch(counts: np.ndarray, rng: np.random.Generator,
     walk loop: a global ``cumsum`` over all steps is rebased at each
     object's segment start, which is algebraically exact because the
     rebasing subtracts the prefix sum accumulated by earlier segments.
+    The sum runs in place over the draw and each event-length temporary
+    is dropped after its last use, so no more than two event-length
+    arrays are alive at once (DESIGN.md Sec 10).
     """
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 0).any():
@@ -36,15 +39,23 @@ def random_walk_values_batch(counts: np.ndarray, rng: np.random.Generator,
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=float)
-    steps = rng.choice((-step, step), size=total)
-    cumulative = np.cumsum(steps)
-    # Prefix sum *before* each object's first step: starts[i] indexes into
-    # the zero-prepended cumsum, so zero-count objects (whose start equals
-    # the next object's) are harmless and dropped by the repeats below.
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    prefix = np.concatenate(([0.0], cumulative))[starts]
-    return (np.repeat(initials, counts)
-            + cumulative - np.repeat(prefix, counts))
+    cumulative = rng.choice((-step, step), size=total)
+    np.cumsum(cumulative, out=cumulative)
+    # Prefix sum *before* each object's first step: the cumsum entry just
+    # ahead of its segment, 0 for segments at the front (index -1).
+    # Zero-count objects (whose start equals the next object's) are
+    # harmless: the repeats below drop them.
+    ahead = np.cumsum(counts)
+    ahead -= counts
+    ahead -= 1
+    prefix = cumulative[ahead]
+    prefix[ahead < 0] = 0.0
+    del ahead
+    values = np.repeat(initials, counts)
+    values += cumulative
+    del cumulative
+    values -= np.repeat(prefix, counts)
+    return values
 
 
 def expected_walk_deviation(rate: float, elapsed: float,

@@ -38,7 +38,7 @@ class ReadTrace:
                                          dtype=np.int64)
         if len(self.times) != len(self.object_indices):
             raise ValueError("times/object_indices lengths differ")
-        if len(self.times) and (np.diff(self.times) < 0).any():
+        if (self.times[1:] < self.times[:-1]).any():
             raise ValueError("read times must be nondecreasing")
         if len(self.object_indices) and (
                 (self.object_indices < 0).any()
@@ -66,9 +66,14 @@ def uniform_reads(num_objects: int, horizon: float,
                             (num_objects,))
     if (rates < 0).any():
         raise ValueError("read rates must be >= 0")
-    raw_times, owners = poisson_times_batch(rates, horizon, rng)
+    times, owners = poisson_times_batch(rates, horizon, rng)
     # Same total order as the update pipeline: time-sorted, ties broken by
-    # object index.
-    order = np.lexsort((owners, raw_times))
-    return ReadTrace(num_objects=num_objects, times=raw_times[order],
-                     object_indices=owners[order])
+    # object index.  Each column is gathered and its object-major original
+    # dropped before the next, so no more than four event-length arrays
+    # are alive at once.
+    order = np.lexsort((owners, times))
+    times = times[order]
+    owners = owners[order]
+    del order
+    return ReadTrace(num_objects=num_objects, times=times,
+                     object_indices=owners)

@@ -130,16 +130,26 @@ def _trace_from_event_stream(times: np.ndarray, owners: np.ndarray,
     chronological order is exactly the object-major order), and one lexsort
     merges the whole stream into trace order -- no python-level loop over
     events or objects anywhere.
+
+    The stream is consumed: ``times`` and ``owners`` are permuted into
+    trace order in place and become the trace's columns, and each column's
+    gather completes before the next starts, so at most five event-length
+    arrays are alive at once whoever else holds the stream.
     """
     if initial_values is None:
         initial_values = np.zeros(num_objects)
     counts = np.bincount(owners, minlength=num_objects)
     values = random_walk_values_batch(counts, rng, initial_values,
                                       step=walk_step)
+    del counts
     # Trace order: time-sorted, ties broken by object index.
     order = np.lexsort((owners, times))
-    return UpdateTrace(num_objects=num_objects, times=times[order],
-                       object_indices=owners[order], values=values[order],
+    values = values[order]
+    times[:] = times[order]
+    owners[:] = owners[order]
+    del order
+    return UpdateTrace(num_objects=num_objects, times=times,
+                       object_indices=owners, values=values,
                        initial_values=initial_values)
 
 

@@ -39,7 +39,7 @@ class UpdateTrace:
         if not (len(self.times) == len(self.object_indices)
                 == len(self.values)):
             raise ValueError("times/object_indices/values lengths differ")
-        if len(self.times) and (np.diff(self.times) < 0).any():
+        if (self.times[1:] < self.times[:-1]).any():
             raise ValueError("trace times must be nondecreasing")
         if len(self.object_indices) and (
                 (self.object_indices < 0).any()
@@ -222,6 +222,9 @@ class TraceReplayer:
         self._apply_batch = apply_batch
         self._phase = phase
         self._cursor = 0
+        #: the run horizon last seen, and the end of the events within it
+        self._horizon = np.inf
+        self._horizon_end = len(self._times)
         self._schedule_next()
 
     @property
@@ -248,15 +251,17 @@ class TraceReplayer:
         """
         sim = self._sim
         times = self._times
-        boundary = sim.next_event_time
-        if boundary is None:
-            end = len(times)
-        else:
-            end = int(np.searchsorted(times, boundary, side="left"))
         horizon = sim.run_horizon
-        if horizon < np.inf:
-            end = min(end, int(np.searchsorted(times, horizon,
-                                               side="right")))
+        if horizon != self._horizon:
+            # The horizon holds for a whole run_until: one search per run.
+            self._horizon = horizon
+            self._horizon_end = int(np.searchsorted(times, horizon,
+                                                    side="right"))
+        end = self._horizon_end
+        boundary = sim.next_event_time
+        if boundary is not None:
+            end = min(end, int(np.searchsorted(times, boundary,
+                                               side="left")))
         self._apply_through(max(end, self._cursor + 1))
 
     def _apply_through(self, end: int) -> None:

@@ -45,6 +45,7 @@ def poisson_times_batch(rates: np.ndarray, horizon: float,
     counts = rng.poisson(rates * horizon)
     owners = np.repeat(np.arange(len(rates), dtype=np.int64), counts)
     times = rng.uniform(0.0, horizon, size=int(counts.sum()))
+    del counts
     # owners is already grouped; sorting times keyed by owner first orders
     # each object's events chronologically without touching the grouping.
     order = np.lexsort((times, owners))

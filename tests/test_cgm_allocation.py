@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cgm import allocation
 from repro.cgm.allocation import (
+    _brentq,
     expected_total_staleness,
     frequencies_for_multiplier,
     solve_refresh_frequencies,
@@ -124,3 +126,68 @@ class TestMultiplierFunction:
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(ValueError):
             frequencies_for_multiplier(np.array([1.0]), 0.0)
+
+
+def random_allocation_inputs(rng):
+    """One seeded ``solve_refresh_frequencies`` input: a few to a few
+    dozen objects, some never updated, optional weights (some zero) and
+    a budget from deep starvation to ample."""
+    n = int(rng.integers(1, 40))
+    rates = rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.9)
+    weights = None
+    if rng.random() < 0.5:
+        weights = rng.uniform(0.0, 5.0, size=n) * (rng.random(n) < 0.95)
+    budget = float(10.0 ** rng.uniform(-4.0, 2.5))
+    return rates, budget, weights
+
+
+class TestBrentq:
+    """``_brentq`` is scipy's ``brentq.c``, transcribed."""
+
+    def test_matches_scipy_bit_for_bit(self, monkeypatch):
+        """On 1,000 seeded allocations both solvers evaluate the residual
+        at the same points and return the same root, bit for bit (the
+        second solver's evaluations come from the first's memo)."""
+        optimize = pytest.importorskip("scipy.optimize")
+        roots = []
+
+        def both(f, a, b, xtol):
+            memo = {}
+
+            def recorded(points):
+                def g(x):
+                    points.append(x.hex())
+                    if x not in memo:
+                        memo[x] = f(x)
+                    return memo[x]
+                return g
+
+            ours, theirs = [], []
+            root = _brentq(recorded(ours), a, b, xtol)
+            want = optimize.brentq(recorded(theirs), a, b, xtol=xtol)
+            assert (root.hex(), ours) == (want.hex(), theirs)
+            roots.append(root)
+            return root
+
+        monkeypatch.setattr(allocation, "_brentq", both)
+        rng = np.random.default_rng(2002)
+        while len(roots) < 1_000:
+            solve_refresh_frequencies(*random_allocation_inputs(rng))
+
+    def test_steep_root(self):
+        """Interpolation, extrapolation and bisection steps all run."""
+        root = _brentq(lambda x: x ** 9 - 0.5, 0.0, 4.0, xtol=1e-14)
+        assert root == pytest.approx(0.5 ** (1 / 9), abs=1e-13)
+
+    def test_root_at_either_end(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
+        assert _brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_non_convergence_raises(self):
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            _brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, xtol=1e-300,
+                    maxiter=3)

@@ -18,6 +18,7 @@ STEADY = (0.99, 1.0, 1.01)  #: a 1% spread around the median
 
 
 SHARDED = "sharded4-200k"
+DENSE = "dense-star-2k"
 
 
 def workload(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
@@ -41,13 +42,16 @@ def workload(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
 
 
 def record(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
-           failed=0, cpu_count=2, sharded=None):
+           failed=0, cpu_count=2, sharded=None, dense=None):
     """A ``bench/run.py`` record of the E9 point, plus ``sharded4-200k``
-    when ``sharded`` holds its :func:`workload` settings."""
+    and ``dense-star-2k`` when ``sharded`` and ``dense`` hold their
+    :func:`workload` settings."""
     workloads = {perf_gate.WORKLOAD: workload(wall, rss, spread,
                                               setup_spread, failed)}
     if sharded is not None:
         workloads[SHARDED] = workload(**sharded)
+    if dense is not None:
+        workloads[DENSE] = workload(**dense)
     return {"revision": None, "seed": 0, "cpu_count": cpu_count,
             "workloads": workloads}
 
@@ -159,6 +163,48 @@ class TestShardedWorkload:
 
     def test_a_side_without_it_skips_it(self):
         assert status(record(), record(sharded={"rss": 999.0})) \
+            == perf_gate.PASS
+
+
+class TestDenseWorkload:
+    """``dense-star-2k`` is gated on its peak RSS and failed repeats: its
+    peak is the per-process floor, the import closure plus trace
+    generation."""
+
+    def test_peak_rss_above_its_bound_fails(self):
+        lines, outcome = gate(record(dense={"rss": 62.0}),
+                              record(dense={"rss": 95.0}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == ("FAIL: dense-star-2k peak_rss_mb worse than "
+                             "its bound")
+
+    def test_lower_peak_rss_passes(self):
+        assert status(record(dense={"rss": 95.0}),
+                      record(dense={"rss": 62.0})) == perf_gate.PASS
+
+    def test_wall_s_is_not_gated(self):
+        lines, outcome = gate(record(dense={"wall": 5.0}),
+                              record(dense={"wall": 8.0}))
+        assert outcome == perf_gate.PASS
+        assert any(line.split()[0] == "wall_s" and line.endswith("worse")
+                   for line in lines)
+
+    def test_a_failed_repeat_fails(self):
+        lines, outcome = gate(record(dense={}), record(dense={"failed": 1}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == "FAIL: dense-star-2k failed_frac grew"
+
+    def test_both_extra_workloads_are_gated_together(self):
+        lines, outcome = gate(
+            record(sharded={"rss": 200.0}, dense={"rss": 62.0}),
+            record(sharded={"rss": 230.0}, dense={"rss": 80.0}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == ("FAIL: sharded4-200k peak_rss_mb worse than "
+                             "its bound; dense-star-2k peak_rss_mb worse "
+                             "than its bound")
+
+    def test_a_side_without_it_skips_it(self):
+        assert status(record(), record(dense={"rss": 999.0})) \
             == perf_gate.PASS
 
 

@@ -6,11 +6,12 @@ A sensitivity probe: for each setting of :class:`CooperativePolicy`,
 a base where the setting can matter and one at another valid value.  The
 two :class:`~repro.metrics.report.RunResult` objects must differ, or the
 pair must sit on :data:`INERT` with the reason it cannot move the run.
-The ``readmodel`` and ``scale`` matrices' parameters are probed the same
-way, each against a tiny base (three replicated rows; one row of 200
-sources).  Every silent (or failing) pair is reported in one pass, the
-way a parameter sweep logs its failed runs and goes on, so one run of
-the test names them all.
+The ``readmodel``, ``scale``, ``multicache`` and ``faults`` matrices'
+parameters are probed the same way, each against a tiny base (three
+replicated rows; one row of 200 sources; one replicated row of two arms;
+two fault rows of six arms, one of them the CGM baseline).  Every silent
+(or failing) pair is reported in one pass, the way a parameter sweep
+logs its failed runs and goes on, so one run of the test names them all.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ import numpy as np
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority, SimpleDivergencePriority
 from repro.core.weights import StaticWeights
-from repro.experiments.matrix import MATRICES, READMODEL, SCALE, run_scenario
+from repro.experiments.matrix import (
+    FAULTS,
+    MATRICES,
+    MULTICACHE,
+    READMODEL,
+    SCALE,
+    run_scenario,
+)
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import FaultPlan, LossRule
 from repro.faults.retry import RetryPolicy
@@ -324,4 +332,90 @@ def test_every_scale_param_is_probed():
 
 def test_every_scale_param_changes_a_row_or_is_inert():
     problems = param_problems(SCALE, SCALE_BASE, SCALE_PROBES, SCALE_INERT)
+    assert not problems, "\n".join(problems)
+
+
+# ----------------------------------------------------------------------
+# Matrix Params: the multicache matrix (E8)
+# ----------------------------------------------------------------------
+#: one replicated row of three caches whose links queue, so the layout,
+#: replication and delivery keys reach the run (cooperative and uniform)
+MULTICACHE_BASE = {"num-caches": "3", "topology": "replicated",
+                   "replication": "2", "sources": "3", "objects": "2",
+                   "cache-bandwidth": "6", "source-bandwidth": "1",
+                   "warmup": "10", "measure": "30"}
+#: Param key -> one other valid value
+MULTICACHE_PROBES = {
+    "num-caches": "2",
+    "topology": "sharded",
+    "replication": "3",
+    "sources": "4",
+    "objects": "3",
+    "cache-bandwidth": "9",
+    "source-bandwidth": "2",
+    "hot-fraction": "0.5",
+    "hot-boost": "2",
+    "cache-rates": "4,2,1",
+    "delivery": "multicast",
+    "warmup": "5",
+    "measure": "40",
+    "seed": "1",
+}
+#: Param key -> why its probe leaves every row unchanged
+MULTICACHE_INERT: dict[str, str] = {}
+
+
+def test_every_multicache_param_is_probed():
+    keys = [param.key for param in MULTICACHE.params]
+    assert sorted(MULTICACHE_PROBES) == sorted(keys)
+    assert _rows(MULTICACHE, MULTICACHE_BASE).count("'divergence'") == 2
+
+
+def test_every_multicache_param_changes_a_row_or_is_inert():
+    problems = param_problems(MULTICACHE, MULTICACHE_BASE,
+                              MULTICACHE_PROBES, MULTICACHE_INERT)
+    assert not problems, "\n".join(problems)
+
+
+# ----------------------------------------------------------------------
+# Matrix Params: the faults matrix (E12)
+# ----------------------------------------------------------------------
+#: a lossy row (the five policies plus the retry arm) and a blackout row
+#: (plus the TTL arm) on a star whose links queue; at a roomier base (2
+#: objects a source, rate cap 0.1, cache 4/s) source-bandwidth,
+#: retry-backoff and feedback-ttl were silent
+FAULTS_BASE = {"scenarios": "lossy-10,feedback-blackout",
+               "topologies": "star", "sources": "4", "objects": "4",
+               "rate-cap": "1", "cache-bandwidth": "3",
+               "source-bandwidth": "1", "warmup": "10", "measure": "40"}
+#: Param key -> one other valid value
+FAULTS_PROBES = {
+    "scenarios": "lossy-1,feedback-blackout",
+    "topologies": "sharded-4",
+    "sources": "5",
+    "objects": "3",
+    "cache-bandwidth": "6",
+    "source-bandwidth": "2",
+    "rate-cap": "0.5",
+    "retry-timeout": "1.5",
+    "retry-backoff": "1",
+    "retry-attempts": "1",
+    "feedback-ttl": "5",
+    "warmup": "5",
+    "measure": "50",
+    "seed": "1",
+}
+#: Param key -> why its probe leaves every row unchanged
+FAULTS_INERT: dict[str, str] = {}
+
+
+def test_every_faults_param_is_probed():
+    keys = [param.key for param in FAULTS.params]
+    assert sorted(FAULTS_PROBES) == sorted(keys)
+    assert _rows(FAULTS, FAULTS_BASE).count("'divergence'") == 12
+
+
+def test_every_faults_param_changes_a_row_or_is_inert():
+    problems = param_problems(FAULTS, FAULTS_BASE, FAULTS_PROBES,
+                              FAULTS_INERT)
     assert not problems, "\n".join(problems)
