@@ -48,12 +48,9 @@ def _send_inlined(topology, count):
     for i in range(count):
         message = RefreshMessage(source_id=0, sent_at=1.0)
         source_link = topology.source_links[message.source_id]
-        if (source_link._lazy
-                and source_link._synced_tick < topology._tick_no):
-            source_link.sync_to_tick(
-                topology._tick_no, topology._tick_time,
-                topology._prev_tick_time, topology._tick_dt,
-                topology._tick_boundaries)
+        if source_link._synced_tick < topology._tick_no:
+            source_link.sync_to_tick(topology._tick_boundaries,
+                                     topology._tick_no)
         now = message.sent_at
         last = source_link._last_accrue
         if now > last:

@@ -126,12 +126,11 @@ class DivergenceCollector:
         if end > self._end:
             self._end = end
 
-    def schedule_resample(self, sim, interval: float):
+    def schedule_resample(self, sim, interval: float) -> None:
         """Run :meth:`resample` every ``interval`` -- the only periodic
-        metric work, never per simulation tick.  Returns the ticker so
-        the caller can cancel it."""
+        metric work, never per simulation tick."""
         from repro.sim.events import Phase
-        return sim.every(interval, self.resample, phase=Phase.METRICS)
+        sim.every(interval, self.resample, phase=Phase.METRICS)
 
     def resample(self, now: float) -> None:
         """Re-break every object's current piece at ``now``.

@@ -45,38 +45,12 @@ class BandwidthProfile(ABC):
     def steady_rate(self) -> float | None:
         """The constant rate when this profile never varies, else ``None``.
 
-        A steady profile earns the same capacity every tick, which lets an
-        idle link's per-tick refills be replayed lazily in closed form (the
-        per-tick credit caps telescope -- see ``Link.sync_to_tick``).
-        Time-varying profiles return ``None`` and keep eager refills.
+        A steady profile earns the same capacity every tick, so once an
+        idle link's credit saturates its skipped refills all leave the
+        same state, and ``Link.sync_to_tick`` jumps over them.
+        Time-varying profiles return ``None``.
         """
         return None
-
-    def mean_rate_over(self, t0: float, t1: float) -> float:
-        """Span-weighted average rate over ``[t0, t1]``."""
-        if t1 <= t0:
-            raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-        return self.capacity(t0, t1) / (t1 - t0)
-
-    def first_time_at_capacity(self, t0: float,
-                               needed: float) -> float | None:
-        """Earliest ``t`` with ``capacity(t0, t) >= needed``.
-
-        The generic answer exists only for steady profiles (closed-form
-        division); :class:`TraceBandwidth` overrides with a bisection on
-        its cumulative array, :class:`ScaledBandwidth` delegates with the
-        factor applied.  ``None`` means the capacity is never earned.
-        """
-        if needed <= 0.0:
-            return t0
-        steady = self.steady_rate
-        if steady is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} is not steady and does not "
-                f"implement first_time_at_capacity")
-        if steady <= 0.0:
-            return None
-        return t0 + needed / steady
 
     def scaled(self, factor: float) -> "BandwidthProfile":
         """This profile multiplied by a constant factor.
@@ -236,7 +210,7 @@ class TraceBandwidth(BandwidthProfile):
         self._rates_list: list[float] = self.rates.tolist()
         self._cum_list: list[float] = self._cum.tolist()
         self._seg = 0  # cached segment index for monotone call patterns
-        # Lazy-sync jump memos (see Link._sync_trace): furthest segment
+        # Sync jump memos (see Link._trace_jump): furthest segment
         # the cap-pinned saturation chain reaches from each starting
         # segment (valid for one tick length), and the end of the
         # zero-rate run from each segment (tick-length independent).
@@ -355,8 +329,8 @@ class TraceBandwidth(BandwidthProfile):
 
         Splitting a trace across cache links must not demote it to the
         generic :class:`ScaledBandwidth` wrapper, which would lose the
-        cumulative array and the lazy-link eligibility that comes with
-        the concrete type.
+        cumulative array and the segment jumps of ``Link.sync_to_tick``
+        that come with the concrete type.
         """
         if factor < 0:
             raise ValueError(f"scale factor must be >= 0, got {factor}")
@@ -407,27 +381,6 @@ class ScaledBandwidth(BandwidthProfile):
     def steady_rate(self) -> float | None:
         base = self.base.steady_rate
         return None if base is None else base * self.factor
-
-    def mean_rate_over(self, t0: float, t1: float) -> float:
-        """Span-weighted average rate over ``[t0, t1]``, factor applied."""
-        if t1 <= t0:
-            raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-        return self.capacity(t0, t1) / (t1 - t0)
-
-    def first_time_at_capacity(self, t0: float,
-                               needed: float) -> float | None:
-        """Earliest ``t`` with ``capacity(t0, t) >= needed``.
-
-        Delegates to the base profile with the requirement divided by the
-        scale factor: the scaled view earns ``needed`` exactly when the
-        base earns ``needed / factor``.  A zero factor can never earn
-        anything, mirroring a trailing-zero trace.
-        """
-        if needed <= 0.0:
-            return t0
-        if self.factor <= 0.0:
-            return None
-        return self.base.first_time_at_capacity(t0, needed / self.factor)
 
     def __repr__(self) -> str:
         return f"ScaledBandwidth({self.base!r}, factor={self.factor!r})"
@@ -489,12 +442,12 @@ def ticks_until_credit(credit: float, earned: float, cap: float,
     return ticks
 
 
-def ticks_until_capacity(profile: BandwidthProfile, t0: float, dt: float,
+def ticks_until_capacity(trace: TraceBandwidth, t0: float, dt: float,
                          needed: float) -> int | None:
-    """Conservative ticks until ``profile`` earns ``needed`` more credit.
+    """Conservative ticks until ``trace`` earns ``needed`` more credit.
 
-    The blocked-sender prediction for piecewise profiles: a source whose
-    *link* ran out of credit used to re-arm every tick until the bucket
+    The blocked-sender prediction for trace links: a source whose *link*
+    ran out of credit used to re-arm every tick until the bucket
     refilled.  While a link's credit sits below one message, its per-tick
     refill cap ``max(1, tick_capacity) + tick_capacity`` never binds, so
     the credit trajectory is the plain cumulative-capacity sum and the
@@ -506,28 +459,17 @@ def ticks_until_capacity(profile: BandwidthProfile, t0: float, dt: float,
     chain, which cannot be reproduced ahead of time in O(1), so the
     continuous-time crossing is rounded down by one tick and the caller
     re-verifies on wake (re-arming if still short).  Early wakes are
-    behavior-neutral -- the send still happens on the exact tick the
-    eager schedule would have chosen -- which is what keeps lazy and
-    eager runs bit-for-bit identical.
+    behavior-neutral -- the send still happens on the exact tick a
+    per-tick retry would have chosen.
 
-    Returns ``>= 1`` always; ``None`` means the profile can never earn
+    Returns ``>= 1`` always; ``None`` means the trace can never earn
     ``needed`` (trailing rate zero), so the caller should park rather
-    than poll.  Profiles without a cumulative solve fall back to 1 (the
-    next-tick retry the caller used unconditionally before).
+    than poll.
     """
-    scale = 1.0
-    while isinstance(profile, ScaledBandwidth):
-        scale *= profile.factor
-        profile = profile.base
-    if not isinstance(profile, TraceBandwidth):
-        return 1
-    if scale <= 0.0:
-        return None if needed > 0.0 else 1
-    crossing = profile.first_time_at_capacity(t0, needed / scale)
+    crossing = trace.first_time_at_capacity(t0, needed)
     if crossing is None:
         return None
-    ticks = math.ceil((crossing - t0) / dt) - 1
-    return max(1, ticks)
+    return max(1, math.ceil((crossing - t0) / dt) - 1)
 
 
 def make_bandwidth(mean: float, max_change_rate: float = 0.0,

@@ -9,14 +9,16 @@ bucket:
   can use the capacity earned since the last tick boundary -- the paper
   neglects propagation latency, and making senders wait for the next tick
   boundary would add artificial delay precisely at high load;
-* once per tick (:meth:`refill`, driven by the NETWORK phase) the bucket's
-  carry-over is capped at roughly one tick's capacity, so idle links cannot
-  bank unbounded bursts, and the tick's utilization telemetry resets;
+* once per tick (:meth:`refill`) the bucket's carry-over is capped at
+  roughly one tick's capacity, so idle links cannot bank unbounded bursts,
+  and the tick's utilization telemetry resets.  The NETWORK phase refills
+  cache and peer links; a source link replays its refills when touched
+  (:meth:`sync_to_tick`), from the tick boundaries its topology records;
 * :meth:`drain` pops queued messages FIFO while credit remains;
-* senders either :meth:`try_send` (refuse when no credit -- sources
-  self-pace, their priority queue is the send queue per paper Sec 8) or
-  :meth:`transmit_or_queue` (deliver now if possible, else join the FIFO
-  queue -- the shared cache link, where congestion is supposed to happen).
+* a source refuses to send without credit (sources self-pace, their
+  priority queue is the send queue per paper Sec 8), while
+  :meth:`transmit_or_queue` delivers now if possible, else joins the FIFO
+  queue -- the shared cache link, where congestion is supposed to happen.
 
 Utilization over the last tick is tracked so the cache's feedback
 controller can detect surplus bandwidth (Sec 5).
@@ -40,7 +42,7 @@ from repro.network.messages import Message
 
 DeliveryCallback = Callable[[Message], None]
 
-#: Cap on how many trace segments one lazy-sync jump check scans, bounding
+#: Cap on how many trace segments one sync jump check scans, bounding
 #: the vectorized prefix pass; longer gaps just take another jump.
 _JUMP_SPAN = 512
 
@@ -60,8 +62,8 @@ class Link:
     """
 
     __slots__ = ("name", "profile", "deliver", "credit", "queue",
-                 "_last_accrue", "_tick_added", "_const_rate", "_trace",
-                 "_lazy", "_synced_tick", "_synced_boundary", "on_queue",
+                 "_last_accrue", "_tick_added", "_const_rate", "_steady",
+                 "_trace", "_synced_tick", "on_queue",
                  "tick_capacity", "tick_used", "total_sent",
                  "total_delivered", "total_units", "total_queued_peak",
                  "_window_queued_peak")
@@ -81,17 +83,15 @@ class Link:
         # shortcut is bit-identical to the method call it skips.
         self._const_rate = profile._rate \
             if type(profile) is ConstantBandwidth else None
-        # Non-steady trace profiles get sync_to_tick's segment-walk
-        # replay; steady ones (including flat traces) keep the cheaper
-        # steady saturation jump, so this is only set when it matters.
+        # Which fast-forward sync_to_tick may take: the steady saturation
+        # jump (flat traces included), or the segment jumps of a
+        # non-steady trace; neither replays every tick.
+        self._steady = profile.steady_rate is not None
         self._trace = profile \
             if (isinstance(profile, TraceBandwidth)
-                and profile.steady_rate is None) else None
-        # Lazy-refill state: a link marked lazy by its topology skips the
-        # per-tick refill loop and is brought up to date on first touch.
-        self._lazy = False
+                and not self._steady) else None
+        # The last tick whose refill this link has applied.
         self._synced_tick = 0
-        self._synced_boundary = 0.0
         #: optional callback invoked when a message joins the FIFO queue
         #: (lets a policy arm the owning cache's drain wakeup)
         self.on_queue: DeliveryCallback | None = None
@@ -110,34 +110,6 @@ class Link:
     # ------------------------------------------------------------------
     # Credit management
     # ------------------------------------------------------------------
-    @property
-    def label(self) -> str:
-        """The name errors and ``repr`` show (``source-<id>`` for a
-        source link)."""
-        name = self.name
-        return name if isinstance(name, str) else f"source-{name}"
-
-    @property
-    def lazy(self) -> bool:
-        """True when this link skips eager per-tick refills."""
-        return self._lazy
-
-    @lazy.setter
-    def lazy(self, value: bool) -> None:
-        # sync_to_tick replays skipped refills exactly for steady
-        # profiles (closed-form saturation jump) and piecewise traces
-        # (segment-walk replay over the cumulative array); any other
-        # fluctuating profile replayed from the wrong boundary would
-        # fabricate credit.  Refuse early instead of silently diverging.
-        if value and self.profile.steady_rate is None \
-                and self._trace is None:
-            raise ValueError(
-                f"link {self.label!r} cannot refill lazily: profile "
-                f"{self.profile!r} is not steady or piecewise (lazy sync "
-                f"replays per-tick refills, which is only exact when the "
-                f"capacity earned per tick is reconstructible)")
-        self._lazy = value
-
     def retry_ticks(self, now: float, dt: float) -> int | None:
         """Ticks until a sender this link refused at ``now`` may retry.
 
@@ -152,8 +124,7 @@ class Link:
         """
         if self._trace is None:
             return 1
-        return ticks_until_capacity(self.profile, now, dt,
-                                    1.0 - self.credit)
+        return ticks_until_capacity(self._trace, now, dt, 1.0 - self.credit)
 
     def accrue(self, now: float) -> None:
         """Fold in capacity earned since the last accrual."""
@@ -169,91 +140,75 @@ class Link:
         self.credit += added
         self._tick_added += added
 
-    def refill(self, now: float) -> None:
-        """Per-tick boundary: cap banked credit, reset tick telemetry."""
+    def refill(self, now: float) -> bool:
+        """Per-tick boundary: cap banked credit, reset tick telemetry.
+
+        Returns True when the credit sat at or above the cap, which
+        :meth:`sync_to_tick` reads as "this tick's state is the cap's".
+        """
         self.accrue(now)
         tick_capacity = self._tick_added
         # Carry over at most ~one tick of unused credit; this permits
         # fractional capacities (0.5 msgs/tick sends one message every
         # other tick) without allowing unbounded bursts after idle spells.
-        self.credit = min(self.credit, max(1.0, tick_capacity) + tick_capacity)
+        cap = max(1.0, tick_capacity) + tick_capacity
+        clipped = self.credit >= cap
+        if clipped:
+            self.credit = cap
         self.tick_capacity = tick_capacity
         self.tick_used = 0.0
         self._tick_added = 0.0
+        return clipped
 
-    def sync_to_tick(self, tick_no: int, tick_time: float,
-                     prev_tick_time: float, dt: float,
-                     boundaries: list[float] | None = None) -> None:
-        """Replay the per-tick refills a lazy link skipped, bit for bit.
+    def sync_to_tick(self, boundaries: list[float], tick_no: int) -> None:
+        """Replay the per-tick refills since the last sync, bit for bit.
 
-        Reconstructs every skipped tick boundary by the same repeated
-        ``boundary + dt`` float accumulation the network ticker performs
-        (the chains share their starting float, so they are identical),
-        and executes :meth:`refill`'s accrue/cap/reset sequence at each
-        one -- the identical float operations in the identical order, so
-        a lazily-synced link is indistinguishable from an eagerly
-        refilled one.  Closed forms are *not* safe here: summing
-        ``rate * dt`` per tick and multiplying ``rate * k * dt`` once
-        differ in the last ulp for non-dyadic rates, which is enough to
-        flip a ``has_credit`` decision.
+        A source link is refilled on touch, not by the tick loop:
+        ``boundaries[k]`` is the float the network ticker observed at
+        tick ``k`` (its topology records them), and every skipped tick
+        replays :meth:`refill` at its boundary -- the identical float
+        operations in the identical order, so a link synced on touch is
+        indistinguishable from one refilled every tick.  Closed forms are
+        *not* safe here: summing ``rate * dt`` per tick and multiplying
+        ``rate * k * dt`` once differ in the last ulp for non-dyadic
+        rates, which is enough to flip a ``has_credit`` decision.
 
-        Cost stays O(1) amortized: once the credit saturates at the
-        refill cap (or the profile adds nothing), every further tick
-        provably reproduces the same state, so the replay jumps straight
-        to the final boundary (``prev_tick_time``/``tick_time``, the
-        ticker's own floats).  A link therefore replays at most the ticks
-        between its last consumption and saturation, never a whole idle
-        span.
+        The replay fast-forwards only where that is provably exact:
 
-        Links on a non-steady :class:`TraceBandwidth` take the
-        segment-walk variant instead (:meth:`_sync_trace`), which needs
-        the topology's recorded ``boundaries`` (tick index -> tick-time
-        float) to jump over saturated in-segment spans; without them it
-        replays tick by tick, still exactly.
+        * a *steady* profile earns the same capacity every tick, so once
+          a refill clips (or earns nothing) every further tick
+          reproduces the same state, and the replay jumps straight to the
+          final tick: a link replays at most the ticks between its last
+          consumption and saturation, never a whole idle span;
+        * a non-steady :class:`TraceBandwidth` skips spans of
+          cap-pinned or zero-rate ticks (:meth:`_trace_jump`);
+        * any other profile (sine, a scaled trace) replays every tick,
+          the work a per-tick refill loop would do for it.
+
+        ``tick_no`` is the topology's tick counter itself, so every
+        synced link shares that one int.
         """
-        pending = tick_no - self._synced_tick
-        if pending <= 0:
-            return
-        if self._trace is not None:
-            self._sync_trace(tick_no, tick_time, dt, boundaries)
-            return
-        boundary = self._synced_boundary
-        while pending > 0:
-            boundary = boundary + dt
-            self.accrue(boundary)
-            tick_capacity = self._tick_added
-            cap = max(1.0, tick_capacity) + tick_capacity
-            saturated = self.credit >= cap or tick_capacity == 0.0
-            self.credit = min(self.credit, cap)
-            self.tick_capacity = tick_capacity
-            self.tick_used = 0.0
-            self._tick_added = 0.0
-            pending -= 1
-            if pending > 0 and saturated:
-                # Saturated: each remaining tick would leave the credit
-                # pinned at that tick's cap, so only the final boundary's
-                # refill is observable.  Replay it directly.
-                self._last_accrue = prev_tick_time
-                self.accrue(tick_time)
-                tick_capacity = self._tick_added
-                self.credit = min(self.credit,
-                                  max(1.0, tick_capacity) + tick_capacity)
-                self.tick_capacity = tick_capacity
-                self.tick_used = 0.0
-                self._tick_added = 0.0
-                break
+        tick = self._synced_tick
+        last = tick_no - 1  # the final tick always replays normally
+        while tick < tick_no:
+            tick += 1
+            clipped = self.refill(boundaries[tick])
+            if tick < last and (clipped or self.tick_capacity == 0.0):
+                if self._steady:
+                    self._last_accrue = boundaries[last]
+                    tick = last
+                elif self._trace is not None:
+                    tick = self._trace_jump(boundaries, tick, last, clipped)
         self._synced_tick = tick_no
-        self._synced_boundary = tick_time
 
-    def _sync_trace(self, tick_no: int, tick_time: float, dt: float,
-                    boundaries: list[float] | None) -> None:
-        """Per-tick refill replay for piecewise (trace) profiles.
+    def _trace_jump(self, boundaries: list[float], tick: int, last: int,
+                    pinned: bool) -> int:
+        """The tick a trace link's replay may resume from after tick
+        ``tick`` clipped (``pinned``) or earned nothing; ``tick`` itself
+        when no span can be skipped.
 
-        The steady path's closed-form jump assumes every tick earns the
-        same capacity; on a trace the per-tick capacity drifts with the
-        rate curve.  The replay runs :meth:`refill`'s exact per-tick
-        sequence until the credit saturates, then fast-forwards on one
-        of two exactness arguments:
+        The per-tick capacity drifts with the rate curve, so the steady
+        jump does not apply; two other exactness arguments do:
 
         * **Cap-pinned chain.**  A saturated refill leaves the credit
           exactly at its cap ``g(tc) = max(1, tc) + tc``, a pure
@@ -264,13 +219,12 @@ class Link:
           per-tick capacity bounds ``lo``/``hi`` (segment-rate extrema
           times ``dt``, padded for the ulp jitter between tick spans).
           Every skipped tick's state is then ``credit = cap_k`` -- so
-          the jump replays only the *last* skipped tick, seeded with
-          infinite credit so its ``min`` lands exactly on the eager
-          chain's cap float, and the final tick runs normally from it.
+          the jump lands one tick before the span's end with infinite
+          credit, and that tick's refill lands exactly on the cap float.
         * **Zero-rate run.**  While every spanned segment has rate 0,
-          each skipped tick accrues exactly 0.0 and caps at
-          ``min(credit, 1.0)``: the first application is the fixpoint,
-          so the jump applies it once and skips to the run's end.
+          each skipped tick accrues exactly 0.0 and its cap of 1.0 binds
+          nothing (the credit is below it), so the jump just moves the
+          clock to the run's end.
 
         Both bounds are *monotone in span length* (extrema only widen as
         the span grows), so a prefix min/max accumulation over the
@@ -281,107 +235,60 @@ class Link:
         link).  The barrier tick itself replays explicitly and the
         chain resumes past it, so cost is bounded by segments actually
         spanned, never by ticks.
-
-        ``boundaries[i]`` must be the network ticker's time float at tick
-        ``i`` (the topology records them); when absent the loop replays
-        every tick, which is exact but O(pending).
         """
         trace = self._trace
         rates = trace.rates
-        times = trace._times_list
-        tick = self._synced_tick
-        boundary = self._synced_boundary
-        while tick < tick_no:
-            tick += 1
-            boundary = boundaries[tick] if boundaries is not None \
-                else boundary + dt
-            self.accrue(boundary)
-            tick_capacity = self._tick_added
-            cap = max(1.0, tick_capacity) + tick_capacity
-            pinned = self.credit >= cap
-            self.credit = min(self.credit, cap)
-            self.tick_capacity = tick_capacity
-            self.tick_used = 0.0
-            self._tick_added = 0.0
-            if boundaries is None or tick >= tick_no - 1 \
-                    or not (pinned or tick_capacity == 0.0):
-                continue
-            last = tick_no - 1  # the final tick always replays normally
-            i0 = trace._segment(boundary)
-            i1 = trace._segment(boundaries[last])
-            # `safe` = furthest segment the saturation chain provably
-            # reaches; below i0 means the adjacent segment breaks it.
-            # Both lookups depend only on the trace and the starting
-            # segment -- never on this link's credit -- so they memoize
-            # on the (often shared) trace: at most one vectorized prefix
-            # pass per segment per run, a dict hit thereafter.
-            if pinned:
-                # Start the window at the current tick's *first* spanned
-                # segment: its rate extrema then bound tick_capacity
-                # too, keeping the memo link-independent.
-                start = trace._segment(boundaries[tick - 1])
-                if trace._jump_memo_dt != dt:
-                    trace._jump_memo.clear()
-                    trace._jump_memo_dt = dt
-                safe = trace._jump_memo.get(start)
-                if safe is None:
-                    end = min(start + _JUMP_SPAN, len(rates) - 1)
-                    if end == start:
-                        r = trace._rates_list[start] * dt
-                        lo = r * (1.0 - 1e-6)
-                        safe = end if max(1.0, lo) + lo >= \
-                            max(1.0, r * (1.0 + 1e-6)) else start - 1
-                    else:
-                        window = rates[start:end + 1] * dt
-                        lo = np.minimum.accumulate(window)
-                        lo *= 1.0 - 1e-6
-                        hi = np.maximum.accumulate(window)
-                        hi *= 1.0 + 1e-6
-                        ok = np.maximum(1.0, lo) + lo \
-                            >= np.maximum(1.0, hi)
-                        k = int(np.argmin(ok))  # first False, 0 if none
-                        safe = end if ok[k] else start + k - 1
-                    trace._jump_memo[start] = safe
-            else:  # tick_capacity == 0.0 with credit below the cap:
-                # skipped ticks are no-ops only while the rate stays 0.
-                safe = trace._zero_memo.get(i0)
-                if safe is None:
-                    end = min(i0 + _JUMP_SPAN, len(rates) - 1)
-                    if end == i0:
-                        safe = end if trace._rates_list[i0] == 0.0 \
-                            else i0 - 1
-                    else:
-                        ok = rates[i0:end + 1] == 0.0
-                        k = int(np.argmin(ok))
-                        safe = end if ok[k] else i0 + k - 1
-                    trace._zero_memo[i0] = safe
-            if safe < i0:
-                continue  # barrier right here: replay the next tick
-            if safe >= i1:
-                j = last
-            else:
-                # Last tick still inside the provably-safe segments.
-                j = bisect_right(boundaries, times[safe + 1],
-                                 lo=tick, hi=last + 1) - 1
-            if not pinned:
-                if j > tick:
-                    # Zero-rate run through boundaries[j]: apply the
-                    # one-time cap fixpoint and skip the no-op ticks.
-                    self.credit = min(self.credit, 1.0)
-                    self.tick_capacity = 0.0
-                    tick = j
-                    boundary = boundaries[j]
-                    self._last_accrue = boundary
-            elif j - 1 > tick:
-                # Cap-pinned through `j`: skip to its previous boundary
-                # and let the loop replay it from infinite credit --
-                # the min lands exactly on its cap.
-                tick = j - 1
-                boundary = boundaries[tick]
-                self._last_accrue = boundary
-                self.credit = float("inf")
-        self._synced_tick = tick_no
-        self._synced_boundary = tick_time
+        i0 = trace._segment(boundaries[tick])
+        # `safe` = furthest segment the chain provably reaches; below i0
+        # means the adjacent segment breaks it.  Both lookups depend only
+        # on the trace and the starting segment -- never on this link's
+        # credit -- so they memoize on the (often shared) trace: at most
+        # one vectorized prefix pass per segment per run.
+        if pinned:
+            # Start the window at the current tick's *first* spanned
+            # segment: its rate extrema then bound tick_capacity too,
+            # keeping the memo link-independent.
+            start = trace._segment(boundaries[tick - 1])
+            dt = boundaries[1]
+            if trace._jump_memo_dt != dt:
+                trace._jump_memo.clear()
+                trace._jump_memo_dt = dt
+            safe = trace._jump_memo.get(start)
+            if safe is None:
+                end = min(start + _JUMP_SPAN, len(rates) - 1)
+                window = rates[start:end + 1] * dt
+                lo = np.minimum.accumulate(window)
+                lo *= 1.0 - 1e-6
+                hi = np.maximum.accumulate(window)
+                hi *= 1.0 + 1e-6
+                ok = np.maximum(1.0, lo) + lo >= np.maximum(1.0, hi)
+                k = int(np.argmin(ok))  # first False, 0 if none
+                safe = trace._jump_memo[start] = \
+                    end if ok[k] else start + k - 1
+        else:
+            safe = trace._zero_memo.get(i0)
+            if safe is None:
+                end = min(i0 + _JUMP_SPAN, len(rates) - 1)
+                ok = rates[i0:end + 1] == 0.0
+                k = int(np.argmin(ok))
+                safe = trace._zero_memo[i0] = end if ok[k] else i0 + k - 1
+        if safe < i0:
+            return tick  # barrier right here: replay the next tick
+        if safe >= trace._segment(boundaries[last]):
+            j = last
+        else:
+            # Last tick still inside the provably-safe segments.
+            j = bisect_right(boundaries, trace._times_list[safe + 1],
+                             lo=tick, hi=last + 1) - 1
+        if not pinned:
+            if j > tick:
+                self._last_accrue = boundaries[j]
+                return j
+        elif j - 1 > tick:
+            self._last_accrue = boundaries[j - 1]
+            self.credit = float("inf")
+            return j - 1
+        return tick
 
     def has_credit(self, size: float = 1.0) -> bool:
         return self.credit >= size
@@ -400,23 +307,6 @@ class Link:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def try_send(self, message: Message) -> bool:
-        """Consume credit and deliver immediately; False if no credit.
-
-        Used by self-pacing senders (sources).  Delivery is synchronous
-        because the paper neglects propagation latency; the *queueing*
-        latency of the shared cache link is modelled by
-        :meth:`transmit_or_queue`.
-        """
-        self.accrue(message.sent_at)
-        if self.queue or not self.try_consume(message.size):
-            return False
-        self.total_sent += 1
-        self.total_delivered += 1
-        if self.deliver is not None:
-            self.deliver(message)
-        return True
-
     def send(self, message: Message,
              receiver: DeliveryCallback | None = None) -> bool:
         """Spend credit and deliver to ``receiver``, bypassing the queue.
@@ -513,15 +403,10 @@ class Link:
         continuously but only sends and refills used to call
         :meth:`accrue`.  Tick-aligned readers (the feedback controller
         runs right after the NETWORK-phase refill) see identical values
-        either way.
-
-        On a *lazy* link the accrual is skipped: a raw ``accrue`` across
-        un-synced tick boundaries would fold a multi-tick span into one
-        uncapped refill and corrupt :meth:`sync_to_tick`'s replay.  Lazy
-        links must be brought up to date through their topology's sync
-        (which all senders do) before their surplus means anything.
+        either way.  Only cache links are read, and the tick loop refills
+        them.
         """
-        if now is not None and not self._lazy:
+        if now is not None:
             self.accrue(now)
         if self.queue:
             return 0.0
@@ -558,5 +443,7 @@ class Link:
         return min(1.0, self.tick_used / self.tick_capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Link {self.label} credit={self.credit:.2f} "
+        name = self.name
+        label = name if isinstance(name, str) else f"source-{name}"
+        return (f"<Link {label} credit={self.credit:.2f} "
                 f"queued={len(self.queue)}>")

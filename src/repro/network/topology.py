@@ -67,15 +67,12 @@ class Topology:
     refresh) and size 0 under ``"multicast"`` (one unit whatever ``r``).
     :meth:`feedback_gain` tells the feedback economy what that buys.
 
-    **Active-link set.**  The per-tick network phase used to refill every
-    link, making each tick O(m) even when nothing moves.  Source links
-    with *steady* bandwidth profiles are instead marked lazy: they skip
-    the tick loop and are brought up to date on first touch through
-    :meth:`Link.sync_to_tick`, whose closed-form refill replay is
-    bit-for-bit identical to the eager schedule (steady per-tick caps
-    telescope).  Cache links stay eager -- they carry FIFO queues, surplus
-    telemetry and possibly time-varying profiles -- as do source links
-    with non-steady profiles.
+    **Source links sync on touch.**  The per-tick network phase refills
+    only the cache and peer links, so a tick costs O(N), not O(m).  It
+    records each tick's timestamp instead, and a source link replays the
+    refills it skipped when a send or a capacity probe touches it
+    (:meth:`Link.sync_to_tick`), bit for bit what a per-tick refill
+    would have left.
     """
 
     def __init__(self, cache_profiles: Sequence[BandwidthProfile],
@@ -135,17 +132,11 @@ class Topology:
         self._replicated = any(len(targets) > 1 for targets in groups)
         self._cache_receivers: list[Receiver | None] = [None] * num_caches
         self._source_receivers: list[Receiver | None] = [None] * num_sources
+        # The network ticks so far, one int every synced source link
+        # shares, and every tick's timestamp indexed by tick number (entry
+        # 0 is the simulation start): the floats source links replay
+        # their skipped refills at, ~8 bytes per tick, independent of m.
         self._tick_no = 0
-        self._tick_time = 0.0
-        self._prev_tick_time = 0.0
-        # The exact ticker interval float: the first network tick fires at
-        # sim-start (0.0) + dt, so its timestamp *is* dt.  Lazy links need
-        # it to reproduce the ticker's boundary accumulation bit for bit.
-        self._tick_dt = 0.0
-        # Every tick's timestamp, indexed by tick number (entry 0 is the
-        # simulation start).  Lazy links on piecewise profiles need the
-        # true boundary floats to replay skipped refills and to bisect
-        # their saturation jumps; ~8 bytes per tick, independent of m.
         self._tick_boundaries: list[float] = [0.0]
         # Scratch message reused by send_downstream_batch: feedback carries
         # no per-message payload beyond its routing fields, so the batch
@@ -165,32 +156,6 @@ class Topology:
         # nothing, keeping the no-peer path exact.
         self._peer_links: dict[tuple[int, int], Link] = {}
         self._peer_link_list: list[Link] = []
-        self._classify_links()
-
-    def _classify_links(self) -> None:
-        eager: list[Link] = []
-        for link in self.source_links:
-            # Steady profiles replay lazily in closed form; non-steady
-            # trace profiles replay by segment walk (Link._sync_trace).
-            # Anything else (sine) must stay eager.
-            link.lazy = (link.profile.steady_rate is not None
-                         or link._trace is not None)
-            if not link.lazy:
-                eager.append(link)
-        self._eager_source_links = eager
-
-    @property
-    def active_link_count(self) -> int:
-        """Links refilled eagerly each network tick (telemetry)."""
-        return len(self._eager_source_links) + len(self.cache_links)
-
-    def _sync_source_link(self, source_id: int) -> None:
-        """Bring a lazy source link up to the last tick boundary."""
-        link = self.source_links[source_id]
-        if link.lazy and link._synced_tick < self._tick_no:
-            link.sync_to_tick(self._tick_no, self._tick_time,
-                              self._prev_tick_time, self._tick_dt,
-                              self._tick_boundaries)
 
     # ------------------------------------------------------------------
     # Shape
@@ -386,19 +351,11 @@ class Topology:
     # Per-tick network phase
     # ------------------------------------------------------------------
     def on_network_tick(self, now: float) -> None:
-        """Refill every *active* link and drain each cache link's queue.
-
-        Lazy source links are skipped here and catch up on first touch;
-        see the class docstring for why that is behavior-preserving.
+        """Record the tick, then refill and drain every cache and peer
+        link.  Source links catch up on touch (see the class docstring).
         """
-        self._prev_tick_time = self._tick_time
         self._tick_no += 1
-        self._tick_time = now
         self._tick_boundaries.append(now)
-        if self._tick_no == 1:
-            self._tick_dt = now
-        for link in self._eager_source_links:
-            link.refill(now)
         for link in self.cache_links:
             link.refill(now)
             link.drain()
@@ -473,7 +430,7 @@ class Topology:
         ``message.cache_id`` with the primary target, then every sibling
         replica gets its copy (see the class docstring's fan-out rule).
 
-        The sync/accrue/consume helpers are inlined here: every
+        The accrue/consume helpers are inlined here: every
         update-driven source drain lands on this method, and at m ~ 1e6
         the call overhead of the layered helpers dominates.  The float
         operations run in the helpers' exact order, so results are
@@ -484,10 +441,8 @@ class Topology:
         """
         source_id = message.source_id
         source_link = self.source_links[source_id]
-        if source_link._lazy and source_link._synced_tick < self._tick_no:
-            source_link.sync_to_tick(self._tick_no, self._tick_time,
-                                     self._prev_tick_time, self._tick_dt,
-                                     self._tick_boundaries)
+        if source_link._synced_tick < self._tick_no:
+            source_link.sync_to_tick(self._tick_boundaries, self._tick_no)
         now = message.sent_at
         last = source_link._last_accrue
         if now > last:
@@ -589,8 +544,10 @@ class Topology:
     # ------------------------------------------------------------------
     def source_at_capacity(self, source_id: int) -> bool:
         """True when the source spent all its credit this tick (footnote 3)."""
-        self._sync_source_link(source_id)
-        return not self.source_links[source_id].has_credit()
+        link = self.source_links[source_id]
+        if link._synced_tick < self._tick_no:
+            link.sync_to_tick(self._tick_boundaries, self._tick_no)
+        return not link.has_credit()
 
     def cache_surplus(self, cache_id: int,
                       now: float | None = None) -> float:
@@ -659,12 +616,6 @@ class Topology:
             "retransmitted": retransmitted,
             "duplicate_suppressed": duplicates,
         }
-
-    def total_messages(self) -> int:
-        """All messages accepted anywhere in the network so far."""
-        return (sum(link.total_sent for link in self.cache_links)
-                + sum(link.total_sent for link in self.source_links)
-                + sum(link.total_sent for link in self._peer_link_list))
 
     # ------------------------------------------------------------------
     # Teardown

@@ -65,12 +65,11 @@ def gc_paused() -> Iterator[None]:
 class Ticker:
     """A recurring task created by :meth:`Simulator.every`.
 
-    The callback receives the current simulation time.  Cancelling a ticker
-    stops all future firings.
+    The callback receives the current simulation time.  A ticker fires
+    until its simulator is closed.
     """
 
-    __slots__ = ("interval", "phase", "action", "_sim", "_next_event",
-                 "cancelled")
+    __slots__ = ("interval", "phase", "action", "_sim")
 
     def __init__(self, sim: "Simulator", interval: float, phase: int,
                  action: Callable[[float], None], start: float):
@@ -80,30 +79,12 @@ class Ticker:
         self.phase = phase
         self.action = action
         self._sim = sim
-        self.cancelled = False
-        self._next_event = sim.at(start, self._fire, phase=phase)
+        sim.at(start, self._fire, phase=phase)
 
     def _fire(self) -> None:
-        if self.cancelled:
-            return
         self.action(self._sim.now)
-        if not self.cancelled:
-            self._next_event = self._sim.at(
-                self._sim.now + self.interval, self._fire, phase=self.phase)
-
-    def cancel(self) -> None:
-        """Stop all future firings and unregister from the simulator.
-
-        Safe to call more than once; the ticker prunes itself from the
-        simulator's registry so long multi-run sessions do not accumulate
-        dead ticker objects.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._next_event is not None:
-            self._next_event.cancel()
-        self._sim._forget_ticker(self)
+        self._sim.at(self._sim.now + self.interval, self._fire,
+                     phase=self.phase)
 
 
 class Simulator:
@@ -120,7 +101,6 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0.0
         self._queue = EventQueue()
-        self._tickers: list[Ticker] = []
         self._wakeups: dict[tuple[int, object], Event] = {}
         self._wakeup_actions: dict[tuple[int, object],
                                    Callable[[], None]] = {}
@@ -157,9 +137,7 @@ class Simulator:
         """
         if start is None:
             start = self.now + interval
-        ticker = Ticker(self, interval, phase, action, start)
-        self._tickers.append(ticker)
-        return ticker
+        return Ticker(self, interval, phase, action, start)
 
     def wake_at(self, key, time: float, action: Callable[[], None],
                 phase: int = Phase.DEFAULT) -> Event:
@@ -258,37 +236,18 @@ class Simulator:
             self.run_horizon = previous_horizon
         self.now = max(self.now, end_time)
 
-    def cancel_all_tickers(self) -> None:
-        """Stop every recurring task (used when tearing down a policy)."""
-        for ticker in list(self._tickers):
-            ticker.cancel()
-        self._tickers.clear()
-
     def close(self) -> None:
         """Drop every scheduled callback; the simulator cannot run again.
 
-        Queued events, tickers and wakeups are what tie a finished run's
-        object graph into cycles (an event's action reaches back to its
-        owner, which holds the event; a ticker's next event is queued).
+        Queued events and wakeups are what tie a finished run's object
+        graph into cycles (an event's action reaches back to its owner,
+        which holds the event; a ticker lives in its next queued event).
         Dropping them lets the graph be freed by reference counting
         instead of by a cyclic GC pass.
         """
         self._queue.clear()
-        self._tickers.clear()
         self._wakeups.clear()
         self._wakeup_actions.clear()
-
-    def _forget_ticker(self, ticker: Ticker) -> None:
-        """Drop a cancelled ticker from the registry (idempotent)."""
-        try:
-            self._tickers.remove(ticker)
-        except ValueError:
-            pass
-
-    @property
-    def active_tickers(self) -> int:
-        """Number of live (not-yet-cancelled) recurring tasks."""
-        return len(self._tickers)
 
     @property
     def pending_events(self) -> int:

@@ -196,11 +196,6 @@ class WakeupSet:
         self._times[key] = time
         heapq.heappush(self._heap, (time, key))
 
-    def disarm(self, key) -> None:
-        """Drop any pending wakeup for ``key`` (stale heap entries are
-        discarded lazily)."""
-        self._times.pop(key, None)
-
     def peek_time(self):
         """Earliest pending wakeup time, or ``None`` when empty."""
         self._prune()

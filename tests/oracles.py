@@ -21,7 +21,8 @@ configuration both ways and demand bit-identical results.
   re-arms it, with no skip rule.  The policies' own wakeup sets are
   armed as usual and never consulted;
 * **eager links** -- every source link refills on every network tick
-  instead of replaying skipped refills on first touch;
+  (:meth:`Link.refill`, the per-tick rule itself) instead of replaying
+  the refills it skipped when touched;
 * **per event** -- each replayer firing hands its applier a one-event
   slice (one trace update or one read), rescheduling through the
   simulator heap in between.
@@ -131,10 +132,16 @@ def _scan_caches(self, now: float) -> None:
         cache.on_tick(now)
 
 
-def _all_links_eager(self) -> None:
-    for link in self.source_links:
-        link.lazy = False
-    self._eager_source_links = list(self.source_links)
+def _refill_source_links(network_tick):
+    """A network tick that first refills every source link and marks it
+    synced, so no source link ever replays a skipped refill."""
+    def on_network_tick(self, now: float) -> None:
+        tick_no = self._tick_no + 1
+        for link in self.source_links:
+            link.refill(now)
+            link._synced_tick = tick_no
+        network_tick(self, now)
+    return on_network_tick
 
 
 def _fire_one_event(self) -> None:
@@ -178,7 +185,8 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
             (IdealCooperativePolicy, "_on_tick", drain_every_tick),
         ]
     if eager_links:
-        patches.append((Topology, "_classify_links", _all_links_eager))
+        patches.append((Topology, "on_network_tick", _refill_source_links(
+            Topology.__dict__["on_network_tick"])))
     if per_event:
         patches.append((TraceReplayer, "_fire", _fire_one_event))
     saved = [(owner, name, owner.__dict__[name])

@@ -5,7 +5,6 @@ import pytest
 
 from repro.network.bandwidth import (
     ConstantBandwidth,
-    ScaledBandwidth,
     SineBandwidth,
     TraceBandwidth,
     make_bandwidth,
@@ -198,21 +197,11 @@ class TestTraceBandwidthFastPath:
                 assert profile.capacity(t0, crossing) == pytest.approx(
                     needed, abs=1e-9)
 
-    def test_ticks_until_capacity_unwraps_scaled(self):
-        trace = TraceBandwidth(times=[0.0], rates=[4.0])
-        half = ScaledBandwidth(trace, 0.5)
-        # Rate 2/s effective: 6 credits cross at t=3, tick 3 - 1 = 2.
-        assert ticks_until_capacity(half, 0.0, 1.0, 6.0) == 2
-        assert ticks_until_capacity(trace, 0.0, 1.0, 6.0) == 1
-
-    def test_ticks_until_capacity_parks_and_falls_back(self):
+    def test_ticks_until_capacity_parks_on_trailing_zero(self):
         dead = TraceBandwidth(times=[0.0, 5.0], rates=[1.0, 0.0])
         assert ticks_until_capacity(dead, 6.0, 1.0, 1.0) is None
-        assert ticks_until_capacity(ScaledBandwidth(dead, 0.0),
-                                    0.0, 1.0, 1.0) is None
-        # Profiles without a cumulative solve keep the next-tick retry.
-        assert ticks_until_capacity(ConstantBandwidth(5.0),
-                                    0.0, 1.0, 100.0) == 1
+        # 3 credits cross at t=3, one tick early: tick 2.
+        assert ticks_until_capacity(dead, 0.0, 1.0, 3.0) == 2
 
     def test_ticks_until_capacity_never_late(self):
         """The predicted tick never overshoots the true crossing tick."""

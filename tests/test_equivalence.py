@@ -65,7 +65,7 @@ from repro.network.bandwidth import (
     SineBandwidth,
     TraceBandwidth,
 )
-from repro.network.topology import TopologyConfig
+from repro.network.topology import Topology, TopologyConfig
 from repro.policies.bounded import assign_max_rates
 from repro.policies.cache_driven import CGMPollingPolicy
 from repro.policies.competitive import CompetitivePolicy
@@ -784,7 +784,8 @@ class TestReferenceSchedule:
                  (CooperativePolicy, "_caches_tick"),
                  (CompetitivePolicy, "_own_sends_tick"),
                  (CooperativePolicy, "_on_update"),
-                 (SourceNode, "on_update")]
+                 (SourceNode, "on_update"),
+                 (Topology, "on_network_tick")]
         originals = [owner.__dict__[name] for owner, name in scans]
         with reference_schedule():
             assert all(owner.__dict__[name] is not original
@@ -792,8 +793,14 @@ class TestReferenceSchedule:
             reference = run()
         default = run()
         assert [owner.__dict__[name] for owner, name in scans] == originals
-        assert not any(link.lazy for link in reference.topology.source_links)
-        assert all(link.lazy for link in default.topology.source_links)
+        # The reference refills every source link on every tick; the
+        # default leaves a link behind until something touches it.
+        ticks = reference.topology._tick_no
+        assert default.topology._tick_no == ticks > 0
+        assert all(link._synced_tick == ticks
+                   for link in reference.topology.source_links)
+        assert any(link._synced_tick < ticks
+                   for link in default.topology.source_links)
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 
 from repro.network.bandwidth import (
     ConstantBandwidth,
+    ScaledBandwidth,
     SineBandwidth,
     TraceBandwidth,
 )
 from repro.network.link import Link
 from repro.network.messages import FeedbackMessage
-from repro.network.topology import Topology
 
 
 def make_link(rate=5.0, sink=None):
@@ -25,31 +25,40 @@ def msg(source_id=0):
     return FeedbackMessage(source_id=source_id)
 
 
-class TestTrySend:
-    def test_try_send_without_credit_fails(self):
-        link, delivered = make_link()
-        assert not link.try_send(msg())
-        assert delivered == []
+def boundaries(ticks, dt=1.0):
+    """The network ticker's float-accumulation chain, index = tick
+    number, as a topology records it."""
+    chain = [0.0]
+    for _ in range(ticks):
+        chain.append(chain[-1] + dt)
+    return chain
 
-    def test_try_send_with_credit_delivers_immediately(self):
-        link, delivered = make_link()
-        link.refill(1.0)
-        assert link.try_send(msg())
-        assert len(delivered) == 1
 
-    def test_try_send_consumes_credit(self):
-        link, _ = make_link(rate=2.0)
-        link.refill(1.0)  # 2 units
-        assert link.try_send(msg())
-        assert link.try_send(msg())
-        assert not link.try_send(msg())
-
-    def test_try_send_refuses_while_queue_nonempty(self):
-        """FIFO fairness: direct sends must not overtake queued messages."""
-        link, _ = make_link(rate=0.0)
-        link.enqueue(msg())
-        link.credit = 5.0
-        assert not link.try_send(msg())
+def sync_pair(make_profile, checkpoints, consume_at=()):
+    """Refill one link every tick and sync a twin only at
+    ``checkpoints``, with a send on both after each tick in
+    ``consume_at``; the twin must match bit for bit at every checkpoint
+    and after every send.  Returns the synced twin."""
+    eager = Link("eager", make_profile())
+    lazy = Link(0, make_profile())
+    ticks = max(checkpoints)
+    chain = boundaries(ticks)
+    consume_at = set(consume_at)
+    checkpoint_set = set(checkpoints)
+    for tick in range(1, ticks + 1):
+        eager.refill(chain[tick])
+        if tick in checkpoint_set:
+            lazy.sync_to_tick(chain, tick)
+            assert lazy.credit == eager.credit, f"tick {tick}"
+            assert lazy.tick_capacity == eager.tick_capacity
+            assert lazy._synced_tick == tick
+        if tick in consume_at:
+            send_at = chain[tick] + 0.37
+            for link in (eager, lazy):
+                link.accrue(send_at)
+                link.try_consume(1.0)
+            assert lazy.credit == eager.credit
+    return lazy
 
 
 class TestQueueing:
@@ -107,7 +116,7 @@ class TestQueueOnFirstUse:
         link, delivered = make_link(rate=3.0)
         other, _ = make_link()
         link.refill(1.0)
-        assert link.try_send(msg(0))
+        assert link.send(msg(0), delivered.append)
         assert link.transmit_or_queue(msg(1))
         assert link.send(msg(2), delivered.append)
         assert link.queue is other.queue
@@ -189,18 +198,6 @@ class TestCredit:
         link.refill(1.0)
         assert link.surplus(1.0) == link.surplus()
 
-    def test_surplus_never_accrues_on_a_lazy_link(self):
-        """A raw accrual across un-synced tick boundaries would bypass
-        sync_to_tick's per-tick credit caps; lazy links report their
-        last-synced balance instead."""
-        link, _ = make_link(rate=4.0)
-        link.lazy = True
-        link.refill(1.0)
-        before = (link.credit, link._last_accrue, link._tick_added)
-        assert link.surplus(7.0) == link.surplus()
-        assert (link.credit, link._last_accrue,
-                link._tick_added) == before
-
     def test_utilization_zero_with_no_capacity(self):
         link, _ = make_link(rate=0.0)
         link.refill(1.0)
@@ -252,41 +249,10 @@ class TestPublicCreditApi:
         assert link.total_sent == 1
 
 
-class TestLazyRequiresSteadyProfile:
-    """Lazy refill replay is only exact for steady profiles; marking any
-    other link lazy must fail loudly instead of silently diverging."""
-
-    def test_non_steady_profile_refuses_lazy(self):
-        link = Link("sine", SineBandwidth(4.0, 0.25))
-        with pytest.raises(ValueError, match="not steady"):
-            link.lazy = True
-        assert not link.lazy
-
-    def test_steady_profile_accepts_lazy(self):
-        link = Link("flat", ConstantBandwidth(4.0))
-        link.lazy = True
-        assert link.lazy
-        link.lazy = False
-        assert not link.lazy
-
-    def test_non_steady_may_be_marked_eager(self):
-        link = Link("sine", SineBandwidth(4.0, 0.25))
-        link.lazy = False  # the classify loop always assigns
-        assert not link.lazy
-
-    def test_a_source_link_refusal_names_its_source(self):
-        """Source links carry their source id, not a name string."""
-        topology = Topology([ConstantBandwidth(10.0)],
-                            [ConstantBandwidth(1.0),
-                             SineBandwidth(4.0, 0.25)])
-        with pytest.raises(ValueError, match="'source-1' cannot refill"):
-            topology.source_links[1].lazy = True
-
-
 class TestLazySync:
     """sync_to_tick must replay skipped refills bit-for-bit: the same
-    accrue/cap float operations at the same tick boundaries the eager
-    schedule performed, including non-dyadic rates whose per-tick sums
+    accrue/cap float operations at the same tick boundaries a per-tick
+    refill performs, including non-dyadic rates whose per-tick sums
     differ from any closed form in the last ulp."""
 
     @staticmethod
@@ -298,7 +264,7 @@ class TestLazySync:
         eager, lazy = self.eager_lazy_pair(2.5)
         for tick in range(1, 8):
             eager.refill(float(tick))
-        lazy.sync_to_tick(7, 7.0, 6.0, 1.0)
+        lazy.sync_to_tick(boundaries(7), 7)
         assert lazy.credit == eager.credit
         assert lazy.tick_capacity == eager.tick_capacity
 
@@ -308,17 +274,18 @@ class TestLazySync:
             link.refill(1.0)
             link.accrue(1.4)       # a send mid-tick accrues to its time
             link.try_consume(1.0)
-        lazy._synced_tick, lazy._synced_boundary = 1, 1.0
+        lazy._synced_tick = 1
         for tick in range(2, 6):
             eager.refill(float(tick))
-        lazy.sync_to_tick(5, 5.0, 4.0, 1.0)
+        lazy.sync_to_tick(boundaries(5), 5)
         assert lazy.credit == eager.credit
 
     def test_sync_is_idempotent_per_tick(self):
         link = Link("lazy", ConstantBandwidth(2.0))
-        link.sync_to_tick(3, 3.0, 2.0, 1.0)
+        chain = boundaries(3)
+        link.sync_to_tick(chain, 3)
         credit = link.credit
-        link.sync_to_tick(3, 3.0, 2.0, 1.0)  # same tick: no double refill
+        link.sync_to_tick(chain, 3)  # same tick: no double refill
         assert link.credit == credit
 
     @pytest.mark.parametrize("rate", [0.25, 0.1, 0.3, 1.0 / 3.0, 0.7])
@@ -331,7 +298,7 @@ class TestLazySync:
         eager, lazy = self.eager_lazy_pair(rate)
         for tick in range(1, 11):
             eager.refill(float(tick))
-        lazy.sync_to_tick(10, 10.0, 9.0, 1.0)
+        lazy.sync_to_tick(boundaries(10), 10)
         assert lazy.credit == eager.credit
         assert lazy.has_credit() == eager.has_credit()
 
@@ -340,11 +307,10 @@ class TestLazySync:
         """A long idle span saturates the bucket; the replay's jump to
         the final boundary must land on the eager schedule's floats."""
         eager, lazy = self.eager_lazy_pair(rate)
-        boundary = 0.0
-        for _ in range(500):
-            boundary = boundary + 1.0
-            eager.refill(boundary)
-        lazy.sync_to_tick(500, boundary, boundary - 1.0, 1.0)
+        chain = boundaries(500)
+        for tick in range(1, 501):
+            eager.refill(chain[tick])
+        lazy.sync_to_tick(chain, 500)
         assert lazy.credit == eager.credit
         assert lazy.tick_capacity == eager.tick_capacity
 
@@ -352,22 +318,40 @@ class TestLazySync:
         """Interleave sends and idle spans: the replayed chain must track
         the eager chain through every consume/refill alternation."""
         eager, lazy = self.eager_lazy_pair(0.3)
+        chain = boundaries(27)
         tick = 0
-        boundary = 0.0
         for span in (4, 7, 1, 13, 2):
-            prev = boundary
             for _ in range(span):
-                prev = boundary
-                boundary = boundary + 1.0
-                eager.refill(boundary)
-            tick += span
-            lazy.sync_to_tick(tick, boundary, prev, 1.0)
+                tick += 1
+                eager.refill(chain[tick])
+            lazy.sync_to_tick(chain, tick)
             assert lazy.credit == eager.credit
-            send_at = boundary + 0.4
+            send_at = chain[tick] + 0.4
             for link in (eager, lazy):
                 link.accrue(send_at)
                 link.try_consume(1.0)
             assert lazy.credit == eager.credit
+
+    PROFILES = {
+        # Per-tick capacity swings 0.3..5.7: a credit clipped in a trough
+        # is no longer at the cap a few ticks later.
+        "sine": lambda: SineBandwidth(3.0, 0.25, amplitude=0.9),
+        "sine-trickle": lambda: SineBandwidth(0.15, 0.5, amplitude=0.9),
+        # Barrier segments, then an outage from t = 200 on.
+        "scaled-trace": lambda: ScaledBandwidth(TraceBandwidth(
+            times=[0.0, 17.0, 31.0, 54.0, 80.0, 140.0, 200.0],
+            rates=[0.2, 5.0, 0.1, 8.0, 0.3, 6.0, 0.0]), 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_other_profiles_replay_every_tick_exactly(self, name):
+        """A sine or scaled-trace source link takes no fast-forward:
+        synced at sparse checkpoints, with a send after each, it replays
+        every skipped refill and lands on the per-tick chain's floats."""
+        checkpoints = [3, 4, 40, 97, 150, 151, 233, 300]
+        lazy = sync_pair(self.PROFILES[name], checkpoints,
+                         consume_at=checkpoints)
+        assert not lazy._steady and lazy._trace is None
 
     def test_on_queue_hook_fires(self):
         link = Link("hooked", ConstantBandwidth(0.0))
@@ -406,66 +390,25 @@ class TestLazyTraceSync:
         "trickle": lambda: _diurnal(0.05, 120.0, 60),
     }
 
-    @staticmethod
-    def boundaries(ticks, dt=1.0):
-        """The ticker's float-accumulation chain, index = tick number."""
-        chain = [0.0]
-        for _ in range(ticks):
-            chain.append(chain[-1] + dt)
-        return chain
-
-    def run_pair(self, make_trace, checkpoints, consume_at=(),
-                 pass_boundaries=True):
-        eager = Link("eager", make_trace())
-        lazy = Link("lazy", make_trace())
-        ticks = max(checkpoints)
-        chain = self.boundaries(ticks)
-        consume_at = set(consume_at)
-        checkpoint_set = set(checkpoints)
-        synced = 0
-        for tick in range(1, ticks + 1):
-            eager.refill(chain[tick])
-            if tick in checkpoint_set:
-                lazy.sync_to_tick(tick, chain[tick], chain[tick - 1], 1.0,
-                                  chain if pass_boundaries else None)
-                synced = tick
-                assert lazy.credit == eager.credit, f"tick {tick}"
-                assert lazy.tick_capacity == eager.tick_capacity
-                assert lazy._synced_tick == synced
-            if tick in consume_at:
-                send_at = chain[tick] + 0.37
-                for link in (eager, lazy):
-                    link.accrue(send_at)
-                    link.try_consume(1.0)
-                assert lazy.credit == eager.credit
-        return eager, lazy
-
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_sparse_sync_matches_eager(self, name):
         """Long idle gaps between syncs: jumps must land on the eager
         floats at every checkpoint."""
-        self.run_pair(self.TRACES[name],
+        sync_pair(self.TRACES[name],
                       checkpoints=[3, 40, 41, 95, 150, 151, 290])
 
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_every_tick_sync_matches_eager(self, name):
         """Degenerate case: syncing every tick is the eager chain."""
-        self.run_pair(self.TRACES[name], checkpoints=range(1, 60))
+        sync_pair(self.TRACES[name], checkpoints=range(1, 60))
 
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_consumes_between_syncs_stay_exact(self, name):
         """Sends drain credit below the cap mid-gap; the next replay must
         track the eager chain from that exact float."""
-        self.run_pair(self.TRACES[name],
+        sync_pair(self.TRACES[name],
                       checkpoints=[5, 30, 31, 70, 130, 200],
                       consume_at=[5, 30, 70, 130])
-
-    @pytest.mark.parametrize("name", sorted(TRACES))
-    def test_without_boundaries_replays_exactly(self, name):
-        """No recorded boundary chain: per-tick replay, still exact
-        because the synthesized chain is the same float accumulation."""
-        self.run_pair(self.TRACES[name], checkpoints=[7, 50, 120],
-                      pass_boundaries=False)
 
     def test_random_checkpoints_fuzz(self):
         rng = np.random.default_rng(5)
@@ -475,7 +418,7 @@ class TestLazyTraceSync:
                 rng.integers(1, ticks, size=25).tolist()) | {ticks})
             consume_at = set(
                 rng.choice(checkpoints, size=8, replace=False).tolist())
-            self.run_pair(make_trace, checkpoints, consume_at)
+            sync_pair(make_trace, checkpoints, consume_at)
 
     def test_shared_trace_instance_across_links(self):
         """Many links sharing one trace (the m = 10^5 layout) must not
@@ -484,23 +427,17 @@ class TestLazyTraceSync:
         eagers = [Link(f"e{i}", _diurnal(1.0, 120.0, 200))
                   for i in range(3)]
         lazies = [Link(f"l{i}", trace) for i in range(3)]
-        chain = self.boundaries(300)
+        chain = boundaries(300)
         schedules = [[50, 170, 300], [51, 290, 300], [120, 121, 300]]
         for tick in range(1, 301):
             for eager in eagers:
                 eager.refill(chain[tick])
             for lazy, schedule in zip(lazies, schedules):
                 if tick in schedule:
-                    lazy.sync_to_tick(tick, chain[tick], chain[tick - 1],
-                                      1.0, chain)
+                    lazy.sync_to_tick(chain, tick)
         for eager, lazy in zip(eagers, lazies):
             assert lazy.credit == eager.credit
             assert lazy.tick_capacity == eager.tick_capacity
-
-    def test_trace_profile_accepts_lazy(self):
-        link = Link("trace", _diurnal(1.0, 60.0, 20))
-        link.lazy = True
-        assert link.lazy
 
     def test_flat_trace_takes_steady_path(self):
         """An all-equal-rate trace reports a steady rate and uses the
@@ -509,9 +446,9 @@ class TestLazyTraceSync:
         eager = Link("eager", ConstantBandwidth(2.5))
         lazy = Link("lazy", flat)
         assert lazy._trace is None  # routed to the steady sync
-        chain = self.boundaries(200)
+        chain = boundaries(200)
         for tick in range(1, 201):
             eager.refill(chain[tick])
-        lazy.sync_to_tick(200, chain[200], chain[199], 1.0, chain)
+        lazy.sync_to_tick(chain, 200)
         assert lazy.credit == eager.credit
         assert lazy.tick_capacity == eager.tick_capacity

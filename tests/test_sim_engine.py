@@ -147,28 +147,10 @@ class TestTickers:
         sim.run_until(5.0)
         assert times == [0.5, 2.5, 4.5]
 
-    def test_ticker_cancel_stops_firing(self):
-        sim = Simulator()
-        times = []
-        ticker = sim.every(1.0, times.append)
-        sim.run_until(2.0)
-        ticker.cancel()
-        sim.run_until(5.0)
-        assert times == [1.0, 2.0]
-
     def test_nonpositive_interval_raises(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.every(0.0, lambda t: None)
-
-    def test_cancel_all_tickers(self):
-        sim = Simulator()
-        times_a, times_b = [], []
-        sim.every(1.0, times_a.append)
-        sim.every(1.0, times_b.append)
-        sim.cancel_all_tickers()
-        sim.run_until(3.0)
-        assert times_a == [] and times_b == []
 
     def test_phase_order_within_tick(self):
         sim = Simulator()
@@ -187,22 +169,6 @@ class TestTickers:
         sim.every(1.0, lambda t: None)
         assert sim.pending_events == 2
 
-    def test_ticker_cancelling_itself_keeps_the_count(self):
-        """The firing event is off the heap; cancelling it again must
-        not count it out a second time."""
-        sim = Simulator()
-        times = []
-
-        def once(now):
-            times.append(now)
-            ticker.cancel()
-
-        ticker = sim.every(1.0, once)
-        sim.schedule(5.0, lambda: None)
-        sim.run_until(3.0)
-        assert times == [1.0]
-        assert sim.pending_events == 1
-
     def test_cancelling_a_fired_event_keeps_the_count(self):
         sim = Simulator()
         fired = sim.at(1.0, lambda: None)
@@ -210,31 +176,6 @@ class TestTickers:
         sim.run_until(1.5)
         fired.cancel()
         assert sim.pending_events == 1
-
-
-class TestTickerRegistry:
-    def test_cancel_prunes_the_ticker_registry(self):
-        """Cancelled tickers must not accumulate across long sessions."""
-        sim = Simulator()
-        ticker = sim.every(1.0, lambda t: None)
-        sim.every(1.0, lambda t: None)
-        assert sim.active_tickers == 2
-        ticker.cancel()
-        assert sim.active_tickers == 1
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        ticker = sim.every(1.0, lambda t: None)
-        ticker.cancel()
-        ticker.cancel()
-        assert sim.active_tickers == 0
-
-    def test_cancel_all_clears_registry(self):
-        sim = Simulator()
-        for _ in range(5):
-            sim.every(1.0, lambda t: None)
-        sim.cancel_all_tickers()
-        assert sim.active_tickers == 0
 
 
 class TestClose:
@@ -246,7 +187,6 @@ class TestClose:
         sim.wake_at("src-0", 2.0, lambda: fired.append("wake"))
         sim.close()
         assert sim.pending_events == 0
-        assert sim.active_tickers == 0
         assert sim.pending_wakeups == 0
         sim.run_until(5.0)
         assert fired == []

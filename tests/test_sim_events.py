@@ -190,13 +190,6 @@ class TestWakeupSet:
         assert wakeups.pop_due(5.0) == []
         assert wakeups.pop_due(8.0) == [1]
 
-    def test_disarm_removes_pending_wakeup(self):
-        wakeups = WakeupSet()
-        wakeups.arm(1, 1.0)
-        wakeups.disarm(1)
-        assert wakeups.pop_due(10.0) == []
-        assert wakeups.peek_time() is None
-
     def test_epsilon_slack_matches_deadline_comparisons(self):
         wakeups = WakeupSet()
         wakeups.arm(1, 3.0 + 5e-13)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.bandwidth import ConstantBandwidth
+from repro.network.bandwidth import ConstantBandwidth, TraceBandwidth
 from repro.network.messages import (
     FeedbackMessage,
     PollRequest,
@@ -10,8 +10,6 @@ from repro.network.messages import (
     RefreshMessage,
 )
 from repro.network.topology import Topology
-
-from oracles import reference_schedule
 
 
 def make_topology(cache_rate=10.0, source_rates=(2.0, 2.0)):
@@ -166,13 +164,6 @@ class TestSharedCacheLink:
         topo.cache_links[0].drain()
         assert received == []  # all credit went to feedback
 
-    def test_total_messages_counts_everything(self):
-        topo = make_topology()
-        topo.on_network_tick(1.0)
-        topo.send_upstream(RefreshMessage(source_id=0))
-        topo.send_downstream(FeedbackMessage(source_id=1))
-        assert topo.total_messages() >= 2
-
     def test_num_sources(self):
         assert make_topology().num_sources == 2
 
@@ -244,33 +235,23 @@ class TestHeterogeneousCacheRates:
 
 
 class TestActiveLinkSet:
-    def test_steady_source_links_are_lazy(self):
-        topo = Topology([ConstantBandwidth(10.0)],
-                        [ConstantBandwidth(1.0)] * 5)
-        assert all(link.lazy for link in topo.source_links)
-        assert topo.active_link_count == 1  # just the cache link
+    """The tick loop refills cache links only; source links sync on
+    touch from the recorded tick boundaries."""
 
-    def test_non_steady_source_links_stay_eager(self):
+    def test_network_tick_refills_no_source_link(self):
         from repro.network.bandwidth import SineBandwidth
         topo = Topology([ConstantBandwidth(10.0)],
-                        [SineBandwidth(1.0, 0.25),
-                         ConstantBandwidth(1.0)])
-        assert not topo.source_links[0].lazy
-        assert topo.source_links[1].lazy
-        assert topo.active_link_count == 2
-
-    def test_set_lazy_links_false_restores_eager_schedule(self):
-        """The reference schedule of tests/oracles.py refills every
-        source link eagerly; the default one leaves steady links lazy."""
-        with reference_schedule(scan=False, per_event=False):
-            topo = Topology([ConstantBandwidth(10.0)],
-                            [ConstantBandwidth(1.0)] * 3)
-        assert topo.active_link_count == 4
-        topo.on_network_tick(1.0)
-        assert all(link.tick_capacity == 1.0 for link in topo.source_links)
-        lazy = Topology([ConstantBandwidth(10.0)],
-                        [ConstantBandwidth(1.0)] * 3)
-        assert lazy.active_link_count == 1
+                        [ConstantBandwidth(1.0), SineBandwidth(1.0, 0.25),
+                         TraceBandwidth.with_outage(1.0, 2.0, 3.0)])
+        for tick in range(1, 5):
+            topo.on_network_tick(float(tick))
+        assert topo.cache_links[0].tick_capacity == 10.0
+        assert all(link._synced_tick == 0 and link.tick_capacity == 0.0
+                   for link in topo.source_links)
+        assert topo._tick_boundaries == [0.0, 1.0, 2.0, 3.0, 4.0]
+        topo.source_at_capacity(1)
+        assert topo.source_links[1]._synced_tick == 4
+        assert topo.source_links[0]._synced_tick == 0
 
     def test_lazy_link_synced_before_capacity_check(self):
         """source_at_capacity on an untouched lazy link must see the
