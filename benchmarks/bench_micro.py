@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core.divergence import ValueDeviation
 from repro.core.objects import DataObject
-from repro.core.tracking import PriorityTracker
+from repro.core.tracking import PriorityTable
 from repro.core.weights import StaticWeights
 from repro.metrics.collector import DivergenceCollector
 from repro.network.bandwidth import ConstantBandwidth
@@ -26,15 +26,15 @@ def test_tracker_update_pop_churn(benchmark):
     priorities = rng.uniform(0.1, 100.0, size=5000)
 
     def churn():
-        tracker = PriorityTracker()
+        tracker = PriorityTable()
         for i in range(5000):
-            tracker.update(int(indices[i]), float(priorities[i]))
+            tracker.update(0, int(indices[i]), float(priorities[i]))
             if i % 7 == 0:
-                tracker.pop()
+                tracker.pop(0)
         return tracker
 
     tracker = benchmark(churn)
-    assert len(tracker) > 0
+    assert tracker.peek(0) is not None
 
 
 def test_object_update_bookkeeping(benchmark):

@@ -44,7 +44,7 @@ def run_monitoring_sweep(intervals=(2.0, 10.0, 30.0), seed=0):
                 predictive_sampling=predictive)
             result = run_policy(make_workload(seed), ValueDeviation(),
                                 policy, SPEC)
-            samples = sum(policy.sources[j].monitor.samples_taken
+            samples = sum(policy.sources.monitors[j].samples_taken
                           for j in range(4))
             label = (f"sampling every {interval:g}s"
                      + (" + predictive" if predictive else ""))

@@ -44,29 +44,30 @@ def _send_via_plane(topology, count):
 
 
 def _send_inlined(topology, count):
-    """The pre-refactor star fast path, verbatim minus the plane."""
+    """The pre-refactor star fast path, verbatim minus the plane: the
+    source row is charged exactly as ``Topology.send_upstream`` charges
+    it, then the message goes straight to cache link 0."""
     for i in range(count):
         message = RefreshMessage(source_id=0, sent_at=1.0)
-        source_link = topology.source_links[message.source_id]
-        if source_link._synced_tick < topology._tick_no:
-            source_link.sync_to_tick(topology._tick_boundaries,
-                                     topology._tick_no)
+        source_id = message.source_id
+        if topology._synced[source_id] < topology._tick_no:
+            topology._sync_source(source_id)
         now = message.sent_at
-        last = source_link._last_accrue
+        credit = topology._credit[source_id]
+        last = topology._last_accrue[source_id]
         if now > last:
-            rate = source_link._const_rate
-            added = (rate * (now - last) if rate is not None
-                     else source_link.profile.capacity(last, now))
-            source_link._last_accrue = now
-            source_link.credit += added
-            source_link._tick_added += added
+            profile = topology.source_profiles[source_id]
+            added = (profile._rate * (now - last)
+                     if type(profile) is ConstantBandwidth
+                     else profile.capacity(last, now))
+            topology._last_accrue[source_id] = now
+            credit += added
+            topology._tick_added[source_id] += added
         size = message.size
-        if source_link.queue or source_link.credit < size:
+        if credit < size:
+            topology._credit[source_id] = credit
             continue
-        source_link.credit -= size
-        source_link.tick_used += size
-        source_link.total_sent += 1
-        source_link.total_delivered += 1
+        topology._credit[source_id] = credit - size
         if topology._reliable is not None:
             topology._reliable.on_send(message)
         topology.cache_links[0].transmit_or_queue(message)

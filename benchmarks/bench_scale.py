@@ -6,9 +6,11 @@ sharded layout, run through
 :func:`~repro.experiments.parallel.run_cooperative_sharded` at one
 worker and at ``min(4, cpu_count)``.  The two results must be equal, and
 the parallel run must fit the 60 s budget; generation happens inside the
-shard workers, so it is part of the wall.  The test prints both walls
-and writes nothing: the end-to-end walls of the E9 points are
-``bench/run.py``'s, gated by CI's perf-regression job.
+shard workers, so it is part of the wall.  The test prints both walls,
+each with a peak RSS -- the serial run's (this process, ``RUSAGE_SELF``,
+read right after it) and the largest pool worker's
+(``RUSAGE_CHILDREN``) -- and writes nothing: the end-to-end walls of the
+E9 points are ``bench/run.py``'s, gated by CI's perf-regression job.
 
 The budget assert needs a multi-core runner; CI runs this bench as an
 advisory step of the parallel-smoke job.  The smaller E9 points are the
@@ -16,6 +18,7 @@ rows of ``repro matrix scale``, checked in ``bench_matrix``.
 """
 
 import os
+import resource
 import time
 
 from conftest import run_once
@@ -51,18 +54,31 @@ def _timed_run(workers: int):
     return time.perf_counter() - start, result
 
 
+def _peak_rss_mb(who: int) -> float:
+    """Peak RSS of this process (``RUSAGE_SELF``) or of its largest
+    waited-for child (``RUSAGE_CHILDREN``); ru_maxrss is in KiB on
+    Linux."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
+
+
 def test_scale_1000000_sources_shard_parallel(benchmark):
     """m = 10^6 via 4 shard-parallel caches: equal to one worker's run,
     and under the 60 s budget on a multi-core runner."""
     workers = max(1, min(MILLION_SHARDS, os.cpu_count() or 1))
 
     def both():
-        return _timed_run(1), _timed_run(workers)
+        serial = _timed_run(1)
+        serial_rss = _peak_rss_mb(resource.RUSAGE_SELF)
+        parallel = _timed_run(workers)
+        return serial, parallel, serial_rss, _peak_rss_mb(
+            resource.RUSAGE_CHILDREN)
 
-    (serial_wall, serial), (parallel_wall, parallel) = run_once(benchmark,
-                                                                both)
+    ((serial_wall, serial), (parallel_wall, parallel), serial_rss,
+     worker_rss) = run_once(benchmark, both)
     print(f"\nm = 10^6 sharded-{MILLION_SHARDS}: {serial_wall:.1f} s at 1 "
-          f"worker, {parallel_wall:.1f} s at {workers} workers")
+          f"worker (peak RSS {serial_rss:.0f} MB), {parallel_wall:.1f} s "
+          f"at {workers} workers (largest worker's peak RSS "
+          f"{worker_rss:.0f} MB)")
     assert parallel == serial, "shard-parallel execution changed the result"
     assert parallel.refreshes > 0
     assert parallel_wall <= MILLION_BUDGET_SECONDS, (

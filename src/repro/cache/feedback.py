@@ -28,8 +28,8 @@ from typing import Sequence
 
 from repro.network.topology import Topology
 
-#: Heap key of a source with an unknown (infinite) threshold, shared by
-#: every seed entry instead of a fresh float each.
+#: Heap key of a source with an unknown (infinite) threshold: every seed
+#: entry's.
 _UNKNOWN_KEY = float("-inf")
 
 #: Recorded thresholds at or below this are at the sources' numerical
@@ -54,8 +54,10 @@ class FeedbackController:
     until fresh piggybacked evidence arrives.
 
     ``source_ids`` restricts the controller to the sources this cache is
-    responsible for (``None`` means every source in the topology);
-    ``known_thresholds`` is indexed in step with that tuple.
+    responsible for (``None`` means every source in the topology).  Its
+    per-source state is in columns indexed by source id and sized for the
+    topology's sources: ``known_thresholds``, a version per source and
+    whether the source is one of this cache's now.
 
     ``gains``, aligned with ``source_ids``, weights the ranking by how
     much divergence one refresh from that source removes
@@ -78,31 +80,44 @@ class FeedbackController:
         self.cache_id = cache_id
         if source_ids is None:
             source_ids = range(topology.num_sources)
-        self.source_ids = tuple(source_ids)
+        #: this cache's sources in the order it met them: its sources at
+        #: construction, then each migrated-in one (a range stays one)
+        self.source_ids: Sequence[int] = (
+            source_ids if isinstance(source_ids, (tuple, range))
+            else tuple(source_ids))
+        m = topology.num_sources
+        self._gains: list[float] | None = None
         if gains is not None:
             gains = list(gains)
             if len(gains) != len(self.source_ids):
                 raise ValueError(
                     f"gains lists {len(gains)} entries for "
                     f"{len(self.source_ids)} sources")
-        self._gains: list[float] | None = gains
-        # Permanent sid -> slot map: slots are never compacted, so a
-        # source migrated away and back (see add/remove_source) reuses
-        # its original slot instead of aliasing a second heap identity.
-        # ``_live`` marks the slots of the sources this cache owns now.
-        self._slots = {sid: pos for pos, sid in enumerate(self.source_ids)}
-        self._live = [True] * len(self.source_ids)
-        self.known_thresholds = [float("inf")] * len(self.source_ids)
+            # Migrations only move sharded (unreplicated) sources, whose
+            # refresh gain is 1 under every delivery plane.
+            self._gains = [1.0] * m
+            for source_id, gain in zip(self.source_ids, gains):
+                self._gains[source_id] = gain
+        # ``_live`` marks this cache's sources now; a source migrated
+        # away keeps its column entries, so migrating back resumes them.
+        self._live = bytearray(m)
+        for source_id in self.source_ids:
+            self._live[source_id] = 1
+        self.known_thresholds = [float("inf")] * m
         self.feedback_sent = 0
         # Lazy max-heap over (threshold, source) so selecting the top
         # ``budget`` targets costs O(budget log m) instead of rebuilding an
         # O(m) candidate list every tick.  Entries are stamped with a
         # per-source version; stale entries are discarded on pop.
-        self._versions = [0] * len(self.source_ids)
-        self._heap: list[tuple[float, int, int]] = [
-            (_UNKNOWN_KEY, sid, 0) for sid in self.source_ids
-        ]
-        heapq.heapify(self._heap)
+        self._versions = [0] * m
+        self._heap: list[tuple[float, int, int]] = []
+        # The heap's seed entries ``(-inf, sid, _seed_version)``, one per
+        # source of unknown threshold, are a cursor into the ascending
+        # ids ``_seeds``, so an unheard source costs no tuple: seeds pop
+        # in id order, so the heap and the unread seeds merge exactly.
+        self._seeds: Sequence[int] = _ascending(self.source_ids)
+        self._seed_cursor = 0
+        self._seed_version = 0
         self._eligible = len(self.source_ids)
 
     def reset(self) -> None:
@@ -112,25 +127,30 @@ class FeedbackController:
         construction, which re-bootstraps the protocol: the recovered
         cache first pays feedback to everyone, then rebuilds its records
         from the thresholds piggybacked on the refreshes that triggers.
-        Versions keep advancing (never reset) so heap entries drained
-        before the crash stay stale.
+        Versions keep advancing (never reset): every source moves to one
+        version above all earlier ones, so heap entries drained before
+        the crash stay stale.
         """
         live = self._live
-        self.known_thresholds = [float("inf") if alive else MIN_THRESHOLD
-                                 for alive in live]
-        self._versions = [v + 1 for v in self._versions]
-        self._heap = [(_UNKNOWN_KEY, sid, self._versions[pos])
-                      for pos, sid in enumerate(self.source_ids)
-                      if live[pos]]
-        heapq.heapify(self._heap)
-        self._eligible = sum(live)
+        known = self.known_thresholds
+        for source_id in self.source_ids:
+            known[source_id] = (float("inf") if live[source_id]
+                                else MIN_THRESHOLD)
+        version = max(self._versions) + 1
+        self._versions = [version] * len(self._versions)
+        self._heap = []
+        self._seeds = _ascending(tuple(
+            source_id for source_id in self.source_ids if live[source_id]))
+        self._seed_cursor = 0
+        self._seed_version = version
+        self._eligible = len(self._seeds)
 
     def remove_source(self, source_id: int) -> float:
         """Forget one migrated-away source; returns its learned threshold.
 
-        The slot is parked, not compacted: the recorded threshold drops
+        The source is parked, not dropped: the recorded threshold drops
         to the floor (fixing the eligible count and invalidating live
-        heap entries via the version bump) and the slot stops being
+        heap entries via the version bump) and the source stops being
         live, so late refreshes that were still in flight to this cache
         can no longer resurrect it through :meth:`observe_threshold`.
         The returned threshold travels with the migration so the
@@ -139,10 +159,9 @@ class FeedbackController:
         if not self.owns(source_id):
             raise ValueError(
                 f"source {source_id} is not owned by cache {self.cache_id}")
-        position = self._slots[source_id]
-        threshold = self.known_thresholds[position]
-        self._set_threshold(position, MIN_THRESHOLD)
-        self._live[position] = False
+        threshold = self.known_thresholds[source_id]
+        self._set_threshold(source_id, MIN_THRESHOLD)
+        self._live[source_id] = 0
         return threshold
 
     def add_source(self, source_id: int,
@@ -150,53 +169,44 @@ class FeedbackController:
         """Adopt a migrated-in source, seeding its learned threshold.
 
         A source this controller has seen before (migrated away and
-        back) reuses its original slot; a brand-new one is appended.
-        Already-live sources just observe the threshold.
+        back) keeps its place in :attr:`source_ids`; a brand-new one is
+        appended.  Already-live sources just observe the threshold.
         """
-        position = self._slots.get(source_id)
-        if position is None:
-            position = len(self.known_thresholds)
-            self._slots[source_id] = position
-            self._live.append(False)
-            self.source_ids = self.source_ids + (source_id,)
-            # Seed the new slot at the floor (ineligible) so the
+        if not 0 <= source_id < len(self._live):
+            raise ValueError(f"unknown source {source_id}")
+        if source_id not in self.source_ids:
+            self.source_ids = tuple(self.source_ids) + (source_id,)
+            # Seed the new source at the floor (ineligible) so the
             # _set_threshold below accounts the eligibility delta.
-            self.known_thresholds.append(MIN_THRESHOLD)
-            self._versions.append(0)
-            if self._gains is not None:
-                # Migrations only move sharded (unreplicated) sources,
-                # whose refresh gain is 1 under every delivery plane.
-                self._gains.append(1.0)
-        self._live[position] = True
-        self._set_threshold(position, threshold)
+            self.known_thresholds[source_id] = MIN_THRESHOLD
+        self._live[source_id] = 1
+        self._set_threshold(source_id, threshold)
 
     def owns(self, source_id: int) -> bool:
         """Whether ``source_id`` is one of this cache's sources now."""
-        position = self._slots.get(source_id)
-        return position is not None and self._live[position]
+        return (0 <= source_id < len(self._live)
+                and bool(self._live[source_id]))
 
     def observe_threshold(self, source_id: int, threshold: float) -> None:
         """Record a threshold piggybacked on a refresh message."""
-        position = self._slots.get(source_id)
-        if position is not None and self._live[position]:
-            self._set_threshold(position, threshold)
+        if self._live[source_id]:
+            self._set_threshold(source_id, threshold)
 
-    def _set_threshold(self, position: int, threshold: float) -> None:
-        old = self.known_thresholds[position]
-        self.known_thresholds[position] = threshold
+    def _set_threshold(self, source_id: int, threshold: float) -> None:
+        old = self.known_thresholds[source_id]
+        self.known_thresholds[source_id] = threshold
         self._eligible += ((threshold > MIN_THRESHOLD)
                            - (old > MIN_THRESHOLD))
-        self._versions[position] += 1
+        version = self._versions[source_id] + 1
+        self._versions[source_id] = version
         if threshold > MIN_THRESHOLD:
             # Heap keys carry the gain; eligibility and the push condition
             # use the raw threshold, so a gained entry can never outlive
             # its source's eligibility (version bumps invalidate anyway).
             gains = self._gains
             if gains is not None:
-                threshold = threshold * gains[position]
-            heapq.heappush(self._heap, (-threshold,
-                                        self.source_ids[position],
-                                        self._versions[position]))
+                threshold = threshold * gains[source_id]
+            heapq.heappush(self._heap, (-threshold, source_id, version))
 
     def has_targets(self) -> bool:
         """True while at least one source could usefully receive feedback.
@@ -217,12 +227,15 @@ class FeedbackController:
         Every piggybacked threshold pushes a heap entry, and a superseded
         one leaves only when it surfaces, so the heap grows with the
         refreshes (85k entries for 40 sources on ``dense-star-2k``).
-        Once it holds more than twice the eligible sources plus a slack,
-        the tick starts by rebuilding it from the one live entry per
-        eligible source -- before any entry is drained, so the selection
-        sees exactly the entries it would have.
+        Once it holds more than twice the eligible sources plus a slack
+        (its unread seeds included), the tick starts by rebuilding it
+        from the one live entry per eligible source -- before any entry
+        is drained, so the selection sees exactly the entries it would
+        have.
         """
-        if len(self._heap) > 2 * self._eligible + _HEAP_SLACK:
+        entries_held = (len(self._heap) + len(self._seeds)
+                        - self._seed_cursor)
+        if entries_held > 2 * self._eligible + _HEAP_SLACK:
             self._rebuild_heap()
         surplus = self.topology.cache_surplus(self.cache_id, now)
         budget = int(surplus)
@@ -233,16 +246,16 @@ class FeedbackController:
         delivered = self.topology.send_downstream_batch(
             self.cache_id, targets, now)
         self.feedback_sent += delivered
+        known = self.known_thresholds
         for rank, source_id in enumerate(targets):
-            position = self._slots[source_id]
             if rank < delivered:
                 # The protocol's optimistic ``/ omega``; its _set_threshold
                 # pushes a fresh heap entry, superseding the drained one.
                 # A still-infinite threshold has no entry to supersede, so
                 # the drained entry goes back as is.
-                known = self.known_thresholds[position]
-                if known != float("inf"):
-                    self._set_threshold(position, known / self.omega)
+                threshold = known[source_id]
+                if threshold != float("inf"):
+                    self._set_threshold(source_id, threshold / self.omega)
                 elif entries is not None:
                     heapq.heappush(self._heap, entries[rank])
             elif entries is not None:
@@ -251,20 +264,23 @@ class FeedbackController:
                 heapq.heappush(self._heap, entries[rank])
 
     def _rebuild_heap(self) -> None:
+        """One live entry per eligible source; the unread seeds are among
+        them (an unknown threshold's entry is its seed)."""
         gains = self._gains
         versions = self._versions
         known = self.known_thresholds
         heap = []
-        # A parked slot's threshold sits at the floor, so only the live
-        # slots of eligible sources pass.
-        for source_id, position in self._slots.items():
-            threshold = known[position]
+        # A parked source's threshold sits at the floor, so only live
+        # sources that are eligible pass.
+        for source_id in self.source_ids:
+            threshold = known[source_id]
             if threshold > MIN_THRESHOLD:
                 if gains is not None:
-                    threshold = threshold * gains[position]
-                heap.append((-threshold, source_id, versions[position]))
+                    threshold = threshold * gains[source_id]
+                heap.append((-threshold, source_id, versions[source_id]))
         heapq.heapify(heap)
         self._heap = heap
+        self._seed_cursor = len(self._seeds)
 
     def _select_targets(self, budget: int
                         ) -> tuple[list[int],
@@ -272,31 +288,53 @@ class FeedbackController:
         """The ``budget`` eligible sources with the highest thresholds.
 
         When the budget covers every eligible source the selection is all
-        of them in source-id order (entries ``None``: the heap was not
-        touched); otherwise the lazy heap is *drained* into a local buffer
-        -- top ``budget`` by (threshold desc, source id asc), the same
-        total order a ``heapq.nlargest`` scan would produce -- and the
-        popped entries are returned alongside so :meth:`on_tick` can
-        restore exactly the ones that were not superseded.  Stale entries
-        (version mismatch or decayed to the floor) are dropped permanently
-        during the drain instead of being re-scanned every call.
+        of them in :attr:`source_ids` order (entries ``None``: the heap
+        was not touched); otherwise the lazy heap, merged with the unread
+        seeds, is *drained* into a local buffer -- top ``budget`` by
+        (threshold desc, source id asc), the same total order a
+        ``heapq.nlargest`` scan would produce -- and the popped entries
+        are returned alongside so :meth:`on_tick` can restore exactly the
+        ones that were not superseded.  Stale entries (version mismatch
+        or decayed to the floor) are dropped permanently during the
+        drain instead of being re-scanned every call.
         """
         if budget >= self._eligible:
-            return ([source_id
-                     for source_id, threshold in zip(self.source_ids,
-                                                     self.known_thresholds)
-                     if threshold > MIN_THRESHOLD], None)
+            known = self.known_thresholds
+            return ([source_id for source_id in self.source_ids
+                     if known[source_id] > MIN_THRESHOLD], None)
         selected: list[int] = []
         popped: list[tuple[float, int, int]] = []
         heap = self._heap
-        while heap and len(selected) < budget:
-            entry = heapq.heappop(heap)
+        versions = self._versions
+        seeds = self._seeds
+        cursor = self._seed_cursor
+        while len(selected) < budget:
+            if cursor < len(seeds):
+                entry = (_UNKNOWN_KEY, seeds[cursor], self._seed_version)
+                if heap and heap[0] < entry:
+                    entry = heapq.heappop(heap)
+                else:
+                    cursor += 1
+            elif heap:
+                entry = heapq.heappop(heap)
+            else:
+                break
             neg_threshold, source_id, version = entry
-            if (version != self._versions[self._slots[source_id]]
+            if (version != versions[source_id]
                     or -neg_threshold <= MIN_THRESHOLD):
                 # Stale (migrating away bumps the version too) or no
                 # longer eligible: dropped for good.
                 continue
             selected.append(source_id)
             popped.append(entry)
+        self._seed_cursor = cursor
         return selected, popped
+
+
+def _ascending(source_ids: Sequence[int]) -> Sequence[int]:
+    """``source_ids`` itself when already ascending, else sorted."""
+    if isinstance(source_ids, range) and source_ids.step > 0:
+        return source_ids
+    if all(a < b for a, b in zip(source_ids, source_ids[1:])):
+        return source_ids
+    return tuple(sorted(source_ids))

@@ -24,8 +24,8 @@ from repro.core.priority import (
     default_priority_for,
     make_priority,
 )
-from repro.core.threshold import DEFAULT_ALPHA, DEFAULT_OMEGA, ThresholdController
-from repro.core.tracking import PriorityTracker
+from repro.core.threshold import DEFAULT_ALPHA, DEFAULT_OMEGA, ThresholdTable
+from repro.core.tracking import PriorityTable
 from repro.core.weights import (
     CostAdjustedWeights,
     ProductWeights,
@@ -46,14 +46,14 @@ __all__ = [
     "PoissonLagPriority",
     "PoissonStalenessPriority",
     "PriorityFunction",
-    "PriorityTracker",
+    "PriorityTable",
     "ProductWeights",
     "SimpleDivergencePriority",
     "SineWeights",
     "Staleness",
     "StaticWeights",
     "SyncView",
-    "ThresholdController",
+    "ThresholdTable",
     "ValueDeviation",
     "WeightModel",
     "absolute_difference",

@@ -25,6 +25,7 @@ feedback message).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 DEFAULT_ALPHA = 1.1
 DEFAULT_OMEGA = 10.0
@@ -33,11 +34,20 @@ THRESHOLD_FLOOR = 1e-12
 THRESHOLD_CEIL = 1e15
 
 
-class ThresholdController:
-    """Maintains one source's local refresh threshold ``T_j``.
+class ThresholdTable:
+    """Every source's local refresh threshold ``T_j``, one row per source.
+
+    Each per-source scalar is a column indexed by source id: ``value``
+    (``T_j`` itself), ``last_feedback`` (when feedback last arrived),
+    ``deadline`` (when the next TTL decay is due, infinite with the TTL
+    off) and ``period`` (``P_feedback``, or ``None``).  A column starts as
+    one shared float repeated, so an untouched source costs four list
+    slots.
 
     Parameters
     ----------
+    rows:
+        Number of sources.
     initial:
         Starting threshold.  The algorithm is adaptive, so any positive
         value works after a warm-up period (paper Sec 5).
@@ -46,9 +56,10 @@ class ThresholdController:
     omega:
         Multiplicative decrease applied per accepted feedback message.
     feedback_period:
-        Expected time between feedback messages (``P_feedback``); ``None``
-        disables the flood-acceleration factor ``gamma`` (it stays 1).  The
-        paper notes the estimate "need only be a rough estimate".
+        Expected time between feedback messages (``P_feedback``), one
+        value for every row or a sequence with one per row; ``None``
+        disables the flood-acceleration factor ``gamma`` (it stays 1).
+        The paper notes the estimate "need only be a rough estimate".
     feedback_ttl:
         Staleness bound on the last feedback message.  When set, silence
         longer than the TTL stops counting as flood evidence (``gamma``
@@ -59,14 +70,14 @@ class ThresholdController:
         keeps the paper's pure behaviour.
     """
 
-    __slots__ = ("value", "alpha", "omega", "feedback_period",
-                 "last_feedback_time", "refreshes", "feedbacks",
-                 "feedbacks_ignored", "feedback_ttl", "ttl_decays",
-                 "decay_deadline")
+    __slots__ = ("value", "last_feedback", "deadline", "period", "alpha",
+                 "omega", "feedback_ttl")
 
-    def __init__(self, initial: float = 1.0, alpha: float = DEFAULT_ALPHA,
+    def __init__(self, rows: int = 1, initial: float = 1.0,
+                 alpha: float = DEFAULT_ALPHA,
                  omega: float = DEFAULT_OMEGA,
-                 feedback_period: float | None = None,
+                 feedback_period: float | Sequence[float | None] | None
+                 = None,
                  feedback_ttl: float | None = None) -> None:
         if initial <= 0:
             raise ValueError(f"initial threshold must be > 0, got {initial}")
@@ -74,50 +85,62 @@ class ThresholdController:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         if omega <= 1.0:
             raise ValueError(f"omega must be > 1, got {omega}")
-        if feedback_period is not None and feedback_period <= 0:
-            raise ValueError(
-                f"feedback period must be > 0, got {feedback_period}")
+        if isinstance(feedback_period, Sequence):
+            if len(feedback_period) != rows:
+                raise ValueError(
+                    f"feedback_period lists {len(feedback_period)} "
+                    f"periods for {rows} sources")
+            periods = list(feedback_period)
+        else:
+            periods = [feedback_period] * rows
+        # The periods repeat a few shared values (one per cache).
+        for period in set(periods):
+            if period is not None and period <= 0:
+                raise ValueError(
+                    f"feedback period must be > 0, got {period}")
         if feedback_ttl is not None and feedback_ttl <= 0:
             raise ValueError(
                 f"feedback TTL must be > 0, got {feedback_ttl}")
-        self.value = float(initial)
+        self.value = [float(initial)] * rows
         self.alpha = float(alpha)
         self.omega = float(omega)
-        self.feedback_period = feedback_period
-        self.last_feedback_time = 0.0
-        self.refreshes = 0
-        self.feedbacks = 0
-        self.feedbacks_ignored = 0
+        self.period = periods
+        self.last_feedback = [0.0] * rows
         self.feedback_ttl = feedback_ttl
-        self.ttl_decays = 0
-        #: when the next TTL decay is due (infinite with the TTL off)
-        self.decay_deadline = (feedback_ttl if feedback_ttl is not None
-                               else math.inf)
+        self.deadline = [feedback_ttl if feedback_ttl is not None
+                         else math.inf] * rows
 
-    def maybe_decay(self, now: float) -> None:
-        """Apply any TTL decays that have come due (lazy, idempotent).
+    def maybe_decay(self, row: int, now: float) -> None:
+        """Apply any TTL decays of ``row`` that have come due (lazy,
+        idempotent).
 
         Called from the source's drain path; the while-loop catches up
         one ``1/omega`` step per full TTL elapsed since the deadline, so
         the result depends only on ``now`` -- not on how often the
         source happened to be polled during the blackout.
         """
-        if now < self.decay_deadline:
+        deadline = self.deadline[row]
+        if now < deadline:
             return
         ttl = self.feedback_ttl
-        while now >= self.decay_deadline:
-            self.value = max(THRESHOLD_FLOOR, self.value / self.omega)
-            self.ttl_decays += 1
-            self.decay_deadline += ttl
+        omega = self.omega
+        value = self.value[row]
+        while now >= deadline:
+            value = max(THRESHOLD_FLOOR, value / omega)
+            deadline += ttl
+        self.value[row] = value
+        self.deadline[row] = deadline
 
-    def next_decay_time(self) -> float | None:
-        """When the next TTL decay is due (``None`` if TTL disabled)."""
+    def next_decay_time(self, row: int) -> float | None:
+        """When ``row``'s next TTL decay is due (``None`` if TTL
+        disabled)."""
         if self.feedback_ttl is None:
             return None
-        return self.decay_deadline
+        return self.deadline[row]
 
-    def on_refresh(self, now: float) -> None:
-        """A refresh was sent: raise the threshold by ``alpha * gamma``.
+    def on_refresh(self, row: int, now: float) -> None:
+        """A refresh was sent: raise ``row``'s threshold by ``alpha *
+        gamma``.
 
         ``gamma = max(1, t_feedback / P_feedback)`` with ``t_feedback``
         the time since the last feedback; it stays 1 without a feedback
@@ -126,32 +149,27 @@ class ThresholdController:
         flooding.  A ``gamma`` of 1 skips its multiplication, which
         leaves every float unchanged.
         """
-        self.refreshes += 1
-        value = self.value * self.alpha
-        period = self.feedback_period
+        value = self.value[row] * self.alpha
+        period = self.period[row]
         if period is not None:
-            elapsed = now - self.last_feedback_time
+            elapsed = now - self.last_feedback[row]
             if elapsed > period:
                 ttl = self.feedback_ttl
                 if ttl is None or elapsed <= ttl:
                     value = value * (elapsed / period)
-        self.value = value if value < THRESHOLD_CEIL else THRESHOLD_CEIL
+        self.value[row] = value if value < THRESHOLD_CEIL else THRESHOLD_CEIL
 
-    def on_feedback(self, now: float, at_capacity: bool = False) -> None:
-        """Positive feedback arrived: lower the threshold by ``omega``.
+    def on_feedback(self, row: int, now: float,
+                    at_capacity: bool = False) -> None:
+        """Positive feedback arrived: lower ``row``'s threshold by
+        ``omega``.
 
         ``at_capacity`` implements footnote 3: sources already sending at
         full source-side capacity leave their threshold unmodified.
         """
-        self.last_feedback_time = now
+        self.last_feedback[row] = now
         if self.feedback_ttl is not None:
-            self.decay_deadline = now + self.feedback_ttl
+            self.deadline[row] = now + self.feedback_ttl
         if at_capacity:
-            self.feedbacks_ignored += 1
             return
-        self.feedbacks += 1
-        self.value = max(THRESHOLD_FLOOR, self.value / self.omega)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ThresholdController T={self.value:.4g} "
-                f"alpha={self.alpha} omega={self.omega}>")
+        self.value[row] = max(THRESHOLD_FLOOR, self.value[row] / self.omega)

@@ -247,7 +247,7 @@ def _simulate_shard(task: ShardTask) -> ShardResult:
         objects=objects,
         weighted_integral=collector._weighted_integral,
         unweighted_integral=collector._unweighted_integral,
-        thresholds=[s.threshold.value for s in policy.sources],
+        thresholds=list(policy.sources.thresholds.value),
         result=build_result(shard, task.metric, policy, ctx),
     )
     policy.close()

@@ -109,7 +109,7 @@ def run_policy(workload: Workload, metric: DivergenceMetric,
     the simulation, and the result's ``reads`` holds what they saw.
 
     Runs with the cyclic garbage collector paused: one run allocates a
-    large, mostly-acyclic object graph (per-source nodes, events,
+    large, mostly-acyclic object graph (data objects, events,
     messages) and generational re-scans of it dominate wall clock at
     m ~ 10^5 without changing any result.
     """

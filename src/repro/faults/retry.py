@@ -100,23 +100,26 @@ class ReliableDelivery:
         self.duplicate_suppressed = 0
         self.abandoned = 0
         self._pending: dict[tuple[int, int], _Pending] = {}
-        self._next_seq: dict[int, int] = {}
-        self._senders: dict[int, object] = {}
+        #: each source's next sequence number, a column by source id
+        self._next_seq: list[int] = []
+        #: the sending policy's sources, when it registered them
+        self._sources = None
 
     def bind(self, topology) -> None:
         self.topology = topology
+        self._next_seq = [0] * topology.num_sources
 
-    def register_sender(self, source_id: int, source) -> None:
-        """Let retransmits run the sender's full send bookkeeping.
+    def register_sources(self, sources) -> None:
+        """Let retransmits run the senders' full send bookkeeping.
 
-        A policy that owns :class:`~repro.source.source.SourceNode`\\ s
-        registers them here so a fresh-value retransmit also drops the
-        object from the sender's priority queue (``on_refresh_sent``) --
-        otherwise the stale queue entry would trigger a near-immediate
-        duplicate refresh through the normal path, double-spending the
-        source's credit on one object.
+        A policy whose :class:`~repro.source.source.SourceNode` runs its
+        sources registers it here so a fresh-value retransmit also drops
+        the object from its source's priority queue
+        (``on_refresh_sent``) -- otherwise the stale queue entry would
+        trigger a near-immediate duplicate refresh through the normal
+        path, double-spending the source's credit on one object.
         """
-        self._senders[source_id] = source
+        self._sources = sources
 
     @property
     def pending(self) -> int:
@@ -146,7 +149,7 @@ class ReliableDelivery:
                 entry.outstanding += len(targets)
             return
         source_id = message.source_id
-        seq = self._next_seq.get(source_id, 0)
+        seq = self._next_seq[source_id]
         self._next_seq[source_id] = seq + 1
         message.seq = seq
         entry = _Pending(message, targets)
@@ -242,12 +245,12 @@ class ReliableDelivery:
         entry.attempts += 1
         if self.topology.send_upstream(message):
             self.retransmitted += 1
-            sender = self._senders.get(message.source_id)
+            sources = self._sources
             for obj in marks:
                 obj.mark_sent(now)
-                if sender is not None:
-                    sender.monitor.on_refresh_sent(sender.tracker, obj,
-                                                   now)
+                if sources is not None:
+                    sources.monitors[message.source_id].on_refresh_sent(
+                        sources.tracker, obj, now)
         delay = self.policy.timeout * (
             self.policy.backoff ** (entry.attempts - 1))
         entry.timer = self.sim.at(now + delay,

@@ -47,8 +47,9 @@ class BandwidthProfile(ABC):
 
         A steady profile earns the same capacity every tick, so once an
         idle link's credit saturates its skipped refills all leave the
-        same state, and ``Link.sync_to_tick`` jumps over them.
-        Time-varying profiles return ``None``.
+        same state, and a source row's sync jumps over them
+        (``Topology._sync_source``).  Time-varying profiles return
+        ``None``.
         """
         return None
 
@@ -210,11 +211,11 @@ class TraceBandwidth(BandwidthProfile):
         self._rates_list: list[float] = self.rates.tolist()
         self._cum_list: list[float] = self._cum.tolist()
         self._seg = 0  # cached segment index for monotone call patterns
-        # Sync jump memos (see Link._trace_jump): furthest segment
-        # the cap-pinned saturation chain reaches from each starting
-        # segment (valid for one tick length), and the end of the
-        # zero-rate run from each segment (tick-length independent).
-        # Shared across every link driven by this trace.
+        # Sync jump memos (see repro.network.link.trace_jump): furthest
+        # segment the cap-pinned saturation chain reaches from each
+        # starting segment (valid for one tick length), and the end of
+        # the zero-rate run from each segment (tick-length independent).
+        # Shared across every source row driven by this trace.
         self._jump_memo: dict[int, int] = {}
         self._jump_memo_dt: float | None = None
         self._zero_memo: dict[int, int] = {}
@@ -329,7 +330,7 @@ class TraceBandwidth(BandwidthProfile):
 
         Splitting a trace across cache links must not demote it to the
         generic :class:`ScaledBandwidth` wrapper, which would lose the
-        cumulative array and the segment jumps of ``Link.sync_to_tick``
+        cumulative array and the segment jumps of a source row's sync
         that come with the concrete type.
         """
         if factor < 0:

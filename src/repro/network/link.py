@@ -3,22 +3,27 @@
 The paper assumes "a standard underlying network model where any messages
 for which there is not enough capacity become enqueued for later
 transmission."  A :class:`Link` implements that as a continuous token
-bucket:
+bucket for the cache and peer links:
 
 * capacity accrues continuously (``accrue``), so a message sent mid-tick
   can use the capacity earned since the last tick boundary -- the paper
   neglects propagation latency, and making senders wait for the next tick
   boundary would add artificial delay precisely at high load;
-* once per tick (:meth:`refill`) the bucket's carry-over is capped at
-  roughly one tick's capacity, so idle links cannot bank unbounded bursts,
-  and the tick's utilization telemetry resets.  The NETWORK phase refills
-  cache and peer links; a source link replays its refills when touched
-  (:meth:`sync_to_tick`), from the tick boundaries its topology records;
-* :meth:`drain` pops queued messages FIFO while credit remains;
-* a source refuses to send without credit (sources self-pace, their
-  priority queue is the send queue per paper Sec 8), while
-  :meth:`transmit_or_queue` delivers now if possible, else joins the FIFO
-  queue -- the shared cache link, where congestion is supposed to happen.
+* once per tick (:meth:`Link.refill`, the NETWORK phase) the bucket's
+  carry-over is capped at roughly one tick's capacity
+  (:func:`refill_credit`), so idle links cannot bank unbounded bursts,
+  and the tick's utilization telemetry resets;
+* :meth:`Link.drain` pops queued messages FIFO while credit remains;
+* :meth:`Link.transmit_or_queue` delivers now if possible, else joins the
+  FIFO queue -- the shared cache link, where congestion is supposed to
+  happen.
+
+A source link is not a :class:`Link`: it is a row of credit columns in
+its :class:`~repro.network.topology.Topology`, which refuses a send
+without credit (sources self-pace, their priority queue is the send queue
+per paper Sec 8) and replays the refills a row skipped when it is
+touched.  The rows call this module's :func:`refill_credit` and
+:func:`trace_jump`, so a row and a link follow one refill rule.
 
 Utilization over the last tick is tracked so the cache's feedback
 controller can detect surplus bandwidth (Sec 5).
@@ -36,7 +41,6 @@ from repro.network.bandwidth import (
     BandwidthProfile,
     ConstantBandwidth,
     TraceBandwidth,
-    ticks_until_capacity,
 )
 from repro.network.messages import Message
 
@@ -47,9 +51,114 @@ DeliveryCallback = Callable[[Message], None]
 _JUMP_SPAN = 512
 
 #: The FIFO of a link that has never queued: empty and immutable, so
-#: ``len``, truthiness and iteration work, and sharing it costs nothing.
-#: Source links never queue, so only :meth:`Link.enqueue` allocates.
+#: ``len``, truthiness and iteration work, and sharing it costs nothing;
+#: only :meth:`Link.enqueue` allocates.
 _NO_QUEUE: tuple[()] = ()
+
+
+def refill_credit(credit: float, earned: float) -> tuple[float, bool]:
+    """The per-tick refill rule: the credit a link carries into the next
+    tick, having earned ``earned`` in the tick just ended, and whether
+    the cap bound.
+
+    Carry over at most ~one tick of unused credit; this permits
+    fractional capacities (0.5 msgs/tick sends one message every other
+    tick) without allowing unbounded bursts after idle spells.  The
+    cache and peer links apply it every tick (:meth:`Link.refill`), and a
+    source row replays it for each tick it skipped.
+    """
+    cap = max(1.0, earned) + earned
+    if credit >= cap:
+        return cap, True
+    return credit, False
+
+
+def trace_jump(trace: TraceBandwidth, boundaries: list[float], tick: int,
+               last: int, pinned: bool) -> int:
+    """The tick a trace link's replay may resume from after tick ``tick``
+    clipped (``pinned``) or earned nothing; ``tick`` itself when no span
+    can be skipped.
+
+    The caller moves its last accrual to ``boundaries[resume]`` and, when
+    pinned, sets its credit to infinity: the resumed tick's refill then
+    lands exactly on the cap float.  ``last`` is the final tick, which
+    always replays normally.
+
+    The per-tick capacity drifts with the rate curve, so the steady
+    jump does not apply; two other exactness arguments do:
+
+    * **Cap-pinned chain.**  A saturated refill leaves the credit
+      exactly at its cap ``g(tc) = max(1, tc) + tc``, a pure
+      function of that tick's capacity ``tc``.  Saturation persists
+      into the next tick iff ``g(tc_prev) >= max(1, tc_next)``;
+      since ``g`` is increasing, it persists across a whole span
+      whenever ``max(1, lo) + lo >= max(1, hi)`` for conservative
+      per-tick capacity bounds ``lo``/``hi`` (segment-rate extrema
+      times ``dt``, padded for the ulp jitter between tick spans).
+      Every skipped tick's state is then ``credit = cap_k`` -- so
+      the jump lands one tick before the span's end with infinite
+      credit, and that tick's refill lands exactly on the cap float.
+    * **Zero-rate run.**  While every spanned segment has rate 0,
+      each skipped tick accrues exactly 0.0 and its cap of 1.0 binds
+      nothing (the credit is below it), so the jump just moves the
+      clock to the run's end.
+
+    Both bounds are *monotone in span length* (extrema only widen as
+    the span grows), so a prefix min/max accumulation over the
+    spanned rate segments locates the furthest provably-saturated
+    tick in one vectorized pass -- a *partial* jump to just before
+    the first "barrier" segment (one where the earned-per-tick
+    capacity more than doubles, e.g. an outage ending into a fat
+    link).  The barrier tick itself replays explicitly and the
+    chain resumes past it, so cost is bounded by segments actually
+    spanned, never by ticks.
+    """
+    rates = trace.rates
+    i0 = trace._segment(boundaries[tick])
+    # `safe` = furthest segment the chain provably reaches; below i0
+    # means the adjacent segment breaks it.  Both lookups depend only
+    # on the trace and the starting segment -- never on the link's
+    # credit -- so they memoize on the (often shared) trace: at most
+    # one vectorized prefix pass per segment per run.
+    if pinned:
+        # Start the window at the current tick's *first* spanned
+        # segment: its rate extrema then bound tick_capacity too,
+        # keeping the memo link-independent.
+        start = trace._segment(boundaries[tick - 1])
+        dt = boundaries[1]
+        if trace._jump_memo_dt != dt:
+            trace._jump_memo.clear()
+            trace._jump_memo_dt = dt
+        safe = trace._jump_memo.get(start)
+        if safe is None:
+            end = min(start + _JUMP_SPAN, len(rates) - 1)
+            window = rates[start:end + 1] * dt
+            lo = np.minimum.accumulate(window)
+            lo *= 1.0 - 1e-6
+            hi = np.maximum.accumulate(window)
+            hi *= 1.0 + 1e-6
+            ok = np.maximum(1.0, lo) + lo >= np.maximum(1.0, hi)
+            k = int(np.argmin(ok))  # first False, 0 if none
+            safe = trace._jump_memo[start] = \
+                end if ok[k] else start + k - 1
+    else:
+        safe = trace._zero_memo.get(i0)
+        if safe is None:
+            end = min(i0 + _JUMP_SPAN, len(rates) - 1)
+            ok = rates[i0:end + 1] == 0.0
+            k = int(np.argmin(ok))
+            safe = trace._zero_memo[i0] = end if ok[k] else i0 + k - 1
+    if safe < i0:
+        return tick  # barrier right here: replay the next tick
+    if safe >= trace._segment(boundaries[last]):
+        j = last
+    else:
+        # Last tick still inside the provably-safe segments.
+        j = bisect_right(boundaries, trace._times_list[safe + 1],
+                         lo=tick, hi=last + 1) - 1
+    if not pinned:
+        return j if j > tick else tick
+    return j - 1 if j - 1 > tick else tick
 
 
 class Link:
@@ -62,15 +171,13 @@ class Link:
     """
 
     __slots__ = ("name", "profile", "deliver", "credit", "queue",
-                 "_last_accrue", "_tick_added", "_const_rate", "_steady",
-                 "_trace", "_synced_tick", "on_queue",
+                 "_last_accrue", "_tick_added", "_const_rate", "on_queue",
                  "tick_capacity", "tick_used", "total_sent",
                  "total_delivered", "total_units", "total_queued_peak",
                  "_window_queued_peak")
 
-    def __init__(self, name: str | int, profile: BandwidthProfile,
+    def __init__(self, name: str, profile: BandwidthProfile,
                  deliver: DeliveryCallback | None = None) -> None:
-        #: a cache or peer link's name, or a source link's source id
         self.name = name
         self.profile = profile
         self.deliver = deliver
@@ -83,15 +190,6 @@ class Link:
         # shortcut is bit-identical to the method call it skips.
         self._const_rate = profile._rate \
             if type(profile) is ConstantBandwidth else None
-        # Which fast-forward sync_to_tick may take: the steady saturation
-        # jump (flat traces included), or the segment jumps of a
-        # non-steady trace; neither replays every tick.
-        self._steady = profile.steady_rate is not None
-        self._trace = profile \
-            if (isinstance(profile, TraceBandwidth)
-                and not self._steady) else None
-        # The last tick whose refill this link has applied.
-        self._synced_tick = 0
         #: optional callback invoked when a message joins the FIFO queue
         #: (lets a policy arm the owning cache's drain wakeup)
         self.on_queue: DeliveryCallback | None = None
@@ -110,22 +208,6 @@ class Link:
     # ------------------------------------------------------------------
     # Credit management
     # ------------------------------------------------------------------
-    def retry_ticks(self, now: float, dt: float) -> int | None:
-        """Ticks until a sender this link refused at ``now`` may retry.
-
-        A steady link retries next tick.  A trace link can stay dry for a
-        whole outage, so the tick it regains one message of credit is
-        solved on the profile's cumulative array instead of polled for;
-        the answer is conservative (never late, at most one tick early),
-        so the send still lands on the tick a per-tick retry loop picks
-        and an early wake just finds the link dry again.  ``None`` -- the
-        link can never afford another message -- parks the sender, as
-        the retry loop would have, one failed send per tick at a time.
-        """
-        if self._trace is None:
-            return 1
-        return ticks_until_capacity(self._trace, now, dt, 1.0 - self.credit)
-
     def accrue(self, now: float) -> None:
         """Fold in capacity earned since the last accrual."""
         last = self._last_accrue
@@ -140,155 +222,15 @@ class Link:
         self.credit += added
         self._tick_added += added
 
-    def refill(self, now: float) -> bool:
-        """Per-tick boundary: cap banked credit, reset tick telemetry.
-
-        Returns True when the credit sat at or above the cap, which
-        :meth:`sync_to_tick` reads as "this tick's state is the cap's".
-        """
+    def refill(self, now: float) -> None:
+        """Per-tick boundary: cap banked credit (:func:`refill_credit`),
+        reset tick telemetry."""
         self.accrue(now)
         tick_capacity = self._tick_added
-        # Carry over at most ~one tick of unused credit; this permits
-        # fractional capacities (0.5 msgs/tick sends one message every
-        # other tick) without allowing unbounded bursts after idle spells.
-        cap = max(1.0, tick_capacity) + tick_capacity
-        clipped = self.credit >= cap
-        if clipped:
-            self.credit = cap
+        self.credit = refill_credit(self.credit, tick_capacity)[0]
         self.tick_capacity = tick_capacity
         self.tick_used = 0.0
         self._tick_added = 0.0
-        return clipped
-
-    def sync_to_tick(self, boundaries: list[float], tick_no: int) -> None:
-        """Replay the per-tick refills since the last sync, bit for bit.
-
-        A source link is refilled on touch, not by the tick loop:
-        ``boundaries[k]`` is the float the network ticker observed at
-        tick ``k`` (its topology records them), and every skipped tick
-        replays :meth:`refill` at its boundary -- the identical float
-        operations in the identical order, so a link synced on touch is
-        indistinguishable from one refilled every tick.  Closed forms are
-        *not* safe here: summing ``rate * dt`` per tick and multiplying
-        ``rate * k * dt`` once differ in the last ulp for non-dyadic
-        rates, which is enough to flip a ``has_credit`` decision.
-
-        The replay fast-forwards only where that is provably exact:
-
-        * a *steady* profile earns the same capacity every tick, so once
-          a refill clips (or earns nothing) every further tick
-          reproduces the same state, and the replay jumps straight to the
-          final tick: a link replays at most the ticks between its last
-          consumption and saturation, never a whole idle span;
-        * a non-steady :class:`TraceBandwidth` skips spans of
-          cap-pinned or zero-rate ticks (:meth:`_trace_jump`);
-        * any other profile (sine, a scaled trace) replays every tick,
-          the work a per-tick refill loop would do for it.
-
-        ``tick_no`` is the topology's tick counter itself, so every
-        synced link shares that one int.
-        """
-        tick = self._synced_tick
-        last = tick_no - 1  # the final tick always replays normally
-        while tick < tick_no:
-            tick += 1
-            clipped = self.refill(boundaries[tick])
-            if tick < last and (clipped or self.tick_capacity == 0.0):
-                if self._steady:
-                    self._last_accrue = boundaries[last]
-                    tick = last
-                elif self._trace is not None:
-                    tick = self._trace_jump(boundaries, tick, last, clipped)
-        self._synced_tick = tick_no
-
-    def _trace_jump(self, boundaries: list[float], tick: int, last: int,
-                    pinned: bool) -> int:
-        """The tick a trace link's replay may resume from after tick
-        ``tick`` clipped (``pinned``) or earned nothing; ``tick`` itself
-        when no span can be skipped.
-
-        The per-tick capacity drifts with the rate curve, so the steady
-        jump does not apply; two other exactness arguments do:
-
-        * **Cap-pinned chain.**  A saturated refill leaves the credit
-          exactly at its cap ``g(tc) = max(1, tc) + tc``, a pure
-          function of that tick's capacity ``tc``.  Saturation persists
-          into the next tick iff ``g(tc_prev) >= max(1, tc_next)``;
-          since ``g`` is increasing, it persists across a whole span
-          whenever ``max(1, lo) + lo >= max(1, hi)`` for conservative
-          per-tick capacity bounds ``lo``/``hi`` (segment-rate extrema
-          times ``dt``, padded for the ulp jitter between tick spans).
-          Every skipped tick's state is then ``credit = cap_k`` -- so
-          the jump lands one tick before the span's end with infinite
-          credit, and that tick's refill lands exactly on the cap float.
-        * **Zero-rate run.**  While every spanned segment has rate 0,
-          each skipped tick accrues exactly 0.0 and its cap of 1.0 binds
-          nothing (the credit is below it), so the jump just moves the
-          clock to the run's end.
-
-        Both bounds are *monotone in span length* (extrema only widen as
-        the span grows), so a prefix min/max accumulation over the
-        spanned rate segments locates the furthest provably-saturated
-        tick in one vectorized pass -- a *partial* jump to just before
-        the first "barrier" segment (one where the earned-per-tick
-        capacity more than doubles, e.g. an outage ending into a fat
-        link).  The barrier tick itself replays explicitly and the
-        chain resumes past it, so cost is bounded by segments actually
-        spanned, never by ticks.
-        """
-        trace = self._trace
-        rates = trace.rates
-        i0 = trace._segment(boundaries[tick])
-        # `safe` = furthest segment the chain provably reaches; below i0
-        # means the adjacent segment breaks it.  Both lookups depend only
-        # on the trace and the starting segment -- never on this link's
-        # credit -- so they memoize on the (often shared) trace: at most
-        # one vectorized prefix pass per segment per run.
-        if pinned:
-            # Start the window at the current tick's *first* spanned
-            # segment: its rate extrema then bound tick_capacity too,
-            # keeping the memo link-independent.
-            start = trace._segment(boundaries[tick - 1])
-            dt = boundaries[1]
-            if trace._jump_memo_dt != dt:
-                trace._jump_memo.clear()
-                trace._jump_memo_dt = dt
-            safe = trace._jump_memo.get(start)
-            if safe is None:
-                end = min(start + _JUMP_SPAN, len(rates) - 1)
-                window = rates[start:end + 1] * dt
-                lo = np.minimum.accumulate(window)
-                lo *= 1.0 - 1e-6
-                hi = np.maximum.accumulate(window)
-                hi *= 1.0 + 1e-6
-                ok = np.maximum(1.0, lo) + lo >= np.maximum(1.0, hi)
-                k = int(np.argmin(ok))  # first False, 0 if none
-                safe = trace._jump_memo[start] = \
-                    end if ok[k] else start + k - 1
-        else:
-            safe = trace._zero_memo.get(i0)
-            if safe is None:
-                end = min(i0 + _JUMP_SPAN, len(rates) - 1)
-                ok = rates[i0:end + 1] == 0.0
-                k = int(np.argmin(ok))
-                safe = trace._zero_memo[i0] = end if ok[k] else i0 + k - 1
-        if safe < i0:
-            return tick  # barrier right here: replay the next tick
-        if safe >= trace._segment(boundaries[last]):
-            j = last
-        else:
-            # Last tick still inside the provably-safe segments.
-            j = bisect_right(boundaries, trace._times_list[safe + 1],
-                             lo=tick, hi=last + 1) - 1
-        if not pinned:
-            if j > tick:
-                self._last_accrue = boundaries[j]
-                return j
-        elif j - 1 > tick:
-            self._last_accrue = boundaries[j - 1]
-            self.credit = float("inf")
-            return j - 1
-        return tick
 
     def has_credit(self, size: float = 1.0) -> bool:
         return self.credit >= size
@@ -443,7 +385,5 @@ class Link:
         return min(1.0, self.tick_used / self.tick_capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = self.name
-        label = name if isinstance(name, str) else f"source-{name}"
-        return (f"<Link {label} credit={self.credit:.2f} "
+        return (f"<Link {self.name} credit={self.credit:.2f} "
                 f"queued={len(self.queue)}>")

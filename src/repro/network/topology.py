@@ -35,9 +35,11 @@ from typing import Callable, Sequence
 from repro.network.bandwidth import (
     BandwidthProfile,
     ConstantBandwidth,
+    TraceBandwidth,
     split_bandwidth,
+    ticks_until_capacity,
 )
-from repro.network.link import Link
+from repro.network.link import Link, refill_credit, trace_jump
 from repro.network.messages import FeedbackMessage, Message
 
 Receiver = Callable[[Message], None]
@@ -67,12 +69,15 @@ class Topology:
     refresh) and size 0 under ``"multicast"`` (one unit whatever ``r``).
     :meth:`feedback_gain` tells the feedback economy what that buys.
 
-    **Source links sync on touch.**  The per-tick network phase refills
-    only the cache and peer links, so a tick costs O(N), not O(m).  It
-    records each tick's timestamp instead, and a source link replays the
-    refills it skipped when a send or a capacity probe touches it
-    (:meth:`Link.sync_to_tick`), bit for bit what a per-tick refill
-    would have left.
+    **Source links are rows that sync on touch.**  Source ``j``'s link
+    is row ``j`` of four columns -- its credit, last accrual, earnings
+    in the current tick and the last tick whose refill it has applied
+    -- read with its profile, ``source_profiles[j]``.  The per-tick
+    network phase refills only the cache and peer links, so a tick costs
+    O(N), not O(m).  It records each tick's timestamp instead, and a row
+    replays the refills it skipped when a send or a capacity probe
+    touches it (:meth:`_sync_source`), bit for bit what a per-tick
+    refill would have left.
     """
 
     def __init__(self, cache_profiles: Sequence[BandwidthProfile],
@@ -93,22 +98,24 @@ class Topology:
         # Routes every upstream send; reassign_source edits it in place.
         self._assignment: list[tuple[int, ...]] = [
             tuple(targets) for targets in assignment]
-        # One pass groups the sources by target tuple, so validation and
-        # membership cost one step per distinct tuple (one on a star, N
-        # on a sharding).  Groups keep first-occurrence order: the first
-        # bad group names the first bad source.
-        groups: dict[tuple[int, ...], list[int]] = {}
-        # A source link is named by its source id, the int the membership
-        # tuples below keep anyway: naming allocates nothing per source.
-        self.source_links: list[Link] = []
-        for j, (targets, profile) in enumerate(zip(self._assignment,
-                                                   source_profiles)):
-            groups.setdefault(targets, []).append(j)
-            self.source_links.append(Link(j, profile))
-        members: list[list[int]] = [[] for _ in range(num_caches)]
-        owned: list[list[int]] = [[] for _ in range(num_caches)]
-        for targets, group in groups.items():
-            j = group[0]
+        #: Each source's link profile, the caller's sequence itself.
+        self.source_profiles = source_profiles
+        # The source-link rows (see the class docstring).
+        self._credit = [0.0] * num_sources
+        self._last_accrue = [0.0] * num_sources
+        self._tick_added = [0.0] * num_sources
+        self._synced = [0] * num_sources
+        # Membership from the runs of equal target tuples, so validation
+        # costs one step per run and a contiguous block of members stays
+        # a range: no int per source (one run on a star, N on a
+        # sharding).  Runs come in source order: the first bad run names
+        # the first bad source.
+        members: list[list[range]] = [[] for _ in range(num_caches)]
+        owned: list[list[range]] = [[] for _ in range(num_caches)]
+        runs = _runs(self._assignment)
+        for run in runs:
+            targets = self._assignment[run.start]
+            j = run.start
             if not targets:
                 raise ValueError(f"source {j} is assigned to no cache")
             if len(set(targets)) != len(targets):
@@ -117,10 +124,10 @@ class Topology:
                 if not 0 <= k < num_caches:
                     raise ValueError(
                         f"source {j} assigned to unknown cache {k}")
-                members[k] += group
-            owned[targets[0]] += group
-        self._sources_by_cache = [tuple(sorted(s)) for s in members]
-        self._owned_by_cache = [tuple(sorted(s)) for s in owned]
+                members[k].append(run)
+            owned[targets[0]].append(run)
+        self._sources_by_cache = [_id_sequence(blocks) for blocks in members]
+        self._owned_by_cache = [_id_sequence(blocks) for blocks in owned]
         #: One constrained link per cache node, indexed by ``cache_id``;
         #: each delivers to its cache's receiver (see _wire_cache_link).
         self.cache_links = [Link(f"cache-{k}", profile)
@@ -129,12 +136,13 @@ class Topology:
         # The primary cache of each source, and whether any source has
         # sibling replicas: all a single-target send_upstream reads.
         self._primary = [targets[0] for targets in self._assignment]
-        self._replicated = any(len(targets) > 1 for targets in groups)
+        self._replicated = any(len(self._assignment[run.start]) > 1
+                               for run in runs)
         self._cache_receivers: list[Receiver | None] = [None] * num_caches
         self._source_receivers: list[Receiver | None] = [None] * num_sources
-        # The network ticks so far, one int every synced source link
+        # The network ticks so far, one int every synced source row
         # shares, and every tick's timestamp indexed by tick number (entry
-        # 0 is the simulation start): the floats source links replay
+        # 0 is the simulation start): the floats source rows replay
         # their skipped refills at, ~8 bytes per tick, independent of m.
         self._tick_no = 0
         self._tick_boundaries: list[float] = [0.0]
@@ -163,7 +171,7 @@ class Topology:
     @property
     def num_sources(self) -> int:
         """Number of source endpoints."""
-        return len(self.source_links)
+        return len(self._assignment)
 
     @property
     def num_caches(self) -> int:
@@ -188,12 +196,14 @@ class Topology:
             return float(len(self._assignment[source_id]))
         return 1.0
 
-    def sources_of(self, cache_id: int) -> tuple[int, ...]:
-        """All sources whose upstream messages reach cache ``cache_id``."""
+    def sources_of(self, cache_id: int) -> Sequence[int]:
+        """All sources whose upstream messages reach cache ``cache_id``,
+        ascending (a ``range`` when they are one contiguous block)."""
         return self._sources_by_cache[cache_id]
 
-    def owned_sources_of(self, cache_id: int) -> tuple[int, ...]:
-        """Sources for which ``cache_id`` is the *primary* cache.
+    def owned_sources_of(self, cache_id: int) -> Sequence[int]:
+        """Sources for which ``cache_id`` is the *primary* cache,
+        ascending (a ``range`` when they are one contiguous block).
 
         Feedback targeting partitions sources by primary cache so that a
         replicated source never receives double feedback per surplus tick.
@@ -352,7 +362,7 @@ class Topology:
     # ------------------------------------------------------------------
     def on_network_tick(self, now: float) -> None:
         """Record the tick, then refill and drain every cache and peer
-        link.  Source links catch up on touch (see the class docstring).
+        link.  Source rows catch up on touch (see the class docstring).
         """
         self._tick_no += 1
         self._tick_boundaries.append(now)
@@ -426,40 +436,37 @@ class Topology:
     def send_upstream(self, message: Message) -> bool:
         """Source -> assigned cache(s); source credit is charged once.
 
-        Returns False if the source link lacks credit; routing stamps
+        Returns False if the source's row lacks credit; routing stamps
         ``message.cache_id`` with the primary target, then every sibling
         replica gets its copy (see the class docstring's fan-out rule).
 
-        The accrue/consume helpers are inlined here: every
-        update-driven source drain lands on this method, and at m ~ 1e6
-        the call overhead of the layered helpers dominates.  The float
-        operations run in the helpers' exact order, so results are
-        bit-for-bit unchanged (pinned by the equivalence suites).  A
-        single-target send reads one list entry for its route, and the
-        sibling fan-out is skipped on a topology with no replicated
-        source.
+        The row's accrual is inlined here: every update-driven source
+        drain lands on this method, and at m ~ 1e6 a helper's call
+        overhead would dominate.  It runs :meth:`Link.accrue`'s float
+        operations in their order, so results are bit-for-bit those of a
+        link (pinned by the equivalence suites).  A single-target send
+        reads one list entry for its route, and the sibling fan-out is
+        skipped on a topology with no replicated source.
         """
         source_id = message.source_id
-        source_link = self.source_links[source_id]
-        if source_link._synced_tick < self._tick_no:
-            source_link.sync_to_tick(self._tick_boundaries, self._tick_no)
+        if self._synced[source_id] < self._tick_no:
+            self._sync_source(source_id)
         now = message.sent_at
-        last = source_link._last_accrue
+        credit = self._credit[source_id]
+        last = self._last_accrue[source_id]
         if now > last:
-            rate = source_link._const_rate
-            added = (rate * (now - last) if rate is not None
-                     else source_link.profile.capacity(last, now))
-            source_link._last_accrue = now
-            source_link.credit += added
-            source_link._tick_added += added
+            profile = self.source_profiles[source_id]
+            added = (profile._rate * (now - last)
+                     if type(profile) is ConstantBandwidth
+                     else profile.capacity(last, now))
+            self._last_accrue[source_id] = now
+            credit += added
+            self._tick_added[source_id] += added
         size = message.size
-        if source_link.queue or source_link.credit < size:
+        if credit < size:
+            self._credit[source_id] = credit
             return False
-        source_link.credit -= size
-        source_link.tick_used += size
-        source_link.total_units += size
-        source_link.total_sent += 1
-        source_link.total_delivered += 1
+        self._credit[source_id] = credit - size
         if self._reliable is not None:
             self._reliable.on_send(message)
         primary = self._primary[source_id]
@@ -474,6 +481,74 @@ class Topology:
                     replace(message, cache_id=k, size=0.0) if multicast
                     else replace(message, cache_id=k))
         return True
+
+    def _sync_source(self, source_id: int) -> None:
+        """Replay the refills source row ``source_id`` skipped, bit for
+        bit.
+
+        ``_tick_boundaries[k]`` is the float the network ticker observed
+        at tick ``k``, and every skipped tick replays the link refill at
+        its boundary -- :meth:`Link.accrue`'s and :func:`refill_credit`'s
+        float operations in their order, so a row synced on touch is
+        indistinguishable from a link refilled every tick.  Closed forms
+        are *not* safe here: summing ``rate * dt`` per tick and
+        multiplying ``rate * k * dt`` once differ in the last ulp for
+        non-dyadic rates, which is enough to flip a credit check.
+
+        The replay fast-forwards only where that is provably exact:
+
+        * a *steady* profile earns the same capacity every tick, so once
+          a refill clips (or earns nothing) every further tick
+          reproduces the same state, and the replay jumps straight to the
+          final tick: a row replays at most the ticks between its last
+          consumption and saturation, never a whole idle span;
+        * a non-steady :class:`TraceBandwidth` skips spans of cap-pinned
+          or zero-rate ticks (:func:`~repro.network.link.trace_jump`);
+        * any other profile (sine, a scaled trace) replays every tick,
+          the work a per-tick refill loop would do for it.
+        """
+        profile = self.source_profiles[source_id]
+        boundaries = self._tick_boundaries
+        tick_no = self._tick_no
+        rate = profile._rate if type(profile) is ConstantBandwidth else None
+        steady = profile.steady_rate is not None
+        trace = (profile if isinstance(profile, TraceBandwidth)
+                 and not steady else None)
+        credit = self._credit[source_id]
+        last = self._last_accrue[source_id]
+        added = self._tick_added[source_id]
+        tick = self._synced[source_id]
+        final = tick_no - 1  # the final tick always replays normally
+        while tick < tick_no:
+            tick += 1
+            now = boundaries[tick]
+            if now > last:
+                earned = (rate * (now - last) if rate is not None
+                          else profile.capacity(last, now))
+                last = now
+                credit += earned
+                added += earned
+            credit, clipped = refill_credit(credit, added)
+            idle = added == 0.0
+            added = 0.0
+            if tick < final and (clipped or idle):
+                if steady:
+                    last = boundaries[final]
+                    tick = final
+                elif trace is not None:
+                    resume = trace_jump(trace, boundaries, tick, final,
+                                        clipped)
+                    if resume > tick:
+                        last = boundaries[resume]
+                        if clipped:
+                            credit = float("inf")
+                        tick = resume
+        self._credit[source_id] = credit
+        self._last_accrue[source_id] = last
+        self._tick_added[source_id] = added
+        # The topology's tick counter itself: every synced row shares
+        # that one int.
+        self._synced[source_id] = tick_no
 
     def send_upstream_unconstrained(self, message: Message) -> None:
         """Source -> cache ignoring source-side limits.
@@ -544,10 +619,30 @@ class Topology:
     # ------------------------------------------------------------------
     def source_at_capacity(self, source_id: int) -> bool:
         """True when the source spent all its credit this tick (footnote 3)."""
-        link = self.source_links[source_id]
-        if link._synced_tick < self._tick_no:
-            link.sync_to_tick(self._tick_boundaries, self._tick_no)
-        return not link.has_credit()
+        if self._synced[source_id] < self._tick_no:
+            self._sync_source(source_id)
+        return self._credit[source_id] < 1.0
+
+    def source_retry_ticks(self, source_id: int, now: float,
+                           dt: float) -> int | None:
+        """Ticks until a source this topology refused at ``now`` may
+        retry.
+
+        A steady link retries next tick.  A trace link can stay dry for a
+        whole outage, so the tick it regains one message of credit is
+        solved on the profile's cumulative array instead of polled for;
+        the answer is conservative (never late, at most one tick early),
+        so the send still lands on the tick a per-tick retry loop picks
+        and an early wake just finds the link dry again.  ``None`` -- the
+        link can never afford another message -- parks the sender, as
+        the retry loop would have, one failed send per tick at a time.
+        """
+        profile = self.source_profiles[source_id]
+        if (not isinstance(profile, TraceBandwidth)
+                or profile.steady_rate is not None):
+            return 1
+        return ticks_until_capacity(profile, now, dt,
+                                    1.0 - self._credit[source_id])
 
     def cache_surplus(self, cache_id: int,
                       now: float | None = None) -> float:
@@ -641,6 +736,31 @@ class Topology:
 # ----------------------------------------------------------------------
 # Assignment helpers
 # ----------------------------------------------------------------------
+def _runs(assignment: list[tuple[int, ...]]) -> list[range]:
+    """The maximal runs of consecutive sources with equal targets."""
+    runs = []
+    start = 0
+    current = assignment[0] if assignment else None
+    for j, targets in enumerate(assignment):
+        if targets != current:
+            runs.append(range(start, j))
+            start, current = j, targets
+    if assignment:
+        runs.append(range(start, len(assignment)))
+    return runs
+
+
+def _id_sequence(blocks: list[range]) -> Sequence[int]:
+    """Ascending source ids covered by ``blocks``: one ``range`` when they
+    join into a contiguous block, else a tuple."""
+    blocks = sorted(blocks, key=lambda block: block.start)
+    if not blocks:
+        return range(0)
+    if all(a.stop == b.start for a, b in zip(blocks, blocks[1:])):
+        return range(blocks[0].start, blocks[-1].stop)
+    return tuple(j for block in blocks for j in block)
+
+
 def _check_delivery(delivery: str) -> None:
     if delivery not in DELIVERY_MODES:
         raise ValueError(f"unknown delivery plane {delivery!r}; expected "

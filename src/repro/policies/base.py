@@ -66,14 +66,18 @@ class SimulationContext:
         self.rngs = RngRegistry(seed)
         trace = workload.trace
         # Python scalars up front: one .tolist() per array beats a numpy
-        # scalar extraction per object when m ~ 10^5.
+        # scalar extraction per object when m ~ 10^5.  One int object per
+        # id: an object's index and its owner's source id share it (they
+        # are equal when each source has one object), not 28 B each.
+        ids = list(range(max(workload.num_objects, workload.num_sources)))
         owners = workload.owner.tolist()
         rates = np.asarray(workload.rates, dtype=float).tolist()
         initial_values = trace.initial_values.tolist()
         self.objects = [
-            DataObject(index=i, source_id=owners[i], rate=rates[i],
-                       value=initial_values[i])
-            for i in range(workload.num_objects)
+            DataObject(index=index, source_id=ids[owner], rate=rate,
+                       value=value)
+            for index, owner, rate, value in zip(ids, owners, rates,
+                                                 initial_values)
         ]
         self.collector = DivergenceCollector(workload.num_objects,
                                              workload.weights,

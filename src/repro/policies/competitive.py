@@ -30,7 +30,7 @@ weights, so experiments can plot the Psi trade-off curve.
 from __future__ import annotations
 
 from repro.core.objects import DataObject
-from repro.core.tracking import PriorityTracker
+from repro.core.tracking import PriorityTable
 from repro.core.weights import WeightModel
 from repro.metrics.collector import DivergenceCollector
 from repro.network.bandwidth import replay_credit_ticks, ticks_until_credit
@@ -57,7 +57,7 @@ class CompetitivePolicy(CooperativePolicy):
         self.psi = psi
         self.option = option
         self.own_refreshes_sent = 0
-        self._own_trackers: list[PriorityTracker] = []
+        self._own_tracker: PriorityTable | None = None
         self._own_monitor: TriggerMonitor | None = None
         self._own_credit: list[float] = []
         self._own_rate: list[float] = []
@@ -79,9 +79,9 @@ class CompetitivePolicy(CooperativePolicy):
                 f"source weight model covers {self.source_weights.n} "
                 f"objects, expected {workload.num_objects}")
         m = workload.num_sources
-        # The own-priority queues share a version store of their own.
-        versions = [0] * workload.num_objects
-        self._own_trackers = [PriorityTracker(versions) for _ in range(m)]
+        # The own-priority queues: a table of their own, one row per
+        # source.
+        self._own_tracker = PriorityTable(m, [0] * workload.num_objects)
         # Each source keeps its own-priority queue exact on every update,
         # under the shared priority function and its own weights.
         self._own_monitor = TriggerMonitor(self.priority_fn,
@@ -93,8 +93,7 @@ class CompetitivePolicy(CooperativePolicy):
         ctx.add_update_hook(self._on_update_competitive)
         for cache in self.caches:
             cache.add_refresh_hook(self._on_refresh_applied)
-        for source in self.sources:
-            source.send_hooks += (self._on_refresh_sent,)
+        self.sources.send_hooks += (self._on_refresh_sent,)
         self._own_wakeups = WakeupSet()
         self._own_tick_no = 0
         self._own_credit_tick = [0] * m
@@ -117,7 +116,7 @@ class CompetitivePolicy(CooperativePolicy):
     # Event routing
     # ------------------------------------------------------------------
     def _on_update_competitive(self, obj: DataObject, now: float) -> None:
-        self._own_monitor.on_update(self._own_trackers[obj.source_id], obj,
+        self._own_monitor.on_update(self._own_tracker, obj.source_id, obj,
                                     now)
         # Fresh own-priority work: wake at the next own-sends fire (the
         # same tick when the update lands before SOURCES phase).
@@ -130,14 +129,14 @@ class CompetitivePolicy(CooperativePolicy):
         if self.source_collector is not None:
             self.source_collector.record(obj.index, now,
                                          obj.truth.divergence)
-        self._own_trackers[obj.source_id].remove(obj.index)
+        self._own_tracker.remove(obj.index)
 
     def _on_refresh_sent(self, obj: DataObject, now: float,
                          threshold_driven: bool) -> None:
         # Any send synchronizes the object; drop it from the own-priority
         # queue immediately rather than waiting for cache-side application
         # (which lags under congestion and would allow duplicate sends).
-        self._own_trackers[obj.source_id].remove(obj.index)
+        self._own_tracker.remove(obj.index)
         if (threshold_driven and self.option == "contribution"
                 and self.psi > 0):
             # Sec 7 option 3: each *cache-priority* refresh earns the
@@ -166,11 +165,11 @@ class CompetitivePolicy(CooperativePolicy):
         for j in self._own_wakeups.pop_due(self._own_tick_no):
             self._own_replay_accrual(j)
             if self._own_send_while_credit(j, now):
-                ticks = self.topology.source_links[j].retry_ticks(
-                    now, self._ctx.dt)
+                ticks = self.topology.source_retry_ticks(
+                    j, now, self._ctx.dt)
                 if ticks is not None:
                     self._own_wakeups.arm(j, self._own_tick_no + ticks)
-            elif len(self._own_trackers[j]):
+            elif self._own_tracker.peek(j) is not None:
                 self._own_arm_crossing(j)
 
     def _own_replay_accrual(self, j: int) -> None:
@@ -184,22 +183,22 @@ class CompetitivePolicy(CooperativePolicy):
     def _own_send_while_credit(self, j: int, now: float) -> bool:
         """Drain own-priority sends; True when source-bandwidth-blocked."""
         ctx = self._ctx
-        source = self.sources[j]
-        tracker = self._own_trackers[j]
+        sources = self.sources
+        tracker = self._own_tracker
         while self._own_credit[j] >= 1.0:
-            top = tracker.peek()
+            top = tracker.peek(j)
             if top is None:
                 break
             index, _ = top
             obj = ctx.objects[index]
             if obj.belief.divergence == 0.0:
                 # Already synchronized by the cache-priority flow.
-                tracker.pop()
+                tracker.pop(j)
                 continue
-            if not source._send_refresh(obj, now,
-                                        adjust_threshold=False):
+            if not sources._send_refresh(j, obj, now,
+                                         adjust_threshold=False):
                 return True  # out of source-side bandwidth
-            tracker.pop()
+            tracker.pop(j)
             self._own_credit[j] -= 1.0
             self.own_refreshes_sent += 1
         return False

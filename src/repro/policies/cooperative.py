@@ -3,9 +3,10 @@
 This policy assembles the full Sec 5 machinery over the message-level
 network substrate:
 
-* one :class:`SourceNode` per source with a lazy priority queue, a
-  :class:`ThresholdController` (``alpha``/``omega``/``gamma`` dynamics) and
-  a priority monitor (exact triggers by default, sampling optional);
+* one :class:`SourceNode` running every source as a row: its lazy
+  priority queue, its threshold in a :class:`ThresholdTable`
+  (``alpha``/``omega``/``gamma`` dynamics) and a priority monitor (exact
+  triggers by default, sampling optional);
 * one :class:`CacheNode` per cache node in the configured topology, each
   applying whatever refreshes arrive on its link and running its own
   :class:`FeedbackController`, spending surplus link bandwidth on positive
@@ -31,8 +32,7 @@ from repro.cache.store import CacheStore
 from repro.core.divergence import DivergenceMetric
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority, PriorityFunction
-from repro.core.threshold import DEFAULT_ALPHA, DEFAULT_OMEGA, ThresholdController
-from repro.core.tracking import PriorityTracker
+from repro.core.threshold import DEFAULT_ALPHA, DEFAULT_OMEGA, ThresholdTable
 from repro.network.bandwidth import BandwidthProfile
 from repro.network.topology import Topology
 from repro.policies.base import SimulationContext, SyncPolicy
@@ -149,7 +149,7 @@ class CooperativePolicy(SyncPolicy):
         self.caches: list[CacheNode] = []
         self.stores: list[CacheStore] = []
         self.feedbacks: list[FeedbackController] = []
-        self.sources: list[SourceNode] = []
+        self.sources: SourceNode | None = None
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
 
@@ -188,13 +188,16 @@ class CooperativePolicy(SyncPolicy):
             owned = topology.owned_sources_of(k)
             # Per-source refresh value: r-way replicated sources are r
             # times cheaper per unit of divergence removed under
-            # multicast.  All-ones collapses to None so the unicast
-            # ranking arithmetic is untouched.
-            gains = [topology.feedback_gain(j) for j in owned]
+            # multicast.  All-ones (every gain under unicast) collapses
+            # to None so the unicast ranking arithmetic is untouched.
+            gains = None
+            if topology.delivery == "multicast":
+                gains = [topology.feedback_gain(j) for j in owned]
+                if all(g == 1.0 for g in gains):
+                    gains = None
             feedback = FeedbackController(
                 topology, self.omega, cache_id=k,
-                source_ids=owned,
-                gains=None if all(g == 1.0 for g in gains) else gains)
+                source_ids=owned, gains=gains)
             store = CacheStore(workload.num_objects,
                                workload.trace.initial_values)
             cache = CacheNode(ctx.objects, ctx.metric, topology,
@@ -205,53 +208,50 @@ class CooperativePolicy(SyncPolicy):
             self.stores.append(store)
             self.caches.append(cache)
 
-        per_source = workload.objects_per_source
-        objects = ctx.objects
-        self.sources = []
-        receiver = self._on_source_message
+        m = workload.num_sources
         # The derived feedback period depends only on a source's primary
-        # cache, so compute it once per cache instead of once per source
-        # (at m ~ 10^5 the per-source log/len arithmetic is real money).
-        period_by_cache: dict[int, float | None] = {}
-        # Every source's tracker shares one version store (an object is
-        # tracked by its own source only), and a trigger monitor keeps no
-        # per-source state, so one serves every source.
-        versions = [0] * workload.num_objects
-        trigger = (TriggerMonitor(self.priority_fn, workload.weights)
-                   if self.monitor_kind == "trigger" else None)
-        for j in range(workload.num_sources):
-            primary = topology.primary_cache_of(j)
-            if primary not in period_by_cache:
-                period_by_cache[primary] = self._feedback_period_for(j, ctx)
-            threshold = ThresholdController(
-                initial=self.initial_threshold, alpha=self.alpha,
-                omega=self.omega,
-                feedback_period=period_by_cache[primary],
-                feedback_ttl=self.feedback_ttl)
-            monitor = trigger if trigger is not None else \
-                self._sampling_monitor(workload.weights, ctx.metric,
-                                       threshold)
-            # The first object's own index int, as the source's first
-            # index: a computed one would cost each source 32 B more.
-            first = objects[j * per_source].index if per_source else 0
-            args = (j, objects, first, per_source,
-                    PriorityTracker(versions), monitor, threshold, topology)
-            if self.batch_size > 1:
-                source: SourceNode = BatchingSource(
-                    *args, batch_size=self.batch_size,
-                    batch_timeout=self.batch_timeout)
-            else:
-                source = SourceNode(*args)
-            self.sources.append(source)
+        # cache: one value per cache, repeated down the column.
+        periods: list[float | None] = [None] * m
+        for k in range(topology.num_caches):
+            owned = topology.owned_sources_of(k)
+            if owned:
+                period = self._feedback_period_for(owned[0], ctx)
+                for j in owned:
+                    periods[j] = period
+        thresholds = ThresholdTable(
+            m, initial=self.initial_threshold, alpha=self.alpha,
+            omega=self.omega, feedback_period=periods,
+            feedback_ttl=self.feedback_ttl)
+        # A trigger monitor keeps no per-source state, so one serves
+        # every source.
+        if self.monitor_kind == "trigger":
+            monitors = [TriggerMonitor(self.priority_fn,
+                                       workload.weights)] * m
+        else:
+            monitors = [self._sampling_monitor(workload.weights, ctx.metric,
+                                               thresholds, j)
+                        for j in range(m)]
+        args = (ctx.objects, workload.objects_per_source, monitors,
+                thresholds, topology)
+        if self.batch_size > 1:
+            self.sources = BatchingSource(
+                *args, batch_size=self.batch_size,
+                batch_timeout=self.batch_timeout)
+        else:
+            self.sources = SourceNode(*args)
+        sources = self.sources
+        receiver = self._on_source_message
+        for j in range(m):
             topology.set_source_receiver(j, receiver)
-            if topology.reliable is not None:
-                topology.reliable.register_sender(j, source)
+        if topology.reliable is not None:
+            topology.reliable.register_sources(sources)
 
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
-        for j, source in enumerate(self.sources):
-            source.monitor.prime(source.indices())
-            self._rearm_source(j, source, 0.0, blocked=False)
+        if self._wakes:
+            for j in range(m):
+                sources.monitors[j].prime(sources.indices(j))
+                self._rearm_source(j, 0.0, blocked=False)
         for k in range(topology.num_caches):
             self._cache_wakeups.arm(k, 0.0)
             # Every delivery arms its cache; a partial runs no Python
@@ -301,20 +301,21 @@ class CooperativePolicy(SyncPolicy):
         return max(slack * peers / mean_rate, 5.0 * ctx.dt)
 
     def _sampling_monitor(self, weights, metric: DivergenceMetric,
-                          threshold: ThresholdController) -> SamplingMonitor:
-        """One source's sampling monitor, reading its ``threshold``."""
+                          thresholds: ThresholdTable,
+                          j: int) -> SamplingMonitor:
+        """Source ``j``'s sampling monitor, reading its threshold."""
+        values = thresholds.value
         return SamplingMonitor(
             self.priority_fn, weights, metric,
             interval=self.sampling_interval,
             predictive=self.predictive_sampling,
-            threshold=lambda: threshold.value)
+            threshold=lambda: values[j])
 
     def _on_source_message(self, message) -> None:
         """The one receiver every source id is registered with."""
-        j = message.source_id
-        source = self.sources[j]
         now = self._ctx.sim.now
-        self._rearm_source(j, source, now, source.on_message(message, now))
+        self._rearm_source(message.source_id, now,
+                           self.sources.on_message(message, now))
 
     def _make_queue_hook(self, cache_id: int):
         def hook(message) -> None:
@@ -337,31 +338,29 @@ class CooperativePolicy(SyncPolicy):
     # schedule of tests/oracles.py.
     # ------------------------------------------------------------------
     def _on_update(self, obj: DataObject, now: float) -> None:
-        source = self.sources[obj.source_id]
-        blocked = source.on_update(obj, now)
+        blocked = self.sources.on_update(obj, now)
         if blocked or self._wakes:
-            self._rearm_source(obj.source_id, source, now, blocked)
+            self._rearm_source(obj.source_id, now, blocked)
 
-    def _rearm_source(self, j: int, source: SourceNode, now: float,
-                      blocked: bool) -> None:
+    def _rearm_source(self, j: int, now: float, blocked: bool) -> None:
         if blocked:
             # Out of bandwidth with over-threshold work: credit accrues by
             # the next tick, so wake at the next dispatcher fire.
             self._source_wakeups.arm(j, now)
-        next_wake = source.monitor.next_wake_time()
+        sources = self.sources
+        next_wake = sources.monitors[j].next_wake_time()
         if next_wake is not None:
             self._source_wakeups.arm(j, next_wake)
-        decay = source.threshold.next_decay_time()
+        decay = sources.thresholds.next_decay_time(j)
         if decay is not None:
             # TTL decay must fire even while the source is otherwise
             # parked, or a blacked-out source would never drift.
             self._source_wakeups.arm(j, decay)
 
     def _sources_tick(self, now: float) -> None:
+        sources = self.sources
         for j in self._source_wakeups.pop_due(now, eps=1e-12):
-            source = self.sources[j]
-            blocked = source.on_wake(now)
-            self._rearm_source(j, source, now, blocked)
+            self._rearm_source(j, now, sources.on_wake(j, now))
 
     def _caches_tick(self, now: float) -> None:
         for k in self._cache_wakeups.pop_due(now):
@@ -406,12 +405,16 @@ class CooperativePolicy(SyncPolicy):
         return sum(fb.feedback_sent for fb in self.feedbacks)
 
     def refreshes_sent(self) -> int:
-        return sum(s.refreshes_sent for s in self.sources)
+        if self.sources is None:
+            return 0
+        return sum(self.sources.refreshes_sent)
 
     def mean_threshold(self) -> float:
         """Left-to-right mean in ascending source order (the shard merge
         folds in the same order)."""
-        thresholds = [s.threshold.value for s in self.sources]
+        if self.sources is None:
+            return 0.0
+        thresholds = self.sources.thresholds.value
         return sum(thresholds) / len(thresholds) if thresholds else 0.0
 
     def migrations(self) -> int:

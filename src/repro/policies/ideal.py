@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.core.objects import DataObject
 from repro.core.priority import PriorityFunction
-from repro.core.tracking import PriorityTracker
+from repro.core.tracking import PriorityTable
 from repro.network.bandwidth import BandwidthProfile
 from repro.policies.base import SimulationContext, SyncPolicy
 from repro.sim.events import Phase
@@ -88,7 +88,8 @@ class IdealCooperativePolicy(SyncPolicy):
         self.cache_bandwidth = cache_bandwidth
         self.priority_fn = priority_fn
         self.source_bandwidths = source_bandwidths
-        self.tracker: PriorityTracker | None = None
+        #: the one global queue: row 0 of a one-row table
+        self.tracker: PriorityTable | None = None
         self._monitor: TriggerMonitor | None = None
         self._refreshes = 0
         self._ctx: SimulationContext | None = None
@@ -130,19 +131,19 @@ class IdealCooperativePolicy(SyncPolicy):
             ]
         self._armed = False
         # Exact priorities on every update, as a trigger monitor keeps them.
-        self.tracker = PriorityTracker([0] * ctx.workload.num_objects)
+        self.tracker = PriorityTable(1, [0] * ctx.workload.num_objects)
         self._monitor = TriggerMonitor(self.priority_fn,
                                        ctx.workload.weights)
         ctx.add_update_hook(self._on_update)
         ctx.sim.every(ctx.dt, self._on_tick, phase=Phase.SOURCES)
 
     def _on_update(self, obj: DataObject, now: float) -> None:
-        self._monitor.on_update(self.tracker, obj, now)
+        self._monitor.on_update(self.tracker, 0, obj, now)
         # "Each time there is enough cache-side bandwidth to accept a
         # refresh" (Sec 3.3): the idealized scheduler reacts immediately,
         # not at the next tick.
         self._drain(now)
-        self._armed = len(self.tracker) > 0
+        self._armed = self.tracker.peek(0) is not None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -152,7 +153,7 @@ class IdealCooperativePolicy(SyncPolicy):
             # Every object's priority moves every tick: re-evaluate all.
             self._refill(now)
             for obj in self._ctx.objects:
-                self._monitor.on_update(self.tracker, obj, now)
+                self._monitor.on_update(self.tracker, 0, obj, now)
             self._drain(now)
             return
         # Parked whenever the queue is empty: a tick's drain would be a
@@ -161,7 +162,7 @@ class IdealCooperativePolicy(SyncPolicy):
         if not self._armed:
             return
         self._drain(now)
-        self._armed = len(self.tracker) > 0
+        self._armed = self.tracker.peek(0) is not None
 
     def _refill(self, now: float) -> None:
         for bucket in self._cache_buckets:
@@ -177,7 +178,7 @@ class IdealCooperativePolicy(SyncPolicy):
         self._refill(now)
         deferred: list[tuple[int, float]] = []
         while any(bucket.credit >= 1.0 for bucket in self._cache_buckets):
-            top = self.tracker.pop()
+            top = self.tracker.pop(0)
             if top is None:
                 break
             index, priority = top
@@ -199,7 +200,7 @@ class IdealCooperativePolicy(SyncPolicy):
             cache_bucket.take()
             self._apply_refresh(index, now)
         for index, priority in deferred:
-            self.tracker.update(index, priority)
+            self.tracker.update(0, index, priority)
 
     def _apply_refresh(self, index: int, now: float) -> None:
         ctx = self._ctx

@@ -143,8 +143,7 @@ class UniformAllocationPolicy(SyncPolicy):
             self._replay_accrual(j, ctx.dt)
             if self._send_while_credit(j, now):
                 # The link, not the token bucket, is dry.
-                ticks = self.topology.source_links[j].retry_ticks(
-                    now, ctx.dt)
+                ticks = self.topology.source_retry_ticks(j, now, ctx.dt)
                 if ticks is not None:
                     self._wakeups.arm(j, self._tick_no + ticks)
             else:

@@ -36,7 +36,7 @@ def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector for a bounded stretch of work.
 
     Building and running a simulation allocates millions of small,
-    mostly-acyclic objects (events, messages, per-source nodes); the
+    mostly-acyclic objects (events, messages, data objects); the
     generational collector re-scans that entire live graph every few
     thousand allocations, which at m ~ 10^5 costs more wall clock than
     the simulation itself.  Pausing collection (not reference counting --

@@ -8,7 +8,7 @@ to explore the tradeoff between packaging multiple refresh messages
 together to save bandwidth versus the increased divergence resulting from
 delaying refreshes."
 
-:class:`BatchingSource` extends the cooperating source with a holding pen:
+:class:`BatchingSource` extends the cooperating sources with a holding pen:
 objects whose priority crosses the threshold are *staged* rather than sent,
 and a batch message (one bandwidth unit) departs when either ``batch_size``
 items have accumulated or the oldest staged item has waited
@@ -27,10 +27,17 @@ from repro.source.source import SourceNode
 
 
 class BatchingSource(SourceNode):
-    """A source that packages several refreshes into each message."""
+    """Sources that package several refreshes into each message.
 
-    __slots__ = ("batch_size", "batch_timeout", "batches_sent",
-                 "items_sent", "_staged", "_staged_since")
+    Each source's holding pen is a column: ``_staged[j]`` lists its
+    staged objects (``None`` while empty) and ``_staged_since[j]`` is
+    when the oldest of them was staged.  ``refreshes_sent[j]`` counts
+    batch messages; ``items_sent`` counts the objects they carried, over
+    all sources.
+    """
+
+    __slots__ = ("batch_size", "batch_timeout", "items_sent", "_staged",
+                 "_staged_since")
 
     def __init__(self, *args, batch_size: int = 4,
                  batch_timeout: float = 5.0, **kwargs) -> None:
@@ -42,15 +49,15 @@ class BatchingSource(SourceNode):
                 f"batch_timeout must be > 0, got {batch_timeout}")
         self.batch_size = batch_size
         self.batch_timeout = batch_timeout
-        self.batches_sent = 0
         self.items_sent = 0
-        self._staged: list[DataObject] = []
-        self._staged_since: float | None = None
+        self._staged: list[list[DataObject] | None] = \
+            [None] * self.num_sources
+        self._staged_since: list[float | None] = [None] * self.num_sources
 
     # ------------------------------------------------------------------
     # Refresh scheduling (overrides the one-message-per-object flow)
     # ------------------------------------------------------------------
-    def drain(self, now: float) -> bool:
+    def drain(self, source_id: int, now: float) -> bool:
         """Stage over-threshold objects; flush when full or timed out.
 
         A batching source reports "needs a wakeup" whenever refreshes are
@@ -59,60 +66,67 @@ class BatchingSource(SourceNode):
         tick.  So a staged batch also counts as ``blocked``: the next
         update must drain, since that drain may flush on the timeout.
         """
-        self.threshold.maybe_decay(now)
+        thresholds = self.thresholds
+        thresholds.maybe_decay(source_id, now)
         tracker = self.tracker
-        staged_indices = {obj.index for obj in self._staged}
+        staged = self._staged[source_id]
+        staged_indices = {obj.index for obj in staged or ()}
         while True:
-            top = tracker.peek()
+            top = tracker.peek(source_id)
             if top is None:
                 break
             index, priority = top
-            if priority < self.threshold.value:
+            if priority < thresholds.value[source_id]:
                 break
-            tracker.pop()
+            tracker.pop(source_id)
             if index in staged_indices:
                 continue
-            self._staged.append(self.objects[index])
+            if staged is None:
+                staged = self._staged[source_id] = []
+            staged.append(self.objects[index])
             staged_indices.add(index)
-            if self._staged_since is None:
-                self._staged_since = now
-        self._maybe_flush(now)
-        self.blocked = bool(self._staged)
-        return self.blocked
+            if self._staged_since[source_id] is None:
+                self._staged_since[source_id] = now
+        self._maybe_flush(source_id, now)
+        blocked = self._staged[source_id] is not None
+        self.blocked[source_id] = blocked
+        return blocked
 
-    def _maybe_flush(self, now: float) -> None:
-        if not self._staged:
+    def _maybe_flush(self, source_id: int, now: float) -> None:
+        staged = self._staged[source_id]
+        if staged is None:
             return
-        full = len(self._staged) >= self.batch_size
-        expired = (self._staged_since is not None
-                   and now - self._staged_since >= self.batch_timeout)
+        since = self._staged_since[source_id]
+        full = len(staged) >= self.batch_size
+        expired = since is not None and now - since >= self.batch_timeout
         if full or expired:
-            self._flush(now)
+            self._flush(source_id, now)
 
-    def _flush(self, now: float) -> bool:
+    def _flush(self, source_id: int, now: float) -> bool:
         """Send one batch message (one bandwidth unit)."""
-        batch = self._staged[: self.batch_size]
+        staged = self._staged[source_id]
+        batch = staged[: self.batch_size]
         message = BatchRefreshMessage(
-            source_id=self.source_id,
+            source_id=source_id,
             sent_at=now,
             items=[(obj.index, obj.value, obj.update_count)
                    for obj in batch],
-            threshold=self.threshold.value,
+            threshold=self.thresholds.value[source_id],
         )
         if not self.topology.send_upstream(message):
             return False  # out of bandwidth; retry on a later tick
+        monitor = self.monitors[source_id]
         for obj in batch:
             obj.mark_sent(now)
-            self.monitor.on_refresh_sent(self.tracker, obj, now)
-            self.items_sent += 1
-        self._staged = self._staged[self.batch_size:]
-        self._staged_since = now if self._staged else None
-        self.threshold.on_refresh(now)
-        self.batches_sent += 1
-        self.refreshes_sent += 1  # one message on the wire
+            monitor.on_refresh_sent(self.tracker, obj, now)
+        self.items_sent += len(batch)
+        rest = staged[self.batch_size:]
+        self._staged[source_id] = rest or None
+        self._staged_since[source_id] = now if rest else None
+        self.thresholds.on_refresh(source_id, now)
+        self.refreshes_sent[source_id] += 1  # one message on the wire
         return True
 
-    @property
-    def staged(self) -> int:
-        """Number of refreshes currently waiting for the batch to fill."""
-        return len(self._staged)
+    def staged(self, source_id: int) -> int:
+        """Refreshes source ``source_id`` holds for its batch to fill."""
+        return len(self._staged[source_id] or ())

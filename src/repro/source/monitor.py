@@ -1,6 +1,6 @@
 """Priority monitoring at the sources (paper Sec 8).
 
-A monitor keeps a source's :class:`PriorityTracker` (held by the source)
+A monitor keeps a source's row of the policy's :class:`PriorityTable`
 up to date, tells its policy when to wake the source
 (:meth:`PriorityMonitor.next_wake_time`) and does the woken source's
 monitoring work (:meth:`PriorityMonitor.on_wake`); the policy's wakeup
@@ -37,7 +37,7 @@ from abc import ABC, abstractmethod
 from repro.core.divergence import DivergenceMetric
 from repro.core.objects import DataObject
 from repro.core.priority import PriorityFunction
-from repro.core.tracking import PriorityTracker
+from repro.core.tracking import PriorityTable
 from repro.core.weights import WeightModel
 from repro.sim.events import WakeupSet
 
@@ -46,14 +46,14 @@ MIN_SAMPLING_INTERVAL = 1.0
 
 
 class PriorityMonitor(ABC):
-    """Keeps a source's :class:`PriorityTracker` up to date.
+    """Keeps a source's row of a :class:`PriorityTable` up to date.
 
-    The tracker belongs to the source and is passed in, so a monitor
-    holds only what it computes priorities from.  The owning policy wakes
-    the source through its wakeup dispatcher: after every interaction it
-    arms the source at :meth:`next_wake_time`, and a woken source calls
-    :meth:`on_wake` before it drains.  A monitor never calls back into
-    the engine itself.
+    The table belongs to the sources and is passed in with the row, so a
+    monitor holds only what it computes priorities from.  The owning
+    policy wakes the source through its wakeup dispatcher: after every
+    interaction it arms the source at :meth:`next_wake_time`, and a woken
+    source calls :meth:`on_wake` before it drains.  A monitor never calls
+    back into the engine itself.
     """
 
     __slots__ = ("priority_fn", "weights")
@@ -64,11 +64,11 @@ class PriorityMonitor(ABC):
         self.weights = weights
 
     @abstractmethod
-    def on_update(self, tracker: PriorityTracker, obj: DataObject,
+    def on_update(self, tracker: PriorityTable, row: int, obj: DataObject,
                   now: float) -> float:
         """An update was applied to ``obj``; returns ``obj``'s priority as
-        ``tracker`` now holds it (0.0 when this monitor does not see
-        updates)."""
+        row ``row`` of ``tracker`` now holds it (0.0 when this monitor
+        does not see updates)."""
 
     def prime(self, indices) -> None:
         """Install the initial wakeup state for the source's objects (by
@@ -78,10 +78,12 @@ class PriorityMonitor(ABC):
         """Earliest time this monitor needs its source woken (or ``None``)."""
         return None
 
-    def on_wake(self, source, now: float) -> None:
-        """Re-evaluate the objects that are due at this dispatcher fire."""
+    def on_wake(self, sources, row: int, now: float) -> None:
+        """Re-evaluate source ``row``'s objects that are due at this
+        dispatcher fire (``sources`` is the policy's
+        :class:`~repro.source.source.SourceNode`)."""
 
-    def on_refresh_sent(self, tracker: PriorityTracker, obj: DataObject,
+    def on_refresh_sent(self, tracker: PriorityTable, obj: DataObject,
                         now: float) -> None:
         """``obj`` was refreshed; drop it from ``tracker``."""
         tracker.remove(obj.index)
@@ -99,7 +101,7 @@ class TriggerMonitor(PriorityMonitor):
 
     __slots__ = ()
 
-    def on_update(self, tracker: PriorityTracker, obj: DataObject,
+    def on_update(self, tracker: PriorityTable, row: int, obj: DataObject,
                   now: float) -> float:
         """Re-evaluate ``obj`` from its exact belief view at ``now``.
 
@@ -114,18 +116,18 @@ class TriggerMonitor(PriorityMonitor):
             view.integral_acc + divergence * (now - view.last_change_time),
             now - view.last_refresh_time,
             self.weights.weight(obj.index, now))
-        tracker.update(obj.index, priority)
+        tracker.update(row, obj.index, priority)
         return priority
 
     def next_wake_time(self) -> float | None:
         return 0.0 if self.priority_fn.time_varying else None
 
-    def on_wake(self, source, now: float) -> None:
+    def on_wake(self, sources, row: int, now: float) -> None:
         if self.priority_fn.time_varying:
-            tracker = source.tracker
-            objects = source.objects
-            for index in source.indices():
-                self.on_update(tracker, objects[index], now)
+            tracker = sources.tracker
+            objects = sources.objects
+            for index in sources.indices(row):
+                self.on_update(tracker, row, objects[index], now)
 
 
 class SamplingMonitor(PriorityMonitor):
@@ -176,12 +178,12 @@ class SamplingMonitor(PriorityMonitor):
     # ------------------------------------------------------------------
     # Monitor interface
     # ------------------------------------------------------------------
-    def on_update(self, tracker: PriorityTracker, obj: DataObject,
+    def on_update(self, tracker: PriorityTable, row: int, obj: DataObject,
                   now: float) -> float:
         # A sampling source does not see individual updates.
         return 0.0
 
-    def on_refresh_sent(self, tracker: PriorityTracker, obj: DataObject,
+    def on_refresh_sent(self, tracker: PriorityTable, obj: DataObject,
                         now: float) -> None:
         super().on_refresh_sent(tracker, obj, now)
         index = obj.index
@@ -198,25 +200,25 @@ class SamplingMonitor(PriorityMonitor):
     def next_wake_time(self) -> float | None:
         return self._deadlines.peek_time()
 
-    def on_wake(self, source, now: float) -> None:
+    def on_wake(self, sources, row: int, now: float) -> None:
         """Sample exactly the objects whose deadline has arrived.
 
         ``pop_due`` returns indices ascending, the order a scan of every
         object visits the due ones, with a ``1e-12`` slack on the
         deadline comparison.
         """
-        tracker = source.tracker
-        objects = source.objects
+        tracker = sources.tracker
+        objects = sources.objects
         for index in self._deadlines.pop_due(now, eps=1e-12):
-            self.sample(tracker, objects[index], now)
+            self.sample(tracker, row, objects[index], now)
 
     # ------------------------------------------------------------------
     # Sampling machinery
     # ------------------------------------------------------------------
-    def sample(self, tracker: PriorityTracker, obj: DataObject,
+    def sample(self, tracker: PriorityTable, row: int, obj: DataObject,
                now: float) -> None:
         """Take one divergence sample of ``obj`` and update its priority
-        in ``tracker``."""
+        in row ``row`` of ``tracker``."""
         index = obj.index
         view = obj.belief
         divergence = self.metric.compute(
@@ -237,7 +239,7 @@ class SamplingMonitor(PriorityMonitor):
         weight = self.weights.weight(index, now)
         priority = self.priority_fn.priority(
             obj, divergence, integral, now - view.last_refresh_time, weight)
-        tracker.update(index, priority)
+        tracker.update(row, index, priority)
         self._deadlines.reschedule(index, now + self._next_delay(
             obj, priority, divergence, last_t, last_d, now, weight))
 

@@ -20,8 +20,9 @@ configuration both ways and demand bit-identical results.
   re-prioritizes its object, then drains its cooperative source and
   re-arms it, with no skip rule.  The policies' own wakeup sets are
   armed as usual and never consulted;
-* **eager links** -- every source link refills on every network tick
-  (:meth:`Link.refill`, the per-tick rule itself) instead of replaying
+* **eager links** -- every source row refills on every network tick
+  (:func:`~repro.network.link.refill_credit`, the per-tick rule itself,
+  after an accrual through ``profile.capacity``) instead of replaying
   the refills it skipped when touched;
 * **per event** -- each replayer firing hands its applier a one-event
   slice (one trace update or one read), rescheduling through the
@@ -50,14 +51,15 @@ which the logged collector's one fold must reproduce bit for bit.
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.tracking import PriorityTracker
+from repro.core.threshold import ThresholdTable
+from repro.core.tracking import PriorityTable
 from repro.core.weights import StaticWeights
 from repro.metrics.collector import DivergenceCollector
+from repro.network.link import refill_credit
 from repro.network.topology import Topology
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
@@ -75,39 +77,40 @@ from repro.workloads.trace import TraceReplayer, UpdateTrace
 def _cooperative_scan_sources(self, now: float) -> None:
     """Every source does its monitor's per-tick work and drains (a
     batching source's drain sends at most one batch)."""
-    for source in self.sources:
-        monitor = source.monitor
-        tracker = source.tracker
+    sources = self.sources
+    tracker = sources.tracker
+    objects = sources.objects
+    for j in range(sources.num_sources):
+        monitor = sources.monitors[j]
         if isinstance(monitor, SamplingMonitor):
             # Read each deadline where the wakeups keep it, never popping.
             deadlines = monitor._deadlines
-            for index in source.indices():
+            for index in sources.indices(j):
                 if now + 1e-12 >= deadlines.wake_time(index):
-                    monitor.sample(tracker, source.objects[index], now)
+                    monitor.sample(tracker, j, objects[index], now)
         elif monitor.priority_fn.time_varying:
-            for index in source.indices():
-                monitor.on_update(tracker, source.objects[index], now)
-        source.drain(now)
+            for index in sources.indices(j):
+                monitor.on_update(tracker, j, objects[index], now)
+        sources.drain(j, now)
 
 
-def recompute_then_drain(source, obj, now: float) -> bool:
-    """The paper's literal per-update decision for ``source``:
+def recompute_then_drain(sources, obj, now: float) -> bool:
+    """The paper's literal per-update decision for ``obj``'s source:
     re-prioritize the object, then always drain."""
-    source.monitor.on_update(source.tracker, obj, now)
-    return source.drain(now)
+    j = obj.source_id
+    sources.monitors[j].on_update(sources.tracker, j, obj, now)
+    return sources.drain(j, now)
 
 
 def _always_rearm(self, obj, now: float) -> None:
     """Every update re-arms its source."""
-    source = self.sources[obj.source_id]
-    self._rearm_source(obj.source_id, source, now,
-                       source.on_update(obj, now))
+    self._rearm_source(obj.source_id, now, self.sources.on_update(obj, now))
 
 
 def _competitive_scan_own_sends(self, now: float) -> None:
     """Every source accrues one tick of own credit, then sends."""
     dt = self._ctx.dt
-    for j in range(len(self.sources)):
+    for j in range(self.sources.num_sources):
         if self.option in ("equal", "proportional"):
             rate_dt = self._own_rate[j] * dt
             self._own_credit[j] = min(self._own_credit[j] + rate_dt,
@@ -132,15 +135,23 @@ def _scan_caches(self, now: float) -> None:
         cache.on_tick(now)
 
 
-def _refill_source_links(network_tick):
-    """A network tick that first refills every source link and marks it
-    synced, so no source link ever replays a skipped refill."""
+def _refill_source_rows(network_tick):
+    """A network tick that also refills every source row by the per-tick
+    rule and marks it synced, so no row ever replays a skipped refill."""
     def on_network_tick(self, now: float) -> None:
-        tick_no = self._tick_no + 1
-        for link in self.source_links:
-            link.refill(now)
-            link._synced_tick = tick_no
         network_tick(self, now)
+        for j, profile in enumerate(self.source_profiles):
+            credit = self._credit[j]
+            earned = self._tick_added[j]
+            last = self._last_accrue[j]
+            if now > last:
+                added = profile.capacity(last, now)
+                self._last_accrue[j] = now
+                credit += added
+                earned += added
+            self._credit[j] = refill_credit(credit, earned)[0]
+            self._tick_added[j] = 0.0
+            self._synced[j] = self._tick_no
     return on_network_tick
 
 
@@ -185,7 +196,7 @@ def reference_schedule(scan: bool = True, eager_links: bool = True,
             (IdealCooperativePolicy, "_on_tick", drain_every_tick),
         ]
     if eager_links:
-        patches.append((Topology, "on_network_tick", _refill_source_links(
+        patches.append((Topology, "on_network_tick", _refill_source_rows(
             Topology.__dict__["on_network_tick"])))
     if per_event:
         patches.append((TraceReplayer, "_fire", _fire_one_event))
@@ -209,17 +220,19 @@ def belief_priority(priority_fn, obj, now: float,
     exact belief view: what a trigger monitor evaluates on an update."""
     weights = StaticWeights(np.full(obj.index + 1, float(weight)))
     monitor = TriggerMonitor(priority_fn, weights)
-    return monitor.on_update(PriorityTracker(), obj, now)
+    return monitor.on_update(PriorityTable(), 0, obj, now)
 
 
-def flood_factor(controller, now: float) -> float:
-    """The ``gamma`` a refresh at ``now`` would apply on top of ``alpha``
-    (below ``THRESHOLD_CEIL``), read off a copy of ``controller`` (which
-    is left untouched)."""
-    probe = copy.copy(controller)
-    probe.value = probe.alpha = 1.0
-    probe.on_refresh(now)
-    return probe.value
+def flood_factor(thresholds, now: float, row: int = 0) -> float:
+    """The ``gamma`` a refresh of ``row`` at ``now`` would apply on top
+    of ``alpha`` (below ``THRESHOLD_CEIL``), read off a one-row probe
+    copying that row (``thresholds`` is left untouched)."""
+    probe = ThresholdTable(1, initial=1.0, alpha=1.0,
+                           feedback_period=thresholds.period[row],
+                           feedback_ttl=thresholds.feedback_ttl)
+    probe.last_feedback[0] = thresholds.last_feedback[row]
+    probe.on_refresh(0, now)
+    return probe.value[0]
 
 
 # ----------------------------------------------------------------------

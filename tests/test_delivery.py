@@ -226,9 +226,11 @@ class TestPlaneConfiguration:
 
 class TestFeedbackGains:
     def _controller(self, gains):
+        """A controller over sources 0-2 of an 8-source topology."""
         topology = Topology([ConstantBandwidth(10.0)],
-                            [ConstantBandwidth(1.0) for _ in range(3)])
-        return FeedbackController(topology, omega=10.0, gains=gains)
+                            [ConstantBandwidth(1.0) for _ in range(8)])
+        return FeedbackController(topology, omega=10.0,
+                                  source_ids=(0, 1, 2), gains=gains)
 
     def test_gains_reorder_selection_under_scarcity(self):
         controller = self._controller([1.0, 3.0, 1.0])
@@ -254,7 +256,8 @@ class TestFeedbackGains:
         for sid, threshold in enumerate([5.0, 1.0, 1.0]):
             controller.observe_threshold(sid, threshold)
         controller.add_source(7, threshold=9.0)
-        assert controller._gains == [2.0, 2.0, 2.0, 1.0]
+        assert controller._gains[:3] == [2.0, 2.0, 2.0]
+        assert controller._gains[7] == 1.0
         # Keys: 10, 2, 2, 9 -> gained source 0 outranks raw-9 source 7.
         selected, _ = controller._select_targets(1)
         assert selected == [0]

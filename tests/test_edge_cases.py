@@ -88,8 +88,7 @@ class TestCacheOptionalWiring:
 class TestSourceMessageRouting:
     def test_non_feedback_downstream_message_is_noop(self):
         from repro.core.priority import SimpleDivergencePriority
-        from repro.core.threshold import ThresholdController
-        from repro.core.tracking import PriorityTracker
+        from repro.core.threshold import ThresholdTable
         from repro.core.weights import StaticWeights
         from repro.source.monitor import TriggerMonitor
         from repro.source.source import SourceNode
@@ -98,14 +97,15 @@ class TestSourceMessageRouting:
                             [ConstantBandwidth(5.0)])
         objects = [DataObject(index=0, source_id=0)]
         source = SourceNode(
-            0, objects, 0, 1, PriorityTracker(),
-            TriggerMonitor(SimpleDivergencePriority(),
-                           StaticWeights.uniform(1)),
-            ThresholdController(), topology)
-        before = source.threshold.value
+            objects, 1,
+            [TriggerMonitor(SimpleDivergencePriority(),
+                            StaticWeights.uniform(1))],
+            ThresholdTable(), topology)
+        before = source.thresholds.value[0]
         source.on_message(PollRequest(source_id=0, object_index=0), 1.0)
-        assert source.threshold.value == before
-        assert source.feedback_received == 0
+        assert source.thresholds.value[0] == before
+        # not heard as feedback: the feedback clock did not move
+        assert source.thresholds.last_feedback[0] == 0.0
 
 
 class TestRefreshSemantics:

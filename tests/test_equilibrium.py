@@ -12,7 +12,7 @@ from repro.analysis.equilibrium import (
     threshold_drift_per_second,
 )
 from repro.core import threshold
-from repro.core.threshold import ThresholdController
+from repro.core.threshold import ThresholdTable
 
 
 class TestClosedForms:
@@ -67,7 +67,7 @@ class TestDrift:
         monkeypatch.setattr(threshold, "THRESHOLD_CEIL", 1e300)
         rng = np.random.default_rng(0)
         refresh_rate, feedback_rate = 8.0, 0.2
-        ctl = ThresholdController(initial=1.0)
+        ctl = ThresholdTable(initial=1.0)
         horizon = 500.0
         events = []
         for rate, kind in ((refresh_rate, "r"), (feedback_rate, "f")):
@@ -79,10 +79,10 @@ class TestDrift:
                 events.append((t, kind))
         for t, kind in sorted(events):
             if kind == "r":
-                ctl.on_refresh(t)
+                ctl.on_refresh(0, t)
             else:
-                ctl.on_feedback(t)
-        realized_slope = math.log(ctl.value) / horizon
+                ctl.on_feedback(0, t)
+        realized_slope = math.log(ctl.value[0]) / horizon
         predicted = threshold_drift_per_second(refresh_rate,
                                                feedback_rate)
         assert realized_slope == pytest.approx(predicted, rel=0.15)

@@ -7,8 +7,7 @@ import pytest
 from repro.core.divergence import Staleness, ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import PoissonStalenessPriority
-from repro.core.threshold import ThresholdController
-from repro.core.tracking import PriorityTracker
+from repro.core.threshold import ThresholdTable
 from repro.core.weights import CostAdjustedWeights, StaticWeights
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth, TraceBandwidth
@@ -83,9 +82,8 @@ class TestBatchingSource:
                    for i in range(6)]
         monitor = TriggerMonitor(PoissonStalenessPriority(),
                                  StaticWeights.uniform(6))
-        threshold = ThresholdController(initial=0.5)
-        source = BatchingSource(0, objects, 0, 6, PriorityTracker(),
-                                monitor, threshold, topology,
+        source = BatchingSource(objects, 6, [monitor],
+                                ThresholdTable(1, initial=0.5), topology,
                                 batch_size=batch_size,
                                 batch_timeout=batch_timeout)
         received = []
@@ -102,10 +100,10 @@ class TestBatchingSource:
     def test_holds_until_batch_full(self):
         source, objects, topo, received = self.make(batch_size=3)
         self.stale(source, objects, [0, 1], 1.0)
-        assert source.staged == 2
+        assert source.staged(0) == 2
         assert received == []
         self.stale(source, objects, [2], 1.0)
-        assert source.staged == 0
+        assert source.staged(0) == 0
         assert len(received) == 1
         assert isinstance(received[0], BatchRefreshMessage)
         assert len(received[0].items) == 3
@@ -114,10 +112,10 @@ class TestBatchingSource:
         source, objects, topo, received = self.make(batch_size=4,
                                                     batch_timeout=3.0)
         self.stale(source, objects, [0], 1.0)
-        source.on_wake(2.0)
+        source.on_wake(0, 2.0)
         assert received == []
         topo.on_network_tick(5.0)
-        source.on_wake(5.0)  # 4 seconds elapsed >= timeout
+        source.on_wake(0, 5.0)  # 4 seconds elapsed >= timeout
         assert len(received) == 1
         assert len(received[0].items) == 1
 
@@ -129,14 +127,14 @@ class TestBatchingSource:
         # Only one unit of source bandwidth, but the whole batch went out.
         assert len(received) == 1
         assert len(received[0].items) == 3
-        assert source.refreshes_sent == 1  # one message on the wire
+        assert source.refreshes_sent[0] == 1  # one message on the wire
         assert source.items_sent == 3
 
     def test_threshold_rises_once_per_batch(self):
         source, objects, topo, received = self.make(batch_size=3)
-        before = source.threshold.value
+        before = source.thresholds.value[0]
         self.stale(source, objects, [0, 1, 2], 1.0)
-        assert source.threshold.value == pytest.approx(before * 1.1)
+        assert source.thresholds.value[0] == pytest.approx(before * 1.1)
 
     def test_no_duplicate_staging(self):
         source, objects, topo, received = self.make(batch_size=4)
@@ -145,7 +143,7 @@ class TestBatchingSource:
         source.on_update(objects[0], 1.0)
         objects[0].apply_update(1.5, 2.0, metric)
         source.on_update(objects[0], 1.5)
-        assert source.staged == 1
+        assert source.staged(0) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -164,8 +162,8 @@ class TestBatchingSource:
         result = run_policy(workload, Staleness(), policy,
                             RunSpec(warmup=40.0, measure=160.0))
         assert result.refreshes > 0
-        items = sum(s.items_sent for s in policy.sources)
-        batches = sum(s.batches_sent for s in policy.sources)
+        items = policy.sources.items_sent
+        batches = sum(policy.sources.refreshes_sent)
         assert items >= batches  # batches amortize multiple items
 
     def test_batching_tradeoff_visible(self):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
-from repro.core.threshold import THRESHOLD_FLOOR, ThresholdController
+from repro.core.threshold import THRESHOLD_FLOOR, ThresholdTable
 from repro.core.weights import StaticWeights, WeightModel
 from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
@@ -218,55 +218,57 @@ class TestRetryPolicyValidation:
 
 class TestThresholdTTL:
     def test_lazy_decay_catches_up(self):
-        controller = ThresholdController(initial=8.0, omega=2.0,
-                                         feedback_ttl=10.0)
-        controller.maybe_decay(9.9)
-        assert controller.value == 8.0 and controller.ttl_decays == 0
-        controller.maybe_decay(25.0)  # deadlines at 10 and 20 elapsed
-        assert controller.value == 2.0 and controller.ttl_decays == 2
-        assert controller.next_decay_time() == 30.0
+        controller = ThresholdTable(1, initial=8.0, omega=2.0,
+                                    feedback_ttl=10.0)
+        controller.maybe_decay(0, 9.9)
+        assert controller.value[0] == 8.0
+        assert controller.next_decay_time(0) == 10.0  # none applied
+        controller.maybe_decay(0, 25.0)  # deadlines at 10 and 20 elapsed
+        assert controller.value[0] == 2.0  # two halvings
+        assert controller.next_decay_time(0) == 30.0
 
     def test_decay_is_poll_frequency_independent(self):
-        often = ThresholdController(initial=8.0, omega=2.0,
-                                    feedback_ttl=10.0)
+        often = ThresholdTable(1, initial=8.0, omega=2.0,
+                               feedback_ttl=10.0)
         for t in np.linspace(0.0, 35.0, 200):
-            often.maybe_decay(float(t))
-        once = ThresholdController(initial=8.0, omega=2.0,
-                                   feedback_ttl=10.0)
-        once.maybe_decay(35.0)
-        assert often.value == once.value
-        assert often.ttl_decays == once.ttl_decays
+            often.maybe_decay(0, float(t))
+        once = ThresholdTable(1, initial=8.0, omega=2.0,
+                              feedback_ttl=10.0)
+        once.maybe_decay(0, 35.0)
+        assert often.value[0] == once.value[0]
+        assert often.deadline == once.deadline
 
     def test_decay_respects_floor(self):
-        controller = ThresholdController(initial=1.0, omega=10.0,
-                                         feedback_ttl=1.0)
-        controller.maybe_decay(100.0)
-        assert controller.value == THRESHOLD_FLOOR
+        controller = ThresholdTable(1, initial=1.0, omega=10.0,
+                                    feedback_ttl=1.0)
+        controller.maybe_decay(0, 100.0)
+        assert controller.value[0] == THRESHOLD_FLOOR
 
     def test_feedback_pushes_deadline(self):
-        controller = ThresholdController(initial=4.0, omega=2.0,
-                                         feedback_ttl=10.0)
-        controller.on_feedback(7.0)
-        assert controller.next_decay_time() == 17.0
-        controller.maybe_decay(12.0)  # old deadline (10) must not fire
-        assert controller.ttl_decays == 0
+        controller = ThresholdTable(1, initial=4.0, omega=2.0,
+                                    feedback_ttl=10.0)
+        controller.on_feedback(0, 7.0)
+        assert controller.next_decay_time(0) == 17.0
+        controller.maybe_decay(0, 12.0)  # old deadline (10) must not fire
+        assert controller.value[0] == 2.0  # the feedback's halving only
+        assert controller.next_decay_time(0) == 17.0
 
     def test_gamma_freezes_on_stale_feedback(self):
-        controller = ThresholdController(feedback_period=5.0,
-                                         feedback_ttl=30.0)
+        controller = ThresholdTable(1, feedback_period=5.0,
+                                    feedback_ttl=30.0)
         assert flood_factor(controller, 4.0) == 1.0
         assert flood_factor(controller, 10.0) == 2.0  # overdue: speed up
         assert flood_factor(controller, 31.0) == 1.0  # stale: link down
 
     def test_disabled_ttl_is_inert(self):
-        controller = ThresholdController(initial=4.0)
-        controller.maybe_decay(1e9)
-        assert controller.value == 4.0
-        assert controller.next_decay_time() is None
+        controller = ThresholdTable(1, initial=4.0)
+        controller.maybe_decay(0, 1e9)
+        assert controller.value[0] == 4.0
+        assert controller.next_decay_time(0) is None
 
     def test_ttl_validation(self):
         with pytest.raises(ValueError, match="TTL"):
-            ThresholdController(feedback_ttl=0.0)
+            ThresholdTable(feedback_ttl=0.0)
 
 
 class TestCrashResets:

@@ -71,7 +71,7 @@ class TestConservation:
         link = policy.topology.cache_links[0]
         assert link.total_sent == link.total_delivered + link.queued
         # Sent refreshes either arrived or are still queued.
-        sent = sum(s.refreshes_sent for s in policy.sources)
+        sent = sum(policy.sources.refreshes_sent)
         assert policy.cache.refreshes_applied + link.queued >= sent \
             - policy.feedback.feedback_sent
 
@@ -80,7 +80,7 @@ class TestConservation:
                                    [ConstantBandwidth(5.0)] * 4,
                                    PoissonStalenessPriority())
         run_policy(workload(seed=6), Staleness(), policy, SPEC)
-        sent = sum(s.refreshes_sent for s in policy.sources)
+        sent = sum(policy.sources.refreshes_sent)
         in_flight = policy.topology.cache_links[0].queued
         assert sent == policy.cache.refreshes_applied + in_flight
 
@@ -135,11 +135,11 @@ class TestOutageRecovery:
                                    PoissonStalenessPriority())
         policy.attach(ctx)
         ctx.run(150.0)
-        normal = np.mean([s.threshold.value for s in policy.sources])
+        normal = np.mean(policy.sources.thresholds.value)
         ctx.run(200.0)
-        starved = np.mean([s.threshold.value for s in policy.sources])
+        starved = np.mean(policy.sources.thresholds.value)
         ctx.run(500.0)
-        recovered = np.mean([s.threshold.value for s in policy.sources])
+        recovered = np.mean(policy.sources.thresholds.value)
         assert starved > normal  # gamma back-off raised thresholds
         assert recovered < starved  # feedback brought them back down
 

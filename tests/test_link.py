@@ -12,7 +12,8 @@ from repro.network.bandwidth import (
     TraceBandwidth,
 )
 from repro.network.link import Link
-from repro.network.messages import FeedbackMessage
+from repro.network.messages import FeedbackMessage, RefreshMessage
+from repro.network.topology import Topology
 
 
 def make_link(rate=5.0, sink=None):
@@ -34,29 +35,55 @@ def boundaries(ticks, dt=1.0):
     return chain
 
 
+class Row:
+    """The lazy twin: source row 0 of a one-source topology, told of each
+    tick boundary by its network tick and synced only when asked."""
+
+    def __init__(self, profile):
+        self.topology = Topology([ConstantBandwidth(1e9)], [profile])
+
+    def tick(self, now):
+        self.topology.on_network_tick(now)
+
+    def sync(self):
+        self.topology._sync_source(0)
+
+    def send(self, now):
+        """A one-unit send at ``now``: accrue, then consume if it can."""
+        self.topology.send_upstream(RefreshMessage(source_id=0, sent_at=now))
+
+    @property
+    def credit(self):
+        return self.topology._credit[0]
+
+    @property
+    def synced(self):
+        return self.topology._synced[0]
+
+
 def sync_pair(make_profile, checkpoints, consume_at=()):
-    """Refill one link every tick and sync a twin only at
+    """Refill one link every tick and sync a source row only at
     ``checkpoints``, with a send on both after each tick in
-    ``consume_at``; the twin must match bit for bit at every checkpoint
-    and after every send.  Returns the synced twin."""
+    ``consume_at``; the row must match bit for bit at every checkpoint
+    and after every send.  Returns the synced row."""
     eager = Link("eager", make_profile())
-    lazy = Link(0, make_profile())
+    lazy = Row(make_profile())
     ticks = max(checkpoints)
     chain = boundaries(ticks)
     consume_at = set(consume_at)
     checkpoint_set = set(checkpoints)
     for tick in range(1, ticks + 1):
         eager.refill(chain[tick])
+        lazy.tick(chain[tick])
         if tick in checkpoint_set:
-            lazy.sync_to_tick(chain, tick)
+            lazy.sync()
             assert lazy.credit == eager.credit, f"tick {tick}"
-            assert lazy.tick_capacity == eager.tick_capacity
-            assert lazy._synced_tick == tick
+            assert lazy.synced == tick
         if tick in consume_at:
             send_at = chain[tick] + 0.37
-            for link in (eager, lazy):
-                link.accrue(send_at)
-                link.try_consume(1.0)
+            eager.accrue(send_at)
+            eager.try_consume(1.0)
+            lazy.send(send_at)
             assert lazy.credit == eager.credit
     return lazy
 
@@ -250,43 +277,48 @@ class TestPublicCreditApi:
 
 
 class TestLazySync:
-    """sync_to_tick must replay skipped refills bit-for-bit: the same
-    accrue/cap float operations at the same tick boundaries a per-tick
-    refill performs, including non-dyadic rates whose per-tick sums
-    differ from any closed form in the last ulp."""
+    """A source row's sync must replay skipped refills bit-for-bit: the
+    same accrue/cap float operations at the same tick boundaries a
+    per-tick refill performs, including non-dyadic rates whose per-tick
+    sums differ from any closed form in the last ulp."""
 
     @staticmethod
     def eager_lazy_pair(rate):
         return (Link("eager", ConstantBandwidth(rate)),
-                Link("lazy", ConstantBandwidth(rate)))
+                Row(ConstantBandwidth(rate)))
+
+    @staticmethod
+    def run_ticks(eager, lazy, chain, ticks):
+        for tick in ticks:
+            eager.refill(chain[tick])
+            lazy.tick(chain[tick])
 
     def test_sync_matches_eager_refills_when_idle(self):
         eager, lazy = self.eager_lazy_pair(2.5)
-        for tick in range(1, 8):
-            eager.refill(float(tick))
-        lazy.sync_to_tick(boundaries(7), 7)
+        self.run_ticks(eager, lazy, boundaries(7), range(1, 8))
+        lazy.sync()
         assert lazy.credit == eager.credit
-        assert lazy.tick_capacity == eager.tick_capacity
 
     def test_sync_matches_eager_after_mid_tick_sends(self):
         eager, lazy = self.eager_lazy_pair(1.5)
-        for link in (eager, lazy):
-            link.refill(1.0)
-            link.accrue(1.4)       # a send mid-tick accrues to its time
-            link.try_consume(1.0)
-        lazy._synced_tick = 1
-        for tick in range(2, 6):
-            eager.refill(float(tick))
-        lazy.sync_to_tick(boundaries(5), 5)
+        chain = boundaries(5)
+        self.run_ticks(eager, lazy, chain, [1])
+        eager.accrue(1.4)       # a send mid-tick accrues to its time
+        eager.try_consume(1.0)
+        lazy.send(1.4)
+        assert lazy.synced == 1
+        self.run_ticks(eager, lazy, chain, range(2, 6))
+        lazy.sync()
         assert lazy.credit == eager.credit
 
     def test_sync_is_idempotent_per_tick(self):
-        link = Link("lazy", ConstantBandwidth(2.0))
-        chain = boundaries(3)
-        link.sync_to_tick(chain, 3)
-        credit = link.credit
-        link.sync_to_tick(chain, 3)  # same tick: no double refill
-        assert link.credit == credit
+        lazy = Row(ConstantBandwidth(2.0))
+        for now in boundaries(3)[1:]:
+            lazy.tick(now)
+        lazy.sync()
+        credit = lazy.credit
+        lazy.sync()  # same tick: no double refill
+        assert lazy.credit == credit
 
     @pytest.mark.parametrize("rate", [0.25, 0.1, 0.3, 1.0 / 3.0, 0.7])
     def test_fractional_rate_sync_is_bit_exact(self, rate):
@@ -294,25 +326,21 @@ class TestLazySync:
         schedule banked it.  The non-dyadic rates are the regression
         case: summing rate*dt per tick differs from rate*k*dt in the
         last ulp (e.g. ten 0.1-steps give 0.9999999999999999, not 1.0),
-        which is enough to flip a has_credit decision."""
+        which is enough to flip a credit check."""
         eager, lazy = self.eager_lazy_pair(rate)
-        for tick in range(1, 11):
-            eager.refill(float(tick))
-        lazy.sync_to_tick(boundaries(10), 10)
+        self.run_ticks(eager, lazy, boundaries(10), range(1, 11))
+        lazy.sync()
         assert lazy.credit == eager.credit
-        assert lazy.has_credit() == eager.has_credit()
+        assert lazy.topology.source_at_capacity(0) == (eager.credit < 1.0)
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 2.5])
     def test_long_idle_span_saturation_jump(self, rate):
         """A long idle span saturates the bucket; the replay's jump to
         the final boundary must land on the eager schedule's floats."""
         eager, lazy = self.eager_lazy_pair(rate)
-        chain = boundaries(500)
-        for tick in range(1, 501):
-            eager.refill(chain[tick])
-        lazy.sync_to_tick(chain, 500)
+        self.run_ticks(eager, lazy, boundaries(500), range(1, 501))
+        lazy.sync()
         assert lazy.credit == eager.credit
-        assert lazy.tick_capacity == eager.tick_capacity
 
     def test_consume_between_syncs_stays_exact(self):
         """Interleave sends and idle spans: the replayed chain must track
@@ -321,15 +349,15 @@ class TestLazySync:
         chain = boundaries(27)
         tick = 0
         for span in (4, 7, 1, 13, 2):
-            for _ in range(span):
-                tick += 1
-                eager.refill(chain[tick])
-            lazy.sync_to_tick(chain, tick)
+            self.run_ticks(eager, lazy, chain, range(tick + 1,
+                                                     tick + span + 1))
+            tick += span
+            lazy.sync()
             assert lazy.credit == eager.credit
             send_at = chain[tick] + 0.4
-            for link in (eager, lazy):
-                link.accrue(send_at)
-                link.try_consume(1.0)
+            eager.accrue(send_at)
+            eager.try_consume(1.0)
+            lazy.send(send_at)
             assert lazy.credit == eager.credit
 
     PROFILES = {
@@ -349,9 +377,10 @@ class TestLazySync:
         synced at sparse checkpoints, with a send after each, it replays
         every skipped refill and lands on the per-tick chain's floats."""
         checkpoints = [3, 4, 40, 97, 150, 151, 233, 300]
-        lazy = sync_pair(self.PROFILES[name], checkpoints,
-                         consume_at=checkpoints)
-        assert not lazy._steady and lazy._trace is None
+        profile = self.PROFILES[name]()
+        assert profile.steady_rate is None
+        assert not isinstance(profile, TraceBandwidth)
+        sync_pair(self.PROFILES[name], checkpoints, consume_at=checkpoints)
 
     def test_on_queue_hook_fires(self):
         link = Link("hooked", ConstantBandwidth(0.0))
@@ -421,34 +450,34 @@ class TestLazyTraceSync:
             sync_pair(make_trace, checkpoints, consume_at)
 
     def test_shared_trace_instance_across_links(self):
-        """Many links sharing one trace (the m = 10^5 layout) must not
+        """Many rows sharing one trace (the m = 10^5 layout) must not
         interfere through the shared segment cache and jump memos."""
         trace = _diurnal(1.0, 120.0, 200)
         eagers = [Link(f"e{i}", _diurnal(1.0, 120.0, 200))
                   for i in range(3)]
-        lazies = [Link(f"l{i}", trace) for i in range(3)]
+        lazy = Topology([ConstantBandwidth(1e9)], [trace] * 3)
         chain = boundaries(300)
         schedules = [[50, 170, 300], [51, 290, 300], [120, 121, 300]]
         for tick in range(1, 301):
+            lazy.on_network_tick(chain[tick])
             for eager in eagers:
                 eager.refill(chain[tick])
-            for lazy, schedule in zip(lazies, schedules):
+            for j, schedule in enumerate(schedules):
                 if tick in schedule:
-                    lazy.sync_to_tick(chain, tick)
-        for eager, lazy in zip(eagers, lazies):
-            assert lazy.credit == eager.credit
-            assert lazy.tick_capacity == eager.tick_capacity
+                    lazy._sync_source(j)
+        for j, eager in enumerate(eagers):
+            assert lazy._credit[j] == eager.credit
 
     def test_flat_trace_takes_steady_path(self):
         """An all-equal-rate trace reports a steady rate and uses the
         constant closed-form jump, bit-identical to ConstantBandwidth."""
         flat = TraceBandwidth(times=[0.0, 30.0], rates=[2.5, 2.5])
+        assert flat.steady_rate is not None  # routed to the steady sync
         eager = Link("eager", ConstantBandwidth(2.5))
-        lazy = Link("lazy", flat)
-        assert lazy._trace is None  # routed to the steady sync
+        lazy = Row(flat)
         chain = boundaries(200)
         for tick in range(1, 201):
             eager.refill(chain[tick])
-        lazy.sync_to_tick(chain, 200)
+            lazy.tick(chain[tick])
+        lazy.sync()
         assert lazy.credit == eager.credit
-        assert lazy.tick_capacity == eager.tick_capacity

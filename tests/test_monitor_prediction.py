@@ -19,7 +19,7 @@ import pytest
 from repro.core.divergence import ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
-from repro.core.tracking import PriorityTracker
+from repro.core.tracking import PriorityTable
 from repro.core.weights import StaticWeights
 from repro.source.monitor import MIN_SAMPLING_INTERVAL, SamplingMonitor
 
@@ -72,12 +72,12 @@ class TestProjectedCrossing:
         while t <= 2.0 + 1e-9:  # divergence grows to rho * 2 by t = 2
             obj.apply_update(t, rho * t, metric)
             t += 0.05
-        monitor.sample(PriorityTracker(), obj, 2.0)
+        monitor.sample(PriorityTable(), 0, obj, 2.0)
         while t <= 4.0 + 1e-9:  # ...and to rho * 4 by t = 4
             obj.apply_update(t, rho * t, metric)
             t += 0.05
         # two samples establish the rate
-        monitor.sample(PriorityTracker(), obj, 4.0)
+        monitor.sample(PriorityTable(), 0, obj, 4.0)
         predicted = monitor._deadlines.wake_time(0)
         # True crossing: rho t^2 / 2 = threshold  =>  t = sqrt(2T/rho)
         true_crossing = math.sqrt(2.0 * threshold / rho)
@@ -90,8 +90,8 @@ class TestProjectedCrossing:
             ValueDeviation(), interval=7.0, predictive=True,
             threshold=lambda: 1e12)
         obj = linear_divergence_object(0.1, until=2.0)
-        monitor.sample(PriorityTracker(), obj, 1.0)
-        monitor.sample(PriorityTracker(), obj, 2.0)
+        monitor.sample(PriorityTable(), 0, obj, 1.0)
+        monitor.sample(PriorityTable(), 0, obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 <= 7.0 + 1e-9
 
     def test_over_threshold_object_sampled_immediately(self):
@@ -100,7 +100,7 @@ class TestProjectedCrossing:
             ValueDeviation(), interval=50.0, predictive=True,
             threshold=lambda: 0.001)
         obj = linear_divergence_object(1.0, until=5.0)
-        monitor.sample(PriorityTracker(), obj, 5.0)
+        monitor.sample(PriorityTable(), 0, obj, 5.0)
         assert monitor._deadlines.wake_time(0) - 5.0 == pytest.approx(
             MIN_SAMPLING_INTERVAL)
 
@@ -114,9 +114,9 @@ class TestProjectedCrossing:
         obj = DataObject(index=0, source_id=0, value=0.0)
         metric = ValueDeviation()
         obj.apply_update(1.0, 4.0, metric)
-        monitor.sample(PriorityTracker(), obj, 1.0)
+        monitor.sample(PriorityTable(), 0, obj, 1.0)
         obj.apply_update(2.0, 1.0, metric)  # walked back toward cache
-        monitor.sample(PriorityTracker(), obj, 2.0)
+        monitor.sample(PriorityTable(), 0, obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(5.0)
 
 
@@ -138,7 +138,7 @@ def sample_linear(monitor, rho, sample_times, step=0.01):
         while t <= when + 1e-9:
             obj.apply_update(t, rho * t, metric)
             t += step
-        monitor.sample(PriorityTracker(), obj, when)
+        monitor.sample(PriorityTable(), 0, obj, when)
     return obj
 
 
@@ -155,9 +155,9 @@ class TestPredictiveFallbacks:
         obj = DataObject(index=0, source_id=0, value=0.0)
         metric = ValueDeviation()
         obj.apply_update(1.0, 3.0, metric)
-        monitor.sample(PriorityTracker(), obj, 1.0)
+        monitor.sample(PriorityTable(), 0, obj, 1.0)
         # same divergence: rho == 0
-        monitor.sample(PriorityTracker(), obj, 2.0)
+        monitor.sample(PriorityTable(), 0, obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(5.0)
 
     def test_zero_weight_uses_regular_interval(self):
@@ -171,8 +171,8 @@ class TestPredictiveFallbacks:
         """elapsed_since_last == 0 would divide by zero estimating rho."""
         monitor = make_monitor(interval=4.0)
         obj = linear_divergence_object(0.5, until=2.0)
-        monitor.sample(PriorityTracker(), obj, 2.0)
-        monitor.sample(PriorityTracker(), obj, 2.0)
+        monitor.sample(PriorityTable(), 0, obj, 2.0)
+        monitor.sample(PriorityTable(), 0, obj, 2.0)
         assert monitor._deadlines.wake_time(0) - 2.0 == pytest.approx(4.0)
 
     def test_imminent_crossing_clamped_to_min_interval(self):
@@ -223,6 +223,6 @@ class TestPredictiveFallbacks:
         obj = linear_divergence_object(0.5, until=2.0)
         monitor.prime([obj.index])
         assert monitor.next_wake_time() == pytest.approx(0.0)
-        monitor.sample(PriorityTracker(), obj, 2.0)
+        monitor.sample(PriorityTable(), 0, obj, 2.0)
         assert monitor.next_wake_time() == pytest.approx(
             monitor._deadlines.wake_time(0))

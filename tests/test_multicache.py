@@ -104,8 +104,8 @@ class TestShardRouting:
         assert topo.num_sources == 4
         assert topo.caches_of(0) == (0,)
         assert topo.primary_cache_of(3) == 1
-        assert topo.sources_of(0) == (0, 1)
-        assert topo.owned_sources_of(1) == (2, 3)
+        assert tuple(topo.sources_of(0)) == (0, 1)
+        assert tuple(topo.owned_sources_of(1)) == (2, 3)
 
     def test_invalid_assignment_rejected(self):
         with pytest.raises(ValueError):
@@ -136,7 +136,7 @@ class TestReplicaRouting:
         topo = make_multi(source_rates=(2.0, 2.0), assignment=assignment)
         topo.on_network_tick(1.0)
         topo.send_upstream(RefreshMessage(source_id=0, sent_at=1.0))
-        assert topo.source_links[0].credit == pytest.approx(1.0)
+        assert topo._credit[0] == pytest.approx(1.0)
 
     def test_replicas_consume_each_cache_links_capacity(self):
         assignment = replica_assignment(2, 2, 2)
@@ -151,9 +151,9 @@ class TestReplicaRouting:
         assignment = replica_assignment(4, 2, 2)
         topo = make_multi(assignment=assignment)
         # Every source reaches both caches, but each is owned by its shard.
-        assert topo.sources_of(0) == (0, 1, 2, 3)
-        assert topo.owned_sources_of(0) == (0, 1)
-        assert topo.owned_sources_of(1) == (2, 3)
+        assert tuple(topo.sources_of(0)) == (0, 1, 2, 3)
+        assert tuple(topo.owned_sources_of(0)) == (0, 1)
+        assert tuple(topo.owned_sources_of(1)) == (2, 3)
 
 
 class TestReplicaStaleness:
@@ -269,10 +269,10 @@ def assert_membership_consistent(topo):
             == [fresh.primary_cache_of(j) for j in range(m)]
             == [targets[0] for targets in assignment])
     for k in range(n):
-        members = topo.sources_of(k)
-        owned = topo.owned_sources_of(k)
-        assert members == fresh.sources_of(k)
-        assert owned == fresh.owned_sources_of(k)
+        members = tuple(topo.sources_of(k))
+        owned = tuple(topo.owned_sources_of(k))
+        assert members == tuple(fresh.sources_of(k))
+        assert owned == tuple(fresh.owned_sources_of(k))
         assert members == tuple(j for j in range(m) if k in assignment[j])
         assert owned == tuple(j for j in members if assignment[j][0] == k)
         assert list(members) == sorted(set(members))
@@ -311,7 +311,8 @@ class TestTopologyConfig:
         topo = TopologyConfig().build(profile, [ConstantBandwidth(1.0)] * 3)
         assert topo.num_caches == 1
         assert topo.cache_links[0].profile is profile
-        assert topo.sources_of(0) == topo.owned_sources_of(0) == (0, 1, 2)
+        assert (tuple(topo.sources_of(0)) == tuple(topo.owned_sources_of(0))
+                == (0, 1, 2))
 
     def test_sharded_build_splits_bandwidth(self):
         config = TopologyConfig(kind="sharded", num_caches=4)
@@ -408,7 +409,7 @@ class TestMultiCachePolicies:
             UniformAllocationPolicy(cache_bw, source_bws), spec)
         assert cooperative.weighted_divergence < uniform.weighted_divergence
 
-    def test_replicated_cooperative_runs(self):
+    def test_replicated_cooperative_runs(self, monkeypatch):
         rng = np.random.default_rng(5)
         num_sources = 8
         workload = uniform_random_walk(num_sources, 4, horizon=150.0,
@@ -421,13 +422,20 @@ class TestMultiCachePolicies:
                        topology=TopologyConfig(kind="replicated",
                                                num_caches=4,
                                                replication=2))
+        senders = []
+        on_message = SourceNode.on_message
+
+        def record(sources, message, now):
+            senders.append((message.source_id, message.cache_id))
+            return on_message(sources, message, now)
+
+        monkeypatch.setattr(SourceNode, "on_message", record)
         result = run_policy(workload, ValueDeviation(), policy, spec)
         assert result.refreshes > 0
         # Each source got feedback from its primary cache only.
-        for source in policy.sources:
-            primaries = set(source.feedback_by_cache or ())
-            expected = {policy.topology.primary_cache_of(source.source_id)}
-            assert primaries <= expected
+        assert len(senders) == policy.feedback_messages() > 0
+        for source_id, cache_id in senders:
+            assert cache_id == policy.topology.primary_cache_of(source_id)
 
 
 class TestFeedbackRouting:
@@ -457,27 +465,30 @@ class TestFeedbackRouting:
             priority_fn=AreaPriority(), **policy_kwargs)
         deliveries = []
         on_message = SourceNode.on_message
+        on_feedback = SourceNode.on_feedback
 
-        def record(source, message, now):
-            deliveries.append((source.source_id, message.source_id,
-                               message.cache_id,
+        def record(sources, message, now):
+            deliveries.append((message.source_id, message.cache_id,
                                policy.topology.primary_cache_of(
-                                   source.source_id)))
-            return on_message(source, message, now)
+                                   message.source_id)))
+            return on_message(sources, message, now)
+
+        def heard(sources, source_id, now):
+            deliveries[-1] += (source_id,)
+            return on_feedback(sources, source_id, now)
 
         monkeypatch.setattr(SourceNode, "on_message", record)
+        monkeypatch.setattr(SourceNode, "on_feedback", heard)
         run_policy(workload, ValueDeviation(), policy,
                    RunSpec(warmup=50.0, measure=250.0, topology=topology))
         assert len(deliveries) == policy.feedback_messages() > 0
-        for receiver, addressee, cache_id, primary in deliveries:
+        for addressee, cache_id, primary, receiver in deliveries:
             assert receiver == addressee
             assert cache_id == primary
-        for source in policy.sources:
-            assert source.feedback_received == sum(
-                1 for receiver, *_ in deliveries
-                if receiver == source.source_id)
         if layout == "rebalanced":
             # Migrated sources hear from their old and new primaries.
             assert policy.rebalancer.migrations > 0
-            assert any(len(source.feedback_by_cache or ()) > 1
-                       for source in policy.sources)
+            caches_heard = {}
+            for addressee, cache_id, *_ in deliveries:
+                caches_heard.setdefault(addressee, set()).add(cache_id)
+            assert any(len(caches) > 1 for caches in caches_heard.values())

@@ -104,9 +104,10 @@ class TestPsiTradeoff:
     def test_contribution_option_piggybacks(self):
         _, _, policy = self.run_psi(0.5, option="contribution")
         assert policy.own_refreshes_sent > 0
-        # Roughly Psi/(1-Psi) piggybacks per threshold refresh.
-        threshold_sends = sum(
-            s.threshold.refreshes for s in policy.sources)
+        # Roughly Psi/(1-Psi) piggybacks per threshold refresh (every
+        # send that is not an own-priority one).
+        threshold_sends = (sum(policy.sources.refreshes_sent)
+                           - policy.own_refreshes_sent)
         assert policy.own_refreshes_sent \
             <= 1.2 * threshold_sends * (0.5 / 0.5) + 5
 

@@ -113,7 +113,7 @@ class TestEndToEnd:
         w = workload(seed=7, m=6, n=10, rate_range=(0.4, 0.6))
         policy = cooperative(m=6)
         run_policy(w, Staleness(), policy, SPEC)
-        thresholds = [s.threshold.value for s in policy.sources]
+        thresholds = policy.sources.thresholds.value
         assert max(thresholds) / max(min(thresholds), 1e-9) < 1e3
 
     def test_wrong_source_count_rejected(self):

@@ -12,9 +12,9 @@ from repro.core.priority import AreaPriority
 from repro.core.threshold import (
     THRESHOLD_CEIL,
     THRESHOLD_FLOOR,
-    ThresholdController,
+    ThresholdTable,
 )
-from repro.core.tracking import PriorityTracker
+from repro.core.tracking import PriorityTable
 from repro.network.bandwidth import SineBandwidth
 
 from oracles import belief_priority
@@ -112,15 +112,15 @@ class TestTrackerProperties:
                         min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_peek_always_maximum(self, ops):
-        tracker = PriorityTracker()
+        tracker = PriorityTable()
         oracle = {}
         for index, priority in ops:
-            tracker.update(index, priority)
+            tracker.update(0, index, priority)
             if priority <= 0:
                 oracle.pop(index, None)
             else:
                 oracle[index] = priority
-            top = tracker.peek()
+            top = tracker.peek(0)
             if not oracle:
                 assert top is None
             else:
@@ -132,11 +132,11 @@ class TestTrackerProperties:
                         min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_drain_is_sorted(self, ops):
-        tracker = PriorityTracker()
+        tracker = PriorityTable()
         for index, priority in ops:
-            tracker.update(index, priority)
+            tracker.update(0, index, priority)
         drained = []
-        while (top := tracker.pop()) is not None:
+        while (top := tracker.pop(0)) is not None:
             drained.append(top[1])
         assert drained == sorted(drained, reverse=True)
 
@@ -146,15 +146,15 @@ class TestThresholdProperties:
     @settings(max_examples=60, deadline=None)
     def test_threshold_stays_in_bounds(self, events):
         # alpha = 2 and omega = 10 reach both clamps within 60 events.
-        ctl = ThresholdController(initial=1.0, alpha=2.0)
+        ctl = ThresholdTable(initial=1.0, alpha=2.0)
         t = 0.0
         for is_refresh in events:
             t += 1.0
             if is_refresh:
-                ctl.on_refresh(t)
+                ctl.on_refresh(0, t)
             else:
-                ctl.on_feedback(t)
-            assert THRESHOLD_FLOOR <= ctl.value <= THRESHOLD_CEIL
+                ctl.on_feedback(0, t)
+            assert THRESHOLD_FLOOR <= ctl.value[0] <= THRESHOLD_CEIL
 
     @given(n_refresh=st.integers(0, 50), n_feedback=st.integers(0, 50))
     @settings(max_examples=60, deadline=None)
@@ -162,17 +162,17 @@ class TestThresholdProperties:
                                                         n_feedback):
         """Without gamma, the threshold is a pure product of factors, so
         interleaving order must not matter."""
-        a = ThresholdController(initial=1.0)
+        a = ThresholdTable(initial=1.0)
         for _ in range(n_refresh):
-            a.on_refresh(0.0)
+            a.on_refresh(0, 0.0)
         for _ in range(n_feedback):
-            a.on_feedback(0.0)
-        b = ThresholdController(initial=1.0)
+            a.on_feedback(0, 0.0)
+        b = ThresholdTable(initial=1.0)
         for _ in range(n_feedback):
-            b.on_feedback(0.0)
+            b.on_feedback(0, 0.0)
         for _ in range(n_refresh):
-            b.on_refresh(0.0)
-        assert np.isclose(a.value, b.value, rtol=1e-9)
+            b.on_refresh(0, 0.0)
+        assert np.isclose(a.value[0], b.value[0], rtol=1e-9)
 
 
 class TestCgmProperties:

@@ -249,24 +249,28 @@ class TestFeedbackSourceLifecycle:
         threshold = fb.remove_source(3)
         fb.add_source(3, threshold)
         assert fb.owns(3)
-        assert fb.known_thresholds[fb._slots[3]] == 0.25
-        # Re-add reuses the original slot: no duplicate identity.
-        assert fb._slots[3] == 3
-        assert len(fb.source_ids) == len(fb.known_thresholds)
+        assert fb.known_thresholds[3] == 0.25
+        # Re-add keeps the source's place: no duplicate identity.
+        assert list(fb.source_ids).count(3) == 1
+        assert len(fb.source_ids) == 4
 
     def test_add_brand_new_source_appends_slot(self):
-        fb = self.make_controller(num_sources=2)
+        topology = Topology([ConstantBandwidth(10.0)],
+                            [ConstantBandwidth(2.0)] * 8)
+        fb = FeedbackController(topology, omega=10.0, source_ids=(0, 1))
         fb.add_source(7, 1.5)
         assert fb.owns(7)
-        assert fb.known_thresholds[fb._slots[7]] == 1.5
-        assert len(fb.source_ids) == 3
+        assert fb.known_thresholds[7] == 1.5
+        assert fb.source_ids == (0, 1, 7)
+        with pytest.raises(ValueError, match="unknown source"):
+            fb.add_source(8)
 
     def test_reset_does_not_resurrect_removed(self):
         fb = self.make_controller()
         fb.remove_source(2)
         fb.reset()
         assert not fb.owns(2)
-        assert fb.known_thresholds[fb._slots[2]] == MIN_THRESHOLD
+        assert fb.known_thresholds[2] == MIN_THRESHOLD
 
 
 # ----------------------------------------------------------------------

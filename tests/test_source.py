@@ -1,12 +1,12 @@
-"""Tests for the cooperating source node and priority monitors."""
+"""Tests for the cooperating sources and priority monitors; most run one
+source, row 0 of its tables."""
 
 import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority, SimpleDivergencePriority
-from repro.core.threshold import ThresholdController
-from repro.core.tracking import PriorityTracker
+from repro.core.threshold import ThresholdTable
 from repro.core.weights import StaticWeights
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import FeedbackMessage, RefreshMessage
@@ -21,16 +21,17 @@ import numpy as np
 
 
 def make_source(num_objects=3, source_rate=5.0, cache_rate=100.0,
-                initial_threshold=1.0, priority_fn=None):
+                initial_threshold=1.0, priority_fn=None, feedback_ttl=None):
     topology = Topology([ConstantBandwidth(cache_rate)],
                         [ConstantBandwidth(source_rate)])
     objects = [DataObject(index=i, source_id=0, rate=0.5)
                for i in range(num_objects)]
     monitor = TriggerMonitor(priority_fn or SimpleDivergencePriority(),
                              StaticWeights.uniform(num_objects))
-    threshold = ThresholdController(initial=initial_threshold)
-    source = SourceNode(0, objects, 0, num_objects, PriorityTracker(),
-                        monitor, threshold, topology)
+    thresholds = ThresholdTable(1, initial=initial_threshold,
+                                feedback_ttl=feedback_ttl)
+    source = SourceNode(objects, num_objects, [monitor], thresholds,
+                        topology)
     return source, objects, topology
 
 
@@ -41,7 +42,7 @@ class TestRefreshDecisions:
         metric = ValueDeviation()
         objects[0].apply_update(1.0, 5.0, metric)
         source.on_update(objects[0], 1.0)
-        assert source.refreshes_sent == 1
+        assert source.refreshes_sent[0] == 1
         assert topo.cache_links[0].total_delivered == 1  # in-tick delivery
 
     def test_no_refresh_below_threshold(self):
@@ -49,15 +50,15 @@ class TestRefreshDecisions:
         topo.on_network_tick(1.0)
         objects[0].apply_update(1.0, 5.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
-        assert source.refreshes_sent == 0
+        assert source.refreshes_sent[0] == 0
 
     def test_threshold_raised_after_each_refresh(self):
         source, objects, topo = make_source()
         topo.on_network_tick(1.0)
         objects[0].apply_update(1.0, 50.0, ValueDeviation())
-        before = source.threshold.value
+        before = source.thresholds.value[0]
         source.on_update(objects[0], 1.0)
-        assert source.threshold.value == pytest.approx(before * 1.1)
+        assert source.thresholds.value[0] == pytest.approx(before * 1.1)
 
     def test_drain_sends_in_priority_order(self):
         source, objects, topo = make_source(source_rate=10.0)
@@ -65,12 +66,12 @@ class TestRefreshDecisions:
         topo.set_cache_receiver(received.append)
         topo.on_network_tick(1.0)
         metric = ValueDeviation()
-        source.threshold.value = 1e9  # hold refreshes back
+        source.thresholds.value[0] = 1e9  # hold refreshes back
         for i, dv in enumerate([2.0, 9.0, 5.0]):
             objects[i].apply_update(1.0, dv, metric)
             source.on_update(objects[i], 1.0)
-        source.threshold.value = 1.0
-        source.on_wake(1.0)
+        source.thresholds.value[0] = 1.0
+        source.on_wake(0, 1.0)
         topo.on_network_tick(2.0)
         assert [m.object_index for m in received] == [1, 2, 0]
 
@@ -81,10 +82,10 @@ class TestRefreshDecisions:
         for i in range(3):
             objects[i].apply_update(1.0, 10.0 + i, metric)
             source.on_update(objects[i], 1.0)
-        assert source.refreshes_sent == 2  # only 2 credits this tick
+        assert source.refreshes_sent[0] == 2  # only 2 credits this tick
         topo.on_network_tick(2.0)
-        source.on_wake(2.0)
-        assert source.refreshes_sent == 3
+        source.on_wake(0, 2.0)
+        assert source.refreshes_sent[0] == 3
 
     def test_refresh_resets_belief_and_queue(self):
         source, objects, topo = make_source()
@@ -92,7 +93,7 @@ class TestRefreshDecisions:
         objects[0].apply_update(1.0, 5.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
         assert objects[0].belief.divergence == 0.0
-        assert source.tracker.peek() is None
+        assert source.tracker.peek(0) is None
 
     def test_refresh_message_carries_snapshot_and_threshold(self):
         source, objects, topo = make_source()
@@ -128,7 +129,7 @@ class TestDrainSkipRule:
             if what == "tick":
                 topo.on_network_tick(time)
             elif what == "wake":
-                source.on_wake(time)
+                source.on_wake(0, time)
             else:
                 obj = objects[what]
                 obj.apply_update(time, value, metric)
@@ -136,13 +137,12 @@ class TestDrainSkipRule:
                     recompute_then_drain(source, obj, time)
                 else:
                     source.on_update(obj, time)
-        threshold = source.threshold
-        link = topo.source_links[0]
-        return (source.refreshes_sent, source.blocked,
-                threshold.value.hex(), threshold.ttl_decays,
-                link.credit.hex(), link.tick_used.hex(),
-                getattr(source, "batches_sent", None),
-                getattr(source, "staged", None))
+        thresholds = source.thresholds
+        return (source.refreshes_sent[0], source.blocked[0],
+                thresholds.value[0].hex(), thresholds.deadline[0],
+                topo._credit[0].hex(), topo._tick_added[0].hex(),
+                source.staged(0) if isinstance(source, BatchingSource)
+                else None)
 
     def assert_same_as_literal(self, make, events):
         default = self.script(make, events, literal=False)
@@ -169,16 +169,14 @@ class TestDrainSkipRule:
         """The first update at or after a TTL decay deadline drains: the
         decay lowers ``T_j`` below priorities that were under it."""
         def make():
-            source, objects, topo = make_source()
-            source.threshold = ThresholdController(initial=1.0,
-                                                   feedback_ttl=5.0)
-            return source, objects, topo
+            return make_source(feedback_ttl=5.0)
         events = [(1.0, "tick", None),
                   (2.0, 0, 0.5),   # below threshold: skipped
                   (5.0, "tick", None),
                   (5.0, 1, 0.3)]   # due decay: T_j 1.0 -> 0.1
         state = self.assert_same_as_literal(make, events)
-        assert state[0] == 2 and state[3] == 1
+        # two sends, and one decay moved the deadline one TTL on
+        assert state[0] == 2 and state[3] == 10.0
 
     def test_update_to_a_timed_out_partial_batch_drains(self):
         """A batching source holds a partial batch (which counts as
@@ -190,9 +188,8 @@ class TestDrainSkipRule:
             objects = [DataObject(index=i, source_id=0) for i in range(3)]
             monitor = TriggerMonitor(SimpleDivergencePriority(),
                                      StaticWeights.uniform(3))
-            source = BatchingSource(0, objects, 0, 3, PriorityTracker(),
-                                    monitor,
-                                    ThresholdController(initial=1.0),
+            source = BatchingSource(objects, 3, [monitor],
+                                    ThresholdTable(1, initial=1.0),
                                     topology, batch_size=4,
                                     batch_timeout=5.0)
             return source, objects, topology
@@ -200,7 +197,8 @@ class TestDrainSkipRule:
                   (1.5, 0, 5.0),   # staged: a partial batch
                   (7.0, 1, 0.2)]   # below threshold, timeout passed
         state = self.assert_same_as_literal(make, events)
-        assert state[6] == 1 and state[7] == 0
+        # one batch message sent, nothing left staged
+        assert state[0] == 1 and state[6] == 0
 
 
 class TestFeedbackHandling:
@@ -208,8 +206,8 @@ class TestFeedbackHandling:
         source, objects, topo = make_source(initial_threshold=100.0)
         topo.on_network_tick(1.0)
         source.on_message(FeedbackMessage(source_id=0), 1.0)
-        assert source.threshold.value == pytest.approx(10.0)
-        assert source.feedback_received == 1
+        assert source.thresholds.value[0] == pytest.approx(10.0)
+        assert source.thresholds.last_feedback[0] == 1.0
 
     def test_feedback_at_capacity_ignored(self):
         source, objects, topo = make_source(source_rate=1.0,
@@ -220,37 +218,37 @@ class TestFeedbackHandling:
         assert topo.source_at_capacity(0)
         source.on_message(FeedbackMessage(source_id=0), 1.0)
         # 100 * 1.1 (refresh) then feedback ignored
-        assert source.threshold.value == pytest.approx(110.0)
+        assert source.thresholds.value[0] == pytest.approx(110.0)
 
     def test_feedback_triggers_immediate_drain(self):
         source, objects, topo = make_source(initial_threshold=50.0)
         topo.on_network_tick(1.0)
         objects[0].apply_update(1.0, 20.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
-        assert source.refreshes_sent == 0  # 20 < 50
+        assert source.refreshes_sent[0] == 0  # 20 < 50
         source.on_message(FeedbackMessage(source_id=0), 1.0)
-        assert source.refreshes_sent == 1  # 20 >= 5 after /omega
+        assert source.refreshes_sent[0] == 1  # 20 >= 5 after /omega
 
 
 class TestObjectLayout:
     """A source reads its objects from the run's list by global index."""
 
     @staticmethod
-    def build(indices, source_id=1):
-        """Source ``source_id`` owns positions 3.. of a run's object
-        list, where objects carrying ``indices`` sit."""
+    def build(indices):
+        """Source 1 owns the second ``len(indices)`` positions of a run's
+        object list, where objects carrying ``indices`` sit."""
+        n = len(indices)
         topology = Topology([ConstantBandwidth(100.0)],
                             [ConstantBandwidth(5.0)] * 2)
         objects = [DataObject(index=i, source_id=0, rate=0.5)
-                   for i in range(3)]
-        objects += [DataObject(index=i, source_id=source_id, rate=0.5)
+                   for i in range(n)]
+        objects += [DataObject(index=i, source_id=1, rate=0.5)
                     for i in indices]
         monitor = TriggerMonitor(SimpleDivergencePriority(),
                                  StaticWeights.uniform(8))
-        source = SourceNode(source_id, objects, 3, len(indices),
-                            PriorityTracker(), monitor,
-                            ThresholdController(initial=1.0), topology)
-        return source, objects[3:], topology
+        source = SourceNode(objects, n, [monitor] * 2,
+                            ThresholdTable(2, initial=1.0), topology)
+        return source, objects[n:], topology
 
     def test_refresh_names_the_updated_object(self):
         source, objects, topo = self.build([3, 4, 5])
@@ -269,11 +267,13 @@ class TestObjectLayout:
             self.build(indices)
 
     def test_feedback_tally_allocated_on_first_feedback(self):
+        """Every feedback message reaches its source's row, even one the
+        threshold ignores (no credit yet: the source is at capacity)."""
         source, objects, topo = make_source()
-        assert source.feedback_by_cache is None
         source.on_message(FeedbackMessage(source_id=0), 1.0)
         source.on_message(FeedbackMessage(source_id=0), 2.0)
-        assert source.feedback_by_cache == {0: 2}
+        assert source.thresholds.last_feedback[0] == 2.0
+        assert source.thresholds.value[0] == 1.0
 
 
 class TestSamplingMonitor:
@@ -281,14 +281,13 @@ class TestSamplingMonitor:
         topology = Topology([ConstantBandwidth(100.0)],
                             [ConstantBandwidth(10.0)])
         objects = [DataObject(index=0, source_id=0, rate=0.5)]
-        threshold = ThresholdController(initial=1.0)
+        thresholds = ThresholdTable(1, initial=1.0)
         monitor = SamplingMonitor(AreaPriority(),
                                   StaticWeights.uniform(1),
                                   ValueDeviation(), interval=interval,
                                   predictive=predictive,
-                                  threshold=lambda: threshold.value)
-        source = SourceNode(0, objects, 0, 1, PriorityTracker(), monitor,
-                            threshold, topology)
+                                  threshold=lambda: thresholds.value[0])
+        source = SourceNode(objects, 1, [monitor], thresholds, topology)
         return source, objects, topology, monitor
 
     def test_updates_invisible_until_sampled(self):
@@ -296,9 +295,9 @@ class TestSamplingMonitor:
         topo.on_network_tick(1.0)
         objects[0].apply_update(1.0, 9.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
-        assert source.refreshes_sent == 0  # not sampled yet
-        monitor.prime(source.indices())
-        source.on_wake(5.0)  # first sample due at t >= 0
+        assert source.refreshes_sent[0] == 0  # not sampled yet
+        monitor.prime(source.indices(0))
+        source.on_wake(0, 5.0)  # first sample due at t >= 0
         assert monitor.samples_taken >= 1
 
     def test_sampled_priority_approximates_exact(self):
@@ -308,8 +307,8 @@ class TestSamplingMonitor:
         exact = AreaPriority()
         objects[0].apply_update(0.5, 2.0, metric)
         for t in range(1, 11):
-            monitor.sample(source.tracker, objects[0], float(t))
-        estimated = source.tracker.get(0)
+            monitor.sample(source.tracker, 0, objects[0], float(t))
+        estimated = source.tracker.get(0, 0)
         truth = belief_priority(exact, objects[0], 10.0)
         assert estimated == pytest.approx(truth, rel=0.3)
 
@@ -317,12 +316,12 @@ class TestSamplingMonitor:
         source, objects, topo, monitor = self.make_sampling_source(
             interval=100.0, predictive=True)
         metric = ValueDeviation()
-        source.threshold.value = 1e4
+        source.thresholds.value[0] = 1e4
         objects[0].apply_update(0.5, 1.0, metric)
-        monitor.sample(source.tracker, objects[0], 1.0)
+        monitor.sample(source.tracker, 0, objects[0], 1.0)
         objects[0].apply_update(1.5, 2.0, metric)
         # rising divergence -> prediction
-        monitor.sample(source.tracker, objects[0], 2.0)
+        monitor.sample(source.tracker, 0, objects[0], 2.0)
         next_due = monitor._deadlines.wake_time(0)
         assert next_due - 2.0 <= 100.0
 
@@ -332,8 +331,8 @@ class TestSamplingMonitor:
         topo.on_network_tick(1.0)
         metric = ValueDeviation()
         objects[0].apply_update(0.5, 50.0, metric)
-        monitor.sample(source.tracker, objects[0], 1.0)
-        source.on_wake(1.0)
-        assert source.refreshes_sent == 1
+        monitor.sample(source.tracker, 0, objects[0], 1.0)
+        source.on_wake(0, 1.0)
+        assert source.refreshes_sent[0] == 1
         assert monitor._est_integral[0] == 0.0
-        assert source.tracker.peek() is None
+        assert source.tracker.peek(0) is None

@@ -246,12 +246,11 @@ class TestActiveLinkSet:
         for tick in range(1, 5):
             topo.on_network_tick(float(tick))
         assert topo.cache_links[0].tick_capacity == 10.0
-        assert all(link._synced_tick == 0 and link.tick_capacity == 0.0
-                   for link in topo.source_links)
+        assert topo._synced == [0, 0, 0]
+        assert topo._credit == [0.0, 0.0, 0.0]
         assert topo._tick_boundaries == [0.0, 1.0, 2.0, 3.0, 4.0]
         topo.source_at_capacity(1)
-        assert topo.source_links[1]._synced_tick == 4
-        assert topo.source_links[0]._synced_tick == 0
+        assert topo._synced == [0, 4, 0]
 
     def test_lazy_link_synced_before_capacity_check(self):
         """source_at_capacity on an untouched lazy link must see the
