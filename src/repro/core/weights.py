@@ -20,6 +20,21 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 
+def float_list(values: np.ndarray) -> list[float]:
+    """``values.tolist()``, except that values which all have the same
+    bits share one float object instead of a 24 B float each.
+
+    Per-object columns read in per-event hot paths are Python lists (one
+    list index beats a numpy scalar extraction, and ``tolist()``
+    converts float64 exactly); uniform ones, such as one weight or one
+    update rate for every object, then cost a list slot per object.
+    """
+    bits = values.view(np.uint64)
+    if len(values) and (bits == bits[0]).all():
+        return [float(values[0])] * len(values)
+    return values.tolist()
+
+
 class WeightModel(ABC):
     """Time-varying nonnegative weights over ``n`` objects."""
 
@@ -79,15 +94,8 @@ class StaticWeights(WeightModel):
             raise ValueError("weights must be nonnegative")
         super().__init__(len(values))
         self.values = values
-        # Python-float mirror for the scalar getter: one list index beats
-        # a numpy scalar extraction in per-event hot paths (same bits --
-        # tolist() converts float64 exactly).  Equal weights share one
-        # float object instead of a 24 B float each.
-        bits = values.view(np.uint64)
-        if len(values) and (bits == bits[0]).all():
-            self._scalars = [float(values[0])] * len(values)
-        else:
-            self._scalars = values.tolist()
+        # Python-float mirror for the scalar getter.
+        self._scalars = float_list(values)
 
     @classmethod
     def uniform(cls, n: int, value: float = 1.0) -> "StaticWeights":

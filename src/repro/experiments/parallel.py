@@ -32,7 +32,7 @@ Pool workers of both tiers freeze the heap they inherit by fork, so
 their collector passes skip the parent's objects.  A finished shard
 closes its policy and context while collection is still paused: that
 breaks every callback cycle, so reference counting frees the shard's
-~11 GC-tracked objects (~1.7 KB) per source at the end of a sparse run
+~3.2 GC-tracked objects (~730 B) per source at the end of a sparse run
 at once, where a GC pass would have had to scan and free them (DESIGN.md
 Sec 10 tabulates them).
 

@@ -46,6 +46,10 @@ class RunSpec:
             raise ValueError(f"measure must be > 0, got {self.measure}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if (self.resample_interval is not None
+                and not self.resample_interval > 0):
+            raise ValueError(f"resample_interval must be > 0, "
+                             f"got {self.resample_interval}")
         # A retry timer armed by an update hook must not land inside the
         # replay batch being applied; a timeout of one tick or more lands
         # at or after the batch's end (DESIGN.md Sec 10).

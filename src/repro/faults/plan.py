@@ -106,7 +106,7 @@ class CacheCrash:
     cache_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.time <= 0:
+        if not self.time > 0:  # a NaN fails it too
             raise ValueError(f"crash time must be > 0, got {self.time}")
         if self.cache_id < 0:
             raise ValueError(

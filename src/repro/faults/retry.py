@@ -54,11 +54,12 @@ class RetryPolicy:
     max_attempts: int = 3
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        # Negated comparisons, so a NaN fails them too.
+        if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_attempts < 1:
+        if not self.max_attempts >= 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
 

@@ -69,8 +69,11 @@ class ConstantBandwidth(BandwidthProfile):
     __slots__ = ("_rate",)
 
     def __init__(self, rate: float) -> None:
-        if rate < 0:
-            raise ValueError(f"bandwidth must be >= 0, got {rate}")
+        # A NaN or infinite rate fails too: credit is counted in whole
+        # messages.
+        if not 0 <= rate < math.inf:
+            raise ValueError(
+                f"bandwidth must be >= 0 and finite, got {rate}")
         self._rate = float(rate)
 
     def rate(self, t: float) -> float:
@@ -110,11 +113,12 @@ class SineBandwidth(BandwidthProfile):
 
     def __init__(self, mean: float, max_change_rate: float,
                  amplitude: float = 0.5, phase: float = 0.0) -> None:
-        if mean < 0:
-            raise ValueError(f"mean bandwidth must be >= 0, got {mean}")
+        if not 0 <= mean < math.inf:
+            raise ValueError(
+                f"mean bandwidth must be >= 0 and finite, got {mean}")
         if not 0 <= amplitude < 1:
             raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
-        if max_change_rate < 0:
+        if not max_change_rate >= 0:
             raise ValueError(f"mB must be >= 0, got {max_change_rate}")
         self.mean = float(mean)
         self.amplitude = float(amplitude)
@@ -191,8 +195,8 @@ class TraceBandwidth(BandwidthProfile):
             raise ValueError("need at least one breakpoint")
         if (np.diff(self.times) <= 0).any():
             raise ValueError("breakpoint times must be strictly increasing")
-        if (self.rates < 0).any():
-            raise ValueError("rates must be nonnegative")
+        if not ((self.rates >= 0) & (self.rates < np.inf)).all():
+            raise ValueError("rates must be nonnegative and finite")
         self.horizon = None if horizon is None else float(horizon)
         if self.horizon is not None and self.horizon <= self.times[0]:
             raise ValueError(

@@ -29,6 +29,7 @@ The topology is policy-agnostic: receivers are registered as callbacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -846,9 +847,9 @@ class TopologyConfig:
                 raise ValueError(
                     f"cache_rates lists {len(self.cache_rates)} rates for "
                     f"{self.num_caches} caches")
-            if any(r <= 0 for r in self.cache_rates):
-                raise ValueError(
-                    f"cache_rates must be > 0, got {self.cache_rates}")
+            if not all(0 < r < math.inf for r in self.cache_rates):
+                raise ValueError(f"cache_rates must be > 0 and finite, "
+                                 f"got {self.cache_rates}")
 
     def assignment_for(self, num_sources: int) -> list[tuple[int, ...]]:
         """The source -> caches map this configuration induces."""

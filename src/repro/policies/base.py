@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.divergence import DivergenceMetric
 from repro.core.objects import DataObject
+from repro.core.weights import float_list
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import ReliableDelivery, RetryPolicy
@@ -49,7 +50,7 @@ class SimulationContext:
                  topology: TopologyConfig | None = None,
                  faults: FaultPlan | None = None,
                  retry: RetryPolicy | None = None) -> None:
-        if dt <= 0:
+        if not dt > 0:  # a NaN fails it too
             raise ValueError(f"dt must be > 0, got {dt}")
         self.workload = workload
         self.metric = metric
@@ -68,11 +69,12 @@ class SimulationContext:
         # Python scalars up front: one .tolist() per array beats a numpy
         # scalar extraction per object when m ~ 10^5.  One int object per
         # id: an object's index and its owner's source id share it (they
-        # are equal when each source has one object), not 28 B each.
+        # are equal when each source has one object), not 28 B each; and
+        # equal rates or initial values share one float.
         ids = list(range(max(workload.num_objects, workload.num_sources)))
         owners = workload.owner.tolist()
-        rates = np.asarray(workload.rates, dtype=float).tolist()
-        initial_values = trace.initial_values.tolist()
+        rates = float_list(np.asarray(workload.rates, dtype=float))
+        initial_values = float_list(trace.initial_values)
         self.objects = [
             DataObject(index=index, source_id=ids[owner], rate=rate,
                        value=value)
@@ -136,7 +138,7 @@ class SimulationContext:
         """Apply one trace update and notify the policy."""
         obj = self.objects[index]
         obj.apply_update(now, value, self.metric)
-        self.collector.record(index, now, obj.truth.divergence)
+        self.collector.record(index, now, obj.truth_divergence)
         for hook in self._update_hooks:
             hook(obj, now)
 

@@ -246,7 +246,7 @@ class CGMPollingPolicy(SyncPolicy):
         obj = self._ctx.objects[index]
         obj.apply_refresh(now, response.value, response.update_count,
                           self._ctx.metric)
-        self._ctx.collector.record(index, now, obj.truth.divergence)
+        self._ctx.collector.record(index, now, obj.truth_divergence)
         interval = now - float(self._last_poll_time[index])
         self.estimators[index].observe_poll(
             poll_time=now, changed=response.changed,

@@ -123,12 +123,12 @@ class CompetitivePolicy(CooperativePolicy):
         self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)
         if self.source_collector is not None:
             self.source_collector.record(obj.index, now,
-                                         obj.truth.divergence)
+                                         obj.truth_divergence)
 
     def _on_refresh_applied(self, obj: DataObject, now: float) -> None:
         if self.source_collector is not None:
             self.source_collector.record(obj.index, now,
-                                         obj.truth.divergence)
+                                         obj.truth_divergence)
         self._own_tracker.remove(obj.index)
 
     def _on_refresh_sent(self, obj: DataObject, now: float,
@@ -191,7 +191,7 @@ class CompetitivePolicy(CooperativePolicy):
                 break
             index, _ = top
             obj = ctx.objects[index]
-            if obj.belief.divergence == 0.0:
+            if obj.belief_divergence == 0.0:
                 # Already synchronized by the cache-priority flow.
                 tracker.pop(j)
                 continue

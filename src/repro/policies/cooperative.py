@@ -114,11 +114,12 @@ class CooperativePolicy(SyncPolicy):
         if monitor not in ("trigger", "sampling"):
             raise ValueError(f"unknown monitor kind {monitor!r}; expected "
                              f"'trigger' or 'sampling'")
-        if batch_size < 1:
+        # Negated comparisons, so a NaN fails them too.
+        if not batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_timeout <= 0:
+        if not batch_timeout > 0:
             raise ValueError(f"batch_timeout must be > 0, got {batch_timeout}")
-        if sampling_interval <= 0:
+        if not sampling_interval > 0:
             raise ValueError(
                 f"sampling_interval must be > 0, got {sampling_interval}")
         if predictive_sampling and not isinstance(priority_fn, AreaPriority):

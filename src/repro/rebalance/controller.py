@@ -62,14 +62,15 @@ class RebalanceConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown rebalance mode {self.mode!r}")
-        if self.interval <= 0:
+        # Negated comparisons, so a NaN fails them too.
+        if not self.interval > 0:
             raise ValueError(f"interval must be > 0, got {self.interval}")
-        if self.saturation_queue < 1:
+        if not self.saturation_queue >= 1:
             raise ValueError(
                 f"saturation_queue must be >= 1, got {self.saturation_queue}")
-        if self.max_moves < 0:
+        if not self.max_moves >= 0:
             raise ValueError(f"max_moves must be >= 0, got {self.max_moves}")
-        if self.peer_rate <= 0:
+        if not self.peer_rate > 0:
             raise ValueError(f"peer_rate must be > 0, got {self.peer_rate}")
 
 

@@ -73,7 +73,8 @@ class Ticker:
 
     def __init__(self, sim: "Simulator", interval: float, phase: int,
                  action: Callable[[float], None], start: float):
-        if interval <= 0:
+        # Negated comparisons here and below, so a NaN fails them too.
+        if not interval > 0:
             raise SimulationError(f"ticker interval must be > 0, got {interval}")
         self.interval = interval
         self.phase = phase
@@ -115,14 +116,14 @@ class Simulator:
     def schedule(self, delay: float, action: Callable[[], None],
                  phase: int = Phase.DEFAULT) -> Event:
         """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self._queue.push(self.now + delay, phase, action)
 
     def at(self, time: float, action: Callable[[], None],
            phase: int = Phase.DEFAULT) -> Event:
         """Schedule ``action`` at an absolute simulation time."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} < now={self.now}")
         return self._queue.push(time, phase, action)
@@ -158,7 +159,7 @@ class Simulator:
         position in the same-timestamp FIFO order): the action is looked
         up at fire time, never captured at scheduling time.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot wake at t={time} < now={self.now}")
         handle = (int(phase), key)

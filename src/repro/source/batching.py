@@ -44,7 +44,7 @@ class BatchingSource(SourceNode):
         super().__init__(*args, **kwargs)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_timeout <= 0:
+        if not batch_timeout > 0:  # a NaN fails it too
             raise ValueError(
                 f"batch_timeout must be > 0, got {batch_timeout}")
         self.batch_size = batch_size

@@ -109,12 +109,12 @@ class TriggerMonitor(PriorityMonitor):
         last refresh (the accrued part plus the current piece) and the
         time since the last refresh.
         """
-        view = obj.belief
-        divergence = view.divergence
+        divergence = obj.belief_divergence
         priority = self.priority_fn.priority(
             obj, divergence,
-            view.integral_acc + divergence * (now - view.last_change_time),
-            now - view.last_refresh_time,
+            obj.belief_integral
+            + divergence * (now - obj.belief_change_time),
+            now - obj.belief_refresh_time,
             self.weights.weight(obj.index, now))
         tracker.update(row, obj.index, priority)
         return priority
@@ -160,7 +160,7 @@ class SamplingMonitor(PriorityMonitor):
                  predictive: bool = False,
                  threshold=None) -> None:
         super().__init__(priority_fn, weights)
-        if interval <= 0:
+        if not interval > 0:  # a NaN fails it too
             raise ValueError(f"sampling interval must be > 0, got {interval}")
         self.metric = metric
         self.interval = interval
@@ -220,11 +220,10 @@ class SamplingMonitor(PriorityMonitor):
         """Take one divergence sample of ``obj`` and update its priority
         in row ``row`` of ``tracker``."""
         index = obj.index
-        view = obj.belief
         divergence = self.metric.compute(
-            obj.value, view.reference_value,
-            obj.update_count - view.reference_count)
-        last_t = self._last_sample_time.get(index, view.last_refresh_time)
+            obj.value, obj.belief_value,
+            obj.update_count - obj.belief_count)
+        last_t = self._last_sample_time.get(index, obj.belief_refresh_time)
         last_d = self._last_sample_div.get(index, 0.0)
         integral = self._est_integral.get(index, 0.0)
         # Midpoint attribution: each sample's value is active from halfway
@@ -238,7 +237,8 @@ class SamplingMonitor(PriorityMonitor):
 
         weight = self.weights.weight(index, now)
         priority = self.priority_fn.priority(
-            obj, divergence, integral, now - view.last_refresh_time, weight)
+            obj, divergence, integral, now - obj.belief_refresh_time,
+            weight)
         tracker.update(row, index, priority)
         self._deadlines.reschedule(index, now + self._next_delay(
             obj, priority, divergence, last_t, last_d, now, weight))
@@ -257,7 +257,7 @@ class SamplingMonitor(PriorityMonitor):
         rho = (divergence - last_d) / elapsed_since_last
         if rho <= 0 or weight <= 0:
             return self.interval
-        t_last = obj.belief.last_refresh_time
+        t_last = obj.belief_refresh_time
         radicand = ((now - t_last) ** 2
                     + 2.0 * (threshold - priority) / (rho * weight))
         if radicand < 0:

@@ -39,7 +39,7 @@ def check_hotspot(hot_fraction: float = 0.0, hot_boost: float = 1.0,
     if not 0.0 <= hot_fraction <= 1.0:
         raise ValueError(
             f"hot_fraction must be in [0, 1], got {hot_fraction}")
-    if hot_boost < 1.0:
+    if not hot_boost >= 1.0:  # a NaN fails it too
         raise ValueError(f"hot_boost must be >= 1, got {hot_boost}")
     low, high = rate_range
     if not 0.0 <= low <= high:

@@ -56,7 +56,7 @@ class TestRefreshApplication:
         cache.on_message(RefreshMessage(source_id=0, object_index=0,
                                         value=5.0, update_count=1,
                                         threshold=3.0))
-        assert objects[0].truth.divergence == 0.0
+        assert objects[0].truth_divergence == 0.0
         assert cache.store.read(0) == 5.0
         assert cache.refreshes_applied == 1
 
@@ -171,14 +171,14 @@ class TestFeedbackHeapChurn:
         assert len(feedback._heap) <= baseline + 6
 
     def test_piggybacked_thresholds_do_not_grow_the_heap(self):
-        """Every piggybacked threshold pushes an entry; a surplus tick
-        first sweeps the superseded ones out, then still picks the
-        highest thresholds."""
+        """A piggybacked threshold pushes no entry until the next
+        selection, which pushes one per source that piggybacked; the
+        selection still picks the highest thresholds."""
         topology, feedback = self.make_controller()
         for k in range(5_000):
             feedback.observe_threshold(k % 6, 100.0 + k)
-        # one entry per piggyback (the six bootstrap seeds are a cursor)
-        assert len(feedback._heap) == 5_000
+        # nothing pushed yet (the six bootstrap seeds are a cursor)
+        assert len(feedback._heap) == 0
         topology.on_network_tick(1.0)
         feedback.on_tick(1.0)
         # one entry per source: the two targets' drained entries were

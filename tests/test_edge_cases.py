@@ -7,17 +7,29 @@ from repro.cache.cache import CacheNode
 from repro.core.divergence import Staleness, ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
+from repro.core.threshold import ThresholdTable
 from repro.core.weights import StaticWeights
 from repro.experiments.matrix import MATRICES, run_matrix
-from repro.network.bandwidth import ConstantBandwidth
+from repro.experiments.runner import RunSpec
+from repro.faults.plan import CacheCrash
+from repro.faults.retry import RetryPolicy
+from repro.network.bandwidth import (
+    ConstantBandwidth,
+    SineBandwidth,
+    TraceBandwidth,
+)
 from repro.network.messages import PollRequest, RefreshMessage
-from repro.network.topology import Topology
+from repro.network.topology import Topology, TopologyConfig
 from repro.policies.cache_driven import CGMPollingPolicy, IdealCacheBasedPolicy
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
 from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
+from repro.rebalance.controller import RebalanceConfig
+from repro.sim.engine import SimulationError, Simulator
+from repro.source.monitor import SamplingMonitor
 from repro.workloads.buoy import generate_buoy_trace
+from repro.workloads.hotspot import check_hotspot
 
 
 CACHE = ConstantBandwidth(8.0)
@@ -71,7 +83,7 @@ class TestCacheOptionalWiring:
         cache.on_message(RefreshMessage(source_id=0, object_index=0,
                                         value=5.0, update_count=1))
         assert cache.refreshes_applied == 1
-        assert objects[0].truth.divergence == 0.0
+        assert objects[0].truth_divergence == 0.0
 
     def test_poll_response_without_handler_is_counted(self):
         from repro.network.messages import PollResponse
@@ -118,13 +130,13 @@ class TestRefreshSemantics:
         obj.apply_update(2.0, 2.0, metric)
         obj.apply_refresh(3.0, delivered_value=1.0, delivered_count=1,
                           metric=metric)
-        assert obj.truth.divergence == 1.0
+        assert obj.truth_divergence == 1.0
 
     def test_refresh_of_never_updated_object(self):
         obj = DataObject(index=0, source_id=0, value=7.0)
         obj.apply_refresh(5.0, delivered_value=7.0, delivered_count=0,
                           metric=ValueDeviation())
-        assert obj.truth.divergence == 0.0
+        assert obj.truth_divergence == 0.0
 
 
 class TestFig5WithExternalTrace:
@@ -178,3 +190,87 @@ class TestWorkloadLayout:
                                        rate_range=(0.5, 0.5))
         assert workload.num_objects == 1
         assert workload.trace.num_objects == 1
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _context(**settings):
+    from repro.policies.base import SimulationContext
+    from repro.workloads.synthetic import uniform_random_walk
+    workload = uniform_random_walk(1, 2, 10.0, np.random.default_rng(0))
+    return SimulationContext(workload, ValueDeviation(), **settings)
+
+
+class TestNonFiniteSettings:
+    """A NaN setting (or an infinite rate) fails where it is given, not
+    deep inside a run: every check is a negated comparison, which a NaN
+    fails too."""
+
+    CASES = {
+        "RunSpec.resample_interval": lambda: RunSpec(
+            warmup=10.0, measure=50.0, resample_interval=NAN),
+        "RetryPolicy.timeout": lambda: RetryPolicy(timeout=NAN),
+        "RetryPolicy.backoff": lambda: RetryPolicy(backoff=NAN),
+        "RetryPolicy.max_attempts": lambda: RetryPolicy(max_attempts=NAN),
+        "ThresholdTable.alpha": lambda: ThresholdTable(alpha=NAN),
+        "ThresholdTable.initial": lambda: ThresholdTable(initial=NAN),
+        "ThresholdTable.omega": lambda: ThresholdTable(omega=NAN),
+        "ThresholdTable.feedback_ttl": lambda: ThresholdTable(
+            feedback_ttl=NAN),
+        "ThresholdTable.feedback_period": lambda: ThresholdTable(
+            feedback_period=NAN),
+        "CooperativePolicy.sampling_interval": lambda: CooperativePolicy(
+            CACHE, SOURCES, AreaPriority(), sampling_interval=NAN),
+        "CooperativePolicy.batch_timeout": lambda: CooperativePolicy(
+            CACHE, SOURCES, AreaPriority(), batch_timeout=NAN),
+        "CooperativePolicy.batch_size": lambda: CooperativePolicy(
+            CACHE, SOURCES, AreaPriority(), batch_size=NAN),
+        "SamplingMonitor.interval": lambda: SamplingMonitor(
+            AreaPriority(), StaticWeights.uniform(1), ValueDeviation(),
+            interval=NAN),
+        "RebalanceConfig.interval": lambda: RebalanceConfig(interval=NAN),
+        "RebalanceConfig.peer_rate": lambda: RebalanceConfig(
+            peer_rate=NAN),
+        "RebalanceConfig.saturation_queue": lambda: RebalanceConfig(
+            saturation_queue=NAN),
+        "RebalanceConfig.max_moves": lambda: RebalanceConfig(
+            max_moves=NAN),
+        "SineBandwidth.mean-nan": lambda: SineBandwidth(
+            mean=NAN, max_change_rate=0.1),
+        "SineBandwidth.mean-inf": lambda: SineBandwidth(
+            mean=INF, max_change_rate=0.1),
+        "SineBandwidth.max_change_rate": lambda: SineBandwidth(
+            mean=1.0, max_change_rate=NAN),
+        "ConstantBandwidth-nan": lambda: ConstantBandwidth(NAN),
+        "ConstantBandwidth-inf": lambda: ConstantBandwidth(INF),
+        "TraceBandwidth.rates": lambda: TraceBandwidth([0.0, 1.0],
+                                                       [1.0, NAN]),
+        "TopologyConfig.cache_rates-nan": lambda: TopologyConfig(
+            kind="sharded", num_caches=2, cache_rates=(NAN, 1.0)),
+        "TopologyConfig.cache_rates-inf": lambda: TopologyConfig(
+            kind="sharded", num_caches=2, cache_rates=(1.0, INF)),
+        "SimulationContext.dt": lambda: _context(dt=NAN),
+        "CacheCrash.time": lambda: CacheCrash(time=NAN),
+        "check_hotspot.hot_boost": lambda: check_hotspot(hot_boost=NAN),
+    }
+    #: The simulator refuses a NaN time with its own error.
+    SIMULATOR_CASES = {
+        "Simulator.at": lambda: Simulator().at(NAN, lambda: None),
+        "Simulator.schedule": lambda: Simulator().schedule(
+            NAN, lambda: None),
+        "Simulator.wake_at": lambda: Simulator().wake_at(
+            "key", NAN, lambda: None),
+        "Simulator.every": lambda: Simulator().every(
+            NAN, lambda now: None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES) + sorted(SIMULATOR_CASES))
+    def test_refused_when_given(self, case):
+        if case in self.CASES:
+            build, error = self.CASES[case], ValueError
+        else:
+            build, error = self.SIMULATOR_CASES[case], SimulationError
+        with pytest.raises(error):
+            build()

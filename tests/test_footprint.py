@@ -5,21 +5,22 @@ queue, the threshold ``T_j`` and a paced source link), so the memory of
 one source bounds how large ``m`` can get.  A source is a row: its
 state lives in id-indexed columns of one object per policy, so set-up
 builds no object per source beyond the caller's bandwidth profile and
-the source's data object with its two views.  These tests build the
-sparse workload's per-source state -- one bandwidth profile per source,
-the simulation context and ``CooperativePolicy.attach`` -- with the
-cyclic collector paused, take a census of what it allocates by type, and
-cap the GC-tracked objects and the traced bytes it adds per source, so
-the footprint cannot creep back.  Some state only grows once a source
-has seen an update (a priority queue's first entry), so the same caps
-are also taken after the first ``RUN_FOR`` seconds of the run, by which
-about a third of the sources have updated.
+the source's data object, which holds both synchronization views as
+flat fields.  These tests build the sparse workload's per-source state
+-- one bandwidth profile per source, the simulation context and
+``CooperativePolicy.attach`` -- with the cyclic collector paused, take
+a census of what it allocates by type, and cap the GC-tracked objects
+and the traced bytes it adds per source, so the footprint cannot creep
+back.  Some state only grows once a source has seen an update (a
+priority queue's first entry), so the same caps are also taken after
+the first ``RUN_FOR`` seconds of the run, by which about a third of the
+sources have updated.
 
-CPython 3.11 measures 4.0 objects per source on both layouts after
-set-up, and ~611 (star) and ~760 (sharded-4, whose four caches each
+CPython 3.11 measures 2.0 objects per source on both layouts after
+set-up, and ~459 (star) and ~608 (sharded-4, whose four caches each
 keep a store and feedback columns sized for every source) bytes per
-source at this size; after the short run, ~5.1 objects and ~744 and
-~893 bytes.  The caps leave ~8% headroom for other interpreter
+source at this size; after the short run, ~2.6 objects and ~572 and
+~721 bytes.  The caps leave ~8% headroom for other interpreter
 versions.
 """
 
@@ -40,15 +41,15 @@ from repro.policies.cooperative import CooperativePolicy
 from repro.sim.engine import gc_paused
 
 NUM_SOURCES = 5_000
-MAX_OBJECTS_PER_SOURCE = 4
-MAX_BYTES_PER_SOURCE = {"star": 660, "sharded4": 820}
+MAX_OBJECTS_PER_SOURCE = 2.2
+MAX_BYTES_PER_SOURCE = {"star": 500, "sharded4": 660}
 #: Simulated seconds of the post-run measurement.
 RUN_FOR = 300.0
-MAX_OBJECTS_PER_SOURCE_AFTER_RUN = 5.5
-MAX_BYTES_PER_SOURCE_AFTER_RUN = {"star": 805, "sharded4": 965}
+MAX_OBJECTS_PER_SOURCE_AFTER_RUN = 2.85
+MAX_BYTES_PER_SOURCE_AFTER_RUN = {"star": 620, "sharded4": 780}
 #: The only classes set-up may instantiate per source: the caller's
-#: bandwidth profile, and each object with its belief and truth views.
-PER_SOURCE_CLASSES = {"ConstantBandwidth", "DataObject", "SyncView"}
+#: bandwidth profile, and each data object.
+PER_SOURCE_CLASSES = {"ConstantBandwidth", "DataObject"}
 #: Objects one run builds whatever m is (simulator, tickers, caches,
 #: feedback controllers): ~100-200 on 3.11.
 FIXED_OBJECTS = 500
@@ -131,15 +132,14 @@ class TestFootprintPerSource:
             f"{added / NUM_SOURCES:.0f} traced bytes per source"
 
     def test_no_other_class_per_source(self, workload, layout):
-        """A source is a row: no class but the profile, the data object
-        and its views has as many as one instance per ten sources."""
+        """A source is a row: no class but the profile and the data
+        object has as many as one instance per ten sources."""
         added = census(workload, layout)
         per_source = {cls.__name__ for cls, count in added.items()
                       if count >= NUM_SOURCES // 10}
         extra = sorted(per_source - PER_SOURCE_CLASSES)
         assert not extra, f"per-source instances of {extra}"
-        for name in PER_SOURCE_CLASSES - {"SyncView"}:
-            assert name in per_source
+        assert per_source == PER_SOURCE_CLASSES
 
     def test_gc_tracked_objects_after_a_run(self, workload, layout):
         added = objects_added(workload, layout, RUN_FOR)

@@ -94,7 +94,7 @@ class TestConservation:
         violations = []
         ctx.add_update_hook(
             lambda obj, now: violations.append(obj.index)
-            if obj.truth.divergence < 0 or obj.belief.divergence < 0
+            if obj.truth_divergence < 0 or obj.belief_divergence < 0
             else None)
         ctx.run(300.0)
         assert violations == []
@@ -116,11 +116,11 @@ class TestOutageRecovery:
         policy.attach(ctx)
         # Sample system state at three checkpoints.
         ctx.run(199.0)
-        before = float(np.mean([o.truth.divergence for o in ctx.objects]))
+        before = float(np.mean([o.truth_divergence for o in ctx.objects]))
         ctx.run(259.0)
-        during = float(np.mean([o.truth.divergence for o in ctx.objects]))
+        during = float(np.mean([o.truth_divergence for o in ctx.objects]))
         ctx.run(horizon)
-        after = float(np.mean([o.truth.divergence for o in ctx.objects]))
+        after = float(np.mean([o.truth_divergence for o in ctx.objects]))
         assert during > before  # outage hurts
         assert after < during  # ...and the system recovers
         assert policy.topology.cache_links[0].queued < 200
@@ -160,7 +160,7 @@ class TestCollectorAgainstOracle:
         def sample(now):
             if now > 50.0:
                 samples.append(
-                    sum(o.truth.divergence for o in ctx.objects))
+                    sum(o.truth_divergence for o in ctx.objects))
 
         from repro.sim.events import Phase
         ctx.sim.every(0.25, sample, phase=Phase.METRICS)

@@ -179,17 +179,17 @@ class TestReplicaStaleness:
                 source_id=0, sent_at=1.0, object_index=0, value=value,
                 update_count=count))
         assert fast.refreshes_applied == 2
-        assert obj.truth.reference_count == 2
-        assert obj.truth.divergence == 0.0
+        assert obj.truth_count == 2
+        assert obj.truth_divergence == 0.0
         # Next ticks: the slow replica drains the stale copy (count 1)
         # and later the fresh one (count 2).
         topo.on_network_tick(3.0)
         assert slow.stale_discards == 1
-        assert obj.truth.reference_count == 2  # not regressed
-        assert obj.truth.divergence == 0.0
+        assert obj.truth_count == 2  # not regressed
+        assert obj.truth_divergence == 0.0
         topo.on_network_tick(5.0)
         assert slow.refreshes_applied == 1  # the count-2 copy re-applies
-        assert obj.truth.divergence == 0.0
+        assert obj.truth_divergence == 0.0
 
 
 class TestCongestionIsolation:

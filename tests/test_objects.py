@@ -1,4 +1,5 @@
-"""Tests for per-object synchronization state (belief vs. truth views)."""
+"""Tests for per-object synchronization state (belief vs. truth views,
+the flat ``belief_*`` and ``truth_*`` fields of one :class:`DataObject`)."""
 
 import pytest
 
@@ -10,15 +11,17 @@ from oracles import belief_priority
 
 
 class TestSyncView:
-    """Each view's divergence history: the accrued integral and the
-    refresh epoch that :class:`DataObject` maintains in place."""
+    """The belief view's divergence history (the accrued integral and
+    the refresh epoch) and the truth view's divergence, which
+    :class:`DataObject` maintains in place."""
 
     def test_initial_state_synchronized(self):
         obj = DataObject(index=0, source_id=0, value=3.0)
-        for view in (obj.belief, obj.truth):
-            assert view.divergence == 0.0
-            assert view.integral_acc == 0.0
-            assert view.reference_value == 3.0
+        assert obj.belief_divergence == 0.0
+        assert obj.belief_integral == 0.0
+        assert obj.belief_value == 3.0
+        assert obj.truth_divergence == 0.0
+        assert obj.truth_value == 3.0
         assert belief_priority(AreaPriority(), obj, 10.0) == 0.0
 
     def test_integral_accrues_piecewise(self):
@@ -26,11 +29,11 @@ class TestSyncView:
         metric = ValueDeviation()
         obj.apply_update(2.0, 1.0, metric)  # divergence 1 from t=2
         obj.apply_update(5.0, 3.0, metric)  # divergence 3 from t=5
-        for view in (obj.belief, obj.truth):
-            # integral over [0, 5]: 0*2 + 1*3, folded in at the change
-            assert view.integral_acc == pytest.approx(3.0)
-            assert view.last_change_time == 5.0
-            assert view.divergence == 3.0
+        # integral over [0, 5]: 0*2 + 1*3, folded in at the change
+        assert obj.belief_integral == pytest.approx(3.0)
+        assert obj.belief_change_time == 5.0
+        assert obj.belief_divergence == 3.0
+        assert obj.truth_divergence == 3.0
 
     def test_area_priority_matches_definition(self):
         obj = DataObject(index=0, source_id=0)
@@ -49,14 +52,13 @@ class TestSyncView:
         for k in range(5):
             obj.apply_update(1.0 + k, 9.0 + k, metric)
         obj.mark_sent(8.0)
-        view = obj.belief
-        assert view.divergence == 0.0
-        assert view.reference_value == 13.0
-        assert view.reference_count == 5
-        assert view.integral_acc == 0.0
-        assert view.last_refresh_time == 8.0
+        assert obj.belief_divergence == 0.0
+        assert obj.belief_value == 13.0
+        assert obj.belief_count == 5
+        assert obj.belief_integral == 0.0
+        assert obj.belief_refresh_time == 8.0
         assert belief_priority(AreaPriority(), obj, 10.0) == 0.0
-        assert obj.truth.divergence == 13.0  # truth waits for delivery
+        assert obj.truth_divergence == 13.0  # truth waits for delivery
 
     def test_accrue_is_idempotent_at_same_time(self):
         obj = DataObject(index=0, source_id=0)
@@ -64,16 +66,16 @@ class TestSyncView:
         obj.apply_update(1.0, 2.0, metric)
         obj.apply_update(4.0, 5.0, metric)
         obj.apply_update(4.0, 6.0, metric)
-        assert obj.belief.integral_acc == pytest.approx(6.0)
-        assert obj.belief.divergence == 6.0
+        assert obj.belief_integral == pytest.approx(6.0)
+        assert obj.belief_divergence == 6.0
 
 
 class TestDataObjectUpdates:
     def test_update_advances_both_views(self):
         obj = DataObject(index=0, source_id=0, value=0.0)
         obj.apply_update(1.0, 1.0, Staleness())
-        assert obj.belief.divergence == 1.0
-        assert obj.truth.divergence == 1.0
+        assert obj.belief_divergence == 1.0
+        assert obj.truth_divergence == 1.0
         assert obj.update_count == 1
         assert obj.last_update_time == 1.0
 
@@ -84,15 +86,15 @@ class TestDataObjectUpdates:
         obj.apply_update(2.0, 2.0, metric)
         obj.mark_sent(2.0)
         obj.apply_update(3.0, 3.0, metric)
-        assert obj.belief.divergence == 1.0  # one update since send
-        assert obj.truth.divergence == 3.0  # three since cache applied
+        assert obj.belief_divergence == 1.0  # one update since send
+        assert obj.truth_divergence == 3.0  # three since cache applied
 
     def test_mark_sent_resets_belief_only(self):
         obj = DataObject(index=0, source_id=0, value=0.0)
         obj.apply_update(1.0, 5.0, ValueDeviation())
         obj.mark_sent(1.5)
-        assert obj.belief.divergence == 0.0
-        assert obj.truth.divergence == pytest.approx(5.0)
+        assert obj.belief_divergence == 0.0
+        assert obj.truth_divergence == pytest.approx(5.0)
 
     def test_apply_refresh_with_current_snapshot_synchronizes(self):
         obj = DataObject(index=0, source_id=0, value=0.0)
@@ -100,7 +102,7 @@ class TestDataObjectUpdates:
         obj.apply_update(1.0, 5.0, metric)
         obj.apply_refresh(2.0, delivered_value=5.0, delivered_count=1,
                           metric=metric)
-        assert obj.truth.divergence == 0.0
+        assert obj.truth_divergence == 0.0
 
     def test_apply_refresh_with_stale_snapshot_keeps_residual(self):
         """A refresh delayed in a queue delivers an old value; truth
@@ -112,7 +114,7 @@ class TestDataObjectUpdates:
         obj.apply_update(2.0, 8.0, metric)
         obj.apply_refresh(3.0, delivered_value=5.0, delivered_count=1,
                           metric=metric)
-        assert obj.truth.divergence == pytest.approx(3.0)
+        assert obj.truth_divergence == pytest.approx(3.0)
 
     def test_apply_refresh_stale_snapshot_lag(self):
         obj = DataObject(index=0, source_id=0, value=0.0)
@@ -121,16 +123,18 @@ class TestDataObjectUpdates:
             obj.apply_update(float(k + 1), float(k + 1), metric)
         obj.apply_refresh(5.0, delivered_value=2.0, delivered_count=2,
                           metric=metric)
-        assert obj.truth.divergence == pytest.approx(2.0)
+        assert obj.truth_divergence == pytest.approx(2.0)
 
     def test_sync_views_synchronizes_everything(self):
         obj = DataObject(index=0, source_id=0, value=0.0)
         metric = Staleness()
         obj.apply_update(1.0, 1.0, metric)
         obj.sync_views(2.0)
-        assert obj.belief.divergence == 0.0
-        assert obj.truth.divergence == 0.0
-        assert obj.belief.reference_value == 1.0
+        assert obj.belief_divergence == 0.0
+        assert obj.truth_divergence == 0.0
+        assert obj.belief_value == 1.0
+        assert obj.truth_value == 1.0
+        assert obj.belief_refresh_time == 2.0
 
     def test_metric_runs_once_while_the_views_agree(self):
         """With no refresh in flight both views share their reference,
@@ -149,7 +153,7 @@ class TestDataObjectUpdates:
         obj.mark_sent(1.5)
         obj.apply_update(2.0, 3.0, metric)
         assert len(calls) == 3
-        assert (obj.belief.divergence, obj.truth.divergence) == (1.0, 3.0)
+        assert (obj.belief_divergence, obj.truth_divergence) == (1.0, 3.0)
 
 
 class TestPriorityIdentity:

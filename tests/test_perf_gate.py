@@ -19,6 +19,7 @@ STEADY = (0.99, 1.0, 1.01)  #: a 1% spread around the median
 
 SHARDED = "sharded4-200k"
 DENSE = "dense-star-2k"
+CHAOS = "chaos-hotspot-4c"
 
 
 def workload(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
@@ -42,16 +43,18 @@ def workload(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
 
 
 def record(wall=1.0, rss=300.0, spread=STEADY, setup_spread=STEADY,
-           failed=0, cpu_count=2, sharded=None, dense=None):
-    """A ``bench/run.py`` record of the E9 point, plus ``sharded4-200k``
-    and ``dense-star-2k`` when ``sharded`` and ``dense`` hold their
-    :func:`workload` settings."""
+           failed=0, cpu_count=2, sharded=None, dense=None, chaos=None):
+    """A ``bench/run.py`` record of the E9 point, plus ``sharded4-200k``,
+    ``dense-star-2k`` and ``chaos-hotspot-4c`` when ``sharded``,
+    ``dense`` and ``chaos`` hold their :func:`workload` settings."""
     workloads = {perf_gate.WORKLOAD: workload(wall, rss, spread,
                                               setup_spread, failed)}
     if sharded is not None:
         workloads[SHARDED] = workload(**sharded)
     if dense is not None:
         workloads[DENSE] = workload(**dense)
+    if chaos is not None:
+        workloads[CHAOS] = workload(**chaos)
     return {"revision": None, "seed": 0, "cpu_count": cpu_count,
             "workloads": workloads}
 
@@ -206,6 +209,41 @@ class TestDenseWorkload:
     def test_a_side_without_it_skips_it(self):
         assert status(record(), record(dense={"rss": 999.0})) \
             == perf_gate.PASS
+
+
+class TestChaosWorkload:
+    """``chaos-hotspot-4c``, the one workload with loss, retries, TTL and
+    rebalancing, is gated on its peak RSS and failed repeats."""
+
+    def test_peak_rss_above_its_bound_fails(self):
+        lines, outcome = gate(record(chaos={"rss": 60.0}),
+                              record(chaos={"rss": 67.0}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == ("FAIL: chaos-hotspot-4c peak_rss_mb worse "
+                             "than its bound")
+
+    def test_wall_s_is_not_gated(self):
+        lines, outcome = gate(record(chaos={"wall": 5.0}),
+                              record(chaos={"wall": 8.0}))
+        assert outcome == perf_gate.PASS
+        assert any(line.split()[0] == "wall_s" and line.endswith("worse")
+                   for line in lines)
+
+    def test_a_failed_repeat_fails(self):
+        lines, outcome = gate(record(chaos={}), record(chaos={"failed": 1}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == "FAIL: chaos-hotspot-4c failed_frac grew"
+
+    def test_gated_with_the_other_workloads(self):
+        lines, outcome = gate(
+            record(sharded={"rss": 200.0}, dense={"rss": 62.0},
+                   chaos={"rss": 60.0}),
+            record(sharded={"rss": 200.0}, dense={"rss": 80.0},
+                   chaos={"rss": 70.0}))
+        assert outcome == perf_gate.FAIL
+        assert lines[-1] == ("FAIL: dense-star-2k peak_rss_mb worse than "
+                             "its bound; chaos-hotspot-4c peak_rss_mb "
+                             "worse than its bound")
 
 
 class TestMain:

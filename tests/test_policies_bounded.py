@@ -116,9 +116,9 @@ class TestBoundMinimizingPolicy:
         violations = []
 
         def check(obj, now):
-            elapsed = now - obj.truth.last_refresh_time
+            elapsed = now - obj.belief_refresh_time
             bound = obj.max_rate * (elapsed + latency_allowance)
-            if obj.truth.divergence > bound + 1e-9:
+            if obj.truth_divergence > bound + 1e-9:
                 violations.append((obj.index, now))
 
         ctx.add_update_hook(check)

@@ -59,8 +59,7 @@ class TestSyncViewProperties:
             brute += current * (hi - lo)
             if hi != end:
                 current = next(div_iter)
-        for view in (obj.belief, obj.truth):
-            assert abs(view.integral_acc - brute) <= 1e-6 * max(1.0, brute)
+        assert abs(obj.belief_integral - brute) <= 1e-6 * max(1.0, brute)
 
     @given(times=update_times)
     @settings(max_examples=60, deadline=None)

@@ -378,9 +378,9 @@ class TestCacheMigration:
     def test_export_leaves_truth_untouched(self):
         topology, objects, caches = self.make_pair()
         objects[0].apply_update(1.0, 9.0, ValueDeviation())
-        before = objects[0].truth.divergence
+        before = objects[0].truth_divergence
         caches[0].export_source(0, [0])
-        assert objects[0].truth.divergence == before
+        assert objects[0].truth_divergence == before
 
     def test_migration_adopts_source_and_state(self):
         topology, objects, caches = self.make_pair()

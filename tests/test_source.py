@@ -92,7 +92,7 @@ class TestRefreshDecisions:
         topo.on_network_tick(1.0)
         objects[0].apply_update(1.0, 5.0, ValueDeviation())
         source.on_update(objects[0], 1.0)
-        assert objects[0].belief.divergence == 0.0
+        assert objects[0].belief_divergence == 0.0
         assert source.tracker.peek(0) is None
 
     def test_refresh_message_carries_snapshot_and_threshold(self):
@@ -258,8 +258,8 @@ class TestObjectLayout:
         objects[2].apply_update(1.0, 5.0, ValueDeviation())
         source.on_update(objects[2], 1.0)
         assert [m.object_index for m in received] == [5]
-        assert objects[2].belief.reference_value == 5.0
-        assert objects[0].belief.reference_value == 0.0
+        assert objects[2].belief_value == 5.0
+        assert objects[0].belief_value == 0.0
 
     @pytest.mark.parametrize("indices", [[3, 5], [4, 3], [3, 3]])
     def test_non_contiguous_indices_rejected(self, indices):

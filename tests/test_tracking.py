@@ -173,6 +173,34 @@ class TestRows:
         assert tracker._heaps[0] is None
         assert tracker.items(1) == [(3, 2.0)]
 
+    def test_emptied_heap_is_released(self):
+        """A row whose heap empties is ``None`` again, as before its
+        first push, and behaves as it did then."""
+        tracker = PriorityTable(2, [0] * 6)
+        tracker.update(0, 1, 5.0)
+        tracker.update(0, 2, 3.0)
+        assert tracker.pop(0) == (1, 5.0)
+        assert tracker._heaps[0] is not None
+        assert tracker.pop(0) == (2, 3.0)  # the last entry
+        assert tracker._heaps == [None, None]
+        assert tracker.get(0, 2) == 0.0
+        assert tracker.items(0) == []
+        assert tracker.peek(0) is None
+        assert tracker.pop(0) is None
+        tracker.update(0, 3, 4.0)
+        assert tracker.items(0) == [(3, 4.0)]
+        assert tracker.get(0, 3) == 4.0
+        assert tracker.pop(0) == (3, 4.0)
+        assert tracker._heaps[0] is None
+        # a heap left with stale entries only empties on the next peek
+        tracker.update(1, 4, 2.0)
+        tracker.remove(4)
+        assert tracker._heaps[1] is not None
+        assert tracker.peek(1) is None
+        assert tracker._heaps == [None, None]
+        tracker.update(1, 5, 1.0)
+        assert tracker.pop(1) == (5, 1.0)
+
     def test_remove_needs_no_row(self):
         tracker = PriorityTable(2, [0] * 4)
         tracker.update(1, 2, 7.0)
