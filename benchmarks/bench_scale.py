@@ -5,8 +5,10 @@ cache 8/s, sources 1/s, 100 s warm-up, 500 s measured) on a 4-cache
 sharded layout, run through
 :func:`~repro.experiments.parallel.run_cooperative_sharded` at one
 worker and at ``min(4, cpu_count)``.  The two results must be equal, and
-the parallel run must fit the 60 s budget; generation happens inside the
-shard workers, so it is part of the wall.  The test prints both walls,
+the parallel run must fit the 60 s budget.  Each run generates the trace
+once, in this process before its shards start (the workload memo is
+emptied first, so neither run reuses the other's build), and that
+generation is part of its wall.  The test prints both walls,
 each with a peak RSS -- the serial run's (this process, ``RUSAGE_SELF``,
 read right after it) and the largest pool worker's
 (``RUSAGE_CHILDREN``) -- and writes nothing: the end-to-end walls of the
@@ -25,7 +27,11 @@ from conftest import run_once
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
-from repro.experiments.parallel import WorkloadSpec, run_cooperative_sharded
+from repro.experiments.parallel import (
+    WorkloadSpec,
+    build_workload,
+    run_cooperative_sharded,
+)
 from repro.experiments.runner import RunSpec
 from repro.experiments.scale import sparse_workload
 from repro.network.bandwidth import ConstantBandwidth
@@ -40,6 +46,7 @@ MILLION_SHARDS = 4
 
 
 def _timed_run(workers: int):
+    build_workload.cache_clear()
     start = time.perf_counter()
     result = run_cooperative_sharded(
         WorkloadSpec.make(sparse_workload, 0, num_sources=MILLION,

@@ -295,11 +295,13 @@ def run_scenario_sharded(scenario: Scenario, workers: int) -> dict:
     :func:`~repro.experiments.parallel.run_cooperative_sharded`.
 
     Bit-identical to :func:`run_scenario` (pinned in
-    ``tests/test_scale.py``).  The workload is regenerated in the shard
-    workers, never in this process.
+    ``tests/test_scale.py``).  The workload is built once, in this
+    process through the memo of
+    :func:`~repro.experiments.parallel.build_workload`, and the shard
+    workers, started by fork, inherit it.
     """
-    num_sources = dict(scenario.workload.kwargs)["num_sources"]
-    cache_bw, source_bws = scenario.profiles(num_sources)
+    workload = build_workload(scenario.workload)
+    cache_bw, source_bws = scenario.profiles(workload.num_sources)
     result = run_cooperative_sharded(
         scenario.workload, make_metric(scenario.metric), scenario.spec(),
         cache_bw, source_bws, priority_fn=scenario.priority_fn(),

@@ -18,15 +18,20 @@ Two independent tiers, both built on ``ProcessPoolExecutor``:
   to exactly one cache, feedback flows cache -> own sources only, and no
   link, rng stream, or controller is shared across shards -- so the
   serial interleaved schedule factors exactly into one independent
-  sub-simulation per cache.  :func:`run_cooperative_sharded` computes
-  the block assignment once and hands each task only its own shard
-  (its source ids and their bandwidth profiles).  The worker slices the
-  workload (:meth:`~repro.workloads.synthetic.Workload.shard`) and runs
-  the shard as one star run; the parent merges integrals/counters back
-  into the exact arithmetic the serial run performs (scatter + one
-  ``np.sum``).  The merge is pinned bit-for-bit against the serial path
-  in ``tests/test_parallel.py``; DESIGN.md Sec 11 gives the argument.
-  Fault plans and rebalancing couple the shards and are rejected.
+  sub-simulation per cache.  :func:`run_cooperative_sharded` builds the
+  workload once, in the calling process through the same memo, and
+  computes the block assignment once; each task carries only its cache
+  id and its shard's source ids.  The bandwidth profiles reach each
+  worker once, as the map's ``shared`` inputs.  Workers start by fork,
+  so they inherit the built trace and the profiles copy-on-write:
+  nothing is regenerated and no task pickles a profile.  The worker
+  slices the workload (:meth:`~repro.workloads.synthetic.Workload.shard`)
+  and runs the shard as one star run; the parent merges
+  integrals/counters back into the exact arithmetic the serial run
+  performs (scatter + one ``np.sum``).  The merge is pinned bit-for-bit
+  against the serial path in ``tests/test_parallel.py``; DESIGN.md
+  Sec 11 gives the argument.  Fault plans and rebalancing couple the
+  shards and are rejected.
 
 Pool workers of both tiers freeze the heap they inherit by fork, so
 their collector passes skip the parent's objects.  A finished shard
@@ -37,12 +42,15 @@ at once, where a GC pass would have had to scan and free them (DESIGN.md
 Sec 10 tabulates them).
 
 Everything a worker touches must be importable by reference: cell
-functions live at module level, payloads are frozen dataclasses of
-scalars, bandwidth profiles and other small numpy-free values.
+functions live at module level, and payloads are frozen dataclasses of
+scalars, id arrays and other small values.  What every payload of a map
+reads goes to each worker once, through :meth:`ParallelRunner.map`'s
+``shared`` argument.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import importlib
 import os
@@ -69,7 +77,7 @@ def default_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Workload descriptors: regenerate in the worker, never pickle the trace
+# Workload descriptors: build from a seed, never pickle the trace
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -101,21 +109,17 @@ class WorkloadSpec:
         return fn(rng=rng, **dict(self.kwargs))
 
 
-#: Per-process memo of the most recently built workload.  Consecutive
-#: cells in a sweep usually share one workload (several policies/replicas
-#: per configuration); keeping exactly one bounds worker memory while
-#: still collapsing the common repeat.
-_workload_cache: dict[WorkloadSpec, Workload] = {}
-
-
+@functools.lru_cache(maxsize=1)
 def build_workload(spec: WorkloadSpec) -> Workload:
-    """Build (or reuse) the workload for ``spec`` in this process."""
-    workload = _workload_cache.get(spec)
-    if workload is None:
-        workload = spec.build()
-        _workload_cache.clear()
-        _workload_cache[spec] = workload
-    return workload
+    """Build (or reuse) the workload for ``spec`` in this process.
+
+    The memo keeps the most recent build only.  Consecutive cells in a
+    sweep usually share one workload (several policies/replicas per
+    configuration); keeping exactly one bounds worker memory while still
+    collapsing the common repeat.  ``build_workload.cache_clear()``
+    empties it.
+    """
+    return spec.build()
 
 
 def rng_probe(seed: int) -> tuple[int, list[float]]:
@@ -132,6 +136,20 @@ def rng_probe(seed: int) -> tuple[int, list[float]]:
 # ----------------------------------------------------------------------
 # Tier 1: order-preserving process-pool map
 # ----------------------------------------------------------------------
+#: The ``shared`` inputs of the running :meth:`ParallelRunner.map`: set
+#: once in each pool worker by its initializer, and around the
+#: in-process loop by ``map`` itself.  Nothing else writes it.
+_shared: Any = None
+
+
+def _start_worker(shared: Any) -> None:
+    """Pool initializer: freeze the heap inherited by fork, so collector
+    passes skip the parent's objects, and keep the map's shared inputs."""
+    global _shared
+    gc.freeze()
+    _shared = shared
+
+
 class ParallelRunner:
     """Order-preserving map of a cell function over payloads.
 
@@ -151,13 +169,28 @@ class ParallelRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
 
-    def map(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> list:
+    def map(self, fn: Callable[[Any], Any], payloads: Sequence[Any],
+            shared: Any = None) -> list:
+        """``fn`` over ``payloads``, results in payload order.
+
+        ``shared`` holds what every payload reads rather than carries.
+        Each pool worker receives it once, through the pool initializer:
+        a worker started by fork inherits it unpickled, and under spawn
+        it is pickled once per worker, never once per payload.  The
+        in-process loop sets it for its own duration.
+        """
+        global _shared
         payloads = list(payloads)
         if self.workers <= 1 or len(payloads) <= 1:
-            return [fn(payload) for payload in payloads]
+            saved, _shared = _shared, shared
+            try:
+                return [fn(payload) for payload in payloads]
+            finally:
+                _shared = saved
         workers = min(self.workers, len(payloads))
         with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=gc.freeze) as pool:
+                                 initializer=_start_worker,
+                                 initargs=(shared,)) as pool:
             return list(pool.map(fn, payloads))
 
 
@@ -165,30 +198,35 @@ class ParallelRunner:
 # Tier 2: shard-parallel cooperative runs
 # ----------------------------------------------------------------------
 def shard_sources(config: TopologyConfig,
-                  num_sources: int) -> list[list[int]]:
-    """Global source ids per cache (those it is primary for), ascending."""
-    owned: list[list[int]] = [[] for _ in range(config.num_caches)]
-    for j, targets in enumerate(config.assignment_for(num_sources)):
-        owned[targets[0]].append(j)
-    return owned
+                  num_sources: int) -> list[np.ndarray]:
+    """Global source ids per cache (those it is primary for), ascending.
+
+    One int64 array per cache: a shard's ids take 8 bytes each, where a
+    list of Python ints takes ~40, and they pickle as one buffer.
+    """
+    primary = np.fromiter(
+        (targets[0] for targets in config.assignment_for(num_sources)),
+        dtype=np.int64, count=num_sources)
+    return [np.flatnonzero(primary == k) for k in range(config.num_caches)]
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker needs to run a single shard.
+    """What one worker needs to run a single shard, beyond the inputs
+    every shard shares.
 
-    Only the shard's own sources travel with the task: their global ids
-    and bandwidth profiles, ascending, so the parent pickles each
-    profile once across all tasks.
+    A task carries its cache id and its shard's global source ids,
+    ascending, as one int64 array.  The trace comes from the worker's workload memo, which a
+    worker started by fork inherits from the caller that built it, and
+    the bandwidth profiles from the map's ``shared`` inputs: no task
+    pickles the trace or a profile.
     """
 
     workload: WorkloadSpec
     spec: RunSpec  #: the *global* run spec (topology = the sharded config)
     cache_id: int
     metric: DivergenceMetric
-    cache_bandwidth: BandwidthProfile  #: aggregate cache-side profile
-    sources: tuple[int, ...]  #: global source ids of this shard, ascending
-    source_bandwidths: tuple[BandwidthProfile, ...]  #: one per ``sources``
+    sources: np.ndarray  #: global source ids of this shard, ascending
     priority_fn: PriorityFunction
     policy_kwargs: tuple[tuple[str, Any], ...] = ()
 
@@ -198,7 +236,7 @@ class ShardResult:
     """One shard's integrals, thresholds and counters, ready to merge."""
 
     cache_id: int
-    sources: tuple[int, ...]  #: global source ids, ascending
+    sources: np.ndarray  #: global source ids, ascending
     objects: np.ndarray  #: global object indices, ascending
     weighted_integral: np.ndarray
     unweighted_integral: np.ndarray
@@ -225,13 +263,14 @@ def _run_shard(task: ShardTask) -> ShardResult:
 def _simulate_shard(task: ShardTask) -> ShardResult:
     """Build, run, read and close one shard."""
     workload = build_workload(task.workload)
-    sources = np.asarray(task.sources, dtype=np.int64)
+    cache_profiles, source_bandwidths = _shared
+    sources = task.sources
     ops = workload.objects_per_source
     objects = (sources[:, None] * ops
                + np.arange(ops, dtype=np.int64)[None, :]).reshape(-1)
-    config = task.spec.topology
-    profile = config.cache_profiles(task.cache_bandwidth)[task.cache_id]
-    policy = CooperativePolicy(profile, list(task.source_bandwidths),
+    policy = CooperativePolicy(cache_profiles[task.cache_id],
+                               [source_bandwidths[j]
+                                for j in sources.tolist()],
                                priority_fn=task.priority_fn,
                                **dict(task.policy_kwargs))
     shard = workload.shard(sources)
@@ -275,7 +314,7 @@ def merge_shard_results(shards: list[ShardResult], num_sources: int,
     for shard in shards:
         weighted[shard.objects] = shard.weighted_integral
         unweighted[shard.objects] = shard.unweighted_integral
-        for j, value in zip(shard.sources, shard.thresholds):
+        for j, value in zip(shard.sources.tolist(), shard.thresholds):
             thresholds[j] = value
     parts = [shard.result for shard in shards]
     duration = parts[0].duration
@@ -319,15 +358,22 @@ def run_cooperative_sharded(workload_spec: WorkloadSpec,
     """Run one cooperative sharded-topology simulation, shard-parallel.
 
     ``spec.topology`` must be a ``kind="sharded"`` configuration; each of
-    its caches becomes one worker task running its shard to the end
-    independently.  The merged result is bit-for-bit equal to the
-    serial ``run_policy`` on the same workload/spec (pinned in
-    ``tests/test_parallel.py``); ``workers=1`` runs the shards serially
-    through the identical slicing/merge path.
+    its caches that owns a source becomes one worker task running its
+    shard to the end independently.  A cache that owns none has nothing
+    to send, so it runs no shard.  The merged result is bit-for-bit
+    equal to the serial ``run_policy`` on the same workload/spec (pinned
+    in ``tests/test_parallel.py``); ``workers=1`` runs the shards
+    serially through the identical slicing/merge path.
+
+    The workload is built here, through :func:`build_workload`'s memo,
+    before the pool starts; the per-cache and per-source profiles go to
+    each worker once (:meth:`ParallelRunner.map`'s ``shared``).
 
     A non-empty fault plan or a ``rebalance`` configuration couples the
     shards (fault draws follow global cache ids, migrations move
-    sources between caches), so both are rejected before any shard runs.
+    sources between caches), and a profile list that does not match the
+    workload's sources is wrong, so all three are rejected before any
+    shard runs.
     """
     config = spec.topology
     if config is None or config.kind != "sharded":
@@ -340,20 +386,23 @@ def run_cooperative_sharded(workload_spec: WorkloadSpec,
     if policy_kwargs.get("rebalance") is not None:
         raise ValueError("shard-parallel execution cannot rebalance "
                          "shards; run rebalancing through run_policy")
+    workload = build_workload(workload_spec)
+    num_sources = workload.num_sources
+    if len(source_bandwidths) != num_sources:
+        raise ValueError(f"expected {num_sources} source bandwidth "
+                         f"profiles, got {len(source_bandwidths)}")
     if priority_fn is None:
         priority_fn = AreaPriority()
-    num_sources = len(source_bandwidths)
     tasks = [
         ShardTask(workload=workload_spec, spec=spec, cache_id=k,
-                  metric=metric, cache_bandwidth=cache_bandwidth,
-                  sources=tuple(sources),
-                  source_bandwidths=tuple(source_bandwidths[j]
-                                          for j in sources),
+                  metric=metric, sources=sources,
                   priority_fn=priority_fn,
                   policy_kwargs=tuple(sorted(policy_kwargs.items())))
         for k, sources in enumerate(shard_sources(config, num_sources))
+        if len(sources)
     ]
-    shards = ParallelRunner(workers).map(_run_shard, tasks)
-    workload_objects = sum(len(s.objects) for s in shards)
-    return merge_shard_results(shards, num_sources, workload_objects,
+    shards = ParallelRunner(workers).map(
+        _run_shard, tasks,
+        shared=(config.cache_profiles(cache_bandwidth), source_bandwidths))
+    return merge_shard_results(shards, num_sources, workload.num_objects,
                                metric.name)

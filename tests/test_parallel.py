@@ -9,19 +9,25 @@ Three properties are pinned here:
 * **Tier 2 equivalence** -- a sharded-topology cooperative run executed
   as one star run per shard and worker merges to the exact
   ``RunResult`` the serial interleaved simulation produces, under every
-  feature a shard can run; features that couple shards are rejected.
+  feature a shard can run and when some cache owns no source; features
+  that couple shards, and profile lists of the wrong length, are
+  rejected.  The caller generates the trace once, and no task pickles
+  a bandwidth profile.
 * **Teardown** -- a finished shard (and any closed cooperative run)
   leaves no cyclic garbage, so reference counting frees it.
 """
 
 import dataclasses
 import gc
+import io
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority
+from repro.experiments import parallel
 from repro.experiments.matrix import MATRICES, run_matrix
 from repro.experiments.parallel import (
     ParallelRunner,
@@ -38,14 +44,28 @@ from repro.experiments.runner import (
     make_context,
     run_policy,
 )
+from repro.experiments.scale import sparse_workload
 from repro.faults import RetryPolicy, fault_scenario
-from repro.network.bandwidth import ConstantBandwidth
+from repro.network.bandwidth import BandwidthProfile, ConstantBandwidth
 from repro.network.topology import TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
 from repro.rebalance import RebalanceConfig
 from repro.workloads.bandwidth_traces import scenario_profile
 from repro.workloads.hotspot import hotspot_shards
 from repro.workloads.synthetic import uniform_random_walk
+
+
+def shared_probe(payload):
+    """Worker-side probe: the payload and the map's shared inputs."""
+    return payload, parallel._shared
+
+
+def counted_sparse_workload(rng, log: str, **kwargs):
+    """``sparse_workload`` that appends one line to the file ``log`` per
+    build, in whichever process builds it."""
+    with open(log, "a") as out:
+        out.write("built\n")
+    return sparse_workload(rng=rng, **kwargs)
 
 
 class TestParallelRunner:
@@ -67,6 +87,13 @@ class TestParallelRunner:
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_payload_reads_the_shared_inputs(self, workers):
+        results = ParallelRunner(workers).map(shared_probe, [3, 1],
+                                              shared=("a", 2))
+        assert results == [(3, ("a", 2)), (1, ("a", 2))]
+        assert parallel._shared is None  # the in-process loop restores it
 
 
 class TestSeedHandoff:
@@ -99,13 +126,13 @@ class TestWorkloadSpec:
                               objects_per_source=2, horizon=50.0))
 
 
-def _sharded_fixture(num_caches: int, **spec_fields):
+def _sharded_fixture(num_caches: int, num_sources: int = 8,
+                     **spec_fields):
     """A small hot-shard run: (workload spec, metric, run spec, profiles).
 
     Every source has its own link rate, so a shard handed another
     shard's profiles cannot match the serial run.
     """
-    num_sources = 8
     wspec = WorkloadSpec.make(hotspot_shards, 3, num_sources=num_sources,
                               objects_per_source=4, horizon=250.0)
     spec = dataclasses.replace(
@@ -175,6 +202,13 @@ class TestShardParallelEquivalence:
     def test_matches_serial_run(self, num_caches, workers):
         _assert_matches_serial(*_sharded_fixture(num_caches), workers)
 
+    @pytest.mark.parametrize("num_sources", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_serial_run_with_fewer_sources_than_caches(
+            self, num_sources, workers):
+        """A cache that owns no source runs no shard and adds nothing."""
+        _assert_matches_serial(*_sharded_fixture(4, num_sources), workers)
+
     @pytest.mark.parametrize("row", FEATURE_ROWS)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_serial_run_with_feature(self, row, workers):
@@ -189,22 +223,60 @@ class TestShardParallelEquivalence:
         _assert_matches_serial(*case, workers, **policy_kwargs)
 
     def test_each_task_carries_only_its_shard(self, monkeypatch):
+        """A task carries its cache id and its shard's source ids; the
+        profiles reach the workers as the map's shared inputs, so no
+        task pickles one."""
         wspec, metric, spec, cache_bw, source_bws = _sharded_fixture(4)
         seen = []
+        run_map = ParallelRunner.map
 
-        def record(runner, fn, tasks):
+        def record(runner, fn, tasks, shared=None):
             seen.extend(tasks)
-            return [fn(task) for task in tasks]
+            return run_map(runner, fn, tasks, shared)
 
         monkeypatch.setattr(ParallelRunner, "map", record)
         run_cooperative_sharded(wspec, metric, spec, cache_bw, source_bws)
         assert len(seen) == 4
+        owned = shard_sources(spec.topology, len(source_bws))
         for k, task in enumerate(seen):
             assert task.cache_id == k
-            assert task.sources == tuple(
-                shard_sources(spec.topology, len(source_bws))[k])
-            assert task.source_bandwidths == tuple(
-                source_bws[j] for j in task.sources)
+            assert np.array_equal(task.sources, owned[k])
+            pickled = _pickled_types(task)
+            assert not [t for t in pickled
+                        if issubclass(t, BandwidthProfile)], pickled
+
+    def test_one_trace_generation_per_run(self, tmp_path):
+        """The caller builds the workload; the shard workers inherit
+        it instead of regenerating it."""
+        log = tmp_path / "builds"
+        num_sources = 400
+        wspec = WorkloadSpec.make(counted_sparse_workload, 0, log=str(log),
+                                  num_sources=num_sources, horizon=150.0)
+        spec = RunSpec(warmup=50.0, measure=100.0,
+                       topology=TopologyConfig(kind="sharded",
+                                               num_caches=4))
+        result = run_cooperative_sharded(
+            wspec, ValueDeviation(), spec, ConstantBandwidth(4.0),
+            [ConstantBandwidth(1.0)] * num_sources, workers=2)
+        assert result.num_sources == num_sources
+        assert log.read_text().splitlines() == ["built"]
+
+    @pytest.mark.parametrize("profiles", [8, 12])
+    def test_refuses_a_profile_list_of_the_wrong_length(self, profiles,
+                                                        monkeypatch):
+        """Refused with run_policy's message before any shard runs."""
+        wspec, metric, spec, cache_bw, _ = _sharded_fixture(4, 10)
+
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(ParallelRunner, "map", no_shards)
+        with pytest.raises(ValueError,
+                           match=f"expected 10 source bandwidth profiles, "
+                                 f"got {profiles}"):
+            run_cooperative_sharded(wspec, metric, spec, cache_bw,
+                                    [ConstantBandwidth(1.0)] * profiles,
+                                    workers=2)
 
     def test_requires_sharded_topology(self):
         wspec, metric, spec, cache_bw, source_bws = _sharded_fixture(2)
@@ -231,6 +303,20 @@ class TestShardParallelEquivalence:
         assert len(shards) == 3
         merged = sorted(j for shard in shards for j in shard)
         assert merged == list(range(10))
+
+
+def _pickled_types(obj) -> set[type]:
+    """The type of every object the pickle of ``obj`` reduces, beyond
+    the built-in scalars and containers."""
+    types: set[type] = set()
+
+    class Recorder(pickle.Pickler):
+        def reducer_override(self, value):
+            types.add(type(value))
+            return NotImplemented
+
+    Recorder(io.BytesIO()).dump(obj)
+    return types
 
 
 def _cyclic_garbage(run) -> int:
