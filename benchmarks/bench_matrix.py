@@ -1,7 +1,8 @@
 """Every scenario matrix, every verdict hard-asserted.
 
 One parametrized bench replaces the per-experiment verdict benches of
-the paper's evaluation (E1-E6, X7) and of E8 and E10-E14.  Each case
+the paper's evaluation (E1-E6, X7), of its Secs 7-10 analyses (X1-X6)
+and of E8 and E10-E14.  Each case
 runs a registered matrix (:data:`repro.experiments.matrix.MATRICES`)
 with ``KEY=VALUE`` settings, prints the table, and asserts that every
 verdict it prints reads "yes" (never "n/a").  A verdict may be left out
@@ -11,10 +12,10 @@ otherwise, so a settings change that drops a verdict's cells cannot pass
 silently.  The verdicts are exactness, ordering and bound claims, not
 timings, so the asserts are hard on any machine.
 
-The paper's cases run at the sizes of the benches they replaced, which
-are the matrices' defaults except E3's scarcer link (cache 25 msgs/s),
-the E1 size sweep and Figure 6's reduced m = 100 panel; the others run
-at reduced size.
+The paper's cases and the X1-X6 analyses run at the sizes of the
+benches they replaced, which are the matrices' defaults except E3's
+scarcer link (cache 25 msgs/s), the E1 size sweep and Figure 6's reduced
+m = 100 panel; the others run at reduced size.
 
 Bandwidth is deliberately scarce in the netcond/faults cases (cache 6.0
 for 32 objects): at the defaults a tiny matrix is over-provisioned,
@@ -38,8 +39,8 @@ SCARCE = ("sources=8 objects=4 cache-bandwidth=6 source-bandwidth=1.5 "
           "warmup=50 measure=150")
 
 #: case id -> (matrix, settings); the CI matrix-smoke job runs most of
-#: them through ``repro matrix`` (the paper's at their defaults, Figure 4
-#: on a smaller grid).
+#: them through ``repro matrix`` (the paper's and X1-X6 at their
+#: defaults, Figure 4 on a smaller grid).
 CASES = {
     "e1": ("e1", ""),
     "e1-size-sweep": ("e1", "objects=1,10,100,500 metrics=deviation "
@@ -52,6 +53,12 @@ CASES = {
     "fig6": ("fig6", ""),
     "fig6-m100": ("fig6", "sources=100 fractions=0.1,0.5,0.9"),
     "overhead": ("overhead", ""),
+    "psi": ("psi", ""),
+    "sampling": ("sampling", ""),
+    "bounding": ("bounding", ""),
+    "poisson": ("poisson", ""),
+    "batching": ("batching", ""),
+    "rates": ("rates", ""),
     "netcond": ("netcond", SCARCE),
     "faults": ("faults", SCARCE),
     "rebalance": ("rebalance", "num-caches=1,2,4 warmup=50 measure=200"),

@@ -1,10 +1,11 @@
 """Shared benchmark plumbing.
 
 Every benchmark reproduces one evaluation artifact of the paper (see
-DESIGN.md Sec 3).  Experiment bodies are long-running simulations, so each
-is executed exactly once via ``benchmark.pedantic(rounds=1)``; the metric
-of interest is the experiment's printed *output*, the wall-clock time is
-incidental.
+DESIGN.md Sec 3); the experiments themselves, the Secs 7-10 analyses
+included, are scenario matrices run by ``bench_matrix``.  Experiment
+bodies are long-running simulations, so each is executed exactly once
+via ``benchmark.pedantic(rounds=1)``; the metric of interest is the
+experiment's printed *output*, the wall-clock time is incidental.
 
 Scaled-down grids: the paper's largest configurations (m = 1000 sources,
 n = 100 objects each, 5000 s measurements) are CPU-days in pure Python.

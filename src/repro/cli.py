@@ -9,6 +9,7 @@ Usage (installed package)::
     python -m repro fig5 link=fluctuating
     python -m repro fig6 sources=10 fractions=0.1,0.5,0.9
     python -m repro matrix overhead sources=5,20,80   # X7
+    python -m repro matrix psi psis=0,0.5 options=contribution  # X1-X6
     python -m repro matrix multicache num-caches=1,2,4 topology=sharded
     python -m repro matrix faults scenarios=lossy-10,crash-restart
     python -m repro matrix multicast replications=1,2,4

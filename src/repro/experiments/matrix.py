@@ -1,19 +1,21 @@
 """One scenario matrix for every experiment: the paper's and beyond.
 
 The paper's evaluation (E1-E6, X7) compares the threshold protocol with
-the ideal scheduler, a strawman priority or the CGM pollers; each
-beyond-the-paper experiment (E8-E14) asks the same question once more
-under one more setting: a bandwidth condition, a fault plan, a moving
-hotspot, a delivery plane, a cache layout, a client read stream or a
-large count of sparse sources.  So one declarative harness runs them
-all:
+the ideal scheduler, a strawman priority or the CGM pollers; its Secs
+7-10 analyses (X1-X6) compare one mechanism's settings the same way;
+each beyond-the-paper experiment (E8-E14) asks the same question once
+more under one more setting: a bandwidth condition, a fault plan, a
+moving hotspot, a delivery plane, a cache layout, a client read stream
+or a large count of sparse sources.  So one declarative harness runs
+them all:
 
 * a :class:`Scenario` is one simulation run as picklable data: a
   :class:`~repro.experiments.parallel.WorkloadSpec`, a policy name plus
   constructor kwargs (``alpha``, ``feedback_ttl``, ``rebalance``, ...),
   the divergence metric and priority, and the run settings -- links,
   tick and timing, layout and delivery plane, bandwidth condition, fault
-  plan, retry policy and an optional client read stream;
+  plan, retry policy, an optional client read stream, and for X6 and X3
+  the horizon of measured rates and the latency of a metered bound;
 * a :class:`Matrix` declares settable parameters with defaults, the axes
   whose product forms the table rows, the arms run once per row, an
   include filter for dependent cells, the table columns, extra lines and
@@ -23,7 +25,7 @@ all:
 :func:`run_matrix` fans a matrix's scenarios over a
 :class:`~repro.experiments.parallel.ParallelRunner` (bit-identical at any
 worker count) and folds the records into rows; :meth:`Matrix.render`
-prints the table and its verdicts.  :data:`MATRICES` registers fourteen
+prints the table and its verdicts.  :data:`MATRICES` registers twenty
 matrices behind ``repro matrix NAME [KEY=VALUE[,VALUE...] ...]``:
 
 ==========  ===========================================================
@@ -34,6 +36,12 @@ fig4        Figure 4: ours vs ideal over a configuration grid
 fig5        Figure 5: ours vs ideal on wind buoys x link bandwidth
 fig6        Figure 6: ideal, ours and the CGM pollers x bandwidth
 overhead    X7: feedback share of cache traffic x source count
+psi         X1 Sec 7: split option x Psi, cache and source objectives
+sampling    X2 Sec 8.2.1: trigger vs (predictive) sampling x interval
+bounding    X3 Sec 9: bound vs area priority, and the analytic optimum
+poisson     X4 Sec 3.4: special-case vs general priority x metric x seed
+batching    X5 Sec 10.1: bandwidth regime x batch size
+rates       X6 Sec 8.1: oracle rates vs EWMA estimates x horizon
 netcond     E11: five policies x bandwidth condition x layout
 faults      E12: five policies x fault plan x layout, plus the
             empty-plan, reliable-delivery and feedback-TTL arms
@@ -61,13 +69,16 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.analysis.equilibrium import equilibrium_overhead_fraction
+from repro.analysis.ideal import bound_schedule
 from repro.cache.readmodel import parse_read_policy
 from repro.core.divergence import make_metric
 from repro.core.priority import (
     AreaPriority,
-    SimpleDivergencePriority,
     default_priority_for,
+    make_priority,
 )
 from repro.core.weights import StaticWeights
 from repro.experiments.parallel import (
@@ -95,6 +106,7 @@ from repro.policies.ideal import IdealCooperativePolicy
 from repro.policies.uniform import UniformAllocationPolicy
 from repro.rebalance import RebalanceConfig
 from repro.sim.random import RngRegistry
+from repro.source.rates import EstimatedRatePriority, OnlineRateEstimator
 from repro.workloads.bandwidth_traces import SCENARIOS, scenario_profile
 from repro.workloads.buoy import (
     SECONDS_PER_DAY,
@@ -106,7 +118,11 @@ from repro.workloads.hotspot import (
     hotspot_shards,
     moving_hotspot,
 )
-from repro.workloads.synthetic import skewed_validation, uniform_random_walk
+from repro.workloads.synthetic import (
+    Workload,
+    skewed_validation,
+    uniform_random_walk,
+)
 
 POLICIES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
 
@@ -121,7 +137,8 @@ def make_policy(name: str, cache_bw, source_bws, num_objects: int,
     of None leaves the ideal scheduler without a source limit.
     ``kwargs`` reach the policy constructor (e.g. the cooperative
     policy's ``alpha``, ``feedback_ttl``, ``rebalance`` or batching
-    knobs).
+    knobs, the competitive policy's ``psi``, ``option`` or
+    ``source_weights``, which default to uniform weights).
     """
     if priority is None:
         priority = AreaPriority()
@@ -131,10 +148,10 @@ def make_policy(name: str, cache_bw, source_bws, num_objects: int,
     if name == "uniform":
         return UniformAllocationPolicy(cache_bw, source_bws, **kwargs)
     if name == "competitive":
-        return CompetitivePolicy(
-            cache_bw, source_bws, priority_fn=priority,
-            source_weights=StaticWeights.uniform(num_objects), psi=0.25,
-            **kwargs)
+        kwargs.setdefault("source_weights",
+                          StaticWeights.uniform(num_objects))
+        return CompetitivePolicy(cache_bw, source_bws, priority_fn=priority,
+                                 **kwargs)
     if name in ("cgm", "cgm1"):  # "cgm" is the CGM2 variant
         variant = "cgm1" if name == "cgm1" else "cgm2"
         return CGMPollingPolicy(cache_bw, variant=variant, **kwargs)
@@ -151,8 +168,10 @@ def make_policy(name: str, cache_bw, source_bws, num_objects: int,
 class Scenario:
     """One simulation run as picklable data.
 
-    Construction builds the run's :class:`RunSpec`, so a bad timing
-    window fails while a matrix is declared, not in the middle of it.
+    Construction builds the run's :class:`RunSpec`, priority and rate
+    estimator and checks the bound latency, so a bad timing window,
+    priority name or horizon fails while a matrix is declared, not in
+    the middle of it.
     """
 
     workload: WorkloadSpec
@@ -164,7 +183,10 @@ class Scenario:
     measure: float
     seed: int = 0
     metric: str = "deviation"  #: staleness, lag or deviation
-    #: "paper" (default_priority_for(metric)) or "simple" (the D*W strawman)
+    #: "paper" (default_priority_for(metric)), or a
+    #: :func:`~repro.core.priority.make_priority` name: "area" (the general
+    #: formula, default_priority_for(metric, rates_known=False)), "simple"
+    #: (the D*W strawman), "bound" (Sec 9), "poisson-staleness", ...
     priority: str = "paper"
     change_rate: float = 0.0  #: the paper's mB on every "constant" link
     dt: float = 1.0  #: tick length
@@ -179,9 +201,24 @@ class Scenario:
     retry: RetryPolicy | None = None
     read_policy: str | None = None  #: client read stream (None = no reads)
     read_rate: float = 0.0  #: client reads/second per object
+    #: EWMA horizon of the online rate estimates the priority reads
+    #: instead of the workload's rates (Sec 8.1; None: the true rates)
+    rate_horizon: float | None = None
+    #: refresh latency of the metered Sec 9 divergence bound (None: no
+    #: meter; the ideal scheduler only)
+    bound_latency: float | None = None
 
     def __post_init__(self) -> None:
         self.spec()
+        self.priority_fn(self.rates())
+        if self.bound_latency is None:
+            return
+        if self.policy != "ideal":
+            raise ValueError(f"the bound meter needs the ideal scheduler, "
+                             f"got policy {self.policy!r}")
+        if not self.bound_latency >= 0:
+            raise ValueError(f"bound_latency must be >= 0, "
+                             f"got {self.bound_latency}")
 
     def spec(self) -> RunSpec:
         return RunSpec(warmup=self.warmup, measure=self.measure, dt=self.dt,
@@ -190,10 +227,19 @@ class Scenario:
                        topology=self.topology, faults=self.faults,
                        retry=self.retry)
 
-    def priority_fn(self):
-        """The refresh priority the policy ranks objects by."""
-        return (SimpleDivergencePriority() if self.priority == "simple"
-                else default_priority_for(self.metric))
+    def rates(self) -> OnlineRateEstimator | None:
+        """A fresh estimator of the update rates (None: the true ones)."""
+        return (None if self.rate_horizon is None
+                else OnlineRateEstimator(horizon=self.rate_horizon))
+
+    def priority_fn(self, rates: OnlineRateEstimator | None = None):
+        """The refresh priority the policy ranks objects by, reading
+        ``rates``' estimates when given."""
+        priority = (default_priority_for(self.metric)
+                    if self.priority == "paper"
+                    else make_priority(self.priority))
+        return (priority if rates is None
+                else EstimatedRatePriority(priority, rates))
 
     def profiles(self, num_sources: int):
         """Fresh cache and per-source profiles (links consume them).
@@ -227,20 +273,20 @@ def run_scenario(scenario: Scenario) -> dict:
     """
     workload = build_workload(scenario.workload)
     cache_bw, source_bws = scenario.profiles(workload.num_sources)
-    metric = make_metric(scenario.metric)
+    rates = scenario.rates()
     policy = make_policy(scenario.policy, cache_bw, source_bws,
                          workload.num_objects,
-                         priority=scenario.priority_fn(),
+                         priority=scenario.priority_fn(rates),
                          **dict(scenario.policy_kwargs))
-    spec = scenario.spec()
-    if scenario.read_policy is None:
-        return _measurements(run_policy(workload, metric, policy, spec))
-    reads = workload.read_stream(
-        RngRegistry(scenario.seed).stream("read-workload"),
-        read_rate=scenario.read_rate)
-    return _measurements(run_policy(workload, metric, policy, spec,
-                                    reads=reads,
-                                    read_policy=scenario.read_policy))
+    reads = None
+    if scenario.read_policy is not None:
+        reads = workload.read_stream(
+            RngRegistry(scenario.seed).stream("read-workload"),
+            read_rate=scenario.read_rate)
+    return _measurements(run_policy(
+        workload, make_metric(scenario.metric), policy, scenario.spec(),
+        reads=reads, read_policy=scenario.read_policy or "any",
+        rates=rates, bound_latency=scenario.bound_latency))
 
 
 def _measurements(result: RunResult) -> dict:
@@ -273,6 +319,10 @@ def _measurements(result: RunResult) -> dict:
         queue_peak=result.queued_peak,
         sent=result.refreshes_sent,
         queued=result.queued,
+        samples=result.samples,
+        own_refreshes=result.own_refreshes,
+        source_divergence=result.source_divergence,
+        bound=result.mean_bound,
     )
     return record
 
@@ -280,12 +330,13 @@ def _measurements(result: RunResult) -> dict:
 def shard_parallel(scenario: Scenario) -> bool:
     """Whether tier 2 can run ``scenario``: a cooperative run on several
     sharded caches that never interact -- no faults, retries,
-    rebalancing or client reads."""
+    rebalancing, client reads or rate estimates."""
     topology = scenario.topology
     return (scenario.policy == "cooperative" and topology is not None
             and topology.kind == "sharded" and topology.num_caches > 1
             and (scenario.faults is None or scenario.faults.is_empty())
             and scenario.retry is None and scenario.read_policy is None
+            and scenario.rate_horizon is None
             and dict(scenario.policy_kwargs).get("rebalance") is None)
 
 
@@ -487,9 +538,10 @@ def run_matrix(matrix: Matrix, params: dict,
 # ----------------------------------------------------------------------
 # Shared declarations
 # ----------------------------------------------------------------------
-def _timing(warmup: float, measure: float) -> tuple[Param, ...]:
+def _timing(warmup: float, measure: float,
+            seed: int = 0) -> tuple[Param, ...]:
     return (Param("warmup", warmup), Param("measure", measure),
-            Param("seed", 0, int, minimum=0))
+            Param("seed", seed, int, minimum=0))
 
 
 TIMING = _timing(100.0, 400.0)
@@ -510,17 +562,18 @@ def _links(cache: float, source: float) -> tuple[Param, Param]:
 
 
 def _workload(builder, cell: dict, **kwargs) -> WorkloadSpec:
-    return WorkloadSpec.make(builder, cell["seed"],
-                             num_sources=cell["sources"],
-                             objects_per_source=cell["objects"],
-                             horizon=cell["warmup"] + cell["measure"],
-                             **kwargs)
+    """The cell's seeded workload over its timing window; ``kwargs`` may
+    fix the shape of a matrix without ``sources``/``objects`` keys."""
+    shape = dict(num_sources=cell.get("sources"),
+                 objects_per_source=cell.get("objects"),
+                 horizon=cell["warmup"] + cell["measure"])
+    return WorkloadSpec.make(builder, cell["seed"], **{**shape, **kwargs})
 
 
 def _scenario(cell: dict, workload: WorkloadSpec, policy: str,
               **fields) -> Scenario:
     base = dict(cache_bandwidth=cell.get("cache-bandwidth"),
-                source_bandwidth=cell["source-bandwidth"],
+                source_bandwidth=cell.get("source-bandwidth"),
                 warmup=cell["warmup"], measure=cell["measure"],
                 seed=cell["seed"])
     return Scenario(workload=workload, policy=policy, **{**base, **fields})
@@ -1038,6 +1091,450 @@ OVERHEAD = Matrix(
                       overhead_flat),
               Verdict("overhead within (0.2, 3)x of the equilibrium "
                       "prediction", overhead_near_equilibrium)),
+)
+
+
+# ----------------------------------------------------------------------
+# The Secs 7-10 analyses: X1-X6
+# ----------------------------------------------------------------------
+# Each runs at the size of the bench it replaced.  Those benches fixed
+# their links and workload shapes, so only the arguments of their run
+# functions, the timing window and the seed are settable.
+#: X1's per-source link (msgs/s)
+X1_SOURCE_BANDWIDTH = 5.0
+PSI_OPTIONS = ("equal", "proportional", "contribution")
+
+
+def _halves(n: int, cache_side: bool) -> StaticWeights:
+    """X1's disjoint objectives over ``n`` objects: weight 10 on the first
+    half for the cache, on the second half for the sources, 1
+    elsewhere."""
+    values = np.ones(n)
+    values[slice(None, n // 2) if cache_side else slice(n // 2, None)] = 10.0
+    return StaticWeights(values)
+
+
+def disjoint_halves(**kwargs) -> Workload:
+    """A :func:`uniform_random_walk` whose cache weights favour the first
+    half of the objects (X1)."""
+    workload = uniform_random_walk(**kwargs)
+    workload.weights = _halves(workload.num_objects, cache_side=True)
+    return workload
+
+
+def _check_psis(params: dict) -> dict:
+    if not all(psi < 1.0 for psi in params["psis"]):
+        raise ValueError(f"psis must be < 1, got {params['psis']}")
+    return params
+
+
+def _psi_scenario(cell: dict) -> Scenario:
+    source_weights = _halves(cell["sources"] * cell["objects"],
+                             cache_side=False)
+    return _scenario(
+        cell, _workload(disjoint_halves, cell, rate_range=(0.2, 0.8)),
+        "competitive", source_bandwidth=X1_SOURCE_BANDWIDTH,
+        policy_kwargs=(("psi", cell["psis"]), ("option", cell["options"]),
+                       ("source_weights", source_weights)))
+
+
+def _by_psi(rows: list[dict], option: str) -> list[dict]:
+    return sorted((r for r in rows if r["options"] == option),
+                  key=itemgetter("psis"))
+
+
+def _psi_serves_sources(rows: list[dict], option: str) -> bool:
+    ordered = _by_psi(rows, option)
+    return len(ordered) >= 2 and (ordered[-1]["source_divergence"]
+                                  < ordered[0]["source_divergence"])
+
+
+def psi_serves_sources(rows: list[dict]) -> bool:
+    """X1, equal shares: the largest Psi lowers the sources' objective
+    below the smallest Psi's (the former ``bench_competitive`` assert
+    ``source_side[-1] < source_side[0]``)."""
+    return _psi_serves_sources(rows, "equal")
+
+
+def own_sends_rise_with_psi(rows: list[dict]) -> bool:
+    """X1, equal shares: every Psi step sends strictly more own-priority
+    refreshes (a Psi slice is not cut to whole messages per tick)."""
+    own = [r["own_refreshes"] for r in _by_psi(rows, "equal")]
+    return len(own) >= 2 and all(a < b for a, b in zip(own, own[1:]))
+
+
+def contribution_piggybacks(rows: list[dict]) -> bool:
+    """X1, contribution option: own-priority refreshes are piggybacked at
+    every Psi > 0 (the former ``bench_competitive`` assert ``rows[1][3] >
+    0``, at Psi 0.5)."""
+    earning = [r for r in _by_psi(rows, "contribution") if r["psis"] > 0]
+    return bool(earning) and all(r["own_refreshes"] > 0 for r in earning)
+
+
+def contribution_serves_sources(rows: list[dict]) -> bool:
+    """X1, contribution option: the largest Psi lowers the sources'
+    objective below the smallest Psi's (the former ``bench_competitive``
+    assert ``rows[1][2] < rows[0][2]``)."""
+    return _psi_serves_sources(rows, "contribution")
+
+
+def _has_option(option: str) -> Callable[[list[dict]], bool]:
+    return lambda rows: len(_by_psi(rows, option)) >= 2
+
+
+PSI = Matrix(
+    name="psi",
+    title=lambda p: ("X1 (Sec 7): the Psi trade-off, cache and sources "
+                     "weighing disjoint halves of the objects"),
+    params=(Param("psis", (0.0, 0.25, 0.5, 0.75), many=True, minimum=0),
+            Param("options", ("equal", "contribution"), str, many=True,
+                  choices=PSI_OPTIONS),
+            *_size(5, 10), Param("cache-bandwidth", 10.0, minimum=0),
+            *TIMING),
+    axes=("options", "psis"),
+    resolve=_check_psis,
+    scenario=_psi_scenario,
+    columns=(("option", itemgetter("options")), ("psi", itemgetter("psis")),
+             ("cache objective", itemgetter("divergence")),
+             ("source objective", itemgetter("source_divergence")),
+             ("own refreshes", itemgetter("own_refreshes"))),
+    verdicts=(
+        Verdict("equal shares: the largest psi serves the sources' "
+                "objective", psi_serves_sources,
+                applies=_has_option("equal")),
+        Verdict("equal shares: own refreshes rise with every psi step",
+                own_sends_rise_with_psi, applies=_has_option("equal")),
+        Verdict("contribution: own refreshes piggybacked at every psi > 0",
+                contribution_piggybacks,
+                applies=_has_option("contribution")),
+        Verdict("contribution: the largest psi serves the sources' "
+                "objective", contribution_serves_sources,
+                applies=_has_option("contribution")),
+    ),
+    na="n/a (option not in this matrix)",
+)
+
+
+#: X2's links (cache, per source; msgs/s) for 4 sources of 10 objects
+X2_LINKS = (8.0, 5.0)
+
+
+def _monitors(params: dict) -> dict:
+    # One trigger row, then a plain and a predictive row per interval.
+    params["monitor"] = (("trigger", None), *(
+        (kind, interval) for interval in params["intervals"]
+        for kind in ("sampling", "predictive")))
+    return params
+
+
+def _sampling_scenario(cell: dict) -> Scenario:
+    kind, interval = cell["monitor"]
+    kwargs = () if kind == "trigger" else (
+        ("monitor", "sampling"), ("sampling_interval", interval),
+        ("predictive_sampling", kind == "predictive"))
+    workload = _workload(uniform_random_walk, cell, num_sources=4,
+                         objects_per_source=10, rate_range=(0.1, 0.6))
+    return _scenario(cell, workload, "cooperative",
+                     cache_bandwidth=X2_LINKS[0],
+                     source_bandwidth=X2_LINKS[1], policy_kwargs=kwargs)
+
+
+def _monitor_label(row: dict) -> str:
+    kind, interval = row["monitor"]
+    if kind == "trigger":
+        return "triggers (exact)"
+    return (f"sampling every {interval:g}s"
+            + (" + predictive" if kind == "predictive" else ""))
+
+
+def _sampled(rows: list[dict]) -> list[float]:
+    """The plain sampling rows' deviations, densest interval first."""
+    return [r["unweighted"] for r in sorted(
+        (r for r in rows if r["monitor"][0] == "sampling"),
+        key=lambda r: r["monitor"][1])]
+
+
+def dense_beats_sparse(rows: list[dict]) -> bool:
+    """X2: the densest sampling is within 1.05x of the sparsest (the
+    former ``bench_monitoring`` assert ``dense <= sparse * 1.05``)."""
+    sampled = _sampled(rows)
+    return len(sampled) >= 2 and sampled[0] <= sampled[-1] * 1.05
+
+
+def dense_near_exact(rows: list[dict]) -> bool:
+    """X2: the densest sampling is within 1.6x of trigger monitoring (the
+    former ``bench_monitoring`` assert ``dense <= exact * 1.6``)."""
+    sampled = _sampled(rows)
+    exact = [r["unweighted"] for r in rows if r["monitor"][0] == "trigger"]
+    return bool(sampled and exact) and sampled[0] <= exact[0] * 1.6
+
+
+SAMPLING = Matrix(
+    name="sampling",
+    title=lambda p: "X2: Sec 8.2.1 sampling-based priority monitoring",
+    params=(Param("intervals", (2.0, 10.0, 30.0), many=True, minimum=0,
+                  strict=True), *TIMING),
+    axes=("monitor",),
+    resolve=_monitors,
+    scenario=_sampling_scenario,
+    columns=(("monitor", _monitor_label),
+             ("avg deviation", itemgetter("unweighted")),
+             ("samples taken", itemgetter("samples"))),
+    verdicts=(Verdict("densest sampling <= 1.05 x the sparsest",
+                      dense_beats_sparse),
+              Verdict("densest sampling <= 1.6 x trigger monitoring",
+                      dense_near_exact)),
+)
+
+
+#: X3's refresh latency L (s) and the schedulers it compares
+X3_LATENCY = 0.5
+X3_SCHEDULERS = {"bound": "bound priority (Sec 9)",
+                 "area": "actual-divergence priority"}
+
+
+def _bounding_workload(params: dict) -> WorkloadSpec:
+    return _workload(uniform_random_walk, params, num_sources=1,
+                     rate_range=(0.05, 1.0))
+
+
+def _bounding_scenario(cell: dict) -> Scenario:
+    return _scenario(cell, _bounding_workload(cell), "ideal",
+                     priority=cell["scheduler"], bound_latency=X3_LATENCY)
+
+
+def _closed_form(rows: list[dict]) -> list[dict]:
+    """Each row's closed-form optimum of the mean bound per object
+    (:func:`~repro.analysis.ideal.bound_schedule`, the Lagrange
+    solution)."""
+    for r in rows:
+        rates = np.asarray(build_workload(_bounding_workload(r)).rates)
+        r["optimum"] = bound_schedule(
+            rates, r["cache-bandwidth"],
+            latencies=np.full(len(rates), X3_LATENCY),
+        ).average_divergence / len(rates)
+    return rows
+
+
+def _bounds(rows: list[dict]) -> dict:
+    return {r["scheduler"]: r for r in rows}
+
+
+def bound_priority_minimizes(rows: list[dict]) -> bool:
+    """X3: the Sec 9 priority yields a lower mean bound than scheduling
+    by actual divergence (the former ``bench_bounding`` assert
+    ``bound_first < area_first``)."""
+    by = _bounds(rows)
+    return ("bound" in by and "area" in by
+            and by["bound"]["bound"] < by["area"]["bound"])
+
+
+def bound_above_optimum(rows: list[dict]) -> bool:
+    """X3: the Sec 9 priority's mean bound is at least 0.9x the
+    closed-form optimum (the former ``bench_bounding`` assert
+    ``bound_first >= analytic * 0.9``)."""
+    row = _bounds(rows).get("bound")
+    return row is not None and row["bound"] >= row["optimum"] * 0.9
+
+
+def bound_near_optimum(rows: list[dict]) -> bool:
+    """X3: ... and at most 1.5x it (the former ``bench_bounding`` assert
+    ``bound_first <= analytic * 1.5``)."""
+    row = _bounds(rows).get("bound")
+    return row is not None and row["bound"] <= row["optimum"] * 1.5
+
+
+BOUNDING = Matrix(
+    name="bounding",
+    title=lambda p: "X3: Sec 9 divergence bounding",
+    params=(Param("cache-bandwidth", 5.0, minimum=0),
+            Param("objects", 30, int, minimum=1), *_timing(100.0, 500.0)),
+    axes=("scheduler",),
+    resolve=lambda params: {**params, "scheduler": tuple(X3_SCHEDULERS)},
+    scenario=_bounding_scenario,
+    finish=_closed_form,
+    columns=(("scheduler", lambda r: X3_SCHEDULERS[r["scheduler"]]),
+             ("avg divergence bound", itemgetter("bound")),
+             ("avg actual divergence", itemgetter("unweighted"))),
+    extras=lambda rows: [f"closed-form optimum (analysis): avg divergence "
+                         f"bound {rows[0]['optimum']:.4g}"] if rows else [],
+    verdicts=(Verdict("the Sec 9 priority minimizes the bound objective",
+                      bound_priority_minimizes),
+              Verdict("Sec 9 bound >= 0.9 x the closed-form optimum",
+                      bound_above_optimum),
+              Verdict("Sec 9 bound <= 1.5 x the closed-form optimum",
+                      bound_near_optimum)),
+)
+
+
+def _poisson_scenario(cell: dict) -> Scenario:
+    workload = WorkloadSpec.make(
+        uniform_random_walk, cell["seeds"], num_sources=1,
+        objects_per_source=cell["objects"],
+        horizon=cell["warmup"] + cell["measure"])
+    return Scenario(workload=workload, policy="ideal",
+                    cache_bandwidth=cell["cache-bandwidth"],
+                    source_bandwidth=None, warmup=cell["warmup"],
+                    measure=cell["measure"], seed=cell["seeds"],
+                    metric=cell["metrics"],
+                    priority="paper" if cell["arm"] == "special" else "area")
+
+
+def seed_means(rows: list[dict]) -> dict[str, tuple[float, float]]:
+    """Per metric, the (special-case, general) divergence means over the
+    seed axis."""
+    runs: dict[str, list[dict]] = {}
+    for r in rows:
+        runs.setdefault(r["metrics"], []).append(r)
+    return {metric: tuple(float(np.mean([r[arm]["divergence"]
+                                         for r in group]))
+                          for arm in ("special", "general"))
+            for metric, group in runs.items()}
+
+
+def special_cases_hold(rows: list[dict]) -> bool:
+    """X4: the rate-aware special cases lose by at most 10% to the
+    general formula, every metric, on the seed means (the former
+    ``bench_ablation_priority`` assert ``special <= general * 1.10``)."""
+    means = seed_means(rows)
+    return bool(means) and all(special <= general * 1.10
+                               for special, general in means.values())
+
+
+POISSON = Matrix(
+    name="poisson",
+    title=lambda p: ("X4: Sec 3.4 special-case formulas vs. the general "
+                     "formula"),
+    params=(Param("metrics", ("staleness", "lag"), str, many=True,
+                  choices=METRICS),
+            Param("seeds", (0, 1, 2), int, many=True, minimum=0),
+            Param("objects", 100, int, minimum=1),
+            Param("cache-bandwidth", 10.0, minimum=0),
+            *_timing(100.0, 600.0)[:2]),
+    axes=("metrics", "seeds"),
+    arms=("special", "general"),
+    scenario=_poisson_scenario,
+    columns=(("metric", itemgetter("metrics")), ("seed", itemgetter("seeds")),
+             ("special-case priority", _field("special", "divergence")),
+             ("general area priority", _field("general", "divergence"))),
+    extras=lambda rows: [
+        f"{metric}, mean over seeds: special-case {special:.4g}, "
+        f"general {general:.4g}"
+        for metric, (special, general) in seed_means(rows).items()],
+    verdicts=(Verdict("special-case priority <= 1.10 x the general one, "
+                      "every metric (seed means)", special_cases_hold),),
+)
+
+
+#: X5's bandwidth regimes (aggregate cache msgs/s) for 4 sources of 10
+#: objects, each on a 10 msgs/s link
+X5_REGIMES = {"scarce": 4.0, "abundant": 40.0}
+X5_SOURCE_BANDWIDTH = 10.0
+X5_BATCH_TIMEOUT = 2.0
+
+
+def _batching_scenario(cell: dict) -> Scenario:
+    workload = _workload(uniform_random_walk, cell, num_sources=4,
+                         objects_per_source=10, rate_range=(0.3, 1.0))
+    return _scenario(cell, workload, "cooperative",
+                     cache_bandwidth=X5_REGIMES[cell["regime"]],
+                     source_bandwidth=X5_SOURCE_BANDWIDTH, metric="staleness",
+                     policy_kwargs=(("batch_size", cell["batch-sizes"]),
+                                    ("batch_timeout", X5_BATCH_TIMEOUT)))
+
+
+def _batched(rows: list[dict], regime: str, size: int) -> dict | None:
+    return next((r for r in rows if (r["regime"], r["batch-sizes"])
+                 == (regime, size)), None)
+
+
+def batching_amortizes(rows: list[dict]) -> bool:
+    """X5: under scarce bandwidth batches of 4 beat single refreshes (the
+    former ``bench_future_work`` assert ``scarce[4] < scarce[1]``)."""
+    one, four = (_batched(rows, "scarce", size) for size in (1, 4))
+    return (one is not None and four is not None
+            and four["unweighted"] < one["unweighted"])
+
+
+def batching_delays(rows: list[dict]) -> bool:
+    """X5: under abundant bandwidth batches of 8 do not help much (the
+    former ``bench_future_work`` assert ``abundant[8] >= abundant[1] *
+    0.9``)."""
+    one, eight = (_batched(rows, "abundant", size) for size in (1, 8))
+    return (one is not None and eight is not None
+            and eight["unweighted"] >= one["unweighted"] * 0.9)
+
+
+def _has_batches(regime: str, *sizes: int
+                 ) -> Callable[[list[dict]], bool]:
+    return lambda rows: all(_batched(rows, regime, size) is not None
+                            for size in sizes)
+
+
+BATCHING = Matrix(
+    name="batching",
+    title=lambda p: "X5: Sec 10.1 refresh batching trade-off",
+    params=(Param("batch-sizes", (1, 2, 4, 8), int, many=True, minimum=1),
+            *_timing(150.0, 450.0)),
+    axes=("regime", "batch-sizes"),
+    resolve=lambda params: {**params, "regime": tuple(X5_REGIMES)},
+    scenario=_batching_scenario,
+    columns=(("bandwidth regime", lambda r: (
+                 f"{r['regime']} ({X5_REGIMES[r['regime']]:g} msg/s)")),
+             ("batch size", itemgetter("batch-sizes")),
+             ("avg staleness", itemgetter("unweighted")),
+             ("messages", itemgetter("messages"))),
+    verdicts=(Verdict("scarce bandwidth: batches of 4 beat single refreshes",
+                      batching_amortizes,
+                      applies=_has_batches("scarce", 1, 4)),
+              Verdict("abundant bandwidth: batches of 8 >= 0.9 x single "
+                      "refreshes", batching_delays,
+                      applies=_has_batches("abundant", 1, 8))),
+    na="n/a (cells not in this matrix)",
+)
+
+
+#: X6's object count and cache link (msgs/s)
+X6_OBJECTS = 50
+X6_CACHE_BANDWIDTH = 10.0
+
+
+def _rates_scenario(cell: dict) -> Scenario:
+    workload = _workload(uniform_random_walk, cell, num_sources=1,
+                         objects_per_source=X6_OBJECTS,
+                         rate_range=(0.05, 1.0))
+    return _scenario(cell, workload, "ideal",
+                     cache_bandwidth=X6_CACHE_BANDWIDTH, metric="staleness",
+                     rate_horizon=cell["horizon"])
+
+
+def long_horizon_near_oracle(rows: list[dict]) -> bool:
+    """X6: with the longest EWMA horizon, measured-rate scheduling is
+    within 1.25x + 0.02 of the oracle's staleness (the former
+    ``bench_future_work`` assert ``longest <= oracle * 1.25 + 0.02``)."""
+    oracle = [r["unweighted"] for r in rows if r["horizon"] is None]
+    measured = sorted((r["horizon"], r["unweighted"]) for r in rows
+                      if r["horizon"] is not None)
+    return bool(oracle and measured) and (measured[-1][1]
+                                          <= oracle[0] * 1.25 + 0.02)
+
+
+RATES = Matrix(
+    name="rates",
+    title=lambda p: "X6: Sec 8.1 measured rates vs. oracle rates",
+    params=(Param("horizons", (2.0, 10.0, 50.0), many=True, minimum=1),
+            *_timing(150.0, 450.0, seed=1)),
+    axes=("horizon",),
+    # the oracle row (no estimate), then one row per horizon
+    resolve=lambda params: {**params,
+                            "horizon": (None, *params["horizons"])},
+    scenario=_rates_scenario,
+    columns=(("rate source", lambda r: (
+                 "oracle rates" if r["horizon"] is None
+                 else f"estimated, EWMA horizon {r['horizon']:g}")),
+             ("avg staleness", itemgetter("unweighted"))),
+    verdicts=(Verdict("longest EWMA horizon <= 1.25 x oracle staleness "
+                      "+ 0.02", long_horizon_near_oracle),),
 )
 
 
@@ -1729,5 +2226,6 @@ SCALE = Matrix(
 
 
 MATRICES = {m.name: m for m in (E1, E2, E3, FIG4, FIG5, FIG6, OVERHEAD,
-                                NETCOND, FAULTS, REBALANCE, MULTICAST,
+                                PSI, SAMPLING, BOUNDING, POISSON, BATCHING,
+                                RATES, NETCOND, FAULTS, REBALANCE, MULTICAST,
                                 MULTICACHE, READMODEL, SCALE)}

@@ -344,6 +344,7 @@ def merge_shard_results(shards: list[ShardResult], num_sources: int,
         migrations=sum(p.migrations for p in parts),
         mean_threshold=(sum(thresholds) / len(thresholds)
                         if thresholds else 0.0),
+        samples=sum(p.samples for p in parts),
     )
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.divergence import DivergenceMetric
 from repro.experiments.readmodel import ReadRun
 from repro.faults.plan import FaultPlan
@@ -16,7 +18,9 @@ from repro.faults.retry import RetryPolicy
 from repro.metrics.report import ReadStats, RunResult
 from repro.network.topology import TopologyConfig
 from repro.policies.base import SimulationContext, SyncPolicy
+from repro.policies.bounded import BoundMeter, assign_max_rates
 from repro.sim.engine import gc_paused
+from repro.source.rates import OnlineRateEstimator
 from repro.workloads.read_process import ReadTrace
 from repro.workloads.synthetic import Workload
 
@@ -70,7 +74,8 @@ def make_context(workload: Workload, metric: DivergenceMetric,
 
 def build_result(workload: Workload, metric: DivergenceMetric,
                  policy: SyncPolicy, ctx: SimulationContext,
-                 reads: ReadStats | None = None) -> RunResult:
+                 reads: ReadStats | None = None,
+                 mean_bound: float | None = None) -> RunResult:
     """Assemble the :class:`RunResult` of a finished run."""
     collector = ctx.collector
     topology = policy.topology
@@ -97,6 +102,10 @@ def build_result(workload: Workload, metric: DivergenceMetric,
         refreshes_sent=policy.refreshes_sent(),
         migrations=policy.migrations(),
         mean_threshold=policy.mean_threshold(),
+        samples=policy.samples_taken(),
+        own_refreshes=policy.own_refreshes(),
+        source_divergence=policy.source_divergence(),
+        mean_bound=mean_bound,
         reads=reads,
         **network,
     )
@@ -105,12 +114,22 @@ def build_result(workload: Workload, metric: DivergenceMetric,
 def run_policy(workload: Workload, metric: DivergenceMetric,
                policy: SyncPolicy, spec: RunSpec,
                reads: ReadTrace | None = None,
-               read_policy: str = "any") -> RunResult:
+               read_policy: str = "any",
+               rates: OnlineRateEstimator | None = None,
+               bound_latency: float | None = None) -> RunResult:
     """Replay ``workload`` through ``policy`` and measure divergence.
 
     ``reads`` adds a client read stream served by ``read_policy`` (see
     :class:`~repro.experiments.readmodel.ReadRun`); reads never perturb
     the simulation, and the result's ``reads`` holds what they saw.
+
+    ``rates`` observes every update before the policy does, so a
+    priority that reads its estimates (Sec 8.1) sees the update it is
+    evaluated for.  ``bound_latency`` installs the workload's rates as
+    each object's maximum divergence rate ``R_i`` and meters the Sec 9
+    bound ``R_i ((t - t_last) + L)`` over the ideal scheduler's
+    refreshes, with this refresh latency ``L``; the result's
+    ``mean_bound`` holds it.
 
     Runs with the cyclic garbage collector paused: one run allocates a
     large, mostly-acyclic object graph (data objects, events,
@@ -119,9 +138,26 @@ def run_policy(workload: Workload, metric: DivergenceMetric,
     """
     with gc_paused():
         ctx = make_context(workload, metric, spec)
+        if rates is not None:
+            ctx.add_update_hook(
+                lambda obj, now: rates.observe_update(obj.index, now))
+        meter = None
+        if bound_latency is not None:
+            max_rates = np.asarray(workload.rates)
+            assign_max_rates(ctx.objects, max_rates)
+            meter = BoundMeter(max_rates,
+                               np.full(len(max_rates), bound_latency),
+                               warmup=spec.warmup)
         policy.attach(ctx)
+        if meter is not None:
+            policy.refresh_hooks.append(meter.on_refresh)
         read_run = (None if reads is None else
                     ReadRun(ctx, policy, reads, read_policy=read_policy))
         ctx.run(spec.end_time, resample_interval=spec.resample_interval)
         stats = None if read_run is None else read_run.stats(spec.end_time)
-        return build_result(workload, metric, policy, ctx, reads=stats)
+        mean_bound = None
+        if meter is not None:
+            meter.finalize(spec.end_time)
+            mean_bound = meter.average_bound(spec.end_time)
+        return build_result(workload, metric, policy, ctx, reads=stats,
+                            mean_bound=mean_bound)

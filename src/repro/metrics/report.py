@@ -60,6 +60,13 @@ class RunResult:
     migrations: int = 0  #: sources the rebalancer moved between caches
     #: mean final source threshold ``T_j`` (None: a policy without one)
     mean_threshold: float | None = None
+    samples: int = 0  #: priority samples the sampling monitors took
+    own_refreshes: int = 0  #: refreshes sent for the sources' own priority
+    #: mean per-object divergence under the sources' weights (None: a
+    #: policy without a source objective)
+    source_divergence: float | None = None
+    #: mean per-object time-averaged divergence bound (None: not metered)
+    mean_bound: float | None = None
     reads: ReadStats | None = None  #: None when no read stream ran
 
     @property

@@ -408,18 +408,23 @@ def split_bandwidth(profile: BandwidthProfile,
     return [profile.scaled(1.0 / shares) for _ in range(shares)]
 
 
-def replay_credit_ticks(credit: float, earned: float, cap: float,
-                        ticks: int) -> float:
-    """Replay ``ticks`` per-tick ``min(credit + earned, cap)`` accruals.
+def replay_credit_ticks(credit: float, earned: float, ticks: int) -> float:
+    """Replay ``ticks`` per-tick accruals of ``earned`` credit.
 
-    Bit-exact against running the per-tick loop eagerly: the identical
-    float operations execute in the identical order, short-circuiting
-    only once a fixpoint is reached (saturation at the cap, or an
-    ``earned`` too small to move the float), after which every further
-    tick provably produces the same value.  This is the arithmetic
-    contract that lets token-bucket schedulers (uniform allocation,
-    competitive own-sends) skip idle ticks without perturbing results.
+    Each tick applies the links' refill rule
+    (:func:`~repro.network.link.refill_credit`): the credit is capped at
+    ``max(1, earned) + earned``, so a fractional slice is carried over
+    in full and a slice of 1.5 messages a tick sends three messages
+    every two ticks.  Bit-exact against running the per-tick loop
+    eagerly: the identical float operations execute in the identical
+    order, short-circuiting only once a fixpoint is reached (saturation
+    at the cap, or an ``earned`` too small to move the float), after
+    which every further tick provably produces the same value.  This is
+    the arithmetic contract that lets token-bucket schedulers (uniform
+    allocation, competitive own-sends) skip idle ticks without
+    perturbing results.
     """
+    cap = max(1.0, earned) + earned
     for _ in range(ticks):
         new_credit = min(credit + earned, cap)
         if new_credit == credit:
@@ -428,7 +433,7 @@ def replay_credit_ticks(credit: float, earned: float, cap: float,
     return credit
 
 
-def ticks_until_credit(credit: float, earned: float, cap: float,
+def ticks_until_credit(credit: float, earned: float,
                        target: float = 1.0) -> int | None:
     """Per-tick accruals until ``credit`` reaches ``target`` (None: never).
 
@@ -437,6 +442,7 @@ def ticks_until_credit(credit: float, earned: float, cap: float,
     see ``credit >= target``.  Returns ``None`` when the accrual hits a
     fixpoint below the target (zero rate, or saturation below it).
     """
+    cap = max(1.0, earned) + earned
     ticks = 0
     while credit < target:
         new_credit = min(credit + earned, cap)

@@ -237,6 +237,19 @@ class SyncPolicy(ABC):
         """Sources moved between caches by a rebalancer."""
         return 0
 
+    def samples_taken(self) -> int:
+        """Priority samples taken by sampling monitors (Sec 8.2.1)."""
+        return 0
+
+    def own_refreshes(self) -> int:
+        """Refreshes sent for the sources' own priorities (Sec 7)."""
+        return 0
+
+    def source_divergence(self) -> float | None:
+        """Mean per-object divergence under the sources' own weights
+        (Sec 7; None: the sources share the cache's objective)."""
+        return None
+
     def _not_attached(self) -> RuntimeError:
         name = type(self).__name__
         return RuntimeError(f"{name} is not attached: call attach() first")

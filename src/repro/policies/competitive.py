@@ -176,7 +176,7 @@ class CompetitivePolicy(CooperativePolicy):
         if self.option in ("equal", "proportional"):
             rate_dt = self._own_rate[j] * self._ctx.dt
             self._own_credit[j] = replay_credit_ticks(
-                self._own_credit[j], rate_dt, max(1.0, rate_dt),
+                self._own_credit[j], rate_dt,
                 self._own_tick_no - self._own_credit_tick[j])
         self._own_credit_tick[j] = self._own_tick_no
 
@@ -208,8 +208,7 @@ class CompetitivePolicy(CooperativePolicy):
         if self.option not in ("equal", "proportional"):
             return  # contribution credit is earned, not accrued: park
         rate_dt = self._own_rate[j] * self._ctx.dt
-        ticks = ticks_until_credit(self._own_credit[j], rate_dt,
-                                   max(1.0, rate_dt))
+        ticks = ticks_until_credit(self._own_credit[j], rate_dt)
         if ticks is not None:
             self._own_wakeups.arm(j, self._own_tick_no + ticks)
 
@@ -222,3 +221,12 @@ class CompetitivePolicy(CooperativePolicy):
             raise self._not_attached()
         self.source_collector.finalize(end_time)
         return self.source_collector.mean_weighted_average()
+
+    def own_refreshes(self) -> int:
+        return self.own_refreshes_sent
+
+    def source_divergence(self) -> float:
+        """The source objective at the end of the run."""
+        if self.source_collector is None:
+            raise self._not_attached()
+        return self.source_objective_divergence(self._ctx.sim.now)

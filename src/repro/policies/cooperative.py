@@ -420,3 +420,8 @@ class CooperativePolicy(SyncPolicy):
 
     def migrations(self) -> int:
         return self.rebalancer.migrations if self.rebalancer else 0
+
+    def samples_taken(self) -> int:
+        if self.sources is None or self.monitor_kind != "sampling":
+            return 0
+        return sum(monitor.samples_taken for monitor in self.sources.monitors)

@@ -153,8 +153,7 @@ class UniformAllocationPolicy(SyncPolicy):
         """Catch up the per-tick accruals skipped since the last wake."""
         earned = self._rates[j] * dt
         self._credit[j] = replay_credit_ticks(
-            self._credit[j], earned, max(1.0, earned) + earned,
-            self._tick_no - self._credit_tick[j])
+            self._credit[j], earned, self._tick_no - self._credit_tick[j])
         self._credit_tick[j] = self._tick_no
 
     def _send_while_credit(self, j: int, now: float) -> bool:
@@ -183,8 +182,7 @@ class UniformAllocationPolicy(SyncPolicy):
         on it identically.
         """
         earned = self._rates[j] * self._ctx.dt
-        ticks = ticks_until_credit(self._credit[j], earned,
-                                   max(1.0, earned) + earned)
+        ticks = ticks_until_credit(self._credit[j], earned)
         if ticks is not None:
             self._wakeups.arm(j, self._tick_no + ticks)
 

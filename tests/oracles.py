@@ -114,7 +114,7 @@ def _competitive_scan_own_sends(self, now: float) -> None:
         if self.option in ("equal", "proportional"):
             rate_dt = self._own_rate[j] * dt
             self._own_credit[j] = min(self._own_credit[j] + rate_dt,
-                                      max(1.0, rate_dt))
+                                      max(1.0, rate_dt) + rate_dt)
         self._own_send_while_credit(j, now)
 
 

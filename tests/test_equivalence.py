@@ -708,7 +708,10 @@ class TestTimeVaryingPriority:
     captured when the policies ran this priority on a per-tick scan of
     their own.  The sampling pins were re-captured once sampling passed
     its estimate through the priority function: until then a sampling
-    source ranked by the area priority whatever function it was given."""
+    source ranked by the area priority whatever function it was given.
+    The competitive pins were re-captured once own-priority credit took
+    the links' refill rule: until then a Psi slice was cut to whole
+    messages per tick."""
 
     PINS = {
         ("cooperative", "star", "trigger", 1, False, 0):
@@ -733,20 +736,20 @@ class TestTimeVaryingPriority:
             (0.4030729483092989, 0.4030729483092989, 1987, 20, 704, 342,
              0.050748241583704126, None),
         ("competitive", "star", "trigger", 1, True, 0):
-            (1.250028280581999, 1.0336279672429343, 347, 13, 362, 349,
-             3.6151620470306485, 66),
+            (1.2273020841111049, 0.9846665171133204, 347, 13, 364, 351,
+             3.1138385498478676, 75),
         ("competitive", "star", "sampling", 3, False, 3):
-            (0.47144288023220077, 0.47144288023220077, 319, 52, 209, 157,
-             2.7127003433085605e-12, 76),
+            (0.40810074518053024, 0.40810074518053024, 345, 52, 221, 169,
+             3.0569585598531742e-12, 81),
         ("competitive", "sharded-2", "trigger", 3, True, 0):
-            (0.5966890287661395, 0.4652791234767022, 945, 19, 362, 343,
-             0.04028458997004446, 39),
+            (0.589359491238877, 0.45131951719150387, 962, 18, 360, 342,
+             0.07504264108526851, 32),
         ("competitive", "replicated-2-multicast", "trigger", 1, False, 3):
-            (0.8059822500639403, 0.8059822500639403, 690, 13, 717, 352,
-             2.7606861192429673, 62),
+            (0.7730648330803939, 0.7730648330803939, 685, 13, 717, 352,
+             3.313755467085879, 70),
         ("competitive", "replicated-2-multicast", "sampling", 1, True, 0):
-            (0.8119316196416365, 0.6608606215634415, 679, 17, 705, 344,
-             1.6853526832658494, 67),
+            (0.8124312102642518, 0.6727060096736993, 660, 17, 707, 345,
+             2.2166404807734823, 72),
     }
 
     @pytest.mark.parametrize("config", sorted(PINS), ids=lambda c: "-".join(

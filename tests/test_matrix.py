@@ -29,10 +29,19 @@ from repro.experiments.matrix import (
     Scenario,
     adaptive_beats_static,
     adaptive_migrates,
+    batching_amortizes,
+    batching_delays,
     blackout_graceful,
+    bound_above_optimum,
+    bound_near_optimum,
+    bound_priority_minimizes,
     cgm1_at_most_cgm2,
+    contribution_piggybacks,
+    contribution_serves_sources,
     controls_invariant,
     cooperative_beats_uniform,
+    dense_beats_sparse,
+    dense_near_exact,
     empty_plan_is_baseline,
     freshest_equals_full_quorum,
     graceful_degradation,
@@ -40,7 +49,9 @@ from repro.experiments.matrix import (
     ideal_falls_with_bandwidth,
     ideal_leads_ours,
     inert_matches_static,
+    long_horizon_near_oracle,
     loss_monotone,
+    make_policy,
     multicast_dominates,
     neighbour_setting_near_best,
     ours_beats_cgm1,
@@ -49,8 +60,10 @@ from repro.experiments.matrix import (
     overhead_flat,
     overhead_low,
     overhead_near_equilibrium,
+    own_sends_rise_with_psi,
     paper_setting_near_best,
     priorities_agree,
+    psi_serves_sources,
     quorum_monotone,
     refreshes_conserved,
     retry_recovers,
@@ -58,11 +71,16 @@ from repro.experiments.matrix import (
     run_scenario,
     skew_penalizes_deviation,
     skew_penalizes_lag,
+    special_cases_hold,
     steady_matches_constant,
     tracks_ideal,
     unicast_tie_at_r1,
 )
+from repro.core.priority import AreaPriority
+from repro.core.weights import StaticWeights
 from repro.experiments.parallel import WorkloadSpec
+from repro.network.bandwidth import ConstantBandwidth
+from repro.source.rates import EstimatedRatePriority
 from repro.workloads.synthetic import uniform_random_walk
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,6 +97,14 @@ TINY = {
     "fig6": "sources=2 objects=5 fractions=0.3,0.7 warmup=30 measure=120 "
             "seed=3",
     "overhead": "sources=3,5 objects=4 warmup=30 measure=120",
+    # 1.0 and 1.5 own messages a tick per source at psi 0.5 and 0.75
+    "psi": "psis=0,0.5,0.75 sources=2 objects=10 cache-bandwidth=4 "
+           "warmup=20 measure=100",
+    "sampling": "intervals=2,10 warmup=20 measure=80",
+    "bounding": "objects=10 warmup=20 measure=100",
+    "poisson": "seeds=0,1 objects=20 warmup=20 measure=100",
+    "batching": "batch-sizes=1,4,8 warmup=30 measure=90",
+    "rates": "horizons=2,50 warmup=30 measure=90",
     "netcond": "scenarios=steady,outage topologies=star sources=4 "
                "objects=2 cache-bandwidth=6 source-bandwidth=1.5 "
                "warmup=20 measure=60",
@@ -98,8 +124,10 @@ TINY = {
 }
 
 #: (row axis values) -> arm -> weighted divergence (Figures 5 and 6 plot
-#: the unweighted one); matrices without arms (e3, overhead, readmodel,
-#: scale) pin their record fields instead.
+#: the unweighted one); matrices without arms (e3, overhead, the X1-X3
+#: and X5-X6 analyses, readmodel, scale) pin their record fields instead.
+#: The X pins at default size are the values the benches these matrices
+#: replaced computed; these tiny ones were captured from the matrices.
 PINS = {
     "e1": {
         (40, "staleness"): {"ours": 0.4925,
@@ -177,6 +205,69 @@ PINS = {
                "feedback": 47,
                "refreshes": 1078},
     },
+    "psi": {
+        ("equal", 0.0): {"divergence": 3.8479925589931043,
+                         "source_divergence": 6.445660919763074,
+                         "own_refreshes": 0},
+        ("equal", 0.5): {"divergence": 3.8321140980990442,
+                         "source_divergence": 5.405479729865224,
+                         "own_refreshes": 226},
+        ("equal", 0.75): {"divergence": 4.701433904220279,
+                          "source_divergence": 4.820989660741607,
+                          "own_refreshes": 285},
+        ("contribution", 0.0): {"divergence": 3.8479925589931043,
+                                "source_divergence": 6.445660919763074,
+                                "own_refreshes": 0},
+        ("contribution", 0.5): {"divergence": 4.068863145156613,
+                                "source_divergence": 5.006087014293511,
+                                "own_refreshes": 177},
+        ("contribution", 0.75): {"divergence": 4.201224517029742,
+                                 "source_divergence": 5.253015269544295,
+                                 "own_refreshes": 192},
+    },
+    "sampling": {
+        (("trigger", None),): {"unweighted": 0.4582566121208595,
+                               "samples": 0},
+        (("sampling", 2.0),): {"unweighted": 0.44474265550364417,
+                               "samples": 1989},
+        (("predictive", 2.0),): {"unweighted": 0.43028674615180595,
+                                 "samples": 2047},
+        (("sampling", 10.0),): {"unweighted": 0.9303432904421459,
+                                "samples": 400},
+        (("predictive", 10.0),): {"unweighted": 0.9301335996261381,
+                                  "samples": 407},
+    },
+    "bounding": {
+        ("bound",): {"bound": 0.8142829620938754,
+                     "unweighted": 0.37717166430839194},
+        ("area",): {"bound": 1.2716269636244444,
+                    "unweighted": 0.08659545772723352},
+    },
+    "poisson": {
+        ("staleness", 0): {"special": 0.00936112254472338,
+                           "general": 0.012986551308052222},
+        ("staleness", 1): {"special": 0.00170465821955651,
+                           "general": 0.0018957312722251308},
+        ("lag", 0): {"special": 0.01721692385056953,
+                     "general": 0.024259275242474145},
+        ("lag", 1): {"special": 0.0023955256776506105,
+                     "general": 0.0026196012237006024},
+    },
+    "batching": {
+        ("scarce", 1): {"unweighted": 0.7841037231663309, "messages": 490},
+        ("scarce", 4): {"unweighted": 0.5670024066542451, "messages": 480},
+        ("scarce", 8): {"unweighted": 0.3528766560696939, "messages": 307},
+        ("abundant", 1): {"unweighted": 0.0, "messages": 3484},
+        ("abundant", 4): {"unweighted": 0.1522321865453079,
+                          "messages": 771},
+        ("abundant", 8): {"unweighted": 0.3528766560696939,
+                          "messages": 331},
+    },
+    "rates": {
+        (None,): {"unweighted": 0.3757961874238742},
+        (2.0,): {"unweighted": 0.4074868287942799},
+        (50.0,): {"unweighted": 0.43938940010024846},
+    },
     "netcond": {
         ("steady", "star"): {"cooperative": 0.07331317362900115,
                              "uniform": 0.32027754395076363,
@@ -238,7 +329,7 @@ PINS = {
                            "ideal": 0.03467493377551098},
         (2, "unicast"): {"cooperative": 0.7699077284804052,
                          "uniform": 2.8188297289345563,
-                         "competitive": 0.7917952270493291,
+                         "competitive": 0.875238149160042,
                          "cgm": 0.4939805216452097,
                          "ideal": 0.03467493377551098},
         (2, "multicast"): {"cooperative": 0.1149314572018706,
@@ -328,13 +419,16 @@ class TestTinyPins:
 
     def test_registry_order(self):
         assert list(MATRICES) == ["e1", "e2", "e3", "fig4", "fig5", "fig6",
-                                  "overhead", "netcond", "faults",
+                                  "overhead", "psi", "sampling",
+                                  "bounding", "poisson", "batching",
+                                  "rates", "netcond", "faults",
                                   "rebalance", "multicast", "multicache",
                                   "readmodel", "scale"]
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("name", ["faults", "readmodel", "fig6"])
+    # psi: every scenario carries a weight model in its policy kwargs
+    @pytest.mark.parametrize("name", ["faults", "readmodel", "fig6", "psi"])
     def test_pool_rows_equal_serial_rows(self, name):
         assert tiny(name, workers=2)[1] == tiny(name)[1]
 
@@ -352,7 +446,9 @@ class TestScenario:
                                "refreshes", "messages", "feedback",
                                "overhead", "units", "dropped",
                                "retransmitted", "duplicates", "migrations",
-                               "queue_peak", "sent", "queued"}
+                               "queue_peak", "sent", "queued", "samples",
+                               "own_refreshes", "source_divergence",
+                               "bound"}
         assert record["refreshes"] > 0 and record["units"] > 0
         assert record["sent"] == record["refreshes"] + record["queued"]
 
@@ -362,6 +458,34 @@ class TestScenario:
                      policy="uniform", cache_bandwidth=1.0,
                      source_bandwidth=1.0, warmup=1.0, measure=0.0)
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"priority": "fastest"}, "unknown priority function 'fastest'"),
+        ({"rate_horizon": 0.5}, "horizon must be >= 1"),
+        ({"bound_latency": 0.5}, "the bound meter needs the ideal"),
+        ({"policy": "ideal", "bound_latency": -1.0},
+         "bound_latency must be >= 0")])
+    def test_construction_validates_the_run_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario(**{**dict(workload=WorkloadSpec.make(
+                uniform_random_walk, 0), policy="uniform",
+                cache_bandwidth=1.0, source_bandwidth=1.0, warmup=1.0,
+                measure=1.0), **fields})
+
+    def test_priority_names(self):
+        def priority(**fields):
+            scenario = Scenario(
+                workload=WorkloadSpec.make(uniform_random_walk, 0),
+                policy="ideal", cache_bandwidth=1.0, source_bandwidth=None,
+                warmup=1.0, measure=1.0, metric="staleness", **fields)
+            return scenario.priority_fn(scenario.rates())
+        assert priority().name == "poisson-staleness"
+        # "area" is the general formula: the paper's priority without
+        # rate knowledge
+        assert type(priority(priority="area")) is AreaPriority
+        estimated = priority(rate_horizon=10.0)
+        assert isinstance(estimated, EstimatedRatePriority)
+        assert estimated.inner.name == "poisson-staleness"
+
     @pytest.mark.parametrize("window,message", [
         ({"warmup": float("nan"), "measure": 1.0}, "warmup must be >= 0"),
         ({"warmup": 1.0, "measure": float("nan")}, "measure must be > 0")])
@@ -370,6 +494,23 @@ class TestScenario:
             Scenario(workload=WorkloadSpec.make(uniform_random_walk, 0),
                      policy="uniform", cache_bandwidth=1.0,
                      source_bandwidth=1.0, **window)
+
+
+class TestMakePolicy:
+    def args(self):
+        return ConstantBandwidth(4.0), [ConstantBandwidth(1.0)] * 3, 6
+
+    def test_competitive_defaults(self):
+        policy = make_policy("competitive", *self.args())
+        assert policy.psi == 0.25
+        assert policy.source_weights.values.tolist() == [1.0] * 6
+
+    def test_competitive_takes_its_own_psi_and_weights(self):
+        weights = StaticWeights.uniform(6, 2.0)
+        policy = make_policy("competitive", *self.args(), psi=0.5,
+                             source_weights=weights, option="contribution")
+        assert (policy.psi, policy.option) == (0.5, "contribution")
+        assert policy.source_weights is weights
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +599,32 @@ def share(sources, overhead):
 
 def backlog(sent, delivered, queued):
     return {"sent": sent, "refreshes": delivered, "queued": queued}
+
+
+def psi(option, value, source=1.0, own=0):
+    return {"options": option, "psis": value, "source_divergence": source,
+            "own_refreshes": own}
+
+
+def monitor(kind, interval, deviation):
+    return {"monitor": (kind, interval), "unweighted": deviation}
+
+
+def scheduler(name, bound, optimum=1.0):
+    return {"scheduler": name, "bound": bound, "optimum": optimum}
+
+
+def seeded(metric, seed, special, general):
+    return {"metrics": metric, "seeds": seed, "special": arm(special),
+            "general": arm(general)}
+
+
+def batch(regime, size, staleness):
+    return {"regime": regime, "batch-sizes": size, "unweighted": staleness}
+
+
+def estimate(horizon, staleness):
+    return {"horizon": horizon, "unweighted": staleness}
 
 
 PREDICTED = equilibrium_overhead_fraction()
@@ -559,6 +726,113 @@ VERDICT_CASES = [
     case(overhead_near_equilibrium, [share(5, 3.0 * PREDICTED)], False,
          "edge-3x"),
     case(overhead_near_equilibrium, [], False, "vacuous"),
+    # X1 psi: the last row of an option against its first, in psi order
+    case(psi_serves_sources, [psi("equal", 0.0, 5.0), psi("equal", 0.75, 4.0)],
+         True, "serves"),
+    case(psi_serves_sources, [psi("equal", 0.75, 4.0), psi("equal", 0.0, 5.0)],
+         True, "sorted-by-psi"),
+    case(psi_serves_sources, [psi("equal", 0.0, 5.0), psi("equal", 0.75, 5.0)],
+         False, "tie-loses"),
+    case(psi_serves_sources, [psi("contribution", 0.0, 5.0),
+                              psi("contribution", 0.5, 4.0)], False,
+         "other-option-vacuous"),
+    case(own_sends_rise_with_psi, [psi("equal", 0.0), psi("equal", 0.5, own=9),
+                                   psi("equal", 0.75, own=12)], True,
+         "rises"),
+    case(own_sends_rise_with_psi, [psi("equal", 0.0), psi("equal", 0.5, own=9),
+                                   psi("equal", 0.75, own=9)], False,
+         "flat-step"),
+    case(own_sends_rise_with_psi, [psi("equal", 0.5, own=9)], False,
+         "vacuous"),
+    case(contribution_piggybacks, [psi("contribution", 0.0),
+                                   psi("contribution", 0.5, own=3)], True,
+         "piggybacks"),
+    case(contribution_piggybacks, [psi("contribution", 0.0),
+                                   psi("contribution", 0.5, own=0)], False,
+         "none-sent"),
+    case(contribution_piggybacks, [psi("contribution", 0.0)], False,
+         "vacuous"),
+    case(contribution_serves_sources, [psi("contribution", 0.0, 5.0),
+                                       psi("contribution", 0.5, 4.0)], True,
+         "serves"),
+    case(contribution_serves_sources, [psi("contribution", 0.0, 5.0),
+                                       psi("contribution", 0.5, 5.5)], False,
+         "worse"),
+    case(contribution_serves_sources, [psi("equal", 0.0, 5.0),
+                                       psi("equal", 0.5, 4.0)], False,
+         "other-option-vacuous"),
+    # X2 sampling: the densest and sparsest plain sampling rows
+    case(dense_beats_sparse, [monitor("sampling", 2.0, 0.4),
+                              monitor("predictive", 30.0, 0.1),
+                              monitor("sampling", 30.0, 1.7)], True,
+         "predictive-ignored"),
+    case(dense_beats_sparse, [monitor("sampling", 30.0, 1.0),
+                              monitor("sampling", 2.0, 1.05)], True,
+         "edge-1.05x"),
+    case(dense_beats_sparse, [monitor("sampling", 2.0, 1.06),
+                              monitor("sampling", 30.0, 1.0)], False,
+         "dense-worse"),
+    case(dense_beats_sparse, [monitor("sampling", 2.0, 0.4)], False,
+         "vacuous"),
+    case(dense_near_exact, [monitor("trigger", None, 0.5),
+                            monitor("sampling", 2.0, 0.8),
+                            monitor("sampling", 30.0, 0.1)], True,
+         "edge-1.6x-densest"),
+    case(dense_near_exact, [monitor("trigger", None, 0.5),
+                            monitor("sampling", 2.0, 0.81)], False, "far"),
+    case(dense_near_exact, [monitor("sampling", 2.0, 0.4)], False,
+         "no-trigger-vacuous"),
+    # X3 bounding
+    case(bound_priority_minimizes, [scheduler("bound", 1.8),
+                                    scheduler("area", 2.2)], True,
+         "minimizes"),
+    case(bound_priority_minimizes, [scheduler("bound", 2.2),
+                                    scheduler("area", 2.2)], False,
+         "tie-loses"),
+    case(bound_priority_minimizes, [scheduler("bound", 1.8)], False,
+         "vacuous"),
+    case(bound_above_optimum, [scheduler("bound", 0.9)], True, "edge-0.9x"),
+    case(bound_above_optimum, [scheduler("bound", 0.89)], False, "below"),
+    case(bound_above_optimum, [scheduler("area", 1.0)], False, "vacuous"),
+    case(bound_near_optimum, [scheduler("bound", 1.5)], True, "edge-1.5x"),
+    case(bound_near_optimum, [scheduler("bound", 1.51)], False, "above"),
+    case(bound_near_optimum, [scheduler("area", 1.0)], False, "vacuous"),
+    # X4 poisson: the 1.10x bound reads the seed means
+    case(special_cases_hold, [seeded("staleness", 0, 0.5, 0.6),
+                              seeded("lag", 0, 1.8, 1.9)], True, "win"),
+    case(special_cases_hold, [seeded("lag", 0, 1.1, 1.0)], True,
+         "edge-1.10x"),
+    case(special_cases_hold, [seeded("lag", 0, 1.3, 1.0),
+                              seeded("lag", 1, 0.7, 1.0)], True,
+         "mean-over-seeds"),
+    case(special_cases_hold, [seeded("staleness", 0, 0.5, 0.6),
+                              seeded("lag", 0, 1.2, 1.0)], False,
+         "one-metric-loses"),
+    case(special_cases_hold, [], False, "vacuous"),
+    # X5 batching
+    case(batching_amortizes, [batch("scarce", 1, 0.8),
+                              batch("scarce", 4, 0.5)], True, "amortizes"),
+    case(batching_amortizes, [batch("scarce", 1, 0.8),
+                              batch("scarce", 4, 0.8)], False, "tie-loses"),
+    case(batching_amortizes, [batch("scarce", 1, 0.8),
+                              batch("abundant", 4, 0.5)], False, "vacuous"),
+    case(batching_delays, [batch("abundant", 1, 0.0),
+                           batch("abundant", 8, 0.36)], True, "delays"),
+    case(batching_delays, [batch("abundant", 1, 1.0),
+                           batch("abundant", 8, 0.9)], True, "edge-0.9x"),
+    case(batching_delays, [batch("abundant", 1, 1.0),
+                           batch("abundant", 8, 0.89)], False, "helps"),
+    case(batching_delays, [batch("abundant", 1, 1.0)], False, "vacuous"),
+    # X6 rates: the longest horizon against the oracle
+    case(long_horizon_near_oracle, [estimate(None, 0.4), estimate(50.0, 0.5),
+                                    estimate(2.0, 0.9)], True,
+         "longest-horizon"),
+    case(long_horizon_near_oracle, [estimate(None, 0.4),
+                                    estimate(50.0, 0.52)], True,
+         "edge-1.25x-plus-0.02"),
+    case(long_horizon_near_oracle, [estimate(None, 0.4),
+                                    estimate(50.0, 0.53)], False, "far"),
+    case(long_horizon_near_oracle, [estimate(None, 0.4)], False, "vacuous"),
     # E9 scale
     case(refreshes_conserved, [backlog(75, 75, 0), backlog(471, 238, 233)],
          True, "conserved"),
@@ -819,6 +1093,29 @@ BAD_CONFIGURATION = [
     (["overhead", "warmup=-1"], "warmup must be >= 0"),
     (["overhead", "measure=0"], "measure must be > 0"),
     (["overhead", "seed=-1"], "seed must be >= 0"),
+    # every key of the Secs 7-10 analyses (X1-X6)
+    (["psi", "psis=1"], "psis must be < 1"),
+    (["psi", "psis=-0.1"], "psis must be >= 0"),
+    (["psi", "options=auction"], "unknown value 'auction'"),
+    (["psi", "sources=0"], "sources must be >= 1"),
+    (["psi", "objects=0"], "objects must be >= 1"),
+    (["psi", "cache-bandwidth=-1"], "cache-bandwidth must be >= 0"),
+    (["psi", "seed=-1"], "seed must be >= 0"),
+    (["sampling", "intervals=0"], "intervals must be > 0"),
+    (["sampling", "measure=0"], "measure must be > 0"),
+    (["bounding", "cache-bandwidth=-1"], "cache-bandwidth must be >= 0"),
+    (["bounding", "objects=0"], "objects must be >= 1"),
+    (["bounding", "warmup=-1"], "warmup must be >= 0"),
+    (["poisson", "metrics=speed"], "unknown value 'speed'"),
+    (["poisson", "seeds=-1"], "seeds must be >= 0"),
+    (["poisson", "objects=0"], "objects must be >= 1"),
+    (["poisson", "cache-bandwidth=nan"], "cache-bandwidth must be finite"),
+    (["poisson", "measure=0"], "measure must be > 0"),
+    (["batching", "batch-sizes=0"], "batch-sizes must be >= 1"),
+    (["batching", "seed=-1"], "seed must be >= 0"),
+    (["rates", "horizons=0.5"], "horizons must be >= 1"),
+    (["rates", "seed=-1"], "seed must be >= 0"),
+    (["rates", "warmup=-1"], "warmup must be >= 0"),
     # non-finite floats: inf and nan parse as floats, and nan fails no
     # comparison, so these reached the simulator
     (["e1", "warmup=inf"], "warmup must be finite, got inf"),

@@ -129,3 +129,25 @@ class TestPsiTradeoff:
         ctx2 = SimulationContext(w2, ValueDeviation())
         prop.attach(ctx2)
         assert equal._own_rate == prop._own_rate
+
+
+class TestFractionalSlice:
+    """A Psi slice that is not a whole number of messages a tick is sent
+    in full: own-send credit is refilled by the links' rule, so its
+    fraction carries over instead of being clipped at the next tick."""
+
+    @pytest.mark.parametrize("per_tick", [0.4, 1.5])
+    def test_slice_is_sent_in_full(self, per_tick):
+        # One source whose objects always change, on a roomy link: the
+        # Psi slice of the cache link is the only limit on own sends.
+        w = uniform_random_walk(num_sources=1, objects_per_source=40,
+                                horizon=200.0,
+                                rng=np.random.default_rng(0),
+                                rate_range=(0.8, 1.0))
+        policy = CompetitivePolicy(
+            ConstantBandwidth(2.0 * per_tick), [ConstantBandwidth(100.0)],
+            AreaPriority(), source_weights=StaticWeights.uniform(40),
+            psi=0.5)
+        result = run_policy(w, ValueDeviation(), policy,
+                            RunSpec(warmup=0.0, measure=200.0))
+        assert result.own_refreshes == round(per_tick * 200)

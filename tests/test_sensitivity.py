@@ -9,9 +9,10 @@ pair must sit on :data:`INERT` with the reason it cannot move the run.
 The ``readmodel``, ``scale``, ``multicache`` and ``faults`` matrices'
 parameters are probed the same way, each against a tiny base (three
 replicated rows; one row of 200 sources; one replicated row of two arms;
-two fault rows of six arms, one of them the CGM baseline).  Every silent
-(or failing) pair is reported in one pass, the way a parameter sweep
-logs its failed runs and goes on, so one run of the test names them all.
+two fault rows of six arms, one of them the CGM baseline), and so are
+those of the six Secs 7-10 analysis matrices (X1-X6).  Every silent (or
+failing) pair is reported in one pass, the way a parameter sweep logs
+its failed runs and goes on, so one run of the test names them all.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 import inspect
 
 import numpy as np
+import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.core.priority import AreaPriority, SimpleDivergencePriority
@@ -418,4 +420,52 @@ def test_every_faults_param_is_probed():
 def test_every_faults_param_changes_a_row_or_is_inert():
     problems = param_problems(FAULTS, FAULTS_BASE, FAULTS_PROBES,
                               FAULTS_INERT)
+    assert not problems, "\n".join(problems)
+
+
+# ----------------------------------------------------------------------
+# Matrix Params: the Secs 7-10 analyses (X1-X6)
+# ----------------------------------------------------------------------
+#: matrix -> (a tiny base, Param key -> one other valid value).  Each
+#: base is one row (two arms for poisson) on a link its workload
+#: saturates, so the bandwidth keys reach the run.
+X_PROBES = {
+    "psi": ({"psis": "0.5", "options": "equal", "sources": "2",
+             "objects": "4", "cache-bandwidth": "4", "warmup": "10",
+             "measure": "40"},
+            {"psis": "0.25", "options": "contribution", "sources": "3",
+             "objects": "5", "cache-bandwidth": "6", "warmup": "5",
+             "measure": "50", "seed": "1"}),
+    "sampling": ({"intervals": "5", "warmup": "10", "measure": "40"},
+                 {"intervals": "10", "warmup": "5", "measure": "50",
+                  "seed": "1"}),
+    "bounding": ({"objects": "5", "warmup": "10", "measure": "40"},
+                 {"cache-bandwidth": "2", "objects": "6", "warmup": "5",
+                  "measure": "50", "seed": "1"}),
+    "poisson": ({"metrics": "staleness", "seeds": "0", "objects": "10",
+                 "cache-bandwidth": "3", "warmup": "10", "measure": "40"},
+                {"metrics": "lag", "seeds": "1", "objects": "12",
+                 "cache-bandwidth": "5", "warmup": "5", "measure": "50"}),
+    "batching": ({"batch-sizes": "2", "warmup": "10", "measure": "40"},
+                 {"batch-sizes": "4", "warmup": "5", "measure": "50",
+                  "seed": "1"}),
+    "rates": ({"horizons": "2", "warmup": "10", "measure": "40"},
+              {"horizons": "10", "warmup": "5", "measure": "50",
+               "seed": "0"}),
+}
+#: matrix -> Param key -> why its probe leaves every row unchanged
+X_INERT: dict[str, dict[str, str]] = {}
+
+
+@pytest.mark.parametrize("name", list(X_PROBES))
+def test_every_x_param_is_probed(name):
+    keys = [param.key for param in MATRICES[name].params]
+    assert sorted(X_PROBES[name][1]) == sorted(keys)
+
+
+@pytest.mark.parametrize("name", list(X_PROBES))
+def test_every_x_param_changes_a_row_or_is_inert(name):
+    base, probes = X_PROBES[name]
+    problems = param_problems(MATRICES[name], base, probes,
+                              X_INERT.get(name, {}))
     assert not problems, "\n".join(problems)
