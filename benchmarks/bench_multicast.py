@@ -50,7 +50,7 @@ def _send_inlined(topology, count):
     for i in range(count):
         message = RefreshMessage(source_id=0, sent_at=1.0)
         source_id = message.source_id
-        if topology._synced[source_id] < topology._tick_no:
+        if topology._synced[source_id] < topology.tick_no:
             topology._sync_source(source_id)
         now = message.sent_at
         credit = topology._credit[source_id]

@@ -1,7 +1,6 @@
 """Closed-form analysis: ideal schedules and protocol equilibria."""
 
 from repro.analysis.equilibrium import (
-    equilibrium_feedback_period,
     equilibrium_overhead_fraction,
     refreshes_per_feedback,
     threshold_drift_per_second,
@@ -17,7 +16,6 @@ from repro.analysis.ideal import (
 __all__ = [
     "IdealSchedule",
     "bound_schedule",
-    "equilibrium_feedback_period",
     "equilibrium_overhead_fraction",
     "linear_divergence_schedule",
     "random_walk_deviation_rates",

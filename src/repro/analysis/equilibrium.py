@@ -18,9 +18,9 @@ splits as ``C = refresh_rate + feedback_rate`` giving
 
 independent of the number of sources.  These closed forms back the Sec 6
 claim of "low communication overhead even in environments with a large
-number of sources", and the expected feedback *period* per source
-(``m (1 + r) / (C r)``) is what the gamma flood-detector should compare
-elapsed time against.
+number of sources".  The gamma flood-detector compares elapsed time
+against ``refreshes_per_feedback() * m / C`` per source, floored at five
+ticks (``CooperativePolicy._feedback_period_for``).
 """
 
 from __future__ import annotations
@@ -45,24 +45,6 @@ def equilibrium_overhead_fraction(alpha: float = DEFAULT_ALPHA,
     """Fraction of cache bandwidth spent on feedback at equilibrium."""
     r = 1.0 / refreshes_per_feedback(alpha, omega)
     return r / (1.0 + r)
-
-
-def equilibrium_feedback_period(num_sources: int, cache_bandwidth: float,
-                                alpha: float = DEFAULT_ALPHA,
-                                omega: float = DEFAULT_OMEGA) -> float:
-    """Expected seconds between feedback messages to one source.
-
-    At equilibrium the total feedback rate is
-    ``C * overhead_fraction`` spread over ``num_sources`` sources.
-    """
-    if num_sources <= 0:
-        raise ValueError(f"need at least one source, got {num_sources}")
-    if cache_bandwidth <= 0:
-        raise ValueError(
-            f"cache bandwidth must be > 0, got {cache_bandwidth}")
-    total_feedback_rate = (cache_bandwidth
-                           * equilibrium_overhead_fraction(alpha, omega))
-    return num_sources / total_feedback_rate
 
 
 def threshold_drift_per_second(refresh_rate: float, feedback_rate: float,

@@ -26,19 +26,12 @@ from repro.core.priority import (
 )
 from repro.core.threshold import DEFAULT_ALPHA, DEFAULT_OMEGA, ThresholdTable
 from repro.core.tracking import PriorityTable
-from repro.core.weights import (
-    CostAdjustedWeights,
-    ProductWeights,
-    SineWeights,
-    StaticWeights,
-    WeightModel,
-)
+from repro.core.weights import SineWeights, StaticWeights, WeightModel
 
 __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_OMEGA",
     "AreaPriority",
-    "CostAdjustedWeights",
     "DataObject",
     "DivergenceBoundPriority",
     "DivergenceMetric",
@@ -47,7 +40,6 @@ __all__ = [
     "PoissonStalenessPriority",
     "PriorityFunction",
     "PriorityTable",
-    "ProductWeights",
     "SimpleDivergencePriority",
     "SineWeights",
     "Staleness",

@@ -192,72 +192,3 @@ class SineWeights(WeightModel):
         sliced._set_omega(self.omega[indices])
         return sliced
 
-
-class CostAdjustedWeights(WeightModel):
-    """Weights divided by per-object refresh cost (paper Sec 10.1).
-
-    "Accounting for non-uniform cost in the priority function is a simple
-    matter of extending the weight to include a factor inversely
-    proportional to cost."  This model applies that factor so a twice-as-
-    expensive object must be twice as valuable per unit divergence to win
-    a refresh slot.  (The harder question the paper leaves open -- budget
-    admission when the top-priority object is larger than the remaining
-    bandwidth -- is out of scope here; all messages still cost one unit on
-    the wire.)
-    """
-
-    def __init__(self, base: WeightModel, costs: np.ndarray) -> None:
-        costs = np.asarray(costs, dtype=float)
-        if len(costs) != base.n:
-            raise ValueError(
-                f"expected {base.n} costs, got {len(costs)}")
-        if (costs <= 0).any():
-            raise ValueError("costs must be positive")
-        super().__init__(base.n)
-        self.base = base
-        self.costs = costs
-
-    def weight(self, index: int, t: float) -> float:
-        return self.base.weight(index, t) / float(self.costs[index])
-
-    def weights(self, t: float) -> np.ndarray:
-        return self.base.weights(t) / self.costs
-
-    def weights_at(self, times: np.ndarray,
-                   indices: np.ndarray | None = None) -> np.ndarray:
-        costs = self.costs if indices is None else self.costs[indices]
-        return self.base.weights_at(times, indices) / costs
-
-    def subset(self, indices: np.ndarray) -> "CostAdjustedWeights":
-        return CostAdjustedWeights(self.base.subset(indices),
-                                   self.costs[indices])
-
-
-class ProductWeights(WeightModel):
-    """``W = I * P``: importance times popularity (paper Sec 3.2)."""
-
-    def __init__(self, importance: WeightModel,
-                 popularity: WeightModel) -> None:
-        if importance.n != popularity.n:
-            raise ValueError(
-                f"importance covers {importance.n} objects but popularity "
-                f"covers {popularity.n}")
-        super().__init__(importance.n)
-        self.importance = importance
-        self.popularity = popularity
-
-    def weight(self, index: int, t: float) -> float:
-        return (self.importance.weight(index, t)
-                * self.popularity.weight(index, t))
-
-    def weights(self, t: float) -> np.ndarray:
-        return self.importance.weights(t) * self.popularity.weights(t)
-
-    def weights_at(self, times: np.ndarray,
-                   indices: np.ndarray | None = None) -> np.ndarray:
-        return (self.importance.weights_at(times, indices)
-                * self.popularity.weights_at(times, indices))
-
-    def subset(self, indices: np.ndarray) -> "ProductWeights":
-        return ProductWeights(self.importance.subset(indices),
-                              self.popularity.subset(indices))

@@ -1102,7 +1102,7 @@ OVERHEAD = Matrix(
 # functions, the timing window and the seed are settable.
 #: X1's per-source link (msgs/s)
 X1_SOURCE_BANDWIDTH = 5.0
-PSI_OPTIONS = ("equal", "proportional", "contribution")
+PSI_OPTIONS = ("equal", "contribution")
 
 
 def _halves(n: int, cache_side: bool) -> StaticWeights:
@@ -1281,9 +1281,11 @@ SAMPLING = Matrix(
              ("avg deviation", itemgetter("unweighted")),
              ("samples taken", itemgetter("samples"))),
     verdicts=(Verdict("densest sampling <= 1.05 x the sparsest",
-                      dense_beats_sparse),
+                      dense_beats_sparse,
+                      applies=lambda rows: len(_sampled(rows)) >= 2),
               Verdict("densest sampling <= 1.6 x trigger monitoring",
                       dense_near_exact)),
+    na="n/a (cells not in this matrix)",
 )
 
 
@@ -1587,6 +1589,10 @@ def graceful_degradation(rows: list[dict]) -> bool:
         for out, steady in pairs)
 
 
+def _has_scenarios(*names: str) -> Callable[[list[dict]], bool]:
+    return lambda rows: set(names) <= _values(rows, "scenarios")
+
+
 NETCOND = Matrix(
     name="netcond",
     title=lambda p: ("E11 network conditions: five policies under "
@@ -1605,11 +1611,15 @@ NETCOND = Matrix(
              *map(_column, POLICIES)),
     verdicts=(
         Verdict("steady trace == constant bandwidth (cooperative, "
-                "bitwise)", steady_matches_constant, "WARNING: diverged"),
-        Verdict("outage degrades every policy vs steady", outage_degrades),
+                "bitwise)", steady_matches_constant, "WARNING: diverged",
+                applies=_has_scenarios("steady")),
+        Verdict("outage degrades every policy vs steady", outage_degrades,
+                applies=_has_scenarios("steady", "outage")),
         Verdict("cooperative degrades no worse than uniform under outage",
-                graceful_degradation),
+                graceful_degradation,
+                applies=_has_scenarios("steady", "outage")),
     ),
+    na="n/a (scenario not in this matrix)",
 )
 
 
@@ -1819,6 +1829,10 @@ def adaptive_beats_static(rows: list[dict]) -> bool:
         for r in multi)
 
 
+def _has_multi_cache(rows: list[dict]) -> bool:
+    return any(r["num-caches"] >= 2 for r in rows)
+
+
 REBALANCE = Matrix(
     name="rebalance",
     title=lambda p: ("E13 shard rebalancing: static vs adaptive vs "
@@ -1842,10 +1856,12 @@ REBALANCE = Matrix(
         Verdict("inert rebalancer == static sharding (bitwise)",
                 inert_matches_static, "WARNING: diverged"),
         Verdict("adaptive migrates at every cache count >= 2",
-                adaptive_migrates, "WARNING: no migrations"),
+                adaptive_migrates, "WARNING: no migrations",
+                applies=_has_multi_cache),
         Verdict("adaptive beats static at every cache count >= 2",
-                adaptive_beats_static),
+                adaptive_beats_static, applies=_has_multi_cache),
     ),
+    na="n/a (cells not in this matrix)",
 )
 
 

@@ -25,6 +25,9 @@ per paper Sec 8) and replays the refills a row skipped when it is
 touched.  The rows call this module's :func:`refill_credit` and
 :func:`trace_jump`, so a row and a link follow one refill rule.
 
+A paced send budget (the uniform allocation's share, the competitive
+Psi slice) is a :class:`Pacer` row under the same refill rule.
+
 Utilization over the last tick is tracked so the cache's feedback
 controller can detect surplus bandwidth (Sec 5).
 """
@@ -43,6 +46,7 @@ from repro.network.bandwidth import (
     TraceBandwidth,
 )
 from repro.network.messages import Message
+from repro.sim.events import WakeupSet
 
 DeliveryCallback = Callable[[Message], None]
 
@@ -232,9 +236,6 @@ class Link:
         self.tick_used = 0.0
         self._tick_added = 0.0
 
-    def has_credit(self, size: float = 1.0) -> bool:
-        return self.credit >= size
-
     def try_consume(self, size: float = 1.0) -> bool:
         """Spend ``size`` credit if available; leave the bucket untouched
         otherwise.  The public credit-spending entry point for topologies
@@ -387,3 +388,73 @@ class Link:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} credit={self.credit:.2f} "
                 f"queued={len(self.queue)}>")
+
+
+class Pacer:
+    """Paced per-source send budgets on the network clock.
+
+    Row ``j`` earns ``earned[j] = rates[j] * dt`` credit a network tick
+    under the links' rule (:func:`refill_credit`), so a fractional budget
+    is sent in full; a row that earns nothing keeps what its owner
+    deposits.  Wakeups are keyed by ``Topology.tick_no``, and a woken row
+    replays the refills it skipped, a per-tick scan's float operations in
+    its order, up to their fixpoint (the cap, or an increment too small
+    to move the float), past which every tick repeats the same credit.
+    """
+
+    __slots__ = ("credit", "earned", "_topology", "_dt", "_synced",
+                 "_wakeups")
+
+    def __init__(self, topology, rates: list[float], dt: float) -> None:
+        self._topology = topology
+        self._dt = dt
+        self.earned = [rate * dt for rate in rates]
+        self.credit = [0.0] * len(rates)
+        self._synced = [topology.tick_no] * len(rates)
+        self._wakeups = WakeupSet()
+
+    def wake(self, row: int) -> None:
+        """Run ``row`` at the next :meth:`dispatch`: the current tick is
+        due at this tick's dispatch when that has not fired yet (an
+        update, a deposit from an earlier SOURCES dispatcher), and at the
+        next tick's otherwise."""
+        self._wakeups.arm(row, self._topology.tick_no)
+
+    def arm(self, row: int) -> None:
+        """Run ``row`` on the tick its credit next reaches one message; a
+        row whose credit stops short of it parks until woken."""
+        credit, earned = self.credit[row], self.earned[row]
+        ticks = 0
+        while credit < 1.0:
+            funded = refill_credit(credit + earned, earned)[0]
+            if funded == credit:
+                return
+            credit = funded
+            ticks += 1
+        self._wakeups.arm(row, self._topology.tick_no + ticks)
+
+    def dispatch(self, now: float, send: Callable[[int, float], bool],
+                 pending: Callable[[int], bool] | None = None) -> None:
+        """Catch up each due row, then ``send(row, now)`` spends its
+        credit.  A row whose source link refused a message (``send``
+        returns True) retries after ``Topology.source_retry_ticks``; any
+        other is armed when ``pending(row)`` (without it, always)."""
+        topology = self._topology
+        tick = topology.tick_no
+        for row in self._wakeups.pop_due(tick):
+            earned = self.earned[row]
+            if earned:
+                credit = self.credit[row]
+                for _ in range(tick - self._synced[row]):
+                    funded = refill_credit(credit + earned, earned)[0]
+                    if funded == credit:
+                        break
+                    credit = funded
+                self.credit[row] = credit
+            self._synced[row] = tick
+            if send(row, now):
+                ticks = topology.source_retry_ticks(row, now, self._dt)
+                if ticks is not None:
+                    self._wakeups.arm(row, tick + ticks)
+            elif pending is None or pending(row):
+                self.arm(row)

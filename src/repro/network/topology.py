@@ -141,11 +141,12 @@ class Topology:
                                for run in runs)
         self._cache_receivers: list[Receiver | None] = [None] * num_caches
         self._source_receivers: list[Receiver | None] = [None] * num_sources
-        # The network ticks so far, one int every synced source row
-        # shares, and every tick's timestamp indexed by tick number (entry
+        # The network ticks so far -- the run's one tick counter, which
+        # every synced source row and every Pacer row keys its ticks
+        # by -- and every tick's timestamp indexed by tick number (entry
         # 0 is the simulation start): the floats source rows replay
         # their skipped refills at, ~8 bytes per tick, independent of m.
-        self._tick_no = 0
+        self.tick_no = 0
         self._tick_boundaries: list[float] = [0.0]
         # Scratch message reused by send_downstream_batch: feedback carries
         # no per-message payload beyond its routing fields, so the batch
@@ -365,7 +366,7 @@ class Topology:
         """Record the tick, then refill and drain every cache and peer
         link.  Source rows catch up on touch (see the class docstring).
         """
-        self._tick_no += 1
+        self.tick_no += 1
         self._tick_boundaries.append(now)
         for link in self.cache_links:
             link.refill(now)
@@ -450,7 +451,7 @@ class Topology:
         skipped on a topology with no replicated source.
         """
         source_id = message.source_id
-        if self._synced[source_id] < self._tick_no:
+        if self._synced[source_id] < self.tick_no:
             self._sync_source(source_id)
         now = message.sent_at
         credit = self._credit[source_id]
@@ -510,7 +511,7 @@ class Topology:
         """
         profile = self.source_profiles[source_id]
         boundaries = self._tick_boundaries
-        tick_no = self._tick_no
+        tick_no = self.tick_no
         rate = profile._rate if type(profile) is ConstantBandwidth else None
         steady = profile.steady_rate is not None
         trace = (profile if isinstance(profile, TraceBandwidth)
@@ -620,7 +621,7 @@ class Topology:
     # ------------------------------------------------------------------
     def source_at_capacity(self, source_id: int) -> bool:
         """True when the source spent all its credit this tick (footnote 3)."""
-        if self._synced[source_id] < self._tick_no:
+        if self._synced[source_id] < self.tick_no:
             self._sync_source(source_id)
         return self._credit[source_id] < 1.0
 

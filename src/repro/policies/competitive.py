@@ -3,23 +3,28 @@
 When sources and the cache disagree on refresh priorities (different
 divergence functions or weights), the cache dedicates a fraction ``Psi`` of
 its bandwidth to satisfying *source* priorities and ``1 - Psi`` to its own.
-The paper sketches three ways to divide the source share:
+The paper sketches three ways to divide the source share; two are built:
 
-1. ``"equal"`` -- every source gets the same slice of ``Psi * C``.
-2. ``"proportional"`` -- slices proportional to each source's number of
-   cached objects (identical to option 1 when all sources have equal n).
-3. ``"contribution"`` -- no fixed slices; instead, for every refresh a
-   source earns under the cache's threshold policy it may piggyback
-   ``Psi / (1 - Psi)`` refreshes of its own choosing, so sources that serve
-   the cache's objectives well earn proportionally more autonomy.
+* ``"equal"`` (option 1) -- every source gets the same slice of
+  ``Psi * C``.
+* ``"contribution"`` (option 3) -- no fixed slices; instead, for every
+  refresh a source earns under the cache's threshold policy it may
+  piggyback ``Psi / (1 - Psi)`` refreshes of its own choosing, so sources
+  that serve the cache's objectives well earn proportionally more
+  autonomy.
+
+Option 2 -- slices proportional to each source's number of cached
+objects -- equals option 1 on every workload here, because every source
+holds ``objects_per_source`` objects; it is not built.
 
 Implementation: the cache-priority flow is the ordinary
 :class:`CooperativePolicy` threshold algorithm using the cache's weight
 model (``workload.weights``).  Source-priority sends are paced separately
-(token buckets for options 1-2, an earned-credit counter for option 3) and
-pick the top object under the *source's own* weight model; they are
-ordinary refresh messages on the same constrained links, so the adaptive
-threshold algorithm automatically shrinks the cache-priority flow into the
+(one :class:`~repro.network.link.Pacer` row per source, earning its equal
+slice every tick, or nothing but the piggyback deposits) and pick the top
+object under the *source's own* weight model; they are ordinary refresh
+messages on the same constrained links, so the adaptive threshold
+algorithm automatically shrinks the cache-priority flow into the
 remaining ``(1 - Psi)`` of the bandwidth.
 
 Both objectives are measured: the context collector uses the cache's
@@ -33,10 +38,10 @@ from repro.core.objects import DataObject
 from repro.core.tracking import PriorityTable
 from repro.core.weights import WeightModel
 from repro.metrics.collector import DivergenceCollector
-from repro.network.bandwidth import replay_credit_ticks, ticks_until_credit
+from repro.network.link import Pacer
 from repro.policies.base import SimulationContext
 from repro.policies.cooperative import CooperativePolicy
-from repro.sim.events import Phase, WakeupSet
+from repro.sim.events import Phase
 from repro.source.monitor import TriggerMonitor
 
 
@@ -51,7 +56,7 @@ class CompetitivePolicy(CooperativePolicy):
         super().__init__(*args, **kwargs)
         if not 0.0 <= psi < 1.0:
             raise ValueError(f"psi must be in [0, 1), got {psi}")
-        if option not in ("equal", "proportional", "contribution"):
+        if option not in ("equal", "contribution"):
             raise ValueError(f"unknown split option {option!r}")
         self.source_weights = source_weights
         self.psi = psi
@@ -59,14 +64,8 @@ class CompetitivePolicy(CooperativePolicy):
         self.own_refreshes_sent = 0
         self._own_tracker: PriorityTable | None = None
         self._own_monitor: TriggerMonitor | None = None
-        self._own_credit: list[float] = []
-        self._own_rate: list[float] = []
+        self._own_pacer: Pacer | None = None
         self.source_collector: DivergenceCollector | None = None
-        # Own-send wakeups keyed by (integer) tick number of the
-        # own-sends dispatcher, and each source's last-accrual tick.
-        self._own_wakeups = WakeupSet()
-        self._own_tick_no = 0
-        self._own_credit_tick: list[int] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -86,31 +85,18 @@ class CompetitivePolicy(CooperativePolicy):
         # under the shared priority function and its own weights.
         self._own_monitor = TriggerMonitor(self.priority_fn,
                                            self.source_weights)
-        self._own_credit = [0.0] * m
-        self._own_rate = self._allocate_rates(workload)
+        # Option 1 splits Psi * C evenly; option 3's credit is earned by
+        # piggybacking, not allocated.
+        rate = (self.psi * self.cache_bandwidth.mean_rate / m
+                if self.option == "equal" else 0.0)
+        self._own_pacer = Pacer(self.topology, [rate] * m, ctx.dt)
         self.source_collector = DivergenceCollector(
             workload.num_objects, self.source_weights, warmup=ctx.warmup)
         ctx.add_update_hook(self._on_update_competitive)
         for cache in self.caches:
             cache.add_refresh_hook(self._on_refresh_applied)
         self.sources.send_hooks += (self._on_refresh_sent,)
-        self._own_wakeups = WakeupSet()
-        self._own_tick_no = 0
-        self._own_credit_tick = [0] * m
         ctx.sim.every(ctx.dt, self._own_sends_tick, phase=Phase.SOURCES)
-
-    def _allocate_rates(self, workload) -> list[float]:
-        """Per-source own-priority send rates for options 1 and 2."""
-        total = self.psi * self.cache_bandwidth.mean_rate
-        m = workload.num_sources
-        if self.option == "equal":
-            return [total / m] * m
-        if self.option == "proportional":
-            per_source = workload.objects_per_source
-            counts = [per_source] * m
-            total_objects = sum(counts)
-            return [total * c / total_objects for c in counts]
-        return [0.0] * m  # contribution: earned, not allocated
 
     # ------------------------------------------------------------------
     # Event routing
@@ -118,9 +104,9 @@ class CompetitivePolicy(CooperativePolicy):
     def _on_update_competitive(self, obj: DataObject, now: float) -> None:
         self._own_monitor.on_update(self._own_tracker, obj.source_id, obj,
                                     now)
-        # Fresh own-priority work: wake at the next own-sends fire (the
+        # Fresh own-priority work: run at the next own-sends fire (the
         # same tick when the update lands before SOURCES phase).
-        self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)
+        self._own_pacer.wake(obj.source_id)
         if self.source_collector is not None:
             self.source_collector.record(obj.index, now,
                                          obj.truth_divergence)
@@ -144,48 +130,31 @@ class CompetitivePolicy(CooperativePolicy):
             # choosing.  Own-priority sends must not earn credit (the
             # piggyback loop would feed itself), and banked credit is
             # capped so a warm-up burst cannot flood the link later.
-            earned = self._own_credit[obj.source_id] \
-                + self.psi / (1.0 - self.psi)
-            self._own_credit[obj.source_id] = min(earned, 4.0)
+            pacer = self._own_pacer
+            j = obj.source_id
+            pacer.credit[j] = min(
+                pacer.credit[j] + self.psi / (1.0 - self.psi), 4.0)
             # Earned credit may now cover a piggybacked send.
-            self._own_wakeups.arm(obj.source_id, self._own_tick_no + 1)
+            pacer.wake(j)
 
     # ------------------------------------------------------------------
-    # Own-priority sends
-    #
-    # The uniform policy's exact-replay trick: wakeups are keyed by
-    # own-dispatcher tick number, and the per-tick token accruals a
-    # parked source skipped are replayed float-for-float at wake time
-    # (short-circuiting once the credit saturates at its cap), so
-    # own-priority sends land on exactly the ticks the per-tick scan of
-    # tests/oracles.py chooses.
+    # Own-priority sends: the pacer wakes a source on the tick its slice
+    # affords a message, while its own-priority queue holds an object.
     # ------------------------------------------------------------------
     def _own_sends_tick(self, now: float) -> None:
-        self._own_tick_no += 1
-        for j in self._own_wakeups.pop_due(self._own_tick_no):
-            self._own_replay_accrual(j)
-            if self._own_send_while_credit(j, now):
-                ticks = self.topology.source_retry_ticks(
-                    j, now, self._ctx.dt)
-                if ticks is not None:
-                    self._own_wakeups.arm(j, self._own_tick_no + ticks)
-            elif self._own_tracker.peek(j) is not None:
-                self._own_arm_crossing(j)
+        self._own_pacer.dispatch(now, self._own_send_while_credit,
+                                 self._has_own_work)
 
-    def _own_replay_accrual(self, j: int) -> None:
-        if self.option in ("equal", "proportional"):
-            rate_dt = self._own_rate[j] * self._ctx.dt
-            self._own_credit[j] = replay_credit_ticks(
-                self._own_credit[j], rate_dt,
-                self._own_tick_no - self._own_credit_tick[j])
-        self._own_credit_tick[j] = self._own_tick_no
+    def _has_own_work(self, j: int) -> bool:
+        return self._own_tracker.peek(j) is not None
 
     def _own_send_while_credit(self, j: int, now: float) -> bool:
         """Drain own-priority sends; True when source-bandwidth-blocked."""
         ctx = self._ctx
         sources = self.sources
         tracker = self._own_tracker
-        while self._own_credit[j] >= 1.0:
+        credit = self._own_pacer.credit
+        while credit[j] >= 1.0:
             top = tracker.peek(j)
             if top is None:
                 break
@@ -199,18 +168,9 @@ class CompetitivePolicy(CooperativePolicy):
                                          adjust_threshold=False):
                 return True  # out of source-side bandwidth
             tracker.pop(j)
-            self._own_credit[j] -= 1.0
+            credit[j] -= 1.0
             self.own_refreshes_sent += 1
         return False
-
-    def _own_arm_crossing(self, j: int) -> None:
-        """Arm source ``j`` at the tick its own-credit next reaches 1.0."""
-        if self.option not in ("equal", "proportional"):
-            return  # contribution credit is earned, not accrued: park
-        rate_dt = self._own_rate[j] * self._ctx.dt
-        ticks = ticks_until_credit(self._own_credit[j], rate_dt)
-        if ticks is not None:
-            self._own_wakeups.arm(j, self._own_tick_no + ticks)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -19,11 +19,8 @@ from __future__ import annotations
 
 from repro.cache.cache import CacheNode
 from repro.cache.store import CacheStore
-from repro.network.bandwidth import (
-    BandwidthProfile,
-    replay_credit_ticks,
-    ticks_until_credit,
-)
+from repro.network.bandwidth import BandwidthProfile
+from repro.network.link import Pacer
 from repro.network.messages import RefreshMessage
 from repro.network.topology import Topology
 from repro.policies.base import SimulationContext, SyncPolicy
@@ -46,10 +43,10 @@ class UniformAllocationPolicy(SyncPolicy):
     source_bandwidths:
         One profile per source; sends still respect source-side credit.
 
-    Each source wakes only on the tick its credit crosses one message,
-    replaying the skipped per-tick accruals in the same float-operation
-    order a per-tick scan performs them (bit-for-bit identical; the scan
-    itself lives in ``tests/oracles.py``).
+    Each source's budget is a row of one :class:`~repro.network.link.Pacer`:
+    it wakes only on the tick its credit crosses one message, having
+    replayed the skipped per-tick refills in the order a per-tick scan
+    performs them (bit for bit; the scan lives in ``tests/oracles.py``).
     """
 
     name = "uniform"
@@ -61,14 +58,10 @@ class UniformAllocationPolicy(SyncPolicy):
         self.topology: Topology | None = None
         self.caches: list[CacheNode] = []
         self.stores: list[CacheStore] = []
-        self._rates: list[float] = []
-        self._credit: list[float] = []
+        self._pacer: Pacer | None = None
         self._cursor: list[int] = []
         self._sent = 0
         self._ctx: SimulationContext | None = None
-        self._tick_no = 0
-        self._credit_tick: list[int] = []
-        self._wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
 
     # ------------------------------------------------------------------
@@ -94,20 +87,17 @@ class UniformAllocationPolicy(SyncPolicy):
                 CacheNode(ctx.objects, ctx.metric, topology,
                           collector=ctx.collector, store=store,
                           sim=ctx.sim, cache_id=k))
-        self._rates = []
+        rates = []
         for j in range(workload.num_sources):
             primary = topology.primary_cache_of(j)
             peers = len(topology.owned_sources_of(primary))
             mean_rate = topology.cache_links[primary].profile.mean_rate
-            self._rates.append(UTILIZATION * mean_rate / max(peers, 1))
-        self._credit = [0.0] * workload.num_sources
+            rates.append(UTILIZATION * mean_rate / max(peers, 1))
+        self._pacer = Pacer(topology, rates, ctx.dt)
         self._cursor = [0] * workload.num_sources
-        self._tick_no = 0
-        self._credit_tick = [0] * workload.num_sources
-        self._wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
         for j in range(workload.num_sources):
-            self._arm_crossing(j)
+            self._pacer.arm(j)
         for k in range(topology.num_caches):
             topology.cache_links[k].on_queue = self._make_queue_hook(k)
         ctx.sim.every(ctx.dt, topology.on_network_tick,
@@ -121,46 +111,20 @@ class UniformAllocationPolicy(SyncPolicy):
         return hook
 
     # ------------------------------------------------------------------
-    # Scheduling
-    #
-    # Wakeups are keyed by *tick number* (exact integers, immune to
-    # accumulated-float drift in tick times).  Every tick a source earns
-    # ``rate * dt`` credit, its bank capped at one tick's worth plus one
-    # message (mirroring the links' burst cap).  The accruals skipped
-    # while a source sleeps are replayed at wake time with the identical
-    # sequence of ``min(credit + earned, cap)`` operations a per-tick
-    # scan performs -- float-for-float the same credits, so send ticks
-    # match exactly.  The replay short-circuits once the credit saturates
-    # at the cap (parked or bandwidth-blocked sources), keeping it
-    # O(gap between sends).
+    # Scheduling: the pacer runs a source on each tick its budget affords
+    # a message, and the source sends round-robin while credit lasts.
     # ------------------------------------------------------------------
     def _sources_tick(self, now: float) -> None:
-        ctx = self._ctx
-        if ctx is None or self.topology is None:
+        if self._pacer is None:
             raise self._not_attached()
-        self._tick_no += 1
-        for j in self._wakeups.pop_due(self._tick_no):
-            self._replay_accrual(j, ctx.dt)
-            if self._send_while_credit(j, now):
-                # The link, not the token bucket, is dry.
-                ticks = self.topology.source_retry_ticks(j, now, ctx.dt)
-                if ticks is not None:
-                    self._wakeups.arm(j, self._tick_no + ticks)
-            else:
-                self._arm_crossing(j)
-
-    def _replay_accrual(self, j: int, dt: float) -> None:
-        """Catch up the per-tick accruals skipped since the last wake."""
-        earned = self._rates[j] * dt
-        self._credit[j] = replay_credit_ticks(
-            self._credit[j], earned, self._tick_no - self._credit_tick[j])
-        self._credit_tick[j] = self._tick_no
+        self._pacer.dispatch(now, self._send_while_credit)
 
     def _send_while_credit(self, j: int, now: float) -> bool:
         """Round-robin sends while credit lasts; True when send-blocked."""
         ctx = self._ctx
         per_source = ctx.workload.objects_per_source
-        while self._credit[j] >= 1.0:
+        credit = self._pacer.credit
+        while credit[j] >= 1.0:
             local = self._cursor[j] % per_source
             obj = ctx.objects[j * per_source + local]
             message = RefreshMessage(
@@ -170,21 +134,9 @@ class UniformAllocationPolicy(SyncPolicy):
                 return True  # out of source-side bandwidth this tick
             obj.mark_sent(now)
             self._cursor[j] += 1
-            self._credit[j] -= 1.0
+            credit[j] -= 1.0
             self._sent += 1
         return False
-
-    def _arm_crossing(self, j: int) -> None:
-        """Arm source ``j`` at the tick its credit next reaches 1.0.
-
-        A ``None`` crossing (zero rate, or a float fixpoint below one
-        message) parks the source forever -- a per-tick scan would stall
-        on it identically.
-        """
-        earned = self._rates[j] * self._ctx.dt
-        ticks = ticks_until_credit(self._credit[j], earned)
-        if ticks is not None:
-            self._wakeups.arm(j, self._tick_no + ticks)
 
     def _caches_tick(self, now: float) -> None:
         # Without a feedback controller the cache tick only re-drains its

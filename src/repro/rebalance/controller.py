@@ -211,15 +211,21 @@ class Rebalancer:
         basis to pick a shard, so no move happens (a saturated cache
         whose refreshes all came from one burst earlier in the window
         still shows them here -- the window spans the whole interval).
-        The donor always keeps at least one source.
+        The donor always keeps at least one source, and a source whose
+        shard is still in flight to the donor stays put until it lands:
+        routing flips at once, but the donor's feedback controller adopts
+        the source only on arrival, so it has no row to hand on yet.
         """
-        window = self.caches[donor].window
+        cache = self.caches[donor]
+        window = cache.window
         owned = self.topology.owned_sources_of(donor)
         if window is None or len(owned) < 2:
             return None
+        feedback = cache.feedback
         best, best_count = None, 0
         for j in owned:
-            if j in taken:
+            if j in taken or (feedback is not None
+                              and not feedback.owns(j)):
                 continue
             count = window.refreshes.get(j, 0)
             if count > best_count:

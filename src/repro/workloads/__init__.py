@@ -17,10 +17,7 @@ from repro.workloads.buoy import (
 )
 from repro.workloads.hotspot import hotspot_shards
 from repro.workloads.read_process import ReadTrace, uniform_reads
-from repro.workloads.random_walk import (
-    expected_walk_deviation,
-    random_walk_values_batch,
-)
+from repro.workloads.random_walk import random_walk_values_batch
 from repro.workloads.synthetic import (
     Workload,
     skewed_validation,
@@ -41,7 +38,6 @@ __all__ = [
     "bernoulli_tick_times_batch",
     "buoy_workload",
     "diurnal_trace",
-    "expected_walk_deviation",
     "generate_buoy_trace",
     "heterogeneous_traces",
     "hotspot_shards",

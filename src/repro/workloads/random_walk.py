@@ -57,14 +57,3 @@ def random_walk_values_batch(counts: np.ndarray, rng: np.random.Generator,
     values -= np.repeat(prefix, counts)
     return values
 
-
-def expected_walk_deviation(rate: float, elapsed: float,
-                            step: float = 1.0) -> float:
-    """Expected |value - start| of a +-step walk after ``rate * elapsed`` moves.
-
-    For ``k`` fair +-1 steps, ``E|S_k| ~ sqrt(2 k / pi)`` for large ``k``.
-    Used by the analysis module to build closed-form ideal schedules for
-    random-walk workloads.
-    """
-    k = max(rate * elapsed, 0.0)
-    return step * float(np.sqrt(2.0 * k / np.pi))

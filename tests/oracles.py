@@ -16,10 +16,12 @@ configuration both ways and demand bit-identical results.
   object under a time-varying priority, sample every object whose
   deadline has come) and drains; a competitive source also accrues one
   tick of own credit and sends; a uniform source accrues one tick of
-  credit and sends; the ideal policy drains every tick.  Every update
-  re-prioritizes its object, then drains its cooperative source and
-  re-arms it, with no skip rule.  The policies' own wakeup sets are
-  armed as usual and never consulted;
+  credit and sends; the ideal policy drains every tick.  A tick's
+  accrual is written out over the pacer's ``credit`` and ``earned``
+  columns, not replayed by :class:`~repro.network.link.Pacer`.  Every
+  update re-prioritizes its object, then drains its cooperative source
+  and re-arms it, with no skip rule.  The policies' own wakeup sets and
+  pacers are armed as usual and never consulted;
 * **eager links** -- every source row refills on every network tick
   (:func:`~repro.network.link.refill_credit`, the per-tick rule itself,
   after an accrual through ``profile.capacity``) instead of replaying
@@ -107,26 +109,27 @@ def _always_rearm(self, obj, now: float) -> None:
     self._rearm_source(obj.source_id, now, self.sources.on_update(obj, now))
 
 
+def _accrue_tick(pacer, j: int) -> None:
+    """One tick of pacer row ``j``'s budget: the bank is capped at one
+    tick's worth plus one message, mirroring the links' burst cap.  A row
+    that earns nothing keeps its deposits (contribution credit)."""
+    earned = pacer.earned[j]
+    if earned:
+        pacer.credit[j] = min(pacer.credit[j] + earned,
+                              max(1.0, earned) + earned)
+
+
 def _competitive_scan_own_sends(self, now: float) -> None:
     """Every source accrues one tick of own credit, then sends."""
-    dt = self._ctx.dt
     for j in range(self.sources.num_sources):
-        if self.option in ("equal", "proportional"):
-            rate_dt = self._own_rate[j] * dt
-            self._own_credit[j] = min(self._own_credit[j] + rate_dt,
-                                      max(1.0, rate_dt) + rate_dt)
+        _accrue_tick(self._own_pacer, j)
         self._own_send_while_credit(j, now)
 
 
 def _uniform_scan_sources(self, now: float) -> None:
     """Every source accrues one tick of credit and sends while it lasts."""
-    dt = self._ctx.dt
     for j in range(self._ctx.workload.num_sources):
-        # Bank capped at one tick's worth plus one message, mirroring the
-        # links' burst cap.
-        earned = self._rates[j] * dt
-        self._credit[j] = min(self._credit[j] + earned,
-                              max(1.0, earned) + earned)
+        _accrue_tick(self._pacer, j)
         self._send_while_credit(j, now)
 
 
@@ -151,7 +154,7 @@ def _refill_source_rows(network_tick):
                 earned += added
             self._credit[j] = refill_credit(credit, earned)[0]
             self._tick_added[j] = 0.0
-            self._synced[j] = self._tick_no
+            self._synced[j] = self.tick_no
     return on_network_tick
 
 

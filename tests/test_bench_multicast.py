@@ -38,7 +38,7 @@ def test_arm_delivers_every_send(arm):
     getattr(bench_multicast, arm)(topology, SENDS)
     cache = topology.cache_links[0]
     assert cache.total_sent == cache.total_delivered == SENDS
-    assert topology._synced[0] == topology._tick_no == 1
+    assert topology._synced[0] == topology.tick_no == 1
 
 
 def test_arms_leave_the_same_source_rows():

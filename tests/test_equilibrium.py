@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.equilibrium import (
-    equilibrium_feedback_period,
     equilibrium_overhead_fraction,
     refreshes_per_feedback,
     threshold_drift_per_second,
@@ -32,20 +31,11 @@ class TestClosedForms:
         assert equilibrium_overhead_fraction(omega=100.0) \
             < equilibrium_overhead_fraction(omega=10.0)
 
-    def test_feedback_period_scales_linearly_with_sources(self):
-        p10 = equilibrium_feedback_period(10, 50.0)
-        p100 = equilibrium_feedback_period(100, 50.0)
-        assert p100 == pytest.approx(10.0 * p10)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             refreshes_per_feedback(alpha=1.0)
         with pytest.raises(ValueError):
             refreshes_per_feedback(omega=1.0)
-        with pytest.raises(ValueError):
-            equilibrium_feedback_period(0, 1.0)
-        with pytest.raises(ValueError):
-            equilibrium_feedback_period(1, 0.0)
 
 
 class TestDrift:

@@ -1,14 +1,14 @@
 """Tests for the Sec 8.1 / Sec 10.1 extensions: trace bandwidth, batching,
-online rate estimation, cost-adjusted weights."""
+online rate estimation."""
 
 import numpy as np
 import pytest
 
-from repro.core.divergence import Staleness, ValueDeviation
+from repro.core.divergence import Staleness
 from repro.core.objects import DataObject
 from repro.core.priority import PoissonStalenessPriority
 from repro.core.threshold import ThresholdTable
-from repro.core.weights import CostAdjustedWeights, StaticWeights
+from repro.core.weights import StaticWeights
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth, TraceBandwidth
 from repro.network.messages import BatchRefreshMessage
@@ -257,43 +257,3 @@ class TestOnlineRateEstimator:
         estimated = run(lambda est: EstimatedRatePriority(
             PoissonStalenessPriority(), est))
         assert estimated <= oracle * 1.3 + 0.02
-
-
-class TestCostAdjustedWeights:
-    def test_divides_by_cost(self):
-        base = StaticWeights(np.array([4.0, 4.0]))
-        weights = CostAdjustedWeights(base, np.array([1.0, 2.0]))
-        assert weights.weight(0, 0.0) == 4.0
-        assert weights.weight(1, 0.0) == 2.0
-        np.testing.assert_allclose(weights.weights(0.0), [4.0, 2.0])
-
-    def test_validation(self):
-        base = StaticWeights.uniform(2)
-        with pytest.raises(ValueError):
-            CostAdjustedWeights(base, np.array([1.0]))
-        with pytest.raises(ValueError):
-            CostAdjustedWeights(base, np.array([1.0, 0.0]))
-
-    def test_expensive_objects_deprioritized(self):
-        """Under equal divergence behavior, higher-cost objects should be
-        refreshed less and end with higher divergence."""
-        from repro.network.bandwidth import ConstantBandwidth
-        from repro.policies.base import SimulationContext
-        from repro.policies.ideal import IdealCooperativePolicy
-        from repro.core.priority import AreaPriority
-
-        workload = uniform_random_walk(
-            num_sources=1, objects_per_source=20, horizon=400.0,
-            rng=np.random.default_rng(2), rate_range=(0.4, 0.6))
-        costs = np.ones(20)
-        costs[:10] = 8.0  # first half expensive
-        workload.weights = CostAdjustedWeights(StaticWeights.uniform(20),
-                                               costs)
-        ctx = SimulationContext(workload, ValueDeviation(), warmup=100.0)
-        policy = IdealCooperativePolicy(ConstantBandwidth(3.0),
-                                        AreaPriority())
-        policy.attach(ctx)
-        ctx.run(400.0)
-        per_object = ctx.collector.per_object_weighted_average()
-        unweighted = per_object * costs  # undo the 1/cost factor
-        assert unweighted[:10].mean() > unweighted[10:].mean()

@@ -11,7 +11,7 @@ from repro.network.bandwidth import (
     SineBandwidth,
     TraceBandwidth,
 )
-from repro.network.link import Link
+from repro.network.link import Link, Pacer
 from repro.network.messages import FeedbackMessage, RefreshMessage
 from repro.network.topology import Topology
 
@@ -481,3 +481,117 @@ class TestLazyTraceSync:
             lazy.tick(chain[tick])
         lazy.sync()
         assert lazy.credit == eager.credit
+
+
+class PacedRow:
+    """Row 0 of a one-row :class:`Pacer` on a topology whose source link
+    never refuses, dispatched every tick.  Each dispatch records the tick
+    and the credit the row was caught up to, then spends whole messages
+    while its credit lasts (``spend=False``: spends nothing)."""
+
+    def __init__(self, earned, spend=True):
+        self.topology = Topology([ConstantBandwidth(1e9)],
+                                 [ConstantBandwidth(1e9)])
+        self.pacer = Pacer(self.topology, [earned], 1.0)
+        self.spend = spend
+        self.seen = []  # (tick, credit) at every send call
+
+    def send(self, row, now):
+        credit = self.pacer.credit
+        self.seen.append((self.topology.tick_no, credit[row]))
+        while self.spend and credit[row] >= 1.0:
+            credit[row] -= 1.0
+        return False
+
+    def run(self, ticks, wake_at=(), pending=True):
+        """Tick ``ticks`` times, waking the row before each tick in
+        ``wake_at``; the row re-arms itself while ``pending``."""
+        chain = boundaries(ticks)
+        for tick in range(1, ticks + 1):
+            if tick in wake_at:
+                self.pacer.wake(0)
+            self.topology.on_network_tick(chain[tick])
+            self.pacer.dispatch(chain[tick], self.send,
+                                lambda row: pending)
+        return self.seen
+
+
+def literal_refill(credit, earned):
+    """One tick of a per-tick scan, written out."""
+    return min(credit + earned, max(1.0, earned) + earned)
+
+
+class TestPacer:
+    """A pacer row is a per-tick scan of its budget with the idle ticks
+    skipped: the same credit floats on the same ticks."""
+
+    EARNINGS = [0.1, 0.3, 2.0 / 3.0, 1.5, 0.003]
+
+    @pytest.mark.parametrize("earned", EARNINGS)
+    def test_skipped_ticks_replay_bit_for_bit(self, earned):
+        """Woken after k idle ticks, a row holds the credit of k literal
+        per-tick refills, for gaps from 1 to a few hundred ticks."""
+        wakes = [1, 2, 4, 9, 25, 26, 90, 300, 301, 420]
+        seen = PacedRow(earned).run(420, wakes, pending=False)
+        assert [tick for tick, _ in seen] == wakes
+        credit = 0.0
+        expected = []
+        for tick in range(1, 421):
+            credit = literal_refill(credit, earned)
+            if tick in wakes:
+                expected.append(credit.hex())
+                while credit >= 1.0:
+                    credit -= 1.0
+        assert [credit.hex() for _, credit in seen] == expected
+
+    @pytest.mark.parametrize("earned", EARNINGS)
+    def test_wakes_on_the_first_funded_tick(self, earned):
+        """An armed row sends on exactly the ticks a per-tick scan first
+        sees one message of credit."""
+        row = PacedRow(earned)
+        row.pacer.arm(0)
+        seen = row.run(400)
+        credit = 0.0
+        expected = []
+        for tick in range(1, 401):
+            credit = literal_refill(credit, earned)
+            if credit >= 1.0:
+                expected.append(tick)
+                while credit >= 1.0:
+                    credit -= 1.0
+        assert expected and [tick for tick, _ in seen] == expected
+
+    @pytest.mark.parametrize("earned, credit", [(0.0, 0.0), (0.0, 0.75),
+                                                (1e-17, 0.5)])
+    def test_parks_at_a_fixpoint_below_one_message(self, earned, credit):
+        """Earning nothing, or too little to move the float, the row's
+        credit never reaches a message: arming it schedules nothing."""
+        row = PacedRow(earned)
+        row.pacer.credit[0] = credit
+        row.pacer.arm(0)
+        assert row.run(50) == []
+        assert row.pacer.credit[0] == credit
+
+    def test_a_row_earning_nothing_keeps_its_deposit(self):
+        """A deposit above the refill cap (1.0 at zero earnings) survives
+        any number of skipped ticks: only earned credit is capped."""
+        row = PacedRow(0.0, spend=False)
+        row.pacer.credit[0] = 3.5
+        assert row.run(40, wake_at=(40,)) == [(40, 3.5)]
+
+    def test_a_refused_row_retries_next_tick(self):
+        """A row whose source link refused a send retries on the next
+        tick of a steady link, funded or not."""
+        row = PacedRow(0.25)
+        calls = []
+
+        def refuse_once(j, now):
+            calls.append(row.topology.tick_no)
+            return len(calls) == 1
+
+        chain = boundaries(12)
+        row.pacer.arm(0)
+        for tick in range(1, 13):
+            row.topology.on_network_tick(chain[tick])
+            row.pacer.dispatch(chain[tick], refuse_once)
+        assert calls[:2] == [4, 5]

@@ -1002,8 +1002,32 @@ class TestRender:
             "adaptive beats static at every cache count >= 2: "
             "WARNING: violated")
 
-    def test_netcond_verdicts_always_apply(self):
-        assert [ok for _, ok in NETCOND.judge([])] == [False] * 3
+    def test_netcond_verdicts_need_their_scenarios(self):
+        assert [ok for _, ok in NETCOND.judge([])] == [None] * 3
+
+    @pytest.mark.parametrize("argv, na", [
+        ("sampling intervals=5 warmup=10 measure=30",
+         ["densest sampling <= 1.05 x the sparsest"]),
+        ("netcond scenarios=outage sources=4 objects=2 warmup=20 "
+         "measure=60", [verdict.label for verdict in NETCOND.verdicts]),
+        ("netcond scenarios=steady topologies=star sources=4 objects=2 "
+         "warmup=20 measure=60",
+         [verdict.label for verdict in NETCOND.verdicts[1:]]),
+        ("rebalance num-caches=1 sources=4 objects=2 warmup=20 measure=80",
+         [verdict.label for verdict in REBALANCE.verdicts[1:]]),
+    ], ids=["sampling-one-interval", "netcond-outage-only",
+            "netcond-steady-only", "rebalance-one-cache"])
+    def test_settings_that_drop_cells_read_na(self, argv, na, capsys):
+        """A verdict whose cells the settings drop reads n/a, never
+        WARNING: one sampling interval has nothing to compare, and an
+        outage-only or steady-only netcond or a one-cache rebalance
+        holds no pair to judge."""
+        assert main(["matrix", *argv.split()]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not [line for line in lines if "WARNING" in line]
+        verdicts = [line.partition(": ") for line in lines
+                    if line.endswith("not in this matrix)")]
+        assert [label for label, _, _ in verdicts] == na
 
 
 # ----------------------------------------------------------------------

@@ -111,25 +111,6 @@ class TestPsiTradeoff:
         assert policy.own_refreshes_sent \
             <= 1.2 * threshold_sends * (0.5 / 0.5) + 5
 
-    def test_proportional_equals_equal_for_uniform_sources(self):
-        """With equal object counts per source, options 1 and 2 must
-        allocate identical rates."""
-        w = make_workload(seed=4)
-        cache_w, source_w = conflicting_weights(w.num_objects)
-        w.weights = cache_w
-        equal = make_policy(psi=0.4, option="equal",
-                            source_weights=source_w)
-        prop = make_policy(psi=0.4, option="proportional",
-                           source_weights=source_w)
-        from repro.policies.base import SimulationContext
-        ctx1 = SimulationContext(w, ValueDeviation())
-        equal.attach(ctx1)
-        w2 = make_workload(seed=4)
-        w2.weights = cache_w
-        ctx2 = SimulationContext(w2, ValueDeviation())
-        prop.attach(ctx2)
-        assert equal._own_rate == prop._own_rate
-
 
 class TestFractionalSlice:
     """A Psi slice that is not a whole number of messages a tick is sent

@@ -559,6 +559,18 @@ class TestE13Experiment:
         assert len({row[arm]["divergence"] for arm in REBALANCE.arms}) == 1
         assert row["adaptive"]["migrations"] == 0
 
+    def test_a_shard_in_flight_stays_until_it_lands(self):
+        """On a slow peer link a migrated shard is still in flight when
+        its new cache saturates.  Routing has flipped, but that cache's
+        feedback controller adopts the source only on arrival, so the
+        shard must not be handed on before then (picking it raised
+        "source 1 is not owned by cache 2")."""
+        (row,) = sweep("sources=8 objects=4 cache-bandwidth=10 "
+                       "source-bandwidth=1.5 warmup=40 measure=120 "
+                       "peer-rate=0.25")
+        assert row["adaptive"]["migrations"] > 0
+        assert row["distributed"]["migrations"] > 0
+
     def test_run_rebalance_parallel_is_serial(self):
         settings = ("num-caches=1,2 sources=8 objects=4 cache-bandwidth=12 "
                     "phases=2 warmup=30 measure=90 seed=1")

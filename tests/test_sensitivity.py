@@ -10,7 +10,8 @@ The ``readmodel``, ``scale``, ``multicache`` and ``faults`` matrices'
 parameters are probed the same way, each against a tiny base (three
 replicated rows; one row of 200 sources; one replicated row of two arms;
 two fault rows of six arms, one of them the CGM baseline), and so are
-those of the six Secs 7-10 analysis matrices (X1-X6).  Every silent (or
+those of the six Secs 7-10 analysis matrices (X1-X6) and of
+``overhead``, ``netcond``, ``rebalance`` and ``multicast``.  Every silent (or
 failing) pair is reported in one pass, the way a parameter sweep logs
 its failed runs and goes on, so one run of the test names them all.
 """
@@ -32,7 +33,9 @@ from repro.experiments.matrix import (
     MATRICES,
     MULTICACHE,
     READMODEL,
+    REBALANCE,
     SCALE,
+    run_matrix,
     run_scenario,
 )
 from repro.experiments.runner import RunSpec, run_policy
@@ -468,4 +471,72 @@ def test_every_x_param_changes_a_row_or_is_inert(name):
     base, probes = X_PROBES[name]
     problems = param_problems(MATRICES[name], base, probes,
                               X_INERT.get(name, {}))
+    assert not problems, "\n".join(problems)
+
+
+# ----------------------------------------------------------------------
+# Matrix Params: overhead (X7), netcond (E11), rebalance (E13) and
+# multicast (E14)
+# ----------------------------------------------------------------------
+#: matrix -> (a tiny base, Param key -> one other valid value, rows x
+#: arms of the base).  netcond and multicast run the uniform and
+#: competitive policies on every row, so their probes also reach the
+#: paced senders; the rebalance base saturates a sharded-4 edge, so the
+#: rebalancer's keys reach its migrations.
+E_PROBES = {
+    "overhead": ({"sources": "5", "objects": "2", "warmup": "10",
+                  "measure": "40"},
+                 {"sources": "6", "objects": "3", "warmup": "5",
+                  "measure": "50", "seed": "1"}, 1),
+    "netcond": ({"scenarios": "outage", "topologies": "star",
+                 "sources": "4", "objects": "2", "cache-bandwidth": "4",
+                 "source-bandwidth": "1", "warmup": "10", "measure": "40"},
+                {"scenarios": "bursty", "topologies": "sharded-4",
+                 "sources": "5", "objects": "3", "cache-bandwidth": "6",
+                 "source-bandwidth": "2", "warmup": "5", "measure": "50",
+                 "seed": "1"}, 5),
+    "rebalance": ({"num-caches": "4", "sources": "8", "objects": "4",
+                   "cache-bandwidth": "10", "source-bandwidth": "1.5",
+                   "warmup": "20", "measure": "80"},
+                  {"num-caches": "2", "sources": "9", "objects": "3",
+                   "cache-bandwidth": "14", "source-bandwidth": "1",
+                   "phases": "2", "hot-boost": "10",
+                   "rate-range": "0.05,0.2", "interval": "30",
+                   "max-moves": "1", "saturation-queue": "8",
+                   "peer-rate": "0.25", "warmup": "10", "measure": "100",
+                   "seed": "1"}, 4),
+    "multicast": ({"replications": "2", "deliveries": "multicast",
+                   "num-caches": "3", "sources": "4", "objects": "2",
+                   "cache-bandwidth": "4", "source-bandwidth": "1",
+                   "warmup": "10", "measure": "40"},
+                  {"replications": "3", "deliveries": "unicast",
+                   "num-caches": "4", "sources": "5", "objects": "3",
+                   "cache-bandwidth": "6", "source-bandwidth": "2",
+                   "warmup": "5", "measure": "50", "seed": "1"}, 5),
+}
+#: matrix -> Param key -> why its probe leaves every row unchanged
+E_INERT: dict[str, dict[str, str]] = {}
+
+
+@pytest.mark.parametrize("name", list(E_PROBES))
+def test_every_e_param_is_probed(name):
+    base, probes, runs = E_PROBES[name]
+    matrix = MATRICES[name]
+    assert sorted(probes) == sorted(param.key for param in matrix.params)
+    assert _rows(matrix, base).count("'divergence'") == runs
+
+
+def test_rebalance_probe_base_migrates():
+    base = E_PROBES["rebalance"][0]
+    rows = run_matrix(REBALANCE, REBALANCE.parse(
+        [f"{key}={value}" for key, value in base.items()]))
+    assert all(row[arm]["migrations"] > 0 for row in rows
+               for arm in ("adaptive", "distributed"))
+
+
+@pytest.mark.parametrize("name", list(E_PROBES))
+def test_every_e_param_changes_a_row_or_is_inert(name):
+    base, probes, _ = E_PROBES[name]
+    problems = param_problems(MATRICES[name], base, probes,
+                              E_INERT.get(name, {}))
     assert not problems, "\n".join(problems)

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.weights import (
-    ProductWeights,
-    SineWeights,
-    StaticWeights,
-    WeightModel,
-)
+from repro.core.weights import SineWeights, StaticWeights
 
 
 class TestStaticWeights:
@@ -150,20 +145,3 @@ def assert_same_weight(weights, index, t):
     one = weights.weights_at(np.array([t]), np.array([index]))[0]
     assert (np.float64(weights.weight(index, t)).view(np.int64)
             == one.view(np.int64))
-
-
-class TestProductWeights:
-    def test_product_of_importance_and_popularity(self):
-        importance = StaticWeights(np.array([2.0, 3.0]))
-        popularity = StaticWeights(np.array([5.0, 0.5]))
-        weights = ProductWeights(importance, popularity)
-        assert weights.weight(0, 0.0) == pytest.approx(10.0)
-        assert weights.weight(1, 0.0) == pytest.approx(1.5)
-        np.testing.assert_allclose(weights.weights(0.0), [10.0, 1.5])
-
-    def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            ProductWeights(StaticWeights.uniform(2), StaticWeights.uniform(3))
-
-    def test_is_weight_model(self):
-        assert issubclass(ProductWeights, WeightModel)
